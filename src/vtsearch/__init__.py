@@ -19,7 +19,7 @@ from .linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError, NonUnitaryError,
                      reflection, unitarity_residual, unitary_eig)
 from .subroutines import (BlockSchedule, StoppingProfile, SubroutineSpec,
                           ZeroErrorViolation, build_block_subroutine,
-                          cascade_profile, profile_moments, random_subroutine,
+                          cascade_profile, random_subroutine,
                           run_block_algorithm, run_subroutine,
                           stopping_profile, validate)
 from .grover import (AverageQueryCost, CostProfile, OracleSpec,
@@ -57,8 +57,8 @@ __all__ = [
     "cluster_phases", "compare_table", "decide", "emit", "full_report",
     "general_negative_witness", "general_positive_witness", "grover_state",
     "history_states", "iteration_count", "lagrange_cos_sum", "orthonormalize",
-    "profile_moments", "projector_from_set", "qpe_kernel", "qpe_simulate",
-    "qpe_zero_prediction", "query_weights", "random_subroutine",
+    "projector_from_set", "qpe_kernel", "qpe_simulate", "qpe_zero_prediction",
+    "query_weights", "random_subroutine",
     "reflection", "regime_parameters", "register_bits_for",
     "run_block_algorithm", "run_experiment", "run_subroutine",
     "simple_witnesses", "stopping_profile", "success_probability",

@@ -11,6 +11,7 @@ byte-identical record files.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import time
@@ -51,6 +52,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown regime {r!r}")
         if self.num_seeds < 1:
             raise ValueError("need at least one seed")
+        if (self.kind in ("general-loop", "full-suite")
+                and not any(t >= 2 for t in self.t_list)):
+            raise ValueError("general-loop needs a t_list entry of at least 2")
 
     def tolerance(self) -> TolerancePolicy:
         return TolerancePolicy(assert_tol=self.assert_tol)
@@ -293,13 +297,10 @@ def emit(results: ResultSet, fmt: str, outdir: Path) -> list[Path]:
             path = tables / f"{kind}.csv"
             keys = sorted({k for r in records for k in r["payload"]
                            if isinstance(r["payload"][k], (int, float, str))})
-            lines = [",".join(["passed"] + keys)]
-            for r in records:
-                row = [str(r["passed"])]
-                for k in keys:
-                    v = r["payload"].get(k, "")
-                    row.append(repr(v) if isinstance(v, float) else str(v))
-                lines.append(",".join(row))
-            path.write_text("\n".join(lines) + "\n")
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["passed"] + keys)
+                writer.writerows([r["passed"]] + [str(r["payload"].get(k, ""))
+                                                  for k in keys] for r in records)
             written.append(path)
     return written

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, TolerancePolicy, check_dim, projector_from_set,
-                     reflection)
+from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, check_dim,
+                     orthonormalize, projector_from_set, reflection)
 from .grover import OracleSpec
 from .subroutines import SubroutineSpec, StoppingProfile, stopping_profile
 
@@ -183,10 +183,11 @@ class PEInstance:
     """A two-reflection phase-estimation instance.
 
     Holds the initial vector and the tagged generator sets for the two
-    reflection spans.  Dense projectors, sub-projectors, and the walk
-    unitary are built lazily on first use; projections of single vectors
-    go through the generator lists directly (each side's generators are
-    pairwise orthogonal, which well_formedness_report verifies).
+    reflection spans.  Each side's orthonormal span basis is computed once
+    on first use; dense projectors, sub-projectors, and the walk unitary
+    are built lazily from it.  Projections of single vectors go through
+    the generator lists directly (each side's generators are pairwise
+    orthogonal, which well_formedness_report verifies).
     """
 
     def __init__(self, variant: str, dim: int, psi0: np.ndarray,
@@ -252,12 +253,21 @@ class PEInstance:
         residual = vec - m @ (overlaps / norms ** 2)
         return float(np.linalg.norm(residual))
 
-    def projector(self, side: str, tol: TolerancePolicy = DEFAULT_TOL):
-        key = f"proj_{side}"
+    def span_basis(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+        """Orthonormal basis (dim x rank) of one side's span."""
+        key = f"basis_{side}"
         if key not in self._cache:
             check_dim(self.dim)
-            self._cache[key] = projector_from_set(self.generators(side), tol,
-                                                  dim=self.dim)
+            gens = self.generators(side)
+            self._cache[key] = (orthonormalize(gens, tol) if gens
+                                else np.zeros((self.dim, 0), dtype=complex))
+        return self._cache[key]
+
+    def projector(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> Projector:
+        key = f"proj_{side}"
+        if key not in self._cache:
+            q = self.span_basis(side, tol)
+            self._cache[key] = Projector(q @ q.conj().T, q.shape[1])
         return self._cache[key]
 
     def sub_reflection(self, side: str, name: str,
@@ -276,16 +286,14 @@ class PEInstance:
     def well_formedness_report(self, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
         """Orthogonality within each side and psi0 against the B span."""
         psi0_b = math.sqrt(max(self.projection_norm_sq("B", self.psi0), 0.0))
-        return {
+        report = {
             "gram_offdiag_A": self.gram_offdiagonal_residual("A"),
             "gram_offdiag_B": self.gram_offdiagonal_residual("B"),
             "psi0_norm_residual": abs(float(np.linalg.norm(self.psi0)) - 1.0),
             "psi0_overlap_B": psi0_b,
-            "passed": (self.gram_offdiagonal_residual("A") <= tol.assert_tol
-                       and self.gram_offdiagonal_residual("B") <= tol.assert_tol
-                       and psi0_b <= tol.assert_tol
-                       and abs(float(np.linalg.norm(self.psi0)) - 1.0) <= tol.assert_tol),
         }
+        report["passed"] = all(v <= tol.assert_tol for v in report.values())
+        return report
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ All tolerance-sensitive comparisons in the package are routed through a
 single :class:`TolerancePolicy` so that assertions are reproducible across
 modules.  Everything here operates on plain ``numpy`` arrays: vectors are
 1-d complex arrays, operators are square 2-d complex arrays.
+
+Span bases come from one SVD (:func:`orthonormalize`); the decision engine
+applies :func:`unitary_eig` to the walk compressed onto span A + span B.
 """
 
 from __future__ import annotations
@@ -112,9 +115,8 @@ def _as_matrix(vectors, dim_hint: int | None = None) -> np.ndarray:
 def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (as matrix columns) for the span of the inputs.
 
-    Uses modified Gram-Schmidt with greedy column pivoting and one
-    reorthogonalization pass.  A candidate is kept while its residual norm
-    exceeds rank_tol times the largest input column norm, so the column
+    The left singular vectors of the stacked inputs whose singular values
+    exceed rank_tol times the largest input column norm, so the column
     count equals the numerical rank.
     """
     a = _as_matrix(vectors)
@@ -123,30 +125,8 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         return a
     check_dim(dim)
     threshold = tol.rank_tol * float(np.max(np.linalg.norm(a, axis=0)))
-    basis: list[np.ndarray] = []
-    remaining = a.copy()
-    alive = list(range(n))
-    while alive:
-        norms = np.linalg.norm(remaining[:, alive], axis=0)
-        best = int(np.argmax(norms))
-        if norms[best] <= threshold:
-            break
-        col = alive.pop(best)
-        q = remaining[:, col]
-        # second projection pass keeps orthogonality loss near roundoff
-        for _ in range(2):
-            for b in basis:
-                q = q - b * (b.conj() @ q)
-        nq = np.linalg.norm(q)
-        if nq <= threshold:
-            continue
-        q = q / nq
-        basis.append(q)
-        for col2 in alive:
-            remaining[:, col2] -= q * (q.conj() @ remaining[:, col2])
-    if not basis:
-        return np.zeros((dim, 0), dtype=complex)
-    return np.stack(basis, axis=1)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, s > threshold]
 
 
 def projector_from_set(vectors, tol: TolerancePolicy = DEFAULT_TOL,

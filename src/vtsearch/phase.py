@@ -1,8 +1,12 @@
 """Spectral decision engine for two-reflection instances.
 
 The decision statistic is the exact overlap of the initial vector with
-the small-phase eigenspace of the walk unitary; a simulated
-phase-register run is kept as a fidelity cross-check, and the
+the small-phase eigenspace of the walk W = R_A R_B.  Both reflections map
+span A + span B to itself and equal -I on its complement, where W is the
+identity (Jordan's lemma): the spectrum comes from the r x r compression
+of W onto span A + span B, and psi0's weight outside it has phase 0.  The
+dense d x d walk serves only the phase-register simulation, kept as an
+independent cross-check, and the dense oracle in the test suite; the
 reflection-factorization identity used to implement the walk cheaply is
 verified as an algebraic fact.
 """
@@ -15,9 +19,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, TolerancePolicy, cluster_phases, reflection,
-                     unitary_eig)
+from .linalg import (DEFAULT_TOL, TolerancePolicy, cluster_phases,
+                     orthonormalize, reflection, unitary_eig)
 from .instances import PEInstance
+
+
+def _walk_spectrum(instance: PEInstance,
+                   tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases of the walk and the weight of psi0 on each.
+
+    The last entry is phase 0 carrying the weight of psi0 outside
+    span A + span B, taken as the squared norm of the residual vector
+    (1 - |V^H psi0|^2 would cancel catastrophically).
+    """
+    qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
+    v = orthonormalize([*qa.T, *qb.T], tol)
+    # V^H R_A R_B V with each reflection applied as R x = 2 Q (Q^H x) - x
+    rb_v = 2.0 * qb @ (qb.conj().T @ v) - v
+    dec = unitary_eig(v.conj().T @ (2.0 * qa @ (qa.conj().T @ rb_v) - rb_v), tol)
+    coeffs = v.conj().T @ instance.psi0
+    weights = np.abs(dec.vectors.conj().T @ coeffs) ** 2
+    outside = float(np.linalg.norm(instance.psi0 - v @ coeffs) ** 2)
+    return np.append(dec.phases, 0.0), np.append(weights, outside)
 
 
 def zero_phase_overlap(instance: PEInstance, theta_star: float,
@@ -28,13 +51,12 @@ def zero_phase_overlap(instance: PEInstance, theta_star: float,
     before the cutoff is applied, so numerically split degenerate zero
     phases count as one cluster.
     """
-    dec = unitary_eig(instance.walk_unitary(tol), tol)
-    overlaps = np.abs(dec.vectors.conj().T @ instance.psi0) ** 2
+    phases, weights = _walk_spectrum(instance, tol)
     p0 = 0.0
-    for cluster in cluster_phases(dec.phases, tol.eig_cluster_tol):
-        rep = float(np.mean(dec.phases[cluster]))
+    for cluster in cluster_phases(phases, tol.eig_cluster_tol):
+        rep = float(np.mean(phases[cluster]))
         if abs(rep) <= theta_star + tol.eig_cluster_tol:
-            p0 += float(np.sum(overlaps[cluster]))
+            p0 += float(np.sum(weights[cluster]))
     return p0
 
 
@@ -126,10 +148,8 @@ def qpe_kernel(theta: float, bits: int) -> float:
 def qpe_zero_prediction(instance: PEInstance, bits: int,
                         tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Spectral prediction of Pr[register = 0] via the leakage kernel."""
-    dec = unitary_eig(instance.walk_unitary(tol), tol)
-    overlaps = np.abs(dec.vectors.conj().T @ instance.psi0) ** 2
-    return float(sum(w * qpe_kernel(th, bits)
-                     for th, w in zip(dec.phases, overlaps)))
+    phases, weights = _walk_spectrum(instance, tol)
+    return float(sum(w * qpe_kernel(th, bits) for th, w in zip(phases, weights)))
 
 
 def register_bits_for(c_minus: float) -> int:

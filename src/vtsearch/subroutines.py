@@ -151,11 +151,6 @@ class StoppingProfile:
         return exp_t, exp_t2, exp_log
 
 
-def profile_moments(profile: StoppingProfile) -> tuple[float, float, float]:
-    """(E[T], E[T^2], E[log T]) of a stopping profile (natural log)."""
-    return profile.moments()
-
-
 @dataclass
 class ValidationCheck:
     name: str
@@ -386,7 +381,7 @@ def build_block_subroutine(schedule: BlockSchedule,
                 # sub-op 2: coherent success measurement, counter == kk-1
                 p_c = np.zeros((b + 1, b + 1)); p_c[kk - 1, kk - 1] = 1.0
                 meas_zf = np.kron(pi, x_flag) + np.kron(np.eye(zp) - pi, np.eye(2))
-                m2 = (np.kron(np.eye(2), np.kron(_reorder_zf(meas_zf, zp), p_c))
+                m2 = (np.kron(np.eye(2), np.kron(meas_zf, p_c))
                       + np.kron(np.eye(2), np.kron(np.eye(zp * 2), np.eye(b + 1) - p_c)))
                 # sub-op 3: advance the counter while the flag is unset
                 s = np.kron(p_f[0], inc) + np.kron(p_f[1], np.eye(b + 1))
@@ -428,11 +423,6 @@ def build_block_subroutine(schedule: BlockSchedule,
         unitaries=us,
         outputs=tuple(outputs),
     )
-
-
-def _reorder_zf(m_zf: np.ndarray, zp: int) -> np.ndarray:
-    """Identity reorder: operators on Z' (x) F are already in that order."""
-    return m_zf
 
 
 def run_block_algorithm(schedule: BlockSchedule, i: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from vtsearch import random_subroutine, stopping_profile
+from vtsearch import (DEFAULT_TOL, cluster_phases, qpe_kernel,
+                      random_subroutine, stopping_profile, unitary_eig)
 
 
 def span_residual(generators, vec):
@@ -11,6 +12,30 @@ def span_residual(generators, vec):
     m = np.stack([np.asarray(g, dtype=complex) for g in generators], axis=1)
     coef, *_ = np.linalg.lstsq(m, np.asarray(vec, dtype=complex), rcond=None)
     return float(np.linalg.norm(vec - m @ coef))
+
+
+def dense_walk_spectrum(instance, tol=DEFAULT_TOL):
+    """Oracle: Schur decomposition of the full d x d walk.
+
+    Returns every eigenphase with the squared overlap of psi0 on its
+    eigenvector; the library's decision engine never builds this walk.
+    """
+    dec = unitary_eig(instance.walk_unitary(tol), tol)
+    return dec.phases, np.abs(dec.vectors.conj().T @ instance.psi0) ** 2
+
+
+def dense_zero_phase_overlap(spectrum, theta_star, tol=DEFAULT_TOL):
+    """Oracle p0: weight on eigenphase clusters of magnitude <= theta_star."""
+    phases, weights = spectrum
+    return sum(float(np.sum(weights[c]))
+               for c in cluster_phases(phases, tol.eig_cluster_tol)
+               if abs(float(np.mean(phases[c]))) <= theta_star + tol.eig_cluster_tol)
+
+
+def dense_qpe_zero_prediction(spectrum, bits):
+    """Oracle Pr[register = 0] from the leakage kernel."""
+    phases, weights = spectrum
+    return float(sum(w * qpe_kernel(th, bits) for th, w in zip(phases, weights)))
 
 
 def moment_arrays(spec):

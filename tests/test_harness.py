@@ -1,5 +1,6 @@
 """Tests for the experiment runner, emission, and CLI."""
 
+import csv
 import json
 
 import pytest
@@ -17,6 +18,14 @@ def test_config_validation():
         ExperimentConfig(kind="full-suite", regimes=("x",))
     with pytest.raises(ValueError):
         ExperimentConfig(kind="full-suite", num_seeds=0)
+
+
+def test_config_rejects_t_list_without_general_steps():
+    for kind in ("general-loop", "full-suite"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(kind=kind, t_list=(1,))
+    ExperimentConfig(kind="general-loop", t_list=(1, 2))
+    ExperimentConfig(kind="bounds-compare", t_list=(1,))
 
 
 def test_config_digest_ignores_emission_details():
@@ -76,6 +85,20 @@ def test_emit_layout_and_round_trip(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["passed"] and summary["record_count"] == len(lines)
     assert summary["wall_time_s"] >= 0.0
+
+
+def test_csv_rows_keep_header_width_when_fields_contain_commas(tmp_path):
+    results = ResultSet(config=ExperimentConfig(kind="bounds-compare", **SMALL))
+    results.add("bounds-compare", {"seed": 0, "l2": 1.5}, True)
+    error = 'ordering violated: l2=3.0, l1=2.0, "naive"=1.0'
+    results.add("bounds-compare", {"seed": 1, "error": error}, False)
+    emit(results, "csv", tmp_path)
+    with (tmp_path / "tables" / "bounds-compare.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["passed", "error", "l2", "seed"]
+    assert [len(row) for row in rows] == [len(header)] * 2
+    assert dict(zip(header, rows[1])) == {"passed": "False", "error": error,
+                                          "l2": "", "seed": "1"}
 
 
 def test_emit_rejects_bad_input(tmp_path):

@@ -41,6 +41,21 @@ def test_orthonormalize_rank_and_orthogonality():
         assert np.linalg.norm(p @ c - c) < 1e-10
 
 
+def test_orthonormalize_rank_rule_on_near_dependent_inputs():
+    e = np.eye(4, dtype=complex)
+    # [e0, e1, e0 + eps e2] has smallest singular value ~ eps / sqrt(2)
+    for eps, rank in ((1e-8, 3), (1e-12, 2)):
+        cols = [e[0], e[1], e[0] + eps * e[2]]
+        q = orthonormalize(cols)
+        assert q.shape == (4, rank)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(rank))) < 1e-12
+        assert all(np.linalg.norm(c - q @ (q.conj().T @ c)) <= eps for c in cols)
+    # the cutoff is rank_tol times the largest input column norm
+    tol = TolerancePolicy()
+    assert orthonormalize([2 * e[0], 3 * tol.rank_tol * e[1]], tol).shape == (4, 2)
+    assert orthonormalize([2 * e[0], 1.9 * tol.rank_tol * e[1]], tol).shape == (4, 1)
+
+
 def test_orthonormalize_empty_and_zero():
     assert orthonormalize([]).shape == (0, 0)
     z = orthonormalize([np.zeros(4)])

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (PEInstance, build_general_instance,
+from vtsearch.instances import (REGIMES, PEInstance, build_general_instance,
                                 build_simple_instance, regime_parameters,
                                 simple_witnesses, verify_witnesses)
 from vtsearch.phase import (decide, qpe_kernel, qpe_simulate,
@@ -14,7 +15,11 @@ from vtsearch.phase import (decide, qpe_kernel, qpe_simulate,
                             verify_reflection_factorization,
                             zero_phase_overlap)
 
-from conftest import moment_arrays
+from conftest import (dense_qpe_zero_prediction, dense_walk_spectrum,
+                      dense_zero_phase_overlap, moment_arrays, spec_pair)
+
+THETA_STARS = (0.05, 0.2, 0.5)
+ORACLE_TOL = 1e-12
 
 
 def _unit(dim, k):
@@ -91,6 +96,54 @@ def test_positive_witness_is_fixed_by_walk(small_pair):
     inst = build_general_instance(marked_spec, weights)
     unit = pos.vector / np.linalg.norm(pos.vector)
     assert np.max(np.abs(inst.walk_unitary() @ unit - unit)) < 1e-8
+
+
+def _assert_matches_dense_oracle(inst):
+    spectrum = dense_walk_spectrum(inst)
+    for theta in THETA_STARS:
+        assert abs(zero_phase_overlap(inst, theta)
+                   - dense_zero_phase_overlap(spectrum, theta)) <= ORACLE_TOL
+    for bits in (1, 3, 5):
+        assert abs(qpe_zero_prediction(inst, bits)
+                   - dense_qpe_zero_prediction(spectrum, bits)) <= ORACLE_TOL
+
+
+@given(seed=st.integers(0, 2**31 - 1),
+       shape=st.sampled_from([(1, 2, 2), (1, 3, 2), (2, 2, 2)]),
+       regime=st.sampled_from(REGIMES), marked=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_compressed_spectrum_matches_dense_general(seed, shape, regime, marked):
+    """The span A + span B engine reproduces the dense Schur engine."""
+    n, t_max, workspace = shape
+    marked_spec, empty_spec = spec_pair(seed, n, t_max, workspace)
+    weights = regime_parameters(regime, *moment_arrays(marked_spec), t_max,
+                                marked=(0,))
+    if not marked:
+        weights = regime_parameters(regime, *moment_arrays(empty_spec), t_max,
+                                    mu=weights.mu, k=weights.k)
+    spec = marked_spec if marked else empty_spec
+    _assert_matches_dense_oracle(build_general_instance(spec, weights))
+
+
+@given(n=st.integers(2, 24), marked=st.booleans(),
+       omega_scale=st.floats(0.25, 4.0))
+@settings(max_examples=20, deadline=None)
+def test_compressed_spectrum_matches_dense_simple(n, marked, omega_scale):
+    oracle = OracleSpec(size=n, marked=frozenset({0}) if marked else frozenset())
+    _assert_matches_dense_oracle(build_simple_instance(oracle, omega_scale * n))
+
+
+def test_intersecting_spans_count_as_zero_phase():
+    """A shared direction of span A and span B is a phase-0 eigenvector."""
+    phi = 0.3
+    b2 = math.cos(phi) * _unit(5, 2) + math.sin(phi) * _unit(5, 3)
+    # span A = {e1, e2}, span B = {e1, b2}: intersection e1, angle phi,
+    # complement {e0, e4}
+    psi0 = (_unit(5, 0) + _unit(5, 1) + _unit(5, 3)) / math.sqrt(3.0)
+    inst = _toy_instance([_unit(5, 1), _unit(5, 2)], [_unit(5, 1), b2], psi0)
+    assert zero_phase_overlap(inst, 0.1) == pytest.approx(2.0 / 3.0, abs=ORACLE_TOL)
+    assert zero_phase_overlap(inst, 1.0) == pytest.approx(1.0, abs=ORACLE_TOL)
+    _assert_matches_dense_oracle(inst)
 
 
 def test_qpe_identity_walk():

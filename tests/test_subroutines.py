@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from vtsearch.subroutines import (BlockSchedule, StoppingProfile,
                                   SubroutineSpec, ZeroErrorViolation,
                                   build_block_subroutine, cascade_profile,
-                                  profile_moments, random_subroutine,
-                                  run_block_algorithm, run_subroutine,
-                                  stopping_profile, validate)
+                                  random_subroutine, run_block_algorithm,
+                                  run_subroutine, stopping_profile, validate)
 
 
 def identity_spec(n=2, t=3, w=4):
@@ -54,10 +53,10 @@ def test_stopping_profile_point_mass_at_final_step():
 
 def test_profile_moments_examples():
     point = StoppingProfile(pmf=np.array([0.0, 1.0]), cdf=np.array([0.0, 1.0]))
-    assert profile_moments(point) == pytest.approx((2.0, 4.0, math.log(2.0)))
+    assert point.moments() == pytest.approx((2.0, 4.0, math.log(2.0)))
     half = StoppingProfile(pmf=np.array([0.5, 0.0, 0.5]),
                            cdf=np.array([0.5, 0.5, 1.0]))
-    m1, m2, mlog = profile_moments(half)
+    m1, m2, mlog = half.moments()
     assert (m1, m2) == pytest.approx((2.0, 5.0))
     assert mlog == pytest.approx(math.log(3.0) / 2.0)
 
