@@ -218,15 +218,18 @@ def _run_general_loop(config, results, prefix, decide_dim_cap: int = 600):
             dim = inst_mod.GeneralBasis.for_spec(marked_spec).dim
             if dim <= decide_dim_cap:
                 c_minus = max(neg.closed_norm_sq, c_plus * 1.0, 1.0)
+                # decide accepts c_plus up to 50; the clamp is recorded
+                c_plus_decide = min(c_plus, 50.0)
                 verdicts = {}
-                for label, spec, witness_cap in (("marked", marked_spec, c_plus),
-                                                 ("empty", empty_spec, c_plus)):
-                    weights = weights_pos if label == "marked" else weights_neg
+                for label, spec, weights in (("marked", marked_spec, weights_pos),
+                                             ("empty", empty_spec, weights_neg)):
                     instance = inst_mod.build_general_instance(spec, weights)
                     decision = phase_mod.decide(instance, c_minus=c_minus,
-                                                c_plus=min(witness_cap, 50.0), tol=tol)
+                                                c_plus=c_plus_decide, tol=tol)
                     verdicts[label] = decision.verdict
                 payload["verdicts"] = verdicts
+                payload["c_minus"] = c_minus
+                payload["c_plus_decide"] = c_plus_decide
                 passed = passed and verdicts == {"marked": "positive",
                                                  "empty": "negative"}
             results.add(prefix, payload, passed)

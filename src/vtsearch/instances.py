@@ -50,6 +50,12 @@ class SimpleBasis:
     def index(self, tag: str, i: int, b: int) -> int:
         return (SIMPLE_TAGS.index(tag) * (self.n + 1) + i) * 2 + b
 
+    def unit(self, tag: str, i: int, b: int) -> np.ndarray:
+        """The basis vector of label (tag, i, b)."""
+        v = np.zeros(self.dim, dtype=complex)
+        v[self.index(tag, i, b)] = 1.0
+        return v
+
 
 @dataclass(frozen=True)
 class GeneralBasis:
@@ -67,6 +73,13 @@ class GeneralBasis:
         d = GENERAL_TAGS.index(tag)
         return ((((d * (self.n + 1) + i) * 2 + b) * 2 + a)
                 * self.workspace + z) * (self.t_max + 1) + t
+
+    def unit(self, tag: str, i: int, b: int, a: int = 0, z: int = 0,
+             t: int = 0) -> np.ndarray:
+        """The basis vector of label (tag, i, b, a, z, t)."""
+        v = np.zeros(self.dim, dtype=complex)
+        v[self.index(tag, i, b, a, z, t)] = 1.0
+        return v
 
     def az_indices(self, tag: str, i: int, b: int, t: int) -> np.ndarray:
         """Indices of the whole (a, z) block at fixed (tag, i, b, t)."""
@@ -184,10 +197,12 @@ class PEInstance:
 
     Holds the initial vector and the tagged generator sets for the two
     reflection spans.  Each side's orthonormal span basis is computed once
-    on first use; dense projectors, sub-projectors, and the walk unitary
-    are built lazily from it.  Projections of single vectors go through
-    the generator lists directly (each side's generators are pairwise
-    orthogonal, which well_formedness_report verifies).
+    on first use; the decision engine takes the principal angles between
+    the two spans from these bases, and dense projectors, sub-projectors,
+    and the walk unitary are built lazily from them.  Projections of
+    single vectors go through the generator lists directly (each side's
+    generators are pairwise orthogonal, which well_formedness_report
+    verifies).
     """
 
     def __init__(self, variant: str, dim: int, psi0: np.ndarray,
@@ -315,10 +330,7 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     basis = SimpleBasis(n)
     check_dim(basis.dim)
 
-    def e(tag, i, b):
-        v = np.zeros(basis.dim, dtype=complex)
-        v[basis.index(tag, i, b)] = 1.0
-        return v
+    e = basis.unit
 
     launch = e("src", 0, 0)
     for i in range(1, n + 1):
@@ -364,10 +376,7 @@ def simple_witnesses(oracle: OracleSpec, omega: float):
     n = oracle.size
     basis = SimpleBasis(n)
 
-    def e(tag, i, b):
-        v = np.zeros(basis.dim, dtype=complex)
-        v[basis.index(tag, i, b)] = 1.0
-        return v
+    e = basis.unit
 
     if oracle.marked:
         m_count = len(oracle.marked)
@@ -478,10 +487,7 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
     w = spec.workspace_size
     t_max = spec.num_steps
 
-    def e(tag, i, b, a=0, z=0, t=0):
-        v = np.zeros(basis.dim, dtype=complex)
-        v[basis.index(tag, i, b, a, z, t)] = 1.0
-        return v
+    e = basis.unit
 
     launch = e("src", 0, 0)
     for i in range(1, n + 1):

@@ -6,7 +6,8 @@ modules.  Everything here operates on plain ``numpy`` arrays: vectors are
 1-d complex arrays, operators are square 2-d complex arrays.
 
 Span bases come from one SVD (:func:`orthonormalize`); the decision engine
-applies :func:`unitary_eig` to the walk compressed onto span A + span B.
+applies :func:`unitary_eig` to the 2 x 2 compression of the walk on each
+plane spanned by a pair of principal vectors of span A and span B.
 """
 
 from __future__ import annotations

@@ -1,46 +1,116 @@
 """Spectral decision engine for two-reflection instances.
 
 The decision statistic is the exact overlap of the initial vector with
-the small-phase eigenspace of the walk W = R_A R_B.  Both reflections map
-span A + span B to itself and equal -I on its complement, where W is the
-identity (Jordan's lemma): the spectrum comes from the r x r compression
-of W onto span A + span B, and psi0's weight outside it has phase 0.  The
-dense d x d walk serves only the phase-register simulation, kept as an
-independent cross-check, and the dense oracle in the test suite; the
-reflection-factorization identity used to implement the walk cheaply is
-verified as an algebraic fact.
+the small-phase eigenspace of the walk W = R_A R_B.  By Jordan's lemma
+the walk splits along the principal angles theta_j between span A and
+span B: the SVD of Q_A^H Q_B (one orthonormal basis per side) pairs a
+principal vector u_j of A with one of B, and W rotates the plane they
+span by 2 theta_j, so its phases there are +-2 theta_j.  Each plane's
+2 x 2 compression is decomposed (which certifies the plane invariant);
+the remaining directions are fixed analytically: intersection lines and
+the complement of span A + span B have phase 0, and principal vectors
+left unpaired on either side (orthogonal to the other span) have phase
+pi.  The dense d x d walk serves only the phase-register simulation,
+kept as an independent cross-check, and the dense oracle in the test
+suite; the reflection-factorization identity used to implement the walk
+cheaply is verified as an algebraic fact.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, TolerancePolicy, cluster_phases,
-                     orthonormalize, reflection, unitary_eig)
+                     reflection, unitary_eig)
 from .instances import PEInstance
 
 
-def _walk_spectrum(instance: PEInstance,
-                   tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases of the walk and the weight of psi0 on each.
+class WalkSpectrum(NamedTuple):
+    """Eigenphases of the walk with the weight of psi0 on each.
 
-    The last entry is phase 0 carrying the weight of psi0 outside
-    span A + span B, taken as the squared norm of the residual vector
-    (1 - |V^H psi0|^2 would cancel catastrophically).
+    min_angle is the smallest principal angle among the rotation planes,
+    or None when the spans meet in no plane.
+    """
+
+    phases: np.ndarray
+    weights: np.ndarray
+    rank_a: int
+    rank_b: int
+    min_angle: float | None
+
+
+def _reflect(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The reflection 2 Q Q^H - I applied to the columns of x."""
+    return 2.0 * q @ (q.conj().T @ x) - x
+
+
+def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
+    """Spectrum of W = R_A R_B from the principal angles of the two spans.
+
+    Column j of the SVD pairs u_j = Q_A U_j with Q_B V_j = cos_j u_j +
+    sin_j w_j; sin_j is taken as the norm of Q_B V_j - cos_j u_j, which
+    stays accurate where sqrt(1 - cos_j^2) would cancel.  Pairs with
+    sin_j <= rank_tol are intersection lines.  psi0's weight outside
+    span A + span B is the squared norm of its residual vector, never a
+    cancelling 1 - sum of weights.
     """
     qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
-    v = orthonormalize([*qa.T, *qb.T], tol)
-    # V^H R_A R_B V with each reflection applied as R x = 2 Q (Q^H x) - x
-    rb_v = 2.0 * qb @ (qb.conj().T @ v) - v
-    dec = unitary_eig(v.conj().T @ (2.0 * qa @ (qa.conj().T @ rb_v) - rb_v), tol)
-    coeffs = v.conj().T @ instance.psi0
-    weights = np.abs(dec.vectors.conj().T @ coeffs) ** 2
-    outside = float(np.linalg.norm(instance.psi0 - v @ coeffs) ** 2)
-    return np.append(dec.phases, 0.0), np.append(weights, outside)
+    rank_a, rank_b = qa.shape[1], qb.shape[1]
+    u, cos, vh = np.linalg.svd(qa.conj().T @ qb)
+    paired = len(cos)
+    ua = qa @ u
+    vb = qb @ vh.conj().T
+    ua_paired = ua[:, :paired]
+    perp = vb[:, :paired] - ua_paired * cos
+    sin = np.linalg.norm(perp, axis=0)
+    rot = sin > tol.rank_tol
+    w = perp[:, rot] / sin[rot]
+
+    psi0 = instance.psi0
+    ca, cw = ua.conj().T @ psi0, w.conj().T @ psi0
+    cb = vb[:, paired:].conj().T @ psi0
+    outside = float(np.linalg.norm(
+        psi0 - ua @ ca - w @ cw - vb[:, paired:] @ cb) ** 2)
+
+    # plane j is span{u_j, w_j}; W is applied as two matrix-free reflections
+    planes = np.stack([ua_paired[:, rot], w], axis=-1)
+    dim, count = planes.shape[0], planes.shape[1]
+    walked = _reflect(qa, _reflect(qb, planes.reshape(dim, 2 * count)))
+    # (count, 2, dim) @ (count, dim, 2): the 2 x 2 compression of each plane
+    blocks = (planes.transpose(1, 2, 0).conj()
+              @ walked.reshape(dim, count, 2).transpose(1, 0, 2))
+    coeffs = np.stack([ca[:paired][rot], cw], axis=-1)
+    phases, weights = [], []
+    for block, c in zip(blocks, coeffs):
+        dec = unitary_eig(block, tol)
+        phases.append(dec.phases)
+        weights.append(np.abs(dec.vectors.conj().T @ c) ** 2)
+
+    lines = np.abs(ca[:paired][~rot]) ** 2
+    unpaired = np.abs(np.concatenate([ca[paired:], cb])) ** 2
+    angles = np.arctan2(sin[rot], cos[rot])
+    return WalkSpectrum(
+        phases=np.concatenate([*phases, np.zeros(len(lines)),
+                               np.full(len(unpaired), np.pi), [0.0]]),
+        weights=np.concatenate([*weights, lines, unpaired, [outside]]),
+        rank_a=rank_a, rank_b=rank_b,
+        min_angle=float(angles.min()) if len(angles) else None)
+
+
+def _zero_phase_weight(spectrum: WalkSpectrum, theta_star: float,
+                       tol: TolerancePolicy) -> float:
+    phases, weights = spectrum.phases, spectrum.weights
+    p0 = 0.0
+    for cluster in cluster_phases(phases, tol.eig_cluster_tol):
+        rep = float(np.mean(phases[cluster]))
+        if abs(rep) <= theta_star + tol.eig_cluster_tol:
+            p0 += float(np.sum(weights[cluster]))
+    return p0
 
 
 def zero_phase_overlap(instance: PEInstance, theta_star: float,
@@ -51,27 +121,29 @@ def zero_phase_overlap(instance: PEInstance, theta_star: float,
     before the cutoff is applied, so numerically split degenerate zero
     phases count as one cluster.
     """
-    phases, weights = _walk_spectrum(instance, tol)
-    p0 = 0.0
-    for cluster in cluster_phases(phases, tol.eig_cluster_tol):
-        rep = float(np.mean(phases[cluster]))
-        if abs(rep) <= theta_star + tol.eig_cluster_tol:
-            p0 += float(np.sum(weights[cluster]))
-    return p0
+    return _zero_phase_weight(_walk_spectrum(instance, tol), theta_star, tol)
 
 
 @dataclass(frozen=True)
 class Decision:
+    """A verdict with the size of the instance it was reached on.
+
+    dim is the instance dimension, rank_a / rank_b the ranks of the two
+    spans, and min_angle the smallest principal angle among the walk's
+    rotation planes (None when there is none).
+    """
+
     verdict: str            # "positive" | "negative"
     p0: float
     threshold: float
     theta_star: float
+    dim: int
+    rank_a: int
+    rank_b: int
+    min_angle: float | None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "verdict": self.verdict, "p0": self.p0,
-            "threshold": self.threshold, "theta_star": self.theta_star,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def decide(instance: PEInstance, c_minus: float, c_plus: float,
@@ -88,11 +160,14 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float,
     if c_minus < 1.0:
         raise ValueError("c_minus must be at least 1")
     theta_star = 1.0 / math.sqrt(c_plus * c_minus)
-    p0 = zero_phase_overlap(instance, theta_star, tol)
+    spectrum = _walk_spectrum(instance, tol)
+    p0 = _zero_phase_weight(spectrum, theta_star, tol)
     threshold = 1.0 / (2.0 * c_plus)
     verdict = "positive" if p0 >= threshold else "negative"
     return Decision(verdict=verdict, p0=p0, threshold=threshold,
-                    theta_star=theta_star)
+                    theta_star=theta_star, dim=instance.dim,
+                    rank_a=spectrum.rank_a, rank_b=spectrum.rank_b,
+                    min_angle=spectrum.min_angle)
 
 
 @dataclass(frozen=True)
@@ -148,8 +223,9 @@ def qpe_kernel(theta: float, bits: int) -> float:
 def qpe_zero_prediction(instance: PEInstance, bits: int,
                         tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Spectral prediction of Pr[register = 0] via the leakage kernel."""
-    phases, weights = _walk_spectrum(instance, tol)
-    return float(sum(w * qpe_kernel(th, bits) for th, w in zip(phases, weights)))
+    spectrum = _walk_spectrum(instance, tol)
+    return float(sum(w * qpe_kernel(th, bits)
+                     for th, w in zip(spectrum.phases, spectrum.weights)))
 
 
 def register_bits_for(c_minus: float) -> int:

@@ -115,10 +115,11 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def _pairs_to_matrix(rows: list, dim: int) -> np.ndarray:
+    # real and imaginary parts are assigned separately: re + 1j * im
+    # would turn an imaginary -0.0 into +0.0
+    pairs = np.asarray(rows, dtype=float).reshape(dim, dim, 2)
     out = np.empty((dim, dim), dtype=complex)
-    for r, row in enumerate(rows):
-        for c, (re, im) in enumerate(row):
-            out[r, c] = complex(re, im)
+    out.real, out.imag = pairs[..., 0], pairs[..., 1]
     return out
 
 

@@ -58,6 +58,11 @@ def test_general_loop_records_include_verdicts():
                                             "empty": "negative"}
                for r in results.records)
     assert len(results.records) == 2 * 5  # seeds x regimes
+    # the constants handed to decide, with the c_plus clamp made explicit
+    for r in results.records:
+        p = r["payload"]
+        assert p["c_plus_decide"] == min(p["c_plus_effective"], 50.0)
+        assert p["c_minus"] == max(p["neg_norm_closed"], p["c_plus_effective"], 1.0)
 
 
 def test_full_suite_collects_all_kinds():

@@ -1,5 +1,6 @@
 """Tests for the spectral decision engine and phase-register simulation."""
 
+import json
 import math
 
 import numpy as np
@@ -10,10 +11,11 @@ from vtsearch.grover import OracleSpec
 from vtsearch.instances import (REGIMES, PEInstance, build_general_instance,
                                 build_simple_instance, regime_parameters,
                                 simple_witnesses, verify_witnesses)
-from vtsearch.phase import (decide, qpe_kernel, qpe_simulate,
+from vtsearch.phase import (_walk_spectrum, decide, qpe_kernel, qpe_simulate,
                             qpe_zero_prediction, register_bits_for,
                             verify_reflection_factorization,
                             zero_phase_overlap)
+from vtsearch.linalg import DEFAULT_TOL
 
 from conftest import (dense_qpe_zero_prediction, dense_walk_spectrum,
                       dense_zero_phase_overlap, moment_arrays, spec_pair)
@@ -64,6 +66,14 @@ def test_decide_simple_cases():
     assert neg.verdict == "negative" and neg.p0 <= 1 / 16 + 1e-9
     assert pos.theta_star == pytest.approx(1 / math.sqrt(52.0))
     assert pos.threshold == pytest.approx(0.125)
+    for decision, inst in ((pos, marked), (neg, empty)):
+        assert decision.dim == inst.dim == 40
+        assert decision.rank_a == len(inst.generators("A"))
+        assert decision.rank_b == len(inst.generators("B"))
+        assert 0.0 < decision.min_angle <= math.pi / 2
+        assert list(json.loads(decision.to_json())) == sorted(
+            ["verdict", "p0", "threshold", "theta_star", "dim", "rank_a",
+             "rank_b", "min_angle"])
 
 
 def test_decide_validates_constants():
@@ -113,7 +123,7 @@ def _assert_matches_dense_oracle(inst):
        regime=st.sampled_from(REGIMES), marked=st.booleans())
 @settings(max_examples=15, deadline=None)
 def test_compressed_spectrum_matches_dense_general(seed, shape, regime, marked):
-    """The span A + span B engine reproduces the dense Schur engine."""
+    """The principal-angle engine reproduces the dense Schur engine."""
     n, t_max, workspace = shape
     marked_spec, empty_spec = spec_pair(seed, n, t_max, workspace)
     weights = regime_parameters(regime, *moment_arrays(marked_spec), t_max,
@@ -143,6 +153,55 @@ def test_intersecting_spans_count_as_zero_phase():
     inst = _toy_instance([_unit(5, 1), _unit(5, 2)], [_unit(5, 1), b2], psi0)
     assert zero_phase_overlap(inst, 0.1) == pytest.approx(2.0 / 3.0, abs=ORACLE_TOL)
     assert zero_phase_overlap(inst, 1.0) == pytest.approx(1.0, abs=ORACLE_TOL)
+    _assert_matches_dense_oracle(inst)
+
+
+def _weighted(spectrum):
+    """(phase, weight) pairs carrying weight, sorted by phase."""
+    keep = spectrum.weights > 1e-15
+    return sorted(zip(spectrum.phases[keep], spectrum.weights[keep]))
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.3, math.pi / 2 - 1e-6])
+def test_single_plane_rotates_by_twice_the_principal_angle(theta):
+    """span A = e0, span B = cos(theta) e0 + sin(theta) e1, psi0 = e0."""
+    b = math.cos(theta) * _unit(2, 0) + math.sin(theta) * _unit(2, 1)
+    inst = _toy_instance([_unit(2, 0)], [b], _unit(2, 0))
+    spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+    (lo, w_lo), (hi, w_hi) = _weighted(spectrum)
+    assert lo == pytest.approx(-2 * theta, abs=ORACLE_TOL)
+    assert hi == pytest.approx(2 * theta, abs=ORACLE_TOL)
+    assert w_lo == pytest.approx(0.5, abs=ORACLE_TOL)
+    assert w_hi == pytest.approx(0.5, abs=ORACLE_TOL)
+    assert spectrum.min_angle == pytest.approx(theta, abs=ORACLE_TOL)
+    for theta_star in (*THETA_STARS, theta, 3 * theta):
+        expected = 1.0 if 2 * theta <= theta_star else 0.0
+        assert zero_phase_overlap(inst, theta_star) == pytest.approx(
+            expected, abs=ORACLE_TOL)
+    for bits in (1, 3, 5):
+        assert qpe_zero_prediction(inst, bits) == pytest.approx(
+            qpe_kernel(2 * theta, bits), abs=ORACLE_TOL)
+    _assert_matches_dense_oracle(inst)
+
+
+@pytest.mark.parametrize("wider", ["A", "B"])
+def test_unpaired_principal_vectors_have_phase_pi(wider):
+    """The wider span's directions orthogonal to the other span get phase pi."""
+    phi = 0.4
+    tilted = math.cos(phi) * _unit(5, 0) + math.sin(phi) * _unit(5, 3)
+    wide, narrow = [_unit(5, 0), _unit(5, 1)], [tilted]
+    a_vecs, b_vecs = (wide, narrow) if wider == "A" else (narrow, wide)
+    # e1 lies in the wider span only, e4 outside both spans
+    psi0 = (_unit(5, 1) + _unit(5, 4)) / math.sqrt(2.0)
+    inst = _toy_instance(a_vecs, b_vecs, psi0)
+    spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+    assert (spectrum.rank_a, spectrum.rank_b) == ((2, 1) if wider == "A" else (1, 2))
+    (zero, w_zero), (pi, w_pi) = _weighted(spectrum)
+    assert (zero, pi) == (0.0, math.pi)
+    assert w_zero == pytest.approx(0.5, abs=ORACLE_TOL)
+    assert w_pi == pytest.approx(0.5, abs=ORACLE_TOL)
+    assert spectrum.min_angle == pytest.approx(phi, abs=ORACLE_TOL)
+    assert zero_phase_overlap(inst, 0.1) == pytest.approx(0.5, abs=ORACLE_TOL)
     _assert_matches_dense_oracle(inst)
 
 

@@ -1,5 +1,6 @@
 """Tests for variable-time subroutines and their stopping profiles."""
 
+import json
 import math
 
 import numpy as np
@@ -135,6 +136,14 @@ def test_json_round_trip_bit_faithful():
     assert back.to_json() == text
     assert np.array_equal(back.unitaries, spec.unitaries)
     assert back.partition == spec.partition and back.outputs == spec.outputs
+    # signed zeros survive in both parts
+    data = spec.to_jsonable()
+    data["unitaries"][0][0][0][1] = [-0.0, -0.0]
+    signed = SubroutineSpec.from_jsonable(data)
+    entry = signed.unitaries[0, 0, 0, 1]
+    assert np.signbit(entry.real) and np.signbit(entry.imag)
+    assert json.dumps(signed.to_jsonable(), sort_keys=True) == json.dumps(
+        data, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
