@@ -19,9 +19,10 @@ from .linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError, NonUnitaryError,
                      reflection, unitarity_residual, unitary_eig)
 from .subroutines import (BlockSchedule, StoppingProfile, SubroutineSpec,
                           ZeroErrorViolation, build_block_subroutine,
-                          cascade_profile, random_subroutine,
-                          run_block_algorithm, run_subroutine,
-                          stopping_profile, validate)
+                          cascade_profile, late_halting_fractions,
+                          random_subroutine, run_block_algorithm,
+                          run_subroutine, stopping_profile, subroutine_pair,
+                          validate)
 from .grover import (AverageQueryCost, CostProfile, OracleSpec,
                      QueryWeightTable, average_query_cost, closed_form_weights,
                      grover_state, iteration_count, lagrange_cos_sum,
@@ -56,12 +57,14 @@ __all__ = [
     "build_simple_instance", "cascade_profile", "closed_form_weights",
     "cluster_phases", "compare_table", "decide", "emit", "full_report",
     "general_negative_witness", "general_positive_witness", "grover_state",
-    "history_states", "iteration_count", "lagrange_cos_sum", "orthonormalize",
+    "history_states", "iteration_count", "lagrange_cos_sum",
+    "late_halting_fractions", "orthonormalize",
     "projector_from_set", "qpe_kernel", "qpe_simulate", "qpe_zero_prediction",
     "query_weights", "random_subroutine",
     "reflection", "regime_parameters", "register_bits_for",
     "run_block_algorithm", "run_experiment", "run_subroutine",
-    "simple_witnesses", "stopping_profile", "success_probability",
+    "simple_witnesses", "stopping_profile", "subroutine_pair",
+    "success_probability",
     "unitarity_residual", "unitary_eig", "validate",
     "verify_reflection_factorization", "verify_witnesses",
     "zero_phase_overlap",

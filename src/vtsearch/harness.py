@@ -86,6 +86,11 @@ class ResultSet:
     def passed(self) -> bool:
         return all(r.get("passed", False) for r in self.records)
 
+    @property
+    def decisions_skipped(self) -> int:
+        """Records whose instance was too large to decide."""
+        return sum("decision_skipped" in r["payload"] for r in self.records)
+
     def add(self, experiment: str, payload: dict, passed: bool):
         self.records.append({
             "experiment": experiment,
@@ -164,19 +169,6 @@ def _run_simple_loop(config, results, prefix):
             }, passed)
 
 
-def _general_pair(seed: int, n: int, t_max: int, workspace: int):
-    """A marked/unmarked subroutine pair with no step-1 halting mass."""
-    fractions = np.zeros(t_max)
-    fractions[1:] = 1.0 / (t_max - 1)
-    marked_spec = subs_mod.random_subroutine(seed, n, t_max, workspace,
-                                             halting_fractions=fractions,
-                                             marked=(0,))
-    empty_spec = subs_mod.random_subroutine(seed + 10_000, n, t_max, workspace,
-                                            halting_fractions=fractions,
-                                            marked=())
-    return marked_spec, empty_spec
-
-
 def _run_general_loop(config, results, prefix, decide_dim_cap: int = 600):
     tol = config.tolerance()
     for idx in range(config.num_seeds):
@@ -185,7 +177,8 @@ def _run_general_loop(config, results, prefix, decide_dim_cap: int = 600):
         n = int(rng.choice(config.n_list))
         t_max = int(rng.choice([t for t in config.t_list if t >= 2]))
         workspace = int(rng.choice(config.z_list))
-        marked_spec, empty_spec = _general_pair(seed, n, t_max, workspace)
+        marked_spec, empty_spec = subs_mod.subroutine_pair(seed, n, t_max,
+                                                           workspace)
         moments = {}
         for label, spec in (("marked", marked_spec), ("empty", empty_spec)):
             profs = [subs_mod.stopping_profile(spec, i) for i in range(n)]
@@ -232,6 +225,8 @@ def _run_general_loop(config, results, prefix, decide_dim_cap: int = 600):
                 payload["c_plus_decide"] = c_plus_decide
                 passed = passed and verdicts == {"marked": "positive",
                                                  "empty": "negative"}
+            else:
+                payload["decision_skipped"] = {"dim": dim, "cap": decide_dim_cap}
             results.add(prefix, payload, passed)
 
 
@@ -285,6 +280,7 @@ def emit(results: ResultSet, fmt: str, outdir: Path) -> list[Path]:
         summary = outdir / "summary.json"
         summary.write_text(json.dumps({
             "passed": results.passed,
+            "decisions_skipped": results.decisions_skipped,
             "record_count": len(results.records),
             "wall_time_s": results.wall_time_s,
             "config_digest": results.config.digest(),

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, check_dim,
-                     orthonormalize, projector_from_set, reflection)
+                     projector_from_set, reflection)
 from .grover import OracleSpec
 from .subroutines import SubroutineSpec, StoppingProfile, stopping_profile
 
@@ -196,13 +196,15 @@ class PEInstance:
     """A two-reflection phase-estimation instance.
 
     Holds the initial vector and the tagged generator sets for the two
-    reflection spans.  Each side's orthonormal span basis is computed once
-    on first use; the decision engine takes the principal angles between
-    the two spans from these bases, and dense projectors, sub-projectors,
-    and the walk unitary are built lazily from them.  Projections of
-    single vectors go through the generator lists directly (each side's
-    generators are pairwise orthogonal, which well_formedness_report
-    verifies).
+    reflection spans.  Each side's generators are pairwise orthogonal
+    (well_formedness_report reports it), so the side's orthonormal span
+    basis is its normalized generators; span_basis builds it once, checks
+    it, and raises rather than falling back when the check fails.  The
+    decision engine takes the principal angles between the two spans from
+    these bases.  Dense projectors, sub-projectors and the walk unitary
+    are built lazily from an SVD of the generators instead, so the dense
+    oracle does not share the engine's basis.  Projections of single
+    vectors go through the generator lists directly.
     """
 
     def __init__(self, variant: str, dim: int, psi0: np.ndarray,
@@ -269,20 +271,39 @@ class PEInstance:
         return float(np.linalg.norm(residual))
 
     def span_basis(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal basis (dim x rank) of one side's span."""
+        """Orthonormal basis (dim x generator count) of one side's span.
+
+        The side's generators, each divided by its norm.  This is a basis
+        only because the generators are pairwise orthogonal, so that is
+        checked here: a generator norm at or below rank_tol, or a basis
+        with max|Q^H Q - I| above assert_tol, raises ValueError.
+        """
         key = f"basis_{side}"
         if key not in self._cache:
             check_dim(self.dim)
-            gens = self.generators(side)
-            self._cache[key] = (orthonormalize(gens, tol) if gens
-                                else np.zeros((self.dim, 0), dtype=complex))
+            m, norms = self._gen_matrix(side)
+            if np.any(norms <= tol.rank_tol):
+                raise ValueError(f"side {side}: generator norm {norms.min():.3e} "
+                                 f"is at or below rank_tol")
+            q = m / norms
+            resid = float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])),
+                                 initial=0.0))
+            if resid > tol.assert_tol:
+                raise ValueError(f"side {side}: normalized generators are not "
+                                 f"orthonormal, residual {resid:.3e}")
+            self._cache[key] = q
         return self._cache[key]
 
     def projector(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> Projector:
+        """Dense projector onto one side's span, from an SVD of its generators.
+
+        Computed independently of span_basis, so the dense walk built from
+        it checks the decision engine rather than sharing its basis.
+        """
         key = f"proj_{side}"
         if key not in self._cache:
-            q = self.span_basis(side, tol)
-            self._cache[key] = Projector(q @ q.conj().T, q.shape[1])
+            self._cache[key] = projector_from_set(self.generators(side), tol,
+                                                  dim=self.dim)
         return self._cache[key]
 
     def sub_reflection(self, side: str, name: str,

@@ -5,9 +5,11 @@ single :class:`TolerancePolicy` so that assertions are reproducible across
 modules.  Everything here operates on plain ``numpy`` arrays: vectors are
 1-d complex arrays, operators are square 2-d complex arrays.
 
-Span bases come from one SVD (:func:`orthonormalize`); the decision engine
-applies :func:`unitary_eig` to the 2 x 2 compression of the walk on each
-plane spanned by a pair of principal vectors of span A and span B.
+Projectors onto the span of an arbitrary vector set come from one SVD
+(:func:`orthonormalize`); the decision engine needs none, because its span
+bases are normalized pairwise-orthogonal generators.  It hands the 2 x 2
+compressions of the walk on all rotation planes to :func:`unitary_eig` as
+one stack, which is decomposed in closed form.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ class Projector:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenphases and orthonormal eigenvectors of a unitary.
+    """Eigenphases and orthonormal eigenvectors of a unitary or a stack of them.
 
-    phases[j] in (-pi, pi] and vectors[:, j] satisfy
-    U @ vectors[:, j] == exp(1j * phases[j]) * vectors[:, j].
+    phases[..., j] in (-pi, pi] and vectors[..., :, j] satisfy
+    U @ vectors[..., :, j] == exp(1j * phases[..., j]) * vectors[..., :, j].
     """
 
     phases: np.ndarray
@@ -95,10 +97,11 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * np.exp(1j * self.phases)) @ self.vectors.conj().T
+        return ((self.vectors * np.exp(1j * self.phases)[..., None, :])
+                @ _adjoint(self.vectors))
 
 
 def _as_matrix(vectors, dim_hint: int | None = None) -> np.ndarray:
@@ -147,27 +150,78 @@ def reflection(p: Projector) -> np.ndarray:
     return 2.0 * p.matrix - np.eye(p.dim, dtype=complex)
 
 
+def _adjoint(u: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return u.conj().swapaxes(-1, -2)
+
+
 def unitarity_residual(u: np.ndarray) -> float:
+    """Largest entry of U^H U - I, over every matrix of a stack."""
     u = np.asarray(u, dtype=complex)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return float(np.max(np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])),
+                        initial=0.0))
+
+
+def _eig_2x2(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenphases and eigenvectors of a (k, 2, 2) unitary stack.
+
+    Writes each block as U = e^{i a} (cos b I + i sin b n.sigma) with
+    e^{2 i a} = det U; the eigenvalues are e^{i a} (cos b +- i sin b) on
+    the eigenvectors of n.sigma.  sin b comes from the Hermitian part
+    H = sin b n.sigma of (V - V^H) / 2i, V = e^{-i a} U, and b is never
+    taken from an arccos, so near-identity blocks keep their small phases.
+    The +1 eigenvector of n.sigma is built from whichever of its two
+    closed forms avoids cancellation, and the -1 eigenvector is its
+    orthogonal complement, so each pair is orthonormal by construction.
+    Blocks proportional to I (sin b = 0) keep the standard basis.
+    """
+    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+    half = np.exp(-0.5j * np.angle(det))
+    v = u * half[:, None, None]
+    cos = 0.5 * (v[:, 0, 0] + v[:, 1, 1]).real
+    # (V - V^H) / 2i has traceless part [[h, g*], [g, -h]] = sin b n.sigma
+    h = 0.5 * (v[:, 0, 0].imag - v[:, 1, 1].imag)
+    g = (v[:, 1, 0] - v[:, 0, 1].conj()) / 2j
+    sin = np.hypot(h, np.abs(g))
+    top = np.where(h >= 0, sin + h, g.conj())
+    bottom = np.where(h >= 0, g, sin - h)
+    norm = np.hypot(np.abs(top), np.abs(bottom))
+    flat = norm == 0.0
+    top, norm = np.where(flat, 1.0, top), np.where(flat, 1.0, norm)
+    top, bottom = top / norm, bottom / norm
+    vectors = np.empty_like(u)
+    vectors[:, 0, 0], vectors[:, 1, 0] = top, bottom
+    vectors[:, 0, 1], vectors[:, 1, 1] = -bottom.conj(), top.conj()
+    root = half.conj()
+    phases = np.angle(np.stack([root * (cos + 1j * sin),
+                                root * (cos - 1j * sin)], axis=-1))
+    return phases, vectors
 
 
 def unitary_eig(u: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary matrix.
+    """Spectral decomposition of a unitary matrix or a (k, 2, 2) stack.
 
-    Goes through a complex Schur factorization: for a normal matrix the
-    Schur form is diagonal up to roundoff and the Schur basis is exactly
-    orthonormal, which is what downstream overlap computations need.
+    A single matrix goes through a complex Schur factorization: for a
+    normal matrix the Schur form is diagonal up to roundoff and the Schur
+    basis is exactly orthonormal, which is what downstream overlap
+    computations need.  A stack of 2 x 2 blocks is decomposed in closed
+    form (:func:`_eig_2x2`).  Either way the unitarity and reconstruction
+    residuals, taken over the whole input, must stay within assert_tol.
     """
     u = np.asarray(u, dtype=complex)
-    check_dim(u.shape[0])
+    if u.ndim == 3 and u.shape[1:] != (2, 2):
+        raise ValueError(f"stacked input must have shape (k, 2, 2), got {u.shape}")
+    check_dim(u.shape[-1])
     if unitarity_residual(u) > tol.assert_tol:
         raise NonUnitaryError("input matrix is not unitary within tolerance")
-    t, q = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diagonal(t))
+    if u.ndim == 3:
+        phases, q = _eig_2x2(u)
+    else:
+        t, q = scipy.linalg.schur(u, output="complex")
+        phases = np.angle(np.diagonal(t))
     phases = np.where(phases <= -np.pi + 1e-300, np.pi, phases)
     dec = SpectralDecomposition(phases=phases, vectors=q)
-    resid = float(np.max(np.abs(dec.reconstruct() - u)))
+    resid = float(np.max(np.abs(dec.reconstruct() - u), initial=0.0))
     if resid > tol.assert_tol:
         raise NonUnitaryError(f"spectral reconstruction residual {resid:.3e} too large")
     return dec

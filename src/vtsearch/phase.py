@@ -3,10 +3,11 @@
 The decision statistic is the exact overlap of the initial vector with
 the small-phase eigenspace of the walk W = R_A R_B.  By Jordan's lemma
 the walk splits along the principal angles theta_j between span A and
-span B: the SVD of Q_A^H Q_B (one orthonormal basis per side) pairs a
-principal vector u_j of A with one of B, and W rotates the plane they
-span by 2 theta_j, so its phases there are +-2 theta_j.  Each plane's
-2 x 2 compression is decomposed (which certifies the plane invariant);
+span B: the SVD of Q_A^H Q_B (each side's basis is its normalized,
+pairwise-orthogonal generators) pairs a principal vector u_j of A with
+one of B, and W rotates the plane they span by 2 theta_j, so its phases
+there are +-2 theta_j.  The 2 x 2 compressions of all planes go to one
+stacked unitary_eig call, whose checks certify every plane invariant;
 the remaining directions are fixed analytically: intersection lines and
 the complement of span A + span B have phase 0, and principal vectors
 left unpaired on either side (orthogonal to the other span) have phase
@@ -85,19 +86,16 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     blocks = (planes.transpose(1, 2, 0).conj()
               @ walked.reshape(dim, count, 2).transpose(1, 0, 2))
     coeffs = np.stack([ca[:paired][rot], cw], axis=-1)
-    phases, weights = [], []
-    for block, c in zip(blocks, coeffs):
-        dec = unitary_eig(block, tol)
-        phases.append(dec.phases)
-        weights.append(np.abs(dec.vectors.conj().T @ c) ** 2)
+    dec = unitary_eig(blocks, tol)
+    weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
 
     lines = np.abs(ca[:paired][~rot]) ** 2
     unpaired = np.abs(np.concatenate([ca[paired:], cb])) ** 2
     angles = np.arctan2(sin[rot], cos[rot])
     return WalkSpectrum(
-        phases=np.concatenate([*phases, np.zeros(len(lines)),
+        phases=np.concatenate([dec.phases.ravel(), np.zeros(len(lines)),
                                np.full(len(unpaired), np.pi), [0.0]]),
-        weights=np.concatenate([*weights, lines, unpaired, [outside]]),
+        weights=np.concatenate([weights.ravel(), lines, unpaired, [outside]]),
         rank_a=rank_a, rank_b=rank_b,
         min_angle=float(angles.min()) if len(angles) else None)
 

@@ -532,3 +532,26 @@ def random_subroutine(seed: int, num_inputs: int, num_steps: int,
         unitaries=us,
         outputs=outputs,
     )
+
+
+def late_halting_fractions(num_steps: int) -> np.ndarray:
+    """Halting fractions with an empty first cell, so T >= 2 almost surely."""
+    fractions = np.zeros(num_steps)
+    fractions[1:] = 1.0 / (num_steps - 1)
+    return fractions
+
+
+def subroutine_pair(seed: int, num_inputs: int, num_steps: int,
+                    workspace_size: int) -> tuple[SubroutineSpec, SubroutineSpec]:
+    """A (marked, all-unmarked) pair of zero-error subroutines.
+
+    Both use late_halting_fractions; the marked one marks input 0 and is
+    drawn from ``seed``, the unmarked one from ``seed + 10_000``.
+    """
+    fractions = late_halting_fractions(num_steps)
+    marked = random_subroutine(seed, num_inputs, num_steps, workspace_size,
+                               halting_fractions=fractions, marked=(0,))
+    empty = random_subroutine(seed + 10_000, num_inputs, num_steps,
+                              workspace_size, halting_fractions=fractions,
+                              marked=())
+    return marked, empty

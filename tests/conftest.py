@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vtsearch import (DEFAULT_TOL, cluster_phases, qpe_kernel,
-                      random_subroutine, stopping_profile, unitary_eig)
+                      stopping_profile, subroutine_pair, unitary_eig)
 
 
 def span_residual(generators, vec):
@@ -46,27 +46,7 @@ def moment_arrays(spec):
     return exp_t, exp_t2
 
 
-def late_halting_fractions(num_steps):
-    """Halting fractions with an empty first cell, so T >= 2 almost surely."""
-    fractions = np.zeros(num_steps)
-    fractions[1:] = 1.0 / (num_steps - 1)
-    return fractions
-
-
-def spec_pair(seed, n=2, t_max=2, workspace=2):
-    """A (marked, all-unmarked) pair of zero-error subroutines.
-
-    Both use an empty first halting cell; the marked spec marks input 0.
-    """
-    fractions = late_halting_fractions(t_max)
-    marked = random_subroutine(seed, n, t_max, workspace,
-                               halting_fractions=fractions, marked=(0,))
-    empty = random_subroutine(seed + 10_000, n, t_max, workspace,
-                              halting_fractions=fractions, marked=())
-    return marked, empty
-
-
 @pytest.fixture(scope="session")
 def small_pair():
     """Smallest nontrivial pair (instance dimension 504)."""
-    return spec_pair(7)
+    return subroutine_pair(7, 2, 2, 2)

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import vtsearch as vt
-from conftest import late_halting_fractions, moment_arrays
+from vtsearch.subroutines import late_halting_fractions
+
+from conftest import moment_arrays
 
 # frozen independent-oracle value: sin^2(7 * arcsin(1/4))
 SUCCESS_16_3 = 0.9613189697265625

@@ -11,9 +11,9 @@ from vtsearch.bounds import (BOUND_KINDS, PromiseDescriptor, bound,
 from vtsearch.grover import CostProfile
 from vtsearch.instances import regime_parameters, general_negative_witness, \
     general_positive_witness
-from vtsearch.subroutines import random_subroutine
+from vtsearch.subroutines import late_halting_fractions, random_subroutine
 
-from conftest import late_halting_fractions, moment_arrays
+from conftest import moment_arrays
 
 
 def _unique_promise(t_max):

@@ -15,7 +15,7 @@ from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
                                 verify_witnesses)
 from vtsearch.subroutines import random_subroutine, stopping_profile
 
-from conftest import moment_arrays, span_residual, spec_pair
+from conftest import moment_arrays, span_residual
 
 # ---------------------------------------------------------------------------
 # Simple variant
@@ -197,6 +197,22 @@ def test_general_instance_well_formed(small_pair):
     assert wf["passed"]
     assert wf["gram_offdiag_A"] < 1e-10 and wf["gram_offdiag_B"] < 1e-10
     assert wf["psi0_overlap_B"] < 1e-12
+
+
+def test_span_basis_and_projector_agree_on_built_instances(small_pair):
+    """Normalized generators and an SVD of them give the same projector."""
+    _, empty_spec = small_pair
+    weights = regime_parameters("ii-a", *moment_arrays(empty_spec), 2, mu=1.0)
+    built = [build_simple_instance(OracleSpec(size=8, marked=frozenset({2})), 8.0),
+             build_simple_instance(OracleSpec(size=8, marked=frozenset()), 8.0),
+             build_general_instance(empty_spec, weights)]
+    for inst in built:
+        for side in ("A", "B"):
+            q = inst.span_basis(side)
+            assert q.shape == (inst.dim, len(inst.generators(side)))
+            p = inst.projector(side)
+            assert p.rank == q.shape[1]
+            assert np.max(np.abs(p.matrix - q @ q.conj().T)) < 1e-12
 
 
 @pytest.mark.parametrize("regime", REGIMES)

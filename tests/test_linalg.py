@@ -98,6 +98,53 @@ def test_unitary_eig_rejects_non_unitary():
         unitary_eig(np.diag([1.0, 2.0]))
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _block(alpha, beta, axis):
+    """e^{i alpha} (cos beta I + i sin beta n.sigma) for the unit vector along axis."""
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    n_sigma = np.tensordot(n, PAULI, axes=1)
+    return np.exp(1j * alpha) * (np.cos(beta) * np.eye(2) + 1j * np.sin(beta) * n_sigma)
+
+
+def test_unitary_eig_stack_matches_schur_per_block():
+    rng = np.random.default_rng(99)
+    special = [np.eye(2), -np.eye(2), 1j * np.eye(2),
+               np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]]),
+               _block(0.3, 1e-9, rng.normal(size=3)),
+               _block(-2.0, 1e-9, [0, 0, 1]),
+               _block(0.0, np.pi - 1e-10, rng.normal(size=3)),
+               _block(np.pi / 2, np.pi / 2 - 1e-12, rng.normal(size=3)),
+               np.diag(np.exp([1j * (np.pi - 1e-12), -1j * (np.pi - 1e-12)]))]
+    haar = scipy.stats.unitary_group.rvs(2, size=40, random_state=rng)
+    stack = np.concatenate([haar, np.array(special, dtype=complex)])
+    dec = unitary_eig(stack)
+    assert dec.phases.shape == (len(stack), 2)
+    assert dec.vectors.shape == (len(stack), 2, 2)
+    assert np.max(np.abs(dec.reconstruct() - stack)) < 1e-12
+    assert unitarity_residual(dec.vectors) < 1e-12
+    assert np.all(dec.phases > -np.pi) and np.all(dec.phases <= np.pi)
+    for block, phases in zip(stack, dec.phases):
+        # compare eigenvalues on the circle, so a phase at the +-pi cut matches
+        ours, ref = np.exp(1j * phases), np.exp(1j * unitary_eig(block).phases)
+        assert min(np.max(np.abs(ours - ref)),
+                   np.max(np.abs(ours - ref[::-1]))) < 1e-12
+    # the near-identity blocks keep their +-1e-9 splitting
+    for k in (5, 6):
+        assert abs(np.ptp(dec.phases[len(haar) + k]) - 2e-9) < 1e-15
+
+
+def test_unitary_eig_stack_edge_cases():
+    empty = unitary_eig(np.zeros((0, 2, 2)))
+    assert empty.phases.shape == (0, 2) and empty.vectors.shape == (0, 2, 2)
+    stack = np.array([np.eye(2), np.diag([1.0, 1.0 + 1e-6])], dtype=complex)
+    with pytest.raises(NonUnitaryError):
+        unitary_eig(stack)
+    with pytest.raises(ValueError):
+        unitary_eig(np.array([np.eye(3)]))
+
+
 def test_cluster_phases_groups_near_degenerate():
     phases = np.array([0.0, 1e-12, 0.5, 0.5 + 1e-12, -0.5])
     clusters = cluster_phases(phases, 1e-9)

@@ -16,9 +16,10 @@ from vtsearch.phase import (_walk_spectrum, decide, qpe_kernel, qpe_simulate,
                             verify_reflection_factorization,
                             zero_phase_overlap)
 from vtsearch.linalg import DEFAULT_TOL
+from vtsearch.subroutines import subroutine_pair
 
 from conftest import (dense_qpe_zero_prediction, dense_walk_spectrum,
-                      dense_zero_phase_overlap, moment_arrays, spec_pair)
+                      dense_zero_phase_overlap, moment_arrays)
 
 THETA_STARS = (0.05, 0.2, 0.5)
 ORACLE_TOL = 1e-12
@@ -125,7 +126,7 @@ def _assert_matches_dense_oracle(inst):
 def test_compressed_spectrum_matches_dense_general(seed, shape, regime, marked):
     """The principal-angle engine reproduces the dense Schur engine."""
     n, t_max, workspace = shape
-    marked_spec, empty_spec = spec_pair(seed, n, t_max, workspace)
+    marked_spec, empty_spec = subroutine_pair(seed, n, t_max, workspace)
     weights = regime_parameters(regime, *moment_arrays(marked_spec), t_max,
                                 marked=(0,))
     if not marked:
@@ -268,6 +269,20 @@ def test_reflection_factorization_fails_for_merged_sets():
                         a_sets={"bad1": launch + query, "bad2": check},
                         b_sets={"query": query, "absorb": absorb})
     assert verify_reflection_factorization(broken) > 0.1
+    # the decision engine's basis is the normalized generators: it refuses
+    # a side whose generators are not pairwise orthogonal
+    with pytest.raises(ValueError, match="side A"):
+        broken.span_basis("A")
+    with pytest.raises(ValueError, match="side A"):
+        decide(broken, c_minus=13.0, c_plus=4.0)
+
+
+def test_span_basis_rejects_vanishing_generators():
+    inst = _toy_instance([_unit(3, 1)], [_unit(3, 2), 1e-11 * _unit(3, 0)],
+                         _unit(3, 0))
+    assert inst.span_basis("A").shape == (3, 1)
+    with pytest.raises(ValueError, match="side B"):
+        inst.span_basis("B")
 
 
 def test_simple_witness_report_roundtrip():
