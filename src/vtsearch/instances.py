@@ -19,6 +19,13 @@ pairwise-orthogonal generator sets whose spans define the reflections; a
 positive witness (marked input present) is orthogonal to both spans while
 overlapping the initial vector, and a negative witness (no marked input)
 splits the initial vector across the two spans.
+
+Every generator touches only a few basis labels (at most 1 + 2|Z| in the
+general variant), so each named set is stored as a sparse d x k CSC matrix
+that the builders assemble straight from index arrays; no length-d vector
+is allocated per generator.  Well-formedness and witness checks run on
+these sparse matrices, and only the dense oracle paths (projectors, set
+reflections, the walk unitary) expand a set into dense columns.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, check_dim,
                      projector_from_set, reflection)
@@ -192,24 +200,62 @@ def regime_parameters(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
 # Instance container
 # ---------------------------------------------------------------------------
 
+def _set_matrix(dim: int, pieces) -> sparse.csc_array:
+    """One generator set as a d x k CSC matrix, assembled from index arrays.
+
+    Each piece is a (rows, values) pair of equal-shape 2-d arrays: row g
+    of a piece lists the basis indices and the entries of one generator.
+    Generators keep the order of the pieces and of the rows within them.
+    """
+    if not pieces:
+        return sparse.csc_array((dim, 0), dtype=complex)
+    rows = np.concatenate([np.ravel(r) for r, _ in pieces])
+    values = np.concatenate([np.ravel(v) for _, v in pieces]).astype(complex)
+    counts = np.concatenate([np.full(len(r), r.shape[1]) for r, _ in pieces])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    m = sparse.csc_array((values, rows, indptr), shape=(dim, len(counts)))
+    m.sort_indices()
+    return m
+
+
+def _as_set_matrix(dim: int, vectors) -> sparse.csc_array:
+    """A generator set given as a sparse matrix or as a list of dense vectors."""
+    if sparse.issparse(vectors):
+        m = sparse.csc_array(vectors, dtype=complex)
+    elif len(vectors) == 0:
+        m = sparse.csc_array((dim, 0), dtype=complex)
+    else:
+        m = sparse.csc_array(np.stack([np.asarray(v, dtype=complex).ravel()
+                                       for v in vectors], axis=1))
+    if m.shape[0] != dim:
+        raise ValueError(f"generator length {m.shape[0]} does not match dim {dim}")
+    return m
+
+
 class PEInstance:
     """A two-reflection phase-estimation instance.
 
-    Holds the initial vector and the tagged generator sets for the two
-    reflection spans.  Each side's generators are pairwise orthogonal
-    (well_formedness_report reports it), so the side's orthonormal span
-    basis is its normalized generators; span_basis builds it once, checks
-    it, and raises rather than falling back when the check fails.  The
-    decision engine takes the principal angles between the two spans from
-    these bases.  Dense projectors, sub-projectors and the walk unitary
-    are built lazily from an SVD of the generators instead, so the dense
-    oracle does not share the engine's basis.  Projections of single
-    vectors go through the generator lists directly.
+    Holds the initial vector and the named generator sets of the two
+    reflection spans.  Each set is a sparse d x k CSC matrix whose columns
+    are the generators; a list of dense vectors is accepted too (for
+    hand-built instances) and converted once, so a_sets and b_sets always
+    hold sparse matrices.  Gram residuals, projections and span-membership
+    distances of single vectors run on the sparse side matrix, which is
+    also the one place generator norms are computed and checked.
+
+    Each side's generators are pairwise orthogonal (well_formedness_report
+    reports it), so the side's orthonormal span basis is its normalized
+    generators; span_basis densifies them once, checks orthonormality, and
+    raises rather than falling back when the check fails.  The decision
+    engine takes the principal angles between the two spans from these
+    bases.  Dense projectors, set reflections and the walk unitary are
+    built lazily from an SVD of the dense generator columns instead, so
+    the dense oracle does not share the engine's basis.
     """
 
     def __init__(self, variant: str, dim: int, psi0: np.ndarray,
-                 a_sets: dict[str, list[np.ndarray]],
-                 b_sets: dict[str, list[np.ndarray]],
+                 a_sets: dict[str, sparse.sparray | list[np.ndarray]],
+                 b_sets: dict[str, sparse.sparray | list[np.ndarray]],
                  weights: Weights | None = None,
                  spec: SubroutineSpec | None = None,
                  oracle: OracleSpec | None = None,
@@ -217,53 +263,80 @@ class PEInstance:
         self.variant = variant
         self.dim = dim
         self.psi0 = psi0
-        self.a_sets = a_sets
-        self.b_sets = b_sets
+        self.a_sets = {k: _as_set_matrix(dim, v) for k, v in a_sets.items()}
+        self.b_sets = {k: _as_set_matrix(dim, v) for k, v in b_sets.items()}
         self.weights = weights
         self.spec = spec
         self.oracle = oracle
         self.basis = basis
         self._cache: dict[str, object] = {}
 
-    def generators(self, side: str) -> list[np.ndarray]:
-        sets = self.a_sets if side == "A" else self.b_sets
-        return [v for vs in sets.values() for v in vs]
+    def _sets(self, side: str) -> dict[str, sparse.csc_array]:
+        return self.a_sets if side == "A" else self.b_sets
 
-    def _gen_matrix(self, side: str):
+    def set_vectors(self, side: str, name: str) -> list[np.ndarray]:
+        """The generators of one named set as dense vectors."""
+        return list(self._sets(side)[name].T.toarray())
+
+    def generators(self, side: str) -> list[np.ndarray]:
+        """All of one side's generators as dense vectors, set by set.
+
+        For the dense oracle paths; the sparse checks never call it.
+        """
+        return [v for name in self._sets(side) for v in self.set_vectors(side, name)]
+
+    def _gen_matrix(self, side: str, tol: TolerancePolicy = DEFAULT_TOL):
+        """The side's sets stacked column-wise, with the generator norms.
+
+        Raises ValueError naming the side when a generator norm is at or
+        below rank_tol: such a generator spans nothing, and every check
+        that divides by its norm would report NaN instead.
+        """
         key = f"mat_{side}"
         if key not in self._cache:
-            gens = self.generators(side)
-            m = np.stack(gens, axis=1) if gens else np.zeros((self.dim, 0), complex)
-            norms = np.linalg.norm(m, axis=0)
+            sets = list(self._sets(side).values())
+            m = (sparse.hstack(sets, format="csc") if sets
+                 else sparse.csc_array((self.dim, 0), dtype=complex))
+            # sequential per-column sums in row order, as a dense column norm
+            cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+            sq = m.data.real ** 2 + m.data.imag ** 2
+            norms = np.sqrt(np.bincount(cols, weights=sq, minlength=m.shape[1]))
             self._cache[key] = (m, norms)
-        return self._cache[key]
+        m, norms = self._cache[key]
+        if np.any(norms <= tol.rank_tol):
+            raise ValueError(f"side {side}: generator norm {norms.min():.3e} "
+                             f"is at or below rank_tol")
+        return m, norms
 
-    def gram_offdiagonal_residual(self, side: str) -> float:
+    def gram_offdiagonal_residual(self, side: str,
+                                  tol: TolerancePolicy = DEFAULT_TOL) -> float:
         """Largest off-diagonal Gram entry among one side's generators."""
-        m, _ = self._gen_matrix(side)
-        gram = m.conj().T @ m
-        np.fill_diagonal(gram, 0.0)
-        return float(np.max(np.abs(gram))) if gram.size else 0.0
+        m, _ = self._gen_matrix(side, tol)
+        gram = (m.conj().T @ m).tocoo()
+        off = gram.row != gram.col
+        return float(np.max(np.abs(gram.data[off]), initial=0.0))
 
-    def projection_norm_sq(self, side: str, vec: np.ndarray) -> float:
+    def projection_norm_sq(self, side: str, vec: np.ndarray,
+                           tol: TolerancePolicy = DEFAULT_TOL) -> float:
         """Squared norm of the projection of vec onto one side's span.
 
         Valid because the side's generators are pairwise orthogonal.
         """
-        m, norms = self._gen_matrix(side)
+        m, norms = self._gen_matrix(side, tol)
         if m.shape[1] == 0:
             return 0.0
         overlaps = m.conj().T @ vec
         return float(np.sum(np.abs(overlaps) ** 2 / norms ** 2))
 
-    def membership_residual(self, side: str, vec: np.ndarray) -> float:
+    def membership_residual(self, side: str, vec: np.ndarray,
+                            tol: TolerancePolicy = DEFAULT_TOL) -> float:
         """Distance from vec to one side's span.
 
         Computed as the norm of the residual vector vec - P vec (not via
         squared norms, which would cancel catastrophically for vectors
         inside the span).
         """
-        m, norms = self._gen_matrix(side)
+        m, norms = self._gen_matrix(side, tol)
         if m.shape[1] == 0:
             return float(np.linalg.norm(vec))
         overlaps = m.conj().T @ vec
@@ -273,19 +346,17 @@ class PEInstance:
     def span_basis(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis (dim x generator count) of one side's span.
 
-        The side's generators, each divided by its norm.  This is a basis
-        only because the generators are pairwise orthogonal, so that is
-        checked here: a generator norm at or below rank_tol, or a basis
-        with max|Q^H Q - I| above assert_tol, raises ValueError.
+        The side's generators, densified once and each divided by its
+        norm.  This is a basis only because the generators are pairwise
+        orthogonal, so that is checked here: a basis with max|Q^H Q - I|
+        above assert_tol raises ValueError (as does a vanishing generator,
+        in _gen_matrix).
         """
         key = f"basis_{side}"
         if key not in self._cache:
             check_dim(self.dim)
-            m, norms = self._gen_matrix(side)
-            if np.any(norms <= tol.rank_tol):
-                raise ValueError(f"side {side}: generator norm {norms.min():.3e} "
-                                 f"is at or below rank_tol")
-            q = m / norms
+            m, norms = self._gen_matrix(side, tol)
+            q = m.toarray() / norms
             resid = float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])),
                                  initial=0.0))
             if resid > tol.assert_tol:
@@ -308,8 +379,7 @@ class PEInstance:
 
     def sub_reflection(self, side: str, name: str,
                        tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-        sets = self.a_sets if side == "A" else self.b_sets
-        p = projector_from_set(sets[name], tol, dim=self.dim)
+        p = projector_from_set(self.set_vectors(side, name), tol, dim=self.dim)
         return reflection(p)
 
     def walk_unitary(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -321,10 +391,10 @@ class PEInstance:
 
     def well_formedness_report(self, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
         """Orthogonality within each side and psi0 against the B span."""
-        psi0_b = math.sqrt(max(self.projection_norm_sq("B", self.psi0), 0.0))
+        psi0_b = math.sqrt(max(self.projection_norm_sq("B", self.psi0, tol), 0.0))
         report = {
-            "gram_offdiag_A": self.gram_offdiagonal_residual("A"),
-            "gram_offdiag_B": self.gram_offdiagonal_residual("B"),
+            "gram_offdiag_A": self.gram_offdiagonal_residual("A", tol),
+            "gram_offdiag_B": self.gram_offdiagonal_residual("B", tol),
             "psi0_norm_residual": abs(float(np.linalg.norm(self.psi0)) - 1.0),
             "psi0_overlap_B": psi0_b,
         }
@@ -343,7 +413,8 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     query branches, weighted by omega), "query" (query transition folding
     the oracle answer into the returned bit), "check" (return-to-check
     transitions for both bit values), "absorb" (checked unmarked branches,
-    the dead end that closes the loop).
+    the dead end that closes the loop).  Each set is built as a sparse
+    matrix from index arrays.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -351,23 +422,29 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     basis = SimpleBasis(n)
     check_dim(basis.dim)
 
-    e = basis.unit
+    idx = basis.index
+    i = np.arange(1, n + 1)
+    answer = np.array([int((k - 1) in oracle.marked) for k in i], dtype=int)
+    pair = np.array([[1.0, -1.0]])
 
-    launch = e("src", 0, 0)
-    for i in range(1, n + 1):
-        launch -= math.sqrt(omega / n) * e("qry", i, 0)
+    launch = (np.concatenate([[idx("src", 0, 0)], idx("qry", i, 0)])[None, :],
+              np.concatenate([[1.0], np.full(n, -math.sqrt(omega / n))])[None, :])
     # the query transition carries the oracle's answer into the b register
-    query = [e("qry", i, 0) - e("ret", i, 1 if (i - 1) in oracle.marked else 0)
-             for i in range(1, n + 1)]
-    check = [e("ret", i, b) - e("chk", i, b)
-             for i in range(1, n + 1) for b in (0, 1)]
-    absorb = [e("chk", i, 0) for i in range(1, n + 1)
-              if (i - 1) not in oracle.marked]
+    query = (np.stack([idx("qry", i, 0), idx("ret", i, answer)], axis=1),
+             np.repeat(pair, n, axis=0))
+    ic, bc = np.repeat(i, 2), np.tile([0, 1], n)
+    check = (np.stack([idx("ret", ic, bc), idx("chk", ic, bc)], axis=1),
+             np.repeat(pair, 2 * n, axis=0))
+    unmarked = i[answer == 0]
+    absorb = (idx("chk", unmarked, 0)[:, None], np.ones((len(unmarked), 1)))
 
+    dim = basis.dim
     return PEInstance(
-        variant="simple", dim=basis.dim, psi0=e("src", 0, 0),
-        a_sets={"launch": [launch], "check": check},
-        b_sets={"query": query, "absorb": absorb},
+        variant="simple", dim=dim, psi0=basis.unit("src", 0, 0),
+        a_sets={"launch": _set_matrix(dim, [launch]),
+                "check": _set_matrix(dim, [check])},
+        b_sets={"query": _set_matrix(dim, [query]),
+                "absorb": _set_matrix(dim, [absorb])},
         oracle=oracle, basis=basis,
         weights=Weights(omega=np.full(n, float(omega)), alpha=np.ones(1),
                         beta={}, regime="simple"),
@@ -497,7 +574,9 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
     program counter 0 and workspace 0 and mirror the simple variant; the
     inner transition sets ("even", "odd" by step parity) carry the
     subroutine steps on the fwd/bwd tracks and the turnaround vectors that
-    reverse direction on freshly halted workspace labels.
+    reverse direction on freshly halted workspace labels.  Each set is
+    built as a sparse matrix from index arrays; the inner generators of
+    one step are computed for all inputs at once.
     """
     n = spec.num_inputs
     basis = GeneralBasis.for_spec(spec)
@@ -508,53 +587,79 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
     w = spec.workspace_size
     t_max = spec.num_steps
 
-    e = basis.unit
+    idx = basis.index
+    inputs = np.arange(1, n + 1)
+    pair = np.array([[1.0, -1.0]])
+    # slot generators run over (i, b, a) with a fastest, at z = 0, t = 0
+    i_s = np.repeat(inputs, 4)
+    b_s, a_s = np.tile(np.repeat([0, 1], 2), n), np.tile([0, 1], 2 * n)
 
-    launch = e("src", 0, 0)
-    for i in range(1, n + 1):
-        launch -= math.sqrt(weights.omega[i - 1] / n) * e("src", i, 0)
-    forward = [e("src", i, b, a) - e("fwd", i, b, a)
-               for i in range(1, n + 1) for b in (0, 1) for a in (0, 1)]
-    backward = [e("bwd", i, b, a) - e("ret", i, b, a)
-                for i in range(1, n + 1) for b in (0, 1) for a in (0, 1)]
-    check = [e("ret", i, b, a) - e("chk", i, b, a)
-             for i in range(1, n + 1) for b in (0, 1) for a in (0, 1)]
-    absorb = [e("chk", i, 0, a) for i in range(1, n + 1)
-              if spec.outputs[i - 1] == 0 for a in (0, 1)]
+    def slot(tag_plus, tag_minus):
+        rows = np.stack([idx(tag_plus, i_s, b_s, a_s, 0, 0),
+                         idx(tag_minus, i_s, b_s, a_s, 0, 0)], axis=1)
+        return [(rows, np.repeat(pair, len(i_s), axis=0))]
 
-    even: list[np.ndarray] = []
-    odd: list[np.ndarray] = []
+    launch = [(np.concatenate([[idx("src", 0, 0, 0, 0, 0)],
+                               idx("src", inputs, 0, 0, 0, 0)])[None, :],
+               np.concatenate([[1.0], -np.sqrt(weights.omega / n)])[None, :])]
+    unmarked = np.repeat(inputs[np.array(spec.outputs) == 0], 2)
+    a_u = np.tile([0, 1], len(unmarked) // 2)
+    absorb = [(idx("chk", unmarked, 0, a_u, 0, 0)[:, None],
+               np.ones((len(unmarked), 1)))]
+
+    # inner transitions at step t run over (tag, b, a, z) with z fastest:
+    # sqrt(alpha_t) on the label, -sqrt(alpha_{t+1}) U_{t+1} column on the
+    # (a, z) block one step later
+    i_g, b_g = inputs[:, None, None, None], np.array([0, 1])[:, None, None]
+    a_g = np.array([0, 1])[None, :, None]
+    block = np.arange(2 * w) * (t_max + 1)
+    steps = []   # (step, rows, values), each with a leading input axis
+    for t in range(t_max):
+        halted = spec.halted_labels(t)
+        z_g = np.array([z for z in range(w) if z not in halted], dtype=int)
+        shape = (n, 2, 2, 2, len(z_g), 2 * w)   # input, tag, b, a, z, entry
+        here = np.stack([idx(tag, i_g, b_g, a_g, z_g, t)
+                         for tag in ("fwd", "bwd")], axis=1)
+        there = np.stack([idx(tag, i_g, b_g, 0, 0, t + 1)
+                          for tag in ("fwd", "bwd")], axis=1)[..., None] + block
+        u_cols = spec.unitaries[:, t][:, :, a_g * w + z_g]
+        # subtracted from zero, as the label-by-label construction does
+        there_values = np.moveaxis(0.0 - math.sqrt(alpha[t + 1]) * u_cols, 1, -1)
+        rows = np.concatenate([np.broadcast_to(here[..., None], shape[:-1] + (1,)),
+                               np.broadcast_to(there, shape)], axis=-1)
+        values = np.concatenate([np.full(shape[:-1] + (1,), math.sqrt(alpha[t]),
+                                         dtype=complex),
+                                 np.broadcast_to(there_values[:, None], shape)],
+                                axis=-1)
+        steps.append((t, rows.reshape(n, -1, 2 * w + 1),
+                      values.reshape(n, -1, 2 * w + 1)))
+    # turnarounds at step t run over (a, b, z in the step's cell)
+    for t in range(1, t_max + 1):
+        cell = np.array(spec.partition[t - 1], dtype=int)
+        a_t = np.repeat([0, 1], 2 * len(cell))
+        b_t = np.tile(np.repeat([0, 1], len(cell)), 2)
+        z_t = np.tile(cell, 4)
+        rows = np.stack([idx("fwd", inputs[:, None], b_t, a_t, z_t, t),
+                         idx("bwd", inputs[:, None], b_t ^ a_t, a_t, z_t, t)],
+                        axis=-1)
+        steps.append((t, rows, np.broadcast_to(pair, rows.shape)))
+    # per input: its transitions by step, then its turnarounds by step
+    even: list[tuple[np.ndarray, np.ndarray]] = []
+    odd: list[tuple[np.ndarray, np.ndarray]] = []
     for j in range(n):
-        i = j + 1
-        for t in range(t_max):
-            active = [z for z in range(w) if z not in spec.halted_labels(t)]
-            u_next = spec.unitaries[j, t]
-            bucket = even if t % 2 == 0 else odd
-            for tag in ("fwd", "bwd"):
-                for b in (0, 1):
-                    there = basis.az_indices(tag, i, b, t + 1)
-                    for a in (0, 1):
-                        for z in active:
-                            vec = np.zeros(basis.dim, dtype=complex)
-                            vec[basis.index(tag, i, b, a, z, t)] = math.sqrt(alpha[t])
-                            vec[there] -= math.sqrt(alpha[t + 1]) * u_next[:, a * w + z]
-                            bucket.append(vec)
-        for t in range(1, t_max + 1):
-            cell = spec.partition[t - 1]
-            bucket = even if t % 2 == 0 else odd
-            for a in (0, 1):
-                for b in (0, 1):
-                    for z in cell:
-                        vec = np.zeros(basis.dim, dtype=complex)
-                        vec[basis.index("fwd", i, b, a, z, t)] = 1.0
-                        vec[basis.index("bwd", i, b ^ a, a, z, t)] = -1.0
-                        bucket.append(vec)
+        for t, rows, values in steps:
+            (even if t % 2 == 0 else odd).append((rows[j], values[j]))
 
+    dim = basis.dim
     return PEInstance(
-        variant="general", dim=basis.dim, psi0=e("src", 0, 0),
-        a_sets={"launch": [launch], "even": even, "check": check},
-        b_sets={"forward": forward, "odd": odd, "backward": backward,
-                "absorb": absorb},
+        variant="general", dim=dim, psi0=basis.unit("src", 0, 0),
+        a_sets={"launch": _set_matrix(dim, launch),
+                "even": _set_matrix(dim, even),
+                "check": _set_matrix(dim, slot("ret", "chk"))},
+        b_sets={"forward": _set_matrix(dim, slot("src", "fwd")),
+                "odd": _set_matrix(dim, odd),
+                "backward": _set_matrix(dim, slot("bwd", "ret")),
+                "absorb": _set_matrix(dim, absorb)},
         weights=weights, spec=spec, basis=basis,
     )
 
@@ -673,8 +778,8 @@ def verify_witnesses(instance: PEInstance, witness,
         vec = witness.vector
         overlap = complex(np.vdot(instance.psi0, vec))
         norm_sq = float(np.linalg.norm(vec) ** 2)
-        res_a = math.sqrt(max(instance.projection_norm_sq("A", vec), 0.0))
-        res_b = math.sqrt(max(instance.projection_norm_sq("B", vec), 0.0))
+        res_a = math.sqrt(max(instance.projection_norm_sq("A", vec, tol), 0.0))
+        res_b = math.sqrt(max(instance.projection_norm_sq("B", vec, tol), 0.0))
         c_plus = norm_sq / abs(overlap) ** 2 if abs(overlap) > 0 else math.inf
         return WitnessReport(kind="positive", residual_a=res_a, residual_b=res_b,
                              decomposition_residual=0.0, overlap=abs(overlap),
@@ -682,8 +787,8 @@ def verify_witnesses(instance: PEInstance, witness,
                              norm_sq_closed=witness.closed_norm_sq,
                              c_plus_effective=c_plus)
     if isinstance(witness, NegativeWitness):
-        res_a = instance.membership_residual("A", witness.w_a)
-        res_b = instance.membership_residual("B", witness.w_b)
+        res_a = instance.membership_residual("A", witness.w_a, tol)
+        res_b = instance.membership_residual("B", witness.w_b, tol)
         decomp = float(np.linalg.norm(witness.w_a + witness.w_b - instance.psi0))
         norm_sq = float(np.linalg.norm(witness.w_a) ** 2)
         return WitnessReport(kind="negative", residual_a=res_a, residual_b=res_b,

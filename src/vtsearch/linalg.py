@@ -116,14 +116,8 @@ def _as_matrix(vectors, dim_hint: int | None = None) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as matrix columns) for the span of the inputs.
-
-    The left singular vectors of the stacked inputs whose singular values
-    exceed rank_tol times the largest input column norm, so the column
-    count equals the numerical rank.
-    """
-    a = _as_matrix(vectors)
+def _orthonormal_columns(a: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Left singular vectors of a d x k matrix above the rank threshold."""
     dim, n = a.shape
     if n == 0:
         return a
@@ -131,6 +125,16 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     threshold = tol.rank_tol * float(np.max(np.linalg.norm(a, axis=0)))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, s > threshold]
+
+
+def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (as matrix columns) for the span of the inputs.
+
+    The left singular vectors of the stacked inputs whose singular values
+    exceed rank_tol times the largest input column norm, so the column
+    count equals the numerical rank.
+    """
+    return _orthonormal_columns(_as_matrix(vectors), tol)
 
 
 def projector_from_set(vectors, tol: TolerancePolicy = DEFAULT_TOL,
@@ -141,7 +145,7 @@ def projector_from_set(vectors, tol: TolerancePolicy = DEFAULT_TOL,
         if a.shape[0] == 0:
             raise ValueError("empty vector set with unknown dimension; pass dim=")
         return Projector(np.zeros((a.shape[0], a.shape[0]), dtype=complex), 0)
-    q = orthonormalize(vectors, tol)
+    q = _orthonormal_columns(a, tol)
     return Projector(q @ q.conj().T, q.shape[1])
 
 

@@ -45,9 +45,9 @@ class WalkSpectrum(NamedTuple):
     min_angle: float | None
 
 
-def _reflect(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The reflection 2 Q Q^H - I applied to the columns of x."""
-    return 2.0 * q @ (q.conj().T @ x) - x
+def _reflect(q: np.ndarray, qh: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The reflection 2 Q Q^H - I applied to the columns of x; qh is Q^H."""
+    return 2.0 * q @ (qh @ x) - x
 
 
 def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
@@ -58,11 +58,13 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     stays accurate where sqrt(1 - cos_j^2) would cancel.  Pairs with
     sin_j <= rank_tol are intersection lines.  psi0's weight outside
     span A + span B is the squared norm of its residual vector, never a
-    cancelling 1 - sum of weights.
+    cancelling 1 - sum of weights.  Each d x k adjoint is formed once:
+    overlaps with psi0 are taken as conj(psi0^H X) instead of X^H psi0.
     """
     qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
+    qah, qbh = qa.conj().T, qb.conj().T
     rank_a, rank_b = qa.shape[1], qb.shape[1]
-    u, cos, vh = np.linalg.svd(qa.conj().T @ qb)
+    u, cos, vh = np.linalg.svd(qah @ qb)
     paired = len(cos)
     ua = qa @ u
     vb = qb @ vh.conj().T
@@ -73,15 +75,16 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     w = perp[:, rot] / sin[rot]
 
     psi0 = instance.psi0
-    ca, cw = ua.conj().T @ psi0, w.conj().T @ psi0
-    cb = vb[:, paired:].conj().T @ psi0
+    psi0h = psi0.conj()
+    ca, cw = (psi0h @ ua).conj(), (psi0h @ w).conj()
+    cb = (psi0h @ vb[:, paired:]).conj()
     outside = float(np.linalg.norm(
         psi0 - ua @ ca - w @ cw - vb[:, paired:] @ cb) ** 2)
 
     # plane j is span{u_j, w_j}; W is applied as two matrix-free reflections
     planes = np.stack([ua_paired[:, rot], w], axis=-1)
     dim, count = planes.shape[0], planes.shape[1]
-    walked = _reflect(qa, _reflect(qb, planes.reshape(dim, 2 * count)))
+    walked = _reflect(qa, qah, _reflect(qb, qbh, planes.reshape(dim, 2 * count)))
     # (count, 2, dim) @ (count, dim, 2): the 2 x 2 compression of each plane
     blocks = (planes.transpose(1, 2, 0).conj()
               @ walked.reshape(dim, count, 2).transpose(1, 0, 2))

@@ -1,10 +1,13 @@
 """Shared fixtures and helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
 from vtsearch import (DEFAULT_TOL, cluster_phases, qpe_kernel,
                       stopping_profile, subroutine_pair, unitary_eig)
+from vtsearch.instances import GeneralBasis, SimpleBasis
 
 
 def span_residual(generators, vec):
@@ -36,6 +39,79 @@ def dense_qpe_zero_prediction(spectrum, bits):
     """Oracle Pr[register = 0] from the leakage kernel."""
     phases, weights = spectrum
     return float(sum(w * qpe_kernel(th, bits) for th, w in zip(phases, weights)))
+
+
+def dense_simple_sets(oracle, omega):
+    """Oracle: the simple instance's generator sets, one dense vector each.
+
+    (a_sets, b_sets) as dicts of vector lists, built label by label; the
+    library assembles the same sets as sparse matrices from index arrays.
+    """
+    n = oracle.size
+    e = SimpleBasis(n).unit
+    launch = e("src", 0, 0)
+    for i in range(1, n + 1):
+        launch -= math.sqrt(omega / n) * e("qry", i, 0)
+    query = [e("qry", i, 0) - e("ret", i, 1 if (i - 1) in oracle.marked else 0)
+             for i in range(1, n + 1)]
+    check = [e("ret", i, b) - e("chk", i, b)
+             for i in range(1, n + 1) for b in (0, 1)]
+    absorb = [e("chk", i, 0) for i in range(1, n + 1)
+              if (i - 1) not in oracle.marked]
+    return ({"launch": [launch], "check": check},
+            {"query": query, "absorb": absorb})
+
+
+def dense_general_sets(spec, weights):
+    """Oracle: the general instance's generator sets, one dense vector each."""
+    n = spec.num_inputs
+    basis = GeneralBasis.for_spec(spec)
+    alpha = weights.alpha
+    w = spec.workspace_size
+    t_max = spec.num_steps
+    e = basis.unit
+
+    launch = e("src", 0, 0)
+    for i in range(1, n + 1):
+        launch -= math.sqrt(weights.omega[i - 1] / n) * e("src", i, 0)
+    forward = [e("src", i, b, a) - e("fwd", i, b, a)
+               for i in range(1, n + 1) for b in (0, 1) for a in (0, 1)]
+    backward = [e("bwd", i, b, a) - e("ret", i, b, a)
+                for i in range(1, n + 1) for b in (0, 1) for a in (0, 1)]
+    check = [e("ret", i, b, a) - e("chk", i, b, a)
+             for i in range(1, n + 1) for b in (0, 1) for a in (0, 1)]
+    absorb = [e("chk", i, 0, a) for i in range(1, n + 1)
+              if spec.outputs[i - 1] == 0 for a in (0, 1)]
+
+    even, odd = [], []
+    for j in range(n):
+        i = j + 1
+        for t in range(t_max):
+            active = [z for z in range(w) if z not in spec.halted_labels(t)]
+            u_next = spec.unitaries[j, t]
+            bucket = even if t % 2 == 0 else odd
+            for tag in ("fwd", "bwd"):
+                for b in (0, 1):
+                    there = basis.az_indices(tag, i, b, t + 1)
+                    for a in (0, 1):
+                        for z in active:
+                            vec = np.zeros(basis.dim, dtype=complex)
+                            vec[basis.index(tag, i, b, a, z, t)] = math.sqrt(alpha[t])
+                            vec[there] -= math.sqrt(alpha[t + 1]) * u_next[:, a * w + z]
+                            bucket.append(vec)
+        for t in range(1, t_max + 1):
+            cell = spec.partition[t - 1]
+            bucket = even if t % 2 == 0 else odd
+            for a in (0, 1):
+                for b in (0, 1):
+                    for z in cell:
+                        vec = np.zeros(basis.dim, dtype=complex)
+                        vec[basis.index("fwd", i, b, a, z, t)] = 1.0
+                        vec[basis.index("bwd", i, b ^ a, a, z, t)] = -1.0
+                        bucket.append(vec)
+    return ({"launch": [launch], "even": even, "check": check},
+            {"forward": forward, "odd": odd, "backward": backward,
+             "absorb": absorb})
 
 
 def moment_arrays(spec):

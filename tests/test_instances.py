@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
-                                REGIMES, SimpleBasis, Weights,
+from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
+                                PositiveWitness, REGIMES, SimpleBasis, Weights,
                                 build_general_instance, build_simple_instance,
                                 general_negative_witness,
                                 general_positive_witness, history_states,
                                 regime_parameters, simple_witnesses,
                                 verify_witnesses)
-from vtsearch.subroutines import random_subroutine, stopping_profile
+from vtsearch.subroutines import (random_subroutine, stopping_profile,
+                                  subroutine_pair)
 
-from conftest import moment_arrays, span_residual
+from conftest import (dense_general_sets, dense_simple_sets, moment_arrays,
+                      span_residual)
+
+SPARSE_TOL = 1e-14
 
 # ---------------------------------------------------------------------------
 # Simple variant
@@ -31,9 +35,9 @@ def test_simple_basis_dimensions():
 
 def test_simple_instance_structure():
     inst = build_simple_instance(OracleSpec(size=2, marked=frozenset()), 2.0)
-    assert len(inst.b_sets["absorb"]) == 2  # both inputs unmarked
+    assert inst.b_sets["absorb"].shape[1] == 2  # both inputs unmarked
     inst4 = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
-    launch = inst4.a_sets["launch"][0]
+    launch = inst4.set_vectors("A", "launch")[0]
     assert np.linalg.norm(launch) ** 2 == pytest.approx(5.0, abs=1e-12)  # 1 + omega
     wf = inst4.well_formedness_report()
     assert wf["passed"] and wf["psi0_overlap_B"] < 1e-12
@@ -77,6 +81,98 @@ def test_mismatched_witness_fails():
     report = verify_witnesses(inst, wrong)
     assert not report.passed()
     assert max(report.residual_a, report.residual_b) > 0.1
+
+
+def test_checks_reject_vanishing_generators():
+    """A vanishing generator raises, naming its side, instead of giving NaN."""
+    dim = 3
+    psi0, a, b = np.eye(dim, dtype=complex)
+    for tiny in (1e-11 * psi0, np.zeros(dim)):
+        inst = PEInstance(variant="simple", dim=dim, psi0=psi0,
+                          a_sets={"a": [a]}, b_sets={"b": [b, tiny]})
+        assert inst.gram_offdiagonal_residual("A") == 0.0
+        with pytest.raises(ValueError, match="side B: generator norm"):
+            inst.well_formedness_report()
+        with pytest.raises(ValueError, match="side B: generator norm"):
+            verify_witnesses(inst, PositiveWitness(vector=psi0, closed_norm_sq=1.0))
+        with pytest.raises(ValueError, match="side B: generator norm"):
+            verify_witnesses(inst, NegativeWitness(w_a=a, w_b=psi0 - a,
+                                                   closed_norm_sq=1.0))
+
+
+# ---------------------------------------------------------------------------
+# Sparse generator sets against the dense oracle
+# ---------------------------------------------------------------------------
+
+def _assert_sets_match(inst, dense_sets):
+    for side, sets, dense in (("A", inst.a_sets, dense_sets[0]),
+                              ("B", inst.b_sets, dense_sets[1])):
+        assert list(sets) == list(dense)
+        for name, vectors in dense.items():
+            want = (np.stack(vectors, axis=1) if vectors
+                    else np.zeros((inst.dim, 0), dtype=complex))
+            assert sets[name].shape == want.shape, (side, name)
+            assert np.max(np.abs(sets[name].toarray() - want), initial=0.0) == 0.0
+
+
+def _assert_checks_match_dense(inst, probes):
+    """Sparse Gram, projection and membership against dense recomputations."""
+    for side in ("A", "B"):
+        m = np.stack(inst.generators(side), axis=1)
+        norms = np.linalg.norm(m, axis=0)
+        gram = m.conj().T @ m
+        sparse_m, sparse_norms = inst._gen_matrix(side)
+        assert np.max(np.abs(sparse_norms - norms)) <= SPARSE_TOL
+        assert np.max(np.abs((sparse_m.conj().T @ sparse_m).toarray()
+                             - gram)) <= SPARSE_TOL
+        np.fill_diagonal(gram, 0.0)
+        assert abs(inst.gram_offdiagonal_residual(side)
+                   - np.max(np.abs(gram))) <= SPARSE_TOL
+        for vec in probes:
+            overlaps = m.conj().T @ vec
+            proj = float(np.sum(np.abs(overlaps) ** 2 / norms ** 2))
+            resid = float(np.linalg.norm(vec - m @ (overlaps / norms ** 2)))
+            assert abs(inst.projection_norm_sq(side, vec) - proj) <= SPARSE_TOL
+            assert abs(inst.membership_residual(side, vec) - resid) <= SPARSE_TOL
+
+
+def _probes(inst, seed, witness_vectors):
+    """psi0, a random vector and the witness parts, all scaled to unit norm."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=inst.dim) + 1j * rng.normal(size=inst.dim)
+    return [u / np.linalg.norm(u) for u in (inst.psi0, v, *witness_vectors)]
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+@pytest.mark.parametrize("marked", [frozenset(), frozenset({1})])
+def test_simple_sets_match_dense_oracle(n, marked):
+    oracle = OracleSpec(size=n, marked=marked)
+    omega = 1.7 * n
+    inst = build_simple_instance(oracle, omega)
+    _assert_sets_match(inst, dense_simple_sets(oracle, omega))
+    witness = simple_witnesses(oracle, omega)
+    vectors = ([witness.vector] if isinstance(witness, PositiveWitness)
+               else [witness.w_a, witness.w_b])
+    _assert_checks_match_dense(inst, _probes(inst, n, vectors))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 2), (2, 3, 2), (1, 3, 3)])
+def test_general_sets_match_dense_oracle(shape):
+    n, t_max, _ = shape
+    marked_spec, empty_spec = subroutine_pair(11, *shape)
+    for regime in REGIMES:
+        w_pos = regime_parameters(regime, *moment_arrays(marked_spec), t_max,
+                                  marked=(0,))
+        w_neg = regime_parameters(regime, *moment_arrays(empty_spec), t_max,
+                                  mu=w_pos.mu, k=w_pos.k)
+        for spec, weights, witness in (
+                (marked_spec, w_pos, general_positive_witness(marked_spec, w_pos)),
+                (empty_spec, w_neg, general_negative_witness(empty_spec, w_neg))):
+            inst = build_general_instance(spec, weights)
+            _assert_sets_match(inst, dense_general_sets(spec, weights))
+            vectors = ([witness.vector] if isinstance(witness, PositiveWitness)
+                       else [witness.w_a, witness.w_b])
+            _assert_checks_match_dense(inst, _probes(inst, n, vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +249,7 @@ def test_history_lemma_items(seed):
     exp_t, exp_t2 = moment_arrays(spec)
     weights = regime_parameters("ii-a", exp_t, exp_t2, t_max, marked=(0,))
     inst = build_general_instance(spec, weights)
-    even, odd = inst.a_sets["even"], inst.b_sets["odd"]
+    even, odd = inst.set_vectors("A", "even"), inst.set_vectors("B", "odd")
     for i in range(n):
         h = history_states(spec, i, weights.alpha)
         profile = stopping_profile(spec, i)

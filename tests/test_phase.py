@@ -144,6 +144,23 @@ def test_compressed_spectrum_matches_dense_simple(n, marked, omega_scale):
     _assert_matches_dense_oracle(build_simple_instance(oracle, omega_scale * n))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_compressed_spectrum_matches_dense_on_complex_spans(seed):
+    """Random complex spans and psi0: every overlap's phase must be right."""
+    rng = np.random.default_rng(seed)
+    dim, k_a, k_b = 12, 4, 5
+
+    def orthogonal_generators(k):
+        g = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+        q, _ = np.linalg.qr(g)
+        return list((q * rng.uniform(0.5, 2.0, size=k)).T)
+
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    inst = _toy_instance(orthogonal_generators(k_a), orthogonal_generators(k_b),
+                         psi0 / np.linalg.norm(psi0))
+    _assert_matches_dense_oracle(inst)
+
+
 def test_intersecting_spans_count_as_zero_phase():
     """A shared direction of span A and span B is a phase-0 eigenvector."""
     phi = 0.3
@@ -261,8 +278,8 @@ def test_reflection_factorization_on_built_instances(small_pair):
 def test_reflection_factorization_fails_for_merged_sets():
     """Splitting one side into non-orthogonal groups breaks the identity."""
     inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
-    launch, check = inst.a_sets["launch"], inst.a_sets["check"]
-    query, absorb = inst.b_sets["query"], inst.b_sets["absorb"]
+    launch, check = inst.set_vectors("A", "launch"), inst.set_vectors("A", "check")
+    query, absorb = inst.set_vectors("B", "query"), inst.set_vectors("B", "absorb")
     # "launch" overlaps the query transitions: grouping them with the check
     # vectors on one side and the absorbs on the other is not orthogonal
     broken = PEInstance(variant="simple", dim=inst.dim, psi0=inst.psi0,
