@@ -10,7 +10,7 @@ import numpy as np
 
 from vtsearch import (REGIMES, build_general_instance, decide,
                       general_negative_witness, general_positive_witness,
-                      random_subroutine, regime_parameters, stopping_profile)
+                      regime_parameters, stopping_profile, subroutine_pair)
 
 SEED = 7
 N, T_MAX, WORKSPACE = 2, 2, 2
@@ -23,12 +23,8 @@ def moments(spec):
 
 
 def main():
-    fractions = np.zeros(T_MAX)
-    fractions[1:] = 1.0 / (T_MAX - 1)  # no halting mass on step 1
-    marked = random_subroutine(SEED, N, T_MAX, WORKSPACE,
-                               halting_fractions=fractions, marked=(0,))
-    empty = random_subroutine(SEED + 10_000, N, T_MAX, WORKSPACE,
-                              halting_fractions=fractions, marked=())
+    # marked from SEED, empty from SEED + 10_000, no halting mass on step 1
+    marked, empty = subroutine_pair(SEED, N, T_MAX, WORKSPACE)
     exp_t, exp_t2 = moments(marked)
     exp_t_e, exp_t2_e = moments(empty)
     print(f"N={N}, T={T_MAX}, |workspace|={WORKSPACE}")

@@ -87,7 +87,6 @@ def main(argv=None) -> int:
         "config_digest": config.digest(),
         "records": len(results.records),
         "failures": len(failures),
-        "decisions_skipped": results.decisions_skipped,
         "wall_time_s": round(results.wall_time_s, 3),
         "passed": results.passed,
     }, sort_keys=True))

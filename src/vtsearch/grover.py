@@ -1,6 +1,6 @@
 """Grover iteration with composition instrumentation.
 
-Simulates (U_pi U_f)^t |pi> by explicit matrix iteration, checks the
+Simulates (U_pi U_f)^t |pi> step by step, checks the
 rotation-angle closed forms, and accounts for per-query input weights --
 the squared amplitude sitting on each oracle branch just before each
 query -- which drive the average cost of an oracle implemented by a
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -48,6 +47,17 @@ class OracleSpec:
         n = self.size
         return 2.0 * np.full((n, n), 1.0 / n) - np.eye(n)
 
+    def iterate(self, psi: np.ndarray) -> np.ndarray:
+        """One Grover step, diffusion_matrix() @ phase_matrix() @ psi, in O(N).
+
+        The oracle flips the sign of the marked entries and the diffusion
+        maps v to 2 mean(v) - v.
+        """
+        v = psi.copy()
+        marked = list(self.marked)
+        v[marked] = -v[marked]
+        return 2.0 * v.mean() - v
+
 
 def iteration_count(n: int) -> int:
     """Number of iterations, (pi/4)sqrt(N) rounded to nearest integer."""
@@ -55,12 +65,13 @@ def iteration_count(n: int) -> int:
 
 
 def grover_state(oracle: OracleSpec, t: int) -> np.ndarray:
-    """The state after t iterations, starting from uniform, by matrix iteration."""
+    """The state after t iterations, starting from uniform."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
-    g = oracle.diffusion_matrix() @ oracle.phase_matrix()
     psi = np.full(oracle.size, 1.0 / math.sqrt(oracle.size))
-    return np.linalg.matrix_power(g, t) @ psi
+    for _ in range(t):
+        psi = oracle.iterate(psi)
+    return psi
 
 
 def success_probability(n: int, t: int) -> float:
@@ -101,14 +112,6 @@ class QueryWeightTable:
                 writer.writerow([i, t + 1, repr(float(self.q[i, t]))])
         return out.getvalue()
 
-    def summary_json(self) -> str:
-        return json.dumps({
-            "num_queries": self.num_queries,
-            "q_bar": [float(x) for x in self.q_bar],
-            "closed_form_checked": self.closed_form_checked,
-            "column_sum_residual": self.column_sum_residual(),
-        }, sort_keys=True)
-
 
 def query_weights(oracle: OracleSpec) -> QueryWeightTable:
     """Exact query weights over the full run of the iteration.
@@ -119,13 +122,12 @@ def query_weights(oracle: OracleSpec) -> QueryWeightTable:
     """
     n = oracle.size
     q_count = iteration_count(n)
-    g = oracle.diffusion_matrix() @ oracle.phase_matrix()
     psi = np.full(n, 1.0 / math.sqrt(n))
     q = np.zeros((n, q_count))
     for t in range(q_count):
         # state just before the (t+1)-th query
         q[:, t] = np.abs(psi) ** 2
-        psi = g @ psi
+        psi = oracle.iterate(psi)
     q_bar = q.mean(axis=1)
     return QueryWeightTable(q=q, q_bar=q_bar, num_queries=q_count,
                             closed_form_checked=len(oracle.marked) <= 1)

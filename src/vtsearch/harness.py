@@ -86,11 +86,6 @@ class ResultSet:
     def passed(self) -> bool:
         return all(r.get("passed", False) for r in self.records)
 
-    @property
-    def decisions_skipped(self) -> int:
-        """Records whose instance was too large to decide."""
-        return sum("decision_skipped" in r["payload"] for r in self.records)
-
     def add(self, experiment: str, payload: dict, passed: bool):
         self.records.append({
             "experiment": experiment,
@@ -169,7 +164,7 @@ def _run_simple_loop(config, results, prefix):
             }, passed)
 
 
-def _run_general_loop(config, results, prefix, decide_dim_cap: int = 600):
+def _run_general_loop(config, results, prefix):
     tol = config.tolerance()
     for idx in range(config.num_seeds):
         seed = config.seed + idx
@@ -208,25 +203,21 @@ def _run_general_loop(config, results, prefix, decide_dim_cap: int = 600):
             passed = (abs(norm_sq - pos.closed_norm_sq) <= 1e-8
                       and abs(neg_norm - neg.closed_norm_sq) <= 1e-8
                       and c_plus <= cap + 1e-9)
-            dim = inst_mod.GeneralBasis.for_spec(marked_spec).dim
-            if dim <= decide_dim_cap:
-                c_minus = max(neg.closed_norm_sq, c_plus * 1.0, 1.0)
-                # decide accepts c_plus up to 50; the clamp is recorded
-                c_plus_decide = min(c_plus, 50.0)
-                verdicts = {}
-                for label, spec, weights in (("marked", marked_spec, weights_pos),
-                                             ("empty", empty_spec, weights_neg)):
-                    instance = inst_mod.build_general_instance(spec, weights)
-                    decision = phase_mod.decide(instance, c_minus=c_minus,
-                                                c_plus=c_plus_decide, tol=tol)
-                    verdicts[label] = decision.verdict
-                payload["verdicts"] = verdicts
-                payload["c_minus"] = c_minus
-                payload["c_plus_decide"] = c_plus_decide
-                passed = passed and verdicts == {"marked": "positive",
-                                                 "empty": "negative"}
-            else:
-                payload["decision_skipped"] = {"dim": dim, "cap": decide_dim_cap}
+            c_minus = max(neg.closed_norm_sq, c_plus * 1.0, 1.0)
+            # decide accepts c_plus up to 50; the clamp is recorded
+            c_plus_decide = min(c_plus, 50.0)
+            verdicts = {}
+            for label, spec, weights in (("marked", marked_spec, weights_pos),
+                                         ("empty", empty_spec, weights_neg)):
+                instance = inst_mod.build_general_instance(spec, weights)
+                decision = phase_mod.decide(instance, c_minus=c_minus,
+                                            c_plus=c_plus_decide, tol=tol)
+                verdicts[label] = decision.verdict
+            payload["verdicts"] = verdicts
+            payload["c_minus"] = c_minus
+            payload["c_plus_decide"] = c_plus_decide
+            passed = passed and verdicts == {"marked": "positive",
+                                             "empty": "negative"}
             results.add(prefix, payload, passed)
 
 
@@ -280,7 +271,6 @@ def emit(results: ResultSet, fmt: str, outdir: Path) -> list[Path]:
         summary = outdir / "summary.json"
         summary.write_text(json.dumps({
             "passed": results.passed,
-            "decisions_skipped": results.decisions_skipped,
             "record_count": len(results.records),
             "wall_time_s": results.wall_time_s,
             "config_digest": results.config.digest(),

@@ -26,6 +26,12 @@ that the builders assemble straight from index arrays; no length-d vector
 is allocated per generator.  Well-formedness and witness checks run on
 these sparse matrices, and only the dense oracle paths (projectors, set
 reflections, the walk unitary) expand a set into dense columns.
+
+Generators that share a basis label are joined into connected components
+with disjoint label supports, over which both reflections and the walk are
+block-diagonal.  PEInstance.psi0_component keeps only the components the
+initial vector reaches, so decisions need no cap on the full dimension;
+only the dense d x d paths check the dimension cap.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, check_dim,
                      projector_from_set, reflection)
@@ -218,6 +225,13 @@ def _set_matrix(dim: int, pieces) -> sparse.csc_array:
     return m
 
 
+def _hstack(dim: int, mats: list[sparse.csc_array]) -> sparse.csc_array:
+    """Generator sets side by side as one d x k CSC matrix."""
+    if not mats:
+        return sparse.csc_array((dim, 0), dtype=complex)
+    return sparse.hstack(mats, format="csc")
+
+
 def _as_set_matrix(dim: int, vectors) -> sparse.csc_array:
     """A generator set given as a sparse matrix or as a list of dense vectors."""
     if sparse.issparse(vectors):
@@ -248,9 +262,11 @@ class PEInstance:
     generators; span_basis densifies them once, checks orthonormality, and
     raises rather than falling back when the check fails.  The decision
     engine takes the principal angles between the two spans from these
-    bases.  Dense projectors, set reflections and the walk unitary are
-    built lazily from an SVD of the dense generator columns instead, so
-    the dense oracle does not share the engine's basis.
+    bases of psi0_component, the instance cut down to the generator
+    components psi0 reaches.  Dense projectors, set reflections and the
+    walk unitary are built lazily from an SVD of the dense generator
+    columns instead, so the dense oracle does not share the engine's
+    basis; they are d x d, so they alone check the dimension cap.
     """
 
     def __init__(self, variant: str, dim: int, psi0: np.ndarray,
@@ -294,9 +310,7 @@ class PEInstance:
         """
         key = f"mat_{side}"
         if key not in self._cache:
-            sets = list(self._sets(side).values())
-            m = (sparse.hstack(sets, format="csc") if sets
-                 else sparse.csc_array((self.dim, 0), dtype=complex))
+            m = _hstack(self.dim, list(self._sets(side).values()))
             # sequential per-column sums in row order, as a dense column norm
             cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
             sq = m.data.real ** 2 + m.data.imag ** 2
@@ -354,7 +368,6 @@ class PEInstance:
         """
         key = f"basis_{side}"
         if key not in self._cache:
-            check_dim(self.dim)
             m, norms = self._gen_matrix(side, tol)
             q = m.toarray() / norms
             resid = float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])),
@@ -365,6 +378,45 @@ class PEInstance:
             self._cache[key] = q
         return self._cache[key]
 
+    def psi0_component(self) -> "PEInstance":
+        """The instance on the generator components that psi0's support meets.
+
+        Join a basis row and a generator when the generator touches the
+        row.  Connected components of this rows <-> generators graph have
+        disjoint row supports, so both spans split as orthogonal direct
+        sums over them and W = R_A R_B is block-diagonal; a row that no
+        generator touches is a component of its own, on which W = I.  The
+        walk therefore keeps psi0 inside the union of the components its
+        support meets, and the restriction to those rows (in their order)
+        and generators (set names and generator order kept) has the same
+        spectrum weights, zero-phase overlap and phase-register
+        distribution as the full instance.  Cached.
+        """
+        if "component" not in self._cache:
+            mats = [m for side in ("A", "B") for m in self._sets(side).values()]
+            m = _hstack(self.dim, mats)
+            gens = self.dim + np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+            touches = m.data != 0   # a stored zero entry joins nothing
+            nodes = self.dim + m.shape[1]
+            graph = sparse.coo_array(
+                (np.ones(touches.sum()), (m.indices[touches], gens[touches])),
+                shape=(nodes, nodes))
+            _, labels = connected_components(graph, directed=False)
+            reached = np.isin(labels, labels[np.flatnonzero(self.psi0)])
+            rows = np.flatnonzero(reached[:self.dim])
+            start, parts = self.dim, []
+            for side in ("A", "B"):
+                part = {}
+                for name, mat in self._sets(side).items():
+                    part[name] = mat[rows][:, reached[start:start + mat.shape[1]]]
+                    start += mat.shape[1]
+                parts.append(part)
+            self._cache["component"] = PEInstance(
+                self.variant, len(rows), self.psi0[rows], a_sets=parts[0],
+                b_sets=parts[1], weights=self.weights, spec=self.spec,
+                oracle=self.oracle)
+        return self._cache["component"]
+
     def projector(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> Projector:
         """Dense projector onto one side's span, from an SVD of its generators.
 
@@ -373,12 +425,14 @@ class PEInstance:
         """
         key = f"proj_{side}"
         if key not in self._cache:
+            check_dim(self.dim)
             self._cache[key] = projector_from_set(self.generators(side), tol,
                                                   dim=self.dim)
         return self._cache[key]
 
     def sub_reflection(self, side: str, name: str,
                        tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+        check_dim(self.dim)
         p = projector_from_set(self.set_vectors(side, name), tol, dim=self.dim)
         return reflection(p)
 
@@ -420,7 +474,6 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
         raise ValueError("omega must be positive")
     n = oracle.size
     basis = SimpleBasis(n)
-    check_dim(basis.dim)
 
     idx = basis.index
     i = np.arange(1, n + 1)
@@ -580,7 +633,6 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
     """
     n = spec.num_inputs
     basis = GeneralBasis.for_spec(spec)
-    check_dim(basis.dim)
     if len(weights.omega) != n or len(weights.alpha) != spec.num_steps + 1:
         raise ValueError("weights do not match the subroutine dimensions")
     alpha = weights.alpha

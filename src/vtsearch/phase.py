@@ -1,20 +1,23 @@
 """Spectral decision engine for two-reflection instances.
 
 The decision statistic is the exact overlap of the initial vector with
-the small-phase eigenspace of the walk W = R_A R_B.  By Jordan's lemma
-the walk splits along the principal angles theta_j between span A and
-span B: the SVD of Q_A^H Q_B (each side's basis is its normalized,
-pairwise-orthogonal generators) pairs a principal vector u_j of A with
-one of B, and W rotates the plane they span by 2 theta_j, so its phases
-there are +-2 theta_j.  The 2 x 2 compressions of all planes go to one
-stacked unitary_eig call, whose checks certify every plane invariant;
-the remaining directions are fixed analytically: intersection lines and
-the complement of span A + span B have phase 0, and principal vectors
-left unpaired on either side (orthogonal to the other span) have phase
-pi.  The dense d x d walk serves only the phase-register simulation,
-kept as an independent cross-check, and the dense oracle in the test
-suite; the reflection-factorization identity used to implement the walk
-cheaply is verified as an algebraic fact.
+the small-phase eigenspace of the walk W = R_A R_B.  The walk is
+block-diagonal over the connected components of the generators, so the
+spectrum is taken on PEInstance.psi0_component, the components psi0
+reaches, for every instance size.  By Jordan's lemma the walk splits
+there along the principal angles theta_j between span A and span B: the
+SVD of Q_A^H Q_B (each side's basis is its normalized, pairwise-orthogonal
+generators) pairs a principal vector u_j of A with one of B, and W
+rotates the plane they span by 2 theta_j, so its phases there are
++-2 theta_j.  The 2 x 2 compressions of all planes go to one stacked
+unitary_eig call, whose checks certify every plane invariant; the
+remaining directions are fixed analytically: intersection lines and the
+complement of span A + span B have phase 0, and principal vectors left
+unpaired on either side (orthogonal to the other span) have phase pi.
+The phase-register simulation runs the dense walk of psi0's component,
+kept as an independent cross-check; the dense walk of the full instance
+is the oracle in the test suite.  The reflection-factorization identity
+used to implement the walk cheaply is verified as an algebraic fact.
 """
 
 from __future__ import annotations
@@ -32,14 +35,16 @@ from .instances import PEInstance
 
 
 class WalkSpectrum(NamedTuple):
-    """Eigenphases of the walk with the weight of psi0 on each.
+    """Eigenphases of the walk on psi0's component with psi0's weight on each.
 
-    min_angle is the smallest principal angle among the rotation planes,
-    or None when the spans meet in no plane.
+    dim, rank_a and rank_b are the row and generator counts of psi0's
+    component; min_angle is the smallest principal angle among its
+    rotation planes, or None when the spans meet there in no plane.
     """
 
     phases: np.ndarray
     weights: np.ndarray
+    dim: int
     rank_a: int
     rank_b: int
     min_angle: float | None
@@ -53,6 +58,7 @@ def _reflect(q: np.ndarray, qh: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     """Spectrum of W = R_A R_B from the principal angles of the two spans.
 
+    Taken on instance.psi0_component(), which has psi0's spectrum weights.
     Column j of the SVD pairs u_j = Q_A U_j with Q_B V_j = cos_j u_j +
     sin_j w_j; sin_j is taken as the norm of Q_B V_j - cos_j u_j, which
     stays accurate where sqrt(1 - cos_j^2) would cancel.  Pairs with
@@ -61,6 +67,7 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     cancelling 1 - sum of weights.  Each d x k adjoint is formed once:
     overlaps with psi0 are taken as conj(psi0^H X) instead of X^H psi0.
     """
+    instance = instance.psi0_component()
     qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
     qah, qbh = qa.conj().T, qb.conj().T
     rank_a, rank_b = qa.shape[1], qb.shape[1]
@@ -99,7 +106,7 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
         phases=np.concatenate([dec.phases.ravel(), np.zeros(len(lines)),
                                np.full(len(unpaired), np.pi), [0.0]]),
         weights=np.concatenate([weights.ravel(), lines, unpaired, [outside]]),
-        rank_a=rank_a, rank_b=rank_b,
+        dim=instance.dim, rank_a=rank_a, rank_b=rank_b,
         min_angle=float(angles.min()) if len(angles) else None)
 
 
@@ -129,9 +136,11 @@ def zero_phase_overlap(instance: PEInstance, theta_star: float,
 class Decision:
     """A verdict with the size of the instance it was reached on.
 
-    dim is the instance dimension, rank_a / rank_b the ranks of the two
-    spans, and min_angle the smallest principal angle among the walk's
-    rotation planes (None when there is none).
+    dim is the instance dimension and rank_a / rank_b its generator counts
+    per side (the ranks of the two spans); dim_decided is the row count of
+    psi0's component, on which the spectrum was taken, and min_angle the
+    smallest principal angle among the rotation planes of that component
+    (None when there is none).
     """
 
     verdict: str            # "positive" | "negative"
@@ -139,6 +148,7 @@ class Decision:
     threshold: float
     theta_star: float
     dim: int
+    dim_decided: int
     rank_a: int
     rank_b: int
     min_angle: float | None
@@ -165,9 +175,11 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float,
     p0 = _zero_phase_weight(spectrum, theta_star, tol)
     threshold = 1.0 / (2.0 * c_plus)
     verdict = "positive" if p0 >= threshold else "negative"
+    rank_a, rank_b = (sum(m.shape[1] for m in sets.values())
+                      for sets in (instance.a_sets, instance.b_sets))
     return Decision(verdict=verdict, p0=p0, threshold=threshold,
                     theta_star=theta_star, dim=instance.dim,
-                    rank_a=spectrum.rank_a, rank_b=spectrum.rank_b,
+                    dim_decided=spectrum.dim, rank_a=rank_a, rank_b=rank_b,
                     min_angle=spectrum.min_angle)
 
 
@@ -195,14 +207,17 @@ def qpe_simulate(instance: PEInstance, bits: int,
     """Exact outcome distribution of a phase-register estimation run.
 
     Builds the 2^bits controlled powers of the walk unitary applied to
-    psi0 explicitly and transforms the register axis; no sampling.
+    psi0 explicitly and transforms the register axis; no sampling.  The
+    dense walk is that of psi0's component, which the walk never leaves,
+    so the distribution is the full instance's.
     """
     if not (1 <= bits <= 20):
         raise ValueError("register size must be between 1 and 20 bits")
     m = 1 << bits
-    u = instance.walk_unitary(tol)
-    states = np.empty((m, instance.dim), dtype=complex)
-    psi = instance.psi0.astype(complex)
+    part = instance.psi0_component()
+    u = part.walk_unitary(tol)
+    states = np.empty((m, part.dim), dtype=complex)
+    psi = part.psi0.astype(complex)
     for x in range(m):
         states[x] = psi
         if x + 1 < m:

@@ -41,6 +41,16 @@ def dense_qpe_zero_prediction(spectrum, bits):
     return float(sum(w * qpe_kernel(th, bits) for th, w in zip(phases, weights)))
 
 
+def dense_qpe_distribution(instance, bits, tol=DEFAULT_TOL):
+    """Oracle phase-register distribution from the full d x d walk."""
+    m = 1 << bits
+    u = instance.walk_unitary(tol)
+    states = [np.asarray(instance.psi0, dtype=complex)]
+    for _ in range(m - 1):
+        states.append(u @ states[-1])
+    return np.sum(np.abs(np.fft.fft(np.array(states), axis=0) / m) ** 2, axis=1)
+
+
 def dense_simple_sets(oracle, omega):
     """Oracle: the simple instance's generator sets, one dense vector each.
 

@@ -58,6 +58,22 @@ def test_reflections_are_involutions():
     assert np.max(np.abs(up @ up - np.eye(8))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 5, 64, 1024])
+def test_linear_time_steps_match_dense_matrices(n):
+    """Sign flip plus 2 mean(v) - v against diffusion_matrix() @ phase_matrix()."""
+    for marked in (frozenset({0}), frozenset({0, n - 1}), frozenset()):
+        oracle = OracleSpec(size=n, marked=marked)
+        g = oracle.diffusion_matrix() @ oracle.phase_matrix()
+        psi = np.full(n, 1 / math.sqrt(n))
+        dense = []
+        for t in range(iteration_count(n) + 1):
+            assert np.max(np.abs(grover_state(oracle, t) - psi)) <= 1e-12
+            dense.append(np.abs(psi) ** 2)
+            psi = g @ psi
+        table = query_weights(oracle)
+        assert np.max(np.abs(table.q - np.array(dense[:-1]).T)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [4, 16, 64])
 def test_query_weight_columns_normalize(n):
     table = query_weights(OracleSpec(size=n, marked=frozenset({0})))

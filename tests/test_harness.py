@@ -58,7 +58,6 @@ def test_general_loop_records_include_verdicts():
                                             "empty": "negative"}
                for r in results.records)
     assert len(results.records) == 2 * 5  # seeds x regimes
-    assert results.decisions_skipped == 0
     # the constants handed to decide, with the c_plus clamp made explicit
     for r in results.records:
         p = r["payload"]
@@ -66,17 +65,18 @@ def test_general_loop_records_include_verdicts():
         assert p["c_minus"] == max(p["neg_norm_closed"], p["c_plus_effective"], 1.0)
 
 
-def test_general_loop_marks_skipped_decisions(tmp_path):
-    """Above the harness's decision cap a record says so instead of going quiet."""
+def test_general_loop_decides_every_record(tmp_path):
+    """At d = 840 every record is decided; there is no size cut-off."""
     results = run_experiment(ExperimentConfig(
         kind="general-loop", n_list=(4,), t_list=(2,), z_list=(2,),
         regimes=("i-a", "ii-b"), num_seeds=1, output_dir=str(tmp_path)))
     assert results.passed and len(results.records) == 2
     for r in results.records:
-        assert r["payload"]["decision_skipped"] == {"dim": 840, "cap": 600}
-        assert "verdicts" not in r["payload"]
+        assert r["payload"]["verdicts"] == {"marked": "positive",
+                                            "empty": "negative"}
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["decisions_skipped"] == 2
+    assert sorted(summary) == ["config_digest", "passed", "record_count",
+                               "wall_time_s"]
 
 
 def test_full_suite_collects_all_kinds():
@@ -156,7 +156,6 @@ def test_cli_exit_codes_and_output(tmp_path, capsys):
     out = capsys.readouterr().out
     summary = json.loads(out.splitlines()[-1])
     assert summary["passed"] and summary["kind"] == "bounds-compare"
-    assert summary["decisions_skipped"] == 0
     assert (tmp_path / "records.jsonl").exists()
     assert (tmp_path / "tables" / "bounds-compare.csv").exists()
 

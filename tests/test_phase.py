@@ -9,17 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from vtsearch.grover import OracleSpec
 from vtsearch.instances import (REGIMES, PEInstance, build_general_instance,
-                                build_simple_instance, regime_parameters,
+                                build_simple_instance, general_negative_witness,
+                                general_positive_witness, regime_parameters,
                                 simple_witnesses, verify_witnesses)
 from vtsearch.phase import (_walk_spectrum, decide, qpe_kernel, qpe_simulate,
                             qpe_zero_prediction, register_bits_for,
                             verify_reflection_factorization,
                             zero_phase_overlap)
-from vtsearch.linalg import DEFAULT_TOL
+from vtsearch.linalg import DEFAULT_TOL, DIM_CAP, DimensionCapError
 from vtsearch.subroutines import subroutine_pair
 
-from conftest import (dense_qpe_zero_prediction, dense_walk_spectrum,
-                      dense_zero_phase_overlap, moment_arrays)
+from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
+                      dense_walk_spectrum, dense_zero_phase_overlap,
+                      moment_arrays)
 
 THETA_STARS = (0.05, 0.2, 0.5)
 ORACLE_TOL = 1e-12
@@ -69,12 +71,14 @@ def test_decide_simple_cases():
     assert pos.threshold == pytest.approx(0.125)
     for decision, inst in ((pos, marked), (neg, empty)):
         assert decision.dim == inst.dim == 40
+        # src, then qry, ret and chk of each branch on the answer's bit
+        assert decision.dim_decided == inst.psi0_component().dim == 1 + 3 * 4
         assert decision.rank_a == len(inst.generators("A"))
         assert decision.rank_b == len(inst.generators("B"))
         assert 0.0 < decision.min_angle <= math.pi / 2
         assert list(json.loads(decision.to_json())) == sorted(
-            ["verdict", "p0", "threshold", "theta_star", "dim", "rank_a",
-             "rank_b", "min_angle"])
+            ["verdict", "p0", "threshold", "theta_star", "dim", "dim_decided",
+             "rank_a", "rank_b", "min_angle"])
 
 
 def test_decide_validates_constants():
@@ -110,6 +114,7 @@ def test_positive_witness_is_fixed_by_walk(small_pair):
 
 
 def _assert_matches_dense_oracle(inst):
+    """p0, the QPE prediction and the QPE distribution against the full walk."""
     spectrum = dense_walk_spectrum(inst)
     for theta in THETA_STARS:
         assert abs(zero_phase_overlap(inst, theta)
@@ -117,6 +122,8 @@ def _assert_matches_dense_oracle(inst):
     for bits in (1, 3, 5):
         assert abs(qpe_zero_prediction(inst, bits)
                    - dense_qpe_zero_prediction(spectrum, bits)) <= ORACLE_TOL
+        assert np.max(np.abs(qpe_simulate(inst, bits).distribution
+                             - dense_qpe_distribution(inst, bits))) <= ORACLE_TOL
 
 
 @given(seed=st.integers(0, 2**31 - 1),
@@ -159,6 +166,91 @@ def test_compressed_spectrum_matches_dense_on_complex_spans(seed):
     inst = _toy_instance(orthogonal_generators(k_a), orthogonal_generators(k_b),
                          psi0 / np.linalg.norm(psi0))
     _assert_matches_dense_oracle(inst)
+
+
+@given(seed=st.integers(0, 2**31 - 1),
+       reached=st.sets(st.sampled_from([0, 1, 2, "free"]), min_size=1),
+       shared=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_restriction_to_psi0_components_matches_dense(seed, reached, shared):
+    """psi0 meeting several components, or rows no generator touches.
+
+    Three components with interleaved rows and two free rows; with shared,
+    each component's spans meet in a line.  The restriction keeps exactly
+    the reached rows in order and each set's reached generators in order,
+    and the engine on it matches the dense walk of the full instance.
+    """
+    rng = np.random.default_rng(seed)
+    sizes, free = (3, 4, 2), 2
+    dim = sum(sizes) + free
+    *blocks, free_rows = np.split(rng.permutation(dim), np.cumsum(sizes))
+
+    def columns(k, count, first=None):
+        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        if first is not None:
+            g[:, 0] = first
+        q, _ = np.linalg.qr(g)
+        return q[:, :count] * rng.uniform(0.5, 2.0, size=count)
+
+    a_vecs, b_vecs, owner_a, owner_b = [], [], [], []
+    for block, rows in enumerate(blocks):
+        k = len(rows)
+        qa = columns(k, rng.integers(1, k))
+        qb = columns(k, rng.integers(1, k), qa[:, 0] if shared else None)
+        for q, vecs, owner in ((qa, a_vecs, owner_a), (qb, b_vecs, owner_b)):
+            for col in q.T:
+                v = np.zeros(dim, dtype=complex)
+                v[rows] = col
+                vecs.append(v)
+                owner.append(block)
+    support = np.concatenate([free_rows if r == "free" else blocks[r]
+                              for r in sorted(reached, key=str)])
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[support] = [1, 1j] @ rng.normal(size=(2, len(support)))
+    # each side in two named sets that interleave the components
+    strides = {"odd": slice(1, None, 2), "even": slice(0, None, 2)}
+    inst = PEInstance(variant="simple", dim=dim, psi0=psi0 / np.linalg.norm(psi0),
+                      a_sets={k: a_vecs[s] for k, s in strides.items()},
+                      b_sets={k: b_vecs[s] for k, s in strides.items()})
+
+    part = inst.psi0_component()
+    rows = np.sort(support)
+    assert part.dim == len(rows)
+    assert np.array_equal(part.psi0, inst.psi0[rows])
+    for side, vecs, owner in (("A", a_vecs, owner_a), ("B", b_vecs, owner_b)):
+        assert list(part.a_sets if side == "A" else part.b_sets) == list(strides)
+        for name, stride in strides.items():
+            kept = [v[rows] for v, o in zip(vecs[stride], owner[stride])
+                    if o in reached]
+            got = part.set_vectors(side, name)
+            assert len(got) == len(kept)
+            assert all(np.array_equal(g, k) for g, k in zip(got, kept))
+    _assert_matches_dense_oracle(inst)
+
+
+def test_decides_general_instance_past_the_dense_cap():
+    """(n, T, Z) = (16, 4, 4), d = 9520: decided on psi0's component alone."""
+    n, t_max, workspace, regime = 16, 4, 4, "ii-b"
+    marked_spec, empty_spec = subroutine_pair(0, n, t_max, workspace)
+    w_pos = regime_parameters(regime, *moment_arrays(marked_spec), t_max,
+                              marked=(0,))
+    w_neg = regime_parameters(regime, *moment_arrays(empty_spec), t_max,
+                              mu=w_pos.mu, k=w_pos.k)
+    pos = general_positive_witness(marked_spec, w_pos)
+    c_plus = float(np.linalg.norm(pos.vector) ** 2)
+    c_minus = max(general_negative_witness(empty_spec, w_neg).closed_norm_sq,
+                  c_plus, 1.0)
+    for spec, weights, expect in ((marked_spec, w_pos, "positive"),
+                                  (empty_spec, w_neg, "negative")):
+        inst = build_general_instance(spec, weights)
+        decision = decide(inst, c_minus=c_minus, c_plus=min(c_plus, 50.0))
+        assert decision.verdict == expect
+        assert decision.dim == inst.dim == 9520 > DIM_CAP
+        # stored zeros of the step unitaries join no components: with them
+        # the component would have 2753 rows
+        assert decision.dim_decided == 593 < DIM_CAP
+        with pytest.raises(DimensionCapError):
+            inst.walk_unitary()
 
 
 def test_intersecting_spans_count_as_zero_phase():
@@ -209,17 +301,23 @@ def test_unpaired_principal_vectors_have_phase_pi(wider):
     tilted = math.cos(phi) * _unit(5, 0) + math.sin(phi) * _unit(5, 3)
     wide, narrow = [_unit(5, 0), _unit(5, 1)], [tilted]
     a_vecs, b_vecs = (wide, narrow) if wider == "A" else (narrow, wide)
-    # e1 lies in the wider span only, e4 outside both spans
-    psi0 = (_unit(5, 1) + _unit(5, 4)) / math.sqrt(2.0)
+    # e1 lies in the wider span only, e4 outside both spans, and e0 splits
+    # evenly over the +-2 phi eigenvectors of the plane span{e0, e3}
+    psi0 = (_unit(5, 0) + _unit(5, 1) + _unit(5, 4)) / math.sqrt(3.0)
     inst = _toy_instance(a_vecs, b_vecs, psi0)
     spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+    assert spectrum.dim == 4  # e2 is touched by no generator and not by psi0
     assert (spectrum.rank_a, spectrum.rank_b) == ((2, 1) if wider == "A" else (1, 2))
-    (zero, w_zero), (pi, w_pi) = _weighted(spectrum)
+    (lo, w_lo), (zero, w_zero), (hi, w_hi), (pi, w_pi) = _weighted(spectrum)
     assert (zero, pi) == (0.0, math.pi)
-    assert w_zero == pytest.approx(0.5, abs=ORACLE_TOL)
-    assert w_pi == pytest.approx(0.5, abs=ORACLE_TOL)
+    assert lo == pytest.approx(-2 * phi, abs=ORACLE_TOL)
+    assert hi == pytest.approx(2 * phi, abs=ORACLE_TOL)
+    assert w_lo == pytest.approx(1 / 6, abs=ORACLE_TOL)
+    assert w_hi == pytest.approx(1 / 6, abs=ORACLE_TOL)
+    assert w_zero == pytest.approx(1 / 3, abs=ORACLE_TOL)
+    assert w_pi == pytest.approx(1 / 3, abs=ORACLE_TOL)
     assert spectrum.min_angle == pytest.approx(phi, abs=ORACLE_TOL)
-    assert zero_phase_overlap(inst, 0.1) == pytest.approx(0.5, abs=ORACLE_TOL)
+    assert zero_phase_overlap(inst, 0.1) == pytest.approx(1 / 3, abs=ORACLE_TOL)
     _assert_matches_dense_oracle(inst)
 
 
