@@ -15,8 +15,8 @@ Modules:
 
 from .linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError, NonUnitaryError,
                      Projector, SpectralDecomposition, TolerancePolicy,
-                     cluster_phases, orthonormalize, projector_from_set,
-                     reflection, unitarity_residual, unitary_eig)
+                     cluster_phases, projector_from_set, reflection,
+                     unitarity_residual, unitary_eig)
 from .subroutines import (BlockSchedule, StoppingProfile, SubroutineSpec,
                           ZeroErrorViolation, build_block_subroutine,
                           cascade_profile, late_halting_fractions,
@@ -58,7 +58,7 @@ __all__ = [
     "cluster_phases", "compare_table", "decide", "emit", "full_report",
     "general_negative_witness", "general_positive_witness", "grover_state",
     "history_states", "iteration_count", "lagrange_cos_sum",
-    "late_halting_fractions", "orthonormalize",
+    "late_halting_fractions",
     "projector_from_set", "qpe_kernel", "qpe_simulate", "qpe_zero_prediction",
     "query_weights", "random_subroutine",
     "reflection", "regime_parameters", "register_bits_for",

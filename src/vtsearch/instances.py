@@ -23,9 +23,10 @@ splits the initial vector across the two spans.
 Every generator touches only a few basis labels (at most 1 + 2|Z| in the
 general variant), so each named set is stored as a sparse d x k CSC matrix
 that the builders assemble straight from index arrays; no length-d vector
-is allocated per generator.  Well-formedness and witness checks run on
-these sparse matrices, and only the dense oracle paths (projectors, set
-reflections, the walk unitary) expand a set into dense columns.
+is allocated per generator.  Well-formedness, witness and
+reflection-factorization checks run on these sparse matrices, and only
+the dense oracle paths (the span projectors and the walk unitary) expand
+a set into dense columns.
 
 Generators that share a basis label are joined into connected components
 with disjoint label supports, over which both reflections and the walk are
@@ -213,6 +214,8 @@ def _set_matrix(dim: int, pieces) -> sparse.csc_array:
     Each piece is a (rows, values) pair of equal-shape 2-d arrays: row g
     of a piece lists the basis indices and the entries of one generator.
     Generators keep the order of the pieces and of the rows within them.
+    Exact-zero entries (a step unitary's zeros) are not stored, so every
+    stored entry is a basis label the generator touches.
     """
     if not pieces:
         return sparse.csc_array((dim, 0), dtype=complex)
@@ -222,6 +225,7 @@ def _set_matrix(dim: int, pieces) -> sparse.csc_array:
     indptr = np.concatenate([[0], np.cumsum(counts)])
     m = sparse.csc_array((values, rows, indptr), shape=(dim, len(counts)))
     m.sort_indices()
+    m.eliminate_zeros()
     return m
 
 
@@ -253,9 +257,11 @@ class PEInstance:
     reflection spans.  Each set is a sparse d x k CSC matrix whose columns
     are the generators; a list of dense vectors is accepted too (for
     hand-built instances) and converted once, so a_sets and b_sets always
-    hold sparse matrices.  Gram residuals, projections and span-membership
+    hold sparse matrices.  Gram residuals, the cross-set cosines of the
+    reflection-factorization check, projections and span-membership
     distances of single vectors run on the sparse side matrix, which is
-    also the one place generator norms are computed and checked.
+    also the one place generator norms are computed and checked; no set
+    reflection is ever built.
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
@@ -263,10 +269,10 @@ class PEInstance:
     raises rather than falling back when the check fails.  The decision
     engine takes the principal angles between the two spans from these
     bases of psi0_component, the instance cut down to the generator
-    components psi0 reaches.  Dense projectors, set reflections and the
-    walk unitary are built lazily from an SVD of the dense generator
-    columns instead, so the dense oracle does not share the engine's
-    basis; they are d x d, so they alone check the dimension cap.
+    components psi0 reaches.  The dense projectors and the walk unitary are
+    built lazily from an SVD of the dense generator columns instead, so
+    the dense oracle does not share the engine's basis; they are d x d, so
+    they alone check the dimension cap.
     """
 
     def __init__(self, variant: str, dim: int, psi0: np.ndarray,
@@ -396,11 +402,9 @@ class PEInstance:
             mats = [m for side in ("A", "B") for m in self._sets(side).values()]
             m = _hstack(self.dim, mats)
             gens = self.dim + np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
-            touches = m.data != 0   # a stored zero entry joins nothing
             nodes = self.dim + m.shape[1]
-            graph = sparse.coo_array(
-                (np.ones(touches.sum()), (m.indices[touches], gens[touches])),
-                shape=(nodes, nodes))
+            graph = sparse.coo_array((np.ones(m.nnz), (m.indices, gens)),
+                                     shape=(nodes, nodes))
             _, labels = connected_components(graph, directed=False)
             reached = np.isin(labels, labels[np.flatnonzero(self.psi0)])
             rows = np.flatnonzero(reached[:self.dim])
@@ -429,12 +433,6 @@ class PEInstance:
             self._cache[key] = projector_from_set(self.generators(side), tol,
                                                   dim=self.dim)
         return self._cache[key]
-
-    def sub_reflection(self, side: str, name: str,
-                       tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-        check_dim(self.dim)
-        p = projector_from_set(self.set_vectors(side, name), tol, dim=self.dim)
-        return reflection(p)
 
     def walk_unitary(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         if "walk" not in self._cache:

@@ -6,7 +6,7 @@ modules.  Everything here operates on plain ``numpy`` arrays: vectors are
 1-d complex arrays, operators are square 2-d complex arrays.
 
 Projectors onto the span of an arbitrary vector set come from one SVD
-(:func:`orthonormalize`); the decision engine needs none, because its span
+(:func:`projector_from_set`); the decision engine needs none, because its span
 bases are normalized pairwise-orthogonal generators.  It hands the 2 x 2
 compressions of the walk on all rotation planes to :func:`unitary_eig` as
 one stack, which is decomposed in closed form.
@@ -116,36 +116,23 @@ def _as_matrix(vectors, dim_hint: int | None = None) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _orthonormal_columns(a: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Left singular vectors of a d x k matrix above the rank threshold."""
-    dim, n = a.shape
-    if n == 0:
-        return a
-    check_dim(dim)
-    threshold = tol.rank_tol * float(np.max(np.linalg.norm(a, axis=0)))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, s > threshold]
-
-
-def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as matrix columns) for the span of the inputs.
-
-    The left singular vectors of the stacked inputs whose singular values
-    exceed rank_tol times the largest input column norm, so the column
-    count equals the numerical rank.
-    """
-    return _orthonormal_columns(_as_matrix(vectors), tol)
-
-
 def projector_from_set(vectors, tol: TolerancePolicy = DEFAULT_TOL,
                        dim: int | None = None) -> Projector:
-    """Orthogonal projector onto the span of the given vectors."""
+    """Orthogonal projector onto the span of the given vectors.
+
+    Built from the left singular vectors of the stacked inputs whose
+    singular values exceed rank_tol times the largest input column norm,
+    so its rank is the numerical rank of the inputs.
+    """
     a = _as_matrix(vectors, dim_hint=dim)
     if a.shape[1] == 0:
         if a.shape[0] == 0:
             raise ValueError("empty vector set with unknown dimension; pass dim=")
         return Projector(np.zeros((a.shape[0], a.shape[0]), dtype=complex), 0)
-    q = _orthonormal_columns(a, tol)
+    check_dim(a.shape[0])
+    threshold = tol.rank_tol * float(np.max(np.linalg.norm(a, axis=0)))
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    q = u[:, s > threshold]
     return Projector(q @ q.conj().T, q.shape[1])
 
 

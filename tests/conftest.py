@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vtsearch import (DEFAULT_TOL, cluster_phases, qpe_kernel,
-                      stopping_profile, subroutine_pair, unitary_eig)
+from vtsearch import (DEFAULT_TOL, cluster_phases, projector_from_set,
+                      qpe_kernel, reflection, stopping_profile,
+                      subroutine_pair, unitary_eig)
 from vtsearch.instances import GeneralBasis, SimpleBasis
 
 
@@ -49,6 +50,29 @@ def dense_qpe_distribution(instance, bits, tol=DEFAULT_TOL):
     for _ in range(m - 1):
         states.append(u @ states[-1])
     return np.sum(np.abs(np.fft.fft(np.array(states), axis=0) / m) ** 2, axis=1)
+
+
+def dense_reflection_factorization_residual(instance, tol=DEFAULT_TOL):
+    """Oracle: each side's reflection against the product of its set reflections.
+
+    Uses the subspace-negating convention D = I - 2P, for which orthogonal
+    generator groups compose multiplicatively: prod_k (I - 2P_k) =
+    I - 2 sum_k P_k.  Returns the largest entry of the difference over
+    both sides, from one d x d SVD projector and product per set; the
+    library reads the same identity off the sparse cross-set Gram.
+    """
+    worst = 0.0
+    eye = np.eye(instance.dim, dtype=complex)
+    for side in ("A", "B"):
+        sets = instance.a_sets if side == "A" else instance.b_sets
+        product = eye
+        for name in sets:
+            p = projector_from_set(instance.set_vectors(side, name), tol,
+                                   dim=instance.dim)
+            product = product @ (-reflection(p))
+        direct = -reflection(instance.projector(side, tol))
+        worst = max(worst, float(np.max(np.abs(direct - product))))
+    return worst
 
 
 def dense_simple_sets(oracle, omega):

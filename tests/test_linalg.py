@@ -6,7 +6,7 @@ import scipy.stats
 
 from vtsearch.linalg import (DIM_CAP, DimensionCapError, NonUnitaryError,
                              TolerancePolicy, check_dim, cluster_phases,
-                             orthonormalize, projector_from_set, reflection,
+                             projector_from_set, reflection,
                              unitarity_residual, unitary_eig)
 
 RNG = np.random.default_rng(1234)
@@ -27,39 +27,42 @@ def test_check_dim_cap():
         check_dim(0)
 
 
-def test_orthonormalize_rank_and_orthogonality():
+def test_projector_rank_and_span_with_duplicates():
     # 5 vectors in C^8 with rank 3: two exact duplicates of combinations
     base = RNG.normal(size=(8, 3)) + 1j * RNG.normal(size=(8, 3))
     cols = [base[:, 0], base[:, 1], base[:, 2],
             base[:, 0] + 2 * base[:, 1], 0.5 * base[:, 2] - base[:, 0]]
-    q = orthonormalize(cols)
-    assert q.shape == (8, 3)
-    assert np.max(np.abs(q.conj().T @ q - np.eye(3))) < 1e-12
+    p = projector_from_set(cols)
+    assert p.rank == 3
+    assert p.hermiticity_residual() < 1e-12
+    assert p.idempotency_residual() < 1e-12
+    assert abs(np.trace(p.matrix) - 3) < 1e-12
     # span is preserved: each input is reproduced by its projection
-    p = q @ q.conj().T
     for c in cols:
-        assert np.linalg.norm(p @ c - c) < 1e-10
+        assert np.linalg.norm(p.matrix @ c - c) < 1e-10
 
 
-def test_orthonormalize_rank_rule_on_near_dependent_inputs():
+def test_projector_rank_rule_on_near_dependent_inputs():
     e = np.eye(4, dtype=complex)
     # [e0, e1, e0 + eps e2] has smallest singular value ~ eps / sqrt(2)
     for eps, rank in ((1e-8, 3), (1e-12, 2)):
         cols = [e[0], e[1], e[0] + eps * e[2]]
-        q = orthonormalize(cols)
-        assert q.shape == (4, rank)
-        assert np.max(np.abs(q.conj().T @ q - np.eye(rank))) < 1e-12
-        assert all(np.linalg.norm(c - q @ (q.conj().T @ c)) <= eps for c in cols)
+        p = projector_from_set(cols)
+        assert p.rank == rank
+        assert abs(np.trace(p.matrix) - rank) < 1e-12
+        assert p.idempotency_residual() < 1e-12
+        assert all(np.linalg.norm(c - p.matrix @ c) <= eps for c in cols)
     # the cutoff is rank_tol times the largest input column norm
     tol = TolerancePolicy()
-    assert orthonormalize([2 * e[0], 3 * tol.rank_tol * e[1]], tol).shape == (4, 2)
-    assert orthonormalize([2 * e[0], 1.9 * tol.rank_tol * e[1]], tol).shape == (4, 1)
+    assert projector_from_set([2 * e[0], 3 * tol.rank_tol * e[1]], tol).rank == 2
+    assert projector_from_set([2 * e[0], 1.9 * tol.rank_tol * e[1]], tol).rank == 1
 
 
-def test_orthonormalize_empty_and_zero():
-    assert orthonormalize([]).shape == (0, 0)
-    z = orthonormalize([np.zeros(4)])
-    assert z.shape == (4, 0)
+def test_projector_empty_and_zero():
+    for vectors in ([], [np.zeros(4)]):
+        p = projector_from_set(vectors, dim=4)
+        assert p.rank == 0
+        assert p.matrix.shape == (4, 4) and not np.any(p.matrix)
 
 
 def test_projector_properties():

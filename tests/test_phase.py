@@ -20,6 +20,7 @@ from vtsearch.linalg import DEFAULT_TOL, DIM_CAP, DimensionCapError
 from vtsearch.subroutines import subroutine_pair
 
 from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
+                      dense_reflection_factorization_residual,
                       dense_walk_spectrum, dense_zero_phase_overlap,
                       moment_arrays)
 
@@ -246,8 +247,8 @@ def test_decides_general_instance_past_the_dense_cap():
         decision = decide(inst, c_minus=c_minus, c_plus=min(c_plus, 50.0))
         assert decision.verdict == expect
         assert decision.dim == inst.dim == 9520 > DIM_CAP
-        # stored zeros of the step unitaries join no components: with them
-        # the component would have 2753 rows
+        # the builders store no exact zeros of the step unitaries, so only
+        # the labels a generator touches join it to a component
         assert decision.dim_decided == 593 < DIM_CAP
         with pytest.raises(DimensionCapError):
             inst.walk_unitary()
@@ -363,14 +364,26 @@ def test_register_bits_for_scaling():
     assert register_bits_for(1e-6) >= 1
 
 
+def _reflection_residuals(inst):
+    """The library's sparse residual and the dense oracle's, in that order."""
+    return (verify_reflection_factorization(inst),
+            dense_reflection_factorization_residual(inst))
+
+
 def test_reflection_factorization_on_built_instances(small_pair):
-    simple = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
-    assert verify_reflection_factorization(simple) < 1e-10
-    marked_spec, _ = small_pair
-    exp_t, exp_t2 = moment_arrays(marked_spec)
-    weights = regime_parameters("ii-b", exp_t, exp_t2, 2, marked=(0,))
-    general = build_general_instance(marked_spec, weights)
-    assert verify_reflection_factorization(general) < 1e-8
+    tol = DEFAULT_TOL.assert_tol
+    for marked in (frozenset({1}), frozenset()):
+        simple = build_simple_instance(OracleSpec(size=4, marked=marked), 4.0)
+        assert max(_reflection_residuals(simple)) <= tol
+    marked_spec, empty_spec = small_pair
+    moments_pos, moments_neg = moment_arrays(marked_spec), moment_arrays(empty_spec)
+    for regime in REGIMES:
+        w_pos = regime_parameters(regime, *moments_pos, 2, marked=(0,))
+        w_neg = regime_parameters(regime, *moments_neg, 2,
+                                  mu=w_pos.mu, k=w_pos.k)
+        for spec, weights in ((marked_spec, w_pos), (empty_spec, w_neg)):
+            general = build_general_instance(spec, weights)
+            assert max(_reflection_residuals(general)) <= tol
 
 
 def test_reflection_factorization_fails_for_merged_sets():
@@ -383,13 +396,36 @@ def test_reflection_factorization_fails_for_merged_sets():
     broken = PEInstance(variant="simple", dim=inst.dim, psi0=inst.psi0,
                         a_sets={"bad1": launch + query, "bad2": check},
                         b_sets={"query": query, "absorb": absorb})
-    assert verify_reflection_factorization(broken) > 0.1
+    sparse_resid, dense_resid = _reflection_residuals(broken)
+    assert sparse_resid > 0.1 and dense_resid > 0.1
     # the decision engine's basis is the normalized generators: it refuses
     # a side whose generators are not pairwise orthogonal
     with pytest.raises(ValueError, match="side A"):
         broken.span_basis("A")
     with pytest.raises(ValueError, match="side A"):
         decide(broken, c_minus=13.0, c_plus=4.0)
+
+
+def test_reflection_factorization_ignores_overlaps_within_a_set():
+    """A set reflection is that of the set's span, whatever its generators."""
+    inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
+    check = inst.set_vectors("A", "check")
+    within = PEInstance(variant="simple", dim=inst.dim, psi0=inst.psi0,
+                        a_sets={"launch": inst.set_vectors("A", "launch"),
+                                "check": check + [check[0] + check[1]]},
+                        b_sets=inst.b_sets)
+    assert within.gram_offdiagonal_residual("A") == pytest.approx(2.0)
+    assert max(_reflection_residuals(within)) <= DEFAULT_TOL.assert_tol
+
+
+def test_reflection_factorization_past_the_dense_cap():
+    """n = 1024, d = 8200: checked on the sparse Gram, no d x d matrix."""
+    inst = build_simple_instance(OracleSpec(size=1024, marked=frozenset({0})),
+                                 1024.0)
+    assert inst.dim == 8200 > DIM_CAP
+    assert verify_reflection_factorization(inst) == 0.0
+    with pytest.raises(DimensionCapError):
+        inst.projector("A")
 
 
 def test_span_basis_rejects_vanishing_generators():
