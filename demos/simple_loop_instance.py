@@ -5,8 +5,6 @@ element, verifies the corresponding witness, and runs the spectral
 zero-phase decision plus the phase-register cross-check.
 """
 
-import numpy as np
-
 from vtsearch import (OracleSpec, build_simple_instance, decide, qpe_simulate,
                       register_bits_for, simple_witnesses,
                       verify_reflection_factorization, verify_witnesses)

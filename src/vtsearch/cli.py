@@ -23,27 +23,33 @@ _KIND_OF = {
 }
 
 
+# list flags and the ExperimentConfig fields they fill; a repeated flag
+# extends the list, and a flag left out keeps the config's default
+_LIST_FIELDS = {"n": "n_list", "steps": "t_list", "workspace": "z_list",
+                "regimes": "regimes", "format": "formats"}
+
+
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=0,
                      help="base seed for the PCG64 generator")
     sub.add_argument("--num-seeds", type=int, default=10,
                      help="number of seeded repetitions where applicable")
-    sub.add_argument("--n", type=int, nargs="+", default=[4, 16], metavar="N",
-                     help="domain sizes to sweep")
-    sub.add_argument("--steps", type=int, nargs="+", default=[2, 4],
-                     help="subroutine step counts to sweep")
-    sub.add_argument("--workspace", type=int, nargs="+", default=[2, 4],
-                     help="workspace sizes to sweep")
-    sub.add_argument("--regimes", nargs="+", default=list(REGIMES),
+    sub.add_argument("--n", type=int, nargs="+", action="extend", metavar="N",
+                     help="domain sizes to sweep (default: 4 16)")
+    sub.add_argument("--steps", type=int, nargs="+", action="extend",
+                     help="subroutine step counts to sweep (default: 2 4)")
+    sub.add_argument("--workspace", type=int, nargs="+", action="extend",
+                     help="workspace sizes to sweep (default: 2 4)")
+    sub.add_argument("--regimes", nargs="+", action="extend",
                      choices=list(REGIMES), metavar="REGIME",
-                     help="weight regimes to exercise")
+                     help="weight regimes to exercise (default: all)")
     sub.add_argument("--assert-tol", type=float, default=DEFAULT_TOL.assert_tol,
                      help="tolerance for exactness assertions")
     sub.add_argument("--out", default=None,
                      help="directory to write records and tables into")
-    sub.add_argument("--format", nargs="+", default=["json"],
+    sub.add_argument("--format", nargs="+", action="extend",
                      choices=["json", "csv"],
-                     help="output formats (with --out)")
+                     help="output formats (with --out; default: json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,20 +72,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def config_from_args(argv=None) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
+    lists = {field: tuple(getattr(args, flag))
+             for flag, field in _LIST_FIELDS.items()
+             if getattr(args, flag) is not None}
+    return ExperimentConfig(
         kind=args.kind,
-        n_list=tuple(args.n),
-        t_list=tuple(args.steps),
-        z_list=tuple(args.workspace),
-        regimes=tuple(args.regimes),
         seed=args.seed,
         num_seeds=args.num_seeds,
         assert_tol=args.assert_tol,
         output_dir=args.out,
-        formats=tuple(args.format),
+        **lists,
     )
+
+
+def main(argv=None) -> int:
+    config = config_from_args(argv)
     results = run_experiment(config)
     failures = [r for r in results.records if not r["passed"]]
     print(json.dumps({

@@ -47,7 +47,7 @@ from scipy.sparse.csgraph import connected_components
 from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, check_dim,
                      projector_from_set, reflection)
 from .grover import OracleSpec
-from .subroutines import SubroutineSpec, StoppingProfile, stopping_profile
+from .subroutines import SubroutineSpec, stopping_profile
 
 SIMPLE_TAGS = ("src", "qry", "ret", "chk")
 GENERAL_TAGS = ("src", "qry", "ret", "chk", "fwd", "bwd", "turn")

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from .linalg import DEFAULT_TOL, TolerancePolicy, check_dim, unitarity_residual
 
@@ -458,6 +457,23 @@ def run_block_algorithm(schedule: BlockSchedule, i: int) -> np.ndarray:
 # Seeded generator
 # ---------------------------------------------------------------------------
 
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random dim x dim unitary drawn from ``rng``.
+
+    QR of a complex Ginibre matrix, with each column of Q rescaled by the
+    phase of R's diagonal entry.  Draws and operation order are those of
+    scipy's ``unitary_group.rvs`` (checked against scipy 1.17), so for the
+    same generator state the two return identical bytes and leave the
+    generator in the same state.
+    """
+    z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= d / abs(d)
+    return q
+
+
 def random_subroutine(seed: int, num_inputs: int, num_steps: int,
                       workspace_size: int,
                       halting_fractions=None,
@@ -472,7 +488,9 @@ def random_subroutine(seed: int, num_inputs: int, num_steps: int,
     by an answer flip on the labels halting at this step, which makes the
     subroutine exactly zero-error by construction.
 
-    RNG: numpy's PCG64 via np.random.default_rng(seed).
+    RNG: numpy's PCG64 via np.random.default_rng(seed); the step unitaries
+    come from haar_unitary, whose draws equal those of scipy's
+    unitary_group.rvs on the same generator.
     """
     if workspace_size < 1 or num_steps < 1 or num_inputs < 1:
         raise ValueError("sizes must be positive")
@@ -510,7 +528,7 @@ def random_subroutine(seed: int, num_inputs: int, num_steps: int,
         for i in range(num_inputs):
             w = np.eye(workspace_size, dtype=complex)
             if len(active) > 1:
-                block = scipy.stats.unitary_group.rvs(len(active), random_state=rng)
+                block = haar_unitary(rng, len(active))
                 w[np.ix_(active, active)] = block
             elif len(active) == 1:
                 w[active[0], active[0]] = np.exp(2j * np.pi * rng.random())

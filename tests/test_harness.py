@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from vtsearch.cli import main
+from vtsearch.cli import config_from_args, main
 from vtsearch.harness import ExperimentConfig, ResultSet, emit, run_experiment
+from vtsearch.instances import REGIMES
 
 SMALL = dict(n_list=(4,), t_list=(2,), z_list=(2,), num_seeds=2)
 
@@ -163,3 +168,50 @@ def test_cli_exit_codes_and_output(tmp_path, capsys):
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+def test_cli_repeated_list_flags_accumulate():
+    config = config_from_args([
+        "suite", "--n", "4", "--n", "16", "--steps", "2", "--steps", "4",
+        "--workspace", "2", "--workspace", "4", "--regimes", "i-a",
+        "--regimes", "ii-b", "ii-c", "--format", "json", "--format", "csv"])
+    assert config.n_list == (4, 16)
+    assert config.t_list == (2, 4)
+    assert config.z_list == (2, 4)
+    assert config.regimes == ("i-a", "ii-b", "ii-c")
+    assert config.formats == ("json", "csv")
+
+
+def test_cli_defaults_and_config_digest_unchanged():
+    default = config_from_args(["general-loop"])
+    assert default.n_list == (4, 16)
+    assert default.t_list == (2, 4)
+    assert default.z_list == (2, 4)
+    assert default.regimes == tuple(REGIMES)
+    assert default.formats == ("json",)
+    spelled = config_from_args(["general-loop", "--n", "4", "16", "--steps",
+                                "2", "4", "--workspace", "2", "4"])
+    repeated = config_from_args(["general-loop", "--n", "4", "--n", "16"])
+    assert default.digest() == spelled.digest() == repeated.digest()
+    # every record of a default run carries this digest, so a drift in the
+    # CLI's defaults shows here
+    assert default.digest() == (
+        "fef19ff84b2bf48408da19a9950582329c58e0cd79fdb17a46cea631d19653b0")
+
+
+def test_import_and_suite_run_leave_scipy_stats_unloaded(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import vtsearch\n"
+        "from vtsearch import cli\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        "status = cli.main(['suite', '--n', '2', '--steps', '2', '--workspace',"
+        " '2', '--num-seeds', '1', '--out', sys.argv[1]])\n"
+        "assert status == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from vtsearch import subroutines
 from vtsearch.subroutines import (BlockSchedule, StoppingProfile,
                                   SubroutineSpec, ZeroErrorViolation,
                                   build_block_subroutine, cascade_profile,
-                                  random_subroutine, run_block_algorithm,
-                                  run_subroutine, stopping_profile, validate)
+                                  haar_unitary, random_subroutine,
+                                  run_block_algorithm, run_subroutine,
+                                  stopping_profile, subroutine_pair, validate)
 
 
 def identity_spec(n=2, t=3, w=4):
@@ -146,6 +149,34 @@ def test_json_round_trip_bit_faithful():
         data, sort_keys=True)
 
 
+def _scipy_haar(rng, dim):
+    return scipy.stats.unitary_group.rvs(dim, random_state=rng)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_haar_unitary_matches_scipy_byte_for_byte(seed):
+    ours = np.random.default_rng(seed)
+    oracle = np.random.default_rng(seed)
+    for k in range(2, 41):
+        u = haar_unitary(ours, k)
+        assert u.shape == (k, k) and u.dtype == np.complex128
+        assert u.tobytes() == _scipy_haar(oracle, k).tobytes()
+        # both leave the generator in the same state
+        assert ours.random() == oracle.random()
+    assert np.max(np.abs(u.conj().T @ u - np.eye(k))) < 1e-12
+
+
+@pytest.mark.parametrize("n, t, z", [(2, 2, 2), (4, 3, 4), (3, 4, 6)])
+def test_subroutine_pair_matches_scipy_draws(monkeypatch, n, t, z):
+    ours = subroutine_pair(5, n, t, z)
+    monkeypatch.setattr(subroutines, "haar_unitary", _scipy_haar)
+    oracle = subroutine_pair(5, n, t, z)
+    for spec, ref in zip(ours, oracle):
+        assert spec.unitaries.tobytes() == ref.unitaries.tobytes()
+        assert spec.partition == ref.partition
+        assert spec.outputs == ref.outputs
+
+
 # ---------------------------------------------------------------------------
 # Block-structured subroutines
 # ---------------------------------------------------------------------------
@@ -157,7 +188,6 @@ def _random_block_schedule(seed, blocks=(2, 2), zp=2, n=2, projector_rank=1):
     output bit is exact); the variable-time structure comes entirely
     from the workspace dynamics and the success measurement.
     """
-    import scipy.stats
     rng = np.random.default_rng(seed)
     t = sum(blocks)
     us = np.empty((n, t, 2 * zp, 2 * zp), dtype=complex)
