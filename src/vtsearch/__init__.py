@@ -21,8 +21,8 @@ from .subroutines import (BlockSchedule, StoppingProfile, SubroutineSpec,
                           ZeroErrorViolation, build_block_subroutine,
                           cascade_profile, late_halting_fractions,
                           random_subroutine, run_block_algorithm,
-                          run_subroutine, stopping_profile, subroutine_pair,
-                          validate)
+                          run_subroutine, stopping_moments, stopping_profile,
+                          subroutine_pair, validate)
 from .grover import (AverageQueryCost, CostProfile, OracleSpec,
                      QueryWeightTable, average_query_cost, closed_form_weights,
                      grover_state, iteration_count, lagrange_cos_sum,
@@ -33,8 +33,9 @@ from .instances import (GeneralBasis, HistoryTriple, NegativeWitness,
                         build_simple_instance, general_negative_witness,
                         general_positive_witness, history_states,
                         regime_parameters, simple_witnesses, verify_witnesses)
-from .phase import (Decision, QPEOutcome, decide, qpe_kernel, qpe_simulate,
-                    qpe_zero_prediction, register_bits_for,
+from .phase import (C_PLUS_MAX, Decision, QPEOutcome, RegimePair, decide,
+                    qpe_kernel, qpe_simulate, qpe_zero_prediction,
+                    regime_pairs, register_bits_for,
                     verify_reflection_factorization, zero_phase_overlap)
 from .bounds import (BOUND_KINDS, ComparisonReport, CostReport,
                      PromiseDescriptor, bound, compare_table, full_report)
@@ -44,27 +45,26 @@ from .harness import (EXPERIMENT_KINDS, ExperimentConfig, ResultSet, emit,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AverageQueryCost", "BOUND_KINDS", "BlockSchedule", "ComparisonReport",
-    "CostProfile", "CostReport", "DEFAULT_TOL", "DIM_CAP", "Decision",
-    "DimensionCapError", "EXPERIMENT_KINDS", "ExperimentConfig",
+    "AverageQueryCost", "BOUND_KINDS", "BlockSchedule", "C_PLUS_MAX",
+    "ComparisonReport", "CostProfile", "CostReport", "DEFAULT_TOL", "DIM_CAP",
+    "Decision", "DimensionCapError", "EXPERIMENT_KINDS", "ExperimentConfig",
     "GeneralBasis", "HistoryTriple", "NegativeWitness", "NonUnitaryError",
     "OracleSpec", "PEInstance", "PositiveWitness", "Projector",
     "PromiseDescriptor", "QPEOutcome", "QueryWeightTable", "REGIMES",
-    "ResultSet", "SimpleBasis", "SpectralDecomposition", "StoppingProfile",
-    "SubroutineSpec", "TolerancePolicy", "Weights", "WitnessReport",
-    "ZeroErrorViolation", "average_query_cost", "bound",
+    "RegimePair", "ResultSet", "SimpleBasis", "SpectralDecomposition",
+    "StoppingProfile", "SubroutineSpec", "TolerancePolicy", "Weights",
+    "WitnessReport", "ZeroErrorViolation", "average_query_cost", "bound",
     "build_block_subroutine", "build_general_instance",
     "build_simple_instance", "cascade_profile", "closed_form_weights",
     "cluster_phases", "compare_table", "decide", "emit", "full_report",
     "general_negative_witness", "general_positive_witness", "grover_state",
     "history_states", "iteration_count", "lagrange_cos_sum",
-    "late_halting_fractions",
-    "projector_from_set", "qpe_kernel", "qpe_simulate", "qpe_zero_prediction",
-    "query_weights", "random_subroutine",
-    "reflection", "regime_parameters", "register_bits_for",
-    "run_block_algorithm", "run_experiment", "run_subroutine",
-    "simple_witnesses", "stopping_profile", "subroutine_pair",
-    "success_probability",
+    "late_halting_fractions", "projector_from_set", "qpe_kernel",
+    "qpe_simulate", "qpe_zero_prediction", "query_weights",
+    "random_subroutine", "reflection", "regime_pairs", "regime_parameters",
+    "register_bits_for", "run_block_algorithm", "run_experiment",
+    "run_subroutine", "simple_witnesses", "stopping_moments",
+    "stopping_profile", "subroutine_pair", "success_probability",
     "unitarity_residual", "unitary_eig", "validate",
     "verify_reflection_factorization", "verify_witnesses",
     "zero_phase_overlap",

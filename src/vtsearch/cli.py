@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment runner.
 
-Each subcommand builds an ExperimentConfig, runs it, and exits with
-status 0 exactly when every in-run assertion passed.
+Each subcommand builds an ExperimentConfig and runs it.  Exit status 0
+means every record passed its checks, 1 that a record failed, and 2 that
+the arguments were invalid (argparse's usage error; nothing ran).
 """
 
 from __future__ import annotations
@@ -73,18 +74,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv=None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
+    """The config the arguments describe; invalid values exit 2 via parser.error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     lists = {field: tuple(getattr(args, flag))
              for flag, field in _LIST_FIELDS.items()
              if getattr(args, flag) is not None}
-    return ExperimentConfig(
-        kind=args.kind,
-        seed=args.seed,
-        num_seeds=args.num_seeds,
-        assert_tol=args.assert_tol,
-        output_dir=args.out,
-        **lists,
-    )
+    try:
+        return ExperimentConfig(kind=args.kind, seed=args.seed,
+                                num_seeds=args.num_seeds,
+                                assert_tol=args.assert_tol,
+                                output_dir=args.out, **lists)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def main(argv=None) -> int:

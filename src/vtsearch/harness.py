@@ -52,6 +52,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown regime {r!r}")
         if self.num_seeds < 1:
             raise ValueError("need at least one seed")
+        if any(v < 1 for v in (*self.n_list, *self.t_list, *self.z_list)):
+            raise ValueError("n, steps and workspace entries must be at least 1")
+        # these kinds build an OracleSpec, whose domain has at least 2 elements
+        if (self.kind in ("grover-weights", "simple-loop", "full-suite")
+                and any(n < 2 for n in self.n_list)):
+            raise ValueError(f"{self.kind} needs n_list entries of at least 2")
+        self.tolerance()  # raises unless rank_tol <= assert_tol
         if (self.kind in ("general-loop", "full-suite")
                 and not any(t >= 2 for t in self.t_list)):
             raise ValueError("general-loop needs a t_list entry of at least 2")
@@ -158,7 +165,7 @@ def _run_simple_loop(config, results, prefix):
             results.add(prefix, {
                 "n": n, "marked": sorted(marked), "omega": omega,
                 "witness": report.to_jsonable(),
-                "decision": json.loads(decision.to_json()),
+                "decision": asdict(decision),
                 "reflection_residual": refl_resid,
                 "well_formed": wf,
             }, passed)
@@ -174,50 +181,26 @@ def _run_general_loop(config, results, prefix):
         workspace = int(rng.choice(config.z_list))
         marked_spec, empty_spec = subs_mod.subroutine_pair(seed, n, t_max,
                                                            workspace)
-        moments = {}
-        for label, spec in (("marked", marked_spec), ("empty", empty_spec)):
-            profs = [subs_mod.stopping_profile(spec, i) for i in range(n)]
-            moments[label] = (np.array([p.moments()[0] for p in profs]),
-                              np.array([p.moments()[1] for p in profs]))
-        for regime in config.regimes:
-            exp_t_m, exp_t2_m = moments["marked"]
-            weights_pos = inst_mod.regime_parameters(regime, exp_t_m, exp_t2_m,
-                                                     t_max, marked=(0,))
-            pos = inst_mod.general_positive_witness(marked_spec, weights_pos)
-            norm_sq = float(np.linalg.norm(pos.vector) ** 2)
-            c_plus = norm_sq  # unit overlap with the initial state
-            cap = 6.0 if regime == "ii-c" else 8.0
-            exp_t_e, exp_t2_e = moments["empty"]
-            weights_neg = inst_mod.regime_parameters(
-                regime, exp_t_e, exp_t2_e, t_max,
-                mu=weights_pos.mu, k=weights_pos.k)
-            neg = inst_mod.general_negative_witness(empty_spec, weights_neg)
+        for pair in phase_mod.regime_pairs(marked_spec, empty_spec,
+                                           config.regimes):
+            pos, neg = pair.positive, pair.negative
             neg_norm = float(np.linalg.norm(neg.w_a) ** 2)
+            verdicts = {label: decision.verdict
+                        for label, decision in pair.decide(tol).items()}
             payload = {
                 "seed": seed, "n": n, "t_max": t_max, "workspace": workspace,
-                "regime": regime,
-                "pos_norm_sq": norm_sq, "pos_norm_closed": pos.closed_norm_sq,
+                "regime": pair.regime,
+                "pos_norm_sq": pair.c_plus, "pos_norm_closed": pos.closed_norm_sq,
                 "neg_norm_sq": neg_norm, "neg_norm_closed": neg.closed_norm_sq,
-                "c_plus_effective": c_plus, "c_plus_cap": cap,
+                "c_plus_effective": pair.c_plus, "c_plus_cap": pair.c_plus_cap,
+                "verdicts": verdicts, "c_minus": pair.c_minus,
+                "c_plus_decide": pair.c_plus_decide,
             }
-            passed = (abs(norm_sq - pos.closed_norm_sq) <= 1e-8
-                      and abs(neg_norm - neg.closed_norm_sq) <= 1e-8
-                      and c_plus <= cap + 1e-9)
-            c_minus = max(neg.closed_norm_sq, c_plus * 1.0, 1.0)
-            # decide accepts c_plus up to 50; the clamp is recorded
-            c_plus_decide = min(c_plus, 50.0)
-            verdicts = {}
-            for label, spec, weights in (("marked", marked_spec, weights_pos),
-                                         ("empty", empty_spec, weights_neg)):
-                instance = inst_mod.build_general_instance(spec, weights)
-                decision = phase_mod.decide(instance, c_minus=c_minus,
-                                            c_plus=c_plus_decide, tol=tol)
-                verdicts[label] = decision.verdict
-            payload["verdicts"] = verdicts
-            payload["c_minus"] = c_minus
-            payload["c_plus_decide"] = c_plus_decide
-            passed = passed and verdicts == {"marked": "positive",
-                                             "empty": "negative"}
+            passed = (abs(pair.c_plus - pos.closed_norm_sq) <= tol.assert_tol
+                      and abs(neg_norm - neg.closed_norm_sq) <= tol.assert_tol
+                      and pair.c_plus <= pair.c_plus_cap + 1e-9
+                      and verdicts == {"marked": "positive",
+                                       "empty": "negative"})
             results.add(prefix, payload, passed)
 
 

@@ -38,7 +38,7 @@ only the dense d x d paths check the dimension cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -120,7 +120,6 @@ class Weights:
     omega: np.ndarray
     alpha: np.ndarray
     beta: dict[int, float]
-    regime: str = "custom"
     mu: float | None = None
     k: float | None = None
 
@@ -201,7 +200,7 @@ def regime_parameters(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
     else:
         raise ValueError(f"unknown regime {regime!r}")
     alpha[0] = 1.0
-    return Weights(omega=omega, alpha=alpha, beta=beta, regime=regime, mu=mu, k=k)
+    return Weights(omega=omega, alpha=alpha, beta=beta, mu=mu, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +256,11 @@ class PEInstance:
     reflection spans.  Each set is a sparse d x k CSC matrix whose columns
     are the generators; a list of dense vectors is accepted too (for
     hand-built instances) and converted once, so a_sets and b_sets always
-    hold sparse matrices.  Gram residuals, the cross-set cosines of the
-    reflection-factorization check, projections and span-membership
-    distances of single vectors run on the sparse side matrix, which is
-    also the one place generator norms are computed and checked; no set
-    reflection is ever built.
+    hold sparse matrices.  Projections and span-membership distances of
+    single vectors run on the sparse side matrix, which is also the one
+    place generator norms are computed and checked; the Gram residual and
+    the cross-set cosines of the reflection-factorization check share one
+    cached sparse Gram per side.  No set reflection is ever built.
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
@@ -275,22 +274,13 @@ class PEInstance:
     they alone check the dimension cap.
     """
 
-    def __init__(self, variant: str, dim: int, psi0: np.ndarray,
+    def __init__(self, dim: int, psi0: np.ndarray,
                  a_sets: dict[str, sparse.sparray | list[np.ndarray]],
-                 b_sets: dict[str, sparse.sparray | list[np.ndarray]],
-                 weights: Weights | None = None,
-                 spec: SubroutineSpec | None = None,
-                 oracle: OracleSpec | None = None,
-                 basis=None):
-        self.variant = variant
+                 b_sets: dict[str, sparse.sparray | list[np.ndarray]]):
         self.dim = dim
         self.psi0 = psi0
         self.a_sets = {k: _as_set_matrix(dim, v) for k, v in a_sets.items()}
         self.b_sets = {k: _as_set_matrix(dim, v) for k, v in b_sets.items()}
-        self.weights = weights
-        self.spec = spec
-        self.oracle = oracle
-        self.basis = basis
         self._cache: dict[str, object] = {}
 
     def _sets(self, side: str) -> dict[str, sparse.csc_array]:
@@ -328,13 +318,33 @@ class PEInstance:
                              f"is at or below rank_tol")
         return m, norms
 
+    def _gram(self, side: str, tol: TolerancePolicy = DEFAULT_TOL):
+        """The side's sparse generator Gram matrix (COO), with the norms."""
+        m, norms = self._gen_matrix(side, tol)
+        if f"gram_{side}" not in self._cache:
+            self._cache[f"gram_{side}"] = (m.conj().T @ m).tocoo()
+        return self._cache[f"gram_{side}"], norms
+
     def gram_offdiagonal_residual(self, side: str,
                                   tol: TolerancePolicy = DEFAULT_TOL) -> float:
         """Largest off-diagonal Gram entry among one side's generators."""
-        m, _ = self._gen_matrix(side, tol)
-        gram = (m.conj().T @ m).tocoo()
+        gram, _ = self._gram(side, tol)
         off = gram.row != gram.col
         return float(np.max(np.abs(gram.data[off]), initial=0.0))
+
+    def cross_set_cosine(self, side: str,
+                         tol: TolerancePolicy = DEFAULT_TOL) -> float:
+        """Largest |<g, h>| / (|g| |h|) over generators in different sets of a side.
+
+        0 for a side with a single set; overlaps within a set are ignored.
+        """
+        gram, norms = self._gram(side, tol)
+        sets = self._sets(side)
+        owner = np.repeat(np.arange(len(sets)), [s.shape[1] for s in sets.values()])
+        row, col = gram.row, gram.col
+        cross = owner[row] != owner[col]
+        cosines = np.abs(gram.data[cross]) / (norms[row[cross]] * norms[col[cross]])
+        return float(np.max(cosines, initial=0.0))
 
     def projection_norm_sq(self, side: str, vec: np.ndarray,
                            tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -416,9 +426,7 @@ class PEInstance:
                     start += mat.shape[1]
                 parts.append(part)
             self._cache["component"] = PEInstance(
-                self.variant, len(rows), self.psi0[rows], a_sets=parts[0],
-                b_sets=parts[1], weights=self.weights, spec=self.spec,
-                oracle=self.oracle)
+                len(rows), self.psi0[rows], a_sets=parts[0], b_sets=parts[1])
         return self._cache["component"]
 
     def projector(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> Projector:
@@ -491,14 +499,11 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
 
     dim = basis.dim
     return PEInstance(
-        variant="simple", dim=dim, psi0=basis.unit("src", 0, 0),
+        dim=dim, psi0=basis.unit("src", 0, 0),
         a_sets={"launch": _set_matrix(dim, [launch]),
                 "check": _set_matrix(dim, [check])},
         b_sets={"query": _set_matrix(dim, [query]),
                 "absorb": _set_matrix(dim, [absorb])},
-        oracle=oracle, basis=basis,
-        weights=Weights(omega=np.full(n, float(omega)), alpha=np.ones(1),
-                        beta={}, regime="simple"),
     )
 
 
@@ -576,8 +581,7 @@ def _inner_history(spec: SubroutineSpec, i: int) -> list[np.ndarray]:
     return states
 
 
-def history_states(spec: SubroutineSpec, i: int, alpha: np.ndarray,
-                   basis: GeneralBasis | None = None) -> HistoryTriple:
+def history_states(spec: SubroutineSpec, i: int, alpha: np.ndarray) -> HistoryTriple:
     """History states of input i embedded in the full instance space.
 
     The forward state spreads the run over the program counter with
@@ -590,8 +594,7 @@ def history_states(spec: SubroutineSpec, i: int, alpha: np.ndarray,
         raise ValueError("need one positive alpha per step with alpha[0] = 1")
     if np.any(alpha <= 0):
         raise ValueError("alpha weights must be positive")
-    if basis is None:
-        basis = GeneralBasis.for_spec(spec)
+    basis = GeneralBasis.for_spec(spec)
     fi = spec.outputs[i]
     inner = _inner_history(spec, i)
     profile = stopping_profile(spec, i)
@@ -702,7 +705,7 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
 
     dim = basis.dim
     return PEInstance(
-        variant="general", dim=dim, psi0=basis.unit("src", 0, 0),
+        dim=dim, psi0=basis.unit("src", 0, 0),
         a_sets={"launch": _set_matrix(dim, launch),
                 "even": _set_matrix(dim, even),
                 "check": _set_matrix(dim, slot("ret", "chk"))},
@@ -710,12 +713,10 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
                 "odd": _set_matrix(dim, odd),
                 "backward": _set_matrix(dim, slot("bwd", "ret")),
                 "absorb": _set_matrix(dim, absorb)},
-        weights=weights, spec=spec, basis=basis,
     )
 
 
-def general_positive_witness(spec: SubroutineSpec, weights: Weights,
-                             basis: GeneralBasis | None = None) -> PositiveWitness:
+def general_positive_witness(spec: SubroutineSpec, weights: Weights) -> PositiveWitness:
     """Positive witness built from forward history states of marked inputs.
 
     Closed squared norm: 1 + N sum_{marked} (beta_i/omega_i)
@@ -726,8 +727,7 @@ def general_positive_witness(spec: SubroutineSpec, weights: Weights,
         raise ValueError("positive witness requires a marked input")
     if set(weights.beta) != set(marked):
         raise ValueError("beta weights must cover exactly the marked inputs")
-    if basis is None:
-        basis = GeneralBasis.for_spec(spec)
+    basis = GeneralBasis.for_spec(spec)
     n = spec.num_inputs
     vec = np.zeros(basis.dim, dtype=complex)
     vec[basis.index("src", 0, 0, 0, 0, 0)] = 1.0
@@ -735,7 +735,7 @@ def general_positive_witness(spec: SubroutineSpec, weights: Weights,
     for j in marked:
         i = j + 1
         coef = math.sqrt(n) * math.sqrt(weights.beta[j]) / math.sqrt(weights.omega[j])
-        hist = history_states(spec, j, weights.alpha, basis)
+        hist = history_states(spec, j, weights.alpha)
         vec[basis.index("src", i, 0, 0, 0, 0)] += coef
         vec += coef * hist.w_plus
         vec[basis.index("ret", i, 1, 0, 0, 0)] += coef
@@ -744,8 +744,7 @@ def general_positive_witness(spec: SubroutineSpec, weights: Weights,
     return PositiveWitness(vector=vec, closed_norm_sq=closed)
 
 
-def general_negative_witness(spec: SubroutineSpec, weights: Weights,
-                             basis: GeneralBasis | None = None) -> NegativeWitness:
+def general_negative_witness(spec: SubroutineSpec, weights: Weights) -> NegativeWitness:
     """Negative witness from rewind history states; requires no marked input.
 
     Closed squared norm of the A-side part:
@@ -753,8 +752,7 @@ def general_negative_witness(spec: SubroutineSpec, weights: Weights,
     """
     if any(spec.outputs):
         raise ValueError("negative witness requires an all-unmarked subroutine")
-    if basis is None:
-        basis = GeneralBasis.for_spec(spec)
+    basis = GeneralBasis.for_spec(spec)
     n = spec.num_inputs
     w_a = np.zeros(basis.dim, dtype=complex)
     psi0_idx = basis.index("src", 0, 0, 0, 0, 0)
@@ -763,7 +761,7 @@ def general_negative_witness(spec: SubroutineSpec, weights: Weights,
     for j in range(n):
         i = j + 1
         coef = math.sqrt(weights.omega[j] / n)
-        hist = history_states(spec, j, weights.alpha, basis)
+        hist = history_states(spec, j, weights.alpha)
         w_a[basis.index("src", i, 0, 0, 0, 0)] -= coef
         w_a += coef * hist.w_minus
         w_a[basis.index("ret", i, 0, 0, 0, 0)] += coef
@@ -791,7 +789,6 @@ class WitnessReport:
     norm_sq_closed: float
     c_plus_effective: float | None = None
     c_minus_effective: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def passed(self, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
         return (self.residual_a <= tol.assert_tol
@@ -800,19 +797,7 @@ class WitnessReport:
                 and abs(self.norm_sq_measured - self.norm_sq_closed) <= tol.assert_tol)
 
     def to_jsonable(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "residual_a": self.residual_a,
-            "residual_b": self.residual_b,
-            "decomposition_residual": self.decomposition_residual,
-            "overlap": self.overlap,
-            "norm_sq_measured": self.norm_sq_measured,
-            "norm_sq_closed": self.norm_sq_closed,
-            "c_plus_effective": self.c_plus_effective,
-            "c_minus_effective": self.c_minus_effective,
-        }
-        out.update(self.extras)
-        return out
+        return asdict(self)
 
 
 def verify_witnesses(instance: PEInstance, witness,

@@ -20,20 +20,29 @@ is the oracle in the test suite.  The reflection-factorization identity
 used to implement the walk cheaply, each side's reflection as the product
 of its set reflections, is checked on the sparse cross-set Gram: it holds
 exactly when the sets of a side span mutually orthogonal subspaces.
+
+RegimePair is the paper's regime experiment on one marked/empty pair.  It
+calls the instance and subroutine layers through their modules, so that
+wrappers installed on those module attributes see every call.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import instances as inst_mod
+from . import subroutines as subs_mod
 from .linalg import (DEFAULT_TOL, TolerancePolicy, cluster_phases,
                      unitary_eig)
-from .instances import PEInstance
+from .instances import NegativeWitness, PEInstance, PositiveWitness, Weights
+from .subroutines import SubroutineSpec
+
+#: largest c_plus that decide accepts
+C_PLUS_MAX = 50.0
 
 
 class WalkSpectrum(NamedTuple):
@@ -155,9 +164,6 @@ class Decision:
     rank_b: int
     min_angle: float | None
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def decide(instance: PEInstance, c_minus: float, c_plus: float,
            tol: TolerancePolicy = DEFAULT_TOL) -> Decision:
@@ -168,8 +174,8 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float,
     witness of size c_minus suppresses p0 below theta*^2 c_minus / 4 =
     1/(4 c_plus), leaving a factor-2 margin on each side.
     """
-    if not (1.0 <= c_plus <= 50.0):
-        raise ValueError("c_plus must lie in [1, 50]")
+    if not (1.0 <= c_plus <= C_PLUS_MAX):
+        raise ValueError(f"c_plus must lie in [1, {C_PLUS_MAX:g}]")
     if c_minus < 1.0:
         raise ValueError("c_minus must be at least 1")
     theta_star = 1.0 / math.sqrt(c_plus * c_minus)
@@ -186,6 +192,70 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float,
 
 
 @dataclass(frozen=True)
+class RegimePair:
+    """One weight regime of the marked/empty experiment, with decide's constants.
+
+    The empty side reuses the marked side's promise parameters mu and k.
+    c_plus is the positive witness's squared norm (its overlap with psi0 is
+    1), capped at 6 in regime ii-c and 8 otherwise; c_minus is the larger
+    of the negative witness's closed-form norm, c_plus and 1.  decide
+    receives c_plus_decide, c_plus clamped to C_PLUS_MAX.
+    """
+
+    regime: str
+    marked: SubroutineSpec
+    empty: SubroutineSpec
+    weights_pos: Weights
+    weights_neg: Weights
+    positive: PositiveWitness
+    negative: NegativeWitness
+    c_plus: float
+    c_plus_cap: float
+    c_minus: float
+
+    @property
+    def c_plus_decide(self) -> float:
+        return min(self.c_plus, C_PLUS_MAX)
+
+    def instances(self) -> dict[str, PEInstance]:
+        build = inst_mod.build_general_instance
+        return {"marked": build(self.marked, self.weights_pos),
+                "empty": build(self.empty, self.weights_neg)}
+
+    def decide(self, tol: TolerancePolicy = DEFAULT_TOL) -> dict[str, Decision]:
+        """Both sides' decisions; marked should be positive, empty negative."""
+        return {label: decide(instance, c_minus=self.c_minus,
+                              c_plus=self.c_plus_decide, tol=tol)
+                for label, instance in self.instances().items()}
+
+
+def regime_pairs(marked: SubroutineSpec, empty: SubroutineSpec,
+                 regimes) -> list[RegimePair]:
+    """The regime experiment on a (marked, all-unmarked) subroutine pair.
+
+    Each side's stopping moments are computed once for all regimes.
+    """
+    t_max = marked.num_steps
+    moments_m = subs_mod.stopping_moments(marked)
+    moments_e = subs_mod.stopping_moments(empty)
+    pairs = []
+    for regime in regimes:
+        w_pos = inst_mod.regime_parameters(regime, *moments_m, t_max,
+                                           marked=sorted(marked.marked_set()))
+        w_neg = inst_mod.regime_parameters(regime, *moments_e, t_max,
+                                           mu=w_pos.mu, k=w_pos.k)
+        pos = inst_mod.general_positive_witness(marked, w_pos)
+        neg = inst_mod.general_negative_witness(empty, w_neg)
+        c_plus = float(np.linalg.norm(pos.vector) ** 2)
+        pairs.append(RegimePair(
+            regime=regime, marked=marked, empty=empty, weights_pos=w_pos,
+            weights_neg=w_neg, positive=pos, negative=neg, c_plus=c_plus,
+            c_plus_cap=6.0 if regime == "ii-c" else 8.0,
+            c_minus=max(neg.closed_norm_sq, c_plus, 1.0)))
+    return pairs
+
+
+@dataclass(frozen=True)
 class QPEOutcome:
     bits: int
     distribution: np.ndarray
@@ -193,15 +263,6 @@ class QPEOutcome:
     @property
     def p_zero(self) -> float:
         return float(self.distribution[0])
-
-    def to_json(self) -> str:
-        digest = {
-            "bits": self.bits,
-            "p_zero": self.p_zero,
-            "entries": len(self.distribution),
-            "total": float(self.distribution.sum()),
-        }
-        return json.dumps(digest, sort_keys=True)
 
 
 def qpe_simulate(instance: PEInstance, bits: int,
@@ -262,19 +323,9 @@ def verify_reflection_factorization(instance: PEInstance,
     generator of the side's other sets.  Overlaps within a set do not
     matter, since a set reflection is that of its span.  So the residual
     is the largest |<g, h>| / (|g| |h|) over cross-set pairs, taken from
-    one sparse Gram of each side; a side with a single set reads 0.  A
-    deliberately merged non-orthogonal grouping makes it macroscopic.
+    each side's cached sparse Gram (PEInstance.cross_set_cosine); a side
+    with a single set reads 0.  A deliberately merged non-orthogonal
+    grouping makes it macroscopic.
     The dense d x d product of set reflections is the test suite's oracle.
     """
-    worst = 0.0
-    for side in ("A", "B"):
-        sets = instance.a_sets if side == "A" else instance.b_sets
-        m, norms = instance._gen_matrix(side, tol)
-        owner = np.repeat(np.arange(len(sets)), [s.shape[1] for s in sets.values()])
-        gram = (m.conj().T @ m).tocoo()
-        row, col = gram.row, gram.col
-        cross = owner[row] != owner[col]
-        cosines = (np.abs(gram.data[cross])
-                   / (norms[row[cross]] * norms[col[cross]]))
-        worst = max(worst, float(np.max(cosines, initial=0.0)))
-    return worst
+    return max(instance.cross_set_cosine(side, tol) for side in ("A", "B"))

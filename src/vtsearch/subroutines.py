@@ -248,6 +248,12 @@ def stopping_profile(spec: SubroutineSpec, i: int) -> StoppingProfile:
     return StoppingProfile(pmf=pmf, cdf=cdf)
 
 
+def stopping_moments(spec: SubroutineSpec) -> tuple[np.ndarray, np.ndarray]:
+    """E[T_i] and E[T_i^2] for every input i, from stopping_profile."""
+    moments = [stopping_profile(spec, i).moments() for i in range(spec.num_inputs)]
+    return (np.array([m[0] for m in moments]), np.array([m[1] for m in moments]))
+
+
 def cascade_profile(spec: SubroutineSpec, i: int) -> StoppingProfile:
     """Measurement-cascade oracle for the stopping distribution.
 

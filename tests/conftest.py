@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from vtsearch import (DEFAULT_TOL, cluster_phases, projector_from_set,
-                      qpe_kernel, reflection, stopping_profile,
-                      subroutine_pair, unitary_eig)
+                      qpe_kernel, reflection, subroutine_pair, unitary_eig)
 from vtsearch.instances import GeneralBasis, SimpleBasis
 
 
@@ -146,14 +145,6 @@ def dense_general_sets(spec, weights):
     return ({"launch": [launch], "even": even, "check": check},
             {"forward": forward, "odd": odd, "backward": backward,
              "absorb": absorb})
-
-
-def moment_arrays(spec):
-    """(E[T], E[T^2]) arrays across the inputs of a subroutine spec."""
-    profiles = [stopping_profile(spec, i) for i in range(spec.num_inputs)]
-    exp_t = np.array([p.moments()[0] for p in profiles])
-    exp_t2 = np.array([p.moments()[1] for p in profiles])
-    return exp_t, exp_t2
 
 
 @pytest.fixture(scope="session")

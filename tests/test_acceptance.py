@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import vtsearch as vt
-from vtsearch.subroutines import late_halting_fractions
 
-from conftest import dense_reflection_factorization_residual, moment_arrays
+from conftest import dense_reflection_factorization_residual
 
 # frozen independent-oracle value: sin^2(7 * arcsin(1/4))
 SUCCESS_16_3 = 0.9613189697265625
@@ -35,27 +34,11 @@ def decision_pool():
         oracle = vt.OracleSpec(size=4, marked=marked)
         inst = vt.build_simple_instance(oracle, 4.0)
         pool.append(("simple", bool(marked), inst, 4.0, 13.0))
-    fractions = late_halting_fractions(2)
-    marked_spec = vt.random_subroutine(7, 2, 2, 2,
-                                       halting_fractions=fractions, marked=(0,))
-    empty_spec = vt.random_subroutine(10_007, 2, 2, 2,
-                                      halting_fractions=fractions, marked=())
-    exp_t, exp_t2 = moment_arrays(marked_spec)
-    exp_t_e, exp_t2_e = moment_arrays(empty_spec)
-    for regime in vt.REGIMES:
-        w_pos = vt.regime_parameters(regime, exp_t, exp_t2, 2, marked=(0,))
-        pos = vt.general_positive_witness(marked_spec, w_pos)
-        c_plus = float(np.linalg.norm(pos.vector) ** 2)
-        w_neg = vt.regime_parameters(regime, exp_t_e, exp_t2_e, 2,
-                                     mu=w_pos.mu, k=w_pos.k)
-        c_minus = max(vt.general_negative_witness(empty_spec, w_neg).closed_norm_sq,
-                      c_plus, 1.0)
-        pool.append((f"general/{regime}", True,
-                     vt.build_general_instance(marked_spec, w_pos),
-                     c_plus, c_minus))
-        pool.append((f"general/{regime}", False,
-                     vt.build_general_instance(empty_spec, w_neg),
-                     c_plus, c_minus))
+    marked_spec, empty_spec = vt.subroutine_pair(7, 2, 2, 2)
+    for pair in vt.regime_pairs(marked_spec, empty_spec, vt.REGIMES):
+        for label, inst in pair.instances().items():
+            pool.append((f"general/{pair.regime}", label == "marked", inst,
+                         pair.c_plus_decide, pair.c_minus))
     return pool
 
 
@@ -130,32 +113,19 @@ def test_criterion_5_general_witness_sizes():
         n = int(rng.integers(2, 5))
         t_max = int(rng.integers(2, 5))
         workspace = int(rng.integers(2, 5))
-        fractions = late_halting_fractions(t_max)
-        marked = vt.random_subroutine(trial, n, t_max, workspace,
-                                      halting_fractions=fractions, marked=(0,))
-        empty = vt.random_subroutine(trial + 10_000, n, t_max, workspace,
-                                     halting_fractions=fractions, marked=())
-        exp_t, exp_t2 = moment_arrays(marked)
-        exp_t_e, exp_t2_e = moment_arrays(empty)
-        for regime in vt.REGIMES:
-            w_pos = vt.regime_parameters(regime, exp_t, exp_t2, t_max,
-                                         marked=(0,))
+        marked, empty = vt.subroutine_pair(trial, n, t_max, workspace)
+        for pair in vt.regime_pairs(marked, empty, vt.REGIMES):
             # history-state norm identities
             for i in range(n):
-                h = vt.history_states(marked, i, w_pos.alpha)
+                h = vt.history_states(marked, i, pair.weights_pos.alpha)
                 ok &= abs(np.linalg.norm(h.w_plus) ** 2
                           - h.norm_plus_closed) <= 1e-8
                 ok &= abs(np.linalg.norm(h.w_minus) ** 2
                           - h.norm_minus_closed) <= 1e-8
-            pos = vt.general_positive_witness(marked, w_pos)
-            norm_sq = float(np.linalg.norm(pos.vector) ** 2)
-            ok &= abs(norm_sq - pos.closed_norm_sq) <= 1e-8
-            cap = 6.0 if regime == "ii-c" else 8.0
-            ok &= norm_sq <= cap + 1e-9
-            worst_cap = max(worst_cap, norm_sq / cap)
-            w_neg = vt.regime_parameters(regime, exp_t_e, exp_t2_e, t_max,
-                                         mu=w_pos.mu, k=w_pos.k)
-            neg = vt.general_negative_witness(empty, w_neg)
+            ok &= abs(pair.c_plus - pair.positive.closed_norm_sq) <= 1e-8
+            ok &= pair.c_plus <= pair.c_plus_cap + 1e-9
+            worst_cap = max(worst_cap, pair.c_plus / pair.c_plus_cap)
+            neg = pair.negative
             ok &= abs(float(np.linalg.norm(neg.w_a) ** 2)
                       - neg.closed_norm_sq) <= 1e-8
     _report(5, f"general witness sizes (worst c_plus/cap {worst_cap:.3f})", ok)
@@ -164,7 +134,7 @@ def test_criterion_5_general_witness_sizes():
 def test_criterion_6_decision_correctness(decision_pool):
     ok = True
     for label, is_marked, inst, c_plus, c_minus in decision_pool:
-        decision = vt.decide(inst, c_minus=c_minus, c_plus=min(c_plus, 50.0))
+        decision = vt.decide(inst, c_minus=c_minus, c_plus=c_plus)
         ok &= decision.verdict == ("positive" if is_marked else "negative")
         bits = vt.register_bits_for(c_minus)
         outcome = vt.qpe_simulate(inst, bits)

@@ -9,11 +9,8 @@ from hypothesis import given, settings, strategies as st
 from vtsearch.bounds import (BOUND_KINDS, PromiseDescriptor, bound,
                              compare_table, full_report)
 from vtsearch.grover import CostProfile
-from vtsearch.instances import regime_parameters, general_negative_witness, \
-    general_positive_witness
-from vtsearch.subroutines import late_halting_fractions, random_subroutine
-
-from conftest import moment_arrays
+from vtsearch.phase import regime_pairs
+from vtsearch.subroutines import stopping_moments, subroutine_pair
 
 
 def _unique_promise(t_max):
@@ -118,27 +115,16 @@ def test_regime_bound_consistent_with_instances(regime, kind):
     worst = 0.0
     for seed in (0, 1, 2, 3, 4):
         n, t_max, w = 2, 3, 3
-        fractions = late_halting_fractions(t_max)
-        marked = random_subroutine(seed, n, t_max, w,
-                                   halting_fractions=fractions, marked=(0,))
-        empty = random_subroutine(seed + 10_000, n, t_max, w,
-                                  halting_fractions=fractions, marked=())
-        exp_t, exp_t2 = moment_arrays(marked)
-        weights = regime_parameters(regime, exp_t, exp_t2, t_max, marked=(0,))
-        pos = general_positive_witness(marked, weights)
-        c_plus = float(np.linalg.norm(pos.vector) ** 2)
+        pair, = regime_pairs(*subroutine_pair(seed, n, t_max, w), [regime])
+        c_minus = pair.negative.closed_norm_sq
 
-        exp_t_e, exp_t2_e = moment_arrays(empty)
-        w_neg = regime_parameters(regime, exp_t_e, exp_t2_e, t_max,
-                                  mu=weights.mu, k=weights.k)
-        c_minus = general_negative_witness(empty, w_neg).closed_norm_sq
-
+        exp_t_e, exp_t2_e = stopping_moments(pair.empty)
         profile = CostProfile(exp_t=exp_t_e, exp_t2=exp_t2_e,
                               exp_log_t=np.zeros(n), pi=np.full(n, 1 / n))
         promise = PromiseDescriptor(marked_sets=(frozenset({0}),),
                                     t_max=float(t_max))
         radical = bound(kind, profile, promise)
-        ratio = math.sqrt(c_plus * c_minus) / radical
+        ratio = math.sqrt(pair.c_plus * c_minus) / radical
         worst = max(worst, ratio, 1 / ratio)
         assert 1 / 8 <= ratio <= 8.0, (regime, seed, ratio)
     assert worst <= 8.0

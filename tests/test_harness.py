@@ -170,6 +170,39 @@ def test_cli_rejects_unknown_subcommand():
         main(["not-a-command"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["general-loop", "--steps", "1"],
+    ["bounds", "--num-seeds", "0"],
+    ["general-loop", "--workspace", "0"],
+    ["simple-loop", "--n", "1"],
+    ["suite", "--n", "1"],
+    ["general-loop", "--assert-tol", "1e-13"],
+])
+def test_cli_invalid_values_are_usage_errors(argv, capsys):
+    """Exit 2 before anything runs, as distinct from 1 for a failed record."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_config_rejects_sizes_below_one_and_oracle_domains_below_two():
+    for field in ("n_list", "t_list", "z_list"):
+        with pytest.raises(ValueError, match="at least 1"):
+            ExperimentConfig(kind="bounds-compare", **{field: (4, 0)})
+    for kind in ("grover-weights", "simple-loop", "full-suite"):
+        with pytest.raises(ValueError, match="at least 2"):
+            ExperimentConfig(kind=kind, n_list=(1, 4))
+    ExperimentConfig(kind="general-loop", n_list=(1,))
+    ExperimentConfig(kind="bounds-compare", n_list=(1,))
+
+
+def test_cli_general_loop_on_one_input_still_runs(capsys):
+    assert main(["general-loop", "--n", "1", "--num-seeds", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["records"] == 2 * len(REGIMES)
+
+
 def test_cli_repeated_list_flags_accumulate():
     config = config_from_args([
         "suite", "--n", "4", "--n", "16", "--steps", "2", "--steps", "4",

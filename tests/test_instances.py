@@ -13,11 +13,11 @@ from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 general_positive_witness, history_states,
                                 regime_parameters, simple_witnesses,
                                 verify_witnesses)
-from vtsearch.subroutines import (random_subroutine, stopping_profile,
-                                  subroutine_pair)
+from vtsearch.phase import regime_pairs
+from vtsearch.subroutines import (random_subroutine, stopping_moments,
+                                  stopping_profile, subroutine_pair)
 
-from conftest import (dense_general_sets, dense_simple_sets, moment_arrays,
-                      span_residual)
+from conftest import dense_general_sets, dense_simple_sets, span_residual
 
 SPARSE_TOL = 1e-14
 
@@ -88,7 +88,7 @@ def test_checks_reject_vanishing_generators():
     dim = 3
     psi0, a, b = np.eye(dim, dtype=complex)
     for tiny in (1e-11 * psi0, np.zeros(dim)):
-        inst = PEInstance(variant="simple", dim=dim, psi0=psi0,
+        inst = PEInstance(dim=dim, psi0=psi0,
                           a_sets={"a": [a]}, b_sets={"b": [b, tiny]})
         assert inst.gram_offdiagonal_residual("A") == 0.0
         with pytest.raises(ValueError, match="side B: generator norm"):
@@ -158,20 +158,15 @@ def test_simple_sets_match_dense_oracle(n, marked):
 
 @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 2), (2, 3, 2), (1, 3, 3)])
 def test_general_sets_match_dense_oracle(shape):
-    n, t_max, _ = shape
-    marked_spec, empty_spec = subroutine_pair(11, *shape)
-    for regime in REGIMES:
-        w_pos = regime_parameters(regime, *moment_arrays(marked_spec), t_max,
-                                  marked=(0,))
-        w_neg = regime_parameters(regime, *moment_arrays(empty_spec), t_max,
-                                  mu=w_pos.mu, k=w_pos.k)
-        for spec, weights, witness in (
-                (marked_spec, w_pos, general_positive_witness(marked_spec, w_pos)),
-                (empty_spec, w_neg, general_negative_witness(empty_spec, w_neg))):
-            inst = build_general_instance(spec, weights)
+    n = shape[0]
+    for pair in regime_pairs(*subroutine_pair(11, *shape), REGIMES):
+        built = pair.instances()
+        for inst, spec, weights, vectors in (
+                (built["marked"], pair.marked, pair.weights_pos,
+                 [pair.positive.vector]),
+                (built["empty"], pair.empty, pair.weights_neg,
+                 [pair.negative.w_a, pair.negative.w_b])):
             _assert_sets_match(inst, dense_general_sets(spec, weights))
-            vectors = ([witness.vector] if isinstance(witness, PositiveWitness)
-                       else [witness.w_a, witness.w_b])
             _assert_checks_match_dense(inst, _probes(inst, n, vectors))
 
 
@@ -246,7 +241,7 @@ def test_history_lemma_items(seed):
     rng = np.random.default_rng(seed)
     n, t_max, w = 2, int(rng.integers(2, 4)), int(rng.integers(2, 5))
     spec = random_subroutine(seed, n, t_max, w, marked=(0,))
-    exp_t, exp_t2 = moment_arrays(spec)
+    exp_t, exp_t2 = stopping_moments(spec)
     weights = regime_parameters("ii-a", exp_t, exp_t2, t_max, marked=(0,))
     inst = build_general_instance(spec, weights)
     even, odd = inst.set_vectors("A", "even"), inst.set_vectors("B", "odd")
@@ -284,10 +279,8 @@ def test_general_basis_dimension():
 
 
 def test_general_instance_well_formed(small_pair):
-    marked_spec, empty_spec = small_pair
-    exp_t, exp_t2 = moment_arrays(marked_spec)
-    weights = regime_parameters("i-a", exp_t, exp_t2, 2, marked=(0,))
-    inst = build_general_instance(marked_spec, weights)
+    pair, = regime_pairs(*small_pair, ["i-a"])
+    inst = pair.instances()["marked"]
     assert inst.dim == 504
     wf = inst.well_formedness_report()
     assert wf["passed"]
@@ -297,11 +290,10 @@ def test_general_instance_well_formed(small_pair):
 
 def test_span_basis_and_projector_agree_on_built_instances(small_pair):
     """Normalized generators and an SVD of them give the same projector."""
-    _, empty_spec = small_pair
-    weights = regime_parameters("ii-a", *moment_arrays(empty_spec), 2, mu=1.0)
+    pair, = regime_pairs(*small_pair, ["ii-a"])
     built = [build_simple_instance(OracleSpec(size=8, marked=frozenset({2})), 8.0),
              build_simple_instance(OracleSpec(size=8, marked=frozenset()), 8.0),
-             build_general_instance(empty_spec, weights)]
+             pair.instances()["empty"]]
     for inst in built:
         for side in ("A", "B"):
             q = inst.span_basis(side)
@@ -313,40 +305,27 @@ def test_span_basis_and_projector_agree_on_built_instances(small_pair):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_general_witness_closed_norms(regime, small_pair):
-    marked_spec, empty_spec = small_pair
-    t_max = marked_spec.num_steps
+    pair, = regime_pairs(*small_pair, [regime])
+    built = pair.instances()
+    pos, neg = pair.positive, pair.negative
 
-    exp_t, exp_t2 = moment_arrays(marked_spec)
-    w_pos = regime_parameters(regime, exp_t, exp_t2, t_max, marked=(0,))
-    pos = general_positive_witness(marked_spec, w_pos)
-    inst = build_general_instance(marked_spec, w_pos)
-    report = verify_witnesses(inst, pos)
+    report = verify_witnesses(built["marked"], pos)
     assert report.passed()
     assert abs(report.norm_sq_measured - pos.closed_norm_sq) < 1e-8
-    cap = 6.0 if regime == "ii-c" else 8.0
-    assert report.c_plus_effective <= cap + 1e-9
+    assert report.c_plus_effective <= pair.c_plus_cap + 1e-9
 
-    exp_t_e, exp_t2_e = moment_arrays(empty_spec)
-    w_neg = regime_parameters(regime, exp_t_e, exp_t2_e, t_max,
-                              mu=w_pos.mu, k=w_pos.k)
-    neg = general_negative_witness(empty_spec, w_neg)
-    inst_e = build_general_instance(empty_spec, w_neg)
-    report_e = verify_witnesses(inst_e, neg)
+    report_e = verify_witnesses(built["empty"], neg)
     assert report_e.passed()
     assert abs(report_e.norm_sq_measured - neg.closed_norm_sq) < 1e-8
     assert report_e.decomposition_residual < 1e-12
 
 
 def test_witness_exclusivity(small_pair):
-    marked_spec, empty_spec = small_pair
-    exp_t, exp_t2 = moment_arrays(marked_spec)
-    weights = regime_parameters("i-a", exp_t, exp_t2, 2, marked=(0,))
+    pair, = regime_pairs(*small_pair, ["i-a"])
     with pytest.raises(ValueError):
-        general_negative_witness(marked_spec, weights)
-    exp_t_e, exp_t2_e = moment_arrays(empty_spec)
-    w_e = regime_parameters("i-a", exp_t_e, exp_t2_e, 2, mu=1.0)
+        general_negative_witness(pair.marked, pair.weights_pos)
     with pytest.raises(ValueError):
-        general_positive_witness(empty_spec, w_e)
+        general_positive_witness(pair.empty, pair.weights_neg)
 
 
 def test_deterministic_negative_norm_example():
@@ -364,7 +343,7 @@ def test_c_minus_tracks_regime_radical():
         rng = np.random.default_rng(seed)
         n, t_max, w = 2, int(rng.integers(2, 5)), int(rng.integers(2, 5))
         spec = random_subroutine(seed + 500, n, t_max, w, marked=())
-        exp_t, exp_t2 = moment_arrays(spec)
+        exp_t, exp_t2 = stopping_moments(spec)
         weights = regime_parameters("i-a", exp_t, exp_t2, t_max, mu=1.0)
         neg = general_negative_witness(spec, weights)
         radical_sq = float(np.sum(exp_t ** 2))  # mu = 1

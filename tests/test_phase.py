@@ -1,28 +1,28 @@
 """Tests for the spectral decision engine and phase-register simulation."""
 
-import json
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vtsearch.instances as inst_mod
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (REGIMES, PEInstance, build_general_instance,
-                                build_simple_instance, general_negative_witness,
+from vtsearch.instances import (REGIMES, PEInstance, build_simple_instance,
+                                general_negative_witness,
                                 general_positive_witness, regime_parameters,
                                 simple_witnesses, verify_witnesses)
 from vtsearch.phase import (_walk_spectrum, decide, qpe_kernel, qpe_simulate,
-                            qpe_zero_prediction, register_bits_for,
-                            verify_reflection_factorization,
+                            qpe_zero_prediction, regime_pairs,
+                            register_bits_for, verify_reflection_factorization,
                             zero_phase_overlap)
 from vtsearch.linalg import DEFAULT_TOL, DIM_CAP, DimensionCapError
-from vtsearch.subroutines import subroutine_pair
+from vtsearch.subroutines import stopping_moments, subroutine_pair
 
 from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
                       dense_reflection_factorization_residual,
-                      dense_walk_spectrum, dense_zero_phase_overlap,
-                      moment_arrays)
+                      dense_walk_spectrum, dense_zero_phase_overlap)
 
 THETA_STARS = (0.05, 0.2, 0.5)
 ORACLE_TOL = 1e-12
@@ -36,8 +36,8 @@ def _unit(dim, k):
 
 def _toy_instance(a_vecs, b_vecs, psi0):
     dim = len(psi0)
-    return PEInstance(variant="simple", dim=dim, psi0=psi0,
-                      a_sets={"a": a_vecs}, b_sets={"b": b_vecs})
+    return PEInstance(dim=dim, psi0=psi0, a_sets={"a": a_vecs},
+                      b_sets={"b": b_vecs})
 
 
 def test_fixed_initial_state_gives_full_overlap():
@@ -77,9 +77,9 @@ def test_decide_simple_cases():
         assert decision.rank_a == len(inst.generators("A"))
         assert decision.rank_b == len(inst.generators("B"))
         assert 0.0 < decision.min_angle <= math.pi / 2
-        assert list(json.loads(decision.to_json())) == sorted(
-            ["verdict", "p0", "threshold", "theta_star", "dim", "dim_decided",
-             "rank_a", "rank_b", "min_angle"])
+        assert list(dataclasses.asdict(decision)) == [
+            "verdict", "p0", "threshold", "theta_star", "dim", "dim_decided",
+            "rank_a", "rank_b", "min_angle"]
 
 
 def test_decide_validates_constants():
@@ -103,14 +103,57 @@ def test_negative_case_suppression():
             assert p0 <= theta ** 2 * c_minus / 4.0 + 1e-6
 
 
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_pair_constants_follow_the_rule(regime, small_pair, monkeypatch):
+    """RegimePair against its rule, written out from the layers it calls."""
+    marked, empty = small_pair
+    pair, = regime_pairs(marked, empty, [regime])
+    w_pos = regime_parameters(regime, *stopping_moments(marked), 2, marked=(0,))
+    w_neg = regime_parameters(regime, *stopping_moments(empty), 2,
+                              mu=w_pos.mu, k=w_pos.k)
+    c_plus = float(np.linalg.norm(
+        general_positive_witness(marked, w_pos).vector) ** 2)
+    c_minus_closed = general_negative_witness(empty, w_neg).closed_norm_sq
+
+    assert (pair.weights_neg.mu, pair.weights_neg.k) == (w_pos.mu, w_pos.k)
+    for got, want in ((pair.weights_pos, w_pos), (pair.weights_neg, w_neg)):
+        assert np.array_equal(got.omega, want.omega)
+        assert np.array_equal(got.alpha, want.alpha)
+        assert got.beta == want.beta
+    assert pair.c_plus == c_plus
+    assert pair.c_plus_cap == (6.0 if regime == "ii-c" else 8.0)
+    assert pair.c_minus == max(c_minus_closed, c_plus, 1.0)
+    assert pair.c_plus_decide == min(c_plus, 50.0) == c_plus
+    assert dataclasses.replace(pair, c_plus=80.0).c_plus_decide == 50.0
+    # C_minus >= c_plus on real pairs; a shrunken closed norm shows the max
+    monkeypatch.setattr(inst_mod, "general_negative_witness", lambda *a: (
+        dataclasses.replace(general_negative_witness(*a), closed_norm_sq=0.5)))
+    assert regime_pairs(marked, empty, [regime])[0].c_minus == max(c_plus, 1.0)
+
+
+def test_regime_pair_reaches_layers_through_their_modules(monkeypatch, small_pair):
+    """Wrappers installed on vtsearch.instances' attributes see every call.
+
+    The benchmark's tracer wraps module attributes this way; names imported
+    into phase would bypass the wrappers and read zero calls.
+    """
+    calls = {}
+    for name in ("regime_parameters", "build_general_instance"):
+        def counted(*args, _name=name, _fn=getattr(inst_mod, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(inst_mod, name, counted)
+    pair, = regime_pairs(*small_pair, ["ii-b"])
+    decisions = pair.decide()
+    assert calls == {"regime_parameters": 2, "build_general_instance": 2}
+    assert decisions["marked"].verdict == "positive"
+    assert decisions["empty"].verdict == "negative"
+
+
 def test_positive_witness_is_fixed_by_walk(small_pair):
-    marked_spec, _ = small_pair
-    from vtsearch.instances import general_positive_witness
-    exp_t, exp_t2 = moment_arrays(marked_spec)
-    weights = regime_parameters("i-a", exp_t, exp_t2, 2, marked=(0,))
-    pos = general_positive_witness(marked_spec, weights)
-    inst = build_general_instance(marked_spec, weights)
-    unit = pos.vector / np.linalg.norm(pos.vector)
+    pair, = regime_pairs(*small_pair, ["i-a"])
+    inst = pair.instances()["marked"]
+    unit = pair.positive.vector / np.linalg.norm(pair.positive.vector)
     assert np.max(np.abs(inst.walk_unitary() @ unit - unit)) < 1e-8
 
 
@@ -133,15 +176,8 @@ def _assert_matches_dense_oracle(inst):
 @settings(max_examples=15, deadline=None)
 def test_compressed_spectrum_matches_dense_general(seed, shape, regime, marked):
     """The principal-angle engine reproduces the dense Schur engine."""
-    n, t_max, workspace = shape
-    marked_spec, empty_spec = subroutine_pair(seed, n, t_max, workspace)
-    weights = regime_parameters(regime, *moment_arrays(marked_spec), t_max,
-                                marked=(0,))
-    if not marked:
-        weights = regime_parameters(regime, *moment_arrays(empty_spec), t_max,
-                                    mu=weights.mu, k=weights.k)
-    spec = marked_spec if marked else empty_spec
-    _assert_matches_dense_oracle(build_general_instance(spec, weights))
+    pair, = regime_pairs(*subroutine_pair(seed, *shape), [regime])
+    _assert_matches_dense_oracle(pair.instances()["marked" if marked else "empty"])
 
 
 @given(n=st.integers(2, 24), marked=st.booleans(),
@@ -210,7 +246,7 @@ def test_restriction_to_psi0_components_matches_dense(seed, reached, shared):
     psi0[support] = [1, 1j] @ rng.normal(size=(2, len(support)))
     # each side in two named sets that interleave the components
     strides = {"odd": slice(1, None, 2), "even": slice(0, None, 2)}
-    inst = PEInstance(variant="simple", dim=dim, psi0=psi0 / np.linalg.norm(psi0),
+    inst = PEInstance(dim=dim, psi0=psi0 / np.linalg.norm(psi0),
                       a_sets={k: a_vecs[s] for k, s in strides.items()},
                       b_sets={k: b_vecs[s] for k, s in strides.items()})
 
@@ -231,25 +267,15 @@ def test_restriction_to_psi0_components_matches_dense(seed, reached, shared):
 
 def test_decides_general_instance_past_the_dense_cap():
     """(n, T, Z) = (16, 4, 4), d = 9520: decided on psi0's component alone."""
-    n, t_max, workspace, regime = 16, 4, 4, "ii-b"
-    marked_spec, empty_spec = subroutine_pair(0, n, t_max, workspace)
-    w_pos = regime_parameters(regime, *moment_arrays(marked_spec), t_max,
-                              marked=(0,))
-    w_neg = regime_parameters(regime, *moment_arrays(empty_spec), t_max,
-                              mu=w_pos.mu, k=w_pos.k)
-    pos = general_positive_witness(marked_spec, w_pos)
-    c_plus = float(np.linalg.norm(pos.vector) ** 2)
-    c_minus = max(general_negative_witness(empty_spec, w_neg).closed_norm_sq,
-                  c_plus, 1.0)
-    for spec, weights, expect in ((marked_spec, w_pos, "positive"),
-                                  (empty_spec, w_neg, "negative")):
-        inst = build_general_instance(spec, weights)
-        decision = decide(inst, c_minus=c_minus, c_plus=min(c_plus, 50.0))
-        assert decision.verdict == expect
-        assert decision.dim == inst.dim == 9520 > DIM_CAP
+    pair, = regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])
+    decisions = pair.decide()
+    assert decisions["marked"].verdict == "positive"
+    assert decisions["empty"].verdict == "negative"
+    for label, inst in pair.instances().items():
+        assert decisions[label].dim == inst.dim == 9520 > DIM_CAP
         # the builders store no exact zeros of the step unitaries, so only
         # the labels a generator touches join it to a component
-        assert decision.dim_decided == 593 < DIM_CAP
+        assert decisions[label].dim_decided == 593 < DIM_CAP
         with pytest.raises(DimensionCapError):
             inst.walk_unitary()
 
@@ -375,14 +401,8 @@ def test_reflection_factorization_on_built_instances(small_pair):
     for marked in (frozenset({1}), frozenset()):
         simple = build_simple_instance(OracleSpec(size=4, marked=marked), 4.0)
         assert max(_reflection_residuals(simple)) <= tol
-    marked_spec, empty_spec = small_pair
-    moments_pos, moments_neg = moment_arrays(marked_spec), moment_arrays(empty_spec)
-    for regime in REGIMES:
-        w_pos = regime_parameters(regime, *moments_pos, 2, marked=(0,))
-        w_neg = regime_parameters(regime, *moments_neg, 2,
-                                  mu=w_pos.mu, k=w_pos.k)
-        for spec, weights in ((marked_spec, w_pos), (empty_spec, w_neg)):
-            general = build_general_instance(spec, weights)
+    for pair in regime_pairs(*small_pair, REGIMES):
+        for general in pair.instances().values():
             assert max(_reflection_residuals(general)) <= tol
 
 
@@ -393,7 +413,7 @@ def test_reflection_factorization_fails_for_merged_sets():
     query, absorb = inst.set_vectors("B", "query"), inst.set_vectors("B", "absorb")
     # "launch" overlaps the query transitions: grouping them with the check
     # vectors on one side and the absorbs on the other is not orthogonal
-    broken = PEInstance(variant="simple", dim=inst.dim, psi0=inst.psi0,
+    broken = PEInstance(dim=inst.dim, psi0=inst.psi0,
                         a_sets={"bad1": launch + query, "bad2": check},
                         b_sets={"query": query, "absorb": absorb})
     sparse_resid, dense_resid = _reflection_residuals(broken)
@@ -410,7 +430,7 @@ def test_reflection_factorization_ignores_overlaps_within_a_set():
     """A set reflection is that of the set's span, whatever its generators."""
     inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
     check = inst.set_vectors("A", "check")
-    within = PEInstance(variant="simple", dim=inst.dim, psi0=inst.psi0,
+    within = PEInstance(dim=inst.dim, psi0=inst.psi0,
                         a_sets={"launch": inst.set_vectors("A", "launch"),
                                 "check": check + [check[0] + check[1]]},
                         b_sets=inst.b_sets)

@@ -14,7 +14,8 @@ from vtsearch.subroutines import (BlockSchedule, StoppingProfile,
                                   build_block_subroutine, cascade_profile,
                                   haar_unitary, random_subroutine,
                                   run_block_algorithm, run_subroutine,
-                                  stopping_profile, subroutine_pair, validate)
+                                  stopping_moments, stopping_profile,
+                                  subroutine_pair, validate)
 
 
 def identity_spec(n=2, t=3, w=4):
@@ -82,6 +83,19 @@ def test_cascade_oracle_agrees_with_statevector():
         assert abs(sv.pmf.sum() - 1.0) < 1e-12
         assert np.max(np.abs(sv.pmf - dm.pmf)) < 1e-10
         assert np.all(np.diff(sv.cdf) >= -1e-12)
+
+
+@pytest.mark.parametrize("seed,n,t,z", [(0, 2, 2, 2), (3, 3, 4, 3),
+                                        (7, 4, 4, 4), (11, 1, 5, 2)])
+def test_stopping_moments_match_cascade_oracle(seed, n, t, z):
+    spec = random_subroutine(seed, n, t, z, marked=(0,))
+    exp_t, exp_t2 = stopping_moments(spec)
+    assert exp_t.shape == exp_t2.shape == (n,)
+    steps = np.arange(1, t + 1)
+    for i in range(n):
+        pmf = cascade_profile(spec, i).pmf
+        assert exp_t[i] == pytest.approx(pmf @ steps, abs=1e-10)
+        assert exp_t2[i] == pytest.approx(pmf @ steps ** 2, abs=1e-10)
 
 
 def test_run_subroutine_answers():
