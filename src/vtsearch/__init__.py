@@ -32,7 +32,8 @@ from .instances import (GeneralBasis, HistoryTriple, NegativeWitness,
                         Weights, WitnessReport, build_general_instance,
                         build_simple_instance, general_negative_witness,
                         general_positive_witness, history_states,
-                        regime_parameters, simple_witnesses, verify_witnesses)
+                        promise_parameter, regime_parameters,
+                        simple_witnesses, verify_witnesses)
 from .phase import (C_PLUS_MAX, Decision, QPEOutcome, RegimePair, decide,
                     qpe_kernel, qpe_simulate, qpe_zero_prediction,
                     regime_pairs, register_bits_for,
@@ -59,7 +60,8 @@ __all__ = [
     "cluster_phases", "compare_table", "decide", "emit", "full_report",
     "general_negative_witness", "general_positive_witness", "grover_state",
     "history_states", "iteration_count", "lagrange_cos_sum",
-    "late_halting_fractions", "projector_from_set", "qpe_kernel",
+    "late_halting_fractions", "projector_from_set", "promise_parameter",
+    "qpe_kernel",
     "qpe_simulate", "qpe_zero_prediction", "query_weights",
     "random_subroutine", "reflection", "regime_pairs", "regime_parameters",
     "register_bits_for", "run_block_algorithm", "run_experiment",

@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import io
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grover import CostProfile
+from .instances import promise_parameter
 
 BOUND_KINDS = ("naive", "l2", "l1", "l0", "straight_line",
                "regime_i_a", "regime_i_b", "regime_ii_a", "regime_ii_b",
                "regime_ii_c")
+
+#: Absolute slack of compare_table's ordering and cap checks.
+ORDER_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class PromiseDescriptor:
 
     Either an explicit list of candidate marked sets, or the
     unique-marked promise with a checking-time cap t_max (the degrees of
-    freedom the tabulated special-case forms need).
+    freedom the tabulated special-case forms need), not both.
     """
 
     marked_sets: tuple[frozenset[int], ...] | None = None
@@ -40,11 +43,10 @@ class PromiseDescriptor:
             raise ValueError("candidate marked sets must be nonempty")
         if self.marked_sets is None and not self.unique_marked:
             raise ValueError("need explicit marked sets or the unique-marked promise")
-
-    def mu(self) -> float:
-        if self.marked_sets is not None:
-            return float(min(len(s) for s in self.marked_sets))
-        return 1.0
+        if self.marked_sets is not None and self.unique_marked:
+            # l1 and l0 would take the marked-set minimum, not the table's cap
+            raise ValueError("explicit marked sets and the unique-marked "
+                             "promise exclude each other")
 
     def epsilon(self, pi: np.ndarray) -> float:
         """Smallest sampling mass any allowed marked set can carry."""
@@ -52,19 +54,21 @@ class PromiseDescriptor:
             return min(float(sum(pi[i] for i in s)) for s in self.marked_sets)
         return float(np.min(pi))
 
-    def min_marked_sum(self, values: np.ndarray, pi: np.ndarray,
-                       table_denominator: float | None = None) -> float:
-        """min over allowed marked sets of sum_{i in set} pi_i * values_i.
 
-        For the unique-marked-with-cap promise the minimum is attained at
-        the cap, which the caller passes as table_denominator.
-        """
-        if self.marked_sets is not None:
-            return min(float(sum(pi[i] * values[i] for i in s))
-                       for s in self.marked_sets)
-        if table_denominator is None:
-            raise ValueError("unique-marked promise needs a t_max-based denominator")
-        return table_denominator
+def _min_marked_sum(kind: str, promise: PromiseDescriptor, values: np.ndarray,
+                    pi: np.ndarray, power: int) -> float:
+    """min over allowed marked sets of sum_{i in set} pi_i * values_i.
+
+    values_i is 1/c_i for a per-input cost c_i bounded by t_max^power.
+    Under the unique-marked promise the minimum is taken at the cap,
+    min(pi) / t_max^power, so that promise needs t_max.
+    """
+    if promise.marked_sets is not None:
+        return min(float(sum(pi[i] * values[i] for i in s))
+                   for s in promise.marked_sets)
+    if promise.t_max is None:
+        raise ValueError(f"{kind} needs t_max under the unique-marked promise")
+    return float(np.min(pi)) / promise.t_max ** power
 
 
 def bound(kind: str, profile: CostProfile, promise: PromiseDescriptor) -> float:
@@ -81,20 +85,10 @@ def bound(kind: str, profile: CostProfile, promise: PromiseDescriptor) -> float:
     if kind == "l2":
         return math.sqrt(float(pi @ exp_t2) / eps)
     if kind == "l1":
-        if promise.marked_sets is None and promise.t_max is None:
-            raise ValueError("l1 needs t_max under the unique-marked promise")
-        denom = promise.min_marked_sum(
-            1.0 / exp_t, pi,
-            None if promise.marked_sets is not None
-            else float(np.min(pi)) / promise.t_max)
+        denom = _min_marked_sum(kind, promise, 1.0 / exp_t, pi, power=1)
         return math.sqrt(float(pi @ exp_t) / denom)
     if kind == "l0":
-        if promise.marked_sets is None and promise.t_max is None:
-            raise ValueError("l0 needs t_max under the unique-marked promise")
-        denom = promise.min_marked_sum(
-            1.0 / exp_t2, pi,
-            None if promise.marked_sets is not None
-            else float(np.min(pi)) / promise.t_max ** 2)
+        denom = _min_marked_sum(kind, promise, 1.0 / exp_t2, pi, power=2)
         return 1.0 / math.sqrt(denom)
     if kind == "straight_line":
         if promise.t_max is None:
@@ -103,39 +97,23 @@ def bound(kind: str, profile: CostProfile, promise: PromiseDescriptor) -> float:
             t_cap = float(promise.t_max)
         return (float(pi @ exp_t) + t_cap) / math.sqrt(eps)
 
-    # regime radicals are stated for uniform sampling
+    # regime radicals are stated for uniform sampling: sqrt(radicand / p),
+    # with p the regime's promise parameter minimized over the candidate sets
     if promise.marked_sets is None:
         raise ValueError("regime bounds need explicit candidate marked sets")
-    mu = promise.mu()
-    if kind == "regime_i_a":
-        return math.sqrt(float(np.sum(exp_t ** 2)) / mu)
-    if kind == "regime_i_b":
-        k = min(float(sum(1.0 / exp_t[i] ** 2 for i in s))
-                for s in promise.marked_sets)
-        return math.sqrt(n / k)
-    if kind == "regime_ii_a":
-        return math.sqrt(float(np.sum(exp_t2)) / mu)
-    if kind == "regime_ii_b":
-        k = min(float(sum(1.0 / exp_t[i] for i in s))
-                for s in promise.marked_sets)
-        return math.sqrt(float(np.sum(exp_t)) / k)
-    # regime_ii_c
-    k = min(float(sum(1.0 / exp_t2[i] for i in s)) for s in promise.marked_sets)
-    return math.sqrt(n / k)
+    regime = kind.removeprefix("regime_").replace("_", "-")
+    p = min(promise_parameter(regime, exp_t, exp_t2, s)
+            for s in promise.marked_sets)
+    radicand = {"i-a": np.sum(exp_t ** 2), "i-b": n, "ii-a": np.sum(exp_t2),
+                "ii-b": np.sum(exp_t), "ii-c": n}[regime]
+    return math.sqrt(float(radicand) / p)
 
 
 @dataclass
 class CostReport:
-    """All bound values for one profile, with the inputs echoed."""
+    """All bound values for one profile; NaN where the promise does not apply."""
 
     values: dict[str, float]
-    profile_digest: dict
-    promise_digest: dict
-    notes: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {"values": self.values, "profile": self.profile_digest,
-                "promise": self.promise_digest, "notes": self.notes}
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -143,9 +121,6 @@ class CostReport:
         writer.writerow(list(BOUND_KINDS))
         writer.writerow([repr(self.values[k]) for k in BOUND_KINDS])
         return out.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
 def full_report(profile: CostProfile, promise: PromiseDescriptor) -> CostReport:
@@ -155,21 +130,7 @@ def full_report(profile: CostProfile, promise: PromiseDescriptor) -> CostReport:
             values[kind] = bound(kind, profile, promise)
         except ValueError:
             values[kind] = math.nan
-    return CostReport(
-        values=values,
-        profile_digest={
-            "n": profile.size,
-            "exp_t": [float(x) for x in profile.exp_t],
-            "exp_t2": [float(x) for x in profile.exp_t2],
-            "pi": [float(x) for x in profile.pi],
-        },
-        promise_digest={
-            "marked_sets": (None if promise.marked_sets is None
-                            else [sorted(s) for s in promise.marked_sets]),
-            "t_max": promise.t_max,
-            "unique_marked": promise.unique_marked,
-        },
-    )
+    return CostReport(values=values)
 
 
 @dataclass(frozen=True)
@@ -183,23 +144,22 @@ class ComparisonReport:
     ratios: dict[str, float]
 
 
-def compare_table(profile: CostProfile, promise: PromiseDescriptor,
-                  slack: float = 1e-12) -> ComparisonReport:
+def compare_table(profile: CostProfile, promise: PromiseDescriptor) -> ComparisonReport:
     """Ordered comparison for the unique-marked-with-cap promise.
 
     Asserts l2 <= l1 <= l0 and straight_line >= l1 (the latter is the
-    arithmetic-vs-geometric mean gap), up to the given slack.
+    arithmetic-vs-geometric mean gap), up to ORDER_SLACK.
     """
     if not promise.unique_marked or promise.t_max is None:
         raise ValueError("comparison table needs the unique-marked promise with t_max")
-    if float(np.max(profile.exp_t)) > promise.t_max + slack:
+    if float(np.max(profile.exp_t)) > promise.t_max + ORDER_SLACK:
         raise ValueError("profile exceeds the promised checking-time cap")
     vals = {k: bound(k, profile, promise)
             for k in ("naive", "l2", "l1", "l0", "straight_line")}
-    ok = (vals["l2"] <= vals["l1"] + slack
-          and vals["l1"] <= vals["l0"] + slack
-          and vals["straight_line"] + slack >= vals["l1"]
-          and vals["naive"] + slack >= vals["l2"])
+    ok = (vals["l2"] <= vals["l1"] + ORDER_SLACK
+          and vals["l1"] <= vals["l0"] + ORDER_SLACK
+          and vals["straight_line"] + ORDER_SLACK >= vals["l1"]
+          and vals["naive"] + ORDER_SLACK >= vals["l2"])
     if not ok:
         raise AssertionError(f"bound ordering violated: {vals}")
     return ComparisonReport(

@@ -150,12 +150,11 @@ class CostProfile:
 
     exp_t: np.ndarray
     exp_t2: np.ndarray
-    exp_log_t: np.ndarray
     pi: np.ndarray
 
     def __post_init__(self):
         n = len(self.exp_t)
-        if not (len(self.exp_t2) == len(self.exp_log_t) == len(self.pi) == n):
+        if not (len(self.exp_t2) == len(self.pi) == n):
             raise ValueError("profile arrays must share one length")
         if np.any(self.exp_t < 1.0) or np.any(self.exp_t2 < self.exp_t**2 - 1e-12):
             raise ValueError("need E[T^2] >= E[T]^2 >= 1 per input")
@@ -171,8 +170,7 @@ class CostProfile:
         t = np.asarray(times, dtype=float)
         if pi is None:
             pi = np.full(len(t), 1.0 / len(t))
-        return CostProfile(exp_t=t, exp_t2=t**2, exp_log_t=np.log(t),
-                           pi=np.asarray(pi, dtype=float))
+        return CostProfile(exp_t=t, exp_t2=t**2, pi=np.asarray(pi, dtype=float))
 
 
 @dataclass(frozen=True)

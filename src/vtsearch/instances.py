@@ -137,18 +137,43 @@ class Weights:
 REGIMES = ("i-a", "i-b", "ii-a", "ii-b", "ii-c")
 
 
+def promise_parameter(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
+                      marked) -> float:
+    """The promise parameter of one regime on one marked set M.
+
+    mu = |M| for i-a and ii-a; otherwise k = sum_{j in M} 1/c_j with
+    c = E[T]^2 (i-b), E[T] (ii-b) or E[T^2] (ii-c).  The sum runs over
+    marked in the order given, so callers that must agree bit for bit pass
+    the same order.  Raises ValueError for an unknown regime or an empty M.
+    """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    if not marked:
+        raise ValueError("the promise parameter needs a nonempty marked set")
+    if regime in ("i-a", "ii-a"):
+        return float(len(marked))
+    if regime == "i-b":
+        return float(sum(1.0 / exp_t[j] ** 2 for j in marked))
+    cost = exp_t if regime == "ii-b" else exp_t2
+    return float(sum(1.0 / cost[j] for j in marked))
+
+
 def regime_parameters(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
                       t_max: int, marked=(), mu: float | None = None,
                       k: float | None = None) -> Weights:
     """Weight settings for one of the five analysis regimes.
 
     exp_t / exp_t2 are the first and second stopping-time moments per
-    input.  mu and k are promise-class parameters; when omitted they are
-    computed from the supplied marked set (promise class of size one).
-    Known-cost regimes (i-a, i-b) put per-input costs into omega;
-    unknown-cost regimes (ii-*) keep omega independent of i and shift the
-    cost adaptivity into alpha.
+    input.  The regime's promise parameter is mu (i-a, ii-a) or k (the
+    others); when it is not given it is promise_parameter on the marked
+    set (a promise class of size one), which must then be nonempty.  beta
+    is spread over the marked set; in ii-b and ii-c it is normalized by
+    the marked set's own k, whatever k is given.  Known-cost regimes
+    (i-a, i-b) put per-input costs into omega; unknown-cost regimes (ii-*)
+    keep omega independent of i and shift the cost adaptivity into alpha.
     """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
     exp_t = np.asarray(exp_t, dtype=float)
     exp_t2 = np.asarray(exp_t2, dtype=float)
     n = len(exp_t)
@@ -156,49 +181,34 @@ def regime_parameters(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
     if np.any(exp_t < 1.0) or np.any(exp_t2 <= 0.0):
         raise ValueError("stopping-time moments must satisfy E[T] >= 1, E[T^2] > 0")
     alpha = np.ones(t_max + 1)
-    beta: dict[int, float] = {}
+    # the marked set's own mu or k: the default, and beta's normalizer s_f
+    s_f = promise_parameter(regime, exp_t, exp_t2, marked) if marked else None
+    if regime in ("i-a", "ii-a"):
+        mu = s_f if mu is None else mu
+        if mu is None:
+            raise ValueError("need mu or a nonempty marked set")
+    else:
+        k = s_f if k is None else k
+        if k is None:
+            raise ValueError("need k or a nonempty marked set")
 
     if regime == "i-a":
-        if mu is None:
-            if not marked:
-                raise ValueError("need mu or a nonempty marked set")
-            mu = float(len(marked))
         omega = n / mu * exp_t
         beta = {i: 1.0 / len(marked) ** 2 for i in marked}
     elif regime == "i-b":
-        if k is None:
-            if not marked:
-                raise ValueError("need k or a nonempty marked set")
-            k = float(sum(1.0 / exp_t[j] ** 2 for j in marked))
         omega = n / (k * exp_t)
         beta = {i: 1.0 / (exp_t[i] ** 4 * k ** 2) for i in marked}
     elif regime == "ii-a":
-        if mu is None:
-            if not marked:
-                raise ValueError("need mu or a nonempty marked set")
-            mu = float(len(marked))
         alpha = np.arange(t_max + 1, dtype=float) + 1.0
         omega = np.full(n, n * max(math.log2(t_max), 1.0) / mu)
         beta = {i: 1.0 / len(marked) ** 2 for i in marked}
     elif regime == "ii-b":
-        if k is None:
-            if not marked:
-                raise ValueError("need k or a nonempty marked set")
-            k = float(sum(1.0 / exp_t[j] for j in marked))
         omega = np.full(n, n / k)
-        s_f = float(sum(1.0 / exp_t[j] for j in marked))
         beta = {i: (1.0 / exp_t[i] / s_f) ** 2 for i in marked}
-    elif regime == "ii-c":
-        if k is None:
-            if not marked:
-                raise ValueError("need k or a nonempty marked set")
-            k = float(sum(1.0 / exp_t2[j] for j in marked))
+    else:  # ii-c
         alpha = 1.0 / (np.arange(t_max + 1, dtype=float) + 1.0)
         omega = np.full(n, n / k)
-        s_f = float(sum(1.0 / exp_t2[j] for j in marked))
         beta = {i: (1.0 / exp_t2[i] / s_f) ** 2 for i in marked}
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
     alpha[0] = 1.0
     return Weights(omega=omega, alpha=alpha, beta=beta, mu=mu, k=k)
 
@@ -281,7 +291,9 @@ class PEInstance:
         self.psi0 = psi0
         self.a_sets = {k: _as_set_matrix(dim, v) for k, v in a_sets.items()}
         self.b_sets = {k: _as_set_matrix(dim, v) for k, v in b_sets.items()}
-        self._cache: dict[str, object] = {}
+        # results that depend on a TolerancePolicy are keyed by it too, so a
+        # call with one policy never reuses a check passed under another
+        self._cache: dict[object, object] = {}
 
     def _sets(self, side: str) -> dict[str, sparse.csc_array]:
         return self.a_sets if side == "A" else self.b_sets
@@ -380,9 +392,9 @@ class PEInstance:
         norm.  This is a basis only because the generators are pairwise
         orthogonal, so that is checked here: a basis with max|Q^H Q - I|
         above assert_tol raises ValueError (as does a vanishing generator,
-        in _gen_matrix).
+        in _gen_matrix).  Cached per side and tolerance policy.
         """
-        key = f"basis_{side}"
+        key = ("basis", side, tol)
         if key not in self._cache:
             m, norms = self._gen_matrix(side, tol)
             q = m.toarray() / norms
@@ -434,8 +446,9 @@ class PEInstance:
 
         Computed independently of span_basis, so the dense walk built from
         it checks the decision engine rather than sharing its basis.
+        Cached per side and tolerance policy (rank_tol sets the rank).
         """
-        key = f"proj_{side}"
+        key = ("proj", side, tol)
         if key not in self._cache:
             check_dim(self.dim)
             self._cache[key] = projector_from_set(self.generators(side), tol,
@@ -443,11 +456,12 @@ class PEInstance:
         return self._cache[key]
 
     def walk_unitary(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-        if "walk" not in self._cache:
+        key = ("walk", tol)
+        if key not in self._cache:
             ra = reflection(self.projector("A", tol))
             rb = reflection(self.projector("B", tol))
-            self._cache["walk"] = ra @ rb
-        return self._cache["walk"]
+            self._cache[key] = ra @ rb
+        return self._cache[key]
 
     def well_formedness_report(self, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
         """Orthogonality within each side and psi0 against the B span."""

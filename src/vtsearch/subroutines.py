@@ -143,12 +143,10 @@ class StoppingProfile:
         """E[ sum_{t=0}^{T} weight(t) ] for a deterministic weight function."""
         return float(sum(weight(t) * self.survival(t) for t in range(self.num_steps + 1)))
 
-    def moments(self) -> tuple[float, float, float]:
+    def moments(self) -> tuple[float, float]:
+        """E[T] and E[T^2]."""
         ts = np.arange(1, self.num_steps + 1, dtype=float)
-        exp_t = float(self.pmf @ ts)
-        exp_t2 = float(self.pmf @ ts**2)
-        exp_log = float(self.pmf @ np.log(ts))
-        return exp_t, exp_t2, exp_log
+        return float(self.pmf @ ts), float(self.pmf @ ts**2)
 
 
 @dataclass

@@ -103,6 +103,21 @@ def test_explicit_marked_sets_promise():
         math.sqrt(30.0), abs=1e-12)
 
 
+def test_regime_radical_takes_the_least_promise_parameter():
+    """k({0}) = 1 and k({1, 2}) = 1/4 + 1/16 = 0.3125 for E[T] = (1, 2, 4)."""
+    profile = CostProfile.deterministic(np.array([1.0, 2.0, 4.0]))
+    promise = PromiseDescriptor(marked_sets=(frozenset({0}), frozenset({1, 2})))
+    assert bound("regime_i_b", profile, promise) == pytest.approx(
+        math.sqrt(3 / 0.3125), abs=1e-12)
+
+
+def test_promise_rejects_marked_sets_with_the_unique_marked_promise():
+    """Both forms at once would mix marked-set l1/l0 into the unique-marked table."""
+    with pytest.raises(ValueError, match="exclude each other"):
+        PromiseDescriptor(marked_sets=(frozenset({0}),), t_max=4.0,
+                          unique_marked=True)
+
+
 @pytest.mark.parametrize("regime,kind", [
     ("i-a", "regime_i_a"), ("i-b", "regime_i_b"), ("ii-a", "regime_ii_a"),
     ("ii-b", "regime_ii_b"), ("ii-c", "regime_ii_c"),
@@ -120,7 +135,7 @@ def test_regime_bound_consistent_with_instances(regime, kind):
 
         exp_t_e, exp_t2_e = stopping_moments(pair.empty)
         profile = CostProfile(exp_t=exp_t_e, exp_t2=exp_t2_e,
-                              exp_log_t=np.zeros(n), pi=np.full(n, 1 / n))
+                              pi=np.full(n, 1 / n))
         promise = PromiseDescriptor(marked_sets=(frozenset({0}),),
                                     t_max=float(t_max))
         radical = bound(kind, profile, promise)

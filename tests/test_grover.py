@@ -159,12 +159,12 @@ def test_lagrange_sum_bounded(n):
 def test_cost_profile_validation():
     with pytest.raises(ValueError):
         CostProfile(exp_t=np.array([1.0, 2.0]), exp_t2=np.array([1.0, 3.0]),
-                    exp_log_t=np.zeros(2), pi=np.array([0.5, 0.5]))
+                    pi=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         CostProfile.deterministic([0.5, 2.0])
     with pytest.raises(ValueError):
         CostProfile(exp_t=np.ones(2), exp_t2=np.ones(2),
-                    exp_log_t=np.zeros(2), pi=np.array([0.7, 0.7]))
+                    pi=np.array([0.7, 0.7]))
 
 
 @given(st.integers(2, 64), st.integers(0, 2**16))

@@ -11,8 +11,8 @@ from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 build_general_instance, build_simple_instance,
                                 general_negative_witness,
                                 general_positive_witness, history_states,
-                                regime_parameters, simple_witnesses,
-                                verify_witnesses)
+                                promise_parameter, regime_parameters,
+                                simple_witnesses, verify_witnesses)
 from vtsearch.phase import regime_pairs
 from vtsearch.subroutines import (random_subroutine, stopping_moments,
                                   stopping_profile, subroutine_pair)
@@ -214,6 +214,37 @@ def test_regime_requires_promise_inputs():
         regime_parameters("i-a", np.ones(4), np.ones(4), 2)
     with pytest.raises(ValueError):
         regime_parameters("nope", np.ones(4), np.ones(4), 2, marked=(0,))
+
+
+@pytest.mark.parametrize("regime,expected", [
+    ("i-a", 2.0), ("ii-a", 2.0), ("i-b", 1.0 + 1 / 16), ("ii-b", 1.0 + 1 / 4),
+    ("ii-c", 1 / 2 + 1 / 20),
+])
+def test_promise_parameter_hand_values(regime, expected):
+    exp_t, exp_t2 = np.array([1.0, 2.0, 4.0]), np.array([2.0, 5.0, 20.0])
+    assert promise_parameter(regime, exp_t, exp_t2, (0, 2)) == pytest.approx(
+        expected, abs=1e-15)
+    with pytest.raises(ValueError, match="nonempty marked set"):
+        promise_parameter(regime, exp_t, exp_t2, ())
+
+
+def test_unknown_regime_raises_even_with_a_given_parameter():
+    ones = np.ones(4)
+    with pytest.raises(ValueError, match="unknown regime"):
+        promise_parameter("nope", ones, ones, (0,))
+    for given in ({"mu": 1.0}, {"k": 1.0}, {"mu": 1.0, "k": 1.0}):
+        with pytest.raises(ValueError, match="unknown regime"):
+            regime_parameters("nope", ones, ones, 2, **given)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_parameters_take_mu_and_k_from_promise_parameter(regime):
+    rng = np.random.default_rng(5)
+    exp_t = rng.uniform(1.0, 6.0, size=6)
+    exp_t2 = exp_t ** 2 + rng.uniform(0.0, 2.0, size=6)
+    w = regime_parameters(regime, exp_t, exp_t2, 5, marked=(4, 0, 2))
+    p = promise_parameter(regime, exp_t, exp_t2, [0, 2, 4])
+    assert (w.mu, w.k) == ((p, None) if regime in ("i-a", "ii-a") else (None, p))
 
 
 # ---------------------------------------------------------------------------

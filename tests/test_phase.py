@@ -17,7 +17,8 @@ from vtsearch.phase import (_walk_spectrum, decide, qpe_kernel, qpe_simulate,
                             qpe_zero_prediction, regime_pairs,
                             register_bits_for, verify_reflection_factorization,
                             zero_phase_overlap)
-from vtsearch.linalg import DEFAULT_TOL, DIM_CAP, DimensionCapError
+from vtsearch.linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError,
+                             TolerancePolicy)
 from vtsearch.subroutines import stopping_moments, subroutine_pair
 
 from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
@@ -454,6 +455,35 @@ def test_span_basis_rejects_vanishing_generators():
     assert inst.span_basis("A").shape == (3, 1)
     with pytest.raises(ValueError, match="side B"):
         inst.span_basis("B")
+
+
+def test_cached_results_follow_the_tolerance_policy():
+    """A result cached under one policy is not reused under another."""
+    loose = TolerancePolicy(rank_tol=1e-6, assert_tol=1e-4)
+
+    def overlapping():
+        # side A's normalized generators overlap by 1e-6
+        tilted = _unit(3, 1) + 1e-6 * _unit(3, 0)
+        return _toy_instance([_unit(3, 0), tilted / np.linalg.norm(tilted)],
+                             [_unit(3, 2)], (_unit(3, 0) + _unit(3, 2)) / math.sqrt(2))
+
+    with pytest.raises(ValueError, match="side A: normalized generators"):
+        decide(overlapping(), 4.0, 2.0)
+    inst = overlapping()
+    decide(inst, 4.0, 2.0, tol=loose)
+    with pytest.raises(ValueError, match="side A: normalized generators"):
+        decide(inst, 4.0, 2.0)
+
+    def near_parallel():
+        return _toy_instance([_unit(3, 0), _unit(3, 0) + 1e-7 * _unit(3, 1)],
+                             [_unit(3, 2)], _unit(3, 0))
+
+    assert near_parallel().projector("A", DEFAULT_TOL).rank == 2
+    inst = near_parallel()
+    assert inst.projector("A", loose).rank == 1
+    assert inst.projector("A", DEFAULT_TOL).rank == 2
+    walks = [inst.walk_unitary(tol) for tol in (loose, DEFAULT_TOL)]
+    assert np.max(np.abs(walks[0] - walks[1])) > 0.5
 
 
 def test_simple_witness_report_roundtrip():
