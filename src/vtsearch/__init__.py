@@ -27,8 +27,8 @@ from .grover import (AverageQueryCost, CostProfile, OracleSpec,
                      QueryWeightTable, average_query_cost, closed_form_weights,
                      grover_state, iteration_count, lagrange_cos_sum,
                      query_weights, success_probability)
-from .instances import (GeneralBasis, HistoryTriple, NegativeWitness,
-                        PEInstance, PositiveWitness, REGIMES, SimpleBasis,
+from .instances import (GeneralBasis, NegativeWitness, PEInstance,
+                        PositiveWitness, REGIMES, SimpleBasis,
                         Weights, WitnessReport, build_general_instance,
                         build_simple_instance, general_negative_witness,
                         general_positive_witness, history_states,
@@ -49,7 +49,7 @@ __all__ = [
     "AverageQueryCost", "BOUND_KINDS", "BlockSchedule", "C_PLUS_MAX",
     "ComparisonReport", "CostProfile", "CostReport", "DEFAULT_TOL", "DIM_CAP",
     "Decision", "DimensionCapError", "EXPERIMENT_KINDS", "ExperimentConfig",
-    "GeneralBasis", "HistoryTriple", "NegativeWitness", "NonUnitaryError",
+    "GeneralBasis", "NegativeWitness", "NonUnitaryError",
     "OracleSpec", "PEInstance", "PositiveWitness", "Projector",
     "PromiseDescriptor", "QPEOutcome", "QueryWeightTable", "REGIMES",
     "RegimePair", "ResultSet", "SimpleBasis", "SpectralDecomposition",

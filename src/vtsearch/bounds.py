@@ -147,13 +147,18 @@ class ComparisonReport:
 def compare_table(profile: CostProfile, promise: PromiseDescriptor) -> ComparisonReport:
     """Ordered comparison for the unique-marked-with-cap promise.
 
-    Asserts l2 <= l1 <= l0 and straight_line >= l1 (the latter is the
-    arithmetic-vs-geometric mean gap), up to ORDER_SLACK.
+    Raises ValueError unless E[T_i] <= t_max and E[T_i^2] <= t_max E[T_i]
+    per input.  Asserts l2 <= l1 <= l0 and straight_line >= l1 (the
+    latter is the arithmetic-vs-geometric mean gap), up to ORDER_SLACK.
     """
     if not promise.unique_marked or promise.t_max is None:
         raise ValueError("comparison table needs the unique-marked promise with t_max")
     if float(np.max(profile.exp_t)) > promise.t_max + ORDER_SLACK:
         raise ValueError("profile exceeds the promised checking-time cap")
+    # T <= t_max gives T^2 <= t_max T, so E[T^2] <= t_max E[T] per input
+    excess = float(np.max(profile.exp_t2 - promise.t_max * profile.exp_t))
+    if excess > ORDER_SLACK:
+        raise ValueError(f"E[T^2] exceeds t_max E[T] by {excess:.3e}, past the cap")
     vals = {k: bound(k, profile, promise)
             for k in ("naive", "l2", "l1", "l0", "straight_line")}
     ok = (vals["l2"] <= vals["l1"] + ORDER_SLACK

@@ -23,10 +23,11 @@ splits the initial vector across the two spans.
 Every generator touches only a few basis labels (at most 1 + 2|Z| in the
 general variant), so each named set is stored as a sparse d x k CSC matrix
 that the builders assemble straight from index arrays; no length-d vector
-is allocated per generator.  Well-formedness, witness and
-reflection-factorization checks run on these sparse matrices, and only
-the dense oracle paths (the span projectors and the walk unitary) expand
-a set into dense columns.
+is allocated per generator, and each witness is one zero vector with its
+entries (history_states among them) scattered in from index arrays.
+Well-formedness, witness and reflection-factorization checks run on these
+sparse matrices, and only the dense oracle paths (the span projectors and
+the walk unitary) expand a set into dense columns.
 
 Generators that share a basis label are joined into connected components
 with disjoint label supports, over which both reflections and the walk are
@@ -47,6 +48,7 @@ from scipy.sparse.csgraph import connected_components
 from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, check_dim,
                      projector_from_set, reflection)
 from .grover import OracleSpec
+# unused here, but the benchmark's tracer wraps stopping_profile in this module
 from .subroutines import SubroutineSpec, stopping_profile
 
 SIMPLE_TAGS = ("src", "qry", "ret", "chk")
@@ -97,11 +99,11 @@ class GeneralBasis:
         v[self.index(tag, i, b, a, z, t)] = 1.0
         return v
 
-    def az_indices(self, tag: str, i: int, b: int, t: int) -> np.ndarray:
-        """Indices of the whole (a, z) block at fixed (tag, i, b, t)."""
-        base = self.index(tag, i, b, 0, 0, t)
+    def az_indices(self, tag: str, i, b, t) -> np.ndarray:
+        """Indices of the whole (a, z) block at fixed (tag, i, b, t), last axis."""
+        base = np.asarray(self.index(tag, i, b, 0, 0, t))
         stride = self.t_max + 1
-        return base + np.arange(2 * self.workspace) * stride
+        return base[..., None] + np.arange(2 * self.workspace) * stride
 
     @staticmethod
     def for_spec(spec: SubroutineSpec) -> "GeneralBasis":
@@ -534,6 +536,14 @@ class NegativeWitness:
     closed_norm_sq: float   # closed form for the squared norm of w_a
 
 
+def _scatter(dim: int, pieces) -> np.ndarray:
+    """Sum of (rows, values) pieces as a d-vector; no two entries share a label."""
+    vec = np.zeros(dim, dtype=complex)
+    vec[np.concatenate([np.ravel(r) for r, _ in pieces])] = np.concatenate(
+        [np.broadcast_to(v, np.shape(r)).ravel() for r, v in pieces])
+    return vec
+
+
 def simple_witnesses(oracle: OracleSpec, omega: float):
     """Witness for the simple instance: positive iff a marked element exists.
 
@@ -543,24 +553,24 @@ def simple_witnesses(oracle: OracleSpec, omega: float):
     """
     n = oracle.size
     basis = SimpleBasis(n)
-
-    e = basis.unit
+    idx = basis.index
+    src = idx("src", 0, 0)
 
     if oracle.marked:
         m_count = len(oracle.marked)
-        w = e("src", 0, 0)
-        for j in sorted(oracle.marked):
-            i = j + 1
-            w += (1.0 / m_count) * math.sqrt(n / omega) * (
-                e("qry", i, 0) + e("ret", i, 1) + e("chk", i, 1))
+        i = np.array(sorted(oracle.marked)) + 1
+        coef = (1.0 / m_count) * math.sqrt(n / omega)
+        path = np.stack([idx("qry", i, 0), idx("ret", i, 1), idx("chk", i, 1)])
+        w = _scatter(basis.dim, [(src, 1.0), (path, coef)])
         return PositiveWitness(vector=w,
                                closed_norm_sq=1.0 + 3.0 * n / (m_count * omega))
 
-    w_a = e("src", 0, 0)
-    for i in range(1, n + 1):
-        c = math.sqrt(omega / n)
-        w_a += c * (-e("qry", i, 0) + e("ret", i, 0) - e("chk", i, 0))
-    w_b = e("src", 0, 0) - w_a
+    i = np.arange(1, n + 1)
+    coef = math.sqrt(omega / n)
+    w_a = _scatter(basis.dim, [(src, 1.0), (idx("qry", i, 0), -coef),
+                               (idx("ret", i, 0), coef), (idx("chk", i, 0), -coef)])
+    w_b = -w_a
+    w_b[src] += 1.0
     return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=1.0 + 3.0 * omega)
 
 
@@ -568,71 +578,50 @@ def simple_witnesses(oracle: OracleSpec, omega: float):
 # General variant: history states and witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HistoryTriple:
-    """Forward/rewind computation-history states for one input."""
+def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
+    """History states of the given inputs as (rows, plus, minus, norm_plus, norm_minus).
 
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-    w_minus_prime: np.ndarray
-    norm_plus_closed: float
-    norm_minus_closed: float
-
-
-def _inner_history(spec: SubroutineSpec, i: int) -> list[np.ndarray]:
-    """Step-by-step states on the answer-workspace space, halted parts frozen.
-
-    Entry t is the state after step t with the halted-by-(t-1) component
-    projected away *before* each step, so its squared norm is the survival
-    probability P[T_i >= t].
-    """
-    states = [spec.initial_state()]
-    for t in range(1, spec.num_steps + 1):
-        prev = states[-1].copy()
-        mask = spec.halted_mask(t - 1)
-        prev[mask] = 0.0
-        states.append(spec.unitaries[i, t - 1] @ prev)
-    return states
-
-
-def history_states(spec: SubroutineSpec, i: int, alpha: np.ndarray) -> HistoryTriple:
-    """History states of input i embedded in the full instance space.
-
-    The forward state spreads the run over the program counter with
-    1/sqrt(alpha_t) weights on both the "fwd" (bit 0) and "bwd" (bit
-    f(i)) tracks; the rewind state uses alternating-sign sqrt(alpha_t)
-    weights with a relative minus sign between tracks.
+    Row j of rows lists the distinct labels of input inputs[j]'s history:
+    the (a, z) block at every program counter t on the "fwd" (bit 0) and
+    "bwd" (bit f(i)) tracks.  plus[j] and minus[j] are the forward and
+    rewind states on those labels: 1/sqrt(alpha_t) weights on both tracks,
+    and alternating-sign sqrt(alpha_t) weights with a relative minus sign
+    between tracks.  norm_plus and norm_minus are their closed squared
+    norms, from spec.stopping_profiles.
     """
     alpha = np.asarray(alpha, dtype=float)
     if len(alpha) != spec.num_steps + 1 or abs(alpha[0] - 1.0) > 1e-14:
         raise ValueError("need one positive alpha per step with alpha[0] = 1")
     if np.any(alpha <= 0):
         raise ValueError("alpha weights must be positive")
+    inputs = np.asarray(inputs, dtype=int)
+    if np.any((inputs < 0) | (inputs >= spec.num_inputs)):
+        raise IndexError(f"input index out of range 0..{spec.num_inputs - 1}")
     basis = GeneralBasis.for_spec(spec)
-    fi = spec.outputs[i]
-    inner = _inner_history(spec, i)
-    profile = stopping_profile(spec, i)
-
-    w_plus = np.zeros(basis.dim, dtype=complex)
-    w_minus = np.zeros(basis.dim, dtype=complex)
-    for t, state in enumerate(inner):
-        fwd = basis.az_indices("fwd", i + 1, 0, t)
-        bwd = basis.az_indices("bwd", i + 1, fi, t)
-        w_plus[fwd] += state / math.sqrt(alpha[t])
-        w_plus[bwd] += state / math.sqrt(alpha[t])
-        signed = (-1.0) ** t * math.sqrt(alpha[t]) * state
-        w_minus[fwd] += signed
-        w_minus[bwd] -= signed
-    w_minus_prime = w_minus.copy()
-    w_minus_prime[basis.index("fwd", i + 1, 0, 0, 0, 0)] -= 1.0
-    w_minus_prime[basis.index("bwd", i + 1, fi, 0, 0, 0)] += 1.0
-
-    norm_plus = 2.0 * profile.expected_sum(lambda t: 1.0 / alpha[t])
-    norm_minus = 2.0 * profile.expected_sum(lambda t: alpha[t])
-    return HistoryTriple(w_plus=w_plus, w_minus=w_minus,
-                         w_minus_prime=w_minus_prime,
-                         norm_plus_closed=norm_plus,
-                         norm_minus_closed=norm_minus)
+    i, t = inputs[:, None] + 1, np.arange(spec.num_steps + 1)
+    fi = np.asarray(spec.outputs, dtype=int)[inputs][:, None]
+    # (input, t, track, (a, z) block)
+    rows = np.stack([basis.az_indices("fwd", i, 0, t),
+                     basis.az_indices("bwd", i, fi, t)], axis=2)
+    # the part halted by step t - 1 is projected away before step t, so the
+    # squared norm of states[j, t] is the survival probability P[T_i >= t]
+    states = np.zeros((len(inputs), len(t), spec.space_dim), dtype=complex)
+    states[:, 0] = spec.initial_state()
+    for step in range(1, len(t)):
+        live = ~spec.halted_mask(step - 1)
+        for j, k in enumerate(inputs):
+            states[j, step] = (spec.unitaries[k, step - 1]
+                               @ np.where(live, states[j, step - 1], 0))
+    forward = states / np.sqrt(alpha)[:, None]
+    signed = states * np.array([(-1.0) ** s * math.sqrt(a)
+                                for s, a in enumerate(alpha)])[:, None]
+    width = 2 * len(t) * spec.space_dim
+    profiles = [spec.stopping_profiles[k] for k in inputs]
+    return (rows.reshape(-1, width),
+            np.stack([forward, forward], axis=2).reshape(-1, width),
+            np.stack([signed, -signed], axis=2).reshape(-1, width),
+            np.array([2.0 * p.expected_sum(lambda s: 1.0 / alpha[s]) for p in profiles]),
+            np.array([2.0 * p.expected_sum(lambda s: alpha[s]) for p in profiles]))
 
 
 def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance:
@@ -679,7 +668,6 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
     # (a, z) block one step later
     i_g, b_g = inputs[:, None, None, None], np.array([0, 1])[:, None, None]
     a_g = np.array([0, 1])[None, :, None]
-    block = np.arange(2 * w) * (t_max + 1)
     steps = []   # (step, rows, values), each with a leading input axis
     for t in range(t_max):
         halted = spec.halted_labels(t)
@@ -687,8 +675,8 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
         shape = (n, 2, 2, 2, len(z_g), 2 * w)   # input, tag, b, a, z, entry
         here = np.stack([idx(tag, i_g, b_g, a_g, z_g, t)
                          for tag in ("fwd", "bwd")], axis=1)
-        there = np.stack([idx(tag, i_g, b_g, 0, 0, t + 1)
-                          for tag in ("fwd", "bwd")], axis=1)[..., None] + block
+        there = np.stack([basis.az_indices(tag, i_g, b_g, t + 1)
+                          for tag in ("fwd", "bwd")], axis=1)
         u_cols = spec.unitaries[:, t][:, :, a_g * w + z_g]
         # subtracted from zero, as the label-by-label construction does
         there_values = np.moveaxis(0.0 - math.sqrt(alpha[t + 1]) * u_cols, 1, -1)
@@ -743,18 +731,17 @@ def general_positive_witness(spec: SubroutineSpec, weights: Weights) -> Positive
         raise ValueError("beta weights must cover exactly the marked inputs")
     basis = GeneralBasis.for_spec(spec)
     n = spec.num_inputs
-    vec = np.zeros(basis.dim, dtype=complex)
-    vec[basis.index("src", 0, 0, 0, 0, 0)] = 1.0
+    rows, plus, _, norm_plus, _ = history_states(spec, marked, weights.alpha)
+    coef = np.array([math.sqrt(n) * math.sqrt(weights.beta[j])
+                     / math.sqrt(weights.omega[j]) for j in marked])[:, None]
+    i = np.array(marked)[:, None] + 1
+    slots = np.concatenate([basis.index(tag, i, b, 0, 0, 0)
+                            for tag, b in (("src", 0), ("ret", 1), ("chk", 1))], axis=1)
+    vec = _scatter(basis.dim, [(basis.index("src", 0, 0, 0, 0, 0), 1.0),
+                               (slots, coef), (rows, coef * plus)])
     closed = 1.0
-    for j in marked:
-        i = j + 1
-        coef = math.sqrt(n) * math.sqrt(weights.beta[j]) / math.sqrt(weights.omega[j])
-        hist = history_states(spec, j, weights.alpha)
-        vec[basis.index("src", i, 0, 0, 0, 0)] += coef
-        vec += coef * hist.w_plus
-        vec[basis.index("ret", i, 1, 0, 0, 0)] += coef
-        vec[basis.index("chk", i, 1, 0, 0, 0)] += coef
-        closed += n * weights.beta[j] / weights.omega[j] * (2.0 + hist.norm_plus_closed + 1.0)
+    for j, norm in zip(marked, norm_plus):
+        closed += n * weights.beta[j] / weights.omega[j] * (2.0 + norm + 1.0)
     return PositiveWitness(vector=vec, closed_norm_sq=closed)
 
 
@@ -768,19 +755,17 @@ def general_negative_witness(spec: SubroutineSpec, weights: Weights) -> Negative
         raise ValueError("negative witness requires an all-unmarked subroutine")
     basis = GeneralBasis.for_spec(spec)
     n = spec.num_inputs
-    w_a = np.zeros(basis.dim, dtype=complex)
+    rows, _, minus, _, norm_minus = history_states(spec, range(n), weights.alpha)
+    coef = np.sqrt(weights.omega / n)[:, None]
+    i = np.arange(1, n + 1)[:, None]
+    slots = np.concatenate([basis.index(tag, i, 0, 0, 0, 0)
+                            for tag in ("src", "ret", "chk")], axis=1)
     psi0_idx = basis.index("src", 0, 0, 0, 0, 0)
-    w_a[psi0_idx] = 1.0
+    w_a = _scatter(basis.dim, [(psi0_idx, 1.0), (slots, coef * [-1.0, 1.0, -1.0]),
+                               (rows, coef * minus)])
     closed = 1.0
     for j in range(n):
-        i = j + 1
-        coef = math.sqrt(weights.omega[j] / n)
-        hist = history_states(spec, j, weights.alpha)
-        w_a[basis.index("src", i, 0, 0, 0, 0)] -= coef
-        w_a += coef * hist.w_minus
-        w_a[basis.index("ret", i, 0, 0, 0, 0)] += coef
-        w_a[basis.index("chk", i, 0, 0, 0, 0)] -= coef
-        closed += weights.omega[j] / n * (2.0 + hist.norm_minus_closed + 1.0)
+        closed += weights.omega[j] / n * (2.0 + norm_minus[j] + 1.0)
     w_b = -w_a
     w_b[psi0_idx] += 1.0
     return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=closed)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,11 @@ class SubroutineSpec:
         psi = np.zeros(self.space_dim, dtype=complex)
         psi[0] = 1.0  # answer 0, workspace label 0
         return psi
+
+    @cached_property
+    def stopping_profiles(self) -> tuple["StoppingProfile", ...]:
+        """stopping_profile of every input, computed once per spec."""
+        return tuple(stopping_profile(self, i) for i in range(self.num_inputs))
 
     def marked_set(self) -> frozenset[int]:
         return frozenset(i for i, b in enumerate(self.outputs) if b == 1)
@@ -247,8 +253,8 @@ def stopping_profile(spec: SubroutineSpec, i: int) -> StoppingProfile:
 
 
 def stopping_moments(spec: SubroutineSpec) -> tuple[np.ndarray, np.ndarray]:
-    """E[T_i] and E[T_i^2] for every input i, from stopping_profile."""
-    moments = [stopping_profile(spec, i).moments() for i in range(spec.num_inputs)]
+    """E[T_i] and E[T_i^2] for every input i, from spec.stopping_profiles."""
+    moments = [p.moments() for p in spec.stopping_profiles]
     return (np.array([m[0] for m in moments]), np.array([m[1] for m in moments]))
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from vtsearch import (DEFAULT_TOL, cluster_phases, projector_from_set,
-                      qpe_kernel, reflection, subroutine_pair, unitary_eig)
-from vtsearch.instances import GeneralBasis, SimpleBasis
+                      qpe_kernel, reflection, stopping_profile, subroutine_pair,
+                      unitary_eig)
+from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
+                                SimpleBasis)
 
 
 def span_residual(generators, vec):
@@ -145,6 +147,111 @@ def dense_general_sets(spec, weights):
     return ({"launch": [launch], "even": even, "check": check},
             {"forward": forward, "odd": odd, "backward": backward,
              "absorb": absorb})
+
+
+def dense_simple_witnesses(oracle, omega):
+    """Oracle: simple_witnesses summed label by label from dense unit vectors."""
+    n = oracle.size
+    basis = SimpleBasis(n)
+
+    e = basis.unit
+
+    if oracle.marked:
+        m_count = len(oracle.marked)
+        w = e("src", 0, 0)
+        for j in sorted(oracle.marked):
+            i = j + 1
+            w += (1.0 / m_count) * math.sqrt(n / omega) * (
+                e("qry", i, 0) + e("ret", i, 1) + e("chk", i, 1))
+        return PositiveWitness(vector=w,
+                               closed_norm_sq=1.0 + 3.0 * n / (m_count * omega))
+
+    w_a = e("src", 0, 0)
+    for i in range(1, n + 1):
+        c = math.sqrt(omega / n)
+        w_a += c * (-e("qry", i, 0) + e("ret", i, 0) - e("chk", i, 0))
+    w_b = e("src", 0, 0) - w_a
+    return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=1.0 + 3.0 * omega)
+
+
+def _dense_inner_history(spec, i):
+    states = [spec.initial_state()]
+    for t in range(1, spec.num_steps + 1):
+        prev = states[-1].copy()
+        mask = spec.halted_mask(t - 1)
+        prev[mask] = 0.0
+        states.append(spec.unitaries[i, t - 1] @ prev)
+    return states
+
+
+def _dense_history_states(spec, i, alpha):
+    """Oracle: input i's (w_plus, w_minus, norm_plus, norm_minus), dense d-vectors.
+
+    Summed label by label into fresh d-length vectors; the closed norms
+    come from a fresh stopping_profile, not from the spec's cached ones.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    basis = GeneralBasis.for_spec(spec)
+    fi = spec.outputs[i]
+    inner = _dense_inner_history(spec, i)
+    profile = stopping_profile(spec, i)
+
+    w_plus = np.zeros(basis.dim, dtype=complex)
+    w_minus = np.zeros(basis.dim, dtype=complex)
+    for t, state in enumerate(inner):
+        fwd = basis.az_indices("fwd", i + 1, 0, t)
+        bwd = basis.az_indices("bwd", i + 1, fi, t)
+        w_plus[fwd] += state / math.sqrt(alpha[t])
+        w_plus[bwd] += state / math.sqrt(alpha[t])
+        signed = (-1.0) ** t * math.sqrt(alpha[t]) * state
+        w_minus[fwd] += signed
+        w_minus[bwd] -= signed
+
+    norm_plus = 2.0 * profile.expected_sum(lambda t: 1.0 / alpha[t])
+    norm_minus = 2.0 * profile.expected_sum(lambda t: alpha[t])
+    return w_plus, w_minus, norm_plus, norm_minus
+
+
+def dense_general_witnesses(spec, weights):
+    """Oracle: the general witness of spec, summed from dense history states.
+
+    Positive (from the marked inputs' forward histories) when spec marks
+    an input, negative (from every input's rewind history) otherwise.
+    """
+    basis = GeneralBasis.for_spec(spec)
+    n = spec.num_inputs
+    marked = [j for j, b in enumerate(spec.outputs) if b == 1]
+    if marked:
+        vec = np.zeros(basis.dim, dtype=complex)
+        vec[basis.index("src", 0, 0, 0, 0, 0)] = 1.0
+        closed = 1.0
+        for j in marked:
+            i = j + 1
+            coef = math.sqrt(n) * math.sqrt(weights.beta[j]) / math.sqrt(weights.omega[j])
+            w_plus, _, norm_plus, _ = _dense_history_states(spec, j, weights.alpha)
+            vec[basis.index("src", i, 0, 0, 0, 0)] += coef
+            vec += coef * w_plus
+            vec[basis.index("ret", i, 1, 0, 0, 0)] += coef
+            vec[basis.index("chk", i, 1, 0, 0, 0)] += coef
+            closed += n * weights.beta[j] / weights.omega[j] * (2.0 + norm_plus + 1.0)
+        return PositiveWitness(vector=vec, closed_norm_sq=closed)
+
+    w_a = np.zeros(basis.dim, dtype=complex)
+    psi0_idx = basis.index("src", 0, 0, 0, 0, 0)
+    w_a[psi0_idx] = 1.0
+    closed = 1.0
+    for j in range(n):
+        i = j + 1
+        coef = math.sqrt(weights.omega[j] / n)
+        _, w_minus, _, norm_minus = _dense_history_states(spec, j, weights.alpha)
+        w_a[basis.index("src", i, 0, 0, 0, 0)] -= coef
+        w_a += coef * w_minus
+        w_a[basis.index("ret", i, 0, 0, 0, 0)] += coef
+        w_a[basis.index("chk", i, 0, 0, 0, 0)] -= coef
+        closed += weights.omega[j] / n * (2.0 + norm_minus + 1.0)
+    w_b = -w_a
+    w_b[psi0_idx] += 1.0
+    return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=closed)
 
 
 @pytest.fixture(scope="session")

@@ -116,12 +116,11 @@ def test_criterion_5_general_witness_sizes():
         marked, empty = vt.subroutine_pair(trial, n, t_max, workspace)
         for pair in vt.regime_pairs(marked, empty, vt.REGIMES):
             # history-state norm identities
+            _, plus, minus, norm_plus, norm_minus = vt.history_states(
+                marked, range(n), pair.weights_pos.alpha)
             for i in range(n):
-                h = vt.history_states(marked, i, pair.weights_pos.alpha)
-                ok &= abs(np.linalg.norm(h.w_plus) ** 2
-                          - h.norm_plus_closed) <= 1e-8
-                ok &= abs(np.linalg.norm(h.w_minus) ** 2
-                          - h.norm_minus_closed) <= 1e-8
+                ok &= abs(np.linalg.norm(plus[i]) ** 2 - norm_plus[i]) <= 1e-8
+                ok &= abs(np.linalg.norm(minus[i]) ** 2 - norm_minus[i]) <= 1e-8
             ok &= abs(pair.c_plus - pair.positive.closed_norm_sq) <= 1e-8
             ok &= pair.c_plus <= pair.c_plus_cap + 1e-9
             worst_cap = max(worst_cap, pair.c_plus / pair.c_plus_cap)

@@ -67,6 +67,10 @@ def test_compare_table_rejects_mismatched_promise():
     with pytest.raises(ValueError):
         compare_table(profile, PromiseDescriptor(
             marked_sets=(frozenset({0}),), t_max=5.0))
+    spread = CostProfile(exp_t=np.array([1.0, 4.0]), exp_t2=np.array([1.0, 25.0]),
+                         pi=np.full(2, 0.5))
+    with pytest.raises(ValueError):
+        compare_table(spread, _unique_promise(4.0))  # E[T^2] > t_max E[T]
 
 
 def test_bound_input_validation():

@@ -13,11 +13,13 @@ from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 general_positive_witness, history_states,
                                 promise_parameter, regime_parameters,
                                 simple_witnesses, verify_witnesses)
+from vtsearch.linalg import DEFAULT_TOL
 from vtsearch.phase import regime_pairs
 from vtsearch.subroutines import (random_subroutine, stopping_moments,
                                   stopping_profile, subroutine_pair)
 
-from conftest import dense_general_sets, dense_simple_sets, span_residual
+from conftest import (dense_general_sets, dense_general_witnesses,
+                      dense_simple_sets, dense_simple_witnesses, span_residual)
 
 SPARSE_TOL = 1e-14
 
@@ -256,14 +258,26 @@ def _deterministic_t2_spec():
     return random_subroutine(0, 1, 2, 2, halting_fractions=[0.0, 1.0])
 
 
+def _dense_history(spec, i, alpha):
+    """history_states of input i as dense (w_plus, w_minus) and its closed norms."""
+    rows, plus, minus, norm_plus, norm_minus = history_states(spec, [i], alpha)
+    dim = GeneralBasis.for_spec(spec).dim
+    w_plus = np.zeros(dim, dtype=complex)
+    w_minus = np.zeros(dim, dtype=complex)
+    w_plus[rows[0]] = plus[0]
+    w_minus[rows[0]] = minus[0]
+    return w_plus, w_minus, norm_plus[0], norm_minus[0]
+
+
 def test_history_norm_examples():
     spec = _deterministic_t2_spec()
-    flat = history_states(spec, 0, np.ones(3))
-    assert np.linalg.norm(flat.w_plus) ** 2 == pytest.approx(6.0, abs=1e-10)
-    assert np.linalg.norm(flat.w_minus) ** 2 == pytest.approx(6.0, abs=1e-10)
-    growing = history_states(spec, 0, np.array([1.0, 2.0, 3.0]))
-    assert np.linalg.norm(growing.w_minus) ** 2 == pytest.approx(12.0, abs=1e-10)
-    assert np.linalg.norm(growing.w_plus) ** 2 == pytest.approx(11 / 3, abs=1e-10)
+    flat_plus, flat_minus, _, _ = _dense_history(spec, 0, np.ones(3))
+    assert np.linalg.norm(flat_plus) ** 2 == pytest.approx(6.0, abs=1e-10)
+    assert np.linalg.norm(flat_minus) ** 2 == pytest.approx(6.0, abs=1e-10)
+    growing_plus, growing_minus, _, _ = _dense_history(spec, 0,
+                                                       np.array([1.0, 2.0, 3.0]))
+    assert np.linalg.norm(growing_minus) ** 2 == pytest.approx(12.0, abs=1e-10)
+    assert np.linalg.norm(growing_plus) ** 2 == pytest.approx(11 / 3, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -275,30 +289,41 @@ def test_history_lemma_items(seed):
     exp_t, exp_t2 = stopping_moments(spec)
     weights = regime_parameters("ii-a", exp_t, exp_t2, t_max, marked=(0,))
     inst = build_general_instance(spec, weights)
+    basis = GeneralBasis.for_spec(spec)
     even, odd = inst.set_vectors("A", "even"), inst.set_vectors("B", "odd")
     for i in range(n):
-        h = history_states(spec, i, weights.alpha)
+        w_plus, w_minus, _, _ = _dense_history(spec, i, weights.alpha)
+        # the primed rewind state drops the two t = 0 entries of w_minus
+        w_minus_prime = w_minus.copy()
+        w_minus_prime[basis.index("fwd", i + 1, 0, 0, 0, 0)] -= 1.0
+        w_minus_prime[basis.index("bwd", i + 1, spec.outputs[i], 0, 0, 0)] += 1.0
         profile = stopping_profile(spec, i)
         # item 1: closed norms from the stopping profile
         want_plus = 2.0 * profile.expected_sum(lambda t: 1.0 / weights.alpha[t])
         want_minus = 2.0 * profile.expected_sum(lambda t: weights.alpha[t])
-        assert np.linalg.norm(h.w_plus) ** 2 == pytest.approx(want_plus, abs=1e-8)
-        assert np.linalg.norm(h.w_minus) ** 2 == pytest.approx(want_minus, abs=1e-8)
+        assert np.linalg.norm(w_plus) ** 2 == pytest.approx(want_plus, abs=1e-8)
+        assert np.linalg.norm(w_minus) ** 2 == pytest.approx(want_minus, abs=1e-8)
         # item 2: forward history orthogonal to both inner transition sets
-        assert inst.projection_norm_sq("A", h.w_plus) < 1e-16 or \
-            sum(abs(np.vdot(g, h.w_plus)) ** 2 for g in even) < 1e-16
-        assert sum(abs(np.vdot(g, h.w_plus)) ** 2 for g in odd) < 1e-16
+        assert inst.projection_norm_sq("A", w_plus) < 1e-16 or \
+            sum(abs(np.vdot(g, w_plus)) ** 2 for g in even) < 1e-16
+        assert sum(abs(np.vdot(g, w_plus)) ** 2 for g in odd) < 1e-16
         # item 3: rewind history in span(even); primed variant in span(odd)
-        assert span_residual(even, h.w_minus) < 1e-8
-        assert span_residual(odd, h.w_minus_prime) < 1e-8
+        assert span_residual(even, w_minus) < 1e-8
+        assert span_residual(odd, w_minus_prime) < 1e-8
 
 
 def test_history_rejects_bad_alpha():
     spec = _deterministic_t2_spec()
     with pytest.raises(ValueError):
-        history_states(spec, 0, np.array([2.0, 1.0, 1.0]))
+        history_states(spec, [0], np.array([2.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        history_states(spec, 0, np.ones(2))
+        history_states(spec, [0], np.ones(2))
+
+
+@pytest.mark.parametrize("inputs", [[1], [0, -1]])
+def test_history_rejects_inputs_out_of_range(inputs):
+    with pytest.raises(IndexError):
+        history_states(_deterministic_t2_spec(), inputs, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +374,58 @@ def test_general_witness_closed_norms(regime, small_pair):
     assert report_e.passed()
     assert abs(report_e.norm_sq_measured - neg.closed_norm_sq) < 1e-8
     assert report_e.decomposition_residual < 1e-12
+
+
+def _assert_same_witness(got, want):
+    assert type(got) is type(want)
+    assert got.closed_norm_sq == want.closed_norm_sq
+    if isinstance(want, PositiveWitness):
+        assert np.array_equal(got.vector, want.vector)
+    else:
+        assert np.array_equal(got.w_a, want.w_a)
+        assert np.array_equal(got.w_b, want.w_b)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 2), (3, 3, 2), (4, 4, 4),
+                                   (16, 2, 2)])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_general_witnesses_match_dense_oracle(shape, regime):
+    """Scattered index arrays give the label-by-label witnesses bit for bit."""
+    marked, empty = subroutine_pair(0, *shape)
+    pair, = regime_pairs(marked, empty, [regime])
+    _assert_same_witness(pair.positive,
+                         dense_general_witnesses(marked, pair.weights_pos))
+    _assert_same_witness(pair.negative,
+                         dense_general_witnesses(empty, pair.weights_neg))
+    # several marked inputs, taken in input order
+    n, t_max, _ = shape
+    several = tuple(range(0, n, 2))
+    spec = random_subroutine(3, *shape, marked=several)
+    weights = regime_parameters(regime, *stopping_moments(spec), t_max,
+                                marked=several)
+    _assert_same_witness(general_positive_witness(spec, weights),
+                         dense_general_witnesses(spec, weights))
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 80])
+@pytest.mark.parametrize("marked", [True, False])
+def test_simple_witnesses_match_dense_oracle(n, marked):
+    oracle = OracleSpec(size=n,
+                        marked=frozenset(range(1, n, 3)) if marked else frozenset())
+    omega = 0.7 * n
+    _assert_same_witness(simple_witnesses(oracle, omega),
+                         dense_simple_witnesses(oracle, omega))
+
+
+def test_witnesses_verify_at_n_256():
+    """Every regime's witnesses at (n, T, Z) = (256, 4, 4), seed 0."""
+    for pair in regime_pairs(*subroutine_pair(0, 256, 4, 4), REGIMES):
+        built = pair.instances()
+        for label, witness in (("marked", pair.positive), ("empty", pair.negative)):
+            report = verify_witnesses(built[label], witness)
+            assert report.passed(), (pair.regime, label)
+            assert (abs(report.norm_sq_measured - witness.closed_norm_sq)
+                    <= DEFAULT_TOL.assert_tol), (pair.regime, label)
 
 
 def test_witness_exclusivity(small_pair):
