@@ -21,29 +21,31 @@ overlapping the initial vector, and a negative witness (no marked input)
 splits the initial vector across the two spans.
 
 Every generator touches only a few basis labels (at most 1 + 2|Z| in the
-general variant), so each named set is stored as a sparse d x k CSC matrix
-that the builders assemble straight from index arrays; no length-d vector
-is allocated per generator, and each witness is one zero vector with its
+general variant), so each named set is stored as a SetMatrix, a d x k
+compressed-column record of numpy arrays (indptr, rows, values) that the
+builders assemble straight from index arrays; no length-d vector is
+allocated per generator, and each witness is one zero vector with its
 entries (history_states among them) scattered in from index arrays.
 Well-formedness, witness and reflection-factorization checks run on these
-sparse matrices, and only the dense oracle paths (the span projectors and
-the walk unitary) expand a set into dense columns.
+records with numpy alone (bincount sums, and a Gram over the generator
+pairs that share a label), and only the dense oracle paths (the span
+projectors and the walk unitary) expand a set into dense columns.
 
 Generators that share a basis label are joined into connected components
 with disjoint label supports, over which both reflections and the walk are
 block-diagonal.  PEInstance.psi0_component keeps only the components the
-initial vector reaches, so decisions need no cap on the full dimension;
-only the dense d x d paths check the dimension cap.
+initial vector reaches, found breadth first from psi0's support, so
+decisions need no cap on the full dimension; only the dense d x d paths
+check the dimension cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, check_dim,
                      projector_from_set, reflection)
@@ -219,60 +221,169 @@ def regime_parameters(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
 # Instance container
 # ---------------------------------------------------------------------------
 
-def _set_matrix(dim: int, pieces) -> sparse.csc_array:
-    """One generator set as a d x k CSC matrix, assembled from index arrays.
+@dataclass(frozen=True, eq=False)
+class SetMatrix:
+    """One generator set as a d x k CSC record of numpy arrays.
 
-    Each piece is a (rows, values) pair of equal-shape 2-d arrays: row g
-    of a piece lists the basis indices and the entries of one generator.
-    Generators keep the order of the pieces and of the rows within them.
-    Exact-zero entries (a step unitary's zeros) are not stored, so every
+    Column j is generator j: its basis labels rows[indptr[j]:indptr[j + 1]],
+    ascending, and its entries values[indptr[j]:indptr[j + 1]], none an
+    exact zero.  Products sum each output entry sequentially in storage
+    order (np.bincount).
+    """
+
+    dim: int
+    indptr: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dim, len(self.indptr) - 1
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The generator of every stored entry."""
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """G^H x, one overlap per generator."""
+        return _sum_by(self.cols, self.values.conj() * x[self.rows], self.shape[1])
+
+    def matvec(self, c: np.ndarray) -> np.ndarray:
+        """G c, the d-vector combining the generators with coefficients c."""
+        return _sum_by(self.rows, self.values * c[self.cols], self.dim)
+
+
+def _sum_by(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """Complex sums of values grouped by index, each taken in array order."""
+    out = np.empty(length, dtype=complex)
+    out.real = np.bincount(index, weights=values.real, minlength=length)
+    out.imag = np.bincount(index, weights=values.imag, minlength=length)
+    return out
+
+
+def _from_entries(dim: int, rows, values, counts) -> SetMatrix:
+    """A SetMatrix from entries listed column by column, exact zeros dropped."""
+    values = np.asarray(values, dtype=complex)
+    keep = values != 0
+    cols = np.repeat(np.arange(len(counts)), counts)[keep]
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=len(counts)), out=indptr[1:])
+    return SetMatrix(dim, indptr, np.asarray(rows, dtype=np.int64)[keep], values[keep])
+
+
+def _set_matrix(dim: int, pieces) -> SetMatrix:
+    """One generator set as a SetMatrix, assembled from index arrays.
+
+    Each piece is a (rows, values) pair of equal-shape arrays, (g, w) or
+    (n, g, w): row g lists the basis indices and the entries of one
+    generator.  With a leading input axis the set runs input by input,
+    each input's generators piece by piece; either way generators keep
+    the order of the pieces and of the rows within them.  Each generator's
+    entries are sorted by basis index with one argsort per piece, and
+    exact-zero entries (a step unitary's zeros) are not stored, so every
     stored entry is a basis label the generator touches.
     """
     if not pieces:
-        return sparse.csc_array((dim, 0), dtype=complex)
-    rows = np.concatenate([np.ravel(r) for r, _ in pieces])
-    values = np.concatenate([np.ravel(v) for _, v in pieces]).astype(complex)
-    counts = np.concatenate([np.full(len(r), r.shape[1]) for r, _ in pieces])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    m = sparse.csc_array((values, rows, indptr), shape=(dim, len(counts)))
-    m.sort_indices()
-    m.eliminate_zeros()
-    return m
+        return _from_entries(dim, [], [], [])
+    lead = np.shape(pieces[0][0])[:-2]
+    flat_rows, flat_values, counts = [], [], []
+    for rows, values in pieces:
+        values = np.broadcast_to(values, np.shape(rows))
+        order = np.argsort(rows, axis=-1)
+        flat_rows.append(np.take_along_axis(rows, order, -1).reshape(*lead, -1))
+        flat_values.append(np.take_along_axis(values, order, -1).reshape(*lead, -1))
+        counts.append(np.full(rows.shape[-2], rows.shape[-1]))
+    return _from_entries(dim, np.concatenate(flat_rows, axis=-1).ravel(),
+                         np.concatenate(flat_values, axis=-1).ravel(),
+                         np.tile(np.concatenate(counts), math.prod(lead)))
 
 
-def _hstack(dim: int, mats: list[sparse.csc_array]) -> sparse.csc_array:
-    """Generator sets side by side as one d x k CSC matrix."""
+def _hstack(dim: int, mats: list[SetMatrix]) -> SetMatrix:
+    """Generator sets side by side as one SetMatrix."""
     if not mats:
-        return sparse.csc_array((dim, 0), dtype=complex)
-    return sparse.hstack(mats, format="csc")
+        return _from_entries(dim, [], [], [])
+    starts = np.cumsum([0] + [m.indptr[-1] for m in mats[:-1]])
+    indptr = np.concatenate([[0]] + [m.indptr[1:] + start
+                                     for m, start in zip(mats, starts)])
+    return SetMatrix(dim, indptr, np.concatenate([m.rows for m in mats]),
+                     np.concatenate([m.values for m in mats]))
 
 
-def _as_set_matrix(dim: int, vectors) -> sparse.csc_array:
-    """A generator set given as a sparse matrix or as a list of dense vectors."""
-    if sparse.issparse(vectors):
-        m = sparse.csc_array(vectors, dtype=complex)
-    elif len(vectors) == 0:
-        m = sparse.csc_array((dim, 0), dtype=complex)
+def _as_set_matrix(dim: int, vectors) -> SetMatrix:
+    """A generator set given as a SetMatrix or as a list of dense vectors."""
+    if isinstance(vectors, SetMatrix):
+        m = vectors
     else:
-        m = sparse.csc_array(np.stack([np.asarray(v, dtype=complex).ravel()
-                                       for v in vectors], axis=1))
-    if m.shape[0] != dim:
-        raise ValueError(f"generator length {m.shape[0]} does not match dim {dim}")
+        dense = (np.stack([np.asarray(v, dtype=complex).ravel() for v in vectors])
+                 if len(vectors) else np.zeros((0, dim), dtype=complex))
+        k, length = dense.shape
+        m = _from_entries(length, np.tile(np.arange(length), k), dense.ravel(),
+                          np.full(k, length))
+    if m.dim != dim:
+        raise ValueError(f"generator length {m.dim} does not match dim {dim}")
     return m
+
+
+def _restrict(m: SetMatrix, kept: np.ndarray, new_row: np.ndarray,
+              dim: int) -> SetMatrix:
+    """The kept generators of m on dim rows, each row r renumbered new_row[r].
+
+    Every row a kept generator touches must be among the dim rows; new_row
+    is increasing, so each generator's rows stay sorted.
+    """
+    entries = kept[m.cols]
+    return _from_entries(dim, new_row[m.rows[entries]], m.values[entries],
+                         np.diff(m.indptr)[kept])
+
+
+def _gram_pairs(m: SetMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram entries <g_i, g_j>, i < j, of the generators that share a label.
+
+    One argsort groups the entries by label, generators ascending within
+    a label; the pairs inside each label are enumerated by offset, and one
+    stable argsort of the pair keys gathers each pair's products, which
+    are summed in that fixed order.
+    """
+    k = m.shape[1]
+    order = np.argsort(m.rows * k + m.cols)
+    rows, cols, values = m.rows[order], m.cols[order], m.values[order]
+    first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for offset in range(1, len(rows)):
+        # a label holding s entries has pairs at offsets 1 .. s - 1 only
+        same = np.flatnonzero(rows[:-offset] == rows[offset:])
+        if not len(same):
+            break
+        first.append(same)
+        second.append(same + offset)
+    first, second = np.concatenate(first), np.concatenate(second)
+    keys = cols[first] * k + cols[second]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    products = values[first[order]].conj() * values[second[order]]
+    new = np.diff(keys, prepend=-1) != 0
+    unique = keys[new]
+    return unique // k, unique % k, _sum_by(np.cumsum(new) - 1, products, len(unique))
 
 
 class PEInstance:
     """A two-reflection phase-estimation instance.
 
     Holds the initial vector and the named generator sets of the two
-    reflection spans.  Each set is a sparse d x k CSC matrix whose columns
-    are the generators; a list of dense vectors is accepted too (for
-    hand-built instances) and converted once, so a_sets and b_sets always
-    hold sparse matrices.  Projections and span-membership distances of
-    single vectors run on the sparse side matrix, which is also the one
+    reflection spans.  Each set is a d x k SetMatrix whose columns are the
+    generators; a list of dense vectors is accepted too (for hand-built
+    instances) and converted once, so a_sets and b_sets always hold
+    SetMatrix records.  Projections and span-membership distances of
+    single vectors run on the side's stacked record, which is also the one
     place generator norms are computed and checked; the Gram residual and
     the cross-set cosines of the reflection-factorization check share one
-    cached sparse Gram per side.  No set reflection is ever built.
+    cached list of shared-label Gram entries per side.  No set reflection
+    is ever built.
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
@@ -287,8 +398,8 @@ class PEInstance:
     """
 
     def __init__(self, dim: int, psi0: np.ndarray,
-                 a_sets: dict[str, sparse.sparray | list[np.ndarray]],
-                 b_sets: dict[str, sparse.sparray | list[np.ndarray]]):
+                 a_sets: dict[str, SetMatrix | list[np.ndarray]],
+                 b_sets: dict[str, SetMatrix | list[np.ndarray]]):
         self.dim = dim
         self.psi0 = psi0
         self.a_sets = {k: _as_set_matrix(dim, v) for k, v in a_sets.items()}
@@ -297,17 +408,17 @@ class PEInstance:
         # call with one policy never reuses a check passed under another
         self._cache: dict[object, object] = {}
 
-    def _sets(self, side: str) -> dict[str, sparse.csc_array]:
+    def _sets(self, side: str) -> dict[str, SetMatrix]:
         return self.a_sets if side == "A" else self.b_sets
 
     def set_vectors(self, side: str, name: str) -> list[np.ndarray]:
         """The generators of one named set as dense vectors."""
-        return list(self._sets(side)[name].T.toarray())
+        return list(self._sets(side)[name].toarray().T)
 
     def generators(self, side: str) -> list[np.ndarray]:
         """All of one side's generators as dense vectors, set by set.
 
-        For the dense oracle paths; the sparse checks never call it.
+        For the dense oracle paths; the record-based checks never call it.
         """
         return [v for name in self._sets(side) for v in self.set_vectors(side, name)]
 
@@ -322,9 +433,8 @@ class PEInstance:
         if key not in self._cache:
             m = _hstack(self.dim, list(self._sets(side).values()))
             # sequential per-column sums in row order, as a dense column norm
-            cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
-            sq = m.data.real ** 2 + m.data.imag ** 2
-            norms = np.sqrt(np.bincount(cols, weights=sq, minlength=m.shape[1]))
+            sq = m.values.real ** 2 + m.values.imag ** 2
+            norms = np.sqrt(np.bincount(m.cols, weights=sq, minlength=m.shape[1]))
             self._cache[key] = (m, norms)
         m, norms = self._cache[key]
         if np.any(norms <= tol.rank_tol):
@@ -333,18 +443,21 @@ class PEInstance:
         return m, norms
 
     def _gram(self, side: str, tol: TolerancePolicy = DEFAULT_TOL):
-        """The side's sparse generator Gram matrix (COO), with the norms."""
+        """The side's off-diagonal generator Gram entries, with the norms.
+
+        (i, j, value) arrays over the pairs i < j of generators that share a
+        basis label, from _gram_pairs; every other off-diagonal entry is 0.
+        """
         m, norms = self._gen_matrix(side, tol)
         if f"gram_{side}" not in self._cache:
-            self._cache[f"gram_{side}"] = (m.conj().T @ m).tocoo()
+            self._cache[f"gram_{side}"] = _gram_pairs(m)
         return self._cache[f"gram_{side}"], norms
 
     def gram_offdiagonal_residual(self, side: str,
                                   tol: TolerancePolicy = DEFAULT_TOL) -> float:
         """Largest off-diagonal Gram entry among one side's generators."""
-        gram, _ = self._gram(side, tol)
-        off = gram.row != gram.col
-        return float(np.max(np.abs(gram.data[off]), initial=0.0))
+        (_, _, values), _ = self._gram(side, tol)
+        return float(np.max(np.abs(values), initial=0.0))
 
     def cross_set_cosine(self, side: str,
                          tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -352,12 +465,12 @@ class PEInstance:
 
         0 for a side with a single set; overlaps within a set are ignored.
         """
-        gram, norms = self._gram(side, tol)
+        (first, second, values), norms = self._gram(side, tol)
         sets = self._sets(side)
         owner = np.repeat(np.arange(len(sets)), [s.shape[1] for s in sets.values()])
-        row, col = gram.row, gram.col
-        cross = owner[row] != owner[col]
-        cosines = np.abs(gram.data[cross]) / (norms[row[cross]] * norms[col[cross]])
+        cross = owner[first] != owner[second]
+        cosines = (np.abs(values[cross])
+                   / (norms[first[cross]] * norms[second[cross]]))
         return float(np.max(cosines, initial=0.0))
 
     def projection_norm_sq(self, side: str, vec: np.ndarray,
@@ -369,7 +482,7 @@ class PEInstance:
         m, norms = self._gen_matrix(side, tol)
         if m.shape[1] == 0:
             return 0.0
-        overlaps = m.conj().T @ vec
+        overlaps = m.rmatvec(vec)
         return float(np.sum(np.abs(overlaps) ** 2 / norms ** 2))
 
     def membership_residual(self, side: str, vec: np.ndarray,
@@ -383,8 +496,8 @@ class PEInstance:
         m, norms = self._gen_matrix(side, tol)
         if m.shape[1] == 0:
             return float(np.linalg.norm(vec))
-        overlaps = m.conj().T @ vec
-        residual = vec - m @ (overlaps / norms ** 2)
+        overlaps = m.rmatvec(vec)
+        residual = vec - m.matvec(overlaps / norms ** 2)
         return float(np.linalg.norm(residual))
 
     def span_basis(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -423,20 +536,28 @@ class PEInstance:
         distribution as the full instance.  Cached.
         """
         if "component" not in self._cache:
-            mats = [m for side in ("A", "B") for m in self._sets(side).values()]
-            m = _hstack(self.dim, mats)
-            gens = self.dim + np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
-            nodes = self.dim + m.shape[1]
-            graph = sparse.coo_array((np.ones(m.nnz), (m.indices, gens)),
-                                     shape=(nodes, nodes))
-            _, labels = connected_components(graph, directed=False)
-            reached = np.isin(labels, labels[np.flatnonzero(self.psi0)])
-            rows = np.flatnonzero(reached[:self.dim])
-            start, parts = self.dim, []
+            m = _hstack(self.dim, [mat for side in ("A", "B")
+                                   for mat in self._sets(side).values()])
+            # grow psi0's support breadth first over the incidence until
+            # the generators touching the reached rows stop changing
+            rows_in = np.zeros(self.dim, dtype=bool)
+            rows_in[np.flatnonzero(self.psi0)] = True
+            gens_in = np.zeros(m.shape[1], dtype=bool)
+            while True:
+                touched = np.zeros(m.shape[1], dtype=bool)
+                touched[m.cols[rows_in[m.rows]]] = True
+                if np.array_equal(touched, gens_in):
+                    break
+                gens_in = touched
+                rows_in[m.rows[gens_in[m.cols]]] = True
+            rows = np.flatnonzero(rows_in)
+            new_row = np.cumsum(rows_in) - 1
+            start, parts = 0, []
             for side in ("A", "B"):
                 part = {}
                 for name, mat in self._sets(side).items():
-                    part[name] = mat[rows][:, reached[start:start + mat.shape[1]]]
+                    part[name] = _restrict(mat, gens_in[start:start + mat.shape[1]],
+                                           new_row, len(rows))
                     start += mat.shape[1]
                 parts.append(part)
             self._cache["component"] = PEInstance(
@@ -489,8 +610,8 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     query branches, weighted by omega), "query" (query transition folding
     the oracle answer into the returned bit), "check" (return-to-check
     transitions for both bit values), "absorb" (checked unmarked branches,
-    the dead end that closes the loop).  Each set is built as a sparse
-    matrix from index arrays.
+    the dead end that closes the loop).  Each set is built as a SetMatrix
+    from index arrays.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -632,8 +753,9 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
     inner transition sets ("even", "odd" by step parity) carry the
     subroutine steps on the fwd/bwd tracks and the turnaround vectors that
     reverse direction on freshly halted workspace labels.  Each set is
-    built as a sparse matrix from index arrays; the inner generators of
-    one step are computed for all inputs at once.
+    built as a SetMatrix from index arrays; the inner generators of one
+    step are computed for all inputs at once, and _set_matrix orders the
+    set input by input without a per-input loop.
     """
     n = spec.num_inputs
     basis = GeneralBasis.for_spec(spec)
@@ -699,11 +821,8 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
                         axis=-1)
         steps.append((t, rows, np.broadcast_to(pair, rows.shape)))
     # per input: its transitions by step, then its turnarounds by step
-    even: list[tuple[np.ndarray, np.ndarray]] = []
-    odd: list[tuple[np.ndarray, np.ndarray]] = []
-    for j in range(n):
-        for t, rows, values in steps:
-            (even if t % 2 == 0 else odd).append((rows[j], values[j]))
+    even = [(rows, values) for t, rows, values in steps if t % 2 == 0]
+    odd = [(rows, values) for t, rows, values in steps if t % 2 == 1]
 
     dim = basis.dim
     return PEInstance(

@@ -3,13 +3,16 @@
 All tolerance-sensitive comparisons in the package are routed through a
 single :class:`TolerancePolicy` so that assertions are reproducible across
 modules.  Everything here operates on plain ``numpy`` arrays: vectors are
-1-d complex arrays, operators are square 2-d complex arrays.
+1-d complex arrays, operators are square 2-d complex arrays, and nothing
+else is imported.
 
 Projectors onto the span of an arbitrary vector set come from one SVD
 (:func:`projector_from_set`); the decision engine needs none, because its span
 bases are normalized pairwise-orthogonal generators.  It hands the 2 x 2
 compressions of the walk on all rotation planes to :func:`unitary_eig` as
-one stack, which is decomposed in closed form.
+one stack, which is decomposed in closed form.  No d x d unitary is ever
+diagonalized here: the dense Schur decomposition of a whole walk is the
+test suite's oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: Hard cap on operator dimension.  All intended instances fit comfortably
 #: below this; anything above it is almost certainly a configuration error.
@@ -190,26 +192,18 @@ def _eig_2x2(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_eig(u: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary matrix or a (k, 2, 2) stack.
+    """Spectral decomposition of a (k, 2, 2) stack of unitaries, in closed form.
 
-    A single matrix goes through a complex Schur factorization: for a
-    normal matrix the Schur form is diagonal up to roundoff and the Schur
-    basis is exactly orthonormal, which is what downstream overlap
-    computations need.  A stack of 2 x 2 blocks is decomposed in closed
-    form (:func:`_eig_2x2`).  Either way the unitarity and reconstruction
-    residuals, taken over the whole input, must stay within assert_tol.
+    The blocks go through :func:`_eig_2x2`; the unitarity and
+    reconstruction residuals, taken over the whole stack, must stay
+    within assert_tol.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim == 3 and u.shape[1:] != (2, 2):
-        raise ValueError(f"stacked input must have shape (k, 2, 2), got {u.shape}")
-    check_dim(u.shape[-1])
+    if u.ndim != 3 or u.shape[1:] != (2, 2):
+        raise ValueError(f"input must be a (k, 2, 2) stack, got shape {u.shape}")
     if unitarity_residual(u) > tol.assert_tol:
         raise NonUnitaryError("input matrix is not unitary within tolerance")
-    if u.ndim == 3:
-        phases, q = _eig_2x2(u)
-    else:
-        t, q = scipy.linalg.schur(u, output="complex")
-        phases = np.angle(np.diagonal(t))
+    phases, q = _eig_2x2(u)
     phases = np.where(phases <= -np.pi + 1e-300, np.pi, phases)
     dec = SpectralDecomposition(phases=phases, vectors=q)
     resid = float(np.max(np.abs(dec.reconstruct() - u), initial=0.0))
@@ -219,12 +213,13 @@ def unitary_eig(u: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDe
 
 
 def cluster_phases(phases: np.ndarray, cluster_tol: float) -> list[np.ndarray]:
-    """Group sorted phase indices into clusters closer than cluster_tol."""
+    """Group sorted phase indices into clusters closer than cluster_tol.
+
+    A cluster ends where consecutive sorted phases differ by more than
+    cluster_tol, so a chain of close phases forms one cluster.
+    """
     order = np.argsort(phases)
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and abs(phases[idx] - phases[clusters[-1][-1]]) <= cluster_tol:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return [np.array(c) for c in clusters]
+    if not len(order):
+        return []
+    gaps = np.abs(np.diff(np.asarray(phases)[order])) > cluster_tol
+    return np.split(order, np.flatnonzero(gaps) + 1)

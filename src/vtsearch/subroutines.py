@@ -56,13 +56,25 @@ class SubroutineSpec:
             out.update(cell)
         return out
 
+    @cached_property
+    def _halted_table(self) -> np.ndarray:
+        """Row t is halted_mask(t), for t = 0 .. num_steps; read-only."""
+        table = np.zeros((self.num_steps + 1, 2, self.workspace_size), dtype=bool)
+        for t, cell in enumerate(self.partition[:self.num_steps], start=1):
+            table[t:, :, list(cell)] = True
+        table = table.reshape(self.num_steps + 1, self.space_dim)
+        table.flags.writeable = False
+        return table
+
     def halted_mask(self, t: int) -> np.ndarray:
-        """Boolean mask over H_A (x) H_Z of components halted by step t."""
-        mask = np.zeros(self.space_dim, dtype=bool)
-        for z in self.halted_labels(t):
-            mask[z] = True
-            mask[self.workspace_size + z] = True
-        return mask
+        """Boolean mask over H_A (x) H_Z of components halted by step t.
+
+        A read-only row of a table built once per spec; t past num_steps
+        reads the last row, where every label has halted.
+        """
+        if t < 0:
+            raise IndexError(f"step {t} is negative")
+        return self._halted_table[min(t, self.num_steps)]
 
     def initial_state(self) -> np.ndarray:
         psi = np.zeros(self.space_dim, dtype=complex)

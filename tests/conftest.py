@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vtsearch import (DEFAULT_TOL, cluster_phases, projector_from_set,
-                      qpe_kernel, reflection, stopping_profile, subroutine_pair,
-                      unitary_eig)
+from vtsearch import (DEFAULT_TOL, NonUnitaryError, SpectralDecomposition,
+                      cluster_phases, projector_from_set, qpe_kernel,
+                      reflection, stopping_profile, subroutine_pair,
+                      unitarity_residual)
+from vtsearch.linalg import check_dim
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
                                 SimpleBasis)
 
@@ -19,13 +22,35 @@ def span_residual(generators, vec):
     return float(np.linalg.norm(vec - m @ coef))
 
 
+def dense_unitary_eig(u, tol=DEFAULT_TOL):
+    """Oracle: spectral decomposition of one d x d unitary by complex Schur.
+
+    For a normal matrix the Schur form is diagonal up to roundoff and the
+    Schur basis is exactly orthonormal.  Checks the dimension cap, and
+    raises NonUnitaryError when the unitarity or reconstruction residual
+    exceeds assert_tol, as the library's closed-form stack path does.
+    """
+    u = np.asarray(u, dtype=complex)
+    check_dim(u.shape[-1])
+    if unitarity_residual(u) > tol.assert_tol:
+        raise NonUnitaryError("input matrix is not unitary within tolerance")
+    t, q = scipy.linalg.schur(u, output="complex")
+    phases = np.angle(np.diagonal(t))
+    dec = SpectralDecomposition(phases=np.where(phases <= -np.pi + 1e-300,
+                                                np.pi, phases), vectors=q)
+    resid = float(np.max(np.abs(dec.reconstruct() - u), initial=0.0))
+    if resid > tol.assert_tol:
+        raise NonUnitaryError(f"spectral reconstruction residual {resid:.3e} too large")
+    return dec
+
+
 def dense_walk_spectrum(instance, tol=DEFAULT_TOL):
     """Oracle: Schur decomposition of the full d x d walk.
 
     Returns every eigenphase with the squared overlap of psi0 on its
     eigenvector; the library's decision engine never builds this walk.
     """
-    dec = unitary_eig(instance.walk_unitary(tol), tol)
+    dec = dense_unitary_eig(instance.walk_unitary(tol), tol)
     return dec.phases, np.abs(dec.vectors.conj().T @ instance.psi0) ** 2
 
 

@@ -233,16 +233,21 @@ def test_cli_defaults_and_config_digest_unchanged():
 
 
 def test_import_and_suite_run_leave_scipy_stats_unloaded(tmp_path):
+    """No scipy module at all: not on import, nor in a suite or general-loop run."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
+        "def check(when):\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    assert not loaded, f'{when} loaded {loaded[:5]}'\n"
         "import vtsearch\n"
         "from vtsearch import cli\n"
-        "assert 'scipy.stats' not in sys.modules\n"
-        "status = cli.main(['suite', '--n', '2', '--steps', '2', '--workspace',"
-        " '2', '--num-seeds', '1', '--out', sys.argv[1]])\n"
-        "assert status == 0\n"
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        "check('import vtsearch')\n"
+        "small = ['--n', '2', '--steps', '2', '--workspace', '2', '--num-seeds', '1']\n"
+        "for kind in ('suite', 'general-loop'):\n"
+        "    status = cli.main([kind, *small, '--out', f'{sys.argv[1]}/{kind}'])\n"
+        "    assert status == 0\n"
+        "    check(kind)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],

@@ -115,6 +115,11 @@ def _assert_sets_match(inst, dense_sets):
                     else np.zeros((inst.dim, 0), dtype=complex))
             assert sets[name].shape == want.shape, (side, name)
             assert np.max(np.abs(sets[name].toarray() - want), initial=0.0) == 0.0
+            # each generator's labels ascending, and no exact zero stored
+            m = sets[name]
+            same_col = np.diff(m.cols) == 0
+            assert np.all(np.diff(m.rows)[same_col] > 0), (side, name)
+            assert np.all(m.values != 0), (side, name)
 
 
 def _assert_checks_match_dense(inst, probes):
@@ -123,11 +128,17 @@ def _assert_checks_match_dense(inst, probes):
         m = np.stack(inst.generators(side), axis=1)
         norms = np.linalg.norm(m, axis=0)
         gram = m.conj().T @ m
-        sparse_m, sparse_norms = inst._gen_matrix(side)
+        _, sparse_norms = inst._gen_matrix(side)
         assert np.max(np.abs(sparse_norms - norms)) <= SPARSE_TOL
-        assert np.max(np.abs((sparse_m.conj().T @ sparse_m).toarray()
-                             - gram)) <= SPARSE_TOL
         np.fill_diagonal(gram, 0.0)
+        # every off-diagonal entry: the listed pairs i < j, mirrored, and 0
+        # for every pair that shares no basis label
+        (first, second, values), _ = inst._gram(side)
+        assert np.all(first < second)
+        sparse_gram = np.zeros_like(gram)
+        sparse_gram[first, second] = values
+        sparse_gram[second, first] = values.conj()
+        assert np.max(np.abs(sparse_gram - gram), initial=0.0) <= SPARSE_TOL
         assert abs(inst.gram_offdiagonal_residual(side)
                    - np.max(np.abs(gram))) <= SPARSE_TOL
         for vec in probes:
@@ -170,6 +181,42 @@ def test_general_sets_match_dense_oracle(shape):
                  [pair.negative.w_a, pair.negative.w_b])):
             _assert_sets_match(inst, dense_general_sets(spec, weights))
             _assert_checks_match_dense(inst, _probes(inst, n, vectors))
+
+
+def test_gram_of_overlapping_generators_matches_dense():
+    """Up to five generators share a label and none is orthogonal to another.
+
+    The builders' Gram entries are all roundoff, so this is the case that
+    shows a pair missed or counted twice, at every offset within a label.
+    """
+    rng = np.random.default_rng(8)
+    dim = 12
+
+    def overlapping(count):
+        vecs = []
+        for _ in range(count):
+            v = np.zeros(dim, dtype=complex)
+            v[rng.choice(dim, size=5, replace=False)] = (
+                rng.normal(size=5) + 1j * rng.normal(size=5))
+            vecs.append(v)
+        return vecs
+
+    a, b = overlapping(9), overlapping(6)
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[0] = 1.0
+    inst = PEInstance(dim, psi0, a_sets={"x": a[:4], "y": a[4:]}, b_sets={"z": b})
+    (first, second, _), _ = inst._gram("A")
+    assert np.max(np.bincount(inst._gen_matrix("A")[0].rows)) >= 4
+    # one entry per pair that shares a label, each listed once
+    shared = {(i, j) for i in range(9) for j in range(i + 1, 9)
+              if np.any((a[i] != 0) & (a[j] != 0))}
+    assert set(zip(first.tolist(), second.tolist())) == shared
+    assert len(first) == len(shared)
+    _assert_checks_match_dense(inst, _probes(inst, 8, []))
+    m = np.stack(a, axis=1) / np.linalg.norm(np.stack(a, axis=1), axis=0)
+    cosines = np.abs(m[:, :4].conj().T @ m[:, 4:])
+    assert abs(inst.cross_set_cosine("A") - np.max(cosines)) <= SPARSE_TOL
+    assert inst.cross_set_cosine("B") == 0.0
 
 
 # ---------------------------------------------------------------------------

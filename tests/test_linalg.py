@@ -9,6 +9,8 @@ from vtsearch.linalg import (DIM_CAP, DimensionCapError, NonUnitaryError,
                              projector_from_set, reflection,
                              unitarity_residual, unitary_eig)
 
+from conftest import dense_unitary_eig
+
 RNG = np.random.default_rng(1234)
 
 
@@ -89,16 +91,20 @@ def test_reflection_is_involution():
 
 
 def test_unitary_eig_reconstructs():
+    """The library's stack path, and the dense oracle on one 12 x 12 unitary."""
     u = scipy.stats.unitary_group.rvs(12, random_state=RNG)
-    dec = unitary_eig(u)
-    assert np.max(np.abs(dec.reconstruct() - u)) < 1e-10
-    assert np.all(dec.phases > -np.pi - 1e-12) and np.all(dec.phases <= np.pi + 1e-12)
-    assert unitarity_residual(dec.vectors) < 1e-12
+    stack = scipy.stats.unitary_group.rvs(2, size=12, random_state=RNG)
+    for dec, want in ((dense_unitary_eig(u), u), (unitary_eig(stack), stack)):
+        assert np.max(np.abs(dec.reconstruct() - want)) < 1e-10
+        assert np.all(dec.phases > -np.pi - 1e-12) and np.all(dec.phases <= np.pi + 1e-12)
+        assert unitarity_residual(dec.vectors) < 1e-12
 
 
 def test_unitary_eig_rejects_non_unitary():
     with pytest.raises(NonUnitaryError):
-        unitary_eig(np.diag([1.0, 2.0]))
+        unitary_eig(np.diag([1.0, 2.0])[None])
+    with pytest.raises(NonUnitaryError):
+        dense_unitary_eig(np.diag([1.0, 2.0]))
 
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -130,7 +136,7 @@ def test_unitary_eig_stack_matches_schur_per_block():
     assert np.all(dec.phases > -np.pi) and np.all(dec.phases <= np.pi)
     for block, phases in zip(stack, dec.phases):
         # compare eigenvalues on the circle, so a phase at the +-pi cut matches
-        ours, ref = np.exp(1j * phases), np.exp(1j * unitary_eig(block).phases)
+        ours, ref = np.exp(1j * phases), np.exp(1j * dense_unitary_eig(block).phases)
         assert min(np.max(np.abs(ours - ref)),
                    np.max(np.abs(ours - ref[::-1]))) < 1e-12
     # the near-identity blocks keep their +-1e-9 splitting
@@ -146,6 +152,9 @@ def test_unitary_eig_stack_edge_cases():
         unitary_eig(stack)
     with pytest.raises(ValueError):
         unitary_eig(np.array([np.eye(3)]))
+    # a single matrix is not a stack: whole walks are the dense oracle's
+    with pytest.raises(ValueError):
+        unitary_eig(np.eye(2))
 
 
 def test_cluster_phases_groups_near_degenerate():
@@ -156,3 +165,10 @@ def test_cluster_phases_groups_near_degenerate():
     # each cluster internally tight
     for c in clusters:
         assert np.ptp(phases[c]) <= 1e-9
+    # a chain, each phase within tol of the next, is one cluster however
+    # far its ends lie apart; a gap just over tol splits it
+    chain = 0.3 + 0.9e-9 * np.arange(50)
+    shuffled = np.random.default_rng(5).permutation(len(chain))
+    clusters = cluster_phases(np.concatenate([chain[shuffled], [0.3 + 46e-9]]), 1e-9)
+    assert [len(c) for c in clusters] == [50, 1]
+    assert cluster_phases(np.array([]), 1e-9) == []

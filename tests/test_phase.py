@@ -266,6 +266,50 @@ def test_restriction_to_psi0_components_matches_dense(seed, reached, shared):
     _assert_matches_dense_oracle(inst)
 
 
+def test_restriction_follows_a_deep_chain():
+    """psi0 reaches the far end of a chain 42 generator hops deep.
+
+    A generators join rows (2j, 2j + 1) and B generators rows (2j + 1,
+    2j + 2) of the first chain, so psi0 on its row 0 meets row 2j only
+    after 2j hops; a second chain never meets psi0.  Row labels are
+    shuffled so the chains interleave, and each side's set interleaves
+    the two chains' generators.
+    """
+    rng = np.random.default_rng(3)
+    links = (21, 3)                      # A (and B) generators per chain
+    dim = sum(2 * k + 1 for k in links)
+    label = rng.permutation(dim)
+    gens = {"A": [], "B": []}           # (position in its set, chain, vector)
+    start = 0
+    for chain, k in enumerate(links):
+        for j in range(k):
+            for side, first in (("A", 2 * j), ("B", 2 * j + 1)):
+                v = np.zeros(dim, dtype=complex)
+                v[label[start + first:start + first + 2]] = (
+                    rng.normal(size=2) + 1j * rng.normal(size=2))
+                gens[side].append((j + 0.5 * chain, chain, v))
+        start += 2 * k + 1
+    gens = {side: sorted(g, key=lambda x: x[0]) for side, g in gens.items()}
+    vecs = {side: [v for _, _, v in g] for side, g in gens.items()}
+    owner = {side: [c for _, c, _ in g] for side, g in gens.items()}
+    assert owner["A"][:2] == [0, 1]      # the chains interleave
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[label[0]] = 1.0
+    inst = PEInstance(dim=dim, psi0=psi0, a_sets={"a": vecs["A"]},
+                      b_sets={"b": vecs["B"]})
+
+    part = inst.psi0_component()
+    rows = np.sort(label[:2 * links[0] + 1])
+    assert part.dim == len(rows)
+    assert np.array_equal(part.psi0, psi0[rows])
+    for side, name in (("A", "a"), ("B", "b")):
+        kept = [v[rows] for v, o in zip(vecs[side], owner[side]) if o == 0]
+        got = part.set_vectors(side, name)
+        assert len(got) == len(kept) == links[0]
+        assert all(np.array_equal(g, k) for g, k in zip(got, kept))
+    _assert_matches_dense_oracle(inst)
+
+
 def test_decides_general_instance_past_the_dense_cap():
     """(n, T, Z) = (16, 4, 4), d = 9520: decided on psi0's component alone."""
     pair, = regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])

@@ -48,6 +48,22 @@ def test_halted_space_violation_is_named():
     assert not check.passed and "step 2" in check.detail and "input 0" in check.detail
 
 
+@pytest.mark.parametrize("seed,n,t,z", [(0, 3, 4, 4), (5, 2, 6, 3), (2, 1, 2, 2)])
+def test_halted_mask_is_the_union_of_partition_cells(seed, n, t, z):
+    """Each row of the cached table against the cells halted by step t."""
+    spec = random_subroutine(seed, n, t, z)
+    for step in range(t + 3):
+        halted = {label for cell in spec.partition[:step] for label in cell}
+        want = np.array([label % z in halted for label in range(2 * z)])
+        mask = spec.halted_mask(step)
+        assert np.array_equal(mask, want), step
+        assert not mask.flags.writeable
+    # rows of one table built once, not a fresh mask per call
+    assert spec.halted_mask(0).base is spec.halted_mask(t).base is not None
+    with pytest.raises(IndexError):
+        spec.halted_mask(-1)
+
+
 def test_stopping_profile_point_mass_at_final_step():
     spec = identity_spec(n=1, t=3, w=2)
     p = stopping_profile(spec, 0)
