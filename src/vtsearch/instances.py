@@ -707,8 +707,16 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
     "bwd" (bit f(i)) tracks.  plus[j] and minus[j] are the forward and
     rewind states on those labels: 1/sqrt(alpha_t) weights on both tracks,
     and alternating-sign sqrt(alpha_t) weights with a relative minus sign
-    between tracks.  norm_plus and norm_minus are their closed squared
-    norms, from spec.stopping_profiles.
+    between tracks.
+
+    The state at counter t is the history's projected recurrence, which
+    removes the part halted by step t - 1 before applying U_t.  Because
+    every U_t acts as the identity on the labels halted by step t - 1
+    (validate's halted_space_fixed check), that equals spec.trajectory's
+    row t with those labels zeroed, which is what is read here.  Its
+    squared norm is P[T_i >= t], so norm_plus and norm_minus, the closed
+    squared norms 2 E[sum_{t<=T_i} 1/alpha_t] and 2 E[sum_{t<=T_i} alpha_t],
+    are sums over spec.survival, accumulated in t order.
     """
     alpha = np.asarray(alpha, dtype=float)
     if len(alpha) != spec.num_steps + 1 or abs(alpha[0] - 1.0) > 1e-14:
@@ -724,25 +732,24 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
     # (input, t, track, (a, z) block)
     rows = np.stack([basis.az_indices("fwd", i, 0, t),
                      basis.az_indices("bwd", i, fi, t)], axis=2)
-    # the part halted by step t - 1 is projected away before step t, so the
-    # squared norm of states[j, t] is the survival probability P[T_i >= t]
-    states = np.zeros((len(inputs), len(t), spec.space_dim), dtype=complex)
-    states[:, 0] = spec.initial_state()
-    for step in range(1, len(t)):
-        live = ~spec.halted_mask(step - 1)
-        for j, k in enumerate(inputs):
-            states[j, step] = (spec.unitaries[k, step - 1]
-                               @ np.where(live, states[j, step - 1], 0))
+    # row t: the labels halted by step t - 1 (none at t = 0)
+    halted = np.array([spec.halted_mask(max(s - 1, 0)) for s in t])
+    states = np.where(halted, 0, spec.trajectory[inputs])
     forward = states / np.sqrt(alpha)[:, None]
     signed = states * np.array([(-1.0) ** s * math.sqrt(a)
                                 for s, a in enumerate(alpha)])[:, None]
     width = 2 * len(t) * spec.space_dim
-    profiles = [spec.stopping_profiles[k] for k in inputs]
+    survival = spec.survival[inputs]
+    # one term per t, added in t order: np.sum or @ would regroup sums of
+    # eight or more terms and move the closed norms in the last bit
+    norm_plus, norm_minus = np.zeros(len(inputs)), np.zeros(len(inputs))
+    for s, a in enumerate(alpha):
+        norm_plus = norm_plus + 1.0 / a * survival[:, s]
+        norm_minus = norm_minus + a * survival[:, s]
     return (rows.reshape(-1, width),
             np.stack([forward, forward], axis=2).reshape(-1, width),
             np.stack([signed, -signed], axis=2).reshape(-1, width),
-            np.array([2.0 * p.expected_sum(lambda s: 1.0 / alpha[s]) for p in profiles]),
-            np.array([2.0 * p.expected_sum(lambda s: alpha[s]) for p in profiles]))
+            2.0 * norm_plus, 2.0 * norm_minus)
 
 
 def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance:
@@ -792,8 +799,7 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
     a_g = np.array([0, 1])[None, :, None]
     steps = []   # (step, rows, values), each with a leading input axis
     for t in range(t_max):
-        halted = spec.halted_labels(t)
-        z_g = np.array([z for z in range(w) if z not in halted], dtype=int)
+        z_g = np.flatnonzero(~spec.halted_mask(t)[:w])   # live workspace labels
         shape = (n, 2, 2, 2, len(z_g), 2 * w)   # input, tag, b, a, z, entry
         here = np.stack([idx(tag, i_g, b_g, a_g, z_g, t)
                          for tag in ("fwd", "bwd")], axis=1)

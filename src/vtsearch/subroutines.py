@@ -7,6 +7,13 @@ exactly at step ``t``.  Each step unitary must act as the identity on the
 already-halted subspace, and the final state must sit entirely in the
 claimed answer sector (zero error).
 
+Each spec evolves once: ``SubroutineSpec.trajectory`` holds every input's
+run U_t .. U_1 psi0, computed with one stacked product per step and
+cached.  The stopping profiles and their survival table, validate's
+zero-error check, run_subroutine, and the witnesses' history states all
+read it.  cascade_profile stays outside it as an independent
+density-matrix oracle for the stopping profiles.
+
 Basis convention on ``H_A (x) H_Z``: index = a * workspace_size + z, with
 the answer bit ``a`` the slow index.  Inputs are 0-based: ``i`` ranges over
 ``range(num_inputs)``.
@@ -49,13 +56,6 @@ class SubroutineSpec:
     def space_dim(self) -> int:
         return 2 * self.workspace_size
 
-    def halted_labels(self, t: int) -> set[int]:
-        """Workspace labels that have halted by step t (inclusive)."""
-        out: set[int] = set()
-        for cell in self.partition[:t]:
-            out.update(cell)
-        return out
-
     @cached_property
     def _halted_table(self) -> np.ndarray:
         """Row t is halted_mask(t), for t = 0 .. num_steps; read-only."""
@@ -82,9 +82,36 @@ class SubroutineSpec:
         return psi
 
     @cached_property
+    def trajectory(self) -> np.ndarray:
+        """Row [i, t] is U_t .. U_1 psi0 for input i, t = 0 .. num_steps; read-only.
+
+        Shape (num_inputs, num_steps + 1, space_dim), one stacked product
+        per step over all inputs, computed once per spec.
+        """
+        states = np.zeros((self.num_inputs, self.num_steps + 1, self.space_dim),
+                          dtype=complex)
+        states[:, 0] = self.initial_state()
+        for t in range(self.num_steps):
+            states[:, t + 1] = (self.unitaries[:, t] @ states[:, t, :, None])[..., 0]
+        states.flags.writeable = False
+        return states
+
+    @cached_property
     def stopping_profiles(self) -> tuple["StoppingProfile", ...]:
         """stopping_profile of every input, computed once per spec."""
         return tuple(stopping_profile(self, i) for i in range(self.num_inputs))
+
+    @cached_property
+    def survival(self) -> np.ndarray:
+        """Row i, column t is P[T_i >= t], t = 0 .. num_steps; read-only.
+
+        1 for t <= 1, then 1 - cdf[t - 2] of input i's stopping profile.
+        """
+        table = np.ones((self.num_inputs, self.num_steps + 1))
+        cdf = np.array([p.cdf for p in self.stopping_profiles])
+        table[:, 2:] = 1.0 - cdf[:, :-1]
+        table.flags.writeable = False
+        return table
 
     def marked_set(self) -> frozenset[int]:
         return frozenset(i for i, b in enumerate(self.outputs) if b == 1)
@@ -151,16 +178,6 @@ class StoppingProfile:
     def num_steps(self) -> int:
         return len(self.pmf)
 
-    def survival(self, t: int) -> float:
-        """P[T >= t]; equals 1 for t <= 1 (and for t = 0)."""
-        if t <= 1:
-            return 1.0
-        return float(1.0 - self.cdf[t - 2])
-
-    def expected_sum(self, weight) -> float:
-        """E[ sum_{t=0}^{T} weight(t) ] for a deterministic weight function."""
-        return float(sum(weight(t) * self.survival(t) for t in range(self.num_steps + 1)))
-
     def moments(self) -> tuple[float, float]:
         """E[T] and E[T^2]."""
         ts = np.arange(1, self.num_steps + 1, dtype=float)
@@ -215,50 +232,50 @@ def validate(spec: SubroutineSpec, tol: TolerancePolicy = DEFAULT_TOL) -> Valida
                    f"{len(spec.partition)} cells for {spec.num_steps} steps")
         return report
 
+    n, w = spec.num_inputs, spec.workspace_size
     worst_unitarity = 0.0
-    worst_invariance = 0.0
+    # invariance[i, t - 1]: how far step t of input i moves a halted label
+    invariance = np.zeros((n, spec.num_steps))
+    eye = np.eye(spec.space_dim)
+    for t in range(1, spec.num_steps + 1):
+        us = spec.unitaries[:, t - 1]
+        worst_unitarity = max(worst_unitarity, unitarity_residual(us))
+        mask = spec.halted_mask(t - 1)
+        if mask.any():
+            # identity on the halted subspace: U e_j = e_j for halted j
+            invariance[:, t - 1] = np.max(np.abs(us[:, :, mask] - eye[:, mask]),
+                                          axis=(1, 2))
+    worst_invariance = float(np.max(invariance, initial=0.0))
     worst_at = ""
-    for i in range(spec.num_inputs):
-        for t in range(1, spec.num_steps + 1):
-            u = spec.unitaries[i, t - 1]
-            worst_unitarity = max(worst_unitarity, unitarity_residual(u))
-            mask = spec.halted_mask(t - 1)
-            if mask.any():
-                # identity on the halted subspace: U e_j = e_j for halted j
-                resid = float(np.max(np.abs(u[:, mask] - np.eye(spec.space_dim)[:, mask])))
-                if resid > worst_invariance:
-                    worst_invariance = resid
-                    worst_at = f"step {t}, input {i}"
+    if worst_invariance > 0.0:
+        # the first input, then the first step, that reaches the worst residual
+        i, t = np.unravel_index(np.argmax(invariance), invariance.shape)
+        worst_at = f"step {t + 1}, input {i}"
     report.add("step_unitarity", worst_unitarity <= tol.assert_tol, worst_unitarity)
     report.add("halted_space_fixed", worst_invariance <= tol.assert_tol,
                worst_invariance, worst_at)
 
-    worst_zero_error = 0.0
-    for i in range(spec.num_inputs):
-        psi = spec.initial_state()
-        for t in range(spec.num_steps):
-            psi = spec.unitaries[i, t] @ psi
-        wrong = psi.copy()
-        lo = spec.outputs[i] * spec.workspace_size
-        wrong[lo:lo + spec.workspace_size] = 0.0
-        worst_zero_error = max(worst_zero_error, float(np.linalg.norm(wrong)))
+    # final states with the claimed answer sector zeroed
+    wrong = spec.trajectory[:, -1].copy()
+    wrong.reshape(n, 2, w)[np.arange(n), list(spec.outputs)] = 0.0
+    worst_zero_error = max((float(np.linalg.norm(v)) for v in wrong), default=0.0)
     report.add("zero_error", worst_zero_error <= tol.assert_tol, worst_zero_error)
     return report
 
 
 def stopping_profile(spec: SubroutineSpec, i: int) -> StoppingProfile:
-    """Exact stopping-time distribution of input i via statevector evolution.
+    """Exact stopping-time distribution of input i from spec.trajectory.
 
     cdf(t) is the squared norm of the halted-by-t component of the state
-    after step t; no sampling is involved.
+    after step t, read off input i's row of the spec's one evolution; no
+    sampling is involved.
     """
     if not (0 <= i < spec.num_inputs):
         raise IndexError(f"input index {i} out of range")
-    psi = spec.initial_state()
+    states = spec.trajectory[i]
     cdf = np.zeros(spec.num_steps)
     for t in range(1, spec.num_steps + 1):
-        psi = spec.unitaries[i, t - 1] @ psi
-        cdf[t - 1] = float(np.linalg.norm(psi[spec.halted_mask(t)]) ** 2)
+        cdf[t - 1] = float(np.linalg.norm(states[t][spec.halted_mask(t)]) ** 2)
     pmf = np.diff(cdf, prepend=0.0)
     pmf = np.clip(pmf, 0.0, None)
     return StoppingProfile(pmf=pmf, cdf=cdf)
@@ -275,8 +292,11 @@ def cascade_profile(spec: SubroutineSpec, i: int) -> StoppingProfile:
 
     Runs the subroutine as a density matrix, performing the done/not-done
     measurement after every step and discarding (but accounting) the
-    halted branch.  Independent of stopping_profile's statevector path.
+    halted branch.  Independent of stopping_profile's statevector path
+    and of spec.trajectory.
     """
+    if not (0 <= i < spec.num_inputs):
+        raise IndexError(f"input index {i} out of range")
     psi = spec.initial_state()
     rho = np.outer(psi, psi.conj())
     pmf = np.zeros(spec.num_steps)
@@ -296,14 +316,13 @@ def run_subroutine(spec: SubroutineSpec, i: int,
                    tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     """Run all steps of input i; return (answer bit, final state).
 
-    Raises ZeroErrorViolation if the final state leaks outside the claimed
-    answer sector.
+    The final state is input i's last row of spec.trajectory, read-only.
+    Raises ZeroErrorViolation if it leaks outside the claimed answer
+    sector.
     """
     if not (0 <= i < spec.num_inputs):
         raise IndexError(f"input index {i} out of range")
-    psi = spec.initial_state()
-    for t in range(spec.num_steps):
-        psi = spec.unitaries[i, t] @ psi
+    psi = spec.trajectory[i, -1]
     answer = spec.outputs[i]
     wrong = psi.copy()
     lo = answer * spec.workspace_size

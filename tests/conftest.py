@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from vtsearch import (DEFAULT_TOL, NonUnitaryError, SpectralDecomposition,
                       cluster_phases, projector_from_set, qpe_kernel,
                       reflection, stopping_profile, subroutine_pair,
                       unitarity_residual)
 from vtsearch.linalg import check_dim
+from vtsearch.subroutines import BlockSchedule
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
                                 SimpleBasis)
 
@@ -147,7 +149,8 @@ def dense_general_sets(spec, weights):
     for j in range(n):
         i = j + 1
         for t in range(t_max):
-            active = [z for z in range(w) if z not in spec.halted_labels(t)]
+            halted = {z for cell in spec.partition[:t] for z in cell}
+            active = [z for z in range(w) if z not in halted]
             u_next = spec.unitaries[j, t]
             bucket = even if t % 2 == 0 else odd
             for tag in ("fwd", "bwd"):
@@ -199,7 +202,22 @@ def dense_simple_witnesses(oracle, omega):
     return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=1.0 + 3.0 * omega)
 
 
-def _dense_inner_history(spec, i):
+def expected_sum(profile, weights):
+    """Oracle E[sum_{t=0}^{T} weights[t]] from a stopping profile's cdf.
+
+    P[T >= t] is 1 for t <= 1 and 1 - cdf[t - 2] after; Python's sum adds
+    the terms one at a time, in t order.
+    """
+    survival = [1.0, 1.0] + [1.0 - c for c in profile.cdf[:-1]]
+    return float(sum(w * s for w, s in zip(weights, survival)))
+
+
+def dense_inner_history(spec, i):
+    """Oracle: input i's history by the projected recurrence, one step at a time.
+
+    Zeroes the part halted by step t - 1 before applying U_t; the library
+    reads the same states off spec.trajectory instead.
+    """
     states = [spec.initial_state()]
     for t in range(1, spec.num_steps + 1):
         prev = states[-1].copy()
@@ -218,7 +236,7 @@ def _dense_history_states(spec, i, alpha):
     alpha = np.asarray(alpha, dtype=float)
     basis = GeneralBasis.for_spec(spec)
     fi = spec.outputs[i]
-    inner = _dense_inner_history(spec, i)
+    inner = dense_inner_history(spec, i)
     profile = stopping_profile(spec, i)
 
     w_plus = np.zeros(basis.dim, dtype=complex)
@@ -232,8 +250,8 @@ def _dense_history_states(spec, i, alpha):
         w_minus[fwd] += signed
         w_minus[bwd] -= signed
 
-    norm_plus = 2.0 * profile.expected_sum(lambda t: 1.0 / alpha[t])
-    norm_minus = 2.0 * profile.expected_sum(lambda t: alpha[t])
+    norm_plus = 2.0 * expected_sum(profile, 1.0 / alpha)
+    norm_minus = 2.0 * expected_sum(profile, alpha)
     return w_plus, w_minus, norm_plus, norm_minus
 
 
@@ -277,6 +295,29 @@ def dense_general_witnesses(spec, weights):
     w_b = -w_a
     w_b[psi0_idx] += 1.0
     return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=closed)
+
+
+def random_block_schedule(seed, blocks=(2, 2), zp=2, n=2, projector_rank=1):
+    """Zero-error block algorithm: generic on the workspace, trivial answer.
+
+    The steps act as identity on the answer register (so the claimed
+    output bit is exact); the variable-time structure comes entirely
+    from the workspace dynamics and the success measurement.
+    """
+    rng = np.random.default_rng(seed)
+    t = sum(blocks)
+    us = np.empty((n, t, 2 * zp, 2 * zp), dtype=complex)
+    for i in range(n):
+        for s in range(t):
+            us[i, s] = np.kron(np.eye(2),
+                               scipy.stats.unitary_group.rvs(zp, random_state=rng))
+    if projector_rank >= zp:
+        meas = np.eye(zp)
+    else:
+        q = np.linalg.qr(rng.normal(size=(zp, projector_rank)))[0]
+        meas = q @ q.conj().T
+    return BlockSchedule(block_lengths=blocks, inner_workspace_size=zp,
+                         step_unitaries=us, measurement=meas)
 
 
 @pytest.fixture(scope="session")

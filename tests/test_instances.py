@@ -15,11 +15,14 @@ from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 simple_witnesses, verify_witnesses)
 from vtsearch.linalg import DEFAULT_TOL
 from vtsearch.phase import regime_pairs
-from vtsearch.subroutines import (random_subroutine, stopping_moments,
-                                  stopping_profile, subroutine_pair)
+from vtsearch.subroutines import (build_block_subroutine, random_subroutine,
+                                  stopping_moments, stopping_profile,
+                                  subroutine_pair)
 
 from conftest import (dense_general_sets, dense_general_witnesses,
-                      dense_simple_sets, dense_simple_witnesses, span_residual)
+                      dense_inner_history, dense_simple_sets,
+                      dense_simple_witnesses, expected_sum,
+                      random_block_schedule, span_residual)
 
 SPARSE_TOL = 1e-14
 
@@ -346,8 +349,8 @@ def test_history_lemma_items(seed):
         w_minus_prime[basis.index("bwd", i + 1, spec.outputs[i], 0, 0, 0)] += 1.0
         profile = stopping_profile(spec, i)
         # item 1: closed norms from the stopping profile
-        want_plus = 2.0 * profile.expected_sum(lambda t: 1.0 / weights.alpha[t])
-        want_minus = 2.0 * profile.expected_sum(lambda t: weights.alpha[t])
+        want_plus = 2.0 * expected_sum(profile, 1.0 / weights.alpha)
+        want_minus = 2.0 * expected_sum(profile, weights.alpha)
         assert np.linalg.norm(w_plus) ** 2 == pytest.approx(want_plus, abs=1e-8)
         assert np.linalg.norm(w_minus) ** 2 == pytest.approx(want_minus, abs=1e-8)
         # item 2: forward history orthogonal to both inner transition sets
@@ -371,6 +374,39 @@ def test_history_rejects_bad_alpha():
 def test_history_rejects_inputs_out_of_range(inputs):
     with pytest.raises(IndexError):
         history_states(_deterministic_t2_spec(), inputs, np.ones(3))
+
+
+@pytest.mark.parametrize("spec", [
+    random_subroutine(4, 3, 8, 4, marked=(1,)),
+    random_subroutine(5, 2, 16, 6, marked=(0,)),
+    build_block_subroutine(random_block_schedule(3, blocks=(2, 2))),
+], ids=["T=8", "T=16", "block"])
+def test_history_states_equal_projected_recurrence(spec):
+    """States read off spec.trajectory equal the step-by-step projected oracle."""
+    n, width = spec.num_inputs, spec.num_steps + 1
+    _, plus, minus, _, _ = history_states(spec, range(n), np.ones(width))
+    # with unit alpha, plus holds every state on both tracks, minus with signs
+    plus = plus.reshape(n, width, 2, spec.space_dim)
+    minus = minus.reshape(n, width, 2, spec.space_dim)
+    signs = np.array([(-1.0) ** t for t in range(width)])[:, None]
+    for i in range(n):
+        want = np.array(dense_inner_history(spec, i))
+        assert np.array_equal(plus[i, :, 0], want)
+        assert np.array_equal(plus[i, :, 1], want)
+        assert np.array_equal(minus[i, :, 0], signs * want)
+        assert np.array_equal(minus[i, :, 1], -signs * want)
+
+
+@pytest.mark.parametrize("seed,n,t,z", [(0, 16, 8, 4), (1, 8, 16, 5), (2, 3, 3, 3)])
+def test_history_closed_norms_sum_in_step_order(seed, n, t, z):
+    """Closed norms equal, bit for bit, a per-input sum over the cdf in t order."""
+    spec = random_subroutine(seed, n, t, z, marked=(0,))
+    alpha = np.concatenate([[1.0], np.random.default_rng(seed).uniform(0.1, 9.0, t)])
+    _, _, _, norm_plus, norm_minus = history_states(spec, range(n), alpha)
+    for i in range(n):
+        profile = stopping_profile(spec, i)
+        assert norm_plus[i] == 2.0 * expected_sum(profile, 1.0 / alpha)
+        assert norm_minus[i] == 2.0 * expected_sum(profile, alpha)
 
 
 # ---------------------------------------------------------------------------

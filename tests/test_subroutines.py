@@ -17,6 +17,8 @@ from vtsearch.subroutines import (BlockSchedule, StoppingProfile,
                                   stopping_moments, stopping_profile,
                                   subroutine_pair, validate)
 
+from conftest import random_block_schedule
+
 
 def identity_spec(n=2, t=3, w=4):
     """All steps are identities; everything halts at the final step."""
@@ -68,8 +70,8 @@ def test_stopping_profile_point_mass_at_final_step():
     spec = identity_spec(n=1, t=3, w=2)
     p = stopping_profile(spec, 0)
     assert np.allclose(p.pmf, [0.0, 0.0, 1.0], atol=1e-14)
-    assert p.survival(3) == pytest.approx(1.0)
-    assert p.survival(0) == 1.0
+    assert spec.survival[0, 3] == pytest.approx(1.0)
+    assert spec.survival[0, 0] == 1.0
 
 
 def test_profile_moments_examples():
@@ -128,6 +130,46 @@ def test_run_subroutine_detects_zero_error_violation():
                           outputs=(1, 0))
     with pytest.raises(ZeroErrorViolation):
         run_subroutine(lied, 0)
+
+
+def test_validate_reports_zero_error_violation():
+    spec = random_subroutine(3, num_inputs=2, num_steps=2, workspace_size=2)
+    lied = SubroutineSpec(num_inputs=2, num_steps=2, workspace_size=2,
+                          partition=spec.partition, unitaries=spec.unitaries,
+                          outputs=(1, 0))
+    report = validate(lied)
+    assert not report.passed
+    checks = {c.name: c for c in report.checks}
+    assert checks["step_unitarity"].passed and checks["halted_space_fixed"].passed
+    # unmarked input 0 ends wholly in answer sector 0, which the lie zeroes out
+    assert not checks["zero_error"].passed
+    assert checks["zero_error"].residual == pytest.approx(1.0, abs=1e-12)
+    assert validate(spec).passed
+
+
+@pytest.mark.parametrize("reader", [stopping_profile, run_subroutine, cascade_profile])
+def test_input_index_out_of_range(reader):
+    spec = random_subroutine(0, num_inputs=3, num_steps=2, workspace_size=2)
+    for i in (-1, spec.num_inputs):
+        with pytest.raises(IndexError):
+            reader(spec, i)
+
+
+@pytest.mark.parametrize("seed,n,t,z", [(0, 3, 4, 4), (1, 5, 8, 3)])
+def test_trajectory_is_the_per_input_evolution(seed, n, t, z):
+    spec = random_subroutine(seed, n, t, z, marked=(1,))
+    traj = spec.trajectory
+    assert traj.shape == (n, t + 1, 2 * z)
+    assert spec.trajectory is traj and not traj.flags.writeable
+    with pytest.raises(ValueError):
+        traj[0, 0, 0] = 0.0
+    for i in range(n):
+        psi = spec.initial_state()
+        assert traj[i, 0].tobytes() == psi.tobytes()
+        for step in range(t):
+            psi = spec.unitaries[i, step] @ psi
+            assert traj[i, step + 1].tobytes() == psi.tobytes()
+        assert run_subroutine(spec, i)[1].tobytes() == psi.tobytes()
 
 
 def test_random_subroutine_deterministic_in_seed():
@@ -209,31 +251,8 @@ def test_subroutine_pair_matches_scipy_draws(monkeypatch, n, t, z):
 # Block-structured subroutines
 # ---------------------------------------------------------------------------
 
-def _random_block_schedule(seed, blocks=(2, 2), zp=2, n=2, projector_rank=1):
-    """Zero-error block algorithm: generic on the workspace, trivial answer.
-
-    The steps act as identity on the answer register (so the claimed
-    output bit is exact); the variable-time structure comes entirely
-    from the workspace dynamics and the success measurement.
-    """
-    rng = np.random.default_rng(seed)
-    t = sum(blocks)
-    us = np.empty((n, t, 2 * zp, 2 * zp), dtype=complex)
-    for i in range(n):
-        for s in range(t):
-            us[i, s] = np.kron(np.eye(2),
-                               scipy.stats.unitary_group.rvs(zp, random_state=rng))
-    if projector_rank >= zp:
-        meas = np.eye(zp)
-    else:
-        q = np.linalg.qr(rng.normal(size=(zp, projector_rank)))[0]
-        meas = q @ q.conj().T
-    return BlockSchedule(block_lengths=blocks, inner_workspace_size=zp,
-                         step_unitaries=us, measurement=meas)
-
-
 def test_single_block_halts_only_at_end():
-    sched = _random_block_schedule(1, blocks=(3,), projector_rank=1)
+    sched = random_block_schedule(1, blocks=(3,), projector_rank=1)
     spec = build_block_subroutine(sched)
     assert validate(spec).passed
     for t in range(spec.num_steps - 1):
@@ -244,7 +263,7 @@ def test_single_block_halts_only_at_end():
 
 
 def test_always_succeeding_measurement_halts_after_first_block():
-    sched = _random_block_schedule(2, blocks=(2, 2), projector_rank=2)
+    sched = random_block_schedule(2, blocks=(2, 2), projector_rank=2)
     spec = build_block_subroutine(sched)
     assert validate(spec).passed
     for i in range(spec.num_inputs):
@@ -253,7 +272,7 @@ def test_always_succeeding_measurement_halts_after_first_block():
 
 
 def test_generic_block_subroutine_matches_cascade_and_reference():
-    sched = _random_block_schedule(3, blocks=(2, 2), projector_rank=1)
+    sched = random_block_schedule(3, blocks=(2, 2), projector_rank=1)
     spec = build_block_subroutine(sched)
     assert validate(spec).passed
     for i in range(spec.num_inputs):
