@@ -16,6 +16,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +80,13 @@ class ExperimentConfig:
                    for k, v in payload.items()}
         return json.dumps(payload, sort_keys=True)
 
-    def digest(self) -> str:
+    @cached_property
+    def _digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+    def digest(self) -> str:
+        """SHA-256 of canonical_json(), computed once per config (it is frozen)."""
+        return self._digest
 
 
 @dataclass

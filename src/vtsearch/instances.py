@@ -22,10 +22,15 @@ splits the initial vector across the two spans.
 
 Every generator touches only a few basis labels (at most 1 + 2|Z| in the
 general variant), so each named set is stored as a SetMatrix, a d x k
-compressed-column record of numpy arrays (indptr, rows, values) that the
-builders assemble straight from index arrays; no length-d vector is
-allocated per generator, and each witness is one zero vector with its
-entries (history_states among them) scattered in from index arrays.
+compressed-column record of numpy arrays: a Sparsity (indptr, rows) and
+its values, which the builders assemble straight from index arrays; no
+length-d vector is allocated per generator, and each witness is one zero
+vector with its entries (history_states among them) scattered in from
+index arrays.  The general instance's labels and generators are fixed by
+its subroutine, so each SubroutineSpec gets one GeneralPattern, and a
+weight regime only fills in values.  Plans that ignore values (each side's
+stacked pattern, the Gram's shared-label pairs, psi0's component) live in
+an InstanceStructure, which the general instances of one spec share.
 Well-formedness, witness and reflection-factorization checks run on these
 records with numpy alone (bincount sums, and a Gram over the generator
 pairs that share a label), and only the dense oracle paths (the span
@@ -44,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,19 +228,20 @@ def regime_parameters(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class SetMatrix:
-    """One generator set as a d x k CSC record of numpy arrays.
+class Sparsity:
+    """Where one generator set's entries sit: a d x k CSC pattern, read-only.
 
-    Column j is generator j: its basis labels rows[indptr[j]:indptr[j + 1]],
-    ascending, and its entries values[indptr[j]:indptr[j + 1]], none an
-    exact zero.  Products sum each output entry sequentially in storage
-    order (np.bincount).
+    Column j is generator j, touching the basis labels
+    rows[indptr[j]:indptr[j + 1]], ascending.  Sets with the same labels
+    share one Sparsity, and with it the cached cols.
     """
 
     dim: int
     indptr: np.ndarray
     rows: np.ndarray
-    values: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.indptr, self.rows)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -243,7 +250,36 @@ class SetMatrix:
     @cached_property
     def cols(self) -> np.ndarray:
         """The generator of every stored entry."""
-        return np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        return _read_only(np.repeat(np.arange(self.shape[1]), np.diff(self.indptr)))
+
+
+@dataclass(frozen=True, eq=False)
+class SetMatrix:
+    """One generator set as a d x k CSC record: a Sparsity and its values.
+
+    values[indptr[j]:indptr[j + 1]] are generator j's entries on its
+    labels, none an exact zero.  Products sum each output entry
+    sequentially in storage order (np.bincount).
+    """
+
+    sparsity: Sparsity
+    values: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.sparsity.dim
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.sparsity.shape
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.sparsity.rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.sparsity.cols
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
@@ -259,6 +295,13 @@ class SetMatrix:
         return _sum_by(self.rows, self.values * c[self.cols], self.dim)
 
 
+def _read_only(*arrays: np.ndarray) -> np.ndarray:
+    """Mark arrays read-only; returns the first."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
+
+
 def _sum_by(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
     """Complex sums of values grouped by index, each taken in array order."""
     out = np.empty(length, dtype=complex)
@@ -267,30 +310,34 @@ def _sum_by(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def _sparsity(dim: int, rows, counts, keep) -> Sparsity:
+    """The Sparsity of the kept entries of ones listed column by column."""
+    cols = np.repeat(np.arange(len(counts)), counts)[keep]
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=len(counts)), out=indptr[1:])
+    return Sparsity(dim, indptr, np.asarray(rows, dtype=np.int64)[keep])
+
+
 def _from_entries(dim: int, rows, values, counts) -> SetMatrix:
     """A SetMatrix from entries listed column by column, exact zeros dropped."""
     values = np.asarray(values, dtype=complex)
     keep = values != 0
-    cols = np.repeat(np.arange(len(counts)), counts)[keep]
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=len(counts)), out=indptr[1:])
-    return SetMatrix(dim, indptr, np.asarray(rows, dtype=np.int64)[keep], values[keep])
+    return SetMatrix(_sparsity(dim, rows, counts, keep), values[keep])
 
 
-def _set_matrix(dim: int, pieces) -> SetMatrix:
-    """One generator set as a SetMatrix, assembled from index arrays.
+def _assemble(pieces):
+    """One generator set's entries, listed column by column, from index arrays.
 
     Each piece is a (rows, values) pair of equal-shape arrays, (g, w) or
     (n, g, w): row g lists the basis indices and the entries of one
     generator.  With a leading input axis the set runs input by input,
     each input's generators piece by piece; either way generators keep
     the order of the pieces and of the rows within them.  Each generator's
-    entries are sorted by basis index with one argsort per piece, and
-    exact-zero entries (a step unitary's zeros) are not stored, so every
-    stored entry is a basis label the generator touches.
+    entries are sorted by basis index with one argsort per piece.  Returns
+    the flat rows and values and the entry count of every generator.
     """
     if not pieces:
-        return _from_entries(dim, [], [], [])
+        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)
     lead = np.shape(pieces[0][0])[:-2]
     flat_rows, flat_values, counts = [], [], []
     for rows, values in pieces:
@@ -299,20 +346,28 @@ def _set_matrix(dim: int, pieces) -> SetMatrix:
         flat_rows.append(np.take_along_axis(rows, order, -1).reshape(*lead, -1))
         flat_values.append(np.take_along_axis(values, order, -1).reshape(*lead, -1))
         counts.append(np.full(rows.shape[-2], rows.shape[-1]))
-    return _from_entries(dim, np.concatenate(flat_rows, axis=-1).ravel(),
-                         np.concatenate(flat_values, axis=-1).ravel(),
-                         np.tile(np.concatenate(counts), math.prod(lead)))
+    return (np.concatenate(flat_rows, axis=-1).ravel(),
+            np.concatenate(flat_values, axis=-1).ravel(),
+            np.tile(np.concatenate(counts), math.prod(lead)))
 
 
-def _hstack(dim: int, mats: list[SetMatrix]) -> SetMatrix:
-    """Generator sets side by side as one SetMatrix."""
-    if not mats:
-        return _from_entries(dim, [], [], [])
-    starts = np.cumsum([0] + [m.indptr[-1] for m in mats[:-1]])
-    indptr = np.concatenate([[0]] + [m.indptr[1:] + start
-                                     for m, start in zip(mats, starts)])
-    return SetMatrix(dim, indptr, np.concatenate([m.rows for m in mats]),
-                     np.concatenate([m.values for m in mats]))
+def _set_matrix(dim: int, pieces) -> SetMatrix:
+    """One generator set as a SetMatrix, assembled from index arrays.
+
+    The pieces are _assemble's; exact-zero entries are not stored, so
+    every stored entry is a basis label the generator touches.
+    """
+    return _from_entries(dim, *_assemble(pieces))
+
+
+def _hstack(dim: int, parts: list[Sparsity]) -> Sparsity:
+    """Generator sets side by side as one Sparsity."""
+    if not parts:
+        return Sparsity(dim, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    starts = np.cumsum([0] + [p.indptr[-1] for p in parts[:-1]])
+    indptr = np.concatenate([[0]] + [p.indptr[1:] + start
+                                     for p, start in zip(parts, starts)])
+    return Sparsity(dim, indptr, np.concatenate([p.rows for p in parts]))
 
 
 def _as_set_matrix(dim: int, vectors) -> SetMatrix:
@@ -330,45 +385,125 @@ def _as_set_matrix(dim: int, vectors) -> SetMatrix:
     return m
 
 
-def _restrict(m: SetMatrix, kept: np.ndarray, new_row: np.ndarray,
-              dim: int) -> SetMatrix:
-    """The kept generators of m on dim rows, each row r renumbered new_row[r].
+class GramPlan(NamedTuple):
+    """Where one side's off-diagonal Gram entries come from.
 
-    Every row a kept generator touches must be among the dim rows; new_row
-    is increasing, so each generator's rows stay sorted.
+    Pair p is generators (first[p], second[p]), first < second, that share
+    a basis label, with cross[p] true when they lie in different sets.
+    Its entry <g_first, g_second> sums the products
+    conj(values[left[e]]) * values[right[e]] over the e with segment[e] = p,
+    in array order.
     """
-    entries = kept[m.cols]
-    return _from_entries(dim, new_row[m.rows[entries]], m.values[entries],
-                         np.diff(m.indptr)[kept])
+
+    first: np.ndarray
+    second: np.ndarray
+    cross: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    segment: np.ndarray
 
 
-def _gram_pairs(m: SetMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gram entries <g_i, g_j>, i < j, of the generators that share a label.
+class Component(NamedTuple):
+    """psi0's component: its rows, each set's kept entries, and its structure."""
 
-    One argsort groups the entries by label, generators ascending within
-    a label; the pairs inside each label are enumerated by offset, and one
-    stable argsort of the pair keys gathers each pair's products, which
-    are summed in that fixed order.
+    rows: np.ndarray
+    entries: dict[str, dict[str, np.ndarray]]
+    structure: "InstanceStructure"
+
+
+class InstanceStructure:
+    """The plans of an instance that depend only on where its entries sit.
+
+    Built from psi0's support and each named set's Sparsity ("A" and "B"
+    sides); each plan is made on first use and kept.  A PEInstance makes
+    a private one from its own sets; the general instances of one spec,
+    one per regime and weighting, share their GeneralPattern's, so its
+    plans are paid once per spec.
     """
-    k = m.shape[1]
-    order = np.argsort(m.rows * k + m.cols)
-    rows, cols, values = m.rows[order], m.cols[order], m.values[order]
-    first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for offset in range(1, len(rows)):
-        # a label holding s entries has pairs at offsets 1 .. s - 1 only
-        same = np.flatnonzero(rows[:-offset] == rows[offset:])
-        if not len(same):
-            break
-        first.append(same)
-        second.append(same + offset)
-    first, second = np.concatenate(first), np.concatenate(second)
-    keys = cols[first] * k + cols[second]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    products = values[first[order]].conj() * values[second[order]]
-    new = np.diff(keys, prepend=-1) != 0
-    unique = keys[new]
-    return unique // k, unique % k, _sum_by(np.cumsum(new) - 1, products, len(unique))
+
+    def __init__(self, dim: int, support: np.ndarray,
+                 sets: dict[str, dict[str, Sparsity]]):
+        self.dim = dim
+        self.support = _read_only(support)
+        self.sets = sets
+        self._grams: dict[str, GramPlan] = {}
+
+    @cached_property
+    def stacked(self) -> dict[str, Sparsity]:
+        """Each side's sets side by side, in set order."""
+        return {side: _hstack(self.dim, list(sets.values()))
+                for side, sets in self.sets.items()}
+
+    def gram(self, side: str) -> GramPlan:
+        """The pairs of generators of one side that share a label.
+
+        One argsort groups the entries by label, generators ascending
+        within a label; the pairs inside each label are enumerated by
+        offset, and one stable argsort of the pair keys fixes the order in
+        which each pair's products are summed.
+        """
+        if side not in self._grams:
+            m = self.stacked[side]
+            k = m.shape[1]
+            order = np.argsort(m.rows * k + m.cols)
+            rows = m.rows[order]
+            first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+            for offset in range(1, len(rows)):
+                # a label holding s entries has pairs at offsets 1 .. s - 1 only
+                same = np.flatnonzero(rows[:-offset] == rows[offset:])
+                if not len(same):
+                    break
+                first.append(same)
+                second.append(same + offset)
+            left, right = order[np.concatenate(first)], order[np.concatenate(second)]
+            keys = m.cols[left] * k + m.cols[right]
+            by_pair = np.argsort(keys, kind="stable")
+            keys = keys[by_pair]
+            new = np.diff(keys, prepend=-1) != 0
+            unique = keys[new]
+            sets = self.sets[side].values()
+            owner = np.repeat(np.arange(len(sets)), [s.shape[1] for s in sets])
+            first, second = unique // k, unique % k
+            self._grams[side] = GramPlan(*map(_read_only, (
+                first, second, owner[first] != owner[second],
+                left[by_pair], right[by_pair], np.cumsum(new) - 1)))
+        return self._grams[side]
+
+    @cached_property
+    def component(self) -> Component:
+        """The rows and generators of the components psi0's support meets.
+
+        Grown breadth first from the support over the rows <-> generators
+        incidence, until the generators touching the reached rows stop
+        changing; the rows keep their order, and so do the sets and the
+        generators within them (see PEInstance.psi0_component).
+        """
+        m = _hstack(self.dim, [s for sets in self.sets.values() for s in sets.values()])
+        rows_in = np.zeros(self.dim, dtype=bool)
+        rows_in[self.support] = True
+        gens_in = np.zeros(m.shape[1], dtype=bool)
+        while True:
+            touched = np.zeros(m.shape[1], dtype=bool)
+            touched[m.cols[rows_in[m.rows]]] = True
+            if np.array_equal(touched, gens_in):
+                break
+            gens_in = touched
+            rows_in[m.rows[gens_in[m.cols]]] = True
+        rows = np.flatnonzero(rows_in)
+        # new_row is increasing, so each kept generator's rows stay sorted
+        new_row = np.cumsum(rows_in) - 1
+        start, entries, parts = 0, {}, {}
+        for side, sets in self.sets.items():
+            entries[side], parts[side] = {}, {}
+            for name, s in sets.items():
+                kept = gens_in[start:start + s.shape[1]]
+                start += s.shape[1]
+                taken = np.flatnonzero(kept[s.cols])
+                entries[side][name] = _read_only(taken)
+                indptr = np.concatenate([[0], np.cumsum(np.diff(s.indptr)[kept])])
+                parts[side][name] = Sparsity(len(rows), indptr, new_row[s.rows[taken]])
+        return Component(_read_only(rows), entries,
+                         InstanceStructure(len(rows), new_row[self.support], parts))
 
 
 class PEInstance:
@@ -385,6 +520,15 @@ class PEInstance:
     cached list of shared-label Gram entries per side.  No set reflection
     is ever built.
 
+    Every plan that depends only on where the entries sit (each side's
+    stacked pattern, the shared-label pairs of the Gram, and the rows and
+    entries of psi0's component) comes from one InstanceStructure, made
+    lazily from the sets unless one is passed; an instance computes only
+    what depends on its values.  build_general_instance passes the
+    structure of the spec's GeneralPattern, so the general instances of
+    one spec, one per regime, share those plans; hand-built and simple
+    instances get a private one.
+
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
     generators; span_basis densifies them once, checks orthonormality, and
@@ -399,14 +543,30 @@ class PEInstance:
 
     def __init__(self, dim: int, psi0: np.ndarray,
                  a_sets: dict[str, SetMatrix | list[np.ndarray]],
-                 b_sets: dict[str, SetMatrix | list[np.ndarray]]):
+                 b_sets: dict[str, SetMatrix | list[np.ndarray]], *,
+                 structure: InstanceStructure | None = None):
         self.dim = dim
         self.psi0 = psi0
         self.a_sets = {k: _as_set_matrix(dim, v) for k, v in a_sets.items()}
         self.b_sets = {k: _as_set_matrix(dim, v) for k, v in b_sets.items()}
+        if structure is not None and (structure.dim != dim or any(
+                [(k, m.sparsity) for k, m in self._sets(side).items()]
+                != list(structure.sets[side].items()) for side in ("A", "B"))):
+            raise ValueError("structure does not hold these sets' sparsity patterns")
+        self._structure = structure
         # results that depend on a TolerancePolicy are keyed by it too, so a
         # call with one policy never reuses a check passed under another
         self._cache: dict[object, object] = {}
+
+    @property
+    def structure(self) -> InstanceStructure:
+        """The plans that depend only on where psi0's and the sets' entries sit."""
+        if self._structure is None:
+            self._structure = InstanceStructure(
+                self.dim, np.flatnonzero(self.psi0),
+                {side: {k: m.sparsity for k, m in self._sets(side).items()}
+                 for side in ("A", "B")})
+        return self._structure
 
     def _sets(self, side: str) -> dict[str, SetMatrix]:
         return self.a_sets if side == "A" else self.b_sets
@@ -431,7 +591,10 @@ class PEInstance:
         """
         key = f"mat_{side}"
         if key not in self._cache:
-            m = _hstack(self.dim, list(self._sets(side).values()))
+            sets = self._sets(side).values()
+            m = SetMatrix(self.structure.stacked[side],
+                          np.concatenate([s.values for s in sets]) if sets
+                          else np.zeros(0, dtype=complex))
             # sequential per-column sums in row order, as a dense column norm
             sq = m.values.real ** 2 + m.values.imag ** 2
             norms = np.sqrt(np.bincount(m.cols, weights=sq, minlength=m.shape[1]))
@@ -446,11 +609,16 @@ class PEInstance:
         """The side's off-diagonal generator Gram entries, with the norms.
 
         (i, j, value) arrays over the pairs i < j of generators that share a
-        basis label, from _gram_pairs; every other off-diagonal entry is 0.
+        basis label, from the structure's GramPlan; every other off-diagonal
+        entry is 0.
         """
         m, norms = self._gen_matrix(side, tol)
         if f"gram_{side}" not in self._cache:
-            self._cache[f"gram_{side}"] = _gram_pairs(m)
+            plan = self.structure.gram(side)
+            products = m.values[plan.left].conj() * m.values[plan.right]
+            self._cache[f"gram_{side}"] = (
+                plan.first, plan.second,
+                _sum_by(plan.segment, products, len(plan.first)))
         return self._cache[f"gram_{side}"], norms
 
     def gram_offdiagonal_residual(self, side: str,
@@ -466,9 +634,7 @@ class PEInstance:
         0 for a side with a single set; overlaps within a set are ignored.
         """
         (first, second, values), norms = self._gram(side, tol)
-        sets = self._sets(side)
-        owner = np.repeat(np.arange(len(sets)), [s.shape[1] for s in sets.values()])
-        cross = owner[first] != owner[second]
+        cross = self.structure.gram(side).cross
         cosines = (np.abs(values[cross])
                    / (norms[first[cross]] * norms[second[cross]]))
         return float(np.max(cosines, initial=0.0))
@@ -533,35 +699,19 @@ class PEInstance:
         support meets, and the restriction to those rows (in their order)
         and generators (set names and generator order kept) has the same
         spectrum weights, zero-phase overlap and phase-register
-        distribution as the full instance.  Cached.
+        distribution as the full instance.  The rows, the kept entries and
+        the component's own structure come from InstanceStructure.component;
+        only the values are gathered here.  Cached.
         """
         if "component" not in self._cache:
-            m = _hstack(self.dim, [mat for side in ("A", "B")
-                                   for mat in self._sets(side).values()])
-            # grow psi0's support breadth first over the incidence until
-            # the generators touching the reached rows stop changing
-            rows_in = np.zeros(self.dim, dtype=bool)
-            rows_in[np.flatnonzero(self.psi0)] = True
-            gens_in = np.zeros(m.shape[1], dtype=bool)
-            while True:
-                touched = np.zeros(m.shape[1], dtype=bool)
-                touched[m.cols[rows_in[m.rows]]] = True
-                if np.array_equal(touched, gens_in):
-                    break
-                gens_in = touched
-                rows_in[m.rows[gens_in[m.cols]]] = True
-            rows = np.flatnonzero(rows_in)
-            new_row = np.cumsum(rows_in) - 1
-            start, parts = 0, []
-            for side in ("A", "B"):
-                part = {}
-                for name, mat in self._sets(side).items():
-                    part[name] = _restrict(mat, gens_in[start:start + mat.shape[1]],
-                                           new_row, len(rows))
-                    start += mat.shape[1]
-                parts.append(part)
+            part = self.structure.component
+            sets = [{name: SetMatrix(sparsity,
+                                     self._sets(side)[name].values[part.entries[side][name]])
+                     for name, sparsity in part.structure.sets[side].items()}
+                    for side in ("A", "B")]
             self._cache["component"] = PEInstance(
-                len(rows), self.psi0[rows], a_sets=parts[0], b_sets=parts[1])
+                part.structure.dim, self.psi0[part.rows], a_sets=sets[0],
+                b_sets=sets[1], structure=part.structure)
         return self._cache["component"]
 
     def projector(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> Projector:
@@ -752,6 +902,169 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
             2.0 * norm_plus, 2.0 * norm_minus)
 
 
+class SetFill(NamedTuple):
+    """One general set's Sparsity and where each stored value comes from.
+
+    Entry e's scale is table[scale[e]], table being GeneralPattern.fill's
+    [1, -1, sqrt(alpha_0), ..., sqrt(alpha_T), -sqrt(omega_1 / n), ...,
+    -sqrt(omega_n / n)]; the entries at positions inner are inner
+    transitions onto the (a, z) block one step later, whose value is
+    0.0 - scale * u with u their step-unitary entry.
+    """
+
+    sparsity: Sparsity
+    scale: np.ndarray
+    inner: np.ndarray
+    u: np.ndarray
+
+
+class GeneralPattern:
+    """The general instance of one SubroutineSpec, all but its weights.
+
+    The basis labels, the generators and the labels each generator
+    touches are fixed by the spec; a regime changes only omega and alpha,
+    and so only values.
+    The pattern does the label arithmetic and the per-generator sorts
+    once, keeping each set's Sparsity and value sources (SetFill), and
+    holds the InstanceStructure, with psi0's component and the Gram pairs,
+    that every instance it fills shares.  An inner-transition entry is
+    stored where its step-unitary entry is nonzero: for positive weights,
+    the entries whose filled value is nonzero.  Built once per spec by
+    general_pattern; every array it holds is read-only.
+    """
+
+    def __init__(self, spec: SubroutineSpec):
+        n = spec.num_inputs
+        basis = GeneralBasis.for_spec(spec)
+        w = spec.workspace_size
+        t_max = spec.num_steps
+        self.num_inputs = n
+        self.psi0 = _read_only(basis.unit("src", 0, 0))
+
+        # value sources, as indices into fill's table: +1, -1, sqrt(alpha_t),
+        # -sqrt(omega_i / n); from inner_code on, inner_code + f stands for
+        # 0.0 - sqrt(alpha_{t+1}) U.flat[f] with U = spec.unitaries
+        plus, minus = 0, 1
+        sqrt_alpha = 2 + np.arange(t_max + 1)
+        neg_omega = 3 + t_max + np.arange(n)
+        inner_code = 3 + t_max + n
+        u_codes = inner_code + np.arange(spec.unitaries.size).reshape(spec.unitaries.shape)
+
+        idx = basis.index
+        inputs = np.arange(1, n + 1)
+        pair = np.array([[plus, minus]])
+        # slot generators run over (i, b, a) with a fastest, at z = 0, t = 0
+        i_s = np.repeat(inputs, 4)
+        b_s, a_s = np.tile(np.repeat([0, 1], 2), n), np.tile([0, 1], 2 * n)
+
+        def slot(tag_plus, tag_minus):
+            rows = np.stack([idx(tag_plus, i_s, b_s, a_s, 0, 0),
+                             idx(tag_minus, i_s, b_s, a_s, 0, 0)], axis=1)
+            return [(rows, np.repeat(pair, len(i_s), axis=0))]
+
+        launch = [(np.concatenate([[idx("src", 0, 0, 0, 0, 0)],
+                                   idx("src", inputs, 0, 0, 0, 0)])[None, :],
+                   np.concatenate([[plus], neg_omega])[None, :])]
+        unmarked = np.repeat(inputs[np.array(spec.outputs) == 0], 2)
+        a_u = np.tile([0, 1], len(unmarked) // 2)
+        absorb = [(idx("chk", unmarked, 0, a_u, 0, 0)[:, None],
+                   np.full((len(unmarked), 1), plus))]
+
+        # inner transitions at step t run over (tag, b, a, z) with z fastest:
+        # sqrt(alpha_t) on the label, -sqrt(alpha_{t+1}) U_{t+1} column on
+        # the (a, z) block one step later
+        i_g, b_g = inputs[:, None, None, None], np.array([0, 1])[:, None, None]
+        a_g = np.array([0, 1])[None, :, None]
+        steps = []   # (step, rows, sources), each with a leading input axis
+        for t in range(t_max):
+            z_g = np.flatnonzero(~spec.halted_mask(t)[:w])   # live workspace labels
+            shape = (n, 2, 2, 2, len(z_g), 2 * w)   # input, tag, b, a, z, entry
+            here = np.stack([idx(tag, i_g, b_g, a_g, z_g, t)
+                             for tag in ("fwd", "bwd")], axis=1)
+            there = np.stack([basis.az_indices(tag, i_g, b_g, t + 1)
+                              for tag in ("fwd", "bwd")], axis=1)
+            there_codes = np.moveaxis(u_codes[:, t][:, :, a_g * w + z_g], 1, -1)
+            rows = np.concatenate([np.broadcast_to(here[..., None], shape[:-1] + (1,)),
+                                   np.broadcast_to(there, shape)], axis=-1)
+            codes = np.concatenate([np.full(shape[:-1] + (1,), sqrt_alpha[t]),
+                                    np.broadcast_to(there_codes[:, None], shape)],
+                                   axis=-1)
+            steps.append((t, rows.reshape(n, -1, 2 * w + 1),
+                          codes.reshape(n, -1, 2 * w + 1)))
+        # turnarounds at step t run over (a, b, z in the step's cell)
+        for t in range(1, t_max + 1):
+            cell = np.array(spec.partition[t - 1], dtype=int)
+            a_t = np.repeat([0, 1], 2 * len(cell))
+            b_t = np.tile(np.repeat([0, 1], len(cell)), 2)
+            z_t = np.tile(cell, 4)
+            rows = np.stack([idx("fwd", inputs[:, None], b_t, a_t, z_t, t),
+                             idx("bwd", inputs[:, None], b_t ^ a_t, a_t, z_t, t)],
+                            axis=-1)
+            steps.append((t, rows, np.broadcast_to(pair, rows.shape)))
+        # per input: its transitions by step, then its turnarounds by step
+        even = [(rows, codes) for t, rows, codes in steps if t % 2 == 0]
+        odd = [(rows, codes) for t, rows, codes in steps if t % 2 == 1]
+
+        def set_fill(pieces) -> SetFill:
+            rows, codes, counts = _assemble(pieces)
+            inner = codes >= inner_code
+            flat = codes[inner] - inner_code
+            u = spec.unitaries.ravel()[flat]
+            nonzero = u != 0
+            keep = ~inner
+            keep[inner] = nonzero
+            # the step of U.flat[f] is t = (f // (2|Z|)^2) % T; its scale sqrt(alpha_{t+1})
+            codes[inner] = sqrt_alpha[(flat // (2 * w) ** 2) % t_max + 1]
+            return SetFill(_sparsity(basis.dim, rows, counts, keep),
+                           *map(_read_only, (codes[keep], np.flatnonzero(inner[keep]),
+                                             u[nonzero])))
+
+        self.fills = {"A": {"launch": set_fill(launch), "even": set_fill(even),
+                            "check": set_fill(slot("ret", "chk"))},
+                      "B": {"forward": set_fill(slot("src", "fwd")),
+                            "odd": set_fill(odd),
+                            "backward": set_fill(slot("bwd", "ret")),
+                            "absorb": set_fill(absorb)}}
+        self.structure = InstanceStructure(
+            basis.dim, np.flatnonzero(self.psi0),
+            {side: {name: f.sparsity for name, f in fills.items()}
+             for side, fills in self.fills.items()})
+
+    def fill(self, weights: Weights) -> PEInstance:
+        """The instance under weights: per set, one gather and its values.
+
+        The values are the elementwise expressions of the label-by-label
+        construction on the same operands (+-1, sqrt(alpha_t),
+        -sqrt(omega_i / n) and 0.0 - sqrt(alpha_{t+1}) U), so each keeps
+        its bits.  The weights' lengths are build_general_instance's to check.
+        """
+        table = np.concatenate([[1.0, -1.0], np.sqrt(weights.alpha),
+                                -np.sqrt(weights.omega / self.num_inputs)])
+        sets = {}
+        for side, fills in self.fills.items():
+            sets[side] = {}
+            for name, f in fills.items():
+                scale = table[f.scale]
+                values = scale.astype(complex)
+                values[f.inner] = 0.0 - scale[f.inner] * f.u
+                sets[side][name] = SetMatrix(f.sparsity, values)
+        return PEInstance(self.structure.dim, self.psi0, a_sets=sets["A"],
+                          b_sets=sets["B"], structure=self.structure)
+
+
+def general_pattern(spec: SubroutineSpec) -> GeneralPattern:
+    """spec's GeneralPattern, built on first use and kept with the spec.
+
+    Kept in spec.__dict__, the storage functools.cached_property uses for
+    spec.trajectory, so it lives and dies with its spec (which is never
+    hashed) and a new spec, even an equal one, builds its own.
+    """
+    pattern = spec.__dict__.get("general_pattern")
+    if pattern is None:
+        pattern = spec.__dict__["general_pattern"] = GeneralPattern(spec)
+    return pattern
+
+
 def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance:
     """Loop instance whose query is implemented by a variable-time subroutine.
 
@@ -759,88 +1072,16 @@ def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance
     program counter 0 and workspace 0 and mirror the simple variant; the
     inner transition sets ("even", "odd" by step parity) carry the
     subroutine steps on the fwd/bwd tracks and the turnaround vectors that
-    reverse direction on freshly halted workspace labels.  Each set is
-    built as a SetMatrix from index arrays; the inner generators of one
-    step are computed for all inputs at once, and _set_matrix orders the
-    set input by input without a per-input loop.
+    reverse direction on freshly halted workspace labels.  The labels and
+    generators are fixed by the spec, so there is one GeneralPattern per
+    spec (general_pattern) and a regime only fills in its values; the
+    instances of one spec share the pattern's sparsity and its structure
+    plans (psi0's component, the Gram pairs).
     """
-    n = spec.num_inputs
-    basis = GeneralBasis.for_spec(spec)
-    if len(weights.omega) != n or len(weights.alpha) != spec.num_steps + 1:
+    if (len(weights.omega) != spec.num_inputs
+            or len(weights.alpha) != spec.num_steps + 1):
         raise ValueError("weights do not match the subroutine dimensions")
-    alpha = weights.alpha
-    w = spec.workspace_size
-    t_max = spec.num_steps
-
-    idx = basis.index
-    inputs = np.arange(1, n + 1)
-    pair = np.array([[1.0, -1.0]])
-    # slot generators run over (i, b, a) with a fastest, at z = 0, t = 0
-    i_s = np.repeat(inputs, 4)
-    b_s, a_s = np.tile(np.repeat([0, 1], 2), n), np.tile([0, 1], 2 * n)
-
-    def slot(tag_plus, tag_minus):
-        rows = np.stack([idx(tag_plus, i_s, b_s, a_s, 0, 0),
-                         idx(tag_minus, i_s, b_s, a_s, 0, 0)], axis=1)
-        return [(rows, np.repeat(pair, len(i_s), axis=0))]
-
-    launch = [(np.concatenate([[idx("src", 0, 0, 0, 0, 0)],
-                               idx("src", inputs, 0, 0, 0, 0)])[None, :],
-               np.concatenate([[1.0], -np.sqrt(weights.omega / n)])[None, :])]
-    unmarked = np.repeat(inputs[np.array(spec.outputs) == 0], 2)
-    a_u = np.tile([0, 1], len(unmarked) // 2)
-    absorb = [(idx("chk", unmarked, 0, a_u, 0, 0)[:, None],
-               np.ones((len(unmarked), 1)))]
-
-    # inner transitions at step t run over (tag, b, a, z) with z fastest:
-    # sqrt(alpha_t) on the label, -sqrt(alpha_{t+1}) U_{t+1} column on the
-    # (a, z) block one step later
-    i_g, b_g = inputs[:, None, None, None], np.array([0, 1])[:, None, None]
-    a_g = np.array([0, 1])[None, :, None]
-    steps = []   # (step, rows, values), each with a leading input axis
-    for t in range(t_max):
-        z_g = np.flatnonzero(~spec.halted_mask(t)[:w])   # live workspace labels
-        shape = (n, 2, 2, 2, len(z_g), 2 * w)   # input, tag, b, a, z, entry
-        here = np.stack([idx(tag, i_g, b_g, a_g, z_g, t)
-                         for tag in ("fwd", "bwd")], axis=1)
-        there = np.stack([basis.az_indices(tag, i_g, b_g, t + 1)
-                          for tag in ("fwd", "bwd")], axis=1)
-        u_cols = spec.unitaries[:, t][:, :, a_g * w + z_g]
-        # subtracted from zero, as the label-by-label construction does
-        there_values = np.moveaxis(0.0 - math.sqrt(alpha[t + 1]) * u_cols, 1, -1)
-        rows = np.concatenate([np.broadcast_to(here[..., None], shape[:-1] + (1,)),
-                               np.broadcast_to(there, shape)], axis=-1)
-        values = np.concatenate([np.full(shape[:-1] + (1,), math.sqrt(alpha[t]),
-                                         dtype=complex),
-                                 np.broadcast_to(there_values[:, None], shape)],
-                                axis=-1)
-        steps.append((t, rows.reshape(n, -1, 2 * w + 1),
-                      values.reshape(n, -1, 2 * w + 1)))
-    # turnarounds at step t run over (a, b, z in the step's cell)
-    for t in range(1, t_max + 1):
-        cell = np.array(spec.partition[t - 1], dtype=int)
-        a_t = np.repeat([0, 1], 2 * len(cell))
-        b_t = np.tile(np.repeat([0, 1], len(cell)), 2)
-        z_t = np.tile(cell, 4)
-        rows = np.stack([idx("fwd", inputs[:, None], b_t, a_t, z_t, t),
-                         idx("bwd", inputs[:, None], b_t ^ a_t, a_t, z_t, t)],
-                        axis=-1)
-        steps.append((t, rows, np.broadcast_to(pair, rows.shape)))
-    # per input: its transitions by step, then its turnarounds by step
-    even = [(rows, values) for t, rows, values in steps if t % 2 == 0]
-    odd = [(rows, values) for t, rows, values in steps if t % 2 == 1]
-
-    dim = basis.dim
-    return PEInstance(
-        dim=dim, psi0=basis.unit("src", 0, 0),
-        a_sets={"launch": _set_matrix(dim, launch),
-                "even": _set_matrix(dim, even),
-                "check": _set_matrix(dim, slot("ret", "chk"))},
-        b_sets={"forward": _set_matrix(dim, slot("src", "fwd")),
-                "odd": _set_matrix(dim, odd),
-                "backward": _set_matrix(dim, slot("bwd", "ret")),
-                "absorb": _set_matrix(dim, absorb)},
-    )
+    return general_pattern(spec).fill(weights)
 
 
 def general_positive_witness(spec: SubroutineSpec, weights: Weights) -> PositiveWitness:

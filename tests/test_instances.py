@@ -9,6 +9,7 @@ from vtsearch.grover import OracleSpec
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 PositiveWitness, REGIMES, SimpleBasis, Weights,
                                 build_general_instance, build_simple_instance,
+                                general_pattern,
                                 general_negative_witness,
                                 general_positive_witness, history_states,
                                 promise_parameter, regime_parameters,
@@ -184,6 +185,135 @@ def test_general_sets_match_dense_oracle(shape):
                  [pair.negative.w_a, pair.negative.w_b])):
             _assert_sets_match(inst, dense_general_sets(spec, weights))
             _assert_checks_match_dense(inst, _probes(inst, n, vectors))
+
+
+def _csc(vectors):
+    """(indptr, rows, values) of dense generator vectors, nonzeros ascending."""
+    rows = [np.flatnonzero(v) for v in vectors]
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    return (indptr, np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64),
+            np.concatenate([v[r] for v, r in zip(vectors, rows)]) if rows
+            else np.zeros(0, dtype=complex))
+
+
+def _set_arrays(inst):
+    """Every set's (indptr, rows, values) as bytes, side by side and set by set."""
+    return [(side, name, m.sparsity.indptr.tobytes(), m.rows.tobytes(),
+             m.values.tobytes())
+            for side, sets in (("A", inst.a_sets), ("B", inst.b_sets))
+            for name, m in sets.items()]
+
+
+def _built(seed, shape, regimes):
+    """(regime, label, spec, weights, instance) of regime_pairs(...).instances()."""
+    out = []
+    for pair in regime_pairs(*subroutine_pair(seed, *shape), regimes):
+        built = pair.instances()
+        out += [(pair.regime, "marked", pair.marked, pair.weights_pos, built["marked"]),
+                (pair.regime, "empty", pair.empty, pair.weights_neg, built["empty"])]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4, 4, 4), (16, 2, 2)])
+def test_pattern_fill_matches_oracle_in_any_regime_order(shape):
+    """One pattern per spec, filled per regime, in forward and reverse order.
+
+    Each set's arrays equal the dense oracle's nonzeros exactly, and the
+    bytes of a build from a cold, freshly drawn spec, so the pattern keeps
+    nothing of the regime it was first built under.
+    """
+    seed = 4
+    for order in (REGIMES, REGIMES[::-1]):
+        for regime, label, spec, weights, inst in _built(seed, shape, order):
+            dense_a, dense_b = dense_general_sets(spec, weights)
+            for side, sets, dense in (("A", inst.a_sets, dense_a),
+                                      ("B", inst.b_sets, dense_b)):
+                assert list(sets) == list(dense)
+                for name, vectors in dense.items():
+                    indptr, rows, values = _csc(vectors)
+                    m = sets[name]
+                    assert np.array_equal(m.sparsity.indptr, indptr), (regime, name)
+                    assert np.array_equal(m.rows, rows), (regime, name)
+                    assert np.array_equal(m.values, values), (regime, name)
+            marked, empty = subroutine_pair(seed, *shape)
+            cold = build_general_instance(marked if label == "marked" else empty,
+                                          weights)
+            assert _set_arrays(cold) == _set_arrays(inst), (regime, label)
+
+
+def test_pattern_built_plans_equal_a_private_structure():
+    """Shared plans give the bytes of an instance built from the same dense sets."""
+    for regime, label, spec, weights, inst in _built(7, (2, 2, 2), REGIMES):
+        direct = PEInstance(inst.dim, inst.psi0.copy(),
+                            a_sets={k: inst.set_vectors("A", k) for k in inst.a_sets},
+                            b_sets={k: inst.set_vectors("B", k) for k in inst.b_sets})
+        assert direct.structure is not inst.structure
+        got, want = inst.psi0_component(), direct.psi0_component()
+        assert got.dim == want.dim and got.psi0.tobytes() == want.psi0.tobytes()
+        assert _set_arrays(got) == _set_arrays(want), (regime, label)
+        assert (repr(inst.well_formedness_report())
+                == repr(direct.well_formedness_report())), (regime, label)
+        for side in ("A", "B"):
+            assert inst.cross_set_cosine(side) == direct.cross_set_cosine(side)
+            (gf, gs, gv), _ = inst._gram(side)
+            (df, ds, dv), _ = direct._gram(side)
+            assert gf.tobytes() + gs.tobytes() + gv.tobytes() == (
+                df.tobytes() + ds.tobytes() + dv.tobytes())
+
+
+def test_pattern_arrays_are_read_only(small_pair):
+    """Every array the instances of one spec share refuses writes."""
+    marked, _ = small_pair
+    pair, = regime_pairs(*small_pair, ["ii-b"])
+    inst = pair.instances()["marked"]
+    pattern = general_pattern(marked)
+    assert inst.structure is pattern.structure and inst.psi0 is pattern.psi0
+    structure = pattern.structure
+    part = structure.component
+    shared = [pattern.psi0, structure.support, part.rows, part.structure.support,
+              *structure.gram("A")]
+    for sparsity in (structure.stacked["B"],
+                     *(f.sparsity for fills in pattern.fills.values()
+                       for f in fills.values()),
+                     *part.structure.sets["A"].values()):
+        shared += [sparsity.indptr, sparsity.rows, sparsity.cols]
+    for fills in pattern.fills.values():
+        shared += [array for f in fills.values() for array in (f.scale, f.inner, f.u)]
+    for entries in part.entries.values():
+        shared += list(entries.values())
+    for array in shared:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_regime_pairs_build_one_pattern_per_spec(monkeypatch):
+    import vtsearch.instances as inst_mod
+    made = []
+
+    class Counting(inst_mod.GeneralPattern):
+        def __init__(self, spec):
+            made.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(inst_mod, "GeneralPattern", Counting)
+    marked, empty = subroutine_pair(3, 2, 3, 2)
+    structures = {"marked": set(), "empty": set()}
+    for pair in regime_pairs(marked, empty, REGIMES):
+        for label, inst in pair.instances().items():
+            structures[label].add(id(inst.structure))
+    assert len(made) == 2
+    assert made[0] is not made[1] and {id(s) for s in made} == {id(marked), id(empty)}
+    assert all(len(ids) == 1 for ids in structures.values())
+
+
+def test_instance_rejects_a_structure_of_other_sets(small_pair):
+    marked, empty = small_pair
+    pair, = regime_pairs(marked, empty, ["i-a"])
+    a, b = pair.instances().values()
+    with pytest.raises(ValueError, match="sparsity patterns"):
+        PEInstance(a.dim, a.psi0, a_sets=a.a_sets, b_sets=a.b_sets,
+                   structure=b.structure)
 
 
 def test_gram_of_overlapping_generators_matches_dense():
