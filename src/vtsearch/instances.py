@@ -31,10 +31,13 @@ its subroutine, so each SubroutineSpec gets one GeneralPattern, and a
 weight regime only fills in values.  Plans that ignore values (each side's
 stacked pattern, the Gram's shared-label pairs, psi0's component) live in
 an InstanceStructure, which the general instances of one spec share.
-Well-formedness, witness and reflection-factorization checks run on these
-records with numpy alone (bincount sums, and a Gram over the generator
-pairs that share a label), and only the dense oracle paths (the span
-projectors and the walk unitary) expand a set into dense columns.
+Well-formedness, witness, span-basis and reflection-factorization checks
+run on these records with numpy alone (bincount sums, and a Gram over the
+generator pairs that share a label), and only the decision's span bases
+and the dense oracle paths (the span projectors and the walk unitary)
+expand a set into dense columns.  Values keep their type: the simple
+variant's sets and initial vector are float64, the general variant's
+complex, and every product is taken in the dtype of its operands.
 
 Generators that share a basis label are joined into connected components
 with disjoint label supports, over which both reflections and the walk are
@@ -77,8 +80,8 @@ class SimpleBasis:
         return (SIMPLE_TAGS.index(tag) * (self.n + 1) + i) * 2 + b
 
     def unit(self, tag: str, i: int, b: int) -> np.ndarray:
-        """The basis vector of label (tag, i, b)."""
-        v = np.zeros(self.dim, dtype=complex)
+        """The basis vector of label (tag, i, b), real like the simple instance."""
+        v = np.zeros(self.dim)
         v[self.index(tag, i, b)] = 1.0
         return v
 
@@ -258,8 +261,9 @@ class SetMatrix:
     """One generator set as a d x k CSC record: a Sparsity and its values.
 
     values[indptr[j]:indptr[j + 1]] are generator j's entries on its
-    labels, none an exact zero.  Products sum each output entry
-    sequentially in storage order (np.bincount).
+    labels, none an exact zero: float64 when the set is real, complex
+    otherwise.  Products sum each output entry sequentially in storage
+    order (np.bincount), in the result dtype of their operands.
     """
 
     sparsity: Sparsity
@@ -282,7 +286,7 @@ class SetMatrix:
         return self.sparsity.cols
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=complex)
+        out = np.zeros(self.shape, dtype=self.values.dtype)
         out[self.rows, self.cols] = self.values
         return out
 
@@ -303,7 +307,9 @@ def _read_only(*arrays: np.ndarray) -> np.ndarray:
 
 
 def _sum_by(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
-    """Complex sums of values grouped by index, each taken in array order."""
+    """Sums of values grouped by index, each taken in array order, in values' dtype."""
+    if not np.iscomplexobj(values):
+        return np.bincount(index, weights=values, minlength=length)
     out = np.empty(length, dtype=complex)
     out.real = np.bincount(index, weights=values.real, minlength=length)
     out.imag = np.bincount(index, weights=values.imag, minlength=length)
@@ -319,8 +325,12 @@ def _sparsity(dim: int, rows, counts, keep) -> Sparsity:
 
 
 def _from_entries(dim: int, rows, values, counts) -> SetMatrix:
-    """A SetMatrix from entries listed column by column, exact zeros dropped."""
-    values = np.asarray(values, dtype=complex)
+    """A SetMatrix from entries listed column by column, exact zeros dropped.
+
+    Real entries are stored as float64 and complex ones as complex128.
+    """
+    values = np.asarray(values)
+    values = values.astype(np.result_type(values, np.float64), copy=False)
     keep = values != 0
     return SetMatrix(_sparsity(dim, rows, counts, keep), values[keep])
 
@@ -328,27 +338,32 @@ def _from_entries(dim: int, rows, values, counts) -> SetMatrix:
 def _assemble(pieces):
     """One generator set's entries, listed column by column, from index arrays.
 
-    Each piece is a (rows, values) pair of equal-shape arrays, (g, w) or
-    (n, g, w): row g lists the basis indices and the entries of one
-    generator.  With a leading input axis the set runs input by input,
-    each input's generators piece by piece; either way generators keep
-    the order of the pieces and of the rows within them.  Each generator's
-    entries are sorted by basis index with one argsort per piece.  Returns
-    the flat rows and values and the entry count of every generator.
+    Each piece is a tuple (rows, *values) of arrays broadcast to the shape
+    of rows, (g, w) or (n, g, w): row g lists the basis indices of one
+    generator, and each values array one quantity per entry (its value,
+    or where the value comes from).  Every piece of a set has the same
+    number of values arrays.  With a leading input axis the set runs input
+    by input, each input's generators piece by piece; either way
+    generators keep the order of the pieces and of the rows within them.
+    Each generator's entries are sorted by basis index with one argsort
+    per piece, taken on the first input: the inputs of a piece must order
+    their generators' labels alike, as they do when one input's labels
+    are another's shifted by one offset per generator.  Returns the flat
+    rows, each flat values array and the entry count of every generator.
     """
-    if not pieces:
-        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)
-    lead = np.shape(pieces[0][0])[:-2]
-    flat_rows, flat_values, counts = [], [], []
-    for rows, values in pieces:
-        values = np.broadcast_to(values, np.shape(rows))
-        order = np.argsort(rows, axis=-1)
-        flat_rows.append(np.take_along_axis(rows, order, -1).reshape(*lead, -1))
-        flat_values.append(np.take_along_axis(values, order, -1).reshape(*lead, -1))
-        counts.append(np.full(rows.shape[-2], rows.shape[-1]))
-    return (np.concatenate(flat_rows, axis=-1).ravel(),
-            np.concatenate(flat_values, axis=-1).ravel(),
-            np.tile(np.concatenate(counts), math.prod(lead)))
+    inputs = math.prod(np.shape(pieces[0][0])[:-2])
+    flat, counts = [[] for _ in pieces[0]], []
+    for rows, *values in pieces:
+        g, width = rows.shape[-2:]
+        first = rows[(0,) * (rows.ndim - 2)]
+        # positions within one input's entries, generator by generator
+        order = (np.argsort(first, axis=-1) + width * np.arange(g)[:, None]).ravel()
+        for out, a in zip(flat, (rows, *values)):
+            out.append(np.take(np.broadcast_to(a, rows.shape).reshape(inputs, -1),
+                               order, axis=1))
+        counts.append(np.full(g, width))
+    return (*(np.concatenate(f, axis=1).ravel() for f in flat),
+            np.tile(np.concatenate(counts), inputs))
 
 
 def _set_matrix(dim: int, pieces) -> SetMatrix:
@@ -375,8 +390,8 @@ def _as_set_matrix(dim: int, vectors) -> SetMatrix:
     if isinstance(vectors, SetMatrix):
         m = vectors
     else:
-        dense = (np.stack([np.asarray(v, dtype=complex).ravel() for v in vectors])
-                 if len(vectors) else np.zeros((0, dim), dtype=complex))
+        dense = (np.stack([np.asarray(v).ravel() for v in vectors])
+                 if len(vectors) else np.zeros((0, dim)))
         k, length = dense.shape
         m = _from_entries(length, np.tile(np.arange(length), k), dense.ravel(),
                           np.full(k, length))
@@ -531,8 +546,12 @@ class PEInstance:
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
-    generators; span_basis densifies them once, checks orthonormality, and
-    raises rather than falling back when the check fails.  The decision
+    generators; span_basis checks their orthonormality on the side's
+    sparse Gram (the shared-label entries the Gram residual reads, over
+    pairs within and across sets, and each normalized generator's squared
+    norm), raises rather than falling back when the check fails, and
+    densifies them once, in the dtype of the values: float64 for a real
+    instance such as a simple-loop one, complex otherwise.  The decision
     engine takes the principal angles between the two spans from these
     bases of psi0_component, the instance cut down to the generator
     components psi0 reaches.  The dense projectors and the walk unitary are
@@ -594,7 +613,7 @@ class PEInstance:
             sets = self._sets(side).values()
             m = SetMatrix(self.structure.stacked[side],
                           np.concatenate([s.values for s in sets]) if sets
-                          else np.zeros(0, dtype=complex))
+                          else np.zeros(0))
             # sequential per-column sums in row order, as a dense column norm
             sq = m.values.real ** 2 + m.values.imag ** 2
             norms = np.sqrt(np.bincount(m.cols, weights=sq, minlength=m.shape[1]))
@@ -669,22 +688,33 @@ class PEInstance:
     def span_basis(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis (dim x generator count) of one side's span.
 
-        The side's generators, densified once and each divided by its
-        norm.  This is a basis only because the generators are pairwise
-        orthogonal, so that is checked here: a basis with max|Q^H Q - I|
-        above assert_tol raises ValueError (as does a vanishing generator,
-        in _gen_matrix).  Cached per side and tolerance policy.
+        The side's generators, each divided by its norm and densified once,
+        in the dtype of the side's values: float64 for a real side.  This
+        is a basis only because the generators are pairwise orthogonal, so
+        that is checked here, on the sparse Gram of the normalized
+        generators rather than a dense Q^H Q: its off-diagonal entries are
+        the shared-label Gram entries divided by both norms (every other
+        pair is orthogonal by support, within a set or across sets), and
+        its diagonal is each normalized generator's squared norm.  A
+        largest |Q^H Q - I| entry above assert_tol raises ValueError (as
+        does a vanishing generator, in _gen_matrix).  Cached per side and
+        tolerance policy.
         """
         key = ("basis", side, tol)
         if key not in self._cache:
-            m, norms = self._gen_matrix(side, tol)
-            q = m.toarray() / norms
-            resid = float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])),
-                                 initial=0.0))
+            (first, second, values), norms = self._gram(side, tol)
+            m, _ = self._gen_matrix(side, tol)
+            q = SetMatrix(m.sparsity, m.values / norms[m.cols])
+            sq = _sum_by(q.cols, q.values.real ** 2 + q.values.imag ** 2,
+                         q.shape[1])
+            resid = max(
+                float(np.max(np.abs(values) / (norms[first] * norms[second]),
+                             initial=0.0)),
+                float(np.max(np.abs(sq - 1.0), initial=0.0)))
             if resid > tol.assert_tol:
                 raise ValueError(f"side {side}: normalized generators are not "
                                  f"orthonormal, residual {resid:.3e}")
-            self._cache[key] = q
+            self._cache[key] = q.toarray()
         return self._cache[key]
 
     def psi0_component(self) -> "PEInstance":
@@ -941,14 +971,13 @@ class GeneralPattern:
         self.num_inputs = n
         self.psi0 = _read_only(basis.unit("src", 0, 0))
 
-        # value sources, as indices into fill's table: +1, -1, sqrt(alpha_t),
-        # -sqrt(omega_i / n); from inner_code on, inner_code + f stands for
-        # 0.0 - sqrt(alpha_{t+1}) U.flat[f] with U = spec.unitaries
-        plus, minus = 0, 1
+        # value sources: each entry's scale, as an index into fill's table
+        # (+1, -1, sqrt(alpha_t), -sqrt(omega_i / n)), and beside it an index
+        # f into U = spec.unitaries, -1 unless the value is 0.0 - scale U.flat[f]
+        plus, minus, no_u = 0, 1, -1
         sqrt_alpha = 2 + np.arange(t_max + 1)
         neg_omega = 3 + t_max + np.arange(n)
-        inner_code = 3 + t_max + n
-        u_codes = inner_code + np.arange(spec.unitaries.size).reshape(spec.unitaries.shape)
+        u_flat = np.arange(spec.unitaries.size).reshape(spec.unitaries.shape)
 
         idx = basis.index
         inputs = np.arange(1, n + 1)
@@ -960,22 +989,21 @@ class GeneralPattern:
         def slot(tag_plus, tag_minus):
             rows = np.stack([idx(tag_plus, i_s, b_s, a_s, 0, 0),
                              idx(tag_minus, i_s, b_s, a_s, 0, 0)], axis=1)
-            return [(rows, np.repeat(pair, len(i_s), axis=0))]
+            return [(rows, np.repeat(pair, len(i_s), axis=0), no_u)]
 
         launch = [(np.concatenate([[idx("src", 0, 0, 0, 0, 0)],
                                    idx("src", inputs, 0, 0, 0, 0)])[None, :],
-                   np.concatenate([[plus], neg_omega])[None, :])]
+                   np.concatenate([[plus], neg_omega])[None, :], no_u)]
         unmarked = np.repeat(inputs[np.array(spec.outputs) == 0], 2)
         a_u = np.tile([0, 1], len(unmarked) // 2)
-        absorb = [(idx("chk", unmarked, 0, a_u, 0, 0)[:, None],
-                   np.full((len(unmarked), 1), plus))]
+        absorb = [(idx("chk", unmarked, 0, a_u, 0, 0)[:, None], plus, no_u)]
 
         # inner transitions at step t run over (tag, b, a, z) with z fastest:
         # sqrt(alpha_t) on the label, -sqrt(alpha_{t+1}) U_{t+1} column on
         # the (a, z) block one step later
         i_g, b_g = inputs[:, None, None, None], np.array([0, 1])[:, None, None]
         a_g = np.array([0, 1])[None, :, None]
-        steps = []   # (step, rows, sources), each with a leading input axis
+        steps = []   # (step, rows, scales, u), each with a leading input axis
         for t in range(t_max):
             z_g = np.flatnonzero(~spec.halted_mask(t)[:w])   # live workspace labels
             shape = (n, 2, 2, 2, len(z_g), 2 * w)   # input, tag, b, a, z, entry
@@ -983,14 +1011,14 @@ class GeneralPattern:
                              for tag in ("fwd", "bwd")], axis=1)
             there = np.stack([basis.az_indices(tag, i_g, b_g, t + 1)
                               for tag in ("fwd", "bwd")], axis=1)
-            there_codes = np.moveaxis(u_codes[:, t][:, :, a_g * w + z_g], 1, -1)
+            there_u = np.moveaxis(u_flat[:, t][:, :, a_g * w + z_g], 1, -1)
             rows = np.concatenate([np.broadcast_to(here[..., None], shape[:-1] + (1,)),
                                    np.broadcast_to(there, shape)], axis=-1)
-            codes = np.concatenate([np.full(shape[:-1] + (1,), sqrt_alpha[t]),
-                                    np.broadcast_to(there_codes[:, None], shape)],
-                                   axis=-1)
-            steps.append((t, rows.reshape(n, -1, 2 * w + 1),
-                          codes.reshape(n, -1, 2 * w + 1)))
+            u = np.concatenate([np.full(shape[:-1] + (1,), no_u),
+                                np.broadcast_to(there_u[:, None], shape)], axis=-1)
+            scales = np.repeat(sqrt_alpha[[t, t + 1]], [1, 2 * w])
+            steps.append((t, rows.reshape(n, -1, 2 * w + 1), scales,
+                          u.reshape(n, -1, 2 * w + 1)))
         # turnarounds at step t run over (a, b, z in the step's cell)
         for t in range(1, t_max + 1):
             cell = np.array(spec.partition[t - 1], dtype=int)
@@ -1000,23 +1028,20 @@ class GeneralPattern:
             rows = np.stack([idx("fwd", inputs[:, None], b_t, a_t, z_t, t),
                              idx("bwd", inputs[:, None], b_t ^ a_t, a_t, z_t, t)],
                             axis=-1)
-            steps.append((t, rows, np.broadcast_to(pair, rows.shape)))
+            steps.append((t, rows, pair, no_u))
         # per input: its transitions by step, then its turnarounds by step
-        even = [(rows, codes) for t, rows, codes in steps if t % 2 == 0]
-        odd = [(rows, codes) for t, rows, codes in steps if t % 2 == 1]
+        even = [piece for t, *piece in steps if t % 2 == 0]
+        odd = [piece for t, *piece in steps if t % 2 == 1]
 
         def set_fill(pieces) -> SetFill:
-            rows, codes, counts = _assemble(pieces)
-            inner = codes >= inner_code
-            flat = codes[inner] - inner_code
-            u = spec.unitaries.ravel()[flat]
+            rows, scale, flat, counts = _assemble(pieces)
+            inner = flat >= 0
+            u = spec.unitaries.ravel()[flat[inner]]
             nonzero = u != 0
             keep = ~inner
             keep[inner] = nonzero
-            # the step of U.flat[f] is t = (f // (2|Z|)^2) % T; its scale sqrt(alpha_{t+1})
-            codes[inner] = sqrt_alpha[(flat // (2 * w) ** 2) % t_max + 1]
             return SetFill(_sparsity(basis.dim, rows, counts, keep),
-                           *map(_read_only, (codes[keep], np.flatnonzero(inner[keep]),
+                           *map(_read_only, (scale[keep], np.flatnonzero(inner[keep]),
                                              u[nonzero])))
 
         self.fills = {"A": {"launch": set_fill(launch), "even": set_fill(even),

@@ -1,10 +1,13 @@
-"""Dense complex linear-algebra primitives shared by every other module.
+"""Dense linear-algebra primitives shared by every other module.
 
 All tolerance-sensitive comparisons in the package are routed through a
 single :class:`TolerancePolicy` so that assertions are reproducible across
-modules.  Everything here operates on plain ``numpy`` arrays: vectors are
-1-d complex arrays, operators are square 2-d complex arrays, and nothing
-else is imported.
+modules.  Everything here operates on plain ``numpy`` arrays, and nothing
+else is imported.  Vectors are 1-d arrays, float64 or complex128 in the
+dtype of the instance they come from (a simple-loop instance is real, a
+general one complex), so real instances keep real arithmetic; the
+operators built here (projectors, reflections, the 2 x 2 walk blocks and
+their eigenvectors) are square complex arrays.
 
 Projectors onto the span of an arbitrary vector set come from one SVD
 (:func:`projector_from_set`); the decision engine needs none, because its span

@@ -6,14 +6,20 @@ block-diagonal over the connected components of the generators, so the
 spectrum is taken on PEInstance.psi0_component, the components psi0
 reaches, for every instance size.  By Jordan's lemma the walk splits
 there along the principal angles theta_j between span A and span B: the
-SVD of Q_A^H Q_B (each side's basis is its normalized, pairwise-orthogonal
-generators) pairs a principal vector u_j of A with one of B, and W
-rotates the plane they span by 2 theta_j, so its phases there are
-+-2 theta_j.  The 2 x 2 compressions of all planes go to one stacked
-unitary_eig call, whose checks certify every plane invariant; the
+thin SVD of Q_A^H Q_B (each side's basis is its normalized,
+pairwise-orthogonal generators) pairs a principal vector u_j of A with
+one of B, and W rotates the plane they span by 2 theta_j, so its phases
+there are +-2 theta_j.  The 2 x 2 compressions of all planes go to one
+stacked unitary_eig call, whose checks certify every plane invariant; the
 remaining directions are fixed analytically: intersection lines and the
-complement of span A + span B have phase 0, and principal vectors left
-unpaired on either side (orthogonal to the other span) have phase pi.
+complement of span A + span B have phase 0, and the directions of either
+side that the SVD leaves unpaired (orthogonal to the other span) have
+phase pi.  The thin SVD never forms those directions: psi0's weight on
+them is the squared norm of its residual after projecting onto the paired
+ones, in generator coordinates, so the spectrum carries one pi entry per
+side.  The arithmetic follows the instance's values: a simple-loop
+instance is real, so its bases, cross Gram, SVD and every d x k product
+are float64; a general instance is complex.
 The phase-register simulation runs the dense walk of psi0's component,
 kept as an independent cross-check; the dense walk of the full instance
 is the oracle in the test suite.  The reflection-factorization identity
@@ -36,8 +42,7 @@ import numpy as np
 
 from . import instances as inst_mod
 from . import subroutines as subs_mod
-from .linalg import (DEFAULT_TOL, TolerancePolicy, cluster_phases,
-                     unitary_eig)
+from .linalg import DEFAULT_TOL, TolerancePolicy, unitary_eig
 from .instances import NegativeWitness, PEInstance, PositiveWitness, Weights
 from .subroutines import SubroutineSpec
 
@@ -48,7 +53,9 @@ C_PLUS_MAX = 50.0
 class WalkSpectrum(NamedTuple):
     """Eigenphases of the walk on psi0's component with psi0's weight on each.
 
-    dim, rank_a and rank_b are the row and generator counts of psi0's
+    The last three entries are the phase-pi weights of the directions left
+    unpaired on side A and on side B, then the phase-0 weight outside
+    span A + span B.  dim, rank_a and rank_b are the row and generator counts of psi0's
     component; min_angle is the smallest principal angle among its
     rotation planes, or None when the spans meet there in no plane.
     """
@@ -69,53 +76,58 @@ def _reflect(q: np.ndarray, qh: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     """Spectrum of W = R_A R_B from the principal angles of the two spans.
 
-    Taken on instance.psi0_component(), which has psi0's spectrum weights.
-    Column j of the SVD pairs u_j = Q_A U_j with Q_B V_j = cos_j u_j +
-    sin_j w_j; sin_j is taken as the norm of Q_B V_j - cos_j u_j, which
-    stays accurate where sqrt(1 - cos_j^2) would cancel.  Pairs with
-    sin_j <= rank_tol are intersection lines.  psi0's weight outside
-    span A + span B is the squared norm of its residual vector, never a
-    cancelling 1 - sum of weights.  Each d x k adjoint is formed once:
-    overlaps with psi0 are taken as conj(psi0^H X) instead of X^H psi0.
+    Taken on instance.psi0_component(), which has psi0's spectrum weights,
+    in the dtype of its span bases: real for a real instance.  Column j
+    of the thin SVD of C = Q_A^H Q_B pairs u_j = Q_A U_j with Q_B V_j =
+    cos_j u_j + sin_j w_j; sin_j is taken as the norm of Q_B V_j - cos_j
+    u_j, which stays accurate where sqrt(1 - cos_j^2) would cancel.  Pairs
+    with sin_j <= rank_tol are intersection lines.  The directions of a
+    side that no column pairs (its complement of U's or V's columns,
+    orthogonal to the other span) have phase pi; psi0's weight on them is
+    the squared norm of a residual vector in generator coordinates, r_A =
+    p_A - U U^H p_A and r_B = p_B - V V^H p_B with p = Q^H psi0, so the
+    spectrum carries one pi entry per side.  psi0's weight outside span A
+    + span B is the squared norm of psi0 - Q_A p_A - sum_j w_j <w_j, psi0>
+    - Q_B r_B.  Neither is a cancelling 1 - sum of weights.  Each d x k
+    adjoint is formed once: overlaps with psi0 are taken as conj(psi0^H X)
+    instead of X^H psi0.
     """
     instance = instance.psi0_component()
     qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
     qah, qbh = qa.conj().T, qb.conj().T
     rank_a, rank_b = qa.shape[1], qb.shape[1]
-    u, cos, vh = np.linalg.svd(qah @ qb)
-    paired = len(cos)
+    u, cos, vh = np.linalg.svd(qah @ qb, full_matrices=False)
+    v = vh.conj().T
     ua = qa @ u
-    vb = qb @ vh.conj().T
-    ua_paired = ua[:, :paired]
-    perp = vb[:, :paired] - ua_paired * cos
+    perp = qb @ v - ua * cos
     sin = np.linalg.norm(perp, axis=0)
     rot = sin > tol.rank_tol
     w = perp[:, rot] / sin[rot]
 
     psi0 = instance.psi0
     psi0h = psi0.conj()
-    ca, cw = (psi0h @ ua).conj(), (psi0h @ w).conj()
-    cb = (psi0h @ vb[:, paired:]).conj()
-    outside = float(np.linalg.norm(
-        psi0 - ua @ ca - w @ cw - vb[:, paired:] @ cb) ** 2)
+    pa, pb = (psi0h @ qa).conj(), (psi0h @ qb).conj()
+    ca, cw = u.conj().T @ pa, (psi0h @ w).conj()
+    ra, rb = pa - u @ ca, pb - v @ (vh @ pb)
+    outside = float(np.linalg.norm(psi0 - qa @ pa - w @ cw - qb @ rb) ** 2)
 
     # plane j is span{u_j, w_j}; W is applied as two matrix-free reflections
-    planes = np.stack([ua_paired[:, rot], w], axis=-1)
+    planes = np.stack([ua[:, rot], w], axis=-1)
     dim, count = planes.shape[0], planes.shape[1]
     walked = _reflect(qa, qah, _reflect(qb, qbh, planes.reshape(dim, 2 * count)))
     # (count, 2, dim) @ (count, dim, 2): the 2 x 2 compression of each plane
     blocks = (planes.transpose(1, 2, 0).conj()
               @ walked.reshape(dim, count, 2).transpose(1, 0, 2))
-    coeffs = np.stack([ca[:paired][rot], cw], axis=-1)
+    coeffs = np.stack([ca[rot], cw], axis=-1)
     dec = unitary_eig(blocks, tol)
     weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
 
-    lines = np.abs(ca[:paired][~rot]) ** 2
-    unpaired = np.abs(np.concatenate([ca[paired:], cb])) ** 2
+    lines = np.abs(ca[~rot]) ** 2
+    unpaired = [np.linalg.norm(ra) ** 2, np.linalg.norm(rb) ** 2]
     angles = np.arctan2(sin[rot], cos[rot])
     return WalkSpectrum(
         phases=np.concatenate([dec.phases.ravel(), np.zeros(len(lines)),
-                               np.full(len(unpaired), np.pi), [0.0]]),
+                               [np.pi, np.pi, 0.0]]),
         weights=np.concatenate([weights.ravel(), lines, unpaired, [outside]]),
         dim=instance.dim, rank_a=rank_a, rank_b=rank_b,
         min_angle=float(angles.min()) if len(angles) else None)
@@ -123,13 +135,19 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
 
 def _zero_phase_weight(spectrum: WalkSpectrum, theta_star: float,
                        tol: TolerancePolicy) -> float:
-    phases, weights = spectrum.phases, spectrum.weights
-    p0 = 0.0
-    for cluster in cluster_phases(phases, tol.eig_cluster_tol):
-        rep = float(np.mean(phases[cluster]))
-        if abs(rep) <= theta_star + tol.eig_cluster_tol:
-            p0 += float(np.sum(weights[cluster]))
-    return p0
+    """psi0's weight on the phase clusters whose mean is within the cutoff.
+
+    The clusters are cluster_phases': runs of the sorted phases whose
+    consecutive gaps are at most eig_cluster_tol, each summed in one
+    reduceat.
+    """
+    order = np.argsort(spectrum.phases)
+    phases, weights = spectrum.phases[order], spectrum.weights[order]
+    starts = np.flatnonzero(np.diff(phases, prepend=-np.inf)
+                            > tol.eig_cluster_tol)
+    mean = np.add.reduceat(phases, starts) / np.diff(starts, append=len(phases))
+    kept = np.abs(mean) <= theta_star + tol.eig_cluster_tol
+    return float(np.sum(np.add.reduceat(weights, starts)[kept]))
 
 
 def zero_phase_overlap(instance: PEInstance, theta_star: float,

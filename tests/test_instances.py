@@ -572,6 +572,30 @@ def test_span_basis_and_projector_agree_on_built_instances(small_pair):
             assert np.max(np.abs(p.matrix - q @ q.conj().T)) < 1e-12
 
 
+def test_span_basis_dtype_follows_the_instance_values(small_pair):
+    """Simple instances stay real down to the basis; general ones are complex."""
+    pair, = regime_pairs(*small_pair, ["ii-b"])
+    simple = [build_simple_instance(OracleSpec(size=8, marked=m), 8.0)
+              for m in (frozenset({2}), frozenset())]
+    for insts, dtype in ((simple, np.float64),
+                         (pair.instances().values(), np.complex128)):
+        for inst in insts:
+            for part in (inst, inst.psi0_component()):
+                assert part.psi0.dtype == dtype
+                for side in ("A", "B"):
+                    sets = part.a_sets if side == "A" else part.b_sets
+                    assert all(m.values.dtype == dtype for m in sets.values())
+                    assert part.span_basis(side).dtype == dtype
+    # hand-built sets keep their dtype: integers become float64
+    e = np.eye(3, dtype=int)
+    real = PEInstance(dim=3, psi0=e[0], a_sets={"a": [e[1]]}, b_sets={"b": [e[2]]})
+    assert real.span_basis("A").dtype == np.float64
+    cplx = PEInstance(dim=3, psi0=e[0], a_sets={"a": [1j * e[1]]},
+                      b_sets={"b": [e[2]]})
+    assert cplx.span_basis("A").dtype == np.complex128
+    assert cplx.span_basis("B").dtype == np.float64
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 def test_general_witness_closed_norms(regime, small_pair):
     pair, = regime_pairs(*small_pair, [regime])

@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 import vtsearch.instances as inst_mod
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (REGIMES, PEInstance, build_simple_instance,
+from vtsearch.instances import (REGIMES, PEInstance, SetMatrix,
+                                build_simple_instance,
                                 general_negative_witness,
                                 general_positive_witness, regime_parameters,
                                 simple_witnesses, verify_witnesses)
-from vtsearch.phase import (_walk_spectrum, decide, qpe_kernel, qpe_simulate,
+from vtsearch.phase import (WalkSpectrum, _walk_spectrum, _zero_phase_weight,
+                            decide, qpe_kernel, qpe_simulate,
                             qpe_zero_prediction, regime_pairs,
                             register_bits_for, verify_reflection_factorization,
                             zero_phase_overlap)
 from vtsearch.linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError,
-                             TolerancePolicy)
+                             TolerancePolicy, cluster_phases)
 from vtsearch.subroutines import stopping_moments, subroutine_pair
 
 from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
@@ -310,6 +312,96 @@ def test_restriction_follows_a_deep_chain():
     _assert_matches_dense_oracle(inst)
 
 
+def _complex_copy(inst):
+    """The instance with its psi0 and every set's values cast to complex."""
+    sets = [{name: SetMatrix(m.sparsity, m.values.astype(complex))
+             for name, m in side.items()} for side in (inst.a_sets, inst.b_sets)]
+    return PEInstance(dim=inst.dim, psi0=inst.psi0.astype(complex),
+                      a_sets=sets[0], b_sets=sets[1])
+
+
+def _phase_clusters(spectrum):
+    """(mean phase, weight) of each cluster of the spectrum's phases."""
+    return [(float(np.mean(spectrum.phases[c])), float(np.sum(spectrum.weights[c])))
+            for c in cluster_phases(spectrum.phases, DEFAULT_TOL.eig_cluster_tol)]
+
+
+@pytest.mark.parametrize("n, omega_scale", [(4, 1.0), (16, 0.37), (64, 1.0), (64, 2.9)])
+@pytest.mark.parametrize("marked", [frozenset(), frozenset({0}), frozenset({0, 3})])
+def test_real_simple_instance_matches_its_complex_copy(n, omega_scale, marked):
+    """Real arithmetic on a simple-loop instance changes no decision figure."""
+    real = build_simple_instance(OracleSpec(size=n, marked=marked), omega_scale * n)
+    cplx = _complex_copy(real)
+    assert cplx.span_basis("A").dtype == np.complex128
+    assert real.span_basis("A").dtype == np.float64
+    for theta in THETA_STARS:
+        assert abs(zero_phase_overlap(real, theta)
+                   - zero_phase_overlap(cplx, theta)) <= ORACLE_TOL
+    got, want = (_walk_spectrum(inst, DEFAULT_TOL) for inst in (real, cplx))
+    assert abs(got.min_angle - want.min_angle) <= ORACLE_TOL
+    got, want = _phase_clusters(got), _phase_clusters(want)
+    assert len(got) == len(want)
+    for (phase, weight), (phase_c, weight_c) in zip(got, want):
+        assert abs(phase - phase_c) <= ORACLE_TOL
+        assert abs(weight - weight_c) <= ORACLE_TOL
+
+
+def test_spectrum_weights_sum_to_one_on_built_instances(small_pair):
+    """Every weight is computed on its own, none as 1 minus the others."""
+    built = [build_simple_instance(OracleSpec(size=n, marked=m), float(n))
+             for n in (4, 80) for m in (frozenset(), frozenset({1}))]
+    for pair in regime_pairs(*small_pair, REGIMES):
+        built.extend(pair.instances().values())
+    built.extend(regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])[0]
+                 .instances().values())
+    for inst in built:
+        spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+        assert np.all(spectrum.weights >= 0.0)
+        assert abs(float(np.sum(spectrum.weights)) - 1.0) <= ORACLE_TOL
+        # one phase-pi entry per side, then the complement's phase 0
+        assert list(spectrum.phases[-3:]) == [math.pi, math.pi, 0.0]
+
+
+@pytest.mark.parametrize("straddle", [(-0.5, 0.4), (-0.4, 0.5)])
+def test_zero_phase_weight_matches_the_cluster_oracle(straddle):
+    """Clusters summed with reduceat against the per-cluster loop.
+
+    The spectrum holds a chain of close phases wider than the cluster
+    tolerance, two clusters straddling the cutoff theta* + eig_cluster_tol
+    (one at each sign, their means on opposite sides of the cutoff), a
+    cluster of more than eight phases, and more than eight kept clusters.
+    """
+    rng = np.random.default_rng(5)
+    tol = DEFAULT_TOL.eig_cluster_tol
+    theta_star = 0.2
+    cut = theta_star + tol
+    # the same offsets at +-cut put one cluster's mean inside, the other's out
+    groups = [0.1 + 0.9 * tol * np.arange(6),          # one chain, 4.5 tol wide
+              cut + np.array(straddle) * tol,
+              -cut + np.array(straddle) * tol,
+              np.full(11, 0.05), np.full(3, np.pi), np.zeros(4),
+              rng.uniform(0.3, 3.0, size=20)]
+    # twelve well separated clusters inside the cutoff, some of two phases
+    groups += [x + np.array([0.0, 0.2 * tol])[:1 + k % 2]
+               for k, x in enumerate(np.linspace(-0.18, 0.18, 12) + 0.003)]
+    phases = rng.permutation(np.concatenate(groups))
+    weights = rng.uniform(0.0, 1.0, size=len(phases))
+    weights /= weights.sum()
+    spectrum = WalkSpectrum(phases=phases, weights=weights, dim=0, rank_a=0,
+                            rank_b=0, min_angle=None)
+    clusters = cluster_phases(phases, tol)
+    means = [abs(float(np.mean(phases[c]))) for c in clusters]
+    straddling = [m for c, m in zip(clusters, means)
+                  if np.min(np.abs(phases[c])) <= cut < np.max(np.abs(phases[c]))]
+    assert len(straddling) == 2
+    assert min(straddling) <= cut < max(straddling)
+    assert sum(m <= cut for m in means) > 8 and max(map(len, clusters)) > 8
+    for theta in (*THETA_STARS, theta_star, 0.1 + 2 * tol, 0.0, math.pi):
+        got = _zero_phase_weight(spectrum, theta, DEFAULT_TOL)
+        want = dense_zero_phase_overlap((phases, weights), theta)
+        assert abs(got - want) <= ORACLE_TOL, theta
+
+
 def test_decides_general_instance_past_the_dense_cap():
     """(n, T, Z) = (16, 4, 4), d = 9520: decided on psi0's component alone."""
     pair, = regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])
@@ -481,6 +573,27 @@ def test_reflection_factorization_ignores_overlaps_within_a_set():
                         b_sets=inst.b_sets)
     assert within.gram_offdiagonal_residual("A") == pytest.approx(2.0)
     assert max(_reflection_residuals(within)) <= DEFAULT_TOL.assert_tol
+
+
+def test_span_basis_rejects_overlaps_within_a_set():
+    """The orthonormality check reads every shared-label pair of a side.
+
+    The reflection factorization ignores overlaps within a set, but the
+    engine's basis is the normalized generators, so it must not.
+    """
+    inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
+    check = inst.set_vectors("A", "check")
+    tilted = check[0] + 1e-6 * check[1]
+    within = PEInstance(dim=inst.dim, psi0=inst.psi0,
+                        a_sets={"launch": inst.set_vectors("A", "launch"),
+                                "check": check + [tilted]},
+                        b_sets=inst.b_sets)
+    assert verify_reflection_factorization(within) == 0.0
+    with pytest.raises(ValueError, match="side A: normalized generators"):
+        within.span_basis("A")
+    with pytest.raises(ValueError, match="side A: normalized generators"):
+        decide(within, c_minus=13.0, c_plus=4.0)
+    assert within.span_basis("B").shape[1] == len(inst.generators("B"))
 
 
 def test_reflection_factorization_past_the_dense_cap():
