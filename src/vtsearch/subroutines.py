@@ -9,10 +9,17 @@ claimed answer sector (zero error).
 
 Each spec evolves once: ``SubroutineSpec.trajectory`` holds every input's
 run U_t .. U_1 psi0, computed with one stacked product per step and
-cached.  The stopping profiles and their survival table, validate's
-zero-error check, run_subroutine, and the witnesses' history states all
-read it.  cascade_profile stays outside it as an independent
+cached.  validate's zero-error check, run_subroutine and the witnesses'
+history states read it, and so does ``SubroutineSpec.stopping_profiles``,
+every input's stopping profile in one table built with one pass per
+step.  stopping_profile, stopping_moments and the survival table read
+that table.  cascade_profile stays outside both as an independent
 density-matrix oracle for the stopping profiles.
+
+random_subroutine draws each step once for all inputs: one stacked Haar
+draw and QR (haar_unitary with a count), one broadcast product for the
+answer-register kron and one stacked answer flip.  The bytes are those
+of drawing input by input.
 
 Basis convention on ``H_A (x) H_Z``: index = a * workspace_size + z, with
 the answer bit ``a`` the slow index.  Inputs are 0-based: ``i`` ranges over
@@ -97,9 +104,20 @@ class SubroutineSpec:
         return states
 
     @cached_property
-    def stopping_profiles(self) -> tuple["StoppingProfile", ...]:
-        """stopping_profile of every input, computed once per spec."""
-        return tuple(stopping_profile(self, i) for i in range(self.num_inputs))
+    def stopping_profiles(self) -> "StoppingProfile":
+        """Every input's stopping profile, row i input i's; read-only.
+
+        One pass over spec.trajectory: at step t, one halted mask shared
+        by every input selects the halted components, and column t - 1
+        of cdf is their squared norm.  Each entry has the bytes of
+        float(np.linalg.norm(...) ** 2) on that input's halted part, the
+        reduction stopping_profile made one input at a time.
+        """
+        cdf = np.zeros((self.num_inputs, self.num_steps))
+        for t in range(1, self.num_steps + 1):
+            cdf[:, t - 1] = _norm_sq_rows(self.trajectory[:, t][:, self.halted_mask(t)])
+        pmf = np.clip(np.diff(cdf, axis=1, prepend=0.0), 0.0, None)
+        return StoppingProfile(pmf=_read_only(pmf), cdf=_read_only(cdf))
 
     @cached_property
     def survival(self) -> np.ndarray:
@@ -108,8 +126,7 @@ class SubroutineSpec:
         1 for t <= 1, then 1 - cdf[t - 2] of input i's stopping profile.
         """
         table = np.ones((self.num_inputs, self.num_steps + 1))
-        cdf = np.array([p.cdf for p in self.stopping_profiles])
-        table[:, 2:] = 1.0 - cdf[:, :-1]
+        table[:, 2:] = 1.0 - self.stopping_profiles.cdf[:, :-1]
         table.flags.writeable = False
         return table
 
@@ -169,19 +186,119 @@ def _pairs_to_matrix(rows: list, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StoppingProfile:
-    """Exact distribution of the stopping time of one input."""
+    """Exact distribution of the stopping time of one input.
 
-    pmf: np.ndarray   # index t-1 holds P[T = t], t = 1..num_steps
+    SubroutineSpec.stopping_profiles stacks every input's profile, one
+    row per input, in a single StoppingProfile.
+    """
+
+    pmf: np.ndarray   # index [..., t-1] holds P[T = t], t = 1..num_steps
     cdf: np.ndarray
 
     @property
     def num_steps(self) -> int:
-        return len(self.pmf)
+        return self.pmf.shape[-1]
 
-    def moments(self) -> tuple[float, float]:
-        """E[T] and E[T^2]."""
+    def moments(self):
+        """E[T] and E[T^2]: floats for one input, arrays over rows when stacked.
+
+        A stacked row's moments have the bytes of that row's own moments.
+        """
         ts = np.arange(1, self.num_steps + 1, dtype=float)
-        return float(self.pmf @ ts), float(self.pmf @ ts**2)
+        if self.pmf.ndim == 1:
+            return float(self.pmf @ ts), float(self.pmf @ ts**2)
+        return _dot_rows(self.pmf, ts), _dot_rows(self.pmf, ts**2)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise reductions with the bytes of numpy's one-vector calls
+# ---------------------------------------------------------------------------
+# numpy hands a 1-D float dot to BLAS ddot.  OpenBLAS's x86-64 ddot takes
+# a strided vector four terms at a time into two accumulators, then adds
+# the rest one fused multiply-add at a time; a contiguous vector shorter
+# than 16 is one fused multiply-add per term.  Taking the terms in that
+# order with exactly rounded fused multiply-adds gives each row the bytes
+# of its own 1-D call.  Exactness needs every nonzero term's error to be
+# a normal float, so a row with an entry below _TINY keeps the 1-D call.
+
+_TINY = 1e-140
+_SPLIT = 134217729.0   # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fma(a, b, c):
+    """a * b + c rounded once, elementwise.
+
+    Dekker's exact product p + e = a * b, then the three-term sum
+    c + p + e rounded once through a round-to-odd middle step (Boldo and
+    Melquiond, "Emulation of FMA and correctly rounded sums", 2008).
+    """
+    p = a * b
+    ta, tb = _SPLIT * a, _SPLIT * b
+    ah, bh = ta - (ta - a), tb - (tb - b)
+    al, bl = a - ah, b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    hi, lo = _two_sum(c, p)
+    mid, err = _two_sum(lo, e)
+    # round to odd: an inexact mid with an even last bit moves one ulp toward the exact sum
+    move = (err != 0) & ((mid.view(np.int64) & 1) == 0)
+    mid = np.where(move, np.nextafter(mid, np.copysign(np.inf, err)), mid)
+    return hi + mid
+
+
+def _tiny_rows(x: np.ndarray) -> np.ndarray:
+    tiny = [(part != 0) & (np.abs(part) < _TINY) for part in (x.real, x.imag)]
+    return np.flatnonzero(np.any(tiny[0] | tiny[1], axis=1))
+
+
+def _strided_sq_dot(x: np.ndarray) -> np.ndarray:
+    """Row k is x[k] @ x[k] as ddot sums a strided vector."""
+    head = x.shape[1] & -4
+    sq = x * x
+    first, second = np.zeros(len(x)), np.zeros(len(x))
+    for j in range(0, head, 4):
+        first = first + (sq[:, j] + sq[:, j + 2])
+        second = second + (sq[:, j + 1] + sq[:, j + 3])
+    for j in range(head, x.shape[1]):
+        first = _fma(x[:, j], x[:, j], first)
+    return first + second
+
+
+def _norm_sq_rows(x: np.ndarray) -> np.ndarray:
+    """Row k is float(np.linalg.norm(x[k]) ** 2) for a complex (rows, m) array.
+
+    np.linalg.norm squares the real and imaginary parts, each a
+    stride-2 view, with one dot each; ``** 2`` on the float it returns
+    is the C library's pow, which np.float_power also calls.
+    """
+    out = np.float_power(np.sqrt(_strided_sq_dot(x.real) + _strided_sq_dot(x.imag)), 2.0)
+    for k in _tiny_rows(x):
+        out[k] = float(np.linalg.norm(x[k]) ** 2)
+    return out
+
+
+def _dot_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row k is float(m[k] @ v), for a float (rows, n) array."""
+    if m.shape[1] >= 16:
+        # ddot's vector kernel takes 16 or more terms in its own order
+        return np.array([float(row @ v) for row in m])
+    acc = np.zeros(len(m))
+    for j in range(m.shape[1]):
+        acc = _fma(m[:, j], v[j], acc)
+    for k in _tiny_rows(m):
+        acc[k] = float(m[k] @ v)
+    return acc
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -264,27 +381,21 @@ def validate(spec: SubroutineSpec, tol: TolerancePolicy = DEFAULT_TOL) -> Valida
 
 
 def stopping_profile(spec: SubroutineSpec, i: int) -> StoppingProfile:
-    """Exact stopping-time distribution of input i from spec.trajectory.
+    """Exact stopping-time distribution of input i: row i of spec.stopping_profiles.
 
     cdf(t) is the squared norm of the halted-by-t component of the state
-    after step t, read off input i's row of the spec's one evolution; no
-    sampling is involved.
+    after step t, read off the spec's one evolution; no sampling is
+    involved.  The arrays are read-only rows of the spec's table.
     """
     if not (0 <= i < spec.num_inputs):
         raise IndexError(f"input index {i} out of range")
-    states = spec.trajectory[i]
-    cdf = np.zeros(spec.num_steps)
-    for t in range(1, spec.num_steps + 1):
-        cdf[t - 1] = float(np.linalg.norm(states[t][spec.halted_mask(t)]) ** 2)
-    pmf = np.diff(cdf, prepend=0.0)
-    pmf = np.clip(pmf, 0.0, None)
-    return StoppingProfile(pmf=pmf, cdf=cdf)
+    table = spec.stopping_profiles
+    return StoppingProfile(pmf=table.pmf[i], cdf=table.cdf[i])
 
 
 def stopping_moments(spec: SubroutineSpec) -> tuple[np.ndarray, np.ndarray]:
     """E[T_i] and E[T_i^2] for every input i, from spec.stopping_profiles."""
-    moments = [p.moments() for p in spec.stopping_profiles]
-    return (np.array([m[0] for m in moments]), np.array([m[1] for m in moments]))
+    return spec.stopping_profiles.moments()
 
 
 def cascade_profile(spec: SubroutineSpec, i: int) -> StoppingProfile:
@@ -498,20 +609,24 @@ def run_block_algorithm(schedule: BlockSchedule, i: int) -> np.ndarray:
 # Seeded generator
 # ---------------------------------------------------------------------------
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random dim x dim unitary drawn from ``rng``.
+def haar_unitary(rng: np.random.Generator, dim: int,
+                 count: int | None = None) -> np.ndarray:
+    """Haar-random dim x dim unitary drawn from ``rng``, or a stack of ``count``.
 
     QR of a complex Ginibre matrix, with each column of Q rescaled by the
     phase of R's diagonal entry.  Draws and operation order are those of
     scipy's ``unitary_group.rvs`` (checked against scipy 1.17), so for the
     same generator state the two return identical bytes and leave the
-    generator in the same state.
+    generator in the same state.  With a count, one normal draw of shape
+    (count, 2, dim, dim), one stacked QR and one phase fix give the bytes
+    and the generator state of count draws one after another.
     """
-    z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim))
-                            + 1j * rng.normal(size=(dim, dim)))
+    shape = (2, dim, dim) if count is None else (count, 2, dim, dim)
+    g = rng.normal(size=shape)
+    z = 1 / math.sqrt(2) * (g[..., 0, :, :] + 1j * g[..., 1, :, :])
     q, r = np.linalg.qr(z)
-    d = r.diagonal()
-    q *= d / abs(d)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / abs(d))[..., None, :]
     return q
 
 
@@ -529,9 +644,12 @@ def random_subroutine(seed: int, num_inputs: int, num_steps: int,
     by an answer flip on the labels halting at this step, which makes the
     subroutine exactly zero-error by construction.
 
-    RNG: numpy's PCG64 via np.random.default_rng(seed); the step unitaries
-    come from haar_unitary, whose draws equal those of scipy's
-    unitary_group.rvs on the same generator.
+    RNG: numpy's PCG64 via np.random.default_rng(seed).  Each step draws
+    once for all inputs, in input order: a stack of haar_unitary
+    matrices, whose draws equal those of scipy's unitary_group.rvs on the
+    same generator one input after another, or rng.random(num_inputs)
+    phases when one label is left.  The bytes are those of drawing input
+    by input, step by step.
     """
     if workspace_size < 1 or num_steps < 1 or num_inputs < 1:
         raise ValueError("sizes must be positive")
@@ -558,31 +676,29 @@ def random_subroutine(seed: int, num_inputs: int, num_steps: int,
     if any(i < 0 or i >= num_inputs for i in marked):
         raise ValueError("marked indices out of range")
     outputs = tuple(1 if i in marked else 0 for i in range(num_inputs))
+    flipped = np.array(sorted(marked), dtype=int)
 
-    dim = 2 * workspace_size
-    us = np.zeros((num_inputs, num_steps, dim, dim), dtype=complex)
-    cum = 0
-    for t in range(num_steps):
-        active = list(range(cum, workspace_size))   # labels not yet halted
-        cell = partition[t]
+    n, w, dim = num_inputs, workspace_size, 2 * workspace_size
+    us = np.zeros((n, num_steps, dim, dim), dtype=complex)
+    eye_answer = np.eye(2)[:, None, :, None]
+    cum = 0   # labels cum .. w - 1 have not halted yet
+    for t, cell in enumerate(partition):
+        ws = np.broadcast_to(np.eye(w, dtype=complex), (n, w, w)).copy()
+        if w - cum > 1:
+            ws[:, cum:, cum:] = haar_unitary(rng, w - cum, n)
+        elif w - cum == 1:
+            ws[:, cum, cum] = np.exp(2j * np.pi * rng.random(n))
         cum += len(cell)
-        for i in range(num_inputs):
-            w = np.eye(workspace_size, dtype=complex)
-            if len(active) > 1:
-                block = haar_unitary(rng, len(active))
-                w[np.ix_(active, active)] = block
-            elif len(active) == 1:
-                w[active[0], active[0]] = np.exp(2j * np.pi * rng.random())
-            u = np.kron(np.eye(2), w)
-            if outputs[i] == 1 and cell:
-                flip = np.eye(dim, dtype=complex)
-                for z in cell:
-                    flip[z, z] = 0.0
-                    flip[workspace_size + z, workspace_size + z] = 0.0
-                    flip[workspace_size + z, z] = 1.0
-                    flip[z, workspace_size + z] = 1.0
-                u = flip @ u
-            us[i, t] = u
+        # np.kron(np.eye(2), ws[i]) for every i: the same elementwise product
+        us[:, t] = (eye_answer * ws[:, None, :, None, :]).reshape(n, dim, dim)
+        if len(flipped) and cell:
+            flip = np.eye(dim, dtype=complex)
+            for z in cell:
+                flip[z, z] = 0.0
+                flip[w + z, w + z] = 0.0
+                flip[w + z, z] = 1.0
+                flip[z, w + z] = 1.0
+            us[flipped, t] = flip @ us[flipped, t]
     return SubroutineSpec(
         num_inputs=num_inputs,
         num_steps=num_steps,
@@ -595,6 +711,9 @@ def random_subroutine(seed: int, num_inputs: int, num_steps: int,
 
 def late_halting_fractions(num_steps: int) -> np.ndarray:
     """Halting fractions with an empty first cell, so T >= 2 almost surely."""
+    if num_steps < 2:
+        raise ValueError(f"num_steps must be at least 2 for an empty first cell, "
+                         f"got {num_steps}")
     fractions = np.zeros(num_steps)
     fractions[1:] = 1.0 / (num_steps - 1)
     return fractions

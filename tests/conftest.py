@@ -9,10 +9,10 @@ import scipy.stats
 
 from vtsearch import (DEFAULT_TOL, NonUnitaryError, SpectralDecomposition,
                       cluster_phases, projector_from_set, qpe_kernel,
-                      reflection, stopping_profile, subroutine_pair,
+                      reflection, subroutine_pair,
                       unitarity_residual)
 from vtsearch.linalg import check_dim
-from vtsearch.subroutines import BlockSchedule
+from vtsearch.subroutines import BlockSchedule, StoppingProfile, SubroutineSpec
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
                                 SimpleBasis)
 
@@ -231,13 +231,13 @@ def _dense_history_states(spec, i, alpha):
     """Oracle: input i's (w_plus, w_minus, norm_plus, norm_minus), dense d-vectors.
 
     Summed label by label into fresh d-length vectors; the closed norms
-    come from a fresh stopping_profile, not from the spec's cached ones.
+    come from a per-input profile, not from the spec's stacked table.
     """
     alpha = np.asarray(alpha, dtype=float)
     basis = GeneralBasis.for_spec(spec)
     fi = spec.outputs[i]
     inner = dense_inner_history(spec, i)
-    profile = stopping_profile(spec, i)
+    profile = per_input_profile(spec, i)
 
     w_plus = np.zeros(basis.dim, dtype=complex)
     w_minus = np.zeros(basis.dim, dtype=complex)
@@ -295,6 +295,75 @@ def dense_general_witnesses(spec, weights):
     w_b = -w_a
     w_b[psi0_idx] += 1.0
     return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=closed)
+
+
+def scipy_haar(rng, dim):
+    """One Haar unitary from scipy's own sampler, on the given generator."""
+    return scipy.stats.unitary_group.rvs(dim, random_state=rng)
+
+
+def loop_random_subroutine(seed, num_inputs, num_steps, workspace_size,
+                           halting_fractions=None, marked=(), haar=scipy_haar):
+    """Oracle: random_subroutine drawn one (step, input) pair at a time.
+
+    One haar(rng, k) draw or one rng.random() phase per input per step,
+    then np.kron(np.eye(2), w) and a dense answer flip per marked input;
+    the library draws each step once for all inputs.
+    """
+    rng = np.random.default_rng(seed)
+    if halting_fractions is None:
+        weights = rng.random(num_steps)
+        halting_fractions = weights / weights.sum()
+    halting_fractions = np.asarray(halting_fractions, dtype=float)
+    counts = np.floor(halting_fractions * workspace_size).astype(int)
+    counts[-1] += workspace_size - int(counts.sum())
+    partition = []
+    nxt = 0
+    for c in counts:
+        partition.append(tuple(range(nxt, nxt + int(c))))
+        nxt += int(c)
+    outputs = tuple(1 if i in set(marked) else 0 for i in range(num_inputs))
+
+    dim = 2 * workspace_size
+    us = np.zeros((num_inputs, num_steps, dim, dim), dtype=complex)
+    cum = 0
+    for t in range(num_steps):
+        active = list(range(cum, workspace_size))   # labels not yet halted
+        cell = partition[t]
+        cum += len(cell)
+        for i in range(num_inputs):
+            w = np.eye(workspace_size, dtype=complex)
+            if len(active) > 1:
+                w[np.ix_(active, active)] = haar(rng, len(active))
+            elif len(active) == 1:
+                w[active[0], active[0]] = np.exp(2j * np.pi * rng.random())
+            u = np.kron(np.eye(2), w)
+            if outputs[i] == 1 and cell:
+                flip = np.eye(dim, dtype=complex)
+                for z in cell:
+                    flip[z, z] = 0.0
+                    flip[workspace_size + z, workspace_size + z] = 0.0
+                    flip[workspace_size + z, z] = 1.0
+                    flip[z, workspace_size + z] = 1.0
+                u = flip @ u
+            us[i, t] = u
+    return SubroutineSpec(num_inputs=num_inputs, num_steps=num_steps,
+                          workspace_size=workspace_size,
+                          partition=tuple(partition), unitaries=us,
+                          outputs=outputs)
+
+
+def per_input_profile(spec, i):
+    """Oracle: input i's stopping profile with one np.linalg.norm per step.
+
+    The library computes every input's cdf in one stacked pass per step.
+    """
+    states = spec.trajectory[i]
+    cdf = np.zeros(spec.num_steps)
+    for t in range(1, spec.num_steps + 1):
+        cdf[t - 1] = float(np.linalg.norm(states[t][spec.halted_mask(t)]) ** 2)
+    pmf = np.clip(np.diff(cdf, prepend=0.0), 0.0, None)
+    return StoppingProfile(pmf=pmf, cdf=cdf)
 
 
 def random_block_schedule(seed, blocks=(2, 2), zp=2, n=2, projector_rank=1):

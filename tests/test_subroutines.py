@@ -2,22 +2,23 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from vtsearch import subroutines
 from vtsearch.subroutines import (BlockSchedule, StoppingProfile,
                                   SubroutineSpec, ZeroErrorViolation,
                                   build_block_subroutine, cascade_profile,
-                                  haar_unitary, random_subroutine,
-                                  run_block_algorithm, run_subroutine,
-                                  stopping_moments, stopping_profile,
-                                  subroutine_pair, validate)
+                                  haar_unitary, late_halting_fractions,
+                                  random_subroutine, run_block_algorithm,
+                                  run_subroutine, stopping_moments,
+                                  stopping_profile, subroutine_pair, validate)
 
-from conftest import random_block_schedule
+from conftest import (loop_random_subroutine, per_input_profile,
+                      random_block_schedule, scipy_haar)
 
 
 def identity_spec(n=2, t=3, w=4):
@@ -219,10 +220,6 @@ def test_json_round_trip_bit_faithful():
         data, sort_keys=True)
 
 
-def _scipy_haar(rng, dim):
-    return scipy.stats.unitary_group.rvs(dim, random_state=rng)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_haar_unitary_matches_scipy_byte_for_byte(seed):
     ours = np.random.default_rng(seed)
@@ -230,21 +227,118 @@ def test_haar_unitary_matches_scipy_byte_for_byte(seed):
     for k in range(2, 41):
         u = haar_unitary(ours, k)
         assert u.shape == (k, k) and u.dtype == np.complex128
-        assert u.tobytes() == _scipy_haar(oracle, k).tobytes()
+        assert u.tobytes() == scipy_haar(oracle, k).tobytes()
         # both leave the generator in the same state
         assert ours.random() == oracle.random()
     assert np.max(np.abs(u.conj().T @ u - np.eye(k))) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("dim, count", [(1, 3), (2, 1), (2, 5), (3, 64), (7, 40), (16, 9)])
+def test_stacked_haar_unitary_equals_sequential_draws(seed, dim, count):
+    stacked = np.random.default_rng(seed)
+    sequential = np.random.default_rng(seed)
+    got = haar_unitary(stacked, dim, count)
+    want = np.stack([haar_unitary(sequential, dim) for _ in range(count)])
+    assert got.shape == (count, dim, dim) and got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+    assert stacked.bit_generator.state == sequential.bit_generator.state
+
+
+def _late(t):
+    fractions = np.zeros(t)
+    fractions[1:] = 1.0 / (t - 1)
+    return fractions
+
+
+ORACLE_SHAPES = [(5, 3, 1), (4, 3, 4), (3, 4, 6), (16, 4, 4), (64, 8, 8)]
+
+
+@pytest.mark.parametrize("n, t, z", ORACLE_SHAPES)
+@pytest.mark.parametrize("late", [False, True])
+@pytest.mark.parametrize("marks", [0, 1, 2])
+def test_random_subroutine_matches_per_input_oracle(n, t, z, late, marks):
+    """Stacked steps against one scipy draw per (step, input), byte for byte."""
+    marked = (0, n - 1)[:marks]
+    fractions = _late(t) if late else None
+    for seed in (0, 11):
+        got = random_subroutine(seed, n, t, z, halting_fractions=fractions,
+                                marked=marked)
+        want = loop_random_subroutine(seed, n, t, z, halting_fractions=fractions,
+                                      marked=marked)
+        assert got.unitaries.tobytes() == want.unitaries.tobytes()
+        assert got.partition == want.partition
+        assert got.outputs == want.outputs
+
+
 @pytest.mark.parametrize("n, t, z", [(2, 2, 2), (4, 3, 4), (3, 4, 6)])
-def test_subroutine_pair_matches_scipy_draws(monkeypatch, n, t, z):
+def test_subroutine_pair_matches_scipy_draws(n, t, z):
     ours = subroutine_pair(5, n, t, z)
-    monkeypatch.setattr(subroutines, "haar_unitary", _scipy_haar)
-    oracle = subroutine_pair(5, n, t, z)
+    oracle = [loop_random_subroutine(seed, n, t, z, halting_fractions=_late(t),
+                                     marked=marked)
+              for seed, marked in ((5, (0,)), (5 + 10_000, ()))]
     for spec, ref in zip(ours, oracle):
         assert spec.unitaries.tobytes() == ref.unitaries.tobytes()
         assert spec.partition == ref.partition
         assert spec.outputs == ref.outputs
+
+
+@pytest.mark.parametrize("n, t, z", ORACLE_SHAPES + [(6, 16, 5), (4, 20, 7)])
+def test_stacked_profiles_match_per_input_profiles(n, t, z):
+    """The one-pass table against one np.linalg.norm per (input, step)."""
+    spec = random_subroutine(2, n, t, z, marked=(0,))
+    table = spec.stopping_profiles
+    assert table.cdf.shape == table.pmf.shape == (n, t)
+    assert not table.cdf.flags.writeable and not table.pmf.flags.writeable
+    exp_t, exp_t2 = stopping_moments(spec)
+    for i in range(n):
+        want = per_input_profile(spec, i)
+        got = stopping_profile(spec, i)
+        assert got.cdf.tobytes() == want.cdf.tobytes()
+        assert got.pmf.tobytes() == want.pmf.tobytes()
+        m1, m2 = want.moments()
+        assert exp_t[i].tobytes() == np.float64(m1).tobytes()
+        assert exp_t2[i].tobytes() == np.float64(m2).tobytes()
+        assert np.max(np.abs(got.pmf - cascade_profile(spec, i).pmf)) <= 1e-12
+
+
+@pytest.mark.parametrize("width", list(range(0, 41)) + [64, 101])
+def test_row_reductions_match_one_vector_calls(width):
+    """Stacked norms and dots against numpy's 1-D calls, tiny entries included."""
+    rng = np.random.default_rng(width)
+    rows = 400
+    x = (rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width)))
+    x *= 10.0 ** rng.integers(-9, 2, size=(rows, 1))
+    x[::7] = 0.0
+    if width:
+        x[::5, 0] = 1e-170          # below _TINY: those rows keep the 1-D call
+        x[::3, -1] = -0.0
+    got = subroutines._norm_sq_rows(x)
+    want = np.array([float(np.linalg.norm(row) ** 2) for row in x])
+    assert got.tobytes() == want.tobytes()
+    pmf = np.abs(x.real)
+    ts = np.arange(1, width + 1, dtype=float)
+    for v in (ts, ts ** 2):
+        assert subroutines._dot_rows(pmf, v).tobytes() == np.array(
+            [float(row @ v) for row in pmf]).tobytes()
+
+
+def test_fma_rounds_once():
+    rng = np.random.default_rng(4)
+    a, b = (rng.normal(size=3000) * 10.0 ** rng.integers(-8, 3, 3000) for _ in range(2))
+    c = np.concatenate([rng.normal(size=2000), -(a * b)[2000:]])
+    got = subroutines._fma(a, b, c)
+    for k in range(len(a)):
+        assert got[k] == float(Fraction(a[k]) * Fraction(b[k]) + Fraction(c[k])), k
+
+
+@pytest.mark.parametrize("steps", [1, 0])
+def test_late_halting_needs_two_steps(steps):
+    with pytest.raises(ValueError, match="num_steps must be at least 2"):
+        late_halting_fractions(steps)
+    with pytest.raises(ValueError, match="num_steps must be at least 2"):
+        subroutine_pair(0, 3, steps, 2)
+    assert late_halting_fractions(2).tolist() == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
