@@ -190,7 +190,7 @@ def _run_general_loop(config, results, prefix):
         for pair in phase_mod.regime_pairs(marked_spec, empty_spec,
                                            config.regimes):
             pos, neg = pair.positive, pair.negative
-            neg_norm = float(np.linalg.norm(neg.w_a) ** 2)
+            neg_norm = inst_mod.fsum_norm_sq(neg.w_a)
             verdicts = {label: decision.verdict
                         for label, decision in pair.decide(tol).items()}
             payload = {

@@ -837,6 +837,17 @@ class NegativeWitness:
     closed_norm_sq: float   # closed form for the squared norm of w_a
 
 
+def fsum_norm_sq(vec: np.ndarray) -> float:
+    """Squared norm of vec, exactly rounded: math.fsum of its squared parts.
+
+    Only nonzero components enter.  A closed-form norm summed with
+    math.fsum then differs from it only by the rounding of the terms,
+    not by two summation orders over 10^5 or more of them.
+    """
+    parts = vec[np.flatnonzero(vec)].view(np.float64)
+    return math.fsum((parts * parts).tolist())
+
+
 def _scatter(dim: int, pieces) -> np.ndarray:
     """Sum of (rows, values) pieces as a d-vector; no two entries share a label."""
     vec = np.zeros(dim, dtype=complex)
@@ -1113,7 +1124,7 @@ def general_positive_witness(spec: SubroutineSpec, weights: Weights) -> Positive
     """Positive witness built from forward history states of marked inputs.
 
     Closed squared norm: 1 + N sum_{marked} (beta_i/omega_i)
-    (3 + 2 E[sum_{t<=T_i} 1/alpha_t]).
+    (3 + 2 E[sum_{t<=T_i} 1/alpha_t]), its terms summed with math.fsum.
     """
     marked = [j for j, b in enumerate(spec.outputs) if b == 1]
     if not marked:
@@ -1130,9 +1141,8 @@ def general_positive_witness(spec: SubroutineSpec, weights: Weights) -> Positive
                             for tag, b in (("src", 0), ("ret", 1), ("chk", 1))], axis=1)
     vec = _scatter(basis.dim, [(basis.index("src", 0, 0, 0, 0, 0), 1.0),
                                (slots, coef), (rows, coef * plus)])
-    closed = 1.0
-    for j, norm in zip(marked, norm_plus):
-        closed += n * weights.beta[j] / weights.omega[j] * (2.0 + norm + 1.0)
+    closed = math.fsum([1.0] + [n * weights.beta[j] / weights.omega[j] * (2.0 + norm + 1.0)
+                                for j, norm in zip(marked, norm_plus)])
     return PositiveWitness(vector=vec, closed_norm_sq=closed)
 
 
@@ -1140,7 +1150,8 @@ def general_negative_witness(spec: SubroutineSpec, weights: Weights) -> Negative
     """Negative witness from rewind history states; requires no marked input.
 
     Closed squared norm of the A-side part:
-    1 + (1/N) sum_i omega_i (3 + 2 E[sum_{t<=T_i} alpha_t]).
+    1 + (1/N) sum_i omega_i (3 + 2 E[sum_{t<=T_i} alpha_t]), its terms
+    summed with math.fsum.
     """
     if any(spec.outputs):
         raise ValueError("negative witness requires an all-unmarked subroutine")
@@ -1154,9 +1165,8 @@ def general_negative_witness(spec: SubroutineSpec, weights: Weights) -> Negative
     psi0_idx = basis.index("src", 0, 0, 0, 0, 0)
     w_a = _scatter(basis.dim, [(psi0_idx, 1.0), (slots, coef * [-1.0, 1.0, -1.0]),
                                (rows, coef * minus)])
-    closed = 1.0
-    for j in range(n):
-        closed += weights.omega[j] / n * (2.0 + norm_minus[j] + 1.0)
+    closed = math.fsum([1.0] + [weights.omega[j] / n * (2.0 + norm_minus[j] + 1.0)
+                                for j in range(n)])
     w_b = -w_a
     w_b[psi0_idx] += 1.0
     return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=closed)
@@ -1197,12 +1207,13 @@ def verify_witnesses(instance: PEInstance, witness,
     Positive: residuals are the norms of the projections onto the two
     spans (should vanish); effective c_plus is norm^2 / overlap^2.
     Negative: residuals are span-membership distances of the two parts,
-    and the decomposition residual measures w_a + w_b - psi0.
+    and the decomposition residual measures w_a + w_b - psi0.  The
+    measured squared norm is fsum_norm_sq's, exactly rounded.
     """
     if isinstance(witness, PositiveWitness):
         vec = witness.vector
         overlap = complex(np.vdot(instance.psi0, vec))
-        norm_sq = float(np.linalg.norm(vec) ** 2)
+        norm_sq = fsum_norm_sq(vec)
         res_a = math.sqrt(max(instance.projection_norm_sq("A", vec, tol), 0.0))
         res_b = math.sqrt(max(instance.projection_norm_sq("B", vec, tol), 0.0))
         c_plus = norm_sq / abs(overlap) ** 2 if abs(overlap) > 0 else math.inf
@@ -1215,7 +1226,7 @@ def verify_witnesses(instance: PEInstance, witness,
         res_a = instance.membership_residual("A", witness.w_a, tol)
         res_b = instance.membership_residual("B", witness.w_b, tol)
         decomp = float(np.linalg.norm(witness.w_a + witness.w_b - instance.psi0))
-        norm_sq = float(np.linalg.norm(witness.w_a) ** 2)
+        norm_sq = fsum_norm_sq(witness.w_a)
         return WitnessReport(kind="negative", residual_a=res_a, residual_b=res_b,
                              decomposition_residual=decomp, overlap=0.0,
                              norm_sq_measured=norm_sq,

@@ -264,7 +264,7 @@ def regime_pairs(marked: SubroutineSpec, empty: SubroutineSpec,
                                            mu=w_pos.mu, k=w_pos.k)
         pos = inst_mod.general_positive_witness(marked, w_pos)
         neg = inst_mod.general_negative_witness(empty, w_neg)
-        c_plus = float(np.linalg.norm(pos.vector) ** 2)
+        c_plus = inst_mod.fsum_norm_sq(pos.vector)
         pairs.append(RegimePair(
             regime=regime, marked=marked, empty=empty, weights_pos=w_pos,
             weights_neg=w_neg, positive=pos, negative=neg, c_plus=c_plus,

@@ -260,6 +260,7 @@ def dense_general_witnesses(spec, weights):
 
     Positive (from the marked inputs' forward histories) when spec marks
     an input, negative (from every input's rewind history) otherwise.
+    The closed norm is math.fsum of one term per input.
     """
     basis = GeneralBasis.for_spec(spec)
     n = spec.num_inputs
@@ -267,7 +268,7 @@ def dense_general_witnesses(spec, weights):
     if marked:
         vec = np.zeros(basis.dim, dtype=complex)
         vec[basis.index("src", 0, 0, 0, 0, 0)] = 1.0
-        closed = 1.0
+        terms = [1.0]
         for j in marked:
             i = j + 1
             coef = math.sqrt(n) * math.sqrt(weights.beta[j]) / math.sqrt(weights.omega[j])
@@ -276,13 +277,13 @@ def dense_general_witnesses(spec, weights):
             vec += coef * w_plus
             vec[basis.index("ret", i, 1, 0, 0, 0)] += coef
             vec[basis.index("chk", i, 1, 0, 0, 0)] += coef
-            closed += n * weights.beta[j] / weights.omega[j] * (2.0 + norm_plus + 1.0)
-        return PositiveWitness(vector=vec, closed_norm_sq=closed)
+            terms.append(n * weights.beta[j] / weights.omega[j] * (2.0 + norm_plus + 1.0))
+        return PositiveWitness(vector=vec, closed_norm_sq=math.fsum(terms))
 
     w_a = np.zeros(basis.dim, dtype=complex)
     psi0_idx = basis.index("src", 0, 0, 0, 0, 0)
     w_a[psi0_idx] = 1.0
-    closed = 1.0
+    terms = [1.0]
     for j in range(n):
         i = j + 1
         coef = math.sqrt(weights.omega[j] / n)
@@ -291,10 +292,10 @@ def dense_general_witnesses(spec, weights):
         w_a += coef * w_minus
         w_a[basis.index("ret", i, 0, 0, 0, 0)] += coef
         w_a[basis.index("chk", i, 0, 0, 0, 0)] -= coef
-        closed += weights.omega[j] / n * (2.0 + norm_minus + 1.0)
+        terms.append(weights.omega[j] / n * (2.0 + norm_minus + 1.0))
     w_b = -w_a
     w_b[psi0_idx] += 1.0
-    return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=closed)
+    return NegativeWitness(w_a=w_a, w_b=w_b, closed_norm_sq=math.fsum(terms))
 
 
 def scipy_haar(rng, dim):

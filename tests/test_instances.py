@@ -1,6 +1,7 @@
 """Tests for two-reflection instances, history states, and witnesses."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from vtsearch.grover import OracleSpec
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 PositiveWitness, REGIMES, SimpleBasis, Weights,
                                 build_general_instance, build_simple_instance,
-                                general_pattern,
+                                fsum_norm_sq, general_pattern,
                                 general_negative_witness,
                                 general_positive_witness, history_states,
                                 promise_parameter, regime_parameters,
@@ -611,6 +612,22 @@ def test_general_witness_closed_norms(regime, small_pair):
     assert report_e.passed()
     assert abs(report_e.norm_sq_measured - neg.closed_norm_sq) < 1e-8
     assert report_e.decomposition_residual < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_fsum_norm_sq_is_exactly_rounded(dtype):
+    """The rounded squares' exact sum, rounded once, in any component order."""
+    rng = np.random.default_rng(3)
+    vec = np.zeros(5000, dtype=dtype)
+    where = rng.choice(5000, 700, replace=False)
+    vec[where] = rng.normal(size=700) * 10.0 ** rng.integers(-8, 9, 700)
+    if dtype is complex:
+        vec[where[::2]] += 1j * rng.normal(size=350)
+    parts = vec.view(float)
+    want = float(sum(Fraction(x * x) for x in parts))
+    assert fsum_norm_sq(vec) == want
+    assert fsum_norm_sq(vec[rng.permutation(len(vec))]) == want
+    assert fsum_norm_sq(np.zeros(3, dtype=dtype)) == 0.0
 
 
 def _assert_same_witness(got, want):

@@ -114,8 +114,9 @@ def test_regime_pair_constants_follow_the_rule(regime, small_pair, monkeypatch):
     w_pos = regime_parameters(regime, *stopping_moments(marked), 2, marked=(0,))
     w_neg = regime_parameters(regime, *stopping_moments(empty), 2,
                               mu=w_pos.mu, k=w_pos.k)
-    c_plus = float(np.linalg.norm(
-        general_positive_witness(marked, w_pos).vector) ** 2)
+    # exactly rounded: fsum of every squared real and imaginary part
+    c_plus = math.fsum(x * x for x in
+                       general_positive_witness(marked, w_pos).vector.view(float))
     c_minus_closed = general_negative_witness(empty, w_neg).closed_norm_sq
 
     assert (pair.weights_neg.mu, pair.weights_neg.k) == (w_pos.mu, w_pos.k)
