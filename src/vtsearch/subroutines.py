@@ -115,9 +115,12 @@ class SubroutineSpec:
         """
         cdf = np.zeros((self.num_inputs, self.num_steps))
         for t in range(1, self.num_steps + 1):
-            cdf[:, t - 1] = _norm_sq_rows(self.trajectory[:, t][:, self.halted_mask(t)])
+            mask = self.halted_mask(t)
+            if mask.any():   # the norm of nothing is 0.0, as cdf holds
+                cdf[:, t - 1] = _norm_sq_rows(self.trajectory[:, t][:, mask])
         pmf = np.clip(np.diff(cdf, axis=1, prepend=0.0), 0.0, None)
-        return StoppingProfile(pmf=_read_only(pmf), cdf=_read_only(cdf))
+        cdf.flags.writeable = pmf.flags.writeable = False
+        return StoppingProfile(pmf=pmf, cdf=cdf)
 
     @cached_property
     def survival(self) -> np.ndarray:
@@ -200,26 +203,28 @@ class StoppingProfile:
         return self.pmf.shape[-1]
 
     def moments(self):
-        """E[T] and E[T^2]: floats for one input, arrays over rows when stacked.
-
-        A stacked row's moments have the bytes of that row's own moments.
-        """
+        """E[T] and E[T^2]: floats for one input, arrays over rows when stacked."""
         ts = np.arange(1, self.num_steps + 1, dtype=float)
-        if self.pmf.ndim == 1:
-            return float(self.pmf @ ts), float(self.pmf @ ts**2)
-        return _dot_rows(self.pmf, ts), _dot_rows(self.pmf, ts**2)
+        if self.pmf.ndim == 2:
+            # one 1-D dot per row, so each row's moments keep their bytes
+            return (np.array([float(row @ ts) for row in self.pmf]),
+                    np.array([float(row @ ts**2) for row in self.pmf]))
+        return float(self.pmf @ ts), float(self.pmf @ ts**2)
 
 
 # ---------------------------------------------------------------------------
-# Row-wise reductions with the bytes of numpy's one-vector calls
+# Squared norms of many rows with the bytes of np.linalg.norm on each
 # ---------------------------------------------------------------------------
-# numpy hands a 1-D float dot to BLAS ddot.  OpenBLAS's x86-64 ddot takes
-# a strided vector four terms at a time into two accumulators, then adds
-# the rest one fused multiply-add at a time; a contiguous vector shorter
-# than 16 is one fused multiply-add per term.  Taking the terms in that
-# order with exactly rounded fused multiply-adds gives each row the bytes
-# of its own 1-D call.  Exactness needs every nonzero term's error to be
-# a normal float, so a row with an entry below _TINY keeps the 1-D call.
+# np.linalg.norm of a complex vector is sqrt(re @ re + im @ im), each dot
+# a BLAS ddot over a stride-2 view.  OpenBLAS's x86-64 ddot sums a
+# strided vector four terms at a time into two accumulators, then adds
+# the last m mod 4 terms with one fused multiply-add each.  Taking the
+# terms in that order, with exactly rounded fused multiply-adds, gives
+# each row the bytes of its own norm; on another BLAS the rows can differ
+# from it in the last bit, which the tests would show.  The emulated
+# multiply-add is exact while every nonzero square is far above the
+# underflow threshold, so a row with an entry below _TINY keeps the
+# per-row call.
 
 _TINY = 1e-140
 _SPLIT = 134217729.0   # 2**27 + 1, Veltkamp's splitting constant
@@ -232,29 +237,24 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _fma(a, b, c):
-    """a * b + c rounded once, elementwise.
+def _fma_sq(a, c):
+    """a * a + c rounded once, elementwise.
 
-    Dekker's exact product p + e = a * b, then the three-term sum
+    Dekker's exact square p + e = a * a, then the three-term sum
     c + p + e rounded once through a round-to-odd middle step (Boldo and
     Melquiond, "Emulation of FMA and correctly rounded sums", 2008).
     """
-    p = a * b
-    ta, tb = _SPLIT * a, _SPLIT * b
-    ah, bh = ta - (ta - a), tb - (tb - b)
-    al, bl = a - ah, b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    hi, lo = _two_sum(c, p)
-    mid, err = _two_sum(lo, e)
+    p = a * a
+    t = _SPLIT * a
+    hi = t - (t - a)
+    lo = a - hi
+    e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    top, low = _two_sum(c, p)
+    mid, err = _two_sum(low, e)
     # round to odd: an inexact mid with an even last bit moves one ulp toward the exact sum
     move = (err != 0) & ((mid.view(np.int64) & 1) == 0)
     mid = np.where(move, np.nextafter(mid, np.copysign(np.inf, err)), mid)
-    return hi + mid
-
-
-def _tiny_rows(x: np.ndarray) -> np.ndarray:
-    tiny = [(part != 0) & (np.abs(part) < _TINY) for part in (x.real, x.imag)]
-    return np.flatnonzero(np.any(tiny[0] | tiny[1], axis=1))
+    return top + mid
 
 
 def _strided_sq_dot(x: np.ndarray) -> np.ndarray:
@@ -266,39 +266,24 @@ def _strided_sq_dot(x: np.ndarray) -> np.ndarray:
         first = first + (sq[:, j] + sq[:, j + 2])
         second = second + (sq[:, j + 1] + sq[:, j + 3])
     for j in range(head, x.shape[1]):
-        first = _fma(x[:, j], x[:, j], first)
+        first = _fma_sq(x[:, j], first)
     return first + second
 
 
 def _norm_sq_rows(x: np.ndarray) -> np.ndarray:
-    """Row k is float(np.linalg.norm(x[k]) ** 2) for a complex (rows, m) array.
+    """Row k is float(np.linalg.norm(x[k]) ** 2), for a complex (rows, m) array.
 
-    np.linalg.norm squares the real and imaginary parts, each a
-    stride-2 view, with one dot each; ``** 2`` on the float it returns
-    is the C library's pow, which np.float_power also calls.
+    ``** 2`` on the float norm returns is the C library's pow, which
+    np.float_power also calls.
     """
-    out = np.float_power(np.sqrt(_strided_sq_dot(x.real) + _strided_sq_dot(x.imag)), 2.0)
-    for k in _tiny_rows(x):
+    n = len(x)
+    parts = np.concatenate([x.real, x.imag])
+    dots = _strided_sq_dot(parts)
+    out = np.float_power(np.sqrt(dots[:n] + dots[n:]), 2.0)
+    tiny = np.any((parts != 0) & (np.abs(parts) < _TINY), axis=1)
+    for k in np.flatnonzero(tiny[:n] | tiny[n:]):
         out[k] = float(np.linalg.norm(x[k]) ** 2)
     return out
-
-
-def _dot_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row k is float(m[k] @ v), for a float (rows, n) array."""
-    if m.shape[1] >= 16:
-        # ddot's vector kernel takes 16 or more terms in its own order
-        return np.array([float(row @ v) for row in m])
-    acc = np.zeros(len(m))
-    for j in range(m.shape[1]):
-        acc = _fma(m[:, j], v[j], acc)
-    for k in _tiny_rows(m):
-        acc[k] = float(m[k] @ v)
-    return acc
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass

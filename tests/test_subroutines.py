@@ -303,33 +303,28 @@ def test_stacked_profiles_match_per_input_profiles(n, t, z):
 
 
 @pytest.mark.parametrize("width", list(range(0, 41)) + [64, 101])
-def test_row_reductions_match_one_vector_calls(width):
-    """Stacked norms and dots against numpy's 1-D calls, tiny entries included."""
+def test_stacked_norms_match_one_norm_per_row(width):
+    """Stacked squared norms against np.linalg.norm per row, tiny entries included."""
     rng = np.random.default_rng(width)
     rows = 400
     x = (rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width)))
     x *= 10.0 ** rng.integers(-9, 2, size=(rows, 1))
     x[::7] = 0.0
     if width:
-        x[::5, 0] = 1e-170          # below _TINY: those rows keep the 1-D call
+        x[::5, 0] = 1e-170          # below _TINY: those rows keep the per-row call
         x[::3, -1] = -0.0
     got = subroutines._norm_sq_rows(x)
     want = np.array([float(np.linalg.norm(row) ** 2) for row in x])
     assert got.tobytes() == want.tobytes()
-    pmf = np.abs(x.real)
-    ts = np.arange(1, width + 1, dtype=float)
-    for v in (ts, ts ** 2):
-        assert subroutines._dot_rows(pmf, v).tobytes() == np.array(
-            [float(row @ v) for row in pmf]).tobytes()
 
 
-def test_fma_rounds_once():
+def test_fused_square_add_rounds_once():
     rng = np.random.default_rng(4)
-    a, b = (rng.normal(size=3000) * 10.0 ** rng.integers(-8, 3, 3000) for _ in range(2))
-    c = np.concatenate([rng.normal(size=2000), -(a * b)[2000:]])
-    got = subroutines._fma(a, b, c)
+    a = rng.normal(size=3000) * 10.0 ** rng.integers(-8, 3, 3000)
+    c = np.concatenate([rng.normal(size=2000), -(a * a)[2000:]])
+    got = subroutines._fma_sq(a, c)
     for k in range(len(a)):
-        assert got[k] == float(Fraction(a[k]) * Fraction(b[k]) + Fraction(c[k])), k
+        assert got[k] == float(Fraction(a[k]) ** 2 + Fraction(c[k])), k
 
 
 @pytest.mark.parametrize("steps", [1, 0])
