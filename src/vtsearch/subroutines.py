@@ -110,8 +110,8 @@ class SubroutineSpec:
         One pass over spec.trajectory: at step t, one halted mask shared
         by every input selects the halted components, and column t - 1
         of cdf is their squared norm.  Each entry has the bytes of
-        float(np.linalg.norm(...) ** 2) on that input's halted part, the
-        reduction stopping_profile made one input at a time.
+        float(np.linalg.norm(...) ** 2) on that input's halted part
+        (see _norm_sq_rows).
         """
         cdf = np.zeros((self.num_inputs, self.num_steps))
         for t in range(1, self.num_steps + 1):

@@ -311,8 +311,10 @@ def test_stacked_norms_match_one_norm_per_row(width):
     x *= 10.0 ** rng.integers(-9, 2, size=(rows, 1))
     x[::7] = 0.0
     if width:
-        x[::5, 0] = 1e-170          # below _TINY: those rows keep the per-row call
         x[::3, -1] = -0.0
+        # squares that underflow: those rows keep the per-row call
+        x[::5] = 0.0
+        x[::5, -1] = rng.random(len(x[::5])) * 1e-158 + 1e-158j
     got = subroutines._norm_sq_rows(x)
     want = np.array([float(np.linalg.norm(row) ** 2) for row in x])
     assert got.tobytes() == want.tobytes()
@@ -322,6 +324,11 @@ def test_fused_square_add_rounds_once():
     rng = np.random.default_rng(4)
     a = rng.normal(size=3000) * 10.0 ** rng.integers(-8, 3, 3000)
     c = np.concatenate([rng.normal(size=2000), -(a * a)[2000:]])
+    # a = 2^k + 2^(k-52) squares to fl(a^2) = 2^2k + 2^(2k-51) plus 2^(2k-104),
+    # and each c puts c + fl(a^2) exactly halfway between two doubles
+    k = np.repeat(np.arange(-10, 11), 8)
+    a = np.concatenate([a, np.ldexp(1.0, k) + np.ldexp(1.0, k - 52)])
+    c = np.concatenate([c, np.ldexp(1.0 + np.tile(np.arange(8), 21) * 2.0 ** -52, 2 * k + 2)])
     got = subroutines._fma_sq(a, c)
     for k in range(len(a)):
         assert got[k] == float(Fraction(a[k]) ** 2 + Fraction(c[k])), k
