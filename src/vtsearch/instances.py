@@ -840,11 +840,12 @@ class NegativeWitness:
 def fsum_norm_sq(vec: np.ndarray) -> float:
     """Squared norm of vec, exactly rounded: math.fsum of its squared parts.
 
-    Only nonzero components enter.  A closed-form norm summed with
-    math.fsum then differs from it only by the rounding of the terms,
-    not by two summation orders over 10^5 or more of them.
+    Only nonzero parts enter.  A closed-form norm summed with math.fsum
+    then differs from it only by the rounding of the terms, not by two
+    summation orders over 10^5 or more of them.
     """
-    parts = vec[np.flatnonzero(vec)].view(np.float64)
+    parts = np.ascontiguousarray(vec).view(np.float64)
+    parts = parts[parts != 0]
     return math.fsum((parts * parts).tolist())
 
 
