@@ -335,46 +335,6 @@ def _from_entries(dim: int, rows, values, counts) -> SetMatrix:
     return SetMatrix(_sparsity(dim, rows, counts, keep), values[keep])
 
 
-def _assemble(pieces):
-    """One generator set's entries, listed column by column, from index arrays.
-
-    Each piece is a tuple (rows, *values) of arrays broadcast to the shape
-    of rows, (g, w) or (n, g, w): row g lists the basis indices of one
-    generator, and each values array one quantity per entry (its value,
-    or where the value comes from).  Every piece of a set has the same
-    number of values arrays.  With a leading input axis the set runs input
-    by input, each input's generators piece by piece; either way
-    generators keep the order of the pieces and of the rows within them.
-    Each generator's entries are sorted by basis index with one argsort
-    per piece, taken on the first input: the inputs of a piece must order
-    their generators' labels alike, as they do when one input's labels
-    are another's shifted by one offset per generator.  Returns the flat
-    rows, each flat values array and the entry count of every generator.
-    """
-    inputs = math.prod(np.shape(pieces[0][0])[:-2])
-    flat, counts = [[] for _ in pieces[0]], []
-    for rows, *values in pieces:
-        g, width = rows.shape[-2:]
-        first = rows[(0,) * (rows.ndim - 2)]
-        # positions within one input's entries, generator by generator
-        order = (np.argsort(first, axis=-1) + width * np.arange(g)[:, None]).ravel()
-        for out, a in zip(flat, (rows, *values)):
-            out.append(np.take(np.broadcast_to(a, rows.shape).reshape(inputs, -1),
-                               order, axis=1))
-        counts.append(np.full(g, width))
-    return (*(np.concatenate(f, axis=1).ravel() for f in flat),
-            np.tile(np.concatenate(counts), inputs))
-
-
-def _set_matrix(dim: int, pieces) -> SetMatrix:
-    """One generator set as a SetMatrix, assembled from index arrays.
-
-    The pieces are _assemble's; exact-zero entries are not stored, so
-    every stored entry is a basis label the generator touches.
-    """
-    return _from_entries(dim, *_assemble(pieces))
-
-
 def _hstack(dim: int, parts: list[Sparsity]) -> Sparsity:
     """Generator sets side by side as one Sparsity."""
     if not parts:
@@ -452,15 +412,16 @@ class InstanceStructure:
     def gram(self, side: str) -> GramPlan:
         """The pairs of generators of one side that share a label.
 
-        One argsort groups the entries by label, generators ascending
-        within a label; the pairs inside each label are enumerated by
-        offset, and one stable argsort of the pair keys fixes the order in
-        which each pair's products are summed.
+        One stable argsort of the labels groups the entries by label; the
+        entries are stored generator by generator, so within a label the
+        generators stay ascending.  The pairs inside each label are
+        enumerated by offset, and one stable argsort of the pair keys fixes
+        the order in which each pair's products are summed.
         """
         if side not in self._grams:
             m = self.stacked[side]
             k = m.shape[1]
-            order = np.argsort(m.rows * k + m.cols)
+            order = np.argsort(m.rows, kind="stable")
             rows = m.rows[order]
             first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
             for offset in range(1, len(rows)):
@@ -791,7 +752,8 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     the oracle answer into the returned bit), "check" (return-to-check
     transitions for both bit values), "absorb" (checked unmarked branches,
     the dead end that closes the loop).  Each set is built as a SetMatrix
-    from index arrays.
+    from index arrays, a generator per row, whose labels already ascend
+    (src < qry < ret < chk).
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -801,26 +763,25 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     idx = basis.index
     i = np.arange(1, n + 1)
     answer = np.array([int((k - 1) in oracle.marked) for k in i], dtype=int)
-    pair = np.array([[1.0, -1.0]])
+    pair = [1.0, -1.0]
 
     launch = (np.concatenate([[idx("src", 0, 0)], idx("qry", i, 0)])[None, :],
-              np.concatenate([[1.0], np.full(n, -math.sqrt(omega / n))])[None, :])
+              np.concatenate([[1.0], np.full(n, -math.sqrt(omega / n))]))
     # the query transition carries the oracle's answer into the b register
-    query = (np.stack([idx("qry", i, 0), idx("ret", i, answer)], axis=1),
-             np.repeat(pair, n, axis=0))
+    query = (np.stack([idx("qry", i, 0), idx("ret", i, answer)], axis=1), pair)
     ic, bc = np.repeat(i, 2), np.tile([0, 1], n)
-    check = (np.stack([idx("ret", ic, bc), idx("chk", ic, bc)], axis=1),
-             np.repeat(pair, 2 * n, axis=0))
-    unmarked = i[answer == 0]
-    absorb = (idx("chk", unmarked, 0)[:, None], np.ones((len(unmarked), 1)))
+    check = (np.stack([idx("ret", ic, bc), idx("chk", ic, bc)], axis=1), pair)
+    absorb = (idx("chk", i[answer == 0], 0)[:, None], 1.0)
 
-    dim = basis.dim
+    def set_matrix(rows, values) -> SetMatrix:
+        return _from_entries(basis.dim, rows.ravel(),
+                             np.broadcast_to(values, rows.shape).ravel(),
+                             np.full(len(rows), rows.shape[1]))
+
     return PEInstance(
-        dim=dim, psi0=basis.unit("src", 0, 0),
-        a_sets={"launch": _set_matrix(dim, [launch]),
-                "check": _set_matrix(dim, [check])},
-        b_sets={"query": _set_matrix(dim, [query]),
-                "absorb": _set_matrix(dim, [absorb])},
+        dim=basis.dim, psi0=basis.unit("src", 0, 0),
+        a_sets={"launch": set_matrix(*launch), "check": set_matrix(*check)},
+        b_sets={"query": set_matrix(*query), "absorb": set_matrix(*absorb)},
     )
 
 
@@ -891,6 +852,52 @@ def simple_witnesses(oracle: OracleSpec, omega: float):
 # General variant: history states and witnesses
 # ---------------------------------------------------------------------------
 
+class HistoryLayout:
+    """What every input's history states share across weightings: built once per spec.
+
+    Row i of rows lists the distinct labels of input i's history: the
+    (a, z) block at every program counter t on the "fwd" (bit 0) and
+    "bwd" (bit f(i)) tracks.  states[i, t] is input i's state at counter
+    t, read off spec.trajectory with the labels halted by step t - 1
+    zeroed (see history_states).  Row i of slots holds the witnesses'
+    src (bit 0), ret and chk (bit f(i)) labels of input i at
+    (a, z, t) = (0, 0, 0).  Built by history_layout; read-only.
+    """
+
+    def __init__(self, spec: SubroutineSpec):
+        basis = GeneralBasis.for_spec(spec)
+        i, t = np.arange(1, spec.num_inputs + 1)[:, None], np.arange(spec.num_steps + 1)
+        fi = np.asarray(spec.outputs, dtype=int)[:, None]
+        # (input, t, track, (a, z) block)
+        rows = np.stack([basis.az_indices("fwd", i, 0, t),
+                         basis.az_indices("bwd", i, fi, t)], axis=2)
+        self.rows = _read_only(rows.reshape(spec.num_inputs, -1))
+        # row t: the labels halted by step t - 1 (none at t = 0)
+        halted = np.array([spec.halted_mask(max(s - 1, 0)) for s in t])
+        self.states = _read_only(np.where(halted, 0, spec.trajectory))
+        self.slots = _read_only(np.concatenate(
+            [basis.index(tag, i, b, 0, 0, 0) for tag, b in (("src", 0), ("ret", fi),
+                                                          ("chk", fi))], axis=1))
+
+
+def _per_spec(spec: SubroutineSpec, key: str, build):
+    """build(spec), made on first use and kept in spec.__dict__ under key.
+
+    That is the storage functools.cached_property uses for spec.trajectory,
+    so the value lives and dies with its spec (which is never hashed), and
+    a new spec, even an equal one, builds its own.
+    """
+    value = spec.__dict__.get(key)
+    if value is None:
+        value = spec.__dict__[key] = build(spec)
+    return value
+
+
+def history_layout(spec: SubroutineSpec) -> HistoryLayout:
+    """spec's HistoryLayout, built on first use and kept with the spec."""
+    return _per_spec(spec, "history_layout", HistoryLayout)
+
+
 def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
     """History states of the given inputs as (rows, plus, minus, norm_plus, norm_minus).
 
@@ -905,10 +912,12 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
     removes the part halted by step t - 1 before applying U_t.  Because
     every U_t acts as the identity on the labels halted by step t - 1
     (validate's halted_space_fixed check), that equals spec.trajectory's
-    row t with those labels zeroed, which is what is read here.  Its
-    squared norm is P[T_i >= t], so norm_plus and norm_minus, the closed
-    squared norms 2 E[sum_{t<=T_i} 1/alpha_t] and 2 E[sum_{t<=T_i} alpha_t],
-    are sums over spec.survival, accumulated in t order.
+    row t with those labels zeroed.  The labels and these states do not
+    depend on alpha, so they are read from the spec's HistoryLayout, and
+    only the weights are applied here.  A state's squared norm is
+    P[T_i >= t], so norm_plus and norm_minus, the closed squared norms
+    2 E[sum_{t<=T_i} 1/alpha_t] and 2 E[sum_{t<=T_i} alpha_t], are sums
+    over spec.survival, accumulated in t order.
     """
     alpha = np.asarray(alpha, dtype=float)
     if len(alpha) != spec.num_steps + 1 or abs(alpha[0] - 1.0) > 1e-14:
@@ -918,27 +927,19 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
     inputs = np.asarray(inputs, dtype=int)
     if np.any((inputs < 0) | (inputs >= spec.num_inputs)):
         raise IndexError(f"input index out of range 0..{spec.num_inputs - 1}")
-    basis = GeneralBasis.for_spec(spec)
-    i, t = inputs[:, None] + 1, np.arange(spec.num_steps + 1)
-    fi = np.asarray(spec.outputs, dtype=int)[inputs][:, None]
-    # (input, t, track, (a, z) block)
-    rows = np.stack([basis.az_indices("fwd", i, 0, t),
-                     basis.az_indices("bwd", i, fi, t)], axis=2)
-    # row t: the labels halted by step t - 1 (none at t = 0)
-    halted = np.array([spec.halted_mask(max(s - 1, 0)) for s in t])
-    states = np.where(halted, 0, spec.trajectory[inputs])
+    layout = history_layout(spec)
+    states = layout.states[inputs]
     forward = states / np.sqrt(alpha)[:, None]
     signed = states * np.array([(-1.0) ** s * math.sqrt(a)
                                 for s, a in enumerate(alpha)])[:, None]
-    width = 2 * len(t) * spec.space_dim
+    width = layout.rows.shape[1]
     survival = spec.survival[inputs]
-    # one term per t, added in t order: np.sum or @ would regroup sums of
-    # eight or more terms and move the closed norms in the last bit
-    norm_plus, norm_minus = np.zeros(len(inputs)), np.zeros(len(inputs))
-    for s, a in enumerate(alpha):
-        norm_plus = norm_plus + 1.0 / a * survival[:, s]
-        norm_minus = norm_minus + a * survival[:, s]
-    return (rows.reshape(-1, width),
+    # one term per t, added in t order by a running sum: np.sum or @ would
+    # regroup sums of eight or more terms and move the closed norms in the
+    # last bit
+    norm_plus = np.cumsum(1.0 / alpha * survival, axis=1)[:, -1]
+    norm_minus = np.cumsum(alpha * survival, axis=1)[:, -1]
+    return (layout.rows[inputs],
             np.stack([forward, forward], axis=2).reshape(-1, width),
             np.stack([signed, -signed], axis=2).reshape(-1, width),
             2.0 * norm_plus, 2.0 * norm_minus)
@@ -965,14 +966,20 @@ class GeneralPattern:
 
     The basis labels, the generators and the labels each generator
     touches are fixed by the spec; a regime changes only omega and alpha,
-    and so only values.
-    The pattern does the label arithmetic and the per-generator sorts
-    once, keeping each set's Sparsity and value sources (SetFill), and
-    holds the InstanceStructure, with psi0's component and the Gram pairs,
-    that every instance it fills shares.  An inner-transition entry is
-    stored where its step-unitary entry is nonzero: for positive weights,
-    the entries whose filled value is nonzero.  Built once per spec by
-    general_pattern; every array it holds is read-only.
+    and so only values.  Every input runs its own copy of the subroutine,
+    so in the label lattice (tag, i, b, a, z, t) input i's generators are
+    input 1's shifted by (i - 1) 4|Z|(T + 1) labels, with their step-unitary
+    entries (i - 1) T (2|Z|)^2 further along U.flat.  The pattern lists
+    input 1's generators once, each with its labels ascending, and lays
+    every input out as that template shifted; it keeps each set's Sparsity
+    and value sources (SetFill), and holds the InstanceStructure, with
+    psi0's component and the Gram pairs, that every instance it fills
+    shares.  An inner-transition entry is stored where its step-unitary
+    entry is nonzero (for positive weights, the entries whose filled value
+    is nonzero); that is decided after the shift, since the inputs' U
+    differ in their exact zeros (a marked input's flipped unitary among
+    them).  Built once per spec by general_pattern; every array it holds
+    is read-only.
     """
 
     def __init__(self, spec: SubroutineSpec):
@@ -989,79 +996,110 @@ class GeneralPattern:
         plus, minus, no_u = 0, 1, -1
         sqrt_alpha = 2 + np.arange(t_max + 1)
         neg_omega = 3 + t_max + np.arange(n)
-        u_flat = np.arange(spec.unitaries.size).reshape(spec.unitaries.shape)
-
         idx = basis.index
-        inputs = np.arange(1, n + 1)
-        pair = np.array([[plus, minus]])
-        # slot generators run over (i, b, a) with a fastest, at z = 0, t = 0
-        i_s = np.repeat(inputs, 4)
-        b_s, a_s = np.tile(np.repeat([0, 1], 2), n), np.tile([0, 1], 2 * n)
+        pair = np.array([plus, minus])
+        z_all, ab = np.arange(w), np.array([0, 1])
+        halted = np.array([spec.halted_mask(t)[:w] for t in range(t_max + 1)])
 
-        def slot(tag_plus, tag_minus):
-            rows = np.stack([idx(tag_plus, i_s, b_s, a_s, 0, 0),
-                             idx(tag_minus, i_s, b_s, a_s, 0, 0)], axis=1)
-            return [(rows, np.repeat(pair, len(i_s), axis=0), no_u)]
+        # Input 1's generators, entries listed generator by generator with
+        # each generator's labels ascending.  The even set holds steps
+        # 0, 2, ... and the odd set steps 1, 3, ..., so steps are taken
+        # even ones first and split where the parity changes.
+        # Inner transitions leave step t, over (t, tag, b, a, z) with z
+        # fastest and z live at t: sqrt(alpha_t) on "here", label (a, z) at
+        # t, and -sqrt(alpha_{t+1}) U_{t+1}[:, a|Z| + z] on the (a, z)
+        # block "there" at t + 1.  Here lies between there's entries
+        # m - 1 and m, m = a|Z| + z, so it takes position m, and entry
+        # k > m is there's k - 1.
+        t_in = np.concatenate([np.arange(0, t_max, 2), np.arange(1, t_max, 2)])
+        t_g = t_in[:, None, None, None, None, None]
+        base = np.stack([idx(tag, 1, ab[:, None, None], 0, 0, 0)
+                         for tag in ("fwd", "bwd")])[..., None]
+        m = (ab[:, None] * w + z_all)[..., None]
+        k = np.arange(2 * w + 1)
+        here, j = k == m, k - (k > m)
+        rows = base + np.where(here, m * (t_max + 1) + t_g, j * (t_max + 1) + t_g + 1)
+        live = np.broadcast_to(~halted[t_in][:, None, None, None, :], rows.shape[:-1])
+        transitions = [np.broadcast_to(a, rows.shape)[live] for a in (
+            rows, np.where(here, sqrt_alpha[t_g], sqrt_alpha[t_g + 1]),
+            np.where(here, no_u, (t_g * 2 * w + j) * 2 * w + m))]
+        # turnarounds at step t, over (t, a, b, z) with z ascending and z
+        # halting at t: +1 on fwd (b, a, z) and -1 on bwd (b ^ a, a, z)
+        t_on = np.concatenate([np.arange(2, t_max + 1, 2), np.arange(1, t_max + 1, 2)])
+        t_g, a_g, b_g = t_on[:, None, None, None], ab[:, None, None], ab[:, None]
+        fresh = np.broadcast_to((halted[t_on] & ~halted[t_on - 1])[:, None, None],
+                                (len(t_on), 2, 2, w))
+        turnarounds = np.stack([idx("fwd", 1, b_g, a_g, z_all, t_g)[fresh],
+                                idx("bwd", 1, b_g ^ a_g, a_g, z_all, t_g)[fresh]], axis=-1)
+        # the generators of the even steps come first
+        cut_in = np.count_nonzero(live[:(t_max + 1) // 2])
+        cut_on = np.count_nonzero(fresh[:t_max // 2])
 
-        launch = [(np.concatenate([[idx("src", 0, 0, 0, 0, 0)],
-                                   idx("src", inputs, 0, 0, 0, 0)])[None, :],
-                   np.concatenate([[plus], neg_omega])[None, :], no_u)]
-        unmarked = np.repeat(inputs[np.array(spec.outputs) == 0], 2)
-        a_u = np.tile([0, 1], len(unmarked) // 2)
-        absorb = [(idx("chk", unmarked, 0, a_u, 0, 0)[:, None], plus, no_u)]
+        def template(trans, turn):
+            """(rows, scale, u, counts): an inner set's transitions, then turnarounds."""
+            return (np.concatenate([trans[0].ravel(), turn.ravel()]),
+                    np.concatenate([trans[1].ravel(), np.tile(pair, len(turn))]),
+                    np.concatenate([trans[2].ravel(), np.full(turn.size, no_u)]),
+                    np.repeat([2 * w + 1, 2], [len(trans[0]), len(turn)]))
 
-        # inner transitions at step t run over (tag, b, a, z) with z fastest:
-        # sqrt(alpha_t) on the label, -sqrt(alpha_{t+1}) U_{t+1} column on
-        # the (a, z) block one step later
-        i_g, b_g = inputs[:, None, None, None], np.array([0, 1])[:, None, None]
-        a_g = np.array([0, 1])[None, :, None]
-        steps = []   # (step, rows, scales, u), each with a leading input axis
-        for t in range(t_max):
-            z_g = np.flatnonzero(~spec.halted_mask(t)[:w])   # live workspace labels
-            shape = (n, 2, 2, 2, len(z_g), 2 * w)   # input, tag, b, a, z, entry
-            here = np.stack([idx(tag, i_g, b_g, a_g, z_g, t)
-                             for tag in ("fwd", "bwd")], axis=1)
-            there = np.stack([basis.az_indices(tag, i_g, b_g, t + 1)
-                              for tag in ("fwd", "bwd")], axis=1)
-            there_u = np.moveaxis(u_flat[:, t][:, :, a_g * w + z_g], 1, -1)
-            rows = np.concatenate([np.broadcast_to(here[..., None], shape[:-1] + (1,)),
-                                   np.broadcast_to(there, shape)], axis=-1)
-            u = np.concatenate([np.full(shape[:-1] + (1,), no_u),
-                                np.broadcast_to(there_u[:, None], shape)], axis=-1)
-            scales = np.repeat(sqrt_alpha[[t, t + 1]], [1, 2 * w])
-            steps.append((t, rows.reshape(n, -1, 2 * w + 1), scales,
-                          u.reshape(n, -1, 2 * w + 1)))
-        # turnarounds at step t run over (a, b, z in the step's cell)
-        for t in range(1, t_max + 1):
-            cell = np.array(spec.partition[t - 1], dtype=int)
-            a_t = np.repeat([0, 1], 2 * len(cell))
-            b_t = np.tile(np.repeat([0, 1], len(cell)), 2)
-            z_t = np.tile(cell, 4)
-            rows = np.stack([idx("fwd", inputs[:, None], b_t, a_t, z_t, t),
-                             idx("bwd", inputs[:, None], b_t ^ a_t, a_t, z_t, t)],
-                            axis=-1)
-            steps.append((t, rows, pair, no_u))
-        # per input: its transitions by step, then its turnarounds by step
-        even = [piece for t, *piece in steps if t % 2 == 0]
-        odd = [piece for t, *piece in steps if t % 2 == 1]
+        even = template([a[:cut_in] for a in transitions], turnarounds[:cut_on])
+        odd = template([a[cut_in:] for a in transitions], turnarounds[cut_on:])
+        # input i's labels are input 1's shifted by (i - 1) label_stride, its
+        # U entries (i - 1) u_stride further along U.flat
+        label_stride = 4 * w * (t_max + 1)
+        u_stride = t_max * (2 * w) ** 2
+        shift = np.arange(n)[:, None]
 
-        def set_fill(pieces) -> SetFill:
-            rows, scale, flat, counts = _assemble(pieces)
+        def inner_fill(rows, scale, flat, counts) -> SetFill:
+            """An inner set: the template shifted to every input, U = 0 entries dropped."""
             inner = flat >= 0
-            u = spec.unitaries.ravel()[flat[inner]]
-            nonzero = u != 0
-            keep = ~inner
-            keep[inner] = nonzero
-            return SetFill(_sparsity(basis.dim, rows, counts, keep),
-                           *map(_read_only, (scale[keep], np.flatnonzero(inner[keep]),
-                                             u[nonzero])))
+            u = spec.unitaries.ravel()[flat[inner] + u_stride * shift]
+            keep = np.repeat(~inner[None], n, axis=0)
+            keep[:, inner] = u != 0
+            # the entries each generator keeps, counted from its first entry
+            starts = (np.cumsum(counts) - counts + len(rows) * shift).ravel()
+            indptr = np.concatenate([[0], np.cumsum(
+                np.add.reduceat(keep.ravel(), starts, dtype=np.int64))])
+            # the input and the template entry of every kept entry
+            kept_i, kept_e = np.nonzero(keep)
+            return SetFill(
+                Sparsity(basis.dim, indptr, rows[kept_e] + label_stride * kept_i),
+                *map(_read_only, (scale[kept_e], np.flatnonzero(inner[kept_e]),
+                                  u[keep[:, inner]])))
 
-        self.fills = {"A": {"launch": set_fill(launch), "even": set_fill(even),
-                            "check": set_fill(slot("ret", "chk"))},
-                      "B": {"forward": set_fill(slot("src", "fwd")),
-                            "odd": set_fill(odd),
-                            "backward": set_fill(slot("bwd", "ret")),
-                            "absorb": set_fill(absorb)}}
+        def plain_fill(rows, scale) -> SetFill:
+            """A set of (g, width) generators with no U entry, every entry stored."""
+            scales = np.empty(rows.shape, dtype=np.int64)
+            scales[...] = scale
+            return SetFill(Sparsity(basis.dim, np.arange(0, rows.size + 1, rows.shape[1]),
+                                    rows.ravel()),
+                           *map(_read_only, (scales.ravel(), np.zeros(0, dtype=np.int64),
+                                             np.zeros(0, dtype=complex))))
+
+        # slot generators run over (i, b, a) with a fastest, at z = 0, t = 0
+        b_s, a_s = np.repeat(ab, 2), np.tile(ab, 2)
+
+        def slot(first, second, scales) -> SetFill:
+            rows = np.stack([idx(first, 1, b_s, a_s, 0, 0),
+                             idx(second, 1, b_s, a_s, 0, 0)], axis=1)
+            return plain_fill((rows + label_stride * shift[..., None]).reshape(-1, 2),
+                              scales)
+
+        unmarked = np.flatnonzero(np.array(spec.outputs) == 0)[:, None]
+        self.fills = {
+            "A": {"launch": plain_fill(
+                      np.concatenate([[idx("src", 0, 0, 0, 0, 0)],
+                                      idx("src", np.arange(1, n + 1), 0, 0, 0, 0)])[None],
+                      np.concatenate([[plus], neg_omega])),
+                  "even": inner_fill(*even),
+                  "check": slot("ret", "chk", pair)},
+            "B": {"forward": slot("src", "fwd", pair),
+                  "odd": inner_fill(*odd),
+                  # ret precedes bwd, so the pair is swapped
+                  "backward": slot("ret", "bwd", pair[::-1]),
+                  "absorb": plain_fill(
+                      (idx("chk", 1, 0, ab, 0, 0) + label_stride * unmarked).reshape(-1, 1),
+                      plus)}}
         self.structure = InstanceStructure(
             basis.dim, np.flatnonzero(self.psi0),
             {side: {name: f.sparsity for name, f in fills.items()}
@@ -1090,16 +1128,8 @@ class GeneralPattern:
 
 
 def general_pattern(spec: SubroutineSpec) -> GeneralPattern:
-    """spec's GeneralPattern, built on first use and kept with the spec.
-
-    Kept in spec.__dict__, the storage functools.cached_property uses for
-    spec.trajectory, so it lives and dies with its spec (which is never
-    hashed) and a new spec, even an equal one, builds its own.
-    """
-    pattern = spec.__dict__.get("general_pattern")
-    if pattern is None:
-        pattern = spec.__dict__["general_pattern"] = GeneralPattern(spec)
-    return pattern
+    """spec's GeneralPattern, built on first use and kept with the spec."""
+    return _per_spec(spec, "general_pattern", GeneralPattern)
 
 
 def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance:
@@ -1137,9 +1167,8 @@ def general_positive_witness(spec: SubroutineSpec, weights: Weights) -> Positive
     rows, plus, _, norm_plus, _ = history_states(spec, marked, weights.alpha)
     coef = np.array([math.sqrt(n) * math.sqrt(weights.beta[j])
                      / math.sqrt(weights.omega[j]) for j in marked])[:, None]
-    i = np.array(marked)[:, None] + 1
-    slots = np.concatenate([basis.index(tag, i, b, 0, 0, 0)
-                            for tag, b in (("src", 0), ("ret", 1), ("chk", 1))], axis=1)
+    # src at bit 0, ret and chk at bit f(i) = 1
+    slots = history_layout(spec).slots[marked]
     vec = _scatter(basis.dim, [(basis.index("src", 0, 0, 0, 0, 0), 1.0),
                                (slots, coef), (rows, coef * plus)])
     closed = math.fsum([1.0] + [n * weights.beta[j] / weights.omega[j] * (2.0 + norm + 1.0)
@@ -1160,11 +1189,10 @@ def general_negative_witness(spec: SubroutineSpec, weights: Weights) -> Negative
     n = spec.num_inputs
     rows, _, minus, _, norm_minus = history_states(spec, range(n), weights.alpha)
     coef = np.sqrt(weights.omega / n)[:, None]
-    i = np.arange(1, n + 1)[:, None]
-    slots = np.concatenate([basis.index(tag, i, 0, 0, 0, 0)
-                            for tag in ("src", "ret", "chk")], axis=1)
     psi0_idx = basis.index("src", 0, 0, 0, 0, 0)
-    w_a = _scatter(basis.dim, [(psi0_idx, 1.0), (slots, coef * [-1.0, 1.0, -1.0]),
+    # src, ret and chk, all at bit f(i) = 0
+    w_a = _scatter(basis.dim, [(psi0_idx, 1.0),
+                               (history_layout(spec).slots, coef * [-1.0, 1.0, -1.0]),
                                (rows, coef * minus)])
     closed = math.fsum([1.0] + [weights.omega[j] / n * (2.0 + norm_minus[j] + 1.0)
                                 for j in range(n)])

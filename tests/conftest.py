@@ -124,8 +124,13 @@ def dense_simple_sets(oracle, omega):
             {"query": query, "absorb": absorb})
 
 
-def dense_general_sets(spec, weights):
-    """Oracle: the general instance's generator sets, one dense vector each."""
+def dense_general_sets(spec, weights, store=lambda vec: vec):
+    """Oracle: the general instance's generator sets, one dense vector each.
+
+    Each vector is built dense and kept as store(vec), so a caller can
+    keep only its nonzeros where all of them at once would not fit in
+    memory.
+    """
     n = spec.num_inputs
     basis = GeneralBasis.for_spec(spec)
     alpha = weights.alpha
@@ -161,7 +166,7 @@ def dense_general_sets(spec, weights):
                             vec = np.zeros(basis.dim, dtype=complex)
                             vec[basis.index(tag, i, b, a, z, t)] = math.sqrt(alpha[t])
                             vec[there] -= math.sqrt(alpha[t + 1]) * u_next[:, a * w + z]
-                            bucket.append(vec)
+                            bucket.append(store(vec))
         for t in range(1, t_max + 1):
             cell = spec.partition[t - 1]
             bucket = even if t % 2 == 0 else odd
@@ -171,10 +176,12 @@ def dense_general_sets(spec, weights):
                         vec = np.zeros(basis.dim, dtype=complex)
                         vec[basis.index("fwd", i, b, a, z, t)] = 1.0
                         vec[basis.index("bwd", i, b ^ a, a, z, t)] = -1.0
-                        bucket.append(vec)
-    return ({"launch": [launch], "even": even, "check": check},
-            {"forward": forward, "odd": odd, "backward": backward,
-             "absorb": absorb})
+                        bucket.append(store(vec))
+    return ({"launch": [store(launch)], "even": even,
+             "check": [store(v) for v in check]},
+            {"forward": [store(v) for v in forward], "odd": odd,
+             "backward": [store(v) for v in backward],
+             "absorb": [store(v) for v in absorb]})
 
 
 def dense_simple_witnesses(oracle, omega):

@@ -1,5 +1,6 @@
 """Tests for two-reflection instances, history states, and witnesses."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,14 +13,14 @@ from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 build_general_instance, build_simple_instance,
                                 fsum_norm_sq, general_pattern,
                                 general_negative_witness,
-                                general_positive_witness, history_states,
-                                promise_parameter, regime_parameters,
+                                general_positive_witness, history_layout,
+                                history_states, promise_parameter, regime_parameters,
                                 simple_witnesses, verify_witnesses)
 from vtsearch.linalg import DEFAULT_TOL
 from vtsearch.phase import regime_pairs
 from vtsearch.subroutines import (build_block_subroutine, random_subroutine,
                                   stopping_moments, stopping_profile,
-                                  subroutine_pair)
+                                  subroutine_pair, validate)
 
 from conftest import (dense_general_sets, dense_general_witnesses,
                       dense_inner_history, dense_simple_sets,
@@ -282,6 +283,8 @@ def test_pattern_arrays_are_read_only(small_pair):
         shared += [array for f in fills.values() for array in (f.scale, f.inner, f.u)]
     for entries in part.entries.values():
         shared += list(entries.values())
+    layout = history_layout(marked)
+    shared += [layout.rows, layout.states, layout.slots]
     for array in shared:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -306,6 +309,94 @@ def test_regime_pairs_build_one_pattern_per_spec(monkeypatch):
     assert len(made) == 2
     assert made[0] is not made[1] and {id(s) for s in made} == {id(marked), id(empty)}
     assert all(len(ids) == 1 for ids in structures.values())
+
+
+def test_regime_pairs_build_one_history_layout_per_spec(monkeypatch):
+    """Five regimes, twice over, lay out each spec's history rows once."""
+    import vtsearch.instances as inst_mod
+    made = []
+
+    class Counting(inst_mod.HistoryLayout):
+        def __init__(self, spec):
+            made.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(inst_mod, "HistoryLayout", Counting)
+    marked, empty = subroutine_pair(3, 2, 3, 2)
+    first = regime_pairs(marked, empty, REGIMES)
+    again = regime_pairs(marked, empty, REGIMES)
+    assert [id(s) for s in made] == [id(marked), id(empty)]
+    for one, two in zip(first, again):
+        _assert_same_witness(one.positive, two.positive)
+        _assert_same_witness(one.negative, two.negative)
+
+
+def _distinct_zero_pair():
+    """A (marked, empty) pair whose inputs differ in the exact zeros of U.
+
+    Input 0 keeps its Haar steps (the marked side's flipped), input 1
+    runs identity steps and input 2 swaps two live answer-0 labels where
+    a step has two, so each input's U has its own zero pattern; every
+    step still fixes the labels halted before it, so both specs validate.
+    """
+    pair = []
+    for spec in subroutine_pair(6, 3, 3, 3):
+        us = spec.unitaries.copy()
+        eye = np.eye(spec.space_dim)
+        for t in range(spec.num_steps):
+            us[1, t] = eye
+            # the answer-0 labels still live at step t + 1; swap the first two
+            live = np.flatnonzero(~spec.halted_mask(t)[:spec.workspace_size])
+            perm = np.arange(spec.space_dim)
+            if len(live) > 1:
+                perm[live[:2]] = live[1::-1]
+            us[2, t] = eye[perm]
+        pair.append(dataclasses.replace(spec, unitaries=us))
+    return pair
+
+
+def _nonzeros(vec):
+    rows = np.flatnonzero(vec)
+    return rows, vec[rows]
+
+
+@pytest.mark.parametrize("case", [(1, 2, 2), (3, 5, 3), (5, 8, 8), "distinct-zeros"],
+                         ids=["1-2-2", "3-5-3", "5-8-8", "distinct-zeros"])
+def test_template_layout_matches_dense_oracle(case):
+    """Sets laid out from input 1's template, and witnesses, equal the oracle.
+
+    Every set's indptr, rows and values equal the nonzeros of the
+    label-by-label dense oracle, and both witnesses equal its dense sums,
+    bit for bit.  "distinct-zeros" is a hand-built pair whose inputs' step
+    unitaries differ in their exact zeros, so an entry the template lists
+    is stored for one input and dropped for another.
+    """
+    if case == "distinct-zeros":
+        specs = _distinct_zero_pair()
+        for spec in specs:
+            assert validate(spec).passed
+            zeros = {(spec.unitaries[i] == 0).tobytes() for i in range(spec.num_inputs)}
+            assert len(zeros) == spec.num_inputs
+    else:
+        specs = subroutine_pair(2, *case)
+    for pair in regime_pairs(*specs, ["i-b", "ii-c"]):
+        built = pair.instances()
+        for label, spec, weights, witness in (
+                ("marked", pair.marked, pair.weights_pos, pair.positive),
+                ("empty", pair.empty, pair.weights_neg, pair.negative)):
+            dense_a, dense_b = dense_general_sets(spec, weights, store=_nonzeros)
+            want = []
+            for side, dense in (("A", dense_a), ("B", dense_b)):
+                for name, entries in dense.items():
+                    counts = [len(rows) for rows, _ in entries]
+                    want.append((side, name,
+                                 np.concatenate([[0], np.cumsum(counts)]).tobytes(),
+                                 np.concatenate([np.zeros(0, dtype=np.int64)]
+                                                + [r for r, _ in entries]).tobytes(),
+                                 np.concatenate([np.zeros(0, dtype=complex)]
+                                                + [v for _, v in entries]).tobytes()))
+            assert _set_arrays(built[label]) == want, (pair.regime, label)
+            _assert_same_witness(witness, dense_general_witnesses(spec, weights))
 
 
 def test_instance_rejects_a_structure_of_other_sets(small_pair):
