@@ -28,9 +28,14 @@ length-d vector is allocated per generator, and each witness is one zero
 vector with its entries (history_states among them) scattered in from
 index arrays.  The general instance's labels and generators are fixed by
 its subroutine, so each SubroutineSpec gets one GeneralPattern, and a
-weight regime only fills in values.  Plans that ignore values (each side's
-stacked pattern, the Gram's shared-label pairs, psi0's component) live in
-an InstanceStructure, which the general instances of one spec share.
+weight regime only fills in values.  Every input runs its own copy of the
+subroutine, so the pattern lists one input's generators and lays the
+others out as that template shifted by a fixed stride in labels and in
+the step unitaries; the history states' labels and states are likewise
+laid out once per spec (HistoryLayout).  Plans that ignore values (each
+side's stacked pattern, the Gram's shared-label pairs, psi0's component)
+live in an InstanceStructure, which the general instances of one spec
+share.
 Well-formedness, witness, span-basis and reflection-factorization checks
 run on these records with numpy alone (bincount sums, and a Gram over the
 generator pairs that share a label), and only the decision's span bases

@@ -189,13 +189,17 @@ def test_general_sets_match_dense_oracle(shape):
             _assert_checks_match_dense(inst, _probes(inst, n, vectors))
 
 
-def _csc(vectors):
-    """(indptr, rows, values) of dense generator vectors, nonzeros ascending."""
-    rows = [np.flatnonzero(v) for v in vectors]
-    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
-    return (indptr, np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64),
-            np.concatenate([v[r] for v, r in zip(vectors, rows)]) if rows
-            else np.zeros(0, dtype=complex))
+def _nonzeros(vec):
+    """One dense generator's (rows, values): its nonzeros, rows ascending."""
+    rows = np.flatnonzero(vec)
+    return rows, vec[rows]
+
+
+def _csc(entries):
+    """(indptr, rows, values) of generators given as _nonzeros pairs."""
+    return (np.cumsum([0] + [len(rows) for rows, _ in entries]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [r for r, _ in entries]),
+            np.concatenate([np.zeros(0, dtype=complex)] + [v for _, v in entries]))
 
 
 def _set_arrays(inst):
@@ -232,7 +236,7 @@ def test_pattern_fill_matches_oracle_in_any_regime_order(shape):
                                       ("B", inst.b_sets, dense_b)):
                 assert list(sets) == list(dense)
                 for name, vectors in dense.items():
-                    indptr, rows, values = _csc(vectors)
+                    indptr, rows, values = _csc([_nonzeros(v) for v in vectors])
                     m = sets[name]
                     assert np.array_equal(m.sparsity.indptr, indptr), (regime, name)
                     assert np.array_equal(m.rows, rows), (regime, name)
@@ -355,11 +359,6 @@ def _distinct_zero_pair():
     return pair
 
 
-def _nonzeros(vec):
-    rows = np.flatnonzero(vec)
-    return rows, vec[rows]
-
-
 @pytest.mark.parametrize("case", [(1, 2, 2), (3, 5, 3), (5, 8, 8), "distinct-zeros"],
                          ids=["1-2-2", "3-5-3", "5-8-8", "distinct-zeros"])
 def test_template_layout_matches_dense_oracle(case):
@@ -384,17 +383,9 @@ def test_template_layout_matches_dense_oracle(case):
         for label, spec, weights, witness in (
                 ("marked", pair.marked, pair.weights_pos, pair.positive),
                 ("empty", pair.empty, pair.weights_neg, pair.negative)):
-            dense_a, dense_b = dense_general_sets(spec, weights, store=_nonzeros)
-            want = []
-            for side, dense in (("A", dense_a), ("B", dense_b)):
-                for name, entries in dense.items():
-                    counts = [len(rows) for rows, _ in entries]
-                    want.append((side, name,
-                                 np.concatenate([[0], np.cumsum(counts)]).tobytes(),
-                                 np.concatenate([np.zeros(0, dtype=np.int64)]
-                                                + [r for r, _ in entries]).tobytes(),
-                                 np.concatenate([np.zeros(0, dtype=complex)]
-                                                + [v for _, v in entries]).tobytes()))
+            dense = dense_general_sets(spec, weights, store=_nonzeros)
+            want = [(side, name, *(a.tobytes() for a in _csc(entries)))
+                    for side, sets in zip("AB", dense) for name, entries in sets.items()]
             assert _set_arrays(built[label]) == want, (pair.regime, label)
             _assert_same_witness(witness, dense_general_witnesses(spec, weights))
 
