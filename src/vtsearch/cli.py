@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .harness import ExperimentConfig, run_experiment
+from .harness import OUTPUT_FORMATS, ExperimentConfig, run_experiment
 from .instances import REGIMES
 from .linalg import DEFAULT_TOL
 
@@ -49,7 +49,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--out", default=None,
                      help="directory to write records and tables into")
     sub.add_argument("--format", nargs="+", action="extend",
-                     choices=["json", "csv"],
+                     choices=list(OUTPUT_FORMATS),
                      help="output formats (with --out; default: json)")
 
 

@@ -30,6 +30,7 @@ from .linalg import DEFAULT_TOL, TolerancePolicy
 
 EXPERIMENT_KINDS = ("grover-weights", "simple-loop", "general-loop",
                     "bounds-compare", "full-suite")
+OUTPUT_FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,11 @@ class ExperimentConfig:
         for r in self.regimes:
             if r not in inst_mod.REGIMES:
                 raise ValueError(f"unknown regime {r!r}")
+        if self.kind in ("general-loop", "full-suite") and not self.regimes:
+            raise ValueError(f"{self.kind} needs at least one regime")
+        for fmt in self.formats:
+            if fmt not in OUTPUT_FORMATS:
+                raise ValueError(f"unknown output format {fmt!r}")
         if self.num_seeds < 1:
             raise ValueError("need at least one seed")
         if any(v < 1 for v in (*self.n_list, *self.t_list, *self.z_list)):
@@ -241,7 +247,7 @@ def emit(results: ResultSet, fmt: str, outdir: Path) -> list[Path]:
     """Write records to disk; JSON lines plus per-experiment CSV tables."""
     if not results.records:
         raise ValueError("refusing to emit an empty result set")
-    if fmt not in ("json", "csv"):
+    if fmt not in OUTPUT_FORMATS:
         raise ValueError(f"unknown output format {fmt!r}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,9 @@ run U_t .. U_1 psi0, computed with one stacked product per step and
 cached.  validate's zero-error check, run_subroutine and the witnesses'
 history states read it, and so does ``SubroutineSpec.stopping_profiles``,
 every input's stopping profile in one table built with one pass per
-step.  stopping_profile, stopping_moments and the survival table read
+step.  Its squared norms and the moments are running sums in index
+order, which call no BLAS and give a row the same bytes alone or in a
+stack.  stopping_profile, stopping_moments and the survival table read
 that table.  cascade_profile stays outside both as an independent
 density-matrix oracle for the stopping profiles.
 
@@ -109,15 +111,15 @@ class SubroutineSpec:
 
         One pass over spec.trajectory: at step t, one halted mask shared
         by every input selects the halted components, and column t - 1
-        of cdf is their squared norm.  Each entry has the bytes of
-        float(np.linalg.norm(...) ** 2) on that input's halted part
-        (see _norm_sq_rows).
+        of cdf is their squared norm: a running sum of re^2 + im^2 in
+        component order, with no BLAS call.
         """
         cdf = np.zeros((self.num_inputs, self.num_steps))
         for t in range(1, self.num_steps + 1):
             mask = self.halted_mask(t)
-            if mask.any():   # the norm of nothing is 0.0, as cdf holds
-                cdf[:, t - 1] = _norm_sq_rows(self.trajectory[:, t][:, mask])
+            if mask.any():   # nothing halted: cdf keeps its 0.0
+                h = self.trajectory[:, t][:, mask]
+                cdf[:, t - 1] = np.cumsum(h.real**2 + h.imag**2, axis=-1)[:, -1]
         pmf = np.clip(np.diff(cdf, axis=1, prepend=0.0), 0.0, None)
         cdf.flags.writeable = pmf.flags.writeable = False
         return StoppingProfile(pmf=pmf, cdf=cdf)
@@ -203,87 +205,10 @@ class StoppingProfile:
         return self.pmf.shape[-1]
 
     def moments(self):
-        """E[T] and E[T^2]: floats for one input, arrays over rows when stacked."""
+        """E[T] and E[T^2] as running sums in t order; arrays over rows when stacked."""
         ts = np.arange(1, self.num_steps + 1, dtype=float)
-        if self.pmf.ndim == 2:
-            # one 1-D dot per row, so each row's moments keep their bytes
-            return (np.array([float(row @ ts) for row in self.pmf]),
-                    np.array([float(row @ ts**2) for row in self.pmf]))
-        return float(self.pmf @ ts), float(self.pmf @ ts**2)
-
-
-# ---------------------------------------------------------------------------
-# Squared norms of many rows with the bytes of np.linalg.norm on each
-# ---------------------------------------------------------------------------
-# np.linalg.norm of a complex vector is sqrt(re @ re + im @ im), each dot
-# a BLAS ddot over a stride-2 view.  OpenBLAS's x86-64 ddot sums a
-# strided vector four terms at a time into two accumulators, then adds
-# the last m mod 4 terms with one fused multiply-add each.  Taking the
-# terms in that order, with exactly rounded fused multiply-adds, gives
-# each row the bytes of its own norm; on another BLAS the rows can differ
-# from it in the last bit, which the tests would show.  The emulated
-# multiply-add is exact while every nonzero square is far above the
-# underflow threshold, so a row with an entry below _TINY keeps the
-# per-row call.
-
-_TINY = 1e-140
-_SPLIT = 134217729.0   # 2**27 + 1, Veltkamp's splitting constant
-
-
-def _two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fma_sq(a, c):
-    """a * a + c rounded once, elementwise.
-
-    Dekker's exact square p + e = a * a, then the three-term sum
-    c + p + e rounded once through a round-to-odd middle step (Boldo and
-    Melquiond, "Emulation of FMA and correctly rounded sums", 2008).
-    """
-    p = a * a
-    t = _SPLIT * a
-    hi = t - (t - a)
-    lo = a - hi
-    e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
-    top, low = _two_sum(c, p)
-    mid, err = _two_sum(low, e)
-    # round to odd: an inexact mid with an even last bit moves one ulp toward the exact sum
-    move = (err != 0) & ((mid.view(np.int64) & 1) == 0)
-    mid = np.where(move, np.nextafter(mid, np.copysign(np.inf, err)), mid)
-    return top + mid
-
-
-def _strided_sq_dot(x: np.ndarray) -> np.ndarray:
-    """Row k is x[k] @ x[k] as ddot sums a strided vector."""
-    head = x.shape[1] & -4
-    sq = x * x
-    first, second = np.zeros(len(x)), np.zeros(len(x))
-    for j in range(0, head, 4):
-        first = first + (sq[:, j] + sq[:, j + 2])
-        second = second + (sq[:, j + 1] + sq[:, j + 3])
-    for j in range(head, x.shape[1]):
-        first = _fma_sq(x[:, j], first)
-    return first + second
-
-
-def _norm_sq_rows(x: np.ndarray) -> np.ndarray:
-    """Row k is float(np.linalg.norm(x[k]) ** 2), for a complex (rows, m) array.
-
-    ``** 2`` on the float norm returns is the C library's pow, which
-    np.float_power also calls.
-    """
-    n = len(x)
-    parts = np.concatenate([x.real, x.imag])
-    dots = _strided_sq_dot(parts)
-    out = np.float_power(np.sqrt(dots[:n] + dots[n:]), 2.0)
-    tiny = np.any((parts != 0) & (np.abs(parts) < _TINY), axis=1)
-    for k in np.flatnonzero(tiny[:n] | tiny[n:]):
-        out[k] = float(np.linalg.norm(x[k]) ** 2)
-    return out
+        return (np.cumsum(self.pmf * ts, axis=-1)[..., -1],
+                np.cumsum(self.pmf * ts**2, axis=-1)[..., -1])
 
 
 @dataclass
@@ -325,10 +250,14 @@ def validate(spec: SubroutineSpec, tol: TolerancePolicy = DEFAULT_TOL) -> Valida
         if seen & set(cell):
             disjoint = False
         seen.update(cell)
-    covers = seen == set(range(spec.workspace_size))
+    labels = set(range(spec.workspace_size))
     report.add("partition_disjoint", disjoint, 0.0)
-    report.add("partition_covers_workspace", covers, 0.0,
-               f"covered {len(seen)} of {spec.workspace_size} labels")
+    report.add("partition_covers_workspace", seen == labels, 0.0,
+               f"covered {len(seen & labels)} of {spec.workspace_size} labels")
+    if seen - labels:
+        report.add("partition_labels_in_range", False, 0.0,
+                   f"labels {sorted(seen - labels)} outside the workspace")
+        return report
     if len(spec.partition) != spec.num_steps:
         report.add("partition_length", False, 0.0,
                    f"{len(spec.partition)} cells for {spec.num_steps} steps")

@@ -362,14 +362,19 @@ def loop_random_subroutine(seed, num_inputs, num_steps, workspace_size,
 
 
 def per_input_profile(spec, i):
-    """Oracle: input i's stopping profile with one np.linalg.norm per step.
+    """Oracle: input i's stopping profile, one step and one component at a time.
 
-    The library computes every input's cdf in one stacked pass per step.
+    cdf[t - 1] adds re^2 + im^2 of each halted component of input i's
+    state after step t, in component order, in Python floats.  The
+    library computes every input's cdf in one stacked pass per step.
     """
     states = spec.trajectory[i]
     cdf = np.zeros(spec.num_steps)
     for t in range(1, spec.num_steps + 1):
-        cdf[t - 1] = float(np.linalg.norm(states[t][spec.halted_mask(t)]) ** 2)
+        total = 0.0
+        for x in states[t][spec.halted_mask(t)].tolist():
+            total += x.real * x.real + x.imag * x.imag
+        cdf[t - 1] = total
     pmf = np.clip(np.diff(cdf, prepend=0.0), 0.0, None)
     return StoppingProfile(pmf=pmf, cdf=cdf)
 

@@ -25,6 +25,21 @@ def test_config_validation():
         ExperimentConfig(kind="full-suite", num_seeds=0)
 
 
+def test_config_rejects_empty_regimes_before_running():
+    for kind in ("general-loop", "full-suite"):
+        with pytest.raises(ValueError, match="at least one regime"):
+            ExperimentConfig(kind=kind, regimes=())
+    ExperimentConfig(kind="bounds-compare", regimes=())
+
+
+def test_config_rejects_unknown_format_before_running():
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        ExperimentConfig(kind="bounds-compare", formats=("json", "xml"))
+    a = ExperimentConfig(kind="bounds-compare", formats=("csv",))
+    b = ExperimentConfig(kind="bounds-compare")
+    assert a.canonical_json() == b.canonical_json() and a.digest() == b.digest()
+
+
 def test_config_rejects_t_list_without_general_steps():
     for kind in ("general-loop", "full-suite"):
         with pytest.raises(ValueError):

@@ -2,13 +2,11 @@
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vtsearch import subroutines
 from vtsearch.subroutines import (BlockSchedule, StoppingProfile,
                                   SubroutineSpec, ZeroErrorViolation,
                                   build_block_subroutine, cascade_profile,
@@ -49,6 +47,23 @@ def test_halted_space_violation_is_named():
     assert not report.passed
     check = {c.name: c for c in report.checks}["halted_space_fixed"]
     assert not check.passed and "step 2" in check.detail and "input 0" in check.detail
+
+
+@pytest.mark.parametrize("label", [5, 2, -1])
+def test_validate_fails_out_of_range_labels(label):
+    """Labels outside the workspace fail a check; -1 does not wrap to |Z| - 1."""
+    spec = identity_spec(n=1, t=2, w=2)
+    bad = SubroutineSpec(num_inputs=1, num_steps=2, workspace_size=2,
+                         partition=((0,), (label,)), unitaries=spec.unitaries,
+                         outputs=(0,))
+    report = validate(bad)
+    assert not report.passed
+    checks = {c.name: c for c in report.checks}
+    assert not checks["partition_labels_in_range"].passed
+    assert str(label) in checks["partition_labels_in_range"].detail
+    assert checks["partition_covers_workspace"].detail == "covered 1 of 2 labels"
+    # the report stops before any check that reads the halted table
+    assert "halted_space_fixed" not in checks and "zero_error" not in checks
 
 
 @pytest.mark.parametrize("seed,n,t,z", [(0, 3, 4, 4), (5, 2, 6, 3), (2, 1, 2, 2)])
@@ -285,7 +300,7 @@ def test_subroutine_pair_matches_scipy_draws(n, t, z):
 
 @pytest.mark.parametrize("n, t, z", ORACLE_SHAPES + [(6, 16, 5), (4, 20, 7)])
 def test_stacked_profiles_match_per_input_profiles(n, t, z):
-    """The one-pass table against one np.linalg.norm per (input, step)."""
+    """The one-pass table against one input and one step at a time."""
     spec = random_subroutine(2, n, t, z, marked=(0,))
     table = spec.stopping_profiles
     assert table.cdf.shape == table.pmf.shape == (n, t)
@@ -296,42 +311,28 @@ def test_stacked_profiles_match_per_input_profiles(n, t, z):
         got = stopping_profile(spec, i)
         assert got.cdf.tobytes() == want.cdf.tobytes()
         assert got.pmf.tobytes() == want.pmf.tobytes()
-        m1, m2 = want.moments()
+        m1 = m2 = 0.0
+        for step, p in enumerate(want.pmf.tolist(), start=1):
+            m1 += p * step
+            m2 += p * (step * step)
         assert exp_t[i].tobytes() == np.float64(m1).tobytes()
         assert exp_t2[i].tobytes() == np.float64(m2).tobytes()
         assert np.max(np.abs(got.pmf - cascade_profile(spec, i).pmf)) <= 1e-12
 
 
-@pytest.mark.parametrize("width", list(range(0, 41)) + [64, 101])
-def test_stacked_norms_match_one_norm_per_row(width):
-    """Stacked squared norms against np.linalg.norm per row, tiny entries included."""
-    rng = np.random.default_rng(width)
-    rows = 400
-    x = (rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width)))
-    x *= 10.0 ** rng.integers(-9, 2, size=(rows, 1))
-    x[::7] = 0.0
-    if width:
-        x[::3, -1] = -0.0
-        # squares that underflow: those rows keep the per-row call
-        x[::5] = 0.0
-        x[::5, -1] = rng.random(len(x[::5])) * 1e-158 + 1e-158j
-    got = subroutines._norm_sq_rows(x)
-    want = np.array([float(np.linalg.norm(row) ** 2) for row in x])
-    assert got.tobytes() == want.tobytes()
-
-
-def test_fused_square_add_rounds_once():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=3000) * 10.0 ** rng.integers(-8, 3, 3000)
-    c = np.concatenate([rng.normal(size=2000), -(a * a)[2000:]])
-    # a = 2^k + 2^(k-52) squares to fl(a^2) = 2^2k + 2^(2k-51) plus 2^(2k-104),
-    # and each c puts c + fl(a^2) exactly halfway between two doubles
-    k = np.repeat(np.arange(-10, 11), 8)
-    a = np.concatenate([a, np.ldexp(1.0, k) + np.ldexp(1.0, k - 52)])
-    c = np.concatenate([c, np.ldexp(1.0 + np.tile(np.arange(8), 21) * 2.0 ** -52, 2 * k + 2)])
-    got = subroutines._fma_sq(a, c)
-    for k in range(len(a)):
-        assert got[k] == float(Fraction(a[k]) ** 2 + Fraction(c[k])), k
+@pytest.mark.parametrize("n, t, z", [(16, 4, 4), (64, 8, 8), (6, 16, 5)])
+def test_stacked_row_does_not_depend_on_other_rows(n, t, z):
+    """A spec over a permuted subset of the inputs keeps their rows' bytes."""
+    spec = random_subroutine(4, n, t, z, marked=(0, n - 1))
+    keep = np.random.default_rng(n).permutation(n)[: n // 2 + 1]
+    sub = SubroutineSpec(num_inputs=len(keep), num_steps=t, workspace_size=z,
+                         partition=spec.partition, unitaries=spec.unitaries[keep],
+                         outputs=tuple(spec.outputs[i] for i in keep))
+    full, part = spec.stopping_profiles, sub.stopping_profiles
+    assert part.cdf.tobytes() == full.cdf[keep].tobytes()
+    assert part.pmf.tobytes() == full.pmf[keep].tobytes()
+    for got, want in zip(stopping_moments(sub), stopping_moments(spec)):
+        assert got.tobytes() == want[keep].tobytes()
 
 
 @pytest.mark.parametrize("steps", [1, 0])
