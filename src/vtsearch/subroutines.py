@@ -109,17 +109,13 @@ class SubroutineSpec:
     def stopping_profiles(self) -> "StoppingProfile":
         """Every input's stopping profile, row i input i's; read-only.
 
-        One pass over spec.trajectory: at step t, one halted mask shared
-        by every input selects the halted components, and column t - 1
-        of cdf is their squared norm: a running sum of re^2 + im^2 in
-        component order, with no BLAS call.
+        One pass over spec.trajectory: at step t, one halted mask shared by
+        every input selects the halted components, and column t - 1 of cdf
+        is their squared norm, a running sum in component order, no BLAS.
         """
         cdf = np.zeros((self.num_inputs, self.num_steps))
         for t in range(1, self.num_steps + 1):
-            mask = self.halted_mask(t)
-            if mask.any():   # nothing halted: cdf keeps its 0.0
-                h = self.trajectory[:, t][:, mask]
-                cdf[:, t - 1] = np.cumsum(h.real**2 + h.imag**2, axis=-1)[:, -1]
+            cdf[:, t - 1] = _squared_norms(self.trajectory[:, t][:, self.halted_mask(t)])
         pmf = np.clip(np.diff(cdf, axis=1, prepend=0.0), 0.0, None)
         cdf.flags.writeable = pmf.flags.writeable = False
         return StoppingProfile(pmf=pmf, cdf=cdf)
@@ -174,6 +170,11 @@ class SubroutineSpec:
     @staticmethod
     def from_json(text: str) -> "SubroutineSpec":
         return SubroutineSpec.from_jsonable(json.loads(text))
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's running sum of re^2 + im^2, the same bytes alone or stacked; 0.0 if empty."""
+    return np.cumsum(x.real**2 + x.imag**2, axis=-1)[..., -1:].sum(axis=-1)
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vtsearch import subroutines
 from vtsearch.subroutines import (BlockSchedule, StoppingProfile,
                                   SubroutineSpec, ZeroErrorViolation,
                                   build_block_subroutine, cascade_profile,
@@ -318,6 +319,38 @@ def test_stacked_profiles_match_per_input_profiles(n, t, z):
         assert exp_t[i].tobytes() == np.float64(m1).tobytes()
         assert exp_t2[i].tobytes() == np.float64(m2).tobytes()
         assert np.max(np.abs(got.pmf - cascade_profile(spec, i).pmf)) <= 1e-12
+
+
+@pytest.mark.parametrize("width", list(range(0, 41)) + [64, 101])
+def test_stacked_norms_match_one_norm_per_row(width):
+    """Stacked squared norms against one row at a time, tiny entries included.
+
+    Each row's entry must have the bytes of a Python fold of re^2 + im^2
+    in component order, and of the same sum over that row alone.
+    """
+    rng = np.random.default_rng(width)
+    rows = 400
+    x = (rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width)))
+    x *= 10.0 ** rng.integers(-9, 2, size=(rows, 1))
+    x[::7] = 0.0
+    if width:
+        x[::3, -1] = -0.0
+        # squares that underflow to subnormals
+        x[::5] = 0.0
+        x[::5, -1] = rng.random(len(x[::5])) * 1e-158 + 1e-158j
+    got = subroutines._squared_norms(x)
+    assert got.shape == (rows,)
+    for r, row in enumerate(x):
+        total = 0.0
+        for v in row.tolist():
+            total += v.real * v.real + v.imag * v.imag
+        assert got[r].tobytes() == np.float64(total).tobytes(), r
+        assert subroutines._squared_norms(row).tobytes() == got[r].tobytes(), r
+    # where no square underflows, the sum is the squared norm up to rounding
+    want = np.array([float(np.linalg.norm(row) ** 2) for row in x])
+    normal = got > 1e-300
+    assert np.all(np.abs(got[normal] - want[normal]) <= 1e-13 * want[normal])
+    assert np.all(want[~normal] < 1e-300)
 
 
 @pytest.mark.parametrize("n, t, z", [(16, 4, 4), (64, 8, 8), (6, 16, 5)])
