@@ -32,7 +32,7 @@ from .instances import (GeneralBasis, NegativeWitness, PEInstance,
                         Weights, WitnessReport, build_general_instance,
                         build_simple_instance, general_negative_witness,
                         general_positive_witness, history_states,
-                        promise_parameter, regime_parameters,
+                        instance_from_sets, promise_parameter, regime_parameters,
                         simple_witnesses, verify_witnesses)
 from .phase import (C_PLUS_MAX, Decision, QPEOutcome, RegimePair, decide,
                     qpe_kernel, qpe_simulate, qpe_zero_prediction,
@@ -59,9 +59,9 @@ __all__ = [
     "build_simple_instance", "cascade_profile", "closed_form_weights",
     "cluster_phases", "compare_table", "decide", "emit", "full_report",
     "general_negative_witness", "general_positive_witness", "grover_state",
-    "history_states", "iteration_count", "lagrange_cos_sum",
-    "late_halting_fractions", "projector_from_set", "promise_parameter",
-    "qpe_kernel",
+    "history_states", "instance_from_sets", "iteration_count",
+    "lagrange_cos_sum", "late_halting_fractions", "projector_from_set",
+    "promise_parameter", "qpe_kernel",
     "qpe_simulate", "qpe_zero_prediction", "query_weights",
     "random_subroutine", "reflection", "regime_pairs", "regime_parameters",
     "register_bits_for", "run_block_algorithm", "run_experiment",

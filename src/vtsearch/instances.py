@@ -21,21 +21,22 @@ overlapping the initial vector, and a negative witness (no marked input)
 splits the initial vector across the two spans.
 
 Every generator touches only a few basis labels (at most 1 + 2|Z| in the
-general variant), so each named set is stored as a SetMatrix, a d x k
-compressed-column record of numpy arrays: a Sparsity (indptr, rows) and
-its values, which the builders assemble straight from index arrays; no
-length-d vector is allocated per generator, and each witness is one zero
-vector with its entries (history_states among them) scattered in from
-index arrays.  The general instance's labels and generators are fixed by
-its subroutine, so each SubroutineSpec gets one GeneralPattern, and a
-weight regime only fills in values.  Every input runs its own copy of the
-subroutine, so the pattern lists one input's generators and lays the
-others out as that template shifted by a fixed stride in labels and in
-the step unitaries; the history states' labels and states are likewise
-laid out once per spec (HistoryLayout).  Plans that ignore values (each
-side's stacked pattern, the Gram's shared-label pairs, psi0's component)
-live in an InstanceStructure, which the general instances of one spec
-share.
+general variant), so an instance is stored as compressed columns: an
+InstanceStructure, where the entries sit (each side's named sets laid
+side by side as one d x k Sparsity of indptr and rows, with each set's
+name and generator count), plus psi0 and one values array per side.  The
+builders assemble these straight from index arrays; no length-d vector is
+allocated per generator, and each witness is one zero vector with its
+entries (history_states among them) scattered in from index arrays.  The
+general instance's labels and generators are fixed by its subroutine, so
+each SubroutineSpec gets one GeneralPattern, and a weight regime only
+fills in values.  Every input runs its own copy of the subroutine, so the
+pattern lists one input's generators and lays the others out as that
+template shifted by a fixed stride in labels and in the step unitaries;
+the history states' labels and states are likewise laid out once per spec
+(HistoryLayout).  The general instances of one spec share its structure,
+and with it the plans that ignore values (the Gram's shared-label pairs,
+psi0's component).
 Well-formedness, witness, span-basis and reflection-factorization checks
 run on these records with numpy alone (bincount sums, and a Gram over the
 generator pairs that share a label), and only the decision's span bases
@@ -342,12 +343,11 @@ def _from_entries(dim: int, rows, values, counts) -> SetMatrix:
 
 def _hstack(dim: int, parts: list[Sparsity]) -> Sparsity:
     """Generator sets side by side as one Sparsity."""
-    if not parts:
-        return Sparsity(dim, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    starts = np.cumsum([0] + [p.indptr[-1] for p in parts[:-1]])
+    starts = np.cumsum([0] + [p.indptr[-1] for p in parts])
     indptr = np.concatenate([[0]] + [p.indptr[1:] + start
                                      for p, start in zip(parts, starts)])
-    return Sparsity(dim, indptr, np.concatenate([p.rows for p in parts]))
+    return Sparsity(dim, indptr, np.concatenate([np.zeros(0, dtype=np.int64)]
+                                                + [p.rows for p in parts]))
 
 
 def _as_set_matrix(dim: int, vectors) -> SetMatrix:
@@ -384,35 +384,31 @@ class GramPlan(NamedTuple):
 
 
 class Component(NamedTuple):
-    """psi0's component: its rows, each set's kept entries, and its structure."""
+    """psi0's component: its rows, each side's kept entries, and its structure."""
 
     rows: np.ndarray
-    entries: dict[str, dict[str, np.ndarray]]
+    entries: dict[str, np.ndarray]
     structure: "InstanceStructure"
 
 
 class InstanceStructure:
-    """The plans of an instance that depend only on where its entries sit.
+    """Where an instance's entries sit, and the plans that depend only on that.
 
-    Built from psi0's support and each named set's Sparsity ("A" and "B"
-    sides); each plan is made on first use and kept.  A PEInstance makes
-    a private one from its own sets; the general instances of one spec,
-    one per regime and weighting, share their GeneralPattern's, so its
-    plans are paid once per spec.
+    sides[side] is the d x k Sparsity of side "A" or "B", its named sets
+    side by side in order; sets[side] maps each set's name to its
+    generator count, in that order; support is psi0's.  Each plan (the
+    Gram's shared-label pairs, psi0's component) is made on first use and
+    kept, so the general instances of one spec, which share their
+    GeneralPattern's structure, pay for it once.
     """
 
-    def __init__(self, dim: int, support: np.ndarray,
-                 sets: dict[str, dict[str, Sparsity]]):
+    def __init__(self, dim: int, support: np.ndarray, sides: dict[str, Sparsity],
+                 sets: dict[str, dict[str, int]]):
         self.dim = dim
         self.support = _read_only(support)
+        self.sides = sides
         self.sets = sets
         self._grams: dict[str, GramPlan] = {}
-
-    @cached_property
-    def stacked(self) -> dict[str, Sparsity]:
-        """Each side's sets side by side, in set order."""
-        return {side: _hstack(self.dim, list(sets.values()))
-                for side, sets in self.sets.items()}
 
     def gram(self, side: str) -> GramPlan:
         """The pairs of generators of one side that share a label.
@@ -424,7 +420,7 @@ class InstanceStructure:
         the order in which each pair's products are summed.
         """
         if side not in self._grams:
-            m = self.stacked[side]
+            m = self.sides[side]
             k = m.shape[1]
             order = np.argsort(m.rows, kind="stable")
             rows = m.rows[order]
@@ -442,8 +438,8 @@ class InstanceStructure:
             keys = keys[by_pair]
             new = np.diff(keys, prepend=-1) != 0
             unique = keys[new]
-            sets = self.sets[side].values()
-            owner = np.repeat(np.arange(len(sets)), [s.shape[1] for s in sets])
+            counts = list(self.sets[side].values())
+            owner = np.repeat(np.arange(len(counts)), counts)
             first, second = unique // k, unique % k
             self._grams[side] = GramPlan(*map(_read_only, (
                 first, second, owner[first] != owner[second],
@@ -455,11 +451,12 @@ class InstanceStructure:
         """The rows and generators of the components psi0's support meets.
 
         Grown breadth first from the support over the rows <-> generators
-        incidence, until the generators touching the reached rows stop
-        changing; the rows keep their order, and so do the sets and the
-        generators within them (see PEInstance.psi0_component).
+        incidence of the two sides joined, until the generators touching
+        the reached rows stop changing; the rows keep their order, and so
+        do the sets and the generators within them (see
+        PEInstance.psi0_component).
         """
-        m = _hstack(self.dim, [s for sets in self.sets.values() for s in sets.values()])
+        m = _hstack(self.dim, list(self.sides.values()))
         rows_in = np.zeros(self.dim, dtype=bool)
         rows_in[self.support] = True
         gens_in = np.zeros(m.shape[1], dtype=bool)
@@ -473,42 +470,39 @@ class InstanceStructure:
         rows = np.flatnonzero(rows_in)
         # new_row is increasing, so each kept generator's rows stay sorted
         new_row = np.cumsum(rows_in) - 1
-        start, entries, parts = 0, {}, {}
-        for side, sets in self.sets.items():
-            entries[side], parts[side] = {}, {}
-            for name, s in sets.items():
-                kept = gens_in[start:start + s.shape[1]]
-                start += s.shape[1]
-                taken = np.flatnonzero(kept[s.cols])
-                entries[side][name] = _read_only(taken)
-                indptr = np.concatenate([[0], np.cumsum(np.diff(s.indptr)[kept])])
-                parts[side][name] = Sparsity(len(rows), indptr, new_row[s.rows[taken]])
+        start, entries, sides, sets = 0, {}, {}, {}
+        for side, s in self.sides.items():
+            kept = gens_in[start:start + s.shape[1]]
+            start += s.shape[1]
+            taken = np.flatnonzero(kept[s.cols])
+            entries[side] = _read_only(taken)
+            indptr = np.concatenate([[0], np.cumsum(np.diff(s.indptr)[kept])])
+            sides[side] = Sparsity(len(rows), indptr, new_row[s.rows[taken]])
+            # each set's kept generators: differences of kept's running count
+            ends = np.cumsum([0, *self.sets[side].values()])
+            running = np.concatenate([[0], np.cumsum(kept)])
+            sets[side] = dict(zip(self.sets[side], np.diff(running[ends]).tolist()))
         return Component(_read_only(rows), entries,
-                         InstanceStructure(len(rows), new_row[self.support], parts))
+                         InstanceStructure(len(rows), new_row[self.support], sides, sets))
 
 
 class PEInstance:
-    """A two-reflection phase-estimation instance.
+    """A two-reflection phase-estimation instance: its structure plus values.
 
-    Holds the initial vector and the named generator sets of the two
-    reflection spans.  Each set is a d x k SetMatrix whose columns are the
-    generators; a list of dense vectors is accepted too (for hand-built
-    instances) and converted once, so a_sets and b_sets always hold
-    SetMatrix records.  Projections and span-membership distances of
-    single vectors run on the side's stacked record, which is also the one
-    place generator norms are computed and checked; the Gram residual and
-    the cross-set cosines of the reflection-factorization check share one
+    The InstanceStructure says where every entry sits; the instance adds
+    psi0 and one values array per side, so sides[side] is the side's one
+    SetMatrix, its generators set by set, and each value exists once.
+    ValueError is raised when psi0's length or a side's values length
+    does not match the structure.  Hand-built and simple instances come
+    from instance_from_sets; the general instances of one spec share their
+    GeneralPattern's structure, and with it its plans (the Gram's
+    shared-label pairs, psi0's component), so an instance computes only
+    what depends on its values.  Projections and span-membership distances
+    of single vectors run on a side's record, which is also the one place
+    generator norms are computed and checked; the Gram residual and the
+    cross-set cosines of the reflection-factorization check share one
     cached list of shared-label Gram entries per side.  No set reflection
     is ever built.
-
-    Every plan that depends only on where the entries sit (each side's
-    stacked pattern, the shared-label pairs of the Gram, and the rows and
-    entries of psi0's component) comes from one InstanceStructure, made
-    lazily from the sets unless one is passed; an instance computes only
-    what depends on its values.  build_general_instance passes the
-    structure of the spec's GeneralPattern, so the general instances of
-    one spec, one per regime, share those plans; hand-built and simple
-    instances get a private one.
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
@@ -526,69 +520,55 @@ class PEInstance:
     they alone check the dimension cap.
     """
 
-    def __init__(self, dim: int, psi0: np.ndarray,
-                 a_sets: dict[str, SetMatrix | list[np.ndarray]],
-                 b_sets: dict[str, SetMatrix | list[np.ndarray]], *,
-                 structure: InstanceStructure | None = None):
-        self.dim = dim
+    def __init__(self, structure: InstanceStructure, psi0: np.ndarray,
+                 values: dict[str, np.ndarray]):
+        if np.shape(psi0) != (structure.dim,):
+            raise ValueError(f"psi0 has shape {np.shape(psi0)}, not ({structure.dim},)")
+        for side, sparsity in structure.sides.items():
+            if len(values[side]) != len(sparsity.rows):
+                raise ValueError(f"side {side}: {len(values[side])} values "
+                                 f"for {len(sparsity.rows)} entries")
+        self.structure = structure
+        self.dim = structure.dim
         self.psi0 = psi0
-        self.a_sets = {k: _as_set_matrix(dim, v) for k, v in a_sets.items()}
-        self.b_sets = {k: _as_set_matrix(dim, v) for k, v in b_sets.items()}
-        if structure is not None and (structure.dim != dim or any(
-                [(k, m.sparsity) for k, m in self._sets(side).items()]
-                != list(structure.sets[side].items()) for side in ("A", "B"))):
-            raise ValueError("structure does not hold these sets' sparsity patterns")
-        self._structure = structure
+        self.sides = {side: SetMatrix(sparsity, values[side])
+                      for side, sparsity in structure.sides.items()}
         # results that depend on a TolerancePolicy are keyed by it too, so a
         # call with one policy never reuses a check passed under another
         self._cache: dict[object, object] = {}
 
-    @property
-    def structure(self) -> InstanceStructure:
-        """The plans that depend only on where psi0's and the sets' entries sit."""
-        if self._structure is None:
-            self._structure = InstanceStructure(
-                self.dim, np.flatnonzero(self.psi0),
-                {side: {k: m.sparsity for k, m in self._sets(side).items()}
-                 for side in ("A", "B")})
-        return self._structure
-
-    def _sets(self, side: str) -> dict[str, SetMatrix]:
-        return self.a_sets if side == "A" else self.b_sets
-
     def set_vectors(self, side: str, name: str) -> list[np.ndarray]:
         """The generators of one named set as dense vectors."""
-        return list(self._sets(side)[name].toarray().T)
+        counts = self.structure.sets[side]
+        start = sum(list(counts.values())[:list(counts).index(name)])
+        return self.generators(side)[start:start + counts[name]]
 
     def generators(self, side: str) -> list[np.ndarray]:
         """All of one side's generators as dense vectors, set by set.
 
         For the dense oracle paths; the record-based checks never call it.
         """
-        return [v for name in self._sets(side) for v in self.set_vectors(side, name)]
+        return list(self.sides[side].toarray().T)
 
-    def _gen_matrix(self, side: str, tol: TolerancePolicy = DEFAULT_TOL):
-        """The side's sets stacked column-wise, with the generator norms.
+    def _norms(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+        """The side's generator norms, cached.
 
         Raises ValueError naming the side when a generator norm is at or
         below rank_tol: such a generator spans nothing, and every check
         that divides by its norm would report NaN instead.
         """
-        key = f"mat_{side}"
+        key = f"norms_{side}"
         if key not in self._cache:
-            sets = self._sets(side).values()
-            m = SetMatrix(self.structure.stacked[side],
-                          np.concatenate([s.values for s in sets]) if sets
-                          else np.zeros(0))
+            m = self.sides[side]
             # sequential per-column sums in row order, as a dense column norm
             sq = m.values.real ** 2 + m.values.imag ** 2
-            norms = np.sqrt(np.bincount(m.cols, weights=sq, minlength=m.shape[1]))
-            self._cache[key] = (m, norms)
-        m, norms = self._cache[key]
+            self._cache[key] = np.sqrt(np.bincount(m.cols, weights=sq,
+                                                   minlength=m.shape[1]))
+        norms = self._cache[key]
         if np.any(norms <= tol.rank_tol):
             raise ValueError(f"side {side}: generator norm {norms.min():.3e} "
                              f"is at or below rank_tol")
-        return m, norms
+        return norms
 
     def _gram(self, side: str, tol: TolerancePolicy = DEFAULT_TOL):
         """The side's off-diagonal generator Gram entries, with the norms.
@@ -597,10 +577,11 @@ class PEInstance:
         basis label, from the structure's GramPlan; every other off-diagonal
         entry is 0.
         """
-        m, norms = self._gen_matrix(side, tol)
+        norms = self._norms(side, tol)
         if f"gram_{side}" not in self._cache:
             plan = self.structure.gram(side)
-            products = m.values[plan.left].conj() * m.values[plan.right]
+            values = self.sides[side].values
+            products = values[plan.left].conj() * values[plan.right]
             self._cache[f"gram_{side}"] = (
                 plan.first, plan.second,
                 _sum_by(plan.segment, products, len(plan.first)))
@@ -630,7 +611,7 @@ class PEInstance:
 
         Valid because the side's generators are pairwise orthogonal.
         """
-        m, norms = self._gen_matrix(side, tol)
+        m, norms = self.sides[side], self._norms(side, tol)
         if m.shape[1] == 0:
             return 0.0
         overlaps = m.rmatvec(vec)
@@ -644,7 +625,7 @@ class PEInstance:
         squared norms, which would cancel catastrophically for vectors
         inside the span).
         """
-        m, norms = self._gen_matrix(side, tol)
+        m, norms = self.sides[side], self._norms(side, tol)
         if m.shape[1] == 0:
             return float(np.linalg.norm(vec))
         overlaps = m.rmatvec(vec)
@@ -663,13 +644,13 @@ class PEInstance:
         pair is orthogonal by support, within a set or across sets), and
         its diagonal is each normalized generator's squared norm.  A
         largest |Q^H Q - I| entry above assert_tol raises ValueError (as
-        does a vanishing generator, in _gen_matrix).  Cached per side and
+        does a vanishing generator, in _norms).  Cached per side and
         tolerance policy.
         """
         key = ("basis", side, tol)
         if key not in self._cache:
             (first, second, values), norms = self._gram(side, tol)
-            m, _ = self._gen_matrix(side, tol)
+            m = self.sides[side]
             q = SetMatrix(m.sparsity, m.values / norms[m.cols])
             sq = _sum_by(q.cols, q.values.real ** 2 + q.values.imag ** 2,
                          q.shape[1])
@@ -701,13 +682,9 @@ class PEInstance:
         """
         if "component" not in self._cache:
             part = self.structure.component
-            sets = [{name: SetMatrix(sparsity,
-                                     self._sets(side)[name].values[part.entries[side][name]])
-                     for name, sparsity in part.structure.sets[side].items()}
-                    for side in ("A", "B")]
             self._cache["component"] = PEInstance(
-                part.structure.dim, self.psi0[part.rows], a_sets=sets[0],
-                b_sets=sets[1], structure=part.structure)
+                part.structure, self.psi0[part.rows],
+                {side: m.values[part.entries[side]] for side, m in self.sides.items()})
         return self._cache["component"]
 
     def projector(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> Projector:
@@ -743,6 +720,25 @@ class PEInstance:
         }
         report["passed"] = all(v <= tol.assert_tol for v in report.values())
         return report
+
+
+def instance_from_sets(dim: int, psi0: np.ndarray,
+                       a_sets: dict[str, SetMatrix | list[np.ndarray]],
+                       b_sets: dict[str, SetMatrix | list[np.ndarray]]) -> PEInstance:
+    """The instance of named generator sets, with a structure of its own.
+
+    Each set is a SetMatrix or a list of dense vectors (for hand-built
+    instances), converted once; each side's sets are laid side by side in
+    the order given, their values joined into the side's one array.
+    """
+    sides, sets, values = {}, {}, {}
+    for side, named in (("A", a_sets), ("B", b_sets)):
+        named = {k: _as_set_matrix(dim, v) for k, v in named.items()}
+        sides[side] = _hstack(dim, [m.sparsity for m in named.values()])
+        sets[side] = {k: m.shape[1] for k, m in named.items()}
+        values[side] = np.concatenate([np.zeros(0)] + [m.values for m in named.values()])
+    return PEInstance(InstanceStructure(dim, np.flatnonzero(psi0), sides, sets),
+                      psi0, values)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +779,7 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
                              np.broadcast_to(values, rows.shape).ravel(),
                              np.full(len(rows), rows.shape[1]))
 
-    return PEInstance(
+    return instance_from_sets(
         dim=basis.dim, psi0=basis.unit("src", 0, 0),
         a_sets={"launch": set_matrix(*launch), "check": set_matrix(*check)},
         b_sets={"query": set_matrix(*query), "absorb": set_matrix(*absorb)},
@@ -951,13 +947,13 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
 
 
 class SetFill(NamedTuple):
-    """One general set's Sparsity and where each stored value comes from.
+    """A general set's (or side's) Sparsity and where each stored value comes from.
 
     Entry e's scale is table[scale[e]], table being GeneralPattern.fill's
     [1, -1, sqrt(alpha_0), ..., sqrt(alpha_T), -sqrt(omega_1 / n), ...,
-    -sqrt(omega_n / n)]; the entries at positions inner are inner
+    -sqrt(omega_n / n)]; the entries where inner is true are inner
     transitions onto the (a, z) block one step later, whose value is
-    0.0 - scale * u with u their step-unitary entry.
+    0.0 - scale * u with u their step-unitary entry, in entry order.
     """
 
     sparsity: Sparsity
@@ -976,10 +972,10 @@ class GeneralPattern:
     input 1's shifted by (i - 1) 4|Z|(T + 1) labels, with their step-unitary
     entries (i - 1) T (2|Z|)^2 further along U.flat.  The pattern lists
     input 1's generators once, each with its labels ascending, and lays
-    every input out as that template shifted; it keeps each set's Sparsity
-    and value sources (SetFill), and holds the InstanceStructure, with
-    psi0's component and the Gram pairs, that every instance it fills
-    shares.  An inner-transition entry is stored where its step-unitary
+    every input out as that template shifted; it keeps each side's sets,
+    joined in order, as one Sparsity and its value sources (SetFill), and
+    holds the InstanceStructure, with psi0's component and the Gram pairs,
+    that every instance it fills shares.  An inner-transition entry is stored where its step-unitary
     entry is nonzero (for positive weights, the entries whose filled value
     is nonzero); that is decided after the shift, since the inputs' U
     differ in their exact zeros (a marked input's flipped unitary among
@@ -1069,8 +1065,7 @@ class GeneralPattern:
             kept_i, kept_e = np.nonzero(keep)
             return SetFill(
                 Sparsity(basis.dim, indptr, rows[kept_e] + label_stride * kept_i),
-                *map(_read_only, (scale[kept_e], np.flatnonzero(inner[kept_e]),
-                                  u[keep[:, inner]])))
+                *map(_read_only, (scale[kept_e], inner[kept_e], u[keep[:, inner]])))
 
         def plain_fill(rows, scale) -> SetFill:
             """A set of (g, width) generators with no U entry, every entry stored."""
@@ -1078,7 +1073,7 @@ class GeneralPattern:
             scales[...] = scale
             return SetFill(Sparsity(basis.dim, np.arange(0, rows.size + 1, rows.shape[1]),
                                     rows.ravel()),
-                           *map(_read_only, (scales.ravel(), np.zeros(0, dtype=np.int64),
+                           *map(_read_only, (scales.ravel(), np.zeros(rows.size, dtype=bool),
                                              np.zeros(0, dtype=complex))))
 
         # slot generators run over (i, b, a) with a fastest, at z = 0, t = 0
@@ -1091,7 +1086,7 @@ class GeneralPattern:
                               scales)
 
         unmarked = np.flatnonzero(np.array(spec.outputs) == 0)[:, None]
-        self.fills = {
+        sets = {
             "A": {"launch": plain_fill(
                       np.concatenate([[idx("src", 0, 0, 0, 0, 0)],
                                       idx("src", np.arange(1, n + 1), 0, 0, 0, 0)])[None],
@@ -1105,13 +1100,20 @@ class GeneralPattern:
                   "absorb": plain_fill(
                       (idx("chk", 1, 0, ab, 0, 0) + label_stride * unmarked).reshape(-1, 1),
                       plus)}}
+        # each side's sets side by side: their patterns and value sources joined
+        self.fills = {}
+        for side, named in sets.items():
+            sparsities, *sources = zip(*named.values())
+            self.fills[side] = SetFill(_hstack(basis.dim, list(sparsities)),
+                                       *(_read_only(np.concatenate(a)) for a in sources))
         self.structure = InstanceStructure(
             basis.dim, np.flatnonzero(self.psi0),
-            {side: {name: f.sparsity for name, f in fills.items()}
-             for side, fills in self.fills.items()})
+            {side: f.sparsity for side, f in self.fills.items()},
+            {side: {name: f.sparsity.shape[1] for name, f in named.items()}
+             for side, named in sets.items()})
 
     def fill(self, weights: Weights) -> PEInstance:
-        """The instance under weights: per set, one gather and its values.
+        """The instance under weights: per side, one gather and its values.
 
         The values are the elementwise expressions of the label-by-label
         construction on the same operands (+-1, sqrt(alpha_t),
@@ -1120,16 +1122,12 @@ class GeneralPattern:
         """
         table = np.concatenate([[1.0, -1.0], np.sqrt(weights.alpha),
                                 -np.sqrt(weights.omega / self.num_inputs)])
-        sets = {}
-        for side, fills in self.fills.items():
-            sets[side] = {}
-            for name, f in fills.items():
-                scale = table[f.scale]
-                values = scale.astype(complex)
-                values[f.inner] = 0.0 - scale[f.inner] * f.u
-                sets[side][name] = SetMatrix(f.sparsity, values)
-        return PEInstance(self.structure.dim, self.psi0, a_sets=sets["A"],
-                          b_sets=sets["B"], structure=self.structure)
+        values = {}
+        for side, f in self.fills.items():
+            scale = table[f.scale]
+            values[side] = scale.astype(complex)
+            values[side][f.inner] = 0.0 - scale[f.inner] * f.u
+        return PEInstance(self.structure, self.psi0, values)
 
 
 def general_pattern(spec: SubroutineSpec) -> GeneralPattern:

@@ -201,12 +201,10 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float,
     p0 = _zero_phase_weight(spectrum, theta_star, tol)
     threshold = 1.0 / (2.0 * c_plus)
     verdict = "positive" if p0 >= threshold else "negative"
-    rank_a, rank_b = (sum(m.shape[1] for m in sets.values())
-                      for sets in (instance.a_sets, instance.b_sets))
     return Decision(verdict=verdict, p0=p0, threshold=threshold,
                     theta_star=theta_star, dim=instance.dim,
-                    dim_decided=spectrum.dim, rank_a=rank_a, rank_b=rank_b,
-                    min_angle=spectrum.min_angle)
+                    dim_decided=spectrum.dim, rank_a=instance.sides["A"].shape[1],
+                    rank_b=instance.sides["B"].shape[1], min_angle=spectrum.min_angle)
 
 
 @dataclass(frozen=True)

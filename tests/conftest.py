@@ -92,9 +92,8 @@ def dense_reflection_factorization_residual(instance, tol=DEFAULT_TOL):
     worst = 0.0
     eye = np.eye(instance.dim, dtype=complex)
     for side in ("A", "B"):
-        sets = instance.a_sets if side == "A" else instance.b_sets
         product = eye
-        for name in sets:
+        for name in instance.structure.sets[side]:
             p = projector_from_set(instance.set_vectors(side, name), tol,
                                    dim=instance.dim)
             product = product @ (-reflection(p))

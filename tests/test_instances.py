@@ -14,7 +14,8 @@ from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 fsum_norm_sq, general_pattern,
                                 general_negative_witness,
                                 general_positive_witness, history_layout,
-                                history_states, promise_parameter, regime_parameters,
+                                history_states, instance_from_sets,
+                                promise_parameter, regime_parameters,
                                 simple_witnesses, verify_witnesses)
 from vtsearch.linalg import DEFAULT_TOL
 from vtsearch.phase import regime_pairs
@@ -43,7 +44,7 @@ def test_simple_basis_dimensions():
 
 def test_simple_instance_structure():
     inst = build_simple_instance(OracleSpec(size=2, marked=frozenset()), 2.0)
-    assert inst.b_sets["absorb"].shape[1] == 2  # both inputs unmarked
+    assert inst.structure.sets["B"]["absorb"] == 2  # both inputs unmarked
     inst4 = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
     launch = inst4.set_vectors("A", "launch")[0]
     assert np.linalg.norm(launch) ** 2 == pytest.approx(5.0, abs=1e-12)  # 1 + omega
@@ -96,8 +97,8 @@ def test_checks_reject_vanishing_generators():
     dim = 3
     psi0, a, b = np.eye(dim, dtype=complex)
     for tiny in (1e-11 * psi0, np.zeros(dim)):
-        inst = PEInstance(dim=dim, psi0=psi0,
-                          a_sets={"a": [a]}, b_sets={"b": [b, tiny]})
+        inst = instance_from_sets(dim=dim, psi0=psi0,
+                                  a_sets={"a": [a]}, b_sets={"b": [b, tiny]})
         assert inst.gram_offdiagonal_residual("A") == 0.0
         with pytest.raises(ValueError, match="side B: generator norm"):
             inst.well_formedness_report()
@@ -112,20 +113,39 @@ def test_checks_reject_vanishing_generators():
 # Sparse generator sets against the dense oracle
 # ---------------------------------------------------------------------------
 
-def _assert_sets_match(inst, dense_sets):
-    for side, sets, dense in (("A", inst.a_sets, dense_sets[0]),
-                              ("B", inst.b_sets, dense_sets[1])):
-        assert list(sets) == list(dense)
-        for name, vectors in dense.items():
-            want = (np.stack(vectors, axis=1) if vectors
-                    else np.zeros((inst.dim, 0), dtype=complex))
-            assert sets[name].shape == want.shape, (side, name)
-            assert np.max(np.abs(sets[name].toarray() - want), initial=0.0) == 0.0
-            # each generator's labels ascending, and no exact zero stored
-            m = sets[name]
-            same_col = np.diff(m.cols) == 0
-            assert np.all(np.diff(m.rows)[same_col] > 0), (side, name)
-            assert np.all(m.values != 0), (side, name)
+def _nonzeros(vec):
+    """One dense generator's (rows, values): its nonzeros, rows ascending."""
+    rows = np.flatnonzero(vec)
+    return rows, vec[rows]
+
+
+def _csc(entries, dtype=complex):
+    """(indptr, rows, values) of generators given as _nonzeros pairs."""
+    return (np.cumsum([0] + [len(rows) for rows, _ in entries]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [r for r, _ in entries]),
+            np.concatenate([np.zeros(0, dtype=dtype)] + [v for _, v in entries]))
+
+
+def _side_arrays(inst):
+    """Each side's set counts and its (indptr, rows, values) as bytes."""
+    return [(side, inst.structure.sets[side],
+             *(a.tobytes() for a in (m.sparsity.indptr, m.rows, m.values)))
+            for side, m in inst.sides.items()]
+
+
+def _oracle_sides(dense_sets, dtype=complex):
+    """The oracle's sets laid side by side, in set order, as _side_arrays gives them.
+
+    A set lists dense vectors or their _nonzeros pairs; each generator is
+    stored as its nonzeros, labels ascending.
+    """
+    out = []
+    for side, sets in zip("AB", dense_sets):
+        entries = [e if isinstance(e, tuple) else _nonzeros(e)
+                   for vectors in sets.values() for e in vectors]
+        out.append((side, {name: len(vectors) for name, vectors in sets.items()},
+                    *(a.tobytes() for a in _csc(entries, dtype))))
+    return out
 
 
 def _assert_checks_match_dense(inst, probes):
@@ -134,7 +154,7 @@ def _assert_checks_match_dense(inst, probes):
         m = np.stack(inst.generators(side), axis=1)
         norms = np.linalg.norm(m, axis=0)
         gram = m.conj().T @ m
-        _, sparse_norms = inst._gen_matrix(side)
+        sparse_norms = inst._norms(side)
         assert np.max(np.abs(sparse_norms - norms)) <= SPARSE_TOL
         np.fill_diagonal(gram, 0.0)
         # every off-diagonal entry: the listed pairs i < j, mirrored, and 0
@@ -168,7 +188,7 @@ def test_simple_sets_match_dense_oracle(n, marked):
     oracle = OracleSpec(size=n, marked=marked)
     omega = 1.7 * n
     inst = build_simple_instance(oracle, omega)
-    _assert_sets_match(inst, dense_simple_sets(oracle, omega))
+    assert _side_arrays(inst) == _oracle_sides(dense_simple_sets(oracle, omega), float)
     witness = simple_witnesses(oracle, omega)
     vectors = ([witness.vector] if isinstance(witness, PositiveWitness)
                else [witness.w_a, witness.w_b])
@@ -185,29 +205,8 @@ def test_general_sets_match_dense_oracle(shape):
                  [pair.positive.vector]),
                 (built["empty"], pair.empty, pair.weights_neg,
                  [pair.negative.w_a, pair.negative.w_b])):
-            _assert_sets_match(inst, dense_general_sets(spec, weights))
+            assert _side_arrays(inst) == _oracle_sides(dense_general_sets(spec, weights))
             _assert_checks_match_dense(inst, _probes(inst, n, vectors))
-
-
-def _nonzeros(vec):
-    """One dense generator's (rows, values): its nonzeros, rows ascending."""
-    rows = np.flatnonzero(vec)
-    return rows, vec[rows]
-
-
-def _csc(entries):
-    """(indptr, rows, values) of generators given as _nonzeros pairs."""
-    return (np.cumsum([0] + [len(rows) for rows, _ in entries]),
-            np.concatenate([np.zeros(0, dtype=np.int64)] + [r for r, _ in entries]),
-            np.concatenate([np.zeros(0, dtype=complex)] + [v for _, v in entries]))
-
-
-def _set_arrays(inst):
-    """Every set's (indptr, rows, values) as bytes, side by side and set by set."""
-    return [(side, name, m.sparsity.indptr.tobytes(), m.rows.tobytes(),
-             m.values.tobytes())
-            for side, sets in (("A", inst.a_sets), ("B", inst.b_sets))
-            for name, m in sets.items()]
 
 
 def _built(seed, shape, regimes):
@@ -224,39 +223,33 @@ def _built(seed, shape, regimes):
 def test_pattern_fill_matches_oracle_in_any_regime_order(shape):
     """One pattern per spec, filled per regime, in forward and reverse order.
 
-    Each set's arrays equal the dense oracle's nonzeros exactly, and the
-    bytes of a build from a cold, freshly drawn spec, so the pattern keeps
-    nothing of the regime it was first built under.
+    Each side's arrays equal the bytes of the dense oracle's nonzeros,
+    its sets laid side by side, and those of a build from a cold, freshly
+    drawn spec, so the pattern keeps nothing of the regime it was first
+    built under.
     """
     seed = 4
     for order in (REGIMES, REGIMES[::-1]):
         for regime, label, spec, weights, inst in _built(seed, shape, order):
-            dense_a, dense_b = dense_general_sets(spec, weights)
-            for side, sets, dense in (("A", inst.a_sets, dense_a),
-                                      ("B", inst.b_sets, dense_b)):
-                assert list(sets) == list(dense)
-                for name, vectors in dense.items():
-                    indptr, rows, values = _csc([_nonzeros(v) for v in vectors])
-                    m = sets[name]
-                    assert np.array_equal(m.sparsity.indptr, indptr), (regime, name)
-                    assert np.array_equal(m.rows, rows), (regime, name)
-                    assert np.array_equal(m.values, values), (regime, name)
+            dense = dense_general_sets(spec, weights, store=_nonzeros)
+            assert _side_arrays(inst) == _oracle_sides(dense), (regime, label)
             marked, empty = subroutine_pair(seed, *shape)
             cold = build_general_instance(marked if label == "marked" else empty,
                                           weights)
-            assert _set_arrays(cold) == _set_arrays(inst), (regime, label)
+            assert _side_arrays(cold) == _side_arrays(inst), (regime, label)
 
 
 def test_pattern_built_plans_equal_a_private_structure():
     """Shared plans give the bytes of an instance built from the same dense sets."""
     for regime, label, spec, weights, inst in _built(7, (2, 2, 2), REGIMES):
-        direct = PEInstance(inst.dim, inst.psi0.copy(),
-                            a_sets={k: inst.set_vectors("A", k) for k in inst.a_sets},
-                            b_sets={k: inst.set_vectors("B", k) for k in inst.b_sets})
+        direct = instance_from_sets(
+            inst.dim, inst.psi0.copy(),
+            a_sets={k: inst.set_vectors("A", k) for k in inst.structure.sets["A"]},
+            b_sets={k: inst.set_vectors("B", k) for k in inst.structure.sets["B"]})
         assert direct.structure is not inst.structure
         got, want = inst.psi0_component(), direct.psi0_component()
         assert got.dim == want.dim and got.psi0.tobytes() == want.psi0.tobytes()
-        assert _set_arrays(got) == _set_arrays(want), (regime, label)
+        assert _side_arrays(got) == _side_arrays(want), (regime, label)
         assert (repr(inst.well_formedness_report())
                 == repr(direct.well_formedness_report())), (regime, label)
         for side in ("A", "B"):
@@ -278,15 +271,12 @@ def test_pattern_arrays_are_read_only(small_pair):
     part = structure.component
     shared = [pattern.psi0, structure.support, part.rows, part.structure.support,
               *structure.gram("A")]
-    for sparsity in (structure.stacked["B"],
-                     *(f.sparsity for fills in pattern.fills.values()
-                       for f in fills.values()),
-                     *part.structure.sets["A"].values()):
+    for sparsity in (*structure.sides.values(), *part.structure.sides.values()):
         shared += [sparsity.indptr, sparsity.rows, sparsity.cols]
-    for fills in pattern.fills.values():
-        shared += [array for f in fills.values() for array in (f.scale, f.inner, f.u)]
-    for entries in part.entries.values():
-        shared += list(entries.values())
+    for side, f in pattern.fills.items():
+        assert f.sparsity is structure.sides[side]
+        shared += [f.scale, f.inner, f.u]
+    shared += list(part.entries.values())
     layout = history_layout(marked)
     shared += [layout.rows, layout.states, layout.slots]
     for array in shared:
@@ -384,19 +374,53 @@ def test_template_layout_matches_dense_oracle(case):
                 ("marked", pair.marked, pair.weights_pos, pair.positive),
                 ("empty", pair.empty, pair.weights_neg, pair.negative)):
             dense = dense_general_sets(spec, weights, store=_nonzeros)
-            want = [(side, name, *(a.tobytes() for a in _csc(entries)))
-                    for side, sets in zip("AB", dense) for name, entries in sets.items()]
-            assert _set_arrays(built[label]) == want, (pair.regime, label)
+            assert _side_arrays(built[label]) == _oracle_sides(dense), (pair.regime, label)
             _assert_same_witness(witness, dense_general_witnesses(spec, weights))
 
 
-def test_instance_rejects_a_structure_of_other_sets(small_pair):
-    marked, empty = small_pair
-    pair, = regime_pairs(marked, empty, ["i-a"])
-    a, b = pair.instances().values()
-    with pytest.raises(ValueError, match="sparsity patterns"):
-        PEInstance(a.dim, a.psi0, a_sets=a.a_sets, b_sets=a.b_sets,
-                   structure=b.structure)
+def test_instance_rejects_lengths_other_than_its_structure(small_pair):
+    """psi0 and each side's values must have the structure's lengths."""
+    psi0, a, b = np.eye(3)
+    for wrong in (np.append(psi0, 0.0), psi0[:2], psi0[None]):
+        with pytest.raises(ValueError, match="psi0 has shape"):
+            instance_from_sets(dim=3, psi0=wrong, a_sets={"a": [a]}, b_sets={"b": [b]})
+    pair, = regime_pairs(*small_pair, ["i-a"])
+    inst = pair.instances()["marked"]
+    values = {side: m.values for side, m in inst.sides.items()}
+    for side in ("A", "B"):
+        for cut in (values[side][:-1], np.append(values[side], 1.0)):
+            with pytest.raises(ValueError, match=f"side {side}: {len(cut)} values"):
+                PEInstance(inst.structure, inst.psi0, {**values, side: cut})
+    assert PEInstance(inst.structure, inst.psi0, values).sides["B"].values is values["B"]
+
+
+def test_checks_read_each_side_record(small_pair):
+    """Norms, Gram and span basis come from sides[side], the side's one record.
+
+    Doubling one side's values, passed to the constructor, doubles its
+    norms and quadruples its Gram entries, bit for bit, and leaves its
+    span basis as it was; set_vectors of every set, in order, are
+    generators(side).
+    """
+    pair, = regime_pairs(*small_pair, ["ii-b"])
+    built = [build_simple_instance(OracleSpec(size=8, marked=frozenset({2})), 8.0),
+             *pair.instances().values()]
+    for inst in built:
+        for side in ("A", "B"):
+            m = inst.sides[side]
+            assert m.sparsity is inst.structure.sides[side]
+            values = {s: v.values for s, v in inst.sides.items()}
+            doubled = PEInstance(inst.structure, inst.psi0, {**values, side: 2.0 * m.values})
+            assert np.array_equal(doubled._norms(side), 2.0 * inst._norms(side))
+            (_, _, gram), _ = inst._gram(side)
+            (_, _, gram_doubled), _ = doubled._gram(side)
+            assert np.array_equal(gram_doubled, 4.0 * gram)
+            assert np.array_equal(doubled.span_basis(side), inst.span_basis(side))
+            counts = inst.structure.sets[side]
+            by_set = [inst.set_vectors(side, name) for name in counts]
+            assert [len(v) for v in by_set] == list(counts.values())
+            assert np.array_equal(np.reshape([v for vs in by_set for v in vs], (-1, inst.dim)),
+                                  np.reshape(inst.generators(side), (-1, inst.dim)))
 
 
 def test_gram_of_overlapping_generators_matches_dense():
@@ -420,9 +444,9 @@ def test_gram_of_overlapping_generators_matches_dense():
     a, b = overlapping(9), overlapping(6)
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
-    inst = PEInstance(dim, psi0, a_sets={"x": a[:4], "y": a[4:]}, b_sets={"z": b})
+    inst = instance_from_sets(dim, psi0, a_sets={"x": a[:4], "y": a[4:]}, b_sets={"z": b})
     (first, second, _), _ = inst._gram("A")
-    assert np.max(np.bincount(inst._gen_matrix("A")[0].rows)) >= 4
+    assert np.max(np.bincount(inst.sides["A"].rows)) >= 4
     # one entry per pair that shares a label, each listed once
     shared = {(i, j) for i in range(9) for j in range(i + 1, 9)
               if np.any((a[i] != 0) & (a[j] != 0))}
@@ -666,15 +690,14 @@ def test_span_basis_dtype_follows_the_instance_values(small_pair):
             for part in (inst, inst.psi0_component()):
                 assert part.psi0.dtype == dtype
                 for side in ("A", "B"):
-                    sets = part.a_sets if side == "A" else part.b_sets
-                    assert all(m.values.dtype == dtype for m in sets.values())
+                    assert part.sides[side].values.dtype == dtype
                     assert part.span_basis(side).dtype == dtype
     # hand-built sets keep their dtype: integers become float64
     e = np.eye(3, dtype=int)
-    real = PEInstance(dim=3, psi0=e[0], a_sets={"a": [e[1]]}, b_sets={"b": [e[2]]})
+    real = instance_from_sets(dim=3, psi0=e[0], a_sets={"a": [e[1]]}, b_sets={"b": [e[2]]})
     assert real.span_basis("A").dtype == np.float64
-    cplx = PEInstance(dim=3, psi0=e[0], a_sets={"a": [1j * e[1]]},
-                      b_sets={"b": [e[2]]})
+    cplx = instance_from_sets(dim=3, psi0=e[0], a_sets={"a": [1j * e[1]]},
+                              b_sets={"b": [e[2]]})
     assert cplx.span_basis("A").dtype == np.complex128
     assert cplx.span_basis("B").dtype == np.float64
 

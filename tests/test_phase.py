@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import vtsearch.instances as inst_mod
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (REGIMES, PEInstance, SetMatrix,
-                                build_simple_instance,
+from vtsearch.instances import (REGIMES, PEInstance, build_simple_instance,
+                                instance_from_sets,
                                 general_negative_witness,
                                 general_positive_witness, regime_parameters,
                                 simple_witnesses, verify_witnesses)
@@ -39,8 +39,8 @@ def _unit(dim, k):
 
 def _toy_instance(a_vecs, b_vecs, psi0):
     dim = len(psi0)
-    return PEInstance(dim=dim, psi0=psi0, a_sets={"a": a_vecs},
-                      b_sets={"b": b_vecs})
+    return instance_from_sets(dim=dim, psi0=psi0, a_sets={"a": a_vecs},
+                              b_sets={"b": b_vecs})
 
 
 def test_fixed_initial_state_gives_full_overlap():
@@ -250,16 +250,16 @@ def test_restriction_to_psi0_components_matches_dense(seed, reached, shared):
     psi0[support] = [1, 1j] @ rng.normal(size=(2, len(support)))
     # each side in two named sets that interleave the components
     strides = {"odd": slice(1, None, 2), "even": slice(0, None, 2)}
-    inst = PEInstance(dim=dim, psi0=psi0 / np.linalg.norm(psi0),
-                      a_sets={k: a_vecs[s] for k, s in strides.items()},
-                      b_sets={k: b_vecs[s] for k, s in strides.items()})
+    inst = instance_from_sets(dim=dim, psi0=psi0 / np.linalg.norm(psi0),
+                              a_sets={k: a_vecs[s] for k, s in strides.items()},
+                              b_sets={k: b_vecs[s] for k, s in strides.items()})
 
     part = inst.psi0_component()
     rows = np.sort(support)
     assert part.dim == len(rows)
     assert np.array_equal(part.psi0, inst.psi0[rows])
     for side, vecs, owner in (("A", a_vecs, owner_a), ("B", b_vecs, owner_b)):
-        assert list(part.a_sets if side == "A" else part.b_sets) == list(strides)
+        assert list(part.structure.sets[side]) == list(strides)
         for name, stride in strides.items():
             kept = [v[rows] for v, o in zip(vecs[stride], owner[stride])
                     if o in reached]
@@ -298,8 +298,8 @@ def test_restriction_follows_a_deep_chain():
     assert owner["A"][:2] == [0, 1]      # the chains interleave
     psi0 = np.zeros(dim, dtype=complex)
     psi0[label[0]] = 1.0
-    inst = PEInstance(dim=dim, psi0=psi0, a_sets={"a": vecs["A"]},
-                      b_sets={"b": vecs["B"]})
+    inst = instance_from_sets(dim=dim, psi0=psi0, a_sets={"a": vecs["A"]},
+                              b_sets={"b": vecs["B"]})
 
     part = inst.psi0_component()
     rows = np.sort(label[:2 * links[0] + 1])
@@ -314,11 +314,9 @@ def test_restriction_follows_a_deep_chain():
 
 
 def _complex_copy(inst):
-    """The instance with its psi0 and every set's values cast to complex."""
-    sets = [{name: SetMatrix(m.sparsity, m.values.astype(complex))
-             for name, m in side.items()} for side in (inst.a_sets, inst.b_sets)]
-    return PEInstance(dim=inst.dim, psi0=inst.psi0.astype(complex),
-                      a_sets=sets[0], b_sets=sets[1])
+    """The instance with its psi0 and each side's values cast to complex."""
+    return PEInstance(inst.structure, inst.psi0.astype(complex),
+                      {side: m.values.astype(complex) for side, m in inst.sides.items()})
 
 
 def _phase_clusters(spectrum):
@@ -551,9 +549,9 @@ def test_reflection_factorization_fails_for_merged_sets():
     query, absorb = inst.set_vectors("B", "query"), inst.set_vectors("B", "absorb")
     # "launch" overlaps the query transitions: grouping them with the check
     # vectors on one side and the absorbs on the other is not orthogonal
-    broken = PEInstance(dim=inst.dim, psi0=inst.psi0,
-                        a_sets={"bad1": launch + query, "bad2": check},
-                        b_sets={"query": query, "absorb": absorb})
+    broken = instance_from_sets(dim=inst.dim, psi0=inst.psi0,
+                                a_sets={"bad1": launch + query, "bad2": check},
+                                b_sets={"query": query, "absorb": absorb})
     sparse_resid, dense_resid = _reflection_residuals(broken)
     assert sparse_resid > 0.1 and dense_resid > 0.1
     # the decision engine's basis is the normalized generators: it refuses
@@ -568,10 +566,11 @@ def test_reflection_factorization_ignores_overlaps_within_a_set():
     """A set reflection is that of the set's span, whatever its generators."""
     inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
     check = inst.set_vectors("A", "check")
-    within = PEInstance(dim=inst.dim, psi0=inst.psi0,
-                        a_sets={"launch": inst.set_vectors("A", "launch"),
-                                "check": check + [check[0] + check[1]]},
-                        b_sets=inst.b_sets)
+    within = instance_from_sets(dim=inst.dim, psi0=inst.psi0,
+                                a_sets={"launch": inst.set_vectors("A", "launch"),
+                                        "check": check + [check[0] + check[1]]},
+                                b_sets={k: inst.set_vectors("B", k)
+                                        for k in inst.structure.sets["B"]})
     assert within.gram_offdiagonal_residual("A") == pytest.approx(2.0)
     assert max(_reflection_residuals(within)) <= DEFAULT_TOL.assert_tol
 
@@ -585,10 +584,11 @@ def test_span_basis_rejects_overlaps_within_a_set():
     inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0)
     check = inst.set_vectors("A", "check")
     tilted = check[0] + 1e-6 * check[1]
-    within = PEInstance(dim=inst.dim, psi0=inst.psi0,
-                        a_sets={"launch": inst.set_vectors("A", "launch"),
-                                "check": check + [tilted]},
-                        b_sets=inst.b_sets)
+    within = instance_from_sets(dim=inst.dim, psi0=inst.psi0,
+                                a_sets={"launch": inst.set_vectors("A", "launch"),
+                                        "check": check + [tilted]},
+                                b_sets={k: inst.set_vectors("B", k)
+                                        for k in inst.structure.sets["B"]})
     assert verify_reflection_factorization(within) == 0.0
     with pytest.raises(ValueError, match="side A: normalized generators"):
         within.span_basis("A")
