@@ -59,6 +59,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown output format {fmt!r}")
         if self.num_seeds < 1:
             raise ValueError("need at least one seed")
+        if self.seed < 0:
+            raise ValueError("the seed must be nonnegative")
         if any(v < 1 for v in (*self.n_list, *self.t_list, *self.z_list)):
             raise ValueError("n, steps and workspace entries must be at least 1")
         # these kinds build an OracleSpec, whose domain has at least 2 elements

@@ -238,11 +238,11 @@ def regime_parameters(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Sparsity:
-    """Where one generator set's entries sit: a d x k CSC pattern, read-only.
+    """Where k generators' entries sit: a d x k CSC pattern, read-only.
 
     Column j is generator j, touching the basis labels
-    rows[indptr[j]:indptr[j + 1]], ascending.  Sets with the same labels
-    share one Sparsity, and with it the cached cols.
+    rows[indptr[j]:indptr[j + 1]], ascending.  Instances with the same
+    labels share one Sparsity per side, and with it the cached cols.
     """
 
     dim: int
@@ -264,7 +264,7 @@ class Sparsity:
 
 @dataclass(frozen=True, eq=False)
 class SetMatrix:
-    """One generator set as a d x k CSC record: a Sparsity and its values.
+    """A named set, or a side's sets side by side, as a d x k CSC record.
 
     values[indptr[j]:indptr[j + 1]] are generator j's entries on its
     labels, none an exact zero: float64 when the set is real, complex

@@ -190,12 +190,18 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float,
     Cutoff theta* = 1/sqrt(c_plus * c_minus) and threshold 1/(2 c_plus):
     a positive witness guarantees p0 >= 1/c_plus, while a negative
     witness of size c_minus suppresses p0 below theta*^2 c_minus / 4 =
-    1/(4 c_plus), leaving a factor-2 margin on each side.
+    1/(4 c_plus), leaving a factor-2 margin on each side.  Both bounds
+    are for a unit psi0, so ValueError is raised when |psi0| differs from
+    1 by more than assert_tol; the norm is taken on psi0's component, a
+    short vector with the same norm.
     """
     if not (1.0 <= c_plus <= C_PLUS_MAX):
         raise ValueError(f"c_plus must lie in [1, {C_PLUS_MAX:g}]")
     if c_minus < 1.0:
         raise ValueError("c_minus must be at least 1")
+    norm = float(np.linalg.norm(instance.psi0_component().psi0))
+    if abs(norm - 1.0) > tol.assert_tol:
+        raise ValueError(f"psi0 has norm {norm!r}, not 1")
     theta_star = 1.0 / math.sqrt(c_plus * c_minus)
     spectrum = _walk_spectrum(instance, tol)
     p0 = _zero_phase_weight(spectrum, theta_star, tol)

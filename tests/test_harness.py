@@ -213,6 +213,18 @@ def test_config_rejects_sizes_below_one_and_oracle_domains_below_two():
     ExperimentConfig(kind="bounds-compare", n_list=(1,))
 
 
+def test_config_from_args_rejects_a_negative_seed(capsys):
+    """A negative seed is a usage error, not a traceback from default_rng."""
+    for argv in (["general-loop", "--seed", "-1"], ["bounds", "--seed", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            config_from_args(argv)
+        assert exc.value.code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ExperimentConfig(kind="grover-weights", seed=-1)
+    assert config_from_args(["general-loop", "--seed", "0"]).seed == 0
+
+
 def test_cli_general_loop_on_one_input_still_runs(capsys):
     assert main(["general-loop", "--n", "1", "--num-seeds", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["records"] == 2 * len(REGIMES)

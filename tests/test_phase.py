@@ -95,6 +95,20 @@ def test_decide_validates_constants():
         decide(inst, c_minus=0.5, c_plus=4.0)
 
 
+def test_decide_rejects_a_psi0_that_is_not_a_unit_vector():
+    """p0 and its threshold are for a unit psi0, so decide refuses any other."""
+    inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
+    for scale in (2.0, 1.0 + 1e-6, 0.5):
+        scaled = PEInstance(inst.structure, scale * inst.psi0,
+                            {side: m.values for side, m in inst.sides.items()})
+        with pytest.raises(ValueError, match="psi0 has norm"):
+            decide(scaled, c_minus=13.0, c_plus=4.0)
+    # within assert_tol of 1, the verdict stands
+    near = PEInstance(inst.structure, (1.0 + 1e-12) * inst.psi0,
+                      {side: m.values for side, m in inst.sides.items()})
+    assert decide(near, c_minus=13.0, c_plus=4.0).verdict == "positive"
+
+
 def test_negative_case_suppression():
     """Zero-phase overlap obeys the effective-gap bound at three cutoffs."""
     for n, omega in ((4, 4.0), (8, 8.0), (4, 1.5)):
