@@ -35,12 +35,13 @@ pattern lists one input's generators and lays the others out as that
 template shifted by a fixed stride in labels and in the step unitaries;
 the history states' labels and states are likewise laid out once per spec
 (HistoryLayout).  The general instances of one spec share its structure,
-and with it the plans that ignore values (the Gram's shared-label pairs,
-psi0's component).
-Well-formedness, witness, span-basis and reflection-factorization checks
-run on these records with numpy alone (bincount sums, and a Gram over the
-generator pairs that share a label), and only the decision's span bases
-and the dense oracle paths (the span projectors and the walk unitary)
+and with it the plans that ignore values (the Gram's shared-label pairs
+within a side and across the sides, psi0's component).
+Well-formedness, witness, span-basis and reflection-factorization checks,
+and the decision's cross Gram and plane vectors, run on these records with
+numpy alone (bincount sums, a Gram over the generator pairs that share a
+label, and row-by-row sparse-times-dense products), and only the dense
+oracle paths (span_basis, the span projectors and the walk unitary)
 expand a set into dense columns.  Values keep their type: the simple
 variant's sets and initial vector are float64, the general variant's
 complex, and every product is taken in the dtype of its operands.
@@ -261,6 +262,24 @@ class Sparsity:
         """The generator of every stored entry."""
         return _read_only(np.repeat(np.arange(self.shape[1]), np.diff(self.indptr)))
 
+    @cached_property
+    def row_slots(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The stored entries by their position among their label's entries.
+
+        Slot s is (entries, rows, cols): for every label touched by more
+        than s entries, its entry number s in storage order, with that
+        entry's label and generator, so no label repeats within a slot.
+        """
+        order = np.argsort(self.rows, kind="stable")
+        rows = self.rows[order]
+        # an entry's slot is its distance from its label's first entry
+        index = np.arange(len(rows))
+        slot = index - np.maximum.accumulate(
+            np.where(np.diff(rows, prepend=-1) != 0, index, 0))
+        slots = [order[slot == s] for s in range(int(slot.max(initial=-1)) + 1)]
+        return tuple((_read_only(e), _read_only(self.rows[e]), _read_only(self.cols[e]))
+                     for e in slots)
+
 
 @dataclass(frozen=True, eq=False)
 class SetMatrix:
@@ -303,6 +322,21 @@ class SetMatrix:
     def matvec(self, c: np.ndarray) -> np.ndarray:
         """G c, the d-vector combining the generators with coefficients c."""
         return _sum_by(self.rows, self.values * c[self.cols], self.dim)
+
+    def matmat(self, x: np.ndarray) -> np.ndarray:
+        """G X for a dense k x r X, a d x r array.
+
+        Each output row sums its label's entries in storage order, one
+        slot of Sparsity.row_slots at a time, with no BLAS call.
+        """
+        out = np.zeros((self.dim, x.shape[1]), dtype=np.result_type(self.values, x))
+        for s, (entries, rows, cols) in enumerate(self.sparsity.row_slots):
+            product = self.values[entries][:, None] * x[cols]
+            if s:
+                out[rows] += product
+            else:
+                out[rows] = product
+        return out
 
 
 def _read_only(*arrays: np.ndarray) -> np.ndarray:
@@ -383,6 +417,19 @@ class GramPlan(NamedTuple):
     segment: np.ndarray
 
 
+class CrossPlan(NamedTuple):
+    """Where the cross Gram G_A^H G_B comes from: the entry pairs on a shared label.
+
+    Pair p is side A's entry left[p] and side B's entry right[p], on the
+    same basis label; its product conj(a[left[p]]) * b[right[p]] adds to
+    the flat k_A x k_B entry flat[p], in array order.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    flat: np.ndarray
+
+
 class Component(NamedTuple):
     """psi0's component: its rows, each side's kept entries, and its structure."""
 
@@ -397,9 +444,10 @@ class InstanceStructure:
     sides[side] is the d x k Sparsity of side "A" or "B", its named sets
     side by side in order; sets[side] maps each set's name to its
     generator count, in that order; support is psi0's.  Each plan (the
-    Gram's shared-label pairs, psi0's component) is made on first use and
-    kept, so the general instances of one spec, which share their
-    GeneralPattern's structure, pay for it once.
+    Gram's shared-label pairs within a side and across the two sides,
+    psi0's component) is made on first use and kept, so the general
+    instances of one spec, which share their GeneralPattern's structure,
+    pay for it once.
     """
 
     def __init__(self, dim: int, support: np.ndarray, sides: dict[str, Sparsity],
@@ -445,6 +493,26 @@ class InstanceStructure:
                 first, second, owner[first] != owner[second],
                 left[by_pair], right[by_pair], np.cumsum(new) - 1)))
         return self._grams[side]
+
+    @cached_property
+    def cross(self) -> CrossPlan:
+        """The pairs of an A entry and a B entry that share a label.
+
+        Side A's entries are taken in storage order, each paired with every
+        B entry on its label, in B's storage order; generator i's labels
+        ascend, so each cross Gram entry sums its labels in ascending order.
+        """
+        a, b = self.sides["A"], self.sides["B"]
+        per_row = np.bincount(b.rows, minlength=self.dim)
+        by_row = np.argsort(b.rows, kind="stable")
+        counts = per_row[a.rows]
+        left = np.repeat(np.arange(len(a.rows)), counts)
+        starts = np.cumsum(per_row) - per_row
+        # offset of each pair within its label's run of B entries
+        offset = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+        right = by_row[np.repeat(starts[a.rows], counts) + offset]
+        return CrossPlan(*map(_read_only, (
+            left, right, a.cols[left] * b.shape[1] + b.cols[right])))
 
     @cached_property
     def component(self) -> Component:
@@ -495,29 +563,30 @@ class PEInstance:
     ValueError is raised when psi0's length or a side's values length
     does not match the structure.  Hand-built and simple instances come
     from instance_from_sets; the general instances of one spec share their
-    GeneralPattern's structure, and with it its plans (the Gram's
-    shared-label pairs, psi0's component), so an instance computes only
-    what depends on its values.  Projections and span-membership distances
-    of single vectors run on a side's record, which is also the one place
-    generator norms are computed and checked; the Gram residual and the
-    cross-set cosines of the reflection-factorization check share one
-    cached list of shared-label Gram entries per side.  No set reflection
-    is ever built.
+    GeneralPattern's structure, and with it its plans (the shared-label
+    pairs of the Gram and the cross Gram, psi0's component), so an
+    instance computes only what depends on its values.  Projections and
+    span-membership distances of single vectors run on a side's record,
+    which is also the one place generator norms are computed and checked;
+    the Gram residual and the cross-set cosines of the
+    reflection-factorization check share one cached list of shared-label
+    Gram entries per side.  No set reflection is ever built.
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
-    generators; span_basis checks their orthonormality on the side's
+    generators; normalized checks their orthonormality on the side's
     sparse Gram (the shared-label entries the Gram residual reads, over
     pairs within and across sets, and each normalized generator's squared
-    norm), raises rather than falling back when the check fails, and
-    densifies them once, in the dtype of the values: float64 for a real
+    norm), raises rather than falling back when the check fails, and keeps
+    them as a SetMatrix in the dtype of the values: float64 for a real
     instance such as a simple-loop one, complex otherwise.  The decision
     engine takes the principal angles between the two spans from these
-    bases of psi0_component, the instance cut down to the generator
-    components psi0 reaches.  The dense projectors and the walk unitary are
-    built lazily from an SVD of the dense generator columns instead, so
-    the dense oracle does not share the engine's basis; they are d x d, so
-    they alone check the dimension cap.
+    generators of psi0_component, the instance cut down to the generator
+    components psi0 reaches, and their cross Gram (cross_gram);
+    span_basis densifies them for the oracles.  The dense projectors and
+    the walk unitary are built lazily from an SVD of the dense generator
+    columns instead, so the dense oracle does not share the engine's
+    basis; they are d x d, so they alone check the dimension cap.
     """
 
     def __init__(self, structure: InstanceStructure, psi0: np.ndarray,
@@ -632,22 +701,21 @@ class PEInstance:
         residual = vec - m.matvec(overlaps / norms ** 2)
         return float(np.linalg.norm(residual))
 
-    def span_basis(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal basis (dim x generator count) of one side's span.
+    def normalized(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> SetMatrix:
+        """One side's generators each divided by its norm, as a SetMatrix.
 
-        The side's generators, each divided by its norm and densified once,
-        in the dtype of the side's values: float64 for a real side.  This
-        is a basis only because the generators are pairwise orthogonal, so
-        that is checked here, on the sparse Gram of the normalized
-        generators rather than a dense Q^H Q: its off-diagonal entries are
-        the shared-label Gram entries divided by both norms (every other
-        pair is orthogonal by support, within a set or across sets), and
-        its diagonal is each normalized generator's squared norm.  A
-        largest |Q^H Q - I| entry above assert_tol raises ValueError (as
-        does a vanishing generator, in _norms).  Cached per side and
-        tolerance policy.
+        They are an orthonormal basis of the side's span only because the
+        generators are pairwise orthogonal, so that is checked here, on the
+        sparse Gram of the normalized generators rather than a dense Q^H Q:
+        its off-diagonal entries are the shared-label Gram entries divided
+        by both norms (every other pair is orthogonal by support, within a
+        set or across sets), and its diagonal is each normalized
+        generator's squared norm.  A largest |Q^H Q - I| entry above
+        assert_tol raises ValueError (as does a vanishing generator, in
+        _norms).  The values keep the side's dtype: float64 for a real
+        side.  Cached per side and tolerance policy.
         """
-        key = ("basis", side, tol)
+        key = ("normalized", side, tol)
         if key not in self._cache:
             (first, second, values), norms = self._gram(side, tol)
             m = self.sides[side]
@@ -661,8 +729,29 @@ class PEInstance:
             if resid > tol.assert_tol:
                 raise ValueError(f"side {side}: normalized generators are not "
                                  f"orthonormal, residual {resid:.3e}")
-            self._cache[key] = q.toarray()
+            self._cache[key] = q
         return self._cache[key]
+
+    def span_basis(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+        """Orthonormal basis (dim x generator count) of one side's span.
+
+        The checked normalized generators, densified: for the dense
+        oracles, as the decision engine works on the records.
+        """
+        return self.normalized(side, tol).toarray()
+
+    def cross_gram(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+        """Q_A^H Q_B for the normalized generators, a dense k_A x k_B array.
+
+        Summed from the entry pairs that share a label (the structure's
+        CrossPlan), with one bincount over the flat entries: every other
+        pair of generators is orthogonal by support.
+        """
+        qa, qb = self.normalized("A", tol), self.normalized("B", tol)
+        plan = self.structure.cross
+        products = qa.values[plan.left].conj() * qb.values[plan.right]
+        k_a, k_b = qa.shape[1], qb.shape[1]
+        return _sum_by(plan.flat, products, k_a * k_b).reshape(k_a, k_b)
 
     def psi0_component(self) -> "PEInstance":
         """The instance on the generator components that psi0's support meets.

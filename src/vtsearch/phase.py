@@ -6,11 +6,17 @@ block-diagonal over the connected components of the generators, so the
 spectrum is taken on PEInstance.psi0_component, the components psi0
 reaches, for every instance size.  By Jordan's lemma the walk splits
 there along the principal angles theta_j between span A and span B: the
-thin SVD of Q_A^H Q_B (each side's basis is its normalized,
+thin SVD of C = Q_A^H Q_B (each side's basis is its normalized,
 pairwise-orthogonal generators) pairs a principal vector u_j of A with
-one of B, and W rotates the plane they span by 2 theta_j, so its phases
-there are +-2 theta_j.  The 2 x 2 compressions of all planes go to one
-stacked unitary_eig call, whose checks certify every plane invariant; the
+one of B, and W rotates the plane they span by -2 theta_j, so its phases
+there are +-2 theta_j.  The engine works on each side's normalized sparse
+generators and never on a dense span basis: C is summed from the entry
+pairs that share a label, the plane vectors are sparse-times-dense
+products, and each plane's rotation is written in closed form.  Two
+checks run on every decision and together certify every plane invariant
+under W: the generators' orthonormality (PEInstance.normalized) and the
+principal-vector residual max(|C V - U Sigma|, |C^H U - V Sigma|) <=
+assert_tol.  The stack of rotations goes to one unitary_eig call; the
 remaining directions are fixed analytically: intersection lines and the
 complement of span A + span B have phase 0, and the directions of either
 side that the SVD leaves unpaired (orthogonal to the other span) have
@@ -18,14 +24,18 @@ phase pi.  The thin SVD never forms those directions: psi0's weight on
 them is the squared norm of its residual after projecting onto the paired
 ones, in generator coordinates, so the spectrum carries one pi entry per
 side.  The arithmetic follows the instance's values: a simple-loop
-instance is real, so its bases, cross Gram, SVD and every d x k product
-are float64; a general instance is complex.
+instance is real, so its generators, cross Gram, SVD and products are
+float64; a general instance is complex.  Every weight is a fraction of a
+unit psi0, so the spectrum refuses any other (zero_phase_overlap,
+qpe_zero_prediction and decide alike).
 The phase-register simulation runs the dense walk of psi0's component,
-kept as an independent cross-check; the dense walk of the full instance
-is the oracle in the test suite.  The reflection-factorization identity
-used to implement the walk cheaply, each side's reflection as the product
-of its set reflections, is checked on the sparse cross-set Gram: it holds
-exactly when the sets of a side span mutually orthogonal subspaces.
+kept as an independent cross-check; the dense walk of the full instance,
+and the same engine on dense bases with W's compression computed by
+dense reflections, are the oracles in the test suite.  The
+reflection-factorization identity used to implement the walk cheaply,
+each side's reflection as the product of its set reflections, is checked
+on the sparse cross-set Gram: it holds exactly when the sets of a side
+span mutually orthogonal subspaces.
 
 RegimePair is the paper's regime experiment on one marked/empty pair.  It
 calls the instance and subroutine layers through their modules, so that
@@ -53,11 +63,14 @@ C_PLUS_MAX = 50.0
 class WalkSpectrum(NamedTuple):
     """Eigenphases of the walk on psi0's component with psi0's weight on each.
 
-    The last three entries are the phase-pi weights of the directions left
-    unpaired on side A and on side B, then the phase-0 weight outside
-    span A + span B.  dim, rank_a and rank_b are the row and generator counts of psi0's
-    component; min_angle is the smallest principal angle among its
-    rotation planes, or None when the spans meet there in no plane.
+    First come the +-2 theta_j pairs of the rotation planes, as
+    unitary_eig orders each closed-form rotation's eigenvalues, then a
+    phase 0 for each intersection line.  The last three entries are the
+    phase-pi weights of the directions left unpaired on side A and on
+    side B, then the phase-0 weight outside span A + span B.  dim, rank_a
+    and rank_b are the row and generator counts of psi0's component;
+    min_angle is the smallest principal angle among its rotation planes,
+    or None when the spans meet there in no plane.
     """
 
     phases: np.ndarray
@@ -68,68 +81,90 @@ class WalkSpectrum(NamedTuple):
     min_angle: float | None
 
 
-def _reflect(q: np.ndarray, qh: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The reflection 2 Q Q^H - I applied to the columns of x; qh is Q^H."""
-    return 2.0 * q @ (qh @ x) - x
+def _rotation_blocks(angles: np.ndarray) -> np.ndarray:
+    """W on each rotation plane, in the basis (u_j, w_j): rotation by -2 theta_j.
+
+    R_B reflects the plane about Q_B v_j = cos_j u_j + sin_j w_j and R_A
+    about u_j, so R_A R_B = [[cos 2theta_j, sin 2theta_j],
+    [-sin 2theta_j, cos 2theta_j]], a (count, 2, 2) stack.
+    """
+    twice = 2.0 * angles
+    c, s = np.cos(twice), np.sin(twice)
+    return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
 
 
 def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     """Spectrum of W = R_A R_B from the principal angles of the two spans.
 
     Taken on instance.psi0_component(), which has psi0's spectrum weights,
-    in the dtype of its span bases: real for a real instance.  Column j
-    of the thin SVD of C = Q_A^H Q_B pairs u_j = Q_A U_j with Q_B V_j =
-    cos_j u_j + sin_j w_j; sin_j is taken as the norm of Q_B V_j - cos_j
-    u_j, which stays accurate where sqrt(1 - cos_j^2) would cancel.  Pairs
-    with sin_j <= rank_tol are intersection lines.  The directions of a
+    from each side's normalized sparse generators Q_A and Q_B
+    (PEInstance.normalized, which checks their orthonormality); no dense
+    span basis is formed.  ValueError is raised when |psi0| differs from
+    1 by more than assert_tol, since every weight below is a fraction of
+    a unit psi0.  The cross Gram C = Q_A^H Q_B is summed from the entry
+    pairs that share a label (PEInstance.cross_gram), and its thin SVD
+    C = U diag(cos) V^H is certified: ValueError names the principal-
+    vector residual max(|C V - U cos|, |C^H U - V cos|) when it exceeds
+    assert_tol.  Column j pairs u_j = Q_A U_j with Q_B V_j = cos_j u_j +
+    sin_j w_j; both are sparse-times-dense products, and sin_j is the
+    norm of the residual Q_B V_j - cos_j u_j, which stays accurate where
+    sqrt(1 - cos_j^2) would cancel.  Pairs with sin_j <= rank_tol are
+    intersection lines.  W rotates every other plane span{u_j, w_j} by
+    -2 theta_j in closed form (_rotation_blocks); with the orthonormal
+    generators, the certificate makes each plane invariant under W, and
+    unitary_eig decomposes the stack of rotations.  The directions of a
     side that no column pairs (its complement of U's or V's columns,
     orthogonal to the other span) have phase pi; psi0's weight on them is
     the squared norm of a residual vector in generator coordinates, r_A =
     p_A - U U^H p_A and r_B = p_B - V V^H p_B with p = Q^H psi0, so the
-    spectrum carries one pi entry per side.  psi0's weight outside span A
+    spectrum carries one pi entry per side.  psi0's overlap with w_j is
+    (V_j^H p_B - cos_j U_j^H p_A) / sin_j, and its weight outside span A
     + span B is the squared norm of psi0 - Q_A p_A - sum_j w_j <w_j, psi0>
-    - Q_B r_B.  Neither is a cancelling 1 - sum of weights.  Each d x k
-    adjoint is formed once: overlaps with psi0 are taken as conj(psi0^H X)
-    instead of X^H psi0.
+    - Q_B r_B.  Neither is a cancelling 1 - sum of weights.  The
+    arithmetic follows the instance's values: real for a real instance.
     """
     instance = instance.psi0_component()
-    qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
-    qah, qbh = qa.conj().T, qb.conj().T
-    rank_a, rank_b = qa.shape[1], qb.shape[1]
-    u, cos, vh = np.linalg.svd(qah @ qb, full_matrices=False)
+    psi0 = instance.psi0
+    norm = float(np.linalg.norm(psi0))
+    if abs(norm - 1.0) > tol.assert_tol:
+        raise ValueError(f"psi0 has norm {norm!r}, not 1")
+    qa, qb = instance.normalized("A", tol), instance.normalized("B", tol)
+    c = instance.cross_gram(tol)
+    u, cos, vh = np.linalg.svd(c, full_matrices=False)
     v = vh.conj().T
-    ua = qa @ u
-    perp = qb @ v - ua * cos
+    resid = max(float(np.abs(c @ v - u * cos).max(initial=0.0)),
+                float(np.abs(c.conj().T @ u - v * cos).max(initial=0.0)))
+    if resid > tol.assert_tol:
+        raise ValueError(f"principal-vector residual {resid:.3e} exceeds "
+                         f"assert_tol {tol.assert_tol:g}")
+    pa, pb = qa.rmatvec(psi0), qb.rmatvec(psi0)
+    ca, cb = (pa.conj() @ u).conj(), vh @ pb
+    ra, rb = pa - u @ ca, pb - v @ cb
+    # one product per side; the extra last columns are Q_B r_B and Q_A p_A
+    on_b = qb.matmat(np.concatenate([v, rb[:, None]], axis=1))
+    on_a = qa.matmat(np.concatenate([u * cos, pa[:, None]], axis=1))
+    perp = on_b[:, :-1]
+    perp -= on_a[:, :-1]
     sin = np.linalg.norm(perp, axis=0)
     rot = sin > tol.rank_tol
-    w = perp[:, rot] / sin[rot]
+    cw = (cb - cos * ca)[rot] / sin[rot]
+    # sum_j w_j <w_j, psi0> = perp x, x_j = <w_j, psi0> / sin_j
+    x = np.zeros(len(cos), dtype=cw.dtype)
+    x[rot] = cw / sin[rot]
+    outside = float(np.linalg.norm(psi0 - on_a[:, -1] - perp @ x - on_b[:, -1]) ** 2)
 
-    psi0 = instance.psi0
-    psi0h = psi0.conj()
-    pa, pb = (psi0h @ qa).conj(), (psi0h @ qb).conj()
-    ca, cw = u.conj().T @ pa, (psi0h @ w).conj()
-    ra, rb = pa - u @ ca, pb - v @ (vh @ pb)
-    outside = float(np.linalg.norm(psi0 - qa @ pa - w @ cw - qb @ rb) ** 2)
-
-    # plane j is span{u_j, w_j}; W is applied as two matrix-free reflections
-    planes = np.stack([ua[:, rot], w], axis=-1)
-    dim, count = planes.shape[0], planes.shape[1]
-    walked = _reflect(qa, qah, _reflect(qb, qbh, planes.reshape(dim, 2 * count)))
-    # (count, 2, dim) @ (count, dim, 2): the 2 x 2 compression of each plane
-    blocks = (planes.transpose(1, 2, 0).conj()
-              @ walked.reshape(dim, count, 2).transpose(1, 0, 2))
+    angles = np.arctan2(sin[rot], cos[rot])
     coeffs = np.stack([ca[rot], cw], axis=-1)
-    dec = unitary_eig(blocks, tol)
+    dec = unitary_eig(_rotation_blocks(angles), tol)
     weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
 
     lines = np.abs(ca[~rot]) ** 2
     unpaired = [np.linalg.norm(ra) ** 2, np.linalg.norm(rb) ** 2]
-    angles = np.arctan2(sin[rot], cos[rot])
     return WalkSpectrum(
         phases=np.concatenate([dec.phases.ravel(), np.zeros(len(lines)),
                                [np.pi, np.pi, 0.0]]),
         weights=np.concatenate([weights.ravel(), lines, unpaired, [outside]]),
-        dim=instance.dim, rank_a=rank_a, rank_b=rank_b,
+        dim=instance.dim, rank_a=qa.shape[1], rank_b=qb.shape[1],
         min_angle=float(angles.min()) if len(angles) else None)
 
 
@@ -192,16 +227,13 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float,
     witness of size c_minus suppresses p0 below theta*^2 c_minus / 4 =
     1/(4 c_plus), leaving a factor-2 margin on each side.  Both bounds
     are for a unit psi0, so ValueError is raised when |psi0| differs from
-    1 by more than assert_tol; the norm is taken on psi0's component, a
-    short vector with the same norm.
+    1 by more than assert_tol (in _walk_spectrum, on psi0's component, a
+    short vector with the same norm).
     """
     if not (1.0 <= c_plus <= C_PLUS_MAX):
         raise ValueError(f"c_plus must lie in [1, {C_PLUS_MAX:g}]")
     if c_minus < 1.0:
         raise ValueError("c_minus must be at least 1")
-    norm = float(np.linalg.norm(instance.psi0_component().psi0))
-    if abs(norm - 1.0) > tol.assert_tol:
-        raise ValueError(f"psi0 has norm {norm!r}, not 1")
     theta_star = 1.0 / math.sqrt(c_plus * c_minus)
     spectrum = _walk_spectrum(instance, tol)
     p0 = _zero_phase_weight(spectrum, theta_star, tol)

@@ -10,8 +10,9 @@ import scipy.stats
 from vtsearch import (DEFAULT_TOL, NonUnitaryError, SpectralDecomposition,
                       cluster_phases, projector_from_set, qpe_kernel,
                       reflection, subroutine_pair,
-                      unitarity_residual)
+                      unitarity_residual, unitary_eig)
 from vtsearch.linalg import check_dim
+from vtsearch.phase import WalkSpectrum
 from vtsearch.subroutines import BlockSchedule, StoppingProfile, SubroutineSpec
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
                                 SimpleBasis)
@@ -54,6 +55,70 @@ def dense_walk_spectrum(instance, tol=DEFAULT_TOL):
     """
     dec = dense_unitary_eig(instance.walk_unitary(tol), tol)
     return dec.phases, np.abs(dec.vectors.conj().T @ instance.psi0) ** 2
+
+
+def reflect(q, qh, x):
+    """The reflection 2 Q Q^H - I applied to the columns of x; qh is Q^H."""
+    return 2.0 * q @ (qh @ x) - x
+
+
+def reflected_compressions(instance, u, w, tol=DEFAULT_TOL):
+    """Oracle: W's 2 x 2 compression on each plane span{u[:, j], w[:, j]}.
+
+    Both reflections are applied to every plane as dense d x k products of
+    the instance's span bases, so no closed form is assumed.
+    """
+    qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
+    planes = np.stack([u, w], axis=-1)
+    dim, count = planes.shape[0], planes.shape[1]
+    walked = reflect(qa, qa.conj().T,
+                     reflect(qb, qb.conj().T, planes.reshape(dim, 2 * count)))
+    # (count, 2, dim) @ (count, dim, 2)
+    return (planes.transpose(1, 2, 0).conj()
+            @ walked.reshape(dim, count, 2).transpose(1, 0, 2))
+
+
+def reflected_walk_spectrum(instance, tol=DEFAULT_TOL):
+    """Oracle: the principal-angle engine on dense span bases.
+
+    The thin SVD of the dense d-length product Q_A^H Q_B pairs the
+    planes, every plane vector and overlap is a dense d x k product, and
+    unitary_eig decomposes W's compression on each plane, computed with
+    dense reflections (reflected_compressions) rather than in closed form.
+    Returns a WalkSpectrum laid out as the library's; the library decides
+    from the sparse generators instead.
+    """
+    instance = instance.psi0_component()
+    qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
+    qah, qbh = qa.conj().T, qb.conj().T
+    u, cos, vh = np.linalg.svd(qah @ qb, full_matrices=False)
+    v = vh.conj().T
+    ua = qa @ u
+    perp = qb @ v - ua * cos
+    sin = np.linalg.norm(perp, axis=0)
+    rot = sin > tol.rank_tol
+    w = perp[:, rot] / sin[rot]
+
+    psi0 = instance.psi0
+    psi0h = psi0.conj()
+    pa, pb = (psi0h @ qa).conj(), (psi0h @ qb).conj()
+    ca, cw = u.conj().T @ pa, (psi0h @ w).conj()
+    ra, rb = pa - u @ ca, pb - v @ (vh @ pb)
+    outside = float(np.linalg.norm(psi0 - qa @ pa - w @ cw - qb @ rb) ** 2)
+
+    coeffs = np.stack([ca[rot], cw], axis=-1)
+    dec = unitary_eig(reflected_compressions(instance, ua[:, rot], w, tol), tol)
+    weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
+
+    lines = np.abs(ca[~rot]) ** 2
+    unpaired = [np.linalg.norm(ra) ** 2, np.linalg.norm(rb) ** 2]
+    angles = np.arctan2(sin[rot], cos[rot])
+    return WalkSpectrum(
+        phases=np.concatenate([dec.phases.ravel(), np.zeros(len(lines)),
+                               [np.pi, np.pi, 0.0]]),
+        weights=np.concatenate([weights.ravel(), lines, unpaired, [outside]]),
+        dim=instance.dim, rank_a=qa.shape[1], rank_b=qb.shape[1],
+        min_angle=float(angles.min()) if len(angles) else None)
 
 
 def dense_zero_phase_overlap(spectrum, theta_star, tol=DEFAULT_TOL):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vtsearch.instances as inst_mod
+import vtsearch.phase as phase_mod
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (REGIMES, PEInstance, build_simple_instance,
-                                instance_from_sets,
+from vtsearch.instances import (REGIMES, PEInstance, SetMatrix,
+                                build_simple_instance, instance_from_sets,
                                 general_negative_witness,
                                 general_positive_witness, regime_parameters,
                                 simple_witnesses, verify_witnesses)
@@ -25,7 +26,8 @@ from vtsearch.subroutines import stopping_moments, subroutine_pair
 
 from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
                       dense_reflection_factorization_residual,
-                      dense_walk_spectrum, dense_zero_phase_overlap)
+                      dense_walk_spectrum, dense_zero_phase_overlap,
+                      reflected_compressions, reflected_walk_spectrum)
 
 THETA_STARS = (0.05, 0.2, 0.5)
 ORACLE_TOL = 1e-12
@@ -107,6 +109,21 @@ def test_decide_rejects_a_psi0_that_is_not_a_unit_vector():
     near = PEInstance(inst.structure, (1.0 + 1e-12) * inst.psi0,
                       {side: m.values for side, m in inst.sides.items()})
     assert decide(near, c_minus=13.0, c_plus=4.0).verdict == "positive"
+
+
+@pytest.mark.parametrize("entry", ["decide", "zero_phase_overlap",
+                                   "qpe_zero_prediction"])
+def test_every_spectrum_entry_point_rejects_a_non_unit_psi0(entry):
+    """A doubled psi0 would scale every weight by 4, so each entry point refuses it."""
+    inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
+    doubled = PEInstance(inst.structure, 2.0 * inst.psi0,
+                         {side: m.values for side, m in inst.sides.items()})
+    call = {"decide": lambda i: decide(i, c_minus=13.0, c_plus=4.0),
+            "zero_phase_overlap": lambda i: zero_phase_overlap(i, 0.2),
+            "qpe_zero_prediction": lambda i: qpe_zero_prediction(i, 3)}[entry]
+    call(inst)
+    with pytest.raises(ValueError, match="psi0 has norm 2.0, not 1"):
+        call(doubled)
 
 
 def test_negative_case_suppression():
@@ -428,6 +445,151 @@ def test_decides_general_instance_past_the_dense_cap():
         assert decisions[label].dim_decided == 593 < DIM_CAP
         with pytest.raises(DimensionCapError):
             inst.walk_unitary()
+
+
+def _oracle_cases():
+    for shape in ((2, 2, 2), (4, 4, 4), (16, 2, 2), (16, 4, 4)):
+        for regime in REGIMES:
+            yield pytest.param(("general", shape, regime), id=f"{shape}-{regime}")
+    for n in (4, 16, 64, 80):
+        yield pytest.param(("simple", n), id=f"simple-{n}")
+
+
+def _oracle_instances(case):
+    """(label, instance, c_minus, c_plus) for both sides of one case."""
+    if case[0] == "general":
+        _, shape, regime = case
+        pair, = regime_pairs(*subroutine_pair(0, *shape), [regime])
+        return [(label, inst, pair.c_minus, pair.c_plus_decide)
+                for label, inst in pair.instances().items()]
+    n = case[1]
+    return [(label, build_simple_instance(OracleSpec(size=n, marked=marked), float(n)),
+             1.0 + 3.0 * n, 4.0)
+            for label, marked in (("marked", frozenset({0})), ("empty", frozenset()))]
+
+
+def _engine_blocks(inst, monkeypatch):
+    """The engine's spectrum and the rotation stack it hands to unitary_eig."""
+    seen = []
+
+    def capture(blocks, tol):
+        seen.append(blocks)
+        return eig(blocks, tol)
+
+    eig = phase_mod.unitary_eig
+    with monkeypatch.context() as m:
+        m.setattr(phase_mod, "unitary_eig", capture)
+        spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+    return spectrum, seen[0]
+
+
+@pytest.mark.parametrize("case", _oracle_cases())
+def test_closed_form_planes_match_the_reflected_engine(case, monkeypatch):
+    """Closed-form rotations against W's compression and the previous engine.
+
+    The planes are rebuilt on dense span bases from the SVD of the same
+    cross Gram, so they are the engine's; W's compression on them,
+    computed with dense reflections, must be the engine's rotation by
+    -2 theta_j.  Verdicts equal the reflected engine's, and p0 at every
+    cutoff and min_angle agree with it within 1e-12.
+    """
+    for label, inst, c_minus, c_plus in _oracle_instances(case):
+        spectrum, blocks = _engine_blocks(inst, monkeypatch)
+        part = inst.psi0_component()
+        qa, qb = part.span_basis("A"), part.span_basis("B")
+        u, cos, vh = np.linalg.svd(part.cross_gram(), full_matrices=False)
+        ua = qa @ u
+        perp = qb @ vh.conj().T - ua * cos
+        sin = np.linalg.norm(perp, axis=0)
+        rot = sin > DEFAULT_TOL.rank_tol
+        compressions = reflected_compressions(part, ua[:, rot], perp[:, rot] / sin[rot])
+        assert blocks.shape == compressions.shape and len(blocks) > 0
+        assert np.max(np.abs(blocks - compressions)) <= ORACLE_TOL, label
+
+        reference = reflected_walk_spectrum(inst)
+        assert abs(spectrum.min_angle - reference.min_angle) <= ORACLE_TOL
+        for theta in THETA_STARS:
+            assert abs(_zero_phase_weight(spectrum, theta, DEFAULT_TOL)
+                       - dense_zero_phase_overlap(
+                           (reference.phases, reference.weights), theta)) <= ORACLE_TOL
+        decision = decide(inst, c_minus=c_minus, c_plus=c_plus)
+        p0 = dense_zero_phase_overlap((reference.phases, reference.weights),
+                                      decision.theta_star)
+        assert abs(decision.p0 - p0) <= ORACLE_TOL
+        assert decision.verdict == ("positive" if p0 >= decision.threshold
+                                    else "negative")
+        assert decision.verdict == ("positive" if label == "marked" else "negative")
+
+
+def _assert_cross_gram_is_dense_product(inst):
+    part = inst.psi0_component()
+    want = part.span_basis("A").conj().T @ part.span_basis("B")
+    got = part.cross_gram()
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want), initial=0.0) <= ORACLE_TOL
+
+
+def test_cross_gram_from_shared_labels_matches_the_dense_product(small_pair):
+    built = [build_simple_instance(OracleSpec(size=n, marked=m), float(n))
+             for n in (4, 16) for m in (frozenset(), frozenset({1}))]
+    for pair in regime_pairs(*small_pair, REGIMES):
+        built.extend(pair.instances().values())
+    built.extend(regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])[0]
+                 .instances().values())
+    for inst in built:
+        _assert_cross_gram_is_dense_product(inst)
+
+
+def test_cross_gram_sums_several_entries_per_label():
+    """Every label carries two A entries and three B entries, all complex."""
+    rng = np.random.default_rng(3)
+    dim = 6
+
+    def orthogonal(k, rows):
+        g = rng.normal(size=(len(rows), k)) + 1j * rng.normal(size=(len(rows), k))
+        q = np.zeros((dim, k), dtype=complex)
+        q[rows] = np.linalg.qr(g)[0] * rng.uniform(0.5, 2.0, size=k)
+        return list(q.T)
+
+    psi0 = _unit(dim, 0)
+    inst = _toy_instance(orthogonal(2, [0, 1, 2, 3]), orthogonal(3, [1, 2, 3, 4]), psi0)
+    assert inst.structure.cross.left.shape == (4 * 2 * 3 - 2 * 3,)
+    _assert_cross_gram_is_dense_product(inst)
+    _assert_matches_dense_oracle(inst)
+
+
+def test_a_moved_singular_vector_fails_the_certificate(small_pair, monkeypatch):
+    """One left singular vector moved by 1e-6 breaks C V = U Sigma past assert_tol."""
+    pair, = regime_pairs(*small_pair, ["ii-b"])
+    inst = pair.instances()["marked"]
+    svd = np.linalg.svd
+
+    def moved(a, full_matrices=True):
+        u, s, vh = svd(a, full_matrices=full_matrices)
+        u = u.copy()
+        u[:, 0] += 1e-6 * u[:, 1]
+        return u, s, vh
+
+    decide(inst, c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+    monkeypatch.setattr(phase_mod.np.linalg, "svd", moved)
+    with pytest.raises(ValueError, match=r"principal-vector residual \d\.\d+e-0[67]"):
+        decide(inst, c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+
+
+def test_decide_builds_no_dense_basis_or_operator(monkeypatch):
+    """Both sides of (16, 4, 4) decided with every densifying path refused."""
+    pair, = regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])
+    want = {label: decision.verdict for label, decision in pair.decide().items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense path was taken")
+
+    for owner, name in ((PEInstance, "span_basis"), (PEInstance, "generators"),
+                        (PEInstance, "projector"), (PEInstance, "walk_unitary"),
+                        (SetMatrix, "toarray")):
+        monkeypatch.setattr(owner, name, refuse)
+    got = {label: decision.verdict for label, decision in pair.decide().items()}
+    assert got == want == {"marked": "positive", "empty": "negative"}
 
 
 def test_intersecting_spans_count_as_zero_phase():
