@@ -18,11 +18,10 @@ from .linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError, NonUnitaryError,
                      cluster_phases, projector_from_set, reflection,
                      unitarity_residual, unitary_eig)
 from .subroutines import (BlockSchedule, StoppingProfile, SubroutineSpec,
-                          ZeroErrorViolation, build_block_subroutine,
-                          cascade_profile, late_halting_fractions,
-                          random_subroutine, run_block_algorithm,
-                          run_subroutine, stopping_moments, stopping_profile,
-                          subroutine_pair, validate)
+                          build_block_subroutine, cascade_profile,
+                          late_halting_fractions, random_subroutine,
+                          run_block_algorithm, stopping_moments,
+                          stopping_profile, subroutine_pair, validate)
 from .grover import (AverageQueryCost, CostProfile, OracleSpec,
                      QueryWeightTable, average_query_cost, closed_form_weights,
                      grover_state, iteration_count, lagrange_cos_sum,
@@ -54,7 +53,7 @@ __all__ = [
     "PromiseDescriptor", "QPEOutcome", "QueryWeightTable", "REGIMES",
     "RegimePair", "ResultSet", "SimpleBasis", "SpectralDecomposition",
     "StoppingProfile", "SubroutineSpec", "TolerancePolicy", "Weights",
-    "WitnessReport", "ZeroErrorViolation", "average_query_cost", "bound",
+    "WitnessReport", "average_query_cost", "bound",
     "build_block_subroutine", "build_general_instance",
     "build_simple_instance", "cascade_profile", "closed_form_weights",
     "cluster_phases", "compare_table", "decide", "emit", "full_report",
@@ -65,7 +64,7 @@ __all__ = [
     "qpe_simulate", "qpe_zero_prediction", "query_weights",
     "random_subroutine", "reflection", "regime_pairs", "regime_parameters",
     "register_bits_for", "run_block_algorithm", "run_experiment",
-    "run_subroutine", "simple_witnesses", "stopping_moments",
+    "simple_witnesses", "stopping_moments",
     "stopping_profile", "subroutine_pair", "success_probability",
     "unitarity_residual", "unitary_eig", "validate",
     "verify_reflection_factorization", "verify_witnesses",

@@ -9,8 +9,6 @@ variable-time subroutine.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass
 
@@ -29,11 +27,6 @@ class OracleSpec:
             raise ValueError("domain size must be at least 2")
         if not all(0 <= i < self.size for i in self.marked):
             raise ValueError("marked indices out of range")
-
-    @property
-    def angle(self) -> float:
-        """The rotation half-angle arcsin(1/sqrt(N)) of the unique-marked case."""
-        return math.asin(1.0 / math.sqrt(self.size))
 
     def phase_matrix(self) -> np.ndarray:
         """The oracle reflection: -1 phase on marked basis states."""
@@ -101,16 +94,6 @@ class QueryWeightTable:
 
     def column_sum_residual(self) -> float:
         return float(np.max(np.abs(self.q.sum(axis=0) - 1.0)))
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["i", "t", "q"])
-        n, q_count = self.q.shape
-        for i in range(n):
-            for t in range(q_count):
-                writer.writerow([i, t + 1, repr(float(self.q[i, t]))])
-        return out.getvalue()
 
 
 def query_weights(oracle: OracleSpec) -> QueryWeightTable:

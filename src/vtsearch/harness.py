@@ -227,18 +227,13 @@ def _run_bounds_compare(config, results, prefix):
         profile = grover_mod.CostProfile.deterministic(times)
         promise = bounds_mod.PromiseDescriptor(unique_marked=True,
                                                t_max=float(np.max(times)))
-        try:
-            comparison = bounds_mod.compare_table(profile, promise)
-            ok = comparison.ordering_holds
-            payload = {
-                "seed": seed, "n": n, "times": [float(x) for x in times],
-                "l2": comparison.l2, "l1": comparison.l1, "l0": comparison.l0,
-                "straight_line": comparison.straight_line,
-                "naive": comparison.naive,
-            }
-        except AssertionError as exc:
-            ok, payload = False, {"seed": seed, "error": str(exc)}
-        results.add(prefix, payload, ok)
+        comparison = bounds_mod.compare_table(profile, promise)
+        results.add(prefix, {
+            "seed": seed, "n": n, "times": [float(x) for x in times],
+            "l2": comparison.l2, "l1": comparison.l1, "l0": comparison.l0,
+            "straight_line": comparison.straight_line,
+            "naive": comparison.naive,
+        }, comparison.ordering_holds)
 
 
 # ---------------------------------------------------------------------------

@@ -1038,7 +1038,8 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
 class SetFill(NamedTuple):
     """A general set's (or side's) Sparsity and where each stored value comes from.
 
-    Entry e's scale is table[scale[e]], table being GeneralPattern.fill's
+    Entry e's scale is table[scale[e]], an int32 index into
+    GeneralPattern.fill's table
     [1, -1, sqrt(alpha_0), ..., sqrt(alpha_T), -sqrt(omega_1 / n), ...,
     -sqrt(omega_n / n)]; the entries where inner is true are inner
     transitions onto the (a, z) block one step later, whose value is
@@ -1080,14 +1081,14 @@ class GeneralPattern:
         self.num_inputs = n
         self.psi0 = _read_only(basis.unit("src", 0, 0))
 
-        # value sources: each entry's scale, as an index into fill's table
-        # (+1, -1, sqrt(alpha_t), -sqrt(omega_i / n)), and beside it an index
-        # f into U = spec.unitaries, -1 unless the value is 0.0 - scale U.flat[f]
+        # value sources: each entry's scale, as an int32 index into fill's
+        # table (+1, -1, sqrt(alpha_t), -sqrt(omega_i / n)), and beside it an
+        # index f into U = spec.unitaries, -1 unless the value is 0.0 - scale U.flat[f]
         plus, minus, no_u = 0, 1, -1
-        sqrt_alpha = 2 + np.arange(t_max + 1)
-        neg_omega = 3 + t_max + np.arange(n)
+        sqrt_alpha = 2 + np.arange(t_max + 1, dtype=np.int32)
+        neg_omega = 3 + t_max + np.arange(n, dtype=np.int32)
         idx = basis.index
-        pair = np.array([plus, minus])
+        pair = np.array([plus, minus], dtype=np.int32)
         z_all, ab = np.arange(w), np.array([0, 1])
         halted = np.array([spec.halted_mask(t)[:w] for t in range(t_max + 1)])
 
@@ -1158,7 +1159,7 @@ class GeneralPattern:
 
         def plain_fill(rows, scale) -> SetFill:
             """A set of (g, width) generators with no U entry, every entry stored."""
-            scales = np.empty(rows.shape, dtype=np.int64)
+            scales = np.empty(rows.shape, dtype=np.int32)
             scales[...] = scale
             return SetFill(Sparsity(basis.dim, np.arange(0, rows.size + 1, rows.shape[1]),
                                     rows.ravel()),

@@ -84,12 +84,6 @@ class Projector:
     def idempotency_residual(self) -> float:
         return float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
 
-    def check(self, tol: TolerancePolicy = DEFAULT_TOL) -> None:
-        if self.hermiticity_residual() > tol.assert_tol:
-            raise ValueError("projector is not Hermitian within tolerance")
-        if self.idempotency_residual() > tol.assert_tol:
-            raise ValueError("projector is not idempotent within tolerance")
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -101,10 +95,6 @@ class SpectralDecomposition:
 
     phases: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[-2]
 
     def reconstruct(self) -> np.ndarray:
         return ((self.vectors * np.exp(1j * self.phases)[..., None, :])

@@ -27,7 +27,7 @@ side.  The arithmetic follows the instance's values: a simple-loop
 instance is real, so its generators, cross Gram, SVD and products are
 float64; a general instance is complex.  Every weight is a fraction of a
 unit psi0, so the spectrum refuses any other (zero_phase_overlap,
-qpe_zero_prediction and decide alike).
+qpe_zero_prediction and decide alike), and so does qpe_simulate.
 The phase-register simulation runs the dense walk of psi0's component,
 kept as an independent cross-check; the dense walk of the full instance,
 and the same engine on dense bases with W's compression computed by
@@ -93,6 +93,13 @@ def _rotation_blocks(angles: np.ndarray) -> np.ndarray:
     return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
 
 
+def _check_unit_psi0(psi0: np.ndarray, tol: TolerancePolicy) -> None:
+    """ValueError when |psi0| differs from 1 by more than assert_tol."""
+    norm = float(np.linalg.norm(psi0))
+    if abs(norm - 1.0) > tol.assert_tol:
+        raise ValueError(f"psi0 has norm {norm!r}, not 1")
+
+
 def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     """Spectrum of W = R_A R_B from the principal angles of the two spans.
 
@@ -125,9 +132,7 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     """
     instance = instance.psi0_component()
     psi0 = instance.psi0
-    norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > tol.assert_tol:
-        raise ValueError(f"psi0 has norm {norm!r}, not 1")
+    _check_unit_psi0(psi0, tol)
     qa, qb = instance.normalized("A", tol), instance.normalized("B", tol)
     c = instance.cross_gram(tol)
     u, cos, vh = np.linalg.svd(c, full_matrices=False)
@@ -326,12 +331,15 @@ def qpe_simulate(instance: PEInstance, bits: int,
     Builds the 2^bits controlled powers of the walk unitary applied to
     psi0 explicitly and transforms the register axis; no sampling.  The
     dense walk is that of psi0's component, which the walk never leaves,
-    so the distribution is the full instance's.
+    so the distribution is the full instance's.  ValueError is raised
+    when |psi0| differs from 1 by more than assert_tol, before the walk is
+    built: the distribution would sum to |psi0|^2.
     """
     if not (1 <= bits <= 20):
         raise ValueError("register size must be between 1 and 20 bits")
     m = 1 << bits
     part = instance.psi0_component()
+    _check_unit_psi0(part.psi0, tol)
     u = part.walk_unitary(tol)
     states = np.empty((m, part.dim), dtype=complex)
     psi = part.psi0.astype(complex)

@@ -9,8 +9,8 @@ claimed answer sector (zero error).
 
 Each spec evolves once: ``SubroutineSpec.trajectory`` holds every input's
 run U_t .. U_1 psi0, computed with one stacked product per step and
-cached.  validate's zero-error check, run_subroutine and the witnesses'
-history states read it, and so does ``SubroutineSpec.stopping_profiles``,
+cached.  validate's zero-error check and the witnesses' history states
+read it, and so does ``SubroutineSpec.stopping_profiles``,
 every input's stopping profile in one table built with one pass per
 step.  Its squared norms and the moments are running sums in index
 order, which call no BLAS and give a row the same bytes alone or in a
@@ -30,7 +30,6 @@ the answer bit ``a`` the slow index.  Inputs are 0-based: ``i`` ranges over
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,10 +37,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import DEFAULT_TOL, TolerancePolicy, check_dim, unitarity_residual
-
-
-class ZeroErrorViolation(RuntimeError):
-    """Final state has weight outside the claimed answer sector."""
 
 
 @dataclass(frozen=True)
@@ -134,60 +129,10 @@ class SubroutineSpec:
     def marked_set(self) -> frozenset[int]:
         return frozenset(i for i, b in enumerate(self.outputs) if b == 1)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "num_inputs": self.num_inputs,
-            "num_steps": self.num_steps,
-            "workspace_size": self.workspace_size,
-            "partition": [list(cell) for cell in self.partition],
-            "outputs": list(self.outputs),
-            "unitaries": [
-                [_matrix_to_pairs(self.unitaries[i, t]) for t in range(self.num_steps)]
-                for i in range(self.num_inputs)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "SubroutineSpec":
-        n, t = data["num_inputs"], data["num_steps"]
-        d = 2 * data["workspace_size"]
-        us = np.zeros((n, t, d, d), dtype=complex)
-        for i in range(n):
-            for s in range(t):
-                us[i, s] = _pairs_to_matrix(data["unitaries"][i][s], d)
-        return SubroutineSpec(
-            num_inputs=n,
-            num_steps=t,
-            workspace_size=data["workspace_size"],
-            partition=tuple(tuple(cell) for cell in data["partition"]),
-            unitaries=us,
-            outputs=tuple(data["outputs"]),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SubroutineSpec":
-        return SubroutineSpec.from_jsonable(json.loads(text))
-
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
     """Each row's running sum of re^2 + im^2, the same bytes alone or stacked; 0.0 if empty."""
     return np.cumsum(x.real**2 + x.imag**2, axis=-1)[..., -1:].sum(axis=-1)
-
-
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[x.real, x.imag] for x in row] for row in m]
-
-
-def _pairs_to_matrix(rows: list, dim: int) -> np.ndarray:
-    # real and imaginary parts are assigned separately: re + 1j * im
-    # would turn an imaginary -0.0 into +0.0
-    pairs = np.asarray(rows, dtype=float).reshape(dim, dim, 2)
-    out = np.empty((dim, dim), dtype=complex)
-    out.real, out.imag = pairs[..., 0], pairs[..., 1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -230,15 +175,6 @@ class ValidationReport:
 
     def add(self, name, passed, residual, detail=""):
         self.checks.append(ValidationCheck(name, bool(passed), float(residual), detail))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
 
 def validate(spec: SubroutineSpec, tol: TolerancePolicy = DEFAULT_TOL) -> ValidationReport:
@@ -336,28 +272,6 @@ def cascade_profile(spec: SubroutineSpec, i: int) -> StoppingProfile:
         sel[np.ix_(keep, keep)] = rho[np.ix_(keep, keep)]
         rho = sel
     return StoppingProfile(pmf=pmf, cdf=np.cumsum(pmf))
-
-
-def run_subroutine(spec: SubroutineSpec, i: int,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, np.ndarray]:
-    """Run all steps of input i; return (answer bit, final state).
-
-    The final state is input i's last row of spec.trajectory, read-only.
-    Raises ZeroErrorViolation if it leaks outside the claimed answer
-    sector.
-    """
-    if not (0 <= i < spec.num_inputs):
-        raise IndexError(f"input index {i} out of range")
-    psi = spec.trajectory[i, -1]
-    answer = spec.outputs[i]
-    wrong = psi.copy()
-    lo = answer * spec.workspace_size
-    wrong[lo:lo + spec.workspace_size] = 0.0
-    leak = float(np.linalg.norm(wrong))
-    if leak > tol.assert_tol:
-        raise ZeroErrorViolation(
-            f"input {i}: weight {leak:.3e} outside answer sector {answer}")
-    return answer, psi
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from vtsearch import (DEFAULT_TOL, NonUnitaryError, SpectralDecomposition,
                       cluster_phases, projector_from_set, qpe_kernel,
                       reflection, subroutine_pair,
                       unitarity_residual, unitary_eig)
+from vtsearch import bounds
 from vtsearch.linalg import check_dim
 from vtsearch.phase import WalkSpectrum
 from vtsearch.subroutines import BlockSchedule, StoppingProfile, SubroutineSpec
@@ -470,3 +471,13 @@ def random_block_schedule(seed, blocks=(2, 2), zp=2, n=2, projector_rank=1):
 def small_pair():
     """Smallest nontrivial pair (instance dimension 504)."""
     return subroutine_pair(7, 2, 2, 2)
+
+
+@pytest.fixture
+def l2_above_l1(monkeypatch):
+    """bounds.bound with the l2 and l1 values swapped, so l2 lies above l1."""
+    true_bound = bounds.bound
+
+    def swapped(kind, profile, promise):
+        return true_bound({"l2": "l1", "l1": "l2"}.get(kind, kind), profile, promise)
+    monkeypatch.setattr(bounds, "bound", swapped)

@@ -60,6 +60,15 @@ def test_naive_dominates_l2(times):
     assert bound("naive", profile, promise) + 1e-9 >= bound("l2", profile, promise)
 
 
+def test_compare_table_reports_a_broken_ordering(l2_above_l1):
+    """An l2 above l1 is a report with ordering_holds False, not an exception."""
+    profile = CostProfile.deterministic(np.array([1.0, 2.0, 3.0, 4.0]))
+    report = compare_table(profile, _unique_promise(4.0))
+    assert not report.ordering_holds
+    assert (report.l2, report.l1) == (pytest.approx(math.sqrt(40)),
+                                      pytest.approx(math.sqrt(30)))
+
+
 def test_compare_table_rejects_mismatched_promise():
     profile = CostProfile.deterministic(np.array([1.0, 5.0]))
     with pytest.raises(ValueError):
@@ -85,16 +94,13 @@ def test_bound_input_validation():
         PromiseDescriptor(marked_sets=(frozenset(),))
 
 
-def test_full_report_csv_schema():
+def test_full_report_has_every_kind():
     profile = CostProfile.deterministic(np.array([1.0, 2.0, 3.0, 4.0]))
-    report = full_report(profile, _unique_promise(4.0))
-    lines = report.to_csv().strip().splitlines()
-    assert lines[0].split(",") == list(BOUND_KINDS)
-    values = lines[1].split(",")
-    assert len(values) == 10
+    values = full_report(profile, _unique_promise(4.0)).values
+    assert list(values) == list(BOUND_KINDS)
     # unique-marked promise cannot evaluate the regime radicals
-    assert math.isnan(float(values[BOUND_KINDS.index("regime_i_a")]))
-    assert float(values[BOUND_KINDS.index("l2")]) == pytest.approx(math.sqrt(30))
+    assert math.isnan(values["regime_i_a"])
+    assert values["l2"] == pytest.approx(math.sqrt(30))
 
 
 def test_explicit_marked_sets_promise():

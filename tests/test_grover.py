@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from vtsearch.grover import (AverageQueryCost, CostProfile, OracleSpec,
                              average_query_cost, closed_form_weights,
@@ -165,18 +164,6 @@ def test_cost_profile_validation():
     with pytest.raises(ValueError):
         CostProfile(exp_t=np.ones(2), exp_t2=np.ones(2),
                     pi=np.array([0.7, 0.7]))
-
-
-@given(st.integers(2, 64), st.integers(0, 2**16))
-@settings(max_examples=30, deadline=None)
-def test_weight_table_csv_round_trips(n, seed):
-    rng = np.random.default_rng(seed)
-    marked = frozenset({int(rng.integers(n))})
-    table = query_weights(OracleSpec(size=n, marked=marked))
-    lines = table.to_csv().strip().splitlines()
-    assert lines[0] == "i,t,q"
-    i, t, q = lines[1].split(",")
-    assert float(q) == table.q[int(i), int(t) - 1]
 
 
 def test_oracle_validation():

@@ -140,6 +140,17 @@ def test_csv_rows_keep_header_width_when_fields_contain_commas(tmp_path):
                                           "l2": "", "seed": "1"}
 
 
+def test_broken_bound_ordering_is_a_failed_record(l2_above_l1):
+    """A seed whose l2 lies above l1 keeps its bound values and fails."""
+    config = ExperimentConfig(kind="bounds-compare", n_list=(8,), num_seeds=1)
+    record, = run_experiment(config).records
+    payload = record["payload"]
+    assert not record["passed"]
+    assert payload["l2"] > payload["l1"]
+    assert set(payload) == {"seed", "n", "times", "l2", "l1", "l0",
+                            "straight_line", "naive"}
+
+
 def test_emit_rejects_bad_input(tmp_path):
     empty = ResultSet(config=ExperimentConfig(kind="bounds-compare", **SMALL))
     with pytest.raises(ValueError):
@@ -278,5 +289,19 @@ def test_import_and_suite_run_leave_scipy_stats_unloaded(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_export_list_resolves_once_each_and_star_import_warns_nothing():
+    """No name in vtsearch.__all__ repeats, and import * runs under -W error.
+
+    import * raises AttributeError on a listed name the package lacks.
+    """
+    import vtsearch
+    assert len(vtsearch.__all__) == len(set(vtsearch.__all__))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", "from vtsearch import *"],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -261,7 +261,10 @@ def test_pattern_built_plans_equal_a_private_structure():
 
 
 def test_pattern_arrays_are_read_only(small_pair):
-    """Every array the instances of one spec share refuses writes."""
+    """Every array the instances of one spec share refuses writes.
+
+    The scale indices are int32: they index a table of 3 + T + n entries.
+    """
     marked, _ = small_pair
     pair, = regime_pairs(*small_pair, ["ii-b"])
     inst = pair.instances()["marked"]
@@ -275,6 +278,7 @@ def test_pattern_arrays_are_read_only(small_pair):
         shared += [sparsity.indptr, sparsity.rows, sparsity.cols]
     for side, f in pattern.fills.items():
         assert f.sparsity is structure.sides[side]
+        assert f.scale.dtype == np.int32
         shared += [f.scale, f.inner, f.u]
     shared += list(part.entries.values())
     layout = history_layout(marked)

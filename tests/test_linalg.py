@@ -73,7 +73,6 @@ def test_projector_properties():
     assert p.rank == 2
     assert p.hermiticity_residual() < 1e-12
     assert p.idempotency_residual() < 1e-12
-    p.check()
 
 
 def test_projector_empty_set_needs_dim():

@@ -112,7 +112,7 @@ def test_decide_rejects_a_psi0_that_is_not_a_unit_vector():
 
 
 @pytest.mark.parametrize("entry", ["decide", "zero_phase_overlap",
-                                   "qpe_zero_prediction"])
+                                   "qpe_zero_prediction", "qpe_simulate"])
 def test_every_spectrum_entry_point_rejects_a_non_unit_psi0(entry):
     """A doubled psi0 would scale every weight by 4, so each entry point refuses it."""
     inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
@@ -120,7 +120,8 @@ def test_every_spectrum_entry_point_rejects_a_non_unit_psi0(entry):
                          {side: m.values for side, m in inst.sides.items()})
     call = {"decide": lambda i: decide(i, c_minus=13.0, c_plus=4.0),
             "zero_phase_overlap": lambda i: zero_phase_overlap(i, 0.2),
-            "qpe_zero_prediction": lambda i: qpe_zero_prediction(i, 3)}[entry]
+            "qpe_zero_prediction": lambda i: qpe_zero_prediction(i, 3),
+            "qpe_simulate": lambda i: qpe_simulate(i, 3)}[entry]
     call(inst)
     with pytest.raises(ValueError, match="psi0 has norm 2.0, not 1"):
         call(doubled)
