@@ -16,10 +16,10 @@ from vtsearch import (BOUND_KINDS, CostProfile, PromiseDescriptor,
 def main():
     profile = CostProfile.deterministic(np.array([1.0, 2.0, 3.0, 4.0]))
     promise = PromiseDescriptor(unique_marked=True, t_max=4.0)
-    report = full_report(profile, promise)
+    values = full_report(profile, promise)
     print("linear profile T_i = i at N = 4:")
     for kind in BOUND_KINDS:
-        value = report.values[kind]
+        value = values[kind]
         if value == value:  # skip the inapplicable (nan) kinds
             print(f"  {kind:14s} {value:8.4f}")
 

@@ -2,7 +2,7 @@
 
 Modules:
 
-* linalg       -- tolerance policy, projectors, reflections, unitary spectra
+* linalg       -- the fixed tolerances, projectors, reflections, unitary spectra
 * subroutines  -- variable-time subroutines, stopping profiles, generators
 * grover       -- amplitude-rotation loop with per-query weight accounting
 * instances    -- two-reflection instances (unit-cost and variable-time
@@ -37,8 +37,8 @@ from .phase import (C_PLUS_MAX, Decision, QPEOutcome, RegimePair, decide,
                     qpe_kernel, qpe_simulate, qpe_zero_prediction,
                     regime_pairs, register_bits_for,
                     verify_reflection_factorization, zero_phase_overlap)
-from .bounds import (BOUND_KINDS, ComparisonReport, CostReport,
-                     PromiseDescriptor, bound, compare_table, full_report)
+from .bounds import (BOUND_KINDS, ComparisonReport, PromiseDescriptor,
+                     bound, compare_table, full_report)
 from .harness import (EXPERIMENT_KINDS, ExperimentConfig, ResultSet, emit,
                       run_experiment)
 
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AverageQueryCost", "BOUND_KINDS", "BlockSchedule", "C_PLUS_MAX",
-    "ComparisonReport", "CostProfile", "CostReport", "DEFAULT_TOL", "DIM_CAP",
+    "ComparisonReport", "CostProfile", "DEFAULT_TOL", "DIM_CAP",
     "Decision", "DimensionCapError", "EXPERIMENT_KINDS", "ExperimentConfig",
     "GeneralBasis", "NegativeWitness", "NonUnitaryError",
     "OracleSpec", "PEInstance", "PositiveWitness", "Projector",

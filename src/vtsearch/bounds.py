@@ -107,21 +107,15 @@ def bound(kind: str, profile: CostProfile, promise: PromiseDescriptor) -> float:
     return math.sqrt(float(radicand) / p)
 
 
-@dataclass
-class CostReport:
-    """All bound values for one profile; NaN where the promise does not apply."""
-
-    values: dict[str, float]
-
-
-def full_report(profile: CostProfile, promise: PromiseDescriptor) -> CostReport:
+def full_report(profile: CostProfile, promise: PromiseDescriptor) -> dict[str, float]:
+    """Each bound kind's value for one profile, NaN where the promise does not apply."""
     values = {}
     for kind in BOUND_KINDS:
         try:
             values[kind] = bound(kind, profile, promise)
         except ValueError:
             values[kind] = math.nan
-    return CostReport(values=values)
+    return values
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import sys
 
 from .harness import OUTPUT_FORMATS, ExperimentConfig, run_experiment
 from .instances import REGIMES
-from .linalg import DEFAULT_TOL
 
 _KIND_OF = {
     "grover": "grover-weights",
@@ -44,8 +43,6 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--regimes", nargs="+", action="extend",
                      choices=list(REGIMES), metavar="REGIME",
                      help="weight regimes to exercise (default: all)")
-    sub.add_argument("--assert-tol", type=float, default=DEFAULT_TOL.assert_tol,
-                     help="tolerance for exactness assertions")
     sub.add_argument("--out", default=None,
                      help="directory to write records and tables into")
     sub.add_argument("--format", nargs="+", action="extend",
@@ -83,7 +80,6 @@ def config_from_args(argv=None) -> ExperimentConfig:
     try:
         return ExperimentConfig(kind=args.kind, seed=args.seed,
                                 num_seeds=args.num_seeds,
-                                assert_tol=args.assert_tol,
                                 output_dir=args.out, **lists)
     except ValueError as exc:
         parser.error(str(exc))

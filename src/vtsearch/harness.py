@@ -26,7 +26,7 @@ from . import grover as grover_mod
 from . import instances as inst_mod
 from . import phase as phase_mod
 from . import subroutines as subs_mod
-from .linalg import DEFAULT_TOL, TolerancePolicy
+from .linalg import DEFAULT_TOL
 
 EXPERIMENT_KINDS = ("grover-weights", "simple-loop", "general-loop",
                     "bounds-compare", "full-suite")
@@ -42,7 +42,6 @@ class ExperimentConfig:
     regimes: tuple[str, ...] = inst_mod.REGIMES
     seed: int = 0
     num_seeds: int = 10
-    assert_tol: float = DEFAULT_TOL.assert_tol
     output_dir: str | None = None
     formats: tuple[str, ...] = ("json",)
 
@@ -61,19 +60,18 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.seed < 0:
             raise ValueError("the seed must be nonnegative")
+        for name in ("n_list", "t_list", "z_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if any(v < 1 for v in (*self.n_list, *self.t_list, *self.z_list)):
             raise ValueError("n, steps and workspace entries must be at least 1")
         # these kinds build an OracleSpec, whose domain has at least 2 elements
         if (self.kind in ("grover-weights", "simple-loop", "full-suite")
                 and any(n < 2 for n in self.n_list)):
             raise ValueError(f"{self.kind} needs n_list entries of at least 2")
-        self.tolerance()  # raises unless rank_tol <= assert_tol
         if (self.kind in ("general-loop", "full-suite")
                 and not any(t >= 2 for t in self.t_list)):
             raise ValueError("general-loop needs a t_list entry of at least 2")
-
-    def tolerance(self) -> TolerancePolicy:
-        return TolerancePolicy(assert_tol=self.assert_tol)
 
     def canonical_json(self) -> str:
         """Canonical form of the experiment inputs.
@@ -160,22 +158,21 @@ def _run_grover_weights(config, results, prefix):
 
 
 def _run_simple_loop(config, results, prefix):
-    tol = config.tolerance()
     for n in config.n_list:
         omega = float(n)  # promise of at least one marked element
         for marked in (frozenset(), frozenset({0})):
             oracle = grover_mod.OracleSpec(size=n, marked=marked)
             instance = inst_mod.build_simple_instance(oracle, omega)
-            wf = instance.well_formedness_report(tol)
+            wf = instance.well_formedness_report()
             witness = inst_mod.simple_witnesses(oracle, omega)
-            report = inst_mod.verify_witnesses(instance, witness, tol)
+            report = inst_mod.verify_witnesses(instance, witness)
             c_minus = 1.0 + 3.0 * omega
-            decision = phase_mod.decide(instance, c_minus=c_minus, c_plus=4.0, tol=tol)
-            refl_resid = phase_mod.verify_reflection_factorization(instance, tol)
+            decision = phase_mod.decide(instance, c_minus=c_minus, c_plus=4.0)
+            refl_resid = phase_mod.verify_reflection_factorization(instance)
             expect = "positive" if marked else "negative"
-            passed = (wf["passed"] and report.passed(tol)
+            passed = (wf["passed"] and report.passed()
                       and decision.verdict == expect
-                      and refl_resid <= tol.assert_tol)
+                      and refl_resid <= DEFAULT_TOL.assert_tol)
             results.add(prefix, {
                 "n": n, "marked": sorted(marked), "omega": omega,
                 "witness": report.to_jsonable(),
@@ -186,7 +183,6 @@ def _run_simple_loop(config, results, prefix):
 
 
 def _run_general_loop(config, results, prefix):
-    tol = config.tolerance()
     for idx in range(config.num_seeds):
         seed = config.seed + idx
         rng = np.random.default_rng(seed)
@@ -200,7 +196,7 @@ def _run_general_loop(config, results, prefix):
             pos, neg = pair.positive, pair.negative
             neg_norm = inst_mod.fsum_norm_sq(neg.w_a)
             verdicts = {label: decision.verdict
-                        for label, decision in pair.decide(tol).items()}
+                        for label, decision in pair.decide().items()}
             payload = {
                 "seed": seed, "n": n, "t_max": t_max, "workspace": workspace,
                 "regime": pair.regime,
@@ -210,8 +206,8 @@ def _run_general_loop(config, results, prefix):
                 "verdicts": verdicts, "c_minus": pair.c_minus,
                 "c_plus_decide": pair.c_plus_decide,
             }
-            passed = (abs(pair.c_plus - pos.closed_norm_sq) <= tol.assert_tol
-                      and abs(neg_norm - neg.closed_norm_sq) <= tol.assert_tol
+            passed = (abs(pair.c_plus - pos.closed_norm_sq) <= DEFAULT_TOL.assert_tol
+                      and abs(neg_norm - neg.closed_norm_sq) <= DEFAULT_TOL.assert_tol
                       and pair.c_plus <= pair.c_plus_cap + 1e-9
                       and verdicts == {"marked": "positive",
                                        "empty": "negative"})

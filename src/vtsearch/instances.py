@@ -602,9 +602,7 @@ class PEInstance:
         self.psi0 = psi0
         self.sides = {side: SetMatrix(sparsity, values[side])
                       for side, sparsity in structure.sides.items()}
-        # results that depend on a TolerancePolicy are keyed by it too, so a
-        # call with one policy never reuses a check passed under another
-        self._cache: dict[object, object] = {}
+        self._cache: dict[str, object] = {}
 
     def set_vectors(self, side: str, name: str) -> list[np.ndarray]:
         """The generators of one named set as dense vectors."""
@@ -619,7 +617,7 @@ class PEInstance:
         """
         return list(self.sides[side].toarray().T)
 
-    def _norms(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    def _norms(self, side: str) -> np.ndarray:
         """The side's generator norms, cached.
 
         Raises ValueError naming the side when a generator norm is at or
@@ -634,19 +632,19 @@ class PEInstance:
             self._cache[key] = np.sqrt(np.bincount(m.cols, weights=sq,
                                                    minlength=m.shape[1]))
         norms = self._cache[key]
-        if np.any(norms <= tol.rank_tol):
+        if np.any(norms <= DEFAULT_TOL.rank_tol):
             raise ValueError(f"side {side}: generator norm {norms.min():.3e} "
                              f"is at or below rank_tol")
         return norms
 
-    def _gram(self, side: str, tol: TolerancePolicy = DEFAULT_TOL):
+    def _gram(self, side: str):
         """The side's off-diagonal generator Gram entries, with the norms.
 
         (i, j, value) arrays over the pairs i < j of generators that share a
         basis label, from the structure's GramPlan; every other off-diagonal
         entry is 0.
         """
-        norms = self._norms(side, tol)
+        norms = self._norms(side)
         if f"gram_{side}" not in self._cache:
             plan = self.structure.gram(side)
             values = self.sides[side].values
@@ -656,52 +654,48 @@ class PEInstance:
                 _sum_by(plan.segment, products, len(plan.first)))
         return self._cache[f"gram_{side}"], norms
 
-    def gram_offdiagonal_residual(self, side: str,
-                                  tol: TolerancePolicy = DEFAULT_TOL) -> float:
+    def gram_offdiagonal_residual(self, side: str) -> float:
         """Largest off-diagonal Gram entry among one side's generators."""
-        (_, _, values), _ = self._gram(side, tol)
+        (_, _, values), _ = self._gram(side)
         return float(np.max(np.abs(values), initial=0.0))
 
-    def cross_set_cosine(self, side: str,
-                         tol: TolerancePolicy = DEFAULT_TOL) -> float:
+    def cross_set_cosine(self, side: str) -> float:
         """Largest |<g, h>| / (|g| |h|) over generators in different sets of a side.
 
         0 for a side with a single set; overlaps within a set are ignored.
         """
-        (first, second, values), norms = self._gram(side, tol)
+        (first, second, values), norms = self._gram(side)
         cross = self.structure.gram(side).cross
         cosines = (np.abs(values[cross])
                    / (norms[first[cross]] * norms[second[cross]]))
         return float(np.max(cosines, initial=0.0))
 
-    def projection_norm_sq(self, side: str, vec: np.ndarray,
-                           tol: TolerancePolicy = DEFAULT_TOL) -> float:
+    def projection_norm_sq(self, side: str, vec: np.ndarray) -> float:
         """Squared norm of the projection of vec onto one side's span.
 
         Valid because the side's generators are pairwise orthogonal.
         """
-        m, norms = self.sides[side], self._norms(side, tol)
+        m, norms = self.sides[side], self._norms(side)
         if m.shape[1] == 0:
             return 0.0
         overlaps = m.rmatvec(vec)
         return float(np.sum(np.abs(overlaps) ** 2 / norms ** 2))
 
-    def membership_residual(self, side: str, vec: np.ndarray,
-                            tol: TolerancePolicy = DEFAULT_TOL) -> float:
+    def membership_residual(self, side: str, vec: np.ndarray) -> float:
         """Distance from vec to one side's span.
 
         Computed as the norm of the residual vector vec - P vec (not via
         squared norms, which would cancel catastrophically for vectors
         inside the span).
         """
-        m, norms = self.sides[side], self._norms(side, tol)
+        m, norms = self.sides[side], self._norms(side)
         if m.shape[1] == 0:
             return float(np.linalg.norm(vec))
         overlaps = m.rmatvec(vec)
         residual = vec - m.matvec(overlaps / norms ** 2)
         return float(np.linalg.norm(residual))
 
-    def normalized(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> SetMatrix:
+    def normalized(self, side: str) -> SetMatrix:
         """One side's generators each divided by its norm, as a SetMatrix.
 
         They are an orthonormal basis of the side's span only because the
@@ -713,11 +707,11 @@ class PEInstance:
         generator's squared norm.  A largest |Q^H Q - I| entry above
         assert_tol raises ValueError (as does a vanishing generator, in
         _norms).  The values keep the side's dtype: float64 for a real
-        side.  Cached per side and tolerance policy.
+        side.  Cached per side.
         """
-        key = ("normalized", side, tol)
+        key = f"normalized_{side}"
         if key not in self._cache:
-            (first, second, values), norms = self._gram(side, tol)
+            (first, second, values), norms = self._gram(side)
             m = self.sides[side]
             q = SetMatrix(m.sparsity, m.values / norms[m.cols])
             sq = _sum_by(q.cols, q.values.real ** 2 + q.values.imag ** 2,
@@ -726,28 +720,28 @@ class PEInstance:
                 float(np.max(np.abs(values) / (norms[first] * norms[second]),
                              initial=0.0)),
                 float(np.max(np.abs(sq - 1.0), initial=0.0)))
-            if resid > tol.assert_tol:
+            if resid > DEFAULT_TOL.assert_tol:
                 raise ValueError(f"side {side}: normalized generators are not "
                                  f"orthonormal, residual {resid:.3e}")
             self._cache[key] = q
         return self._cache[key]
 
-    def span_basis(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    def span_basis(self, side: str) -> np.ndarray:
         """Orthonormal basis (dim x generator count) of one side's span.
 
         The checked normalized generators, densified: for the dense
         oracles, as the decision engine works on the records.
         """
-        return self.normalized(side, tol).toarray()
+        return self.normalized(side).toarray()
 
-    def cross_gram(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    def cross_gram(self) -> np.ndarray:
         """Q_A^H Q_B for the normalized generators, a dense k_A x k_B array.
 
         Summed from the entry pairs that share a label (the structure's
         CrossPlan), with one bincount over the flat entries: every other
         pair of generators is orthogonal by support.
         """
-        qa, qb = self.normalized("A", tol), self.normalized("B", tol)
+        qa, qb = self.normalized("A"), self.normalized("B")
         plan = self.structure.cross
         products = qa.values[plan.left].conj() * qb.values[plan.right]
         k_a, k_b = qa.shape[1], qb.shape[1]
@@ -776,38 +770,44 @@ class PEInstance:
                 {side: m.values[part.entries[side]] for side, m in self.sides.items()})
         return self._cache["component"]
 
-    def projector(self, side: str, tol: TolerancePolicy = DEFAULT_TOL) -> Projector:
+    def projector(self, side: str) -> Projector:
         """Dense projector onto one side's span, from an SVD of its generators.
 
         Computed independently of span_basis, so the dense walk built from
         it checks the decision engine rather than sharing its basis.
-        Cached per side and tolerance policy (rank_tol sets the rank).
+        Cached per side (rank_tol sets the rank).
         """
-        key = ("proj", side, tol)
+        key = f"proj_{side}"
         if key not in self._cache:
             check_dim(self.dim)
-            self._cache[key] = projector_from_set(self.generators(side), tol,
+            self._cache[key] = projector_from_set(self.generators(side),
                                                   dim=self.dim)
         return self._cache[key]
 
-    def walk_unitary(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-        key = ("walk", tol)
-        if key not in self._cache:
-            ra = reflection(self.projector("A", tol))
-            rb = reflection(self.projector("B", tol))
-            self._cache[key] = ra @ rb
-        return self._cache[key]
+    def walk_unitary(self) -> np.ndarray:
+        if "walk" not in self._cache:
+            ra = reflection(self.projector("A"))
+            rb = reflection(self.projector("B"))
+            self._cache["walk"] = ra @ rb
+        return self._cache["walk"]
 
     def well_formedness_report(self, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
-        """Orthogonality within each side and psi0 against the B span."""
-        psi0_b = math.sqrt(max(self.projection_norm_sq("B", self.psi0, tol), 0.0))
+        """Orthogonality within each side and psi0 against the B span.
+
+        tol must be DEFAULT_TOL (ValueError otherwise): it is accepted only
+        because perfbench/workloads.py still passes it, and ROADMAP item 1
+        drops it.
+        """
+        if tol != DEFAULT_TOL:
+            raise ValueError(f"only DEFAULT_TOL is accepted, got {tol!r}")
+        psi0_b = math.sqrt(max(self.projection_norm_sq("B", self.psi0), 0.0))
         report = {
-            "gram_offdiag_A": self.gram_offdiagonal_residual("A", tol),
-            "gram_offdiag_B": self.gram_offdiagonal_residual("B", tol),
+            "gram_offdiag_A": self.gram_offdiagonal_residual("A"),
+            "gram_offdiag_B": self.gram_offdiagonal_residual("B"),
             "psi0_norm_residual": abs(float(np.linalg.norm(self.psi0)) - 1.0),
             "psi0_overlap_B": psi0_b,
         }
-        report["passed"] = all(v <= tol.assert_tol for v in report.values())
+        report["passed"] = all(v <= DEFAULT_TOL.assert_tol for v in report.values())
         return report
 
 
@@ -1312,11 +1312,11 @@ class WitnessReport:
     c_plus_effective: float | None = None
     c_minus_effective: float | None = None
 
-    def passed(self, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-        return (self.residual_a <= tol.assert_tol
-                and self.residual_b <= tol.assert_tol
-                and self.decomposition_residual <= tol.assert_tol
-                and abs(self.norm_sq_measured - self.norm_sq_closed) <= tol.assert_tol)
+    def passed(self) -> bool:
+        bound = DEFAULT_TOL.assert_tol
+        return (self.residual_a <= bound and self.residual_b <= bound
+                and self.decomposition_residual <= bound
+                and abs(self.norm_sq_measured - self.norm_sq_closed) <= bound)
 
     def to_jsonable(self) -> dict:
         return asdict(self)
@@ -1330,14 +1330,18 @@ def verify_witnesses(instance: PEInstance, witness,
     spans (should vanish); effective c_plus is norm^2 / overlap^2.
     Negative: residuals are span-membership distances of the two parts,
     and the decomposition residual measures w_a + w_b - psi0.  The
-    measured squared norm is fsum_norm_sq's, exactly rounded.
+    measured squared norm is fsum_norm_sq's, exactly rounded.  tol must
+    be DEFAULT_TOL (ValueError otherwise): it is accepted only because
+    perfbench/workloads.py still passes it, and ROADMAP item 1 drops it.
     """
+    if tol != DEFAULT_TOL:
+        raise ValueError(f"only DEFAULT_TOL is accepted, got {tol!r}")
     if isinstance(witness, PositiveWitness):
         vec = witness.vector
         overlap = complex(np.vdot(instance.psi0, vec))
         norm_sq = fsum_norm_sq(vec)
-        res_a = math.sqrt(max(instance.projection_norm_sq("A", vec, tol), 0.0))
-        res_b = math.sqrt(max(instance.projection_norm_sq("B", vec, tol), 0.0))
+        res_a = math.sqrt(max(instance.projection_norm_sq("A", vec), 0.0))
+        res_b = math.sqrt(max(instance.projection_norm_sq("B", vec), 0.0))
         c_plus = norm_sq / abs(overlap) ** 2 if abs(overlap) > 0 else math.inf
         return WitnessReport(kind="positive", residual_a=res_a, residual_b=res_b,
                              decomposition_residual=0.0, overlap=abs(overlap),
@@ -1345,8 +1349,8 @@ def verify_witnesses(instance: PEInstance, witness,
                              norm_sq_closed=witness.closed_norm_sq,
                              c_plus_effective=c_plus)
     if isinstance(witness, NegativeWitness):
-        res_a = instance.membership_residual("A", witness.w_a, tol)
-        res_b = instance.membership_residual("B", witness.w_b, tol)
+        res_a = instance.membership_residual("A", witness.w_a)
+        res_b = instance.membership_residual("B", witness.w_b)
         decomp = float(np.linalg.norm(witness.w_a + witness.w_b - instance.psi0))
         norm_sq = fsum_norm_sq(witness.w_a)
         return WitnessReport(kind="negative", residual_a=res_a, residual_b=res_b,

@@ -1,13 +1,13 @@
 """Dense linear-algebra primitives shared by every other module.
 
-All tolerance-sensitive comparisons in the package are routed through a
-single :class:`TolerancePolicy` so that assertions are reproducible across
-modules.  Everything here operates on plain ``numpy`` arrays, and nothing
-else is imported.  Vectors are 1-d arrays, float64 or complex128 in the
-dtype of the instance they come from (a simple-loop instance is real, a
-general one complex), so real instances keep real arithmetic; the
-operators built here (projectors, reflections, the 2 x 2 walk blocks and
-their eigenvectors) are square complex arrays.
+Every tolerance-sensitive comparison in the package reads the one fixed
+policy :data:`DEFAULT_TOL`, so assertions are reproducible across modules
+and no caller can loosen them.  Everything here operates on plain
+``numpy`` arrays, and nothing else is imported.  Vectors are 1-d arrays,
+float64 or complex128 in the dtype of the instance they come from (a
+simple-loop instance is real, a general one complex), so real instances
+keep real arithmetic; the operators built here (projectors, reflections,
+the 2 x 2 walk blocks and their eigenvectors) are square complex arrays.
 
 Projectors onto the span of an arbitrary vector set come from one SVD
 (:func:`projector_from_set`); the decision engine needs none, because its span
@@ -45,7 +45,8 @@ class TolerancePolicy:
 
     rank_tol governs numerical-rank decisions, assert_tol governs
     pass/fail residual checks, eig_cluster_tol governs grouping of
-    numerically split eigenphases.
+    numerically split eigenphases.  DEFAULT_TOL is the one policy every
+    check reads; no function takes another.
     """
 
     rank_tol: float = 1e-10
@@ -113,8 +114,7 @@ def _as_matrix(vectors, dim_hint: int | None = None) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def projector_from_set(vectors, tol: TolerancePolicy = DEFAULT_TOL,
-                       dim: int | None = None) -> Projector:
+def projector_from_set(vectors, dim: int | None = None) -> Projector:
     """Orthogonal projector onto the span of the given vectors.
 
     Built from the left singular vectors of the stacked inputs whose
@@ -127,7 +127,7 @@ def projector_from_set(vectors, tol: TolerancePolicy = DEFAULT_TOL,
             raise ValueError("empty vector set with unknown dimension; pass dim=")
         return Projector(np.zeros((a.shape[0], a.shape[0]), dtype=complex), 0)
     check_dim(a.shape[0])
-    threshold = tol.rank_tol * float(np.max(np.linalg.norm(a, axis=0)))
+    threshold = DEFAULT_TOL.rank_tol * float(np.max(np.linalg.norm(a, axis=0)))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     q = u[:, s > threshold]
     return Projector(q @ q.conj().T, q.shape[1])
@@ -186,7 +186,7 @@ def _eig_2x2(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, vectors
 
 
-def unitary_eig(u: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
+def unitary_eig(u: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a (k, 2, 2) stack of unitaries, in closed form.
 
     The blocks go through :func:`_eig_2x2`; the unitarity and
@@ -196,13 +196,13 @@ def unitary_eig(u: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDe
     u = np.asarray(u, dtype=complex)
     if u.ndim != 3 or u.shape[1:] != (2, 2):
         raise ValueError(f"input must be a (k, 2, 2) stack, got shape {u.shape}")
-    if unitarity_residual(u) > tol.assert_tol:
+    if unitarity_residual(u) > DEFAULT_TOL.assert_tol:
         raise NonUnitaryError("input matrix is not unitary within tolerance")
     phases, q = _eig_2x2(u)
     phases = np.where(phases <= -np.pi + 1e-300, np.pi, phases)
     dec = SpectralDecomposition(phases=phases, vectors=q)
     resid = float(np.max(np.abs(dec.reconstruct() - u), initial=0.0))
-    if resid > tol.assert_tol:
+    if resid > DEFAULT_TOL.assert_tol:
         raise NonUnitaryError(f"spectral reconstruction residual {resid:.3e} too large")
     return dec
 

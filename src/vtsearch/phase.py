@@ -52,7 +52,7 @@ import numpy as np
 
 from . import instances as inst_mod
 from . import subroutines as subs_mod
-from .linalg import DEFAULT_TOL, TolerancePolicy, unitary_eig
+from .linalg import DEFAULT_TOL, unitary_eig
 from .instances import NegativeWitness, PEInstance, PositiveWitness, Weights
 from .subroutines import SubroutineSpec
 
@@ -93,14 +93,14 @@ def _rotation_blocks(angles: np.ndarray) -> np.ndarray:
     return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
 
 
-def _check_unit_psi0(psi0: np.ndarray, tol: TolerancePolicy) -> None:
+def _check_unit_psi0(psi0: np.ndarray) -> None:
     """ValueError when |psi0| differs from 1 by more than assert_tol."""
     norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > tol.assert_tol:
+    if abs(norm - 1.0) > DEFAULT_TOL.assert_tol:
         raise ValueError(f"psi0 has norm {norm!r}, not 1")
 
 
-def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
+def _walk_spectrum(instance: PEInstance) -> WalkSpectrum:
     """Spectrum of W = R_A R_B from the principal angles of the two spans.
 
     Taken on instance.psi0_component(), which has psi0's spectrum weights,
@@ -132,16 +132,16 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     """
     instance = instance.psi0_component()
     psi0 = instance.psi0
-    _check_unit_psi0(psi0, tol)
-    qa, qb = instance.normalized("A", tol), instance.normalized("B", tol)
-    c = instance.cross_gram(tol)
+    _check_unit_psi0(psi0)
+    qa, qb = instance.normalized("A"), instance.normalized("B")
+    c = instance.cross_gram()
     u, cos, vh = np.linalg.svd(c, full_matrices=False)
     v = vh.conj().T
     resid = max(float(np.abs(c @ v - u * cos).max(initial=0.0)),
                 float(np.abs(c.conj().T @ u - v * cos).max(initial=0.0)))
-    if resid > tol.assert_tol:
+    if resid > DEFAULT_TOL.assert_tol:
         raise ValueError(f"principal-vector residual {resid:.3e} exceeds "
-                         f"assert_tol {tol.assert_tol:g}")
+                         f"assert_tol {DEFAULT_TOL.assert_tol:g}")
     pa, pb = qa.rmatvec(psi0), qb.rmatvec(psi0)
     ca, cb = (pa.conj() @ u).conj(), vh @ pb
     ra, rb = pa - u @ ca, pb - v @ cb
@@ -151,7 +151,7 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
     perp = on_b[:, :-1]
     perp -= on_a[:, :-1]
     sin = np.linalg.norm(perp, axis=0)
-    rot = sin > tol.rank_tol
+    rot = sin > DEFAULT_TOL.rank_tol
     cw = (cb - cos * ca)[rot] / sin[rot]
     # sum_j w_j <w_j, psi0> = perp x, x_j = <w_j, psi0> / sin_j
     x = np.zeros(len(cos), dtype=cw.dtype)
@@ -160,7 +160,7 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
 
     angles = np.arctan2(sin[rot], cos[rot])
     coeffs = np.stack([ca[rot], cw], axis=-1)
-    dec = unitary_eig(_rotation_blocks(angles), tol)
+    dec = unitary_eig(_rotation_blocks(angles))
     weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
 
     lines = np.abs(ca[~rot]) ** 2
@@ -173,8 +173,7 @@ def _walk_spectrum(instance: PEInstance, tol: TolerancePolicy) -> WalkSpectrum:
         min_angle=float(angles.min()) if len(angles) else None)
 
 
-def _zero_phase_weight(spectrum: WalkSpectrum, theta_star: float,
-                       tol: TolerancePolicy) -> float:
+def _zero_phase_weight(spectrum: WalkSpectrum, theta_star: float) -> float:
     """psi0's weight on the phase clusters whose mean is within the cutoff.
 
     The clusters are cluster_phases': runs of the sorted phases whose
@@ -184,21 +183,20 @@ def _zero_phase_weight(spectrum: WalkSpectrum, theta_star: float,
     order = np.argsort(spectrum.phases)
     phases, weights = spectrum.phases[order], spectrum.weights[order]
     starts = np.flatnonzero(np.diff(phases, prepend=-np.inf)
-                            > tol.eig_cluster_tol)
+                            > DEFAULT_TOL.eig_cluster_tol)
     mean = np.add.reduceat(phases, starts) / np.diff(starts, append=len(phases))
-    kept = np.abs(mean) <= theta_star + tol.eig_cluster_tol
+    kept = np.abs(mean) <= theta_star + DEFAULT_TOL.eig_cluster_tol
     return float(np.sum(np.add.reduceat(weights, starts)[kept]))
 
 
-def zero_phase_overlap(instance: PEInstance, theta_star: float,
-                       tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def zero_phase_overlap(instance: PEInstance, theta_star: float) -> float:
     """Total squared overlap of psi0 with eigenphases of magnitude <= theta_star.
 
     Eigenphases within eig_cluster_tol of each other are aggregated
     before the cutoff is applied, so numerically split degenerate zero
     phases count as one cluster.
     """
-    return _zero_phase_weight(_walk_spectrum(instance, tol), theta_star, tol)
+    return _zero_phase_weight(_walk_spectrum(instance), theta_star)
 
 
 @dataclass(frozen=True)
@@ -223,8 +221,7 @@ class Decision:
     min_angle: float | None
 
 
-def decide(instance: PEInstance, c_minus: float, c_plus: float,
-           tol: TolerancePolicy = DEFAULT_TOL) -> Decision:
+def decide(instance: PEInstance, c_minus: float, c_plus: float) -> Decision:
     """Positive/negative verdict from the zero-phase overlap.
 
     Cutoff theta* = 1/sqrt(c_plus * c_minus) and threshold 1/(2 c_plus):
@@ -240,8 +237,8 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float,
     if c_minus < 1.0:
         raise ValueError("c_minus must be at least 1")
     theta_star = 1.0 / math.sqrt(c_plus * c_minus)
-    spectrum = _walk_spectrum(instance, tol)
-    p0 = _zero_phase_weight(spectrum, theta_star, tol)
+    spectrum = _walk_spectrum(instance)
+    p0 = _zero_phase_weight(spectrum, theta_star)
     threshold = 1.0 / (2.0 * c_plus)
     verdict = "positive" if p0 >= threshold else "negative"
     return Decision(verdict=verdict, p0=p0, threshold=threshold,
@@ -281,10 +278,10 @@ class RegimePair:
         return {"marked": build(self.marked, self.weights_pos),
                 "empty": build(self.empty, self.weights_neg)}
 
-    def decide(self, tol: TolerancePolicy = DEFAULT_TOL) -> dict[str, Decision]:
+    def decide(self) -> dict[str, Decision]:
         """Both sides' decisions; marked should be positive, empty negative."""
         return {label: decide(instance, c_minus=self.c_minus,
-                              c_plus=self.c_plus_decide, tol=tol)
+                              c_plus=self.c_plus_decide)
                 for label, instance in self.instances().items()}
 
 
@@ -324,8 +321,7 @@ class QPEOutcome:
         return float(self.distribution[0])
 
 
-def qpe_simulate(instance: PEInstance, bits: int,
-                 tol: TolerancePolicy = DEFAULT_TOL) -> QPEOutcome:
+def qpe_simulate(instance: PEInstance, bits: int) -> QPEOutcome:
     """Exact outcome distribution of a phase-register estimation run.
 
     Builds the 2^bits controlled powers of the walk unitary applied to
@@ -339,8 +335,8 @@ def qpe_simulate(instance: PEInstance, bits: int,
         raise ValueError("register size must be between 1 and 20 bits")
     m = 1 << bits
     part = instance.psi0_component()
-    _check_unit_psi0(part.psi0, tol)
-    u = part.walk_unitary(tol)
+    _check_unit_psi0(part.psi0)
+    u = part.walk_unitary()
     states = np.empty((m, part.dim), dtype=complex)
     psi = part.psi0.astype(complex)
     for x in range(m):
@@ -361,10 +357,9 @@ def qpe_kernel(theta: float, bits: int) -> float:
     return (math.sin(m * theta / 2.0) / math.sin(theta / 2.0)) ** 2 / m ** 2
 
 
-def qpe_zero_prediction(instance: PEInstance, bits: int,
-                        tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def qpe_zero_prediction(instance: PEInstance, bits: int) -> float:
     """Spectral prediction of Pr[register = 0] via the leakage kernel."""
-    spectrum = _walk_spectrum(instance, tol)
+    spectrum = _walk_spectrum(instance)
     return float(sum(w * qpe_kernel(th, bits)
                      for th, w in zip(spectrum.phases, spectrum.weights)))
 
@@ -374,8 +369,7 @@ def register_bits_for(c_minus: float) -> int:
     return max(1, math.ceil(math.log2(8.0 * math.sqrt(c_minus))))
 
 
-def verify_reflection_factorization(instance: PEInstance,
-                                    tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def verify_reflection_factorization(instance: PEInstance) -> float:
     """Largest cosine between generators in different sets of one side.
 
     Each side's reflection is implemented as the product of its set
@@ -390,4 +384,4 @@ def verify_reflection_factorization(instance: PEInstance,
     grouping makes it macroscopic.
     The dense d x d product of set reflections is the test suite's oracle.
     """
-    return max(instance.cross_set_cosine(side, tol) for side in ("A", "B"))
+    return max(instance.cross_set_cosine(side) for side in ("A", "B"))

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, TolerancePolicy, check_dim, unitarity_residual
+from .linalg import DEFAULT_TOL, check_dim, unitarity_residual
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class ValidationReport:
         self.checks.append(ValidationCheck(name, bool(passed), float(residual), detail))
 
 
-def validate(spec: SubroutineSpec, tol: TolerancePolicy = DEFAULT_TOL) -> ValidationReport:
+def validate(spec: SubroutineSpec) -> ValidationReport:
     """Check the structural and spectral invariants of a subroutine spec."""
     report = ValidationReport()
 
@@ -219,15 +219,16 @@ def validate(spec: SubroutineSpec, tol: TolerancePolicy = DEFAULT_TOL) -> Valida
         # the first input, then the first step, that reaches the worst residual
         i, t = np.unravel_index(np.argmax(invariance), invariance.shape)
         worst_at = f"step {t + 1}, input {i}"
-    report.add("step_unitarity", worst_unitarity <= tol.assert_tol, worst_unitarity)
-    report.add("halted_space_fixed", worst_invariance <= tol.assert_tol,
+    bound = DEFAULT_TOL.assert_tol
+    report.add("step_unitarity", worst_unitarity <= bound, worst_unitarity)
+    report.add("halted_space_fixed", worst_invariance <= bound,
                worst_invariance, worst_at)
 
     # final states with the claimed answer sector zeroed
     wrong = spec.trajectory[:, -1].copy()
     wrong.reshape(n, 2, w)[np.arange(n), list(spec.outputs)] = 0.0
     worst_zero_error = max((float(np.linalg.norm(v)) for v in wrong), default=0.0)
-    report.add("zero_error", worst_zero_error <= tol.assert_tol, worst_zero_error)
+    report.add("zero_error", worst_zero_error <= bound, worst_zero_error)
     return report
 
 
@@ -302,8 +303,7 @@ class BlockSchedule:
         return int(sum(self.block_lengths))
 
 
-def build_block_subroutine(schedule: BlockSchedule,
-                           tol: TolerancePolicy = DEFAULT_TOL) -> SubroutineSpec:
+def build_block_subroutine(schedule: BlockSchedule) -> SubroutineSpec:
     """Augment a block algorithm into a variable-time subroutine.
 
     The workspace gains a done flag and a block counter; each block-final
@@ -319,7 +319,7 @@ def build_block_subroutine(schedule: BlockSchedule,
     pi = np.asarray(schedule.measurement, dtype=complex)
     if pi.shape != (zp, zp):
         raise ValueError("measurement projector has wrong shape")
-    if float(np.max(np.abs(pi @ pi - pi))) > tol.assert_tol:
+    if float(np.max(np.abs(pi @ pi - pi))) > DEFAULT_TOL.assert_tol:
         raise ValueError("measurement is not a projector")
 
     nz = zp * 2 * (b + 1)

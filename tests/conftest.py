@@ -26,7 +26,7 @@ def span_residual(generators, vec):
     return float(np.linalg.norm(vec - m @ coef))
 
 
-def dense_unitary_eig(u, tol=DEFAULT_TOL):
+def dense_unitary_eig(u):
     """Oracle: spectral decomposition of one d x d unitary by complex Schur.
 
     For a normal matrix the Schur form is diagonal up to roundoff and the
@@ -36,25 +36,25 @@ def dense_unitary_eig(u, tol=DEFAULT_TOL):
     """
     u = np.asarray(u, dtype=complex)
     check_dim(u.shape[-1])
-    if unitarity_residual(u) > tol.assert_tol:
+    if unitarity_residual(u) > DEFAULT_TOL.assert_tol:
         raise NonUnitaryError("input matrix is not unitary within tolerance")
     t, q = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diagonal(t))
     dec = SpectralDecomposition(phases=np.where(phases <= -np.pi + 1e-300,
                                                 np.pi, phases), vectors=q)
     resid = float(np.max(np.abs(dec.reconstruct() - u), initial=0.0))
-    if resid > tol.assert_tol:
+    if resid > DEFAULT_TOL.assert_tol:
         raise NonUnitaryError(f"spectral reconstruction residual {resid:.3e} too large")
     return dec
 
 
-def dense_walk_spectrum(instance, tol=DEFAULT_TOL):
+def dense_walk_spectrum(instance):
     """Oracle: Schur decomposition of the full d x d walk.
 
     Returns every eigenphase with the squared overlap of psi0 on its
     eigenvector; the library's decision engine never builds this walk.
     """
-    dec = dense_unitary_eig(instance.walk_unitary(tol), tol)
+    dec = dense_unitary_eig(instance.walk_unitary())
     return dec.phases, np.abs(dec.vectors.conj().T @ instance.psi0) ** 2
 
 
@@ -63,13 +63,13 @@ def reflect(q, qh, x):
     return 2.0 * q @ (qh @ x) - x
 
 
-def reflected_compressions(instance, u, w, tol=DEFAULT_TOL):
+def reflected_compressions(instance, u, w):
     """Oracle: W's 2 x 2 compression on each plane span{u[:, j], w[:, j]}.
 
     Both reflections are applied to every plane as dense d x k products of
     the instance's span bases, so no closed form is assumed.
     """
-    qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
+    qa, qb = instance.span_basis("A"), instance.span_basis("B")
     planes = np.stack([u, w], axis=-1)
     dim, count = planes.shape[0], planes.shape[1]
     walked = reflect(qa, qa.conj().T,
@@ -79,7 +79,7 @@ def reflected_compressions(instance, u, w, tol=DEFAULT_TOL):
             @ walked.reshape(dim, count, 2).transpose(1, 0, 2))
 
 
-def reflected_walk_spectrum(instance, tol=DEFAULT_TOL):
+def reflected_walk_spectrum(instance):
     """Oracle: the principal-angle engine on dense span bases.
 
     The thin SVD of the dense d-length product Q_A^H Q_B pairs the
@@ -90,14 +90,14 @@ def reflected_walk_spectrum(instance, tol=DEFAULT_TOL):
     from the sparse generators instead.
     """
     instance = instance.psi0_component()
-    qa, qb = instance.span_basis("A", tol), instance.span_basis("B", tol)
+    qa, qb = instance.span_basis("A"), instance.span_basis("B")
     qah, qbh = qa.conj().T, qb.conj().T
     u, cos, vh = np.linalg.svd(qah @ qb, full_matrices=False)
     v = vh.conj().T
     ua = qa @ u
     perp = qb @ v - ua * cos
     sin = np.linalg.norm(perp, axis=0)
-    rot = sin > tol.rank_tol
+    rot = sin > DEFAULT_TOL.rank_tol
     w = perp[:, rot] / sin[rot]
 
     psi0 = instance.psi0
@@ -108,7 +108,7 @@ def reflected_walk_spectrum(instance, tol=DEFAULT_TOL):
     outside = float(np.linalg.norm(psi0 - qa @ pa - w @ cw - qb @ rb) ** 2)
 
     coeffs = np.stack([ca[rot], cw], axis=-1)
-    dec = unitary_eig(reflected_compressions(instance, ua[:, rot], w, tol), tol)
+    dec = unitary_eig(reflected_compressions(instance, ua[:, rot], w))
     weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
 
     lines = np.abs(ca[~rot]) ** 2
@@ -122,12 +122,13 @@ def reflected_walk_spectrum(instance, tol=DEFAULT_TOL):
         min_angle=float(angles.min()) if len(angles) else None)
 
 
-def dense_zero_phase_overlap(spectrum, theta_star, tol=DEFAULT_TOL):
+def dense_zero_phase_overlap(spectrum, theta_star):
     """Oracle p0: weight on eigenphase clusters of magnitude <= theta_star."""
     phases, weights = spectrum
+    cluster_tol = DEFAULT_TOL.eig_cluster_tol
     return sum(float(np.sum(weights[c]))
-               for c in cluster_phases(phases, tol.eig_cluster_tol)
-               if abs(float(np.mean(phases[c]))) <= theta_star + tol.eig_cluster_tol)
+               for c in cluster_phases(phases, cluster_tol)
+               if abs(float(np.mean(phases[c]))) <= theta_star + cluster_tol)
 
 
 def dense_qpe_zero_prediction(spectrum, bits):
@@ -136,17 +137,17 @@ def dense_qpe_zero_prediction(spectrum, bits):
     return float(sum(w * qpe_kernel(th, bits) for th, w in zip(phases, weights)))
 
 
-def dense_qpe_distribution(instance, bits, tol=DEFAULT_TOL):
+def dense_qpe_distribution(instance, bits):
     """Oracle phase-register distribution from the full d x d walk."""
     m = 1 << bits
-    u = instance.walk_unitary(tol)
+    u = instance.walk_unitary()
     states = [np.asarray(instance.psi0, dtype=complex)]
     for _ in range(m - 1):
         states.append(u @ states[-1])
     return np.sum(np.abs(np.fft.fft(np.array(states), axis=0) / m) ** 2, axis=1)
 
 
-def dense_reflection_factorization_residual(instance, tol=DEFAULT_TOL):
+def dense_reflection_factorization_residual(instance):
     """Oracle: each side's reflection against the product of its set reflections.
 
     Uses the subspace-negating convention D = I - 2P, for which orthogonal
@@ -160,10 +161,10 @@ def dense_reflection_factorization_residual(instance, tol=DEFAULT_TOL):
     for side in ("A", "B"):
         product = eye
         for name in instance.structure.sets[side]:
-            p = projector_from_set(instance.set_vectors(side, name), tol,
+            p = projector_from_set(instance.set_vectors(side, name),
                                    dim=instance.dim)
             product = product @ (-reflection(p))
-        direct = -reflection(instance.projector(side, tol))
+        direct = -reflection(instance.projector(side))
         worst = max(worst, float(np.max(np.abs(direct - product))))
     return worst
 

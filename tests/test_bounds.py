@@ -96,7 +96,7 @@ def test_bound_input_validation():
 
 def test_full_report_has_every_kind():
     profile = CostProfile.deterministic(np.array([1.0, 2.0, 3.0, 4.0]))
-    values = full_report(profile, _unique_promise(4.0)).values
+    values = full_report(profile, _unique_promise(4.0))
     assert list(values) == list(BOUND_KINDS)
     # unique-marked promise cannot evaluate the regime radicals
     assert math.isnan(values["regime_i_a"])

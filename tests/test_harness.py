@@ -1,6 +1,7 @@
 """Tests for the experiment runner, emission, and CLI."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from vtsearch.cli import config_from_args, main
-from vtsearch.harness import ExperimentConfig, ResultSet, emit, run_experiment
+from vtsearch.harness import (EXPERIMENT_KINDS, ExperimentConfig, ResultSet,
+                              emit, run_experiment)
 from vtsearch.instances import REGIMES
 
 SMALL = dict(n_list=(4,), t_list=(2,), z_list=(2,), num_seeds=2)
@@ -202,7 +204,7 @@ def test_cli_rejects_unknown_subcommand():
     ["general-loop", "--workspace", "0"],
     ["simple-loop", "--n", "1"],
     ["suite", "--n", "1"],
-    ["general-loop", "--assert-tol", "1e-13"],
+    ["general-loop", "--assert-tol", "inf"],
 ])
 def test_cli_invalid_values_are_usage_errors(argv, capsys):
     """Exit 2 before anything runs, as distinct from 1 for a failed record."""
@@ -217,6 +219,10 @@ def test_config_rejects_sizes_below_one_and_oracle_domains_below_two():
     for field in ("n_list", "t_list", "z_list"):
         with pytest.raises(ValueError, match="at least 1"):
             ExperimentConfig(kind="bounds-compare", **{field: (4, 0)})
+        # an empty list would run no record and pass, or fail in rng.choice
+        for kind in EXPERIMENT_KINDS:
+            with pytest.raises(ValueError, match=f"{field} must not be empty"):
+                ExperimentConfig(kind=kind, **{field: ()})
     for kind in ("grover-weights", "simple-loop", "full-suite"):
         with pytest.raises(ValueError, match="at least 2"):
             ExperimentConfig(kind=kind, n_list=(1, 4))
@@ -267,7 +273,7 @@ def test_cli_defaults_and_config_digest_unchanged():
     # every record of a default run carries this digest, so a drift in the
     # CLI's defaults shows here
     assert default.digest() == (
-        "fef19ff84b2bf48408da19a9950582329c58e0cd79fdb17a46cea631d19653b0")
+        "b2f68b8ebb8ddd257256226151e4e4fb8f33dc1de0286b540742180f13903808")
 
 
 def test_import_and_suite_run_leave_scipy_stats_unloaded(tmp_path):
@@ -305,3 +311,41 @@ def test_export_list_resolves_once_each_and_star_import_warns_nothing():
     done = subprocess.run([sys.executable, "-W", "error", "-c", "from vtsearch import *"],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_only_the_two_pinned_methods_take_a_tolerance_policy():
+    """Every check reads DEFAULT_TOL; no caller can pass a looser policy.
+
+    The two methods that still take tol refuse any policy but DEFAULT_TOL.
+    """
+    import vtsearch
+    from vtsearch import (OracleSpec, TolerancePolicy, build_simple_instance,
+                          simple_witnesses, verify_witnesses)
+
+    def callables():
+        for name in vtsearch.__all__:
+            obj = getattr(vtsearch, name)
+            if inspect.isclass(obj):
+                # a dataclass's generated __init__ is among its own functions
+                for attr in vars(obj):
+                    member = getattr(obj, attr)
+                    if inspect.isfunction(member) or inspect.ismethod(member):
+                        yield f"{name}.{attr}", member
+            elif callable(obj):
+                yield name, obj
+
+    takes_tol = sorted(label for label, fn in callables()
+                       if "tol" in inspect.signature(fn).parameters)
+    assert takes_tol == ["PEInstance.well_formedness_report", "verify_witnesses"]
+    assert "assert_tol" not in inspect.signature(ExperimentConfig).parameters
+
+    oracle = OracleSpec(size=4, marked=frozenset({0}))
+    instance = build_simple_instance(oracle, 4.0)
+    witness = simple_witnesses(oracle, 4.0)
+    loose = TolerancePolicy(assert_tol=1.0)
+    with pytest.raises(ValueError, match="only DEFAULT_TOL"):
+        instance.well_formedness_report(loose)
+    with pytest.raises(ValueError, match="only DEFAULT_TOL"):
+        verify_witnesses(instance, witness, loose)
+    assert instance.well_formedness_report()["passed"]
+    assert verify_witnesses(instance, witness).passed()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vtsearch.linalg import (DIM_CAP, DimensionCapError, NonUnitaryError,
-                             TolerancePolicy, check_dim, cluster_phases,
-                             projector_from_set, reflection,
+from vtsearch.linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError,
+                             NonUnitaryError, TolerancePolicy, check_dim,
+                             cluster_phases, projector_from_set, reflection,
                              unitarity_residual, unitary_eig)
 
 from conftest import dense_unitary_eig
@@ -55,9 +55,9 @@ def test_projector_rank_rule_on_near_dependent_inputs():
         assert p.idempotency_residual() < 1e-12
         assert all(np.linalg.norm(c - p.matrix @ c) <= eps for c in cols)
     # the cutoff is rank_tol times the largest input column norm
-    tol = TolerancePolicy()
-    assert projector_from_set([2 * e[0], 3 * tol.rank_tol * e[1]], tol).rank == 2
-    assert projector_from_set([2 * e[0], 1.9 * tol.rank_tol * e[1]], tol).rank == 1
+    rank_tol = DEFAULT_TOL.rank_tol
+    assert projector_from_set([2 * e[0], 3 * rank_tol * e[1]]).rank == 2
+    assert projector_from_set([2 * e[0], 1.9 * rank_tol * e[1]]).rank == 1
 
 
 def test_projector_empty_and_zero():

@@ -21,7 +21,7 @@ from vtsearch.phase import (WalkSpectrum, _walk_spectrum, _zero_phase_weight,
                             register_bits_for, verify_reflection_factorization,
                             zero_phase_overlap)
 from vtsearch.linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError,
-                             TolerancePolicy, cluster_phases)
+                             cluster_phases)
 from vtsearch.subroutines import stopping_moments, subroutine_pair
 
 from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
@@ -368,7 +368,7 @@ def test_real_simple_instance_matches_its_complex_copy(n, omega_scale, marked):
     for theta in THETA_STARS:
         assert abs(zero_phase_overlap(real, theta)
                    - zero_phase_overlap(cplx, theta)) <= ORACLE_TOL
-    got, want = (_walk_spectrum(inst, DEFAULT_TOL) for inst in (real, cplx))
+    got, want = (_walk_spectrum(inst) for inst in (real, cplx))
     assert abs(got.min_angle - want.min_angle) <= ORACLE_TOL
     got, want = _phase_clusters(got), _phase_clusters(want)
     assert len(got) == len(want)
@@ -386,7 +386,7 @@ def test_spectrum_weights_sum_to_one_on_built_instances(small_pair):
     built.extend(regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])[0]
                  .instances().values())
     for inst in built:
-        spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+        spectrum = _walk_spectrum(inst)
         assert np.all(spectrum.weights >= 0.0)
         assert abs(float(np.sum(spectrum.weights)) - 1.0) <= ORACLE_TOL
         # one phase-pi entry per side, then the complement's phase 0
@@ -428,7 +428,7 @@ def test_zero_phase_weight_matches_the_cluster_oracle(straddle):
     assert min(straddling) <= cut < max(straddling)
     assert sum(m <= cut for m in means) > 8 and max(map(len, clusters)) > 8
     for theta in (*THETA_STARS, theta_star, 0.1 + 2 * tol, 0.0, math.pi):
-        got = _zero_phase_weight(spectrum, theta, DEFAULT_TOL)
+        got = _zero_phase_weight(spectrum, theta)
         want = dense_zero_phase_overlap((phases, weights), theta)
         assert abs(got - want) <= ORACLE_TOL, theta
 
@@ -473,14 +473,14 @@ def _engine_blocks(inst, monkeypatch):
     """The engine's spectrum and the rotation stack it hands to unitary_eig."""
     seen = []
 
-    def capture(blocks, tol):
+    def capture(blocks):
         seen.append(blocks)
-        return eig(blocks, tol)
+        return eig(blocks)
 
     eig = phase_mod.unitary_eig
     with monkeypatch.context() as m:
         m.setattr(phase_mod, "unitary_eig", capture)
-        spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+        spectrum = _walk_spectrum(inst)
     return spectrum, seen[0]
 
 
@@ -510,7 +510,7 @@ def test_closed_form_planes_match_the_reflected_engine(case, monkeypatch):
         reference = reflected_walk_spectrum(inst)
         assert abs(spectrum.min_angle - reference.min_angle) <= ORACLE_TOL
         for theta in THETA_STARS:
-            assert abs(_zero_phase_weight(spectrum, theta, DEFAULT_TOL)
+            assert abs(_zero_phase_weight(spectrum, theta)
                        - dense_zero_phase_overlap(
                            (reference.phases, reference.weights), theta)) <= ORACLE_TOL
         decision = decide(inst, c_minus=c_minus, c_plus=c_plus)
@@ -617,7 +617,7 @@ def test_single_plane_rotates_by_twice_the_principal_angle(theta):
     """span A = e0, span B = cos(theta) e0 + sin(theta) e1, psi0 = e0."""
     b = math.cos(theta) * _unit(2, 0) + math.sin(theta) * _unit(2, 1)
     inst = _toy_instance([_unit(2, 0)], [b], _unit(2, 0))
-    spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+    spectrum = _walk_spectrum(inst)
     (lo, w_lo), (hi, w_hi) = _weighted(spectrum)
     assert lo == pytest.approx(-2 * theta, abs=ORACLE_TOL)
     assert hi == pytest.approx(2 * theta, abs=ORACLE_TOL)
@@ -645,7 +645,7 @@ def test_unpaired_principal_vectors_have_phase_pi(wider):
     # evenly over the +-2 phi eigenvectors of the plane span{e0, e3}
     psi0 = (_unit(5, 0) + _unit(5, 1) + _unit(5, 4)) / math.sqrt(3.0)
     inst = _toy_instance(a_vecs, b_vecs, psi0)
-    spectrum = _walk_spectrum(inst, DEFAULT_TOL)
+    spectrum = _walk_spectrum(inst)
     assert spectrum.dim == 4  # e2 is touched by no generator and not by psi0
     assert (spectrum.rank_a, spectrum.rank_b) == ((2, 1) if wider == "A" else (1, 2))
     (lo, w_lo), (zero, w_zero), (hi, w_hi), (pi, w_pi) = _weighted(spectrum)
@@ -793,32 +793,19 @@ def test_span_basis_rejects_vanishing_generators():
 
 
 def test_cached_results_follow_the_tolerance_policy():
-    """A result cached under one policy is not reused under another."""
-    loose = TolerancePolicy(rank_tol=1e-6, assert_tol=1e-4)
+    """Cached checks and projectors are those of the one fixed policy."""
+    # side A's normalized generators overlap by 1e-6, past assert_tol
+    tilted = _unit(3, 1) + 1e-6 * _unit(3, 0)
+    inst = _toy_instance([_unit(3, 0), tilted / np.linalg.norm(tilted)],
+                         [_unit(3, 2)], (_unit(3, 0) + _unit(3, 2)) / math.sqrt(2))
+    for _ in range(2):  # a failed check is not cached as a pass
+        with pytest.raises(ValueError, match="side A: normalized generators"):
+            decide(inst, 4.0, 2.0)
 
-    def overlapping():
-        # side A's normalized generators overlap by 1e-6
-        tilted = _unit(3, 1) + 1e-6 * _unit(3, 0)
-        return _toy_instance([_unit(3, 0), tilted / np.linalg.norm(tilted)],
-                             [_unit(3, 2)], (_unit(3, 0) + _unit(3, 2)) / math.sqrt(2))
-
-    with pytest.raises(ValueError, match="side A: normalized generators"):
-        decide(overlapping(), 4.0, 2.0)
-    inst = overlapping()
-    decide(inst, 4.0, 2.0, tol=loose)
-    with pytest.raises(ValueError, match="side A: normalized generators"):
-        decide(inst, 4.0, 2.0)
-
-    def near_parallel():
-        return _toy_instance([_unit(3, 0), _unit(3, 0) + 1e-7 * _unit(3, 1)],
-                             [_unit(3, 2)], _unit(3, 0))
-
-    assert near_parallel().projector("A", DEFAULT_TOL).rank == 2
-    inst = near_parallel()
-    assert inst.projector("A", loose).rank == 1
-    assert inst.projector("A", DEFAULT_TOL).rank == 2
-    walks = [inst.walk_unitary(tol) for tol in (loose, DEFAULT_TOL)]
-    assert np.max(np.abs(walks[0] - walks[1])) > 0.5
+    # 1e-7 apart is above rank_tol, so the SVD projector keeps both directions
+    near_parallel = _toy_instance([_unit(3, 0), _unit(3, 0) + 1e-7 * _unit(3, 1)],
+                                  [_unit(3, 2)], _unit(3, 0))
+    assert near_parallel.projector("A").rank == 2
 
 
 def test_simple_witness_report_roundtrip():
