@@ -52,6 +52,14 @@ block-diagonal.  PEInstance.psi0_component keeps only the components the
 initial vector reaches, found breadth first from psi0's support, so
 decisions need no cap on the full dimension; only the dense d x d paths
 check the dimension cap.
+
+Instances of one structure can be tied into an InstanceStack, which the
+decision engine decides in one pass.  InstanceRows holds such rows' psi0
+and values along a leading row axis, and computes each row's generator
+norms, sparse Gram, normalized generators with their orthonormality
+check, cross Gram and psi0 component on its own, in the same order as
+alone (so are stacked_rmatvec and stacked_matmat); a PEInstance's own
+normalized generators, cross Gram and component are their one-row case.
 """
 
 from __future__ import annotations
@@ -316,27 +324,38 @@ class SetMatrix:
         return out
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """G^H x, one overlap per generator."""
-        return _sum_by(self.cols, self.values.conj() * x[self.rows], self.shape[1])
+        """G^H x, one overlap per generator: stacked_rmatvec's one-row case."""
+        return stacked_rmatvec(self.sparsity, self.values, x)
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
         """G c, the d-vector combining the generators with coefficients c."""
         return _sum_by(self.rows, self.values * c[self.cols], self.dim)
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        """G X for a dense k x r X, a d x r array.
+        """G X for a dense k x r X, a d x r array: stacked_matmat's one-row case."""
+        return stacked_matmat(self.sparsity, self.values[None], x[None])[0]
 
-        Each output row sums its label's entries in storage order, one
-        slot of Sparsity.row_slots at a time, with no BLAS call.
-        """
-        out = np.zeros((self.dim, x.shape[1]), dtype=np.result_type(self.values, x))
-        for s, (entries, rows, cols) in enumerate(self.sparsity.row_slots):
-            product = self.values[entries][:, None] * x[cols]
-            if s:
-                out[rows] += product
-            else:
-                out[rows] = product
-        return out
+
+def stacked_matmat(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G_s X_s for every row s: values (m, nnz) on sparsity, x (m, k, r), an (m, d, r) array.
+
+    Each output row sums its label's entries in storage order, one slot of
+    Sparsity.row_slots at a time, with no BLAS call, so a row's products
+    have the same bytes alone as inside a stack.
+    """
+    m, width = len(values), x.shape[-1]
+    out = np.zeros((m, sparsity.dim, width), dtype=np.result_type(values, x))
+    # the rows of all m outputs as one (m d, r) array, so each slot is one scatter
+    flat = out.reshape(-1, width)
+    shift = sparsity.dim * np.arange(m)[:, None] if m > 1 else 0
+    for s, (entries, rows, cols) in enumerate(sparsity.row_slots):
+        product = values.take(entries, axis=1)[..., None] * x.take(cols, axis=1)
+        at = (rows + shift).ravel()
+        if s:
+            flat[at] += product.reshape(-1, width)
+        else:
+            flat[at] = product.reshape(-1, width)
+    return out
 
 
 def _read_only(*arrays: np.ndarray) -> np.ndarray:
@@ -347,13 +366,22 @@ def _read_only(*arrays: np.ndarray) -> np.ndarray:
 
 
 def _sum_by(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
-    """Sums of values grouped by index, each taken in array order, in values' dtype."""
-    if not np.iscomplexobj(values):
-        return np.bincount(index, weights=values, minlength=length)
-    out = np.empty(length, dtype=complex)
-    out.real = np.bincount(index, weights=values.real, minlength=length)
-    out.imag = np.bincount(index, weights=values.imag, minlength=length)
-    return out
+    """Sums of values grouped by index, each taken in array order, in values' dtype.
+
+    values of shape (m, n) are m rows summed each on its own into an
+    (m, length) array, in the same order as alone.
+    """
+    rows = len(values) if values.ndim == 2 else 1
+    if rows > 1:
+        index = (index + length * np.arange(rows)[:, None]).ravel()
+    flat, total = values.ravel(), rows * length
+    if values.dtype.kind != "c":
+        out = np.bincount(index, weights=flat, minlength=total)
+    else:
+        out = np.empty(total, dtype=complex)
+        out.real = np.bincount(index, weights=flat.real, minlength=total)
+        out.imag = np.bincount(index, weights=flat.imag, minlength=total)
+    return out.reshape(values.shape[:-1] + (length,))
 
 
 def _sparsity(dim: int, rows, counts, keep) -> Sparsity:
@@ -554,6 +582,158 @@ class InstanceStructure:
                          InstanceStructure(len(rows), new_row[self.support], sides, sets))
 
 
+def stacked_rmatvec(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G_s^H x_s for every row s: values (m, nnz), x (m, d), an (m, k) array.
+
+    Without the row axis, values (nnz,) and x (d,), it is G^H x (SetMatrix.rmatvec).
+    """
+    return _sum_by(sparsity.cols, values.conj() * x.take(sparsity.rows, axis=-1),
+                   sparsity.shape[1])
+
+
+def _column_norms(sparsity: Sparsity, values: np.ndarray) -> np.ndarray:
+    """Generator norms of values (nnz,) or rows of them (m, nnz).
+
+    Sequential per-column sums in row order, as a dense column norm.
+    """
+    return np.sqrt(_sum_by(sparsity.cols, values.real ** 2 + values.imag ** 2,
+                           sparsity.shape[1]))
+
+
+def _gram_entries(plan: GramPlan, values: np.ndarray) -> np.ndarray:
+    """The off-diagonal Gram entries of plan's pairs, for values (nnz,) or (m, nnz)."""
+    products = values.take(plan.left, axis=-1).conj() * values.take(plan.right, axis=-1)
+    return _sum_by(plan.segment, products, len(plan.first))
+
+
+class InstanceRows:
+    """m instances of one InstanceStructure, their values along a leading row axis.
+
+    psi0 is (m, d) and values[side] (m, nnz); numbers are the rows' places
+    in their InstanceStack, and every check that fails names the row by
+    it.  Each row is computed on its own, in the same order as alone, so
+    a row has the same bytes alone as inside a stack.  A PEInstance's
+    normalized generators, cross Gram and psi0 component are this class's
+    one-row case (PEInstance.rows); its generator norms and sparse Gram
+    share their arithmetic (_column_norms, _gram_entries).
+    """
+
+    def __init__(self, structure: InstanceStructure, numbers, psi0: np.ndarray,
+                 values: dict[str, np.ndarray]):
+        self.structure = structure
+        self.numbers = tuple(numbers)
+        self.psi0 = psi0
+        self.values = values
+
+    def component(self) -> "InstanceRows":
+        """Every row on the components psi0's support meets (see PEInstance.psi0_component)."""
+        part = self.structure.component
+        return InstanceRows(part.structure, self.numbers, self.psi0.take(part.rows, axis=1),
+                            {side: v.take(part.entries[side], axis=1)
+                             for side, v in self.values.items()})
+
+    def raise_first(self, failed: np.ndarray, value: np.ndarray, message) -> None:
+        """ValueError for the first row where failed is true: message(its value), and the row."""
+        if failed.any():
+            row = int(np.argmax(failed))
+            raise ValueError(f"{message(value[row])} in row {self.numbers[row]}")
+
+    def norms(self, side: str) -> np.ndarray:
+        """Each row's generator norms on one side, (m, k).
+
+        Raises ValueError naming the side and the row when a generator norm
+        is at or below rank_tol: such a generator spans nothing, and every
+        check that divides by its norm would report NaN instead.
+        """
+        norms = _column_norms(self.structure.sides[side], self.values[side])
+        low = norms.min(axis=1, initial=np.inf)
+        self.raise_first(low <= DEFAULT_TOL.rank_tol, low,
+                         lambda v: f"side {side}: generator norm {v:.3e} is at or below rank_tol")
+        return norms
+
+    def gram(self, side: str) -> np.ndarray:
+        """Each row's off-diagonal Gram entries on one side, over the structure's GramPlan."""
+        return _gram_entries(self.structure.gram(side), self.values[side])
+
+    def normalized(self, side: str) -> np.ndarray:
+        """One side's generators each divided by its norm, (m, nnz) values.
+
+        They are an orthonormal basis of the side's span only because the
+        generators are pairwise orthogonal, so that is checked here, row by
+        row, on the sparse Gram of the normalized generators rather than a
+        dense Q^H Q: its off-diagonal entries are the shared-label Gram
+        entries divided by both norms (every other pair is orthogonal by
+        support, within a set or across sets), and its diagonal is each
+        normalized generator's squared norm.  A largest |Q^H Q - I| entry
+        above assert_tol raises ValueError naming the side and the row (as
+        does a vanishing generator, in norms).  The values keep the side's
+        dtype: float64 for a real side.
+        """
+        sparsity, plan = self.structure.sides[side], self.structure.gram(side)
+        norms = self.norms(side)
+        gram = self.gram(side)
+        q = self.values[side] / norms.take(sparsity.cols, axis=1)
+        sq = _sum_by(sparsity.cols, q.real ** 2 + q.imag ** 2, sparsity.shape[1])
+        resid = np.maximum(
+            (np.abs(gram) / (norms.take(plan.first, axis=1) * norms.take(plan.second, axis=1)))
+            .max(axis=1, initial=0.0),
+            np.abs(sq - 1.0).max(axis=1, initial=0.0))
+        self.raise_first(resid > DEFAULT_TOL.assert_tol, resid,
+                         lambda v: f"side {side}: normalized generators are not "
+                                   f"orthonormal, residual {v:.3e}")
+        return q
+
+    def cross_gram(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+        """Q_A^H Q_B of each row's normalized generator values qa, qb: (m, k_A, k_B).
+
+        Summed from the entry pairs that share a label (the structure's
+        CrossPlan), with one bincount over the flat entries: every other
+        pair of generators is orthogonal by support.
+        """
+        plan = self.structure.cross
+        k_a, k_b = (self.structure.sides[s].shape[1] for s in ("A", "B"))
+        products = qa.take(plan.left, axis=1).conj() * qb.take(plan.right, axis=1)
+        return _sum_by(plan.flat, products, k_a * k_b).reshape(len(qa), k_a, k_b)
+
+
+class InstanceStack:
+    """Instances of one InstanceStructure, tied to be decided together.
+
+    Row r is the r-th instance given; each instance's stack becomes this
+    one and its row r (PEInstance.stack, PEInstance.row).  The instances
+    must share their structure and their dtypes.  The stack keeps each
+    row's psi0 and values, the instances' own arrays, and never the
+    instances, so it holds no reference back to them; spectra is where
+    the decision engine keeps each row's spectrum once it is computed.
+    """
+
+    def __init__(self, instances: list["PEInstance"]):
+        kinds = {(inst.structure, inst.psi0.dtype,
+                  *(m.values.dtype for m in inst.sides.values())) for inst in instances}
+        if len(kinds) != 1:
+            raise ValueError("a stack's instances must share one structure and dtype")
+        self.structure = instances[0].structure
+        self._psi0 = [inst.psi0 for inst in instances]
+        self._values = [{side: m.values for side, m in inst.sides.items()}
+                        for inst in instances]
+        self.spectra: dict[int, object] = {}
+        for row, inst in enumerate(instances):
+            inst._stack, inst.row = self, row
+
+    def __len__(self) -> int:
+        return len(self._psi0)
+
+    def rows(self, numbers) -> InstanceRows:
+        """The given rows, stacked (a view when there is one)."""
+        def stacked(arrays):
+            return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+        return InstanceRows(self.structure, numbers,
+                            stacked([self._psi0[r] for r in numbers]),
+                            {side: stacked([self._values[r][side] for r in numbers])
+                             for side in self.structure.sides})
+
+
 class PEInstance:
     """A two-reflection phase-estimation instance: its structure plus values.
 
@@ -582,8 +762,11 @@ class PEInstance:
     instance such as a simple-loop one, complex otherwise.  The decision
     engine takes the principal angles between the two spans from these
     generators of psi0_component, the instance cut down to the generator
-    components psi0 reaches, and their cross Gram (cross_gram);
-    span_basis densifies them for the oracles.  The dense projectors and
+    components psi0 reaches, and their cross Gram (cross_gram), for every
+    row of the instance's stack (its own until an InstanceStack ties it
+    to others, with row its place there); the instance's own norms, Gram,
+    normalized generators, cross Gram and component are InstanceRows'
+    one-row case (rows).  span_basis densifies them for the oracles.  The dense projectors and
     the walk unitary are built lazily from an SVD of the dense generator
     columns instead, so the dense oracle does not share the engine's
     basis; they are d x d, so they alone check the dimension cap.
@@ -603,6 +786,20 @@ class PEInstance:
         self.sides = {side: SetMatrix(sparsity, values[side])
                       for side, sparsity in structure.sides.items()}
         self._cache: dict[str, object] = {}
+        self._stack: InstanceStack | None = None
+        self.row = 0
+
+    @property
+    def stack(self) -> InstanceStack:
+        """The InstanceStack this instance is decided in: one of its own until tied."""
+        if self._stack is None:
+            InstanceStack([self])
+        return self._stack
+
+    def rows(self) -> InstanceRows:
+        """This instance alone as InstanceRows, numbered by its row."""
+        return InstanceRows(self.structure, (self.row,), self.psi0[None],
+                            {side: m.values[None] for side, m in self.sides.items()})
 
     def set_vectors(self, side: str, name: str) -> list[np.ndarray]:
         """The generators of one named set as dense vectors."""
@@ -626,16 +823,12 @@ class PEInstance:
         """
         key = f"norms_{side}"
         if key not in self._cache:
-            m = self.sides[side]
-            # sequential per-column sums in row order, as a dense column norm
-            sq = m.values.real ** 2 + m.values.imag ** 2
-            self._cache[key] = np.sqrt(np.bincount(m.cols, weights=sq,
-                                                   minlength=m.shape[1]))
-        norms = self._cache[key]
-        if np.any(norms <= DEFAULT_TOL.rank_tol):
-            raise ValueError(f"side {side}: generator norm {norms.min():.3e} "
-                             f"is at or below rank_tol")
-        return norms
+            norms = _column_norms(self.structure.sides[side], self.sides[side].values)
+            if np.any(norms <= DEFAULT_TOL.rank_tol):
+                raise ValueError(f"side {side}: generator norm {norms.min():.3e} "
+                                 f"is at or below rank_tol")
+            self._cache[key] = norms
+        return self._cache[key]
 
     def _gram(self, side: str):
         """The side's off-diagonal generator Gram entries, with the norms.
@@ -647,11 +840,8 @@ class PEInstance:
         norms = self._norms(side)
         if f"gram_{side}" not in self._cache:
             plan = self.structure.gram(side)
-            values = self.sides[side].values
-            products = values[plan.left].conj() * values[plan.right]
-            self._cache[f"gram_{side}"] = (
-                plan.first, plan.second,
-                _sum_by(plan.segment, products, len(plan.first)))
+            self._cache[f"gram_{side}"] = (plan.first, plan.second,
+                                           _gram_entries(plan, self.sides[side].values))
         return self._cache[f"gram_{side}"], norms
 
     def gram_offdiagonal_residual(self, side: str) -> float:
@@ -698,32 +888,13 @@ class PEInstance:
     def normalized(self, side: str) -> SetMatrix:
         """One side's generators each divided by its norm, as a SetMatrix.
 
-        They are an orthonormal basis of the side's span only because the
-        generators are pairwise orthogonal, so that is checked here, on the
-        sparse Gram of the normalized generators rather than a dense Q^H Q:
-        its off-diagonal entries are the shared-label Gram entries divided
-        by both norms (every other pair is orthogonal by support, within a
-        set or across sets), and its diagonal is each normalized
-        generator's squared norm.  A largest |Q^H Q - I| entry above
-        assert_tol raises ValueError (as does a vanishing generator, in
-        _norms).  The values keep the side's dtype: float64 for a real
-        side.  Cached per side.
+        InstanceRows.normalized's one-row case, which checks that they are
+        orthonormal; cached per side.
         """
         key = f"normalized_{side}"
         if key not in self._cache:
-            (first, second, values), norms = self._gram(side)
-            m = self.sides[side]
-            q = SetMatrix(m.sparsity, m.values / norms[m.cols])
-            sq = _sum_by(q.cols, q.values.real ** 2 + q.values.imag ** 2,
-                         q.shape[1])
-            resid = max(
-                float(np.max(np.abs(values) / (norms[first] * norms[second]),
-                             initial=0.0)),
-                float(np.max(np.abs(sq - 1.0), initial=0.0)))
-            if resid > DEFAULT_TOL.assert_tol:
-                raise ValueError(f"side {side}: normalized generators are not "
-                                 f"orthonormal, residual {resid:.3e}")
-            self._cache[key] = q
+            self._cache[key] = SetMatrix(self.structure.sides[side],
+                                         self.rows().normalized(side)[0])
         return self._cache[key]
 
     def span_basis(self, side: str) -> np.ndarray:
@@ -737,15 +908,10 @@ class PEInstance:
     def cross_gram(self) -> np.ndarray:
         """Q_A^H Q_B for the normalized generators, a dense k_A x k_B array.
 
-        Summed from the entry pairs that share a label (the structure's
-        CrossPlan), with one bincount over the flat entries: every other
-        pair of generators is orthogonal by support.
+        InstanceRows.cross_gram's one-row case.
         """
         qa, qb = self.normalized("A"), self.normalized("B")
-        plan = self.structure.cross
-        products = qa.values[plan.left].conj() * qb.values[plan.right]
-        k_a, k_b = qa.shape[1], qb.shape[1]
-        return _sum_by(plan.flat, products, k_a * k_b).reshape(k_a, k_b)
+        return self.rows().cross_gram(qa.values[None], qb.values[None])[0]
 
     def psi0_component(self) -> "PEInstance":
         """The instance on the generator components that psi0's support meets.
@@ -761,13 +927,13 @@ class PEInstance:
         spectrum weights, zero-phase overlap and phase-register
         distribution as the full instance.  The rows, the kept entries and
         the component's own structure come from InstanceStructure.component;
-        only the values are gathered here.  Cached.
+        only the values are gathered, by InstanceRows.component.  Cached.
         """
         if "component" not in self._cache:
-            part = self.structure.component
+            part = self.rows().component()
             self._cache["component"] = PEInstance(
-                part.structure, self.psi0[part.rows],
-                {side: m.values[part.entries[side]] for side, m in self.sides.items()})
+                part.structure, part.psi0[0],
+                {side: v[0] for side, v in part.values.items()})
         return self._cache["component"]
 
     def projector(self, side: str) -> Projector:

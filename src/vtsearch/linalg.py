@@ -36,7 +36,14 @@ class DimensionCapError(ValueError):
 
 
 class NonUnitaryError(ValueError):
-    """Raised when a matrix expected to be unitary is not."""
+    """Raised when a matrix expected to be unitary is not.
+
+    block is the first failing block of a stack, when the input is one.
+    """
+
+    def __init__(self, message: str, block: int | None = None):
+        super().__init__(message)
+        self.block = block
 
 
 @dataclass(frozen=True)
@@ -186,24 +193,33 @@ def _eig_2x2(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, vectors
 
 
+def _first_block_over(resid: np.ndarray) -> int:
+    """The first block of a failed stack whose largest residual entry exceeds assert_tol."""
+    return int(np.flatnonzero(np.max(resid, axis=(1, 2)) > DEFAULT_TOL.assert_tol)[0])
+
+
 def unitary_eig(u: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a (k, 2, 2) stack of unitaries, in closed form.
 
-    The blocks go through :func:`_eig_2x2`; the unitarity and
-    reconstruction residuals, taken over the whole stack, must stay
-    within assert_tol.
+    The blocks go through :func:`_eig_2x2`; every block's unitarity and
+    reconstruction residuals must stay within assert_tol, and
+    NonUnitaryError names the first block that fails.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 3 or u.shape[1:] != (2, 2):
         raise ValueError(f"input must be a (k, 2, 2) stack, got shape {u.shape}")
-    if unitarity_residual(u) > DEFAULT_TOL.assert_tol:
-        raise NonUnitaryError("input matrix is not unitary within tolerance")
+    resid = np.abs(_adjoint(u) @ u - np.eye(2))
+    if np.max(resid, initial=0.0) > DEFAULT_TOL.assert_tol:
+        block = _first_block_over(resid)
+        raise NonUnitaryError(f"block {block} is not unitary within tolerance", block)
     phases, q = _eig_2x2(u)
     phases = np.where(phases <= -np.pi + 1e-300, np.pi, phases)
     dec = SpectralDecomposition(phases=phases, vectors=q)
-    resid = float(np.max(np.abs(dec.reconstruct() - u), initial=0.0))
-    if resid > DEFAULT_TOL.assert_tol:
-        raise NonUnitaryError(f"spectral reconstruction residual {resid:.3e} too large")
+    resid = np.abs(dec.reconstruct() - u)
+    if np.max(resid, initial=0.0) > DEFAULT_TOL.assert_tol:
+        block = _first_block_over(resid)
+        raise NonUnitaryError(f"spectral reconstruction residual "
+                              f"{resid[block].max():.3e} too large in block {block}", block)
     return dec
 
 

@@ -14,7 +14,7 @@ generators and never on a dense span basis: C is summed from the entry
 pairs that share a label, the plane vectors are sparse-times-dense
 products, and each plane's rotation is written in closed form.  Two
 checks run on every decision and together certify every plane invariant
-under W: the generators' orthonormality (PEInstance.normalized) and the
+under W: the generators' orthonormality (InstanceRows.normalized) and the
 principal-vector residual max(|C V - U Sigma|, |C^H U - V Sigma|) <=
 assert_tol.  The stack of rotations goes to one unitary_eig call; the
 remaining directions are fixed analytically: intersection lines and the
@@ -28,6 +28,20 @@ instance is real, so its generators, cross Gram, SVD and products are
 float64; a general instance is complex.  Every weight is a fraction of a
 unit psi0, so the spectrum refuses any other (zero_phase_overlap,
 qpe_zero_prediction and decide alike), and so does qpe_simulate.
+
+Every array of the engine carries a leading row axis: it decides the
+rows of an InstanceStack, instances that share one structure and differ
+only in their values, in one pass, with one stacked SVD, one sparse
+product per side and one unitary_eig call over the rotations of all
+rows.  Each row is computed on its own, in the same order as alone, so a
+row's spectrum has the same bytes alone as inside a stack, and every
+check runs on every row and names the row that fails.  The first
+spectrum asked of any row computes its pass and keeps every row's
+spectrum in the stack; a failed check keeps nothing.  A pass takes as
+many consecutive rows as keep each stacked d x k working array within
+STACK_ENTRIES entries, and at least one, so large components go one row
+per pass.  A lone instance is a stack of one.
+
 The phase-register simulation runs the dense walk of psi0's component,
 kept as an independent cross-check; the dense walk of the full instance,
 and the same engine on dense bases with W's compression computed by
@@ -37,9 +51,12 @@ each side's reflection as the product of its set reflections, is checked
 on the sparse cross-set Gram: it holds exactly when the sets of a side
 span mutually orthogonal subspaces.
 
-RegimePair is the paper's regime experiment on one marked/empty pair.  It
-calls the instance and subroutine layers through their modules, so that
-wrappers installed on those module attributes see every call.
+RegimePair is the paper's regime experiment on one marked/empty pair.
+regime_pairs builds every regime's instances and ties each side's into
+one stack, since the regimes of a spec share its structure and differ
+only in their weights.  It calls the instance and subroutine layers
+through their modules, so that wrappers installed on those module
+attributes see every call.
 """
 
 from __future__ import annotations
@@ -52,12 +69,16 @@ import numpy as np
 
 from . import instances as inst_mod
 from . import subroutines as subs_mod
-from .linalg import DEFAULT_TOL, unitary_eig
-from .instances import NegativeWitness, PEInstance, PositiveWitness, Weights
+from .linalg import DEFAULT_TOL, NonUnitaryError, unitary_eig
+from .instances import (InstanceRows, InstanceStack, InstanceStructure, NegativeWitness,
+                        PEInstance, PositiveWitness, Weights, stacked_matmat,
+                        stacked_rmatvec)
 from .subroutines import SubroutineSpec
 
 #: largest c_plus that decide accepts
 C_PLUS_MAX = 50.0
+#: most entries of one stacked d x k working array of the decision engine
+STACK_ENTRIES = 1 << 20
 
 
 class WalkSpectrum(NamedTuple):
@@ -93,84 +114,138 @@ def _rotation_blocks(angles: np.ndarray) -> np.ndarray:
     return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
 
 
-def _check_unit_psi0(psi0: np.ndarray) -> None:
-    """ValueError when |psi0| differs from 1 by more than assert_tol."""
+def _check_unit_psi0(psi0: np.ndarray, row: int) -> None:
+    """ValueError naming the row when |psi0| differs from 1 by more than assert_tol."""
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > DEFAULT_TOL.assert_tol:
-        raise ValueError(f"psi0 has norm {norm!r}, not 1")
+        raise ValueError(f"psi0 has norm {norm!r}, not 1, in row {row}")
+
+
+def _rows_per_pass(structure: InstanceStructure) -> int:
+    """How many rows of a stack one pass of the engine takes.
+
+    As many as keep each stacked d x (k + 1) working array, on psi0's
+    component, within STACK_ENTRIES, and at least one.
+    """
+    part = structure.component.structure
+    width = max(s.shape[1] for s in part.sides.values()) + 1
+    return max(1, STACK_ENTRIES // (part.dim * width))
 
 
 def _walk_spectrum(instance: PEInstance) -> WalkSpectrum:
-    """Spectrum of W = R_A R_B from the principal angles of the two spans.
+    """The walk's spectrum on instance's psi0 component, from its stack.
 
-    Taken on instance.psi0_component(), which has psi0's spectrum weights,
-    from each side's normalized sparse generators Q_A and Q_B
-    (PEInstance.normalized, which checks their orthonormality); no dense
+    The first call for any row of instance.stack computes the spectra of
+    every row in that row's pass with _stack_spectra, and keeps them in
+    the stack; a lone instance is a stack of one.  A pass is
+    _rows_per_pass consecutive rows: the whole stack at small components,
+    one row where a stacked d x k working array would pass STACK_ENTRIES.
+    A failed check keeps nothing, so every later call raises again.
+    """
+    stack, row = instance.stack, instance.row
+    if row not in stack.spectra:
+        per_pass = _rows_per_pass(stack.structure)
+        start = row - row % per_pass
+        numbers = range(start, min(start + per_pass, len(stack)))
+        stack.spectra.update(zip(numbers, _stack_spectra(stack.rows(numbers))))
+    return stack.spectra[row]
+
+
+def _stack_spectra(rows: InstanceRows) -> list[WalkSpectrum]:
+    """Spectrum of W = R_A R_B from the principal angles of the two spans, row by row.
+
+    Every array carries a leading row axis, and each row is computed on
+    its own, in the same order as alone, so a row's spectrum has the same
+    bytes alone as inside a stack.  Taken on psi0's component
+    (InstanceRows.component), which has psi0's spectrum weights, from each
+    side's normalized sparse generators Q_A and Q_B
+    (InstanceRows.normalized, which checks their orthonormality); no dense
     span basis is formed.  ValueError is raised when |psi0| differs from
     1 by more than assert_tol, since every weight below is a fraction of
     a unit psi0.  The cross Gram C = Q_A^H Q_B is summed from the entry
-    pairs that share a label (PEInstance.cross_gram), and its thin SVD
-    C = U diag(cos) V^H is certified: ValueError names the principal-
-    vector residual max(|C V - U cos|, |C^H U - V cos|) when it exceeds
-    assert_tol.  Column j pairs u_j = Q_A U_j with Q_B V_j = cos_j u_j +
-    sin_j w_j; both are sparse-times-dense products, and sin_j is the
-    norm of the residual Q_B V_j - cos_j u_j, which stays accurate where
-    sqrt(1 - cos_j^2) would cancel.  Pairs with sin_j <= rank_tol are
-    intersection lines.  W rotates every other plane span{u_j, w_j} by
-    -2 theta_j in closed form (_rotation_blocks); with the orthonormal
-    generators, the certificate makes each plane invariant under W, and
-    unitary_eig decomposes the stack of rotations.  The directions of a
-    side that no column pairs (its complement of U's or V's columns,
-    orthogonal to the other span) have phase pi; psi0's weight on them is
-    the squared norm of a residual vector in generator coordinates, r_A =
-    p_A - U U^H p_A and r_B = p_B - V V^H p_B with p = Q^H psi0, so the
-    spectrum carries one pi entry per side.  psi0's overlap with w_j is
-    (V_j^H p_B - cos_j U_j^H p_A) / sin_j, and its weight outside span A
-    + span B is the squared norm of psi0 - Q_A p_A - sum_j w_j <w_j, psi0>
-    - Q_B r_B.  Neither is a cancelling 1 - sum of weights.  The
-    arithmetic follows the instance's values: real for a real instance.
+    pairs that share a label (InstanceRows.cross_gram), and its thin SVD
+    C = U diag(cos) V^H, one stacked call, is certified: ValueError names
+    the principal-vector residual max(|C V - U cos|, |C^H U - V cos|) when
+    it exceeds assert_tol.  Column j pairs u_j = Q_A U_j with Q_B V_j =
+    cos_j u_j + sin_j w_j; both are sparse-times-dense products
+    (stacked_matmat), and sin_j is the norm of the residual Q_B V_j -
+    cos_j u_j, which stays accurate where sqrt(1 - cos_j^2) would cancel.
+    Pairs with sin_j <= rank_tol are intersection lines.  W rotates every
+    other plane span{u_j, w_j} by -2 theta_j in closed form
+    (_rotation_blocks); with the orthonormal generators, the certificate
+    makes each plane invariant under W, and one unitary_eig call
+    decomposes the rotations of every row.  The directions of a side that
+    no column pairs (its complement of U's or V's columns, orthogonal to
+    the other span) have phase pi; psi0's weight on them is the squared
+    norm of a residual vector in generator coordinates, r_A = p_A - U U^H
+    p_A and r_B = p_B - V V^H p_B with p = Q^H psi0, so the spectrum
+    carries one pi entry per side.  psi0's overlap with w_j is (V_j^H p_B
+    - cos_j U_j^H p_A) / sin_j, and its weight outside span A + span B is
+    the squared norm of psi0 - Q_A p_A - sum_j w_j <w_j, psi0> - Q_B r_B.
+    Neither is a cancelling 1 - sum of weights.  Every failed check names
+    its row.  The arithmetic follows the instance's values: real for a
+    real instance.
     """
-    instance = instance.psi0_component()
-    psi0 = instance.psi0
-    _check_unit_psi0(psi0)
-    qa, qb = instance.normalized("A"), instance.normalized("B")
-    c = instance.cross_gram()
+    part = rows.component()
+    psi0 = part.psi0
+    for vec, number in zip(psi0, part.numbers):
+        _check_unit_psi0(vec, number)
+    sa, sb = part.structure.sides["A"], part.structure.sides["B"]
+    qa, qb = part.normalized("A"), part.normalized("B")
+    c = part.cross_gram(qa, qb)
     u, cos, vh = np.linalg.svd(c, full_matrices=False)
-    v = vh.conj().T
-    resid = max(float(np.abs(c @ v - u * cos).max(initial=0.0)),
-                float(np.abs(c.conj().T @ u - v * cos).max(initial=0.0)))
-    if resid > DEFAULT_TOL.assert_tol:
-        raise ValueError(f"principal-vector residual {resid:.3e} exceeds "
-                         f"assert_tol {DEFAULT_TOL.assert_tol:g}")
-    pa, pb = qa.rmatvec(psi0), qb.rmatvec(psi0)
-    ca, cb = (pa.conj() @ u).conj(), vh @ pb
-    ra, rb = pa - u @ ca, pb - v @ cb
+    v = vh.conj().swapaxes(1, 2)
+    scaled = cos[:, None, :]
+    resid = np.maximum(np.abs(c @ v - u * scaled).max(axis=(1, 2), initial=0.0),
+                       np.abs(c.conj().swapaxes(1, 2) @ u - v * scaled)
+                       .max(axis=(1, 2), initial=0.0))
+    part.raise_first(resid > DEFAULT_TOL.assert_tol, resid,
+                     lambda r: f"principal-vector residual {r:.3e} exceeds "
+                               f"assert_tol {DEFAULT_TOL.assert_tol:g}")
+    pa, pb = stacked_rmatvec(sa, qa, psi0), stacked_rmatvec(sb, qb, psi0)
+    # matrix-vector products row by row, as (.., 1) and (1, ..) matrices
+    ca = (pa.conj()[:, None] @ u)[:, 0].conj()
+    cb = (vh @ pb[..., None])[..., 0]
+    ra = pa - (u @ ca[..., None])[..., 0]
+    rb = pb - (v @ cb[..., None])[..., 0]
     # one product per side; the extra last columns are Q_B r_B and Q_A p_A
-    on_b = qb.matmat(np.concatenate([v, rb[:, None]], axis=1))
-    on_a = qa.matmat(np.concatenate([u * cos, pa[:, None]], axis=1))
-    perp = on_b[:, :-1]
-    perp -= on_a[:, :-1]
-    sin = np.linalg.norm(perp, axis=0)
+    on_b = stacked_matmat(sb, qb, np.concatenate([v, rb[..., None]], axis=2))
+    on_a = stacked_matmat(sa, qa, np.concatenate([u * scaled, pa[..., None]], axis=2))
+    perp = on_b[..., :-1]
+    perp -= on_a[..., :-1]
+    sin = np.linalg.norm(perp, axis=1)
     rot = sin > DEFAULT_TOL.rank_tol
     cw = (cb - cos * ca)[rot] / sin[rot]
     # sum_j w_j <w_j, psi0> = perp x, x_j = <w_j, psi0> / sin_j
-    x = np.zeros(len(cos), dtype=cw.dtype)
+    x = np.zeros(cos.shape, dtype=cw.dtype)
     x[rot] = cw / sin[rot]
-    outside = float(np.linalg.norm(psi0 - on_a[:, -1] - perp @ x - on_b[:, -1]) ** 2)
+    outside = psi0 - on_a[..., -1] - (perp @ x[..., None])[..., 0] - on_b[..., -1]
 
+    # every row's planes in one stack, row after row
     angles = np.arctan2(sin[rot], cos[rot])
+    counts = rot.sum(axis=1, dtype=np.intp)
+    ends = counts.cumsum()
+    try:
+        dec = unitary_eig(_rotation_blocks(angles))
+    except NonUnitaryError as err:
+        row = part.numbers[int(np.searchsorted(ends, err.block, side="right"))]
+        raise NonUnitaryError(f"{err} in row {row}", err.block) from None
     coeffs = np.stack([ca[rot], cw], axis=-1)
-    dec = unitary_eig(_rotation_blocks(angles))
     weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
 
-    lines = np.abs(ca[~rot]) ** 2
-    unpaired = [np.linalg.norm(ra) ** 2, np.linalg.norm(rb) ** 2]
-    return WalkSpectrum(
-        phases=np.concatenate([dec.phases.ravel(), np.zeros(len(lines)),
-                               [np.pi, np.pi, 0.0]]),
-        weights=np.concatenate([weights.ravel(), lines, unpaired, [outside]]),
-        dim=instance.dim, rank_a=qa.shape[1], rank_b=qb.shape[1],
-        min_angle=float(angles.min()) if len(angles) else None)
+    spectra = []
+    for r, (end, count) in enumerate(zip(ends.tolist(), counts.tolist())):
+        planes = slice(end - count, end)
+        lines = np.abs(ca[r][~rot[r]]) ** 2
+        unpaired = [np.linalg.norm(ra[r]) ** 2, np.linalg.norm(rb[r]) ** 2]
+        spectra.append(WalkSpectrum(
+            phases=np.concatenate([dec.phases[planes].ravel(), np.zeros(len(lines)),
+                                   [np.pi, np.pi, 0.0]]),
+            weights=np.concatenate([weights[planes].ravel(), lines, unpaired,
+                                    [float(np.linalg.norm(outside[r]) ** 2)]]),
+            dim=part.structure.dim, rank_a=sa.shape[1], rank_b=sb.shape[1],
+            min_angle=float(angles[planes].min()) if count else None))
+    return spectra
 
 
 def _zero_phase_weight(spectrum: WalkSpectrum, theta_star: float) -> float:
@@ -194,8 +269,10 @@ def zero_phase_overlap(instance: PEInstance, theta_star: float) -> float:
 
     Eigenphases within eig_cluster_tol of each other are aggregated
     before the cutoff is applied, so numerically split degenerate zero
-    phases count as one cluster.
+    phases count as one cluster.  A NaN cutoff raises ValueError.
     """
+    if math.isnan(theta_star):
+        raise ValueError("theta_star must be a number, got nan")
     return _zero_phase_weight(_walk_spectrum(instance), theta_star)
 
 
@@ -230,12 +307,15 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float) -> Decision:
     1/(4 c_plus), leaving a factor-2 margin on each side.  Both bounds
     are for a unit psi0, so ValueError is raised when |psi0| differs from
     1 by more than assert_tol (in _walk_spectrum, on psi0's component, a
-    short vector with the same norm).
+    short vector with the same norm), and for a c_plus or c_minus out of
+    range, NaN included.  The spectrum is the instance's row of its
+    InstanceStack, computed with its pass on the first decision of any
+    of them.
     """
     if not (1.0 <= c_plus <= C_PLUS_MAX):
         raise ValueError(f"c_plus must lie in [1, {C_PLUS_MAX:g}]")
-    if c_minus < 1.0:
-        raise ValueError("c_minus must be at least 1")
+    if not c_minus >= 1.0:  # false for nan too
+        raise ValueError(f"c_minus must be at least 1, got {c_minus!r}")
     theta_star = 1.0 / math.sqrt(c_plus * c_minus)
     spectrum = _walk_spectrum(instance)
     p0 = _zero_phase_weight(spectrum, theta_star)
@@ -255,7 +335,9 @@ class RegimePair:
     c_plus is the positive witness's squared norm (its overlap with psi0 is
     1), capped at 6 in regime ii-c and 8 otherwise; c_minus is the larger
     of the negative witness's closed-form norm, c_plus and 1.  decide
-    receives c_plus_decide, c_plus clamped to C_PLUS_MAX.
+    receives c_plus_decide, c_plus clamped to C_PLUS_MAX.  built holds the
+    marked and empty instances; regime_pairs ties each side's instances
+    of every regime into one InstanceStack.
     """
 
     regime: str
@@ -268,32 +350,36 @@ class RegimePair:
     c_plus: float
     c_plus_cap: float
     c_minus: float
+    built: dict[str, PEInstance]
 
     @property
     def c_plus_decide(self) -> float:
         return min(self.c_plus, C_PLUS_MAX)
 
     def instances(self) -> dict[str, PEInstance]:
-        build = inst_mod.build_general_instance
-        return {"marked": build(self.marked, self.weights_pos),
-                "empty": build(self.empty, self.weights_neg)}
+        return dict(self.built)
 
     def decide(self) -> dict[str, Decision]:
         """Both sides' decisions; marked should be positive, empty negative."""
         return {label: decide(instance, c_minus=self.c_minus,
                               c_plus=self.c_plus_decide)
-                for label, instance in self.instances().items()}
+                for label, instance in self.built.items()}
 
 
 def regime_pairs(marked: SubroutineSpec, empty: SubroutineSpec,
                  regimes) -> list[RegimePair]:
     """The regime experiment on a (marked, all-unmarked) subroutine pair.
 
-    Each side's stopping moments are computed once for all regimes.
+    Each side's stopping moments are computed once for all regimes.  Each
+    regime's instances are built one by one, and each side's instances of
+    every regime, which share their spec's structure, are tied into one
+    InstanceStack, so the first decision on a side takes the spectra of
+    all its regimes in one pass.
     """
     t_max = marked.num_steps
     moments_m = subs_mod.stopping_moments(marked)
     moments_e = subs_mod.stopping_moments(empty)
+    build = inst_mod.build_general_instance
     pairs = []
     for regime in regimes:
         w_pos = inst_mod.regime_parameters(regime, *moments_m, t_max,
@@ -307,7 +393,11 @@ def regime_pairs(marked: SubroutineSpec, empty: SubroutineSpec,
             regime=regime, marked=marked, empty=empty, weights_pos=w_pos,
             weights_neg=w_neg, positive=pos, negative=neg, c_plus=c_plus,
             c_plus_cap=6.0 if regime == "ii-c" else 8.0,
-            c_minus=max(neg.closed_norm_sq, c_plus, 1.0)))
+            c_minus=max(neg.closed_norm_sq, c_plus, 1.0),
+            built={"marked": build(marked, w_pos), "empty": build(empty, w_neg)}))
+    if pairs:
+        for label in ("marked", "empty"):
+            InstanceStack([pair.built[label] for pair in pairs])
     return pairs
 
 
@@ -335,7 +425,7 @@ def qpe_simulate(instance: PEInstance, bits: int) -> QPEOutcome:
         raise ValueError("register size must be between 1 and 20 bits")
     m = 1 << bits
     part = instance.psi0_component()
-    _check_unit_psi0(part.psi0)
+    _check_unit_psi0(part.psi0, instance.row)
     u = part.walk_unitary()
     states = np.empty((m, part.dim), dtype=complex)
     psi = part.psi0.astype(complex)

@@ -147,8 +147,9 @@ def test_unitary_eig_stack_edge_cases():
     empty = unitary_eig(np.zeros((0, 2, 2)))
     assert empty.phases.shape == (0, 2) and empty.vectors.shape == (0, 2, 2)
     stack = np.array([np.eye(2), np.diag([1.0, 1.0 + 1e-6])], dtype=complex)
-    with pytest.raises(NonUnitaryError):
+    with pytest.raises(NonUnitaryError, match="block 1 is not unitary") as failed:
         unitary_eig(stack)
+    assert failed.value.block == 1
     with pytest.raises(ValueError):
         unitary_eig(np.array([np.eye(3)]))
     # a single matrix is not a stack: whole walks are the dense oracle's

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import vtsearch.instances as inst_mod
 import vtsearch.phase as phase_mod
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (REGIMES, PEInstance, SetMatrix,
+from vtsearch.instances import (REGIMES, InstanceStack, PEInstance, SetMatrix,
                                 build_simple_instance, instance_from_sets,
                                 general_negative_witness,
                                 general_positive_witness, regime_parameters,
@@ -21,7 +21,7 @@ from vtsearch.phase import (WalkSpectrum, _walk_spectrum, _zero_phase_weight,
                             register_bits_for, verify_reflection_factorization,
                             zero_phase_overlap)
 from vtsearch.linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError,
-                             cluster_phases)
+                             NonUnitaryError, cluster_phases)
 from vtsearch.subroutines import stopping_moments, subroutine_pair
 
 from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
@@ -125,6 +125,21 @@ def test_every_spectrum_entry_point_rejects_a_non_unit_psi0(entry):
     call(inst)
     with pytest.raises(ValueError, match="psi0 has norm 2.0, not 1"):
         call(doubled)
+
+
+@pytest.mark.parametrize("entry", ["decide", "zero_phase_overlap"])
+def test_decide_and_zero_phase_overlap_reject_a_nan_cutoff(entry):
+    """NaN fails every comparison, so a NaN c_minus or theta* would pass unchecked.
+
+    decide would return a negative verdict with p0 = 0, and the overlap
+    0 where it is 0.25 at theta* = 0.2; each entry point refuses it.
+    """
+    inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
+    call, valid = {"decide": (lambda x: decide(inst, c_minus=x, c_plus=4.0).p0, 13.0),
+                   "zero_phase_overlap": (lambda x: zero_phase_overlap(inst, x), 0.2)}[entry]
+    assert call(valid) >= 0.25 - ORACLE_TOL
+    with pytest.raises(ValueError, match="got nan"):
+        call(math.nan)
 
 
 def test_negative_case_suppression():
@@ -454,23 +469,34 @@ def _oracle_cases():
             yield pytest.param(("general", shape, regime), id=f"{shape}-{regime}")
     for n in (4, 16, 64, 80):
         yield pytest.param(("simple", n), id=f"simple-{n}")
+    for shape in ((2, 2, 2), (4, 4, 4)):
+        yield pytest.param(("stacked", shape), id=f"stacked-{shape}")
 
 
 def _oracle_instances(case):
-    """(label, instance, c_minus, c_plus) for both sides of one case."""
-    if case[0] == "general":
-        _, shape, regime = case
-        pair, = regime_pairs(*subroutine_pair(0, *shape), [regime])
-        return [(label, inst, pair.c_minus, pair.c_plus_decide)
-                for label, inst in pair.instances().items()]
+    """(label, instance, c_minus, c_plus) for both sides of one case.
+
+    A stacked case is every regime's row of both sides' stacks, marked
+    rows first, each side decided in one pass.
+    """
+    if case[0] != "simple":
+        shape, regimes = case[1], case[2:] or REGIMES
+        pairs = regime_pairs(*subroutine_pair(0, *shape), regimes)
+        return [(label, pair.built[label], pair.c_minus, pair.c_plus_decide)
+                for label in ("marked", "empty") for pair in pairs]
     n = case[1]
     return [(label, build_simple_instance(OracleSpec(size=n, marked=marked), float(n)),
              1.0 + 3.0 * n, 4.0)
             for label, marked in (("marked", frozenset({0})), ("empty", frozenset()))]
 
 
-def _engine_blocks(inst, monkeypatch):
-    """The engine's spectrum and the rotation stack it hands to unitary_eig."""
+def _engine_blocks(instances, monkeypatch):
+    """The engine's spectra and the rotation stacks it hands to unitary_eig, joined.
+
+    The instances are taken in order; each pass hands over its rows'
+    planes one row after another, so the joined stack lists every
+    instance's planes in that order.
+    """
     seen = []
 
     def capture(blocks):
@@ -480,8 +506,8 @@ def _engine_blocks(inst, monkeypatch):
     eig = phase_mod.unitary_eig
     with monkeypatch.context() as m:
         m.setattr(phase_mod, "unitary_eig", capture)
-        spectrum = _walk_spectrum(inst)
-    return spectrum, seen[0]
+        spectra = [_walk_spectrum(inst) for inst in instances]
+    return spectra, np.concatenate(seen)
 
 
 @pytest.mark.parametrize("case", _oracle_cases())
@@ -492,10 +518,13 @@ def test_closed_form_planes_match_the_reflected_engine(case, monkeypatch):
     cross Gram, so they are the engine's; W's compression on them,
     computed with dense reflections, must be the engine's rotation by
     -2 theta_j.  Verdicts equal the reflected engine's, and p0 at every
-    cutoff and min_angle agree with it within 1e-12.
+    cutoff and min_angle agree with it within 1e-12.  Stacked rows take
+    their planes from their pass's one stack of rotations.
     """
-    for label, inst, c_minus, c_plus in _oracle_instances(case):
-        spectrum, blocks = _engine_blocks(inst, monkeypatch)
+    cases = _oracle_instances(case)
+    spectra, stacked = _engine_blocks([inst for _, inst, _, _ in cases], monkeypatch)
+    start = 0
+    for (label, inst, c_minus, c_plus), spectrum in zip(cases, spectra):
         part = inst.psi0_component()
         qa, qb = part.span_basis("A"), part.span_basis("B")
         u, cos, vh = np.linalg.svd(part.cross_gram(), full_matrices=False)
@@ -504,6 +533,8 @@ def test_closed_form_planes_match_the_reflected_engine(case, monkeypatch):
         sin = np.linalg.norm(perp, axis=0)
         rot = sin > DEFAULT_TOL.rank_tol
         compressions = reflected_compressions(part, ua[:, rot], perp[:, rot] / sin[rot])
+        blocks = stacked[start:start + len(compressions)]
+        start += len(compressions)
         assert blocks.shape == compressions.shape and len(blocks) > 0
         assert np.max(np.abs(blocks - compressions)) <= ORACLE_TOL, label
 
@@ -520,6 +551,63 @@ def test_closed_form_planes_match_the_reflected_engine(case, monkeypatch):
         assert decision.verdict == ("positive" if p0 >= decision.threshold
                                     else "negative")
         assert decision.verdict == ("positive" if label == "marked" else "negative")
+    assert start == len(stacked)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4, 4, 4), (16, 2, 2), (16, 4, 4)], ids=str)
+def test_stacked_rows_have_the_bytes_of_lone_rows(shape, seed):
+    """Every regime's row of a five-row stack against the same instance alone.
+
+    Phases, weights, p0 at every cutoff and min_angle must have the same
+    bytes; the first row's spectrum computes all five rows in one pass.
+    """
+    pairs = regime_pairs(*subroutine_pair(seed, *shape), REGIMES)
+    for label in ("marked", "empty"):
+        rows = [pair.built[label] for pair in pairs]
+        assert rows[0].stack is rows[4].stack and len(rows[0].stack) == 5
+        _walk_spectrum(rows[0])
+        assert sorted(rows[0].stack.spectra) == list(range(5))
+        for row, inst in enumerate(rows):
+            alone = PEInstance(inst.structure, inst.psi0,
+                               {side: m.values for side, m in inst.sides.items()})
+            assert inst.row == row and alone.row == 0 and len(alone.stack) == 1
+            got, want = _walk_spectrum(inst), _walk_spectrum(alone)
+            assert got.phases.tobytes() == want.phases.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.min_angle == want.min_angle
+            for theta in THETA_STARS:
+                assert (zero_phase_overlap(inst, theta).hex()
+                        == zero_phase_overlap(alone, theta).hex())
+
+
+def test_rows_past_the_entry_budget_go_in_smaller_passes(monkeypatch):
+    """A budget of two rows' working arrays decides a five-row stack two rows a pass."""
+    pairs = regime_pairs(*subroutine_pair(0, 4, 4, 4), REGIMES)
+    rows = [pair.built["marked"] for pair in pairs]
+    part = rows[0].psi0_component()
+    width = max(m.shape[1] for m in part.sides.values()) + 1
+    monkeypatch.setattr(phase_mod, "STACK_ENTRIES", 2 * part.dim * width + 1)
+    spectra = rows[0].stack.spectra
+    _walk_spectrum(rows[3])
+    assert sorted(spectra) == [2, 3]
+    _walk_spectrum(rows[4])
+    assert sorted(spectra) == [2, 3, 4]
+    for inst in rows:
+        alone = PEInstance(inst.structure, inst.psi0,
+                           {side: m.values for side, m in inst.sides.items()})
+        assert _walk_spectrum(inst).weights.tobytes() == _walk_spectrum(alone).weights.tobytes()
+    assert sorted(spectra) == list(range(5))
+
+
+def test_a_stack_refuses_instances_it_cannot_decide_together():
+    """Rows of a stack share one structure and one dtype, or a row's arithmetic would change."""
+    real = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
+    other = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
+    for rows in ([real, other], [real, _complex_copy(real)]):
+        with pytest.raises(ValueError, match="share one structure and dtype"):
+            InstanceStack(rows)
+    assert len(real.stack) == 1 and real.row == 0
 
 
 def _assert_cross_gram_is_dense_product(inst):
@@ -560,27 +648,62 @@ def test_cross_gram_sums_several_entries_per_label():
 
 
 def test_a_moved_singular_vector_fails_the_certificate(small_pair, monkeypatch):
-    """One left singular vector moved by 1e-6 breaks C V = U Sigma past assert_tol."""
-    pair, = regime_pairs(*small_pair, ["ii-b"])
-    inst = pair.instances()["marked"]
+    """One left singular vector of row 3 moved by 1e-6 breaks C V = U Sigma there.
+
+    The SVD of all five rows is one stacked call; the patch is in place
+    before the first decision, since spectra are kept once computed.
+    Every row of the stack raises, each time, naming row 3.
+    """
+    pairs = regime_pairs(*small_pair, REGIMES)
     svd = np.linalg.svd
 
     def moved(a, full_matrices=True):
         u, s, vh = svd(a, full_matrices=full_matrices)
+        assert u.shape[0] == 5
         u = u.copy()
-        u[:, 0] += 1e-6 * u[:, 1]
+        u[3, :, 0] += 1e-6 * u[3, :, 1]
         return u, s, vh
 
-    decide(inst, c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
     monkeypatch.setattr(phase_mod.np.linalg, "svd", moved)
-    with pytest.raises(ValueError, match=r"principal-vector residual \d\.\d+e-0[67]"):
-        decide(inst, c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+    for pair in pairs * 2:
+        with pytest.raises(ValueError, match=r"principal-vector residual \d\.\d+e-0[67] "
+                                             r"exceeds assert_tol 1e-08 in row 3$"):
+            decide(pair.built["marked"], c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+    assert not pairs[0].built["marked"].stack.spectra
+    monkeypatch.undo()
+    assert all(pair.decide()["marked"].verdict == "positive" for pair in pairs)
+
+
+def test_a_non_unitary_rotation_block_names_its_row(small_pair, monkeypatch):
+    """unitary_eig's checks run on every row's planes, and a failure names the row."""
+    pairs = regime_pairs(*small_pair, REGIMES)
+    # each row's planes, from its spectrum alone: two nonzero phases each
+    # before the last three entries, which are pi, pi and 0
+    planes = [np.count_nonzero(_walk_spectrum(PEInstance(
+        inst.structure, inst.psi0, {side: m.values for side, m in inst.sides.items()}))
+        .phases[:-3]) // 2 for inst in (pair.built["empty"] for pair in pairs)]
+    assert planes[2] > 0
+    blocks = phase_mod._rotation_blocks
+    first = planes[0] + planes[1]  # row 2's first plane
+
+    def stretched(angles):
+        out = blocks(angles)
+        out[first] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(phase_mod, "_rotation_blocks", stretched)
+    with pytest.raises(NonUnitaryError, match=f"block {first} .* in row 2$"):
+        decide(pairs[0].built["empty"], c_minus=pairs[0].c_minus,
+               c_plus=pairs[0].c_plus_decide)
 
 
 def test_decide_builds_no_dense_basis_or_operator(monkeypatch):
-    """Both sides of (16, 4, 4) decided with every densifying path refused."""
-    pair, = regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])
-    want = {label: decision.verdict for label, decision in pair.decide().items()}
+    """Both sides of (16, 4, 4) decided with every densifying path refused.
+
+    The pair is built after the paths are refused, so its spectra, kept
+    once computed, are computed under the refusal.
+    """
+    specs = subroutine_pair(0, 16, 4, 4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a dense path was taken")
@@ -589,8 +712,11 @@ def test_decide_builds_no_dense_basis_or_operator(monkeypatch):
                         (PEInstance, "projector"), (PEInstance, "walk_unitary"),
                         (SetMatrix, "toarray")):
         monkeypatch.setattr(owner, name, refuse)
-    got = {label: decision.verdict for label, decision in pair.decide().items()}
-    assert got == want == {"marked": "positive", "empty": "negative"}
+    pairs = regime_pairs(*specs, REGIMES)
+    assert not pairs[0].built["marked"].stack.spectra
+    for pair in pairs:
+        got = {label: decision.verdict for label, decision in pair.decide().items()}
+        assert got == {"marked": "positive", "empty": "negative"}
 
 
 def test_intersecting_spans_count_as_zero_phase():
@@ -801,6 +927,23 @@ def test_cached_results_follow_the_tolerance_policy():
     for _ in range(2):  # a failed check is not cached as a pass
         with pytest.raises(ValueError, match="side A: normalized generators"):
             decide(inst, 4.0, 2.0)
+
+    # a stack of three rows of one structure, only row 1 not orthonormal:
+    # every row shares row 1's failed pass, each time, and nothing is kept
+    good = _toy_instance([_unit(3, 0) + _unit(3, 1), _unit(3, 1) - _unit(3, 0)],
+                         [_unit(3, 2)], (_unit(3, 0) + _unit(3, 2)) / math.sqrt(2))
+    bad_values = good.sides["A"].values.copy()
+    bad_values[-1] += 2e-6
+    rows = [good, PEInstance(good.structure, good.psi0,
+                             {"A": bad_values, "B": good.sides["B"].values}),
+            PEInstance(good.structure, good.psi0,
+                       {side: m.values.copy() for side, m in good.sides.items()})]
+    InstanceStack(rows)
+    for row in (0, 2, 1, 0, 2):
+        with pytest.raises(ValueError, match="side A: normalized generators are not "
+                                             r"orthonormal, residual .* in row 1$"):
+            decide(rows[row], 4.0, 2.0)
+    assert not good.stack.spectra
 
     # 1e-7 apart is above rank_tol, so the SVD projector keeps both directions
     near_parallel = _toy_instance([_unit(3, 0), _unit(3, 0) + 1e-7 * _unit(3, 1)],
