@@ -139,9 +139,10 @@ class CostProfile:
         n = len(self.exp_t)
         if not (len(self.exp_t2) == len(self.pi) == n):
             raise ValueError("profile arrays must share one length")
-        if np.any(self.exp_t < 1.0) or np.any(self.exp_t2 < self.exp_t**2 - 1e-12):
+        # each test is written to be false for nan, so a nan entry fails it
+        if not (np.all(self.exp_t >= 1.0) and np.all(self.exp_t2 >= self.exp_t**2 - 1e-12)):
             raise ValueError("need E[T^2] >= E[T]^2 >= 1 per input")
-        if abs(float(self.pi.sum()) - 1.0) > 1e-10:
+        if not abs(float(self.pi.sum()) - 1.0) <= 1e-10:
             raise ValueError("sampling distribution must sum to 1")
 
     @property

@@ -24,27 +24,29 @@ Every generator touches only a few basis labels (at most 1 + 2|Z| in the
 general variant), so an instance is stored as compressed columns: an
 InstanceStructure, where the entries sit (each side's named sets laid
 side by side as one d x k Sparsity of indptr and rows, with each set's
-name and generator count), plus psi0 and one values array per side.  The
-builders assemble these straight from index arrays; no length-d vector is
-allocated per generator, and each witness is one zero vector with its
-entries (history_states among them) scattered in from index arrays.  The
-general instance's labels and generators are fixed by its subroutine, so
-each SubroutineSpec gets one GeneralPattern, and a weight regime only
-fills in values.  Every input runs its own copy of the subroutine, so the
-pattern lists one input's generators and lays the others out as that
-template shifted by a fixed stride in labels and in the step unitaries;
-the history states' labels and states are likewise laid out once per spec
-(HistoryLayout).  The general instances of one spec share its structure,
+name and generator count), plus psi0 and PEInstance.values, one (nnz,)
+array per side in storage order, the one place an instance's entries are
+kept.  The builders assemble these straight from index arrays; no
+length-d vector is allocated per generator, and each witness is one zero
+vector with its entries (history_states among them) scattered in from
+index arrays.  The general instance's labels and generators are fixed by
+its subroutine, so each SubroutineSpec gets one GeneralPattern, and a
+weight regime only fills in values.  Every input runs its own copy of
+the subroutine, so the pattern lists one input's generators and lays the
+others out as that template shifted by a fixed stride in labels and in
+the step unitaries; the history states' labels and states are likewise
+laid out once per spec (HistoryLayout).  The general instances of one spec share its structure,
 and with it the plans that ignore values (the Gram's shared-label pairs
 within a side and across the sides, psi0's component).
 Well-formedness, witness, span-basis and reflection-factorization checks,
-and the decision's cross Gram and plane vectors, run on these records with
+and the decision's cross Gram and plane vectors, run on these arrays with
 numpy alone (bincount sums, a Gram over the generator pairs that share a
 label, and row-by-row sparse-times-dense products), and only the dense
-oracle paths (span_basis, the span projectors and the walk unitary)
-expand a set into dense columns.  Values keep their type: the simple
-variant's sets and initial vector are float64, the general variant's
-complex, and every product is taken in the dtype of its operands.
+oracle paths (generators, span_basis, the span projectors and the walk
+unitary) expand a side into dense columns, through one densifier
+(_dense).  Values keep their type: the simple variant's sets and initial
+vector are float64, the general variant's complex, and every product is
+taken in the dtype of its operands.
 
 Generators that share a basis label are joined into connected components
 with disjoint label supports, over which both reflections and the walk are
@@ -58,8 +60,9 @@ decision engine decides in one pass.  InstanceRows holds such rows' psi0
 and values along a leading row axis, and computes each row's generator
 norms, sparse Gram, normalized generators with their orthonormality
 check, cross Gram and psi0 component on its own, in the same order as
-alone (so are stacked_rmatvec and stacked_matmat); a PEInstance's own
-normalized generators, cross Gram and component are their one-row case.
+alone (so are stacked_rmatvec and stacked_matmat); a PEInstance's span
+basis and component are their one-row case, and its projections take
+stacked_rmatvec without the row axis.
 """
 
 from __future__ import annotations
@@ -152,13 +155,14 @@ class Weights:
     k: float | None = None
 
     def __post_init__(self):
-        if np.any(self.omega <= 0) or np.any(self.alpha <= 0):
+        # each test is written to be false for nan, so a nan weight fails it
+        if not (np.all(self.omega > 0) and np.all(self.alpha > 0)):
             raise ValueError("omega and alpha weights must be positive")
-        if abs(self.alpha[0] - 1.0) > 1e-14:
+        if not abs(self.alpha[0] - 1.0) <= 1e-14:
             raise ValueError("the step-0 alpha weight is fixed to 1")
         if self.beta:
             s = sum(math.sqrt(b) for b in self.beta.values())
-            if abs(s - 1.0) > 1e-12:
+            if not abs(s - 1.0) <= 1e-12:
                 raise ValueError(f"sqrt-beta must sum to 1, got {s}")
 
 
@@ -206,7 +210,7 @@ def regime_parameters(regime: str, exp_t: np.ndarray, exp_t2: np.ndarray,
     exp_t2 = np.asarray(exp_t2, dtype=float)
     n = len(exp_t)
     marked = sorted(set(marked))
-    if np.any(exp_t < 1.0) or np.any(exp_t2 <= 0.0):
+    if not (np.all(exp_t >= 1.0) and np.all(exp_t2 > 0.0)):  # false for nan too
         raise ValueError("stopping-time moments must satisfy E[T] >= 1, E[T^2] > 0")
     alpha = np.ones(t_max + 1)
     # the marked set's own mu or k: the default, and beta's normalizer s_f
@@ -289,53 +293,6 @@ class Sparsity:
                      for e in slots)
 
 
-@dataclass(frozen=True, eq=False)
-class SetMatrix:
-    """A named set, or a side's sets side by side, as a d x k CSC record.
-
-    values[indptr[j]:indptr[j + 1]] are generator j's entries on its
-    labels, none an exact zero: float64 when the set is real, complex
-    otherwise.  Products sum each output entry sequentially in storage
-    order (np.bincount), in the result dtype of their operands.
-    """
-
-    sparsity: Sparsity
-    values: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.sparsity.dim
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.sparsity.shape
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.sparsity.rows
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self.sparsity.cols
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.values.dtype)
-        out[self.rows, self.cols] = self.values
-        return out
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """G^H x, one overlap per generator: stacked_rmatvec's one-row case."""
-        return stacked_rmatvec(self.sparsity, self.values, x)
-
-    def matvec(self, c: np.ndarray) -> np.ndarray:
-        """G c, the d-vector combining the generators with coefficients c."""
-        return _sum_by(self.rows, self.values * c[self.cols], self.dim)
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        """G X for a dense k x r X, a d x r array: stacked_matmat's one-row case."""
-        return stacked_matmat(self.sparsity, self.values[None], x[None])[0]
-
-
 def stacked_matmat(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """G_s X_s for every row s: values (m, nnz) on sparsity, x (m, k, r), an (m, d, r) array.
 
@@ -392,15 +349,22 @@ def _sparsity(dim: int, rows, counts, keep) -> Sparsity:
     return Sparsity(dim, indptr, np.asarray(rows, dtype=np.int64)[keep])
 
 
-def _from_entries(dim: int, rows, values, counts) -> SetMatrix:
-    """A SetMatrix from entries listed column by column, exact zeros dropped.
+def _from_entries(dim: int, rows, values, counts) -> tuple[Sparsity, np.ndarray]:
+    """A set's Sparsity and values from entries listed column by column, exact zeros dropped.
 
     Real entries are stored as float64 and complex ones as complex128.
     """
     values = np.asarray(values)
     values = values.astype(np.result_type(values, np.float64), copy=False)
     keep = values != 0
-    return SetMatrix(_sparsity(dim, rows, counts, keep), values[keep])
+    return _sparsity(dim, rows, counts, keep), values[keep]
+
+
+def _dense(sparsity: Sparsity, values: np.ndarray) -> np.ndarray:
+    """The d x k dense columns of values on sparsity, in their dtype: for the dense oracles."""
+    out = np.zeros(sparsity.shape, dtype=values.dtype)
+    out[sparsity.rows, sparsity.cols] = values
+    return out
 
 
 def _hstack(dim: int, parts: list[Sparsity]) -> Sparsity:
@@ -410,21 +374,6 @@ def _hstack(dim: int, parts: list[Sparsity]) -> Sparsity:
                                      for p, start in zip(parts, starts)])
     return Sparsity(dim, indptr, np.concatenate([np.zeros(0, dtype=np.int64)]
                                                 + [p.rows for p in parts]))
-
-
-def _as_set_matrix(dim: int, vectors) -> SetMatrix:
-    """A generator set given as a SetMatrix or as a list of dense vectors."""
-    if isinstance(vectors, SetMatrix):
-        m = vectors
-    else:
-        dense = (np.stack([np.asarray(v).ravel() for v in vectors])
-                 if len(vectors) else np.zeros((0, dim)))
-        k, length = dense.shape
-        m = _from_entries(length, np.tile(np.arange(length), k), dense.ravel(),
-                          np.full(k, length))
-    if m.dim != dim:
-        raise ValueError(f"generator length {m.dim} does not match dim {dim}")
-    return m
 
 
 class GramPlan(NamedTuple):
@@ -585,7 +534,7 @@ class InstanceStructure:
 def stacked_rmatvec(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """G_s^H x_s for every row s: values (m, nnz), x (m, d), an (m, k) array.
 
-    Without the row axis, values (nnz,) and x (d,), it is G^H x (SetMatrix.rmatvec).
+    Without the row axis, values (nnz,) and x (d,), it is G^H x, one overlap per generator.
     """
     return _sum_by(sparsity.cols, values.conj() * x.take(sparsity.rows, axis=-1),
                    sparsity.shape[1])
@@ -613,9 +562,9 @@ class InstanceRows:
     in their InstanceStack, and every check that fails names the row by
     it.  Each row is computed on its own, in the same order as alone, so
     a row has the same bytes alone as inside a stack.  A PEInstance's
-    normalized generators, cross Gram and psi0 component are this class's
-    one-row case (PEInstance.rows); its generator norms and sparse Gram
-    share their arithmetic (_column_norms, _gram_entries).
+    span basis and psi0 component are this class's one-row case
+    (PEInstance.rows); its generator norms and sparse Gram share their
+    arithmetic (_column_norms, _gram_entries).
     """
 
     def __init__(self, structure: InstanceStructure, numbers, psi0: np.ndarray,
@@ -642,13 +591,14 @@ class InstanceRows:
         """Each row's generator norms on one side, (m, k).
 
         Raises ValueError naming the side and the row when a generator norm
-        is at or below rank_tol: such a generator spans nothing, and every
-        check that divides by its norm would report NaN instead.
+        is not above rank_tol (NaN included): such a generator spans
+        nothing, and every check that divides by its norm would report NaN
+        instead.
         """
         norms = _column_norms(self.structure.sides[side], self.values[side])
         low = norms.min(axis=1, initial=np.inf)
-        self.raise_first(low <= DEFAULT_TOL.rank_tol, low,
-                         lambda v: f"side {side}: generator norm {v:.3e} is at or below rank_tol")
+        self.raise_first(~(low > DEFAULT_TOL.rank_tol), low,
+                         lambda v: f"side {side}: generator norm {v:.3e} is not above rank_tol")
         return norms
 
     def gram(self, side: str) -> np.ndarray:
@@ -665,9 +615,9 @@ class InstanceRows:
         entries divided by both norms (every other pair is orthogonal by
         support, within a set or across sets), and its diagonal is each
         normalized generator's squared norm.  A largest |Q^H Q - I| entry
-        above assert_tol raises ValueError naming the side and the row (as
-        does a vanishing generator, in norms).  The values keep the side's
-        dtype: float64 for a real side.
+        above assert_tol, or NaN, raises ValueError naming the side and the
+        row (as does a vanishing generator, in norms).  The values keep the
+        side's dtype: float64 for a real side.
         """
         sparsity, plan = self.structure.sides[side], self.structure.gram(side)
         norms = self.norms(side)
@@ -678,7 +628,7 @@ class InstanceRows:
             (np.abs(gram) / (norms.take(plan.first, axis=1) * norms.take(plan.second, axis=1)))
             .max(axis=1, initial=0.0),
             np.abs(sq - 1.0).max(axis=1, initial=0.0))
-        self.raise_first(resid > DEFAULT_TOL.assert_tol, resid,
+        self.raise_first(~(resid <= DEFAULT_TOL.assert_tol), resid,
                          lambda v: f"side {side}: normalized generators are not "
                                    f"orthonormal, residual {v:.3e}")
         return q
@@ -709,13 +659,12 @@ class InstanceStack:
 
     def __init__(self, instances: list["PEInstance"]):
         kinds = {(inst.structure, inst.psi0.dtype,
-                  *(m.values.dtype for m in inst.sides.values())) for inst in instances}
+                  *(v.dtype for v in inst.values.values())) for inst in instances}
         if len(kinds) != 1:
             raise ValueError("a stack's instances must share one structure and dtype")
         self.structure = instances[0].structure
         self._psi0 = [inst.psi0 for inst in instances]
-        self._values = [{side: m.values for side, m in inst.sides.items()}
-                        for inst in instances]
+        self._values = [inst.values for inst in instances]
         self.spectra: dict[int, object] = {}
         for row, inst in enumerate(instances):
             inst._stack, inst.row = self, row
@@ -738,38 +687,36 @@ class PEInstance:
     """A two-reflection phase-estimation instance: its structure plus values.
 
     The InstanceStructure says where every entry sits; the instance adds
-    psi0 and one values array per side, so sides[side] is the side's one
-    SetMatrix, its generators set by set, and each value exists once.
-    ValueError is raised when psi0's length or a side's values length
-    does not match the structure.  Hand-built and simple instances come
-    from instance_from_sets; the general instances of one spec share their
-    GeneralPattern's structure, and with it its plans (the shared-label
-    pairs of the Gram and the cross Gram, psi0's component), so an
-    instance computes only what depends on its values.  Projections and
-    span-membership distances of single vectors run on a side's record,
-    which is also the one place generator norms are computed and checked;
-    the Gram residual and the cross-set cosines of the
-    reflection-factorization check share one cached list of shared-label
-    Gram entries per side.  No set reflection is ever built.
+    psi0 and values[side], one (nnz,) array per side on
+    structure.sides[side], its generators set by set, so each value exists
+    once.  ValueError is raised when psi0's length or a side's values
+    length does not match the structure.  Hand-built and simple instances
+    come from instance_from_sets; the general instances of one spec share
+    their GeneralPattern's structure, and with it its plans (the
+    shared-label pairs of the Gram and the cross Gram, psi0's component),
+    so an instance computes only what depends on its values.  Projections
+    and span-membership distances of single vectors take one
+    stacked_rmatvec per side on these arrays, and the norms they divide by
+    are computed and checked in one place (_norms); the Gram residual and
+    the cross-set cosines of the reflection-factorization check share one
+    cached list of shared-label Gram entries per side.  No set reflection
+    is ever built.
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
-    generators; normalized checks their orthonormality on the side's
-    sparse Gram (the shared-label entries the Gram residual reads, over
-    pairs within and across sets, and each normalized generator's squared
-    norm), raises rather than falling back when the check fails, and keeps
-    them as a SetMatrix in the dtype of the values: float64 for a real
-    instance such as a simple-loop one, complex otherwise.  The decision
-    engine takes the principal angles between the two spans from these
-    generators of psi0_component, the instance cut down to the generator
-    components psi0 reaches, and their cross Gram (cross_gram), for every
-    row of the instance's stack (its own until an InstanceStack ties it
-    to others, with row its place there); the instance's own norms, Gram,
-    normalized generators, cross Gram and component are InstanceRows'
-    one-row case (rows).  span_basis densifies them for the oracles.  The dense projectors and
-    the walk unitary are built lazily from an SVD of the dense generator
-    columns instead, so the dense oracle does not share the engine's
-    basis; they are d x d, so they alone check the dimension cap.
+    generators.  The decision engine takes the principal angles between
+    the two spans from those of psi0_component, the instance cut down to
+    the generator components psi0 reaches, for every row of the
+    instance's stack (its own until an InstanceStack ties it to others,
+    with row its place there): InstanceRows.normalized checks their
+    orthonormality on the side's sparse Gram, raising rather than falling
+    back, and keeps the dtype of the values (float64 for a real instance
+    such as a simple-loop one, complex otherwise), and
+    InstanceRows.cross_gram pairs them.  span_basis densifies the one-row
+    case (rows) for the oracles.  The dense projectors and the walk
+    unitary are built lazily from an SVD of the dense generator columns
+    instead, so the dense oracle does not share the engine's basis; they
+    are d x d, so they alone check the dimension cap.
     """
 
     def __init__(self, structure: InstanceStructure, psi0: np.ndarray,
@@ -783,8 +730,7 @@ class PEInstance:
         self.structure = structure
         self.dim = structure.dim
         self.psi0 = psi0
-        self.sides = {side: SetMatrix(sparsity, values[side])
-                      for side, sparsity in structure.sides.items()}
+        self.values = {side: values[side] for side in structure.sides}
         self._cache: dict[str, object] = {}
         self._stack: InstanceStack | None = None
         self.row = 0
@@ -799,7 +745,7 @@ class PEInstance:
     def rows(self) -> InstanceRows:
         """This instance alone as InstanceRows, numbered by its row."""
         return InstanceRows(self.structure, (self.row,), self.psi0[None],
-                            {side: m.values[None] for side, m in self.sides.items()})
+                            {side: v[None] for side, v in self.values.items()})
 
     def set_vectors(self, side: str, name: str) -> list[np.ndarray]:
         """The generators of one named set as dense vectors."""
@@ -812,21 +758,21 @@ class PEInstance:
 
         For the dense oracle paths; the record-based checks never call it.
         """
-        return list(self.sides[side].toarray().T)
+        return list(_dense(self.structure.sides[side], self.values[side]).T)
 
     def _norms(self, side: str) -> np.ndarray:
         """The side's generator norms, cached.
 
-        Raises ValueError naming the side when a generator norm is at or
-        below rank_tol: such a generator spans nothing, and every check
-        that divides by its norm would report NaN instead.
+        Raises ValueError naming the side when a generator norm is not
+        above rank_tol (NaN included): such a generator spans nothing, and
+        every check that divides by its norm would report NaN instead.
         """
         key = f"norms_{side}"
         if key not in self._cache:
-            norms = _column_norms(self.structure.sides[side], self.sides[side].values)
-            if np.any(norms <= DEFAULT_TOL.rank_tol):
+            norms = _column_norms(self.structure.sides[side], self.values[side])
+            if not np.all(norms > DEFAULT_TOL.rank_tol):
                 raise ValueError(f"side {side}: generator norm {norms.min():.3e} "
-                                 f"is at or below rank_tol")
+                                 f"is not above rank_tol")
             self._cache[key] = norms
         return self._cache[key]
 
@@ -841,7 +787,7 @@ class PEInstance:
         if f"gram_{side}" not in self._cache:
             plan = self.structure.gram(side)
             self._cache[f"gram_{side}"] = (plan.first, plan.second,
-                                           _gram_entries(plan, self.sides[side].values))
+                                           _gram_entries(plan, self.values[side]))
         return self._cache[f"gram_{side}"], norms
 
     def gram_offdiagonal_residual(self, side: str) -> float:
@@ -865,10 +811,8 @@ class PEInstance:
 
         Valid because the side's generators are pairwise orthogonal.
         """
-        m, norms = self.sides[side], self._norms(side)
-        if m.shape[1] == 0:
-            return 0.0
-        overlaps = m.rmatvec(vec)
+        norms = self._norms(side)
+        overlaps = stacked_rmatvec(self.structure.sides[side], self.values[side], vec)
         return float(np.sum(np.abs(overlaps) ** 2 / norms ** 2))
 
     def membership_residual(self, side: str, vec: np.ndarray) -> float:
@@ -878,40 +822,21 @@ class PEInstance:
         squared norms, which would cancel catastrophically for vectors
         inside the span).
         """
-        m, norms = self.sides[side], self._norms(side)
-        if m.shape[1] == 0:
-            return float(np.linalg.norm(vec))
-        overlaps = m.rmatvec(vec)
-        residual = vec - m.matvec(overlaps / norms ** 2)
-        return float(np.linalg.norm(residual))
-
-    def normalized(self, side: str) -> SetMatrix:
-        """One side's generators each divided by its norm, as a SetMatrix.
-
-        InstanceRows.normalized's one-row case, which checks that they are
-        orthonormal; cached per side.
-        """
-        key = f"normalized_{side}"
-        if key not in self._cache:
-            self._cache[key] = SetMatrix(self.structure.sides[side],
-                                         self.rows().normalized(side)[0])
-        return self._cache[key]
+        sparsity, values = self.structure.sides[side], self.values[side]
+        overlaps = stacked_rmatvec(sparsity, values, vec)
+        # P vec = G c with c = overlaps / norms^2, each label's entries summed in order
+        c = overlaps / self._norms(side) ** 2
+        return float(np.linalg.norm(vec - _sum_by(sparsity.rows, values * c[sparsity.cols],
+                                                  self.dim)))
 
     def span_basis(self, side: str) -> np.ndarray:
         """Orthonormal basis (dim x generator count) of one side's span.
 
-        The checked normalized generators, densified: for the dense
-        oracles, as the decision engine works on the records.
+        The normalized generators, checked by InstanceRows.normalized and
+        densified: for the dense oracles, as the decision engine works on
+        the sparse values.
         """
-        return self.normalized(side).toarray()
-
-    def cross_gram(self) -> np.ndarray:
-        """Q_A^H Q_B for the normalized generators, a dense k_A x k_B array.
-
-        InstanceRows.cross_gram's one-row case.
-        """
-        qa, qb = self.normalized("A"), self.normalized("B")
-        return self.rows().cross_gram(qa.values[None], qb.values[None])[0]
+        return _dense(self.structure.sides[side], self.rows().normalized(side)[0])
 
     def psi0_component(self) -> "PEInstance":
         """The instance on the generator components that psi0's support meets.
@@ -977,22 +902,38 @@ class PEInstance:
         return report
 
 
-def instance_from_sets(dim: int, psi0: np.ndarray,
-                       a_sets: dict[str, SetMatrix | list[np.ndarray]],
-                       b_sets: dict[str, SetMatrix | list[np.ndarray]]) -> PEInstance:
-    """The instance of named generator sets, with a structure of its own.
+def instance_from_sets(dim: int, psi0: np.ndarray, a_sets: dict[str, list[np.ndarray]],
+                       b_sets: dict[str, list[np.ndarray]]) -> PEInstance:
+    """The instance of named sets of dense generator vectors, with a structure of its own.
 
-    Each set is a SetMatrix or a list of dense vectors (for hand-built
-    instances), converted once; each side's sets are laid side by side in
-    the order given, their values joined into the side's one array.
+    For hand-built instances: each generator keeps its nonzero entries,
+    and a generator whose length is not dim raises ValueError.
     """
-    sides, sets, values = {}, {}, {}
-    for side, named in (("A", a_sets), ("B", b_sets)):
-        named = {k: _as_set_matrix(dim, v) for k, v in named.items()}
-        sides[side] = _hstack(dim, [m.sparsity for m in named.values()])
-        sets[side] = {k: m.shape[1] for k, m in named.items()}
-        values[side] = np.concatenate([np.zeros(0)] + [m.values for m in named.values()])
-    return PEInstance(InstanceStructure(dim, np.flatnonzero(psi0), sides, sets),
+    def stored(vectors):
+        dense = (np.stack([np.asarray(v).ravel() for v in vectors])
+                 if len(vectors) else np.zeros((0, dim)))
+        k, length = dense.shape
+        if length != dim:
+            raise ValueError(f"generator length {length} does not match dim {dim}")
+        return _from_entries(dim, np.tile(np.arange(dim), k), dense.ravel(), np.full(k, dim))
+
+    return _from_sets(dim, psi0, {side: {name: stored(v) for name, v in named.items()}
+                                  for side, named in (("A", a_sets), ("B", b_sets))})
+
+
+def _from_sets(dim: int, psi0: np.ndarray, sets) -> PEInstance:
+    """The instance of each side's named (Sparsity, values) sets, with a structure of its own.
+
+    sets maps "A" and "B" to their named sets; each side's sets are laid
+    side by side in the order given, their values joined into the side's
+    one array.
+    """
+    sides, counts, values = {}, {}, {}
+    for side, named in sets.items():
+        sides[side] = _hstack(dim, [sparsity for sparsity, _ in named.values()])
+        counts[side] = {name: sparsity.shape[1] for name, (sparsity, _) in named.items()}
+        values[side] = np.concatenate([np.zeros(0)] + [v for _, v in named.values()])
+    return PEInstance(InstanceStructure(dim, np.flatnonzero(psi0), sides, counts),
                       psi0, values)
 
 
@@ -1007,11 +948,11 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     query branches, weighted by omega), "query" (query transition folding
     the oracle answer into the returned bit), "check" (return-to-check
     transitions for both bit values), "absorb" (checked unmarked branches,
-    the dead end that closes the loop).  Each set is built as a SetMatrix
-    from index arrays, a generator per row, whose labels already ascend
-    (src < qry < ret < chk).
+    the dead end that closes the loop).  Each set's Sparsity and values
+    are built from index arrays, a generator per row, whose labels already
+    ascend (src < qry < ret < chk).
     """
-    if omega <= 0:
+    if not omega > 0:  # false for nan too
         raise ValueError("omega must be positive")
     n = oracle.size
     basis = SimpleBasis(n)
@@ -1029,16 +970,14 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     check = (np.stack([idx("ret", ic, bc), idx("chk", ic, bc)], axis=1), pair)
     absorb = (idx("chk", i[answer == 0], 0)[:, None], 1.0)
 
-    def set_matrix(rows, values) -> SetMatrix:
+    def stored(rows, values):
         return _from_entries(basis.dim, rows.ravel(),
                              np.broadcast_to(values, rows.shape).ravel(),
                              np.full(len(rows), rows.shape[1]))
 
-    return instance_from_sets(
-        dim=basis.dim, psi0=basis.unit("src", 0, 0),
-        a_sets={"launch": set_matrix(*launch), "check": set_matrix(*check)},
-        b_sets={"query": set_matrix(*query), "absorb": set_matrix(*absorb)},
-    )
+    return _from_sets(basis.dim, basis.unit("src", 0, 0), {
+        "A": {"launch": stored(*launch), "check": stored(*check)},
+        "B": {"query": stored(*query), "absorb": stored(*absorb)}})
 
 
 @dataclass(frozen=True)
@@ -1176,9 +1115,9 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
     over spec.survival, accumulated in t order.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if len(alpha) != spec.num_steps + 1 or abs(alpha[0] - 1.0) > 1e-14:
+    if len(alpha) != spec.num_steps + 1 or not abs(alpha[0] - 1.0) <= 1e-14:
         raise ValueError("need one positive alpha per step with alpha[0] = 1")
-    if np.any(alpha <= 0):
+    if not np.all(alpha > 0):  # false for nan too
         raise ValueError("alpha weights must be positive")
     inputs = np.asarray(inputs, dtype=int)
     if np.any((inputs < 0) | (inputs >= spec.num_inputs)):

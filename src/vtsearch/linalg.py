@@ -193,9 +193,14 @@ def _eig_2x2(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, vectors
 
 
+def _within_tol(resid: np.ndarray, axis=None):
+    """Whether the largest residual entry is at most assert_tol: false for NaN."""
+    return np.max(resid, axis=axis, initial=0.0) <= DEFAULT_TOL.assert_tol
+
+
 def _first_block_over(resid: np.ndarray) -> int:
-    """The first block of a failed stack whose largest residual entry exceeds assert_tol."""
-    return int(np.flatnonzero(np.max(resid, axis=(1, 2)) > DEFAULT_TOL.assert_tol)[0])
+    """The first block of a failed stack whose residual is over assert_tol or NaN."""
+    return int(np.flatnonzero(~_within_tol(resid, axis=(1, 2)))[0])
 
 
 def unitary_eig(u: np.ndarray) -> SpectralDecomposition:
@@ -203,20 +208,21 @@ def unitary_eig(u: np.ndarray) -> SpectralDecomposition:
 
     The blocks go through :func:`_eig_2x2`; every block's unitarity and
     reconstruction residuals must stay within assert_tol, and
-    NonUnitaryError names the first block that fails.
+    NonUnitaryError names the first block that fails, as it does a block
+    with a NaN residual.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 3 or u.shape[1:] != (2, 2):
         raise ValueError(f"input must be a (k, 2, 2) stack, got shape {u.shape}")
     resid = np.abs(_adjoint(u) @ u - np.eye(2))
-    if np.max(resid, initial=0.0) > DEFAULT_TOL.assert_tol:
+    if not _within_tol(resid):
         block = _first_block_over(resid)
         raise NonUnitaryError(f"block {block} is not unitary within tolerance", block)
     phases, q = _eig_2x2(u)
     phases = np.where(phases <= -np.pi + 1e-300, np.pi, phases)
     dec = SpectralDecomposition(phases=phases, vectors=q)
     resid = np.abs(dec.reconstruct() - u)
-    if np.max(resid, initial=0.0) > DEFAULT_TOL.assert_tol:
+    if not _within_tol(resid):
         block = _first_block_over(resid)
         raise NonUnitaryError(f"spectral reconstruction residual "
                               f"{resid[block].max():.3e} too large in block {block}", block)

@@ -16,7 +16,8 @@ products, and each plane's rotation is written in closed form.  Two
 checks run on every decision and together certify every plane invariant
 under W: the generators' orthonormality (InstanceRows.normalized) and the
 principal-vector residual max(|C V - U Sigma|, |C^H U - V Sigma|) <=
-assert_tol.  The stack of rotations goes to one unitary_eig call; the
+assert_tol, which a NaN fails too, as it fails every check of the
+engine.  The stack of rotations goes to one unitary_eig call; the
 remaining directions are fixed analytically: intersection lines and the
 complement of span A + span B have phase 0, and the directions of either
 side that the SVD leaves unpaired (orthogonal to the other span) have
@@ -115,9 +116,9 @@ def _rotation_blocks(angles: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_psi0(psi0: np.ndarray, row: int) -> None:
-    """ValueError naming the row when |psi0| differs from 1 by more than assert_tol."""
+    """ValueError naming the row unless |psi0| is within assert_tol of 1 (so for NaN too)."""
     norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > DEFAULT_TOL.assert_tol:
+    if not abs(norm - 1.0) <= DEFAULT_TOL.assert_tol:
         raise ValueError(f"psi0 has norm {norm!r}, not 1, in row {row}")
 
 
@@ -199,7 +200,7 @@ def _stack_spectra(rows: InstanceRows) -> list[WalkSpectrum]:
     resid = np.maximum(np.abs(c @ v - u * scaled).max(axis=(1, 2), initial=0.0),
                        np.abs(c.conj().swapaxes(1, 2) @ u - v * scaled)
                        .max(axis=(1, 2), initial=0.0))
-    part.raise_first(resid > DEFAULT_TOL.assert_tol, resid,
+    part.raise_first(~(resid <= DEFAULT_TOL.assert_tol), resid,
                      lambda r: f"principal-vector residual {r:.3e} exceeds "
                                f"assert_tol {DEFAULT_TOL.assert_tol:g}")
     pa, pb = stacked_rmatvec(sa, qa, psi0), stacked_rmatvec(sb, qb, psi0)
@@ -281,10 +282,10 @@ class Decision:
     """A verdict with the size of the instance it was reached on.
 
     dim is the instance dimension and rank_a / rank_b its generator counts
-    per side (the ranks of the two spans); dim_decided is the row count of
-    psi0's component, on which the spectrum was taken, and min_angle the
-    smallest principal angle among the rotation planes of that component
-    (None when there is none).
+    per side (the ranks of the two spans), read from its structure;
+    dim_decided is the row count of psi0's component, on which the
+    spectrum was taken, and min_angle the smallest principal angle among
+    the rotation planes of that component (None when there is none).
     """
 
     verdict: str            # "positive" | "negative"
@@ -321,10 +322,11 @@ def decide(instance: PEInstance, c_minus: float, c_plus: float) -> Decision:
     p0 = _zero_phase_weight(spectrum, theta_star)
     threshold = 1.0 / (2.0 * c_plus)
     verdict = "positive" if p0 >= threshold else "negative"
+    sides = instance.structure.sides
     return Decision(verdict=verdict, p0=p0, threshold=threshold,
                     theta_star=theta_star, dim=instance.dim,
-                    dim_decided=spectrum.dim, rank_a=instance.sides["A"].shape[1],
-                    rank_b=instance.sides["B"].shape[1], min_angle=spectrum.min_angle)
+                    dim_decided=spectrum.dim, rank_a=sides["A"].shape[1],
+                    rank_b=sides["B"].shape[1], min_angle=spectrum.min_angle)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vtsearch.grover import OracleSpec
+from vtsearch.grover import CostProfile, OracleSpec
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 PositiveWitness, REGIMES, SimpleBasis, Weights,
                                 build_general_instance, build_simple_instance,
@@ -129,8 +129,8 @@ def _csc(entries, dtype=complex):
 def _side_arrays(inst):
     """Each side's set counts and its (indptr, rows, values) as bytes."""
     return [(side, inst.structure.sets[side],
-             *(a.tobytes() for a in (m.sparsity.indptr, m.rows, m.values)))
-            for side, m in inst.sides.items()]
+             *(a.tobytes() for a in (s.indptr, s.rows, inst.values[side])))
+            for side, s in inst.structure.sides.items()]
 
 
 def _oracle_sides(dense_sets, dtype=complex):
@@ -390,16 +390,16 @@ def test_instance_rejects_lengths_other_than_its_structure(small_pair):
             instance_from_sets(dim=3, psi0=wrong, a_sets={"a": [a]}, b_sets={"b": [b]})
     pair, = regime_pairs(*small_pair, ["i-a"])
     inst = pair.instances()["marked"]
-    values = {side: m.values for side, m in inst.sides.items()}
+    values = inst.values
     for side in ("A", "B"):
         for cut in (values[side][:-1], np.append(values[side], 1.0)):
             with pytest.raises(ValueError, match=f"side {side}: {len(cut)} values"):
                 PEInstance(inst.structure, inst.psi0, {**values, side: cut})
-    assert PEInstance(inst.structure, inst.psi0, values).sides["B"].values is values["B"]
+    assert PEInstance(inst.structure, inst.psi0, values).values["B"] is values["B"]
 
 
 def test_checks_read_each_side_record(small_pair):
-    """Norms, Gram and span basis come from sides[side], the side's one record.
+    """Norms, Gram and span basis come from values[side], the side's one array.
 
     Doubling one side's values, passed to the constructor, doubles its
     norms and quadruples its Gram entries, bit for bit, and leaves its
@@ -411,10 +411,10 @@ def test_checks_read_each_side_record(small_pair):
              *pair.instances().values()]
     for inst in built:
         for side in ("A", "B"):
-            m = inst.sides[side]
-            assert m.sparsity is inst.structure.sides[side]
-            values = {s: v.values for s, v in inst.sides.items()}
-            doubled = PEInstance(inst.structure, inst.psi0, {**values, side: 2.0 * m.values})
+            values = inst.values
+            assert len(values[side]) == len(inst.structure.sides[side].rows)
+            doubled = PEInstance(inst.structure, inst.psi0,
+                                 {**values, side: 2.0 * values[side]})
             assert np.array_equal(doubled._norms(side), 2.0 * inst._norms(side))
             (_, _, gram), _ = inst._gram(side)
             (_, _, gram_doubled), _ = doubled._gram(side)
@@ -450,7 +450,7 @@ def test_gram_of_overlapping_generators_matches_dense():
     psi0[0] = 1.0
     inst = instance_from_sets(dim, psi0, a_sets={"x": a[:4], "y": a[4:]}, b_sets={"z": b})
     (first, second, _), _ = inst._gram("A")
-    assert np.max(np.bincount(inst.sides["A"].rows)) >= 4
+    assert np.max(np.bincount(inst.structure.sides["A"].rows)) >= 4
     # one entry per pair that shares a label, each listed once
     shared = {(i, j) for i in range(9) for j in range(i + 1, 9)
               if np.any((a[i] != 0) & (a[j] != 0))}
@@ -474,6 +474,53 @@ def test_weights_validation():
         Weights(omega=np.ones(2), alpha=np.array([2.0, 1.0]), beta={})
     with pytest.raises(ValueError):
         Weights(omega=np.ones(2), alpha=np.ones(2), beta={0: 0.5, 1: 0.5})
+
+
+NAN_INPUTS = ("Weights-omega", "Weights-alpha", "Weights-beta", "regime_parameters-moments",
+              "regime_parameters-k", "history_states-alpha", "history_states-alpha0",
+              "CostProfile-moments", "CostProfile-pi", "build_simple_instance")
+
+
+@pytest.mark.parametrize("case", NAN_INPUTS)
+def test_input_constructors_refuse_nan(case, small_pair):
+    """NaN fails every comparison, so each input check must be written to fail for it.
+
+    Unchecked, regime_parameters would return a NaN omega, and
+    compare_table would report NaN bounds from a NaN CostProfile.
+    """
+    nan = math.nan
+    spec = small_pair[0]
+    alpha = np.ones(spec.num_steps + 1)
+    cases = {
+        "Weights-omega": (lambda: Weights(omega=np.array([nan, 1.0]), alpha=np.ones(3),
+                                          beta={}), "must be positive"),
+        "Weights-alpha": (lambda: Weights(omega=np.ones(2), alpha=np.array([1.0, nan, 1.0]),
+                                          beta={}), "must be positive"),
+        "Weights-beta": (lambda: Weights(omega=np.ones(2), alpha=np.ones(3), beta={0: nan}),
+                         "sqrt-beta must sum to 1, got nan"),
+        "regime_parameters-moments": (
+            lambda: regime_parameters("ii-b", np.array([nan, 2.0]), np.array([1.0, 4.0]), 2,
+                                      marked=(0,)), "stopping-time moments"),
+        "regime_parameters-k": (
+            lambda: regime_parameters("ii-b", np.array([1.0, 2.0]), np.array([1.0, 4.0]), 2,
+                                      marked=(0,), k=nan), "must be positive"),
+        "history_states-alpha": (lambda: history_states(spec, [0], np.where(
+            np.arange(len(alpha)) == 1, nan, alpha)), "alpha weights must be positive"),
+        "history_states-alpha0": (lambda: history_states(spec, [0], np.where(
+            np.arange(len(alpha)) == 0, nan, alpha)), r"alpha\[0\] = 1"),
+        "CostProfile-moments": (lambda: CostProfile(exp_t=np.array([nan, 2.0]),
+                                                    exp_t2=np.array([1.0, 4.0]),
+                                                    pi=np.array([0.5, 0.5])),
+                                r"E\[T\^2\] >= E\[T\]\^2 >= 1"),
+        "CostProfile-pi": (lambda: CostProfile(exp_t=np.array([1.0, 2.0]),
+                                               exp_t2=np.array([1.0, 4.0]),
+                                               pi=np.array([nan, 0.5])), "sum to 1"),
+        "build_simple_instance": (lambda: build_simple_instance(
+            OracleSpec(size=4, marked=frozenset({0})), nan), "omega must be positive"),
+    }
+    build, message = cases[case]
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_regime_substitution_examples():
@@ -694,7 +741,7 @@ def test_span_basis_dtype_follows_the_instance_values(small_pair):
             for part in (inst, inst.psi0_component()):
                 assert part.psi0.dtype == dtype
                 for side in ("A", "B"):
-                    assert part.sides[side].values.dtype == dtype
+                    assert part.values[side].dtype == dtype
                     assert part.span_basis(side).dtype == dtype
     # hand-built sets keep their dtype: integers become float64
     e = np.eye(3, dtype=int)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vtsearch.instances as inst_mod
+import vtsearch.linalg as linalg_mod
 import vtsearch.phase as phase_mod
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (REGIMES, InstanceStack, PEInstance, SetMatrix,
+from vtsearch.instances import (REGIMES, InstanceStack, PEInstance,
                                 build_simple_instance, instance_from_sets,
                                 general_negative_witness,
                                 general_positive_witness, regime_parameters,
@@ -21,7 +22,7 @@ from vtsearch.phase import (WalkSpectrum, _walk_spectrum, _zero_phase_weight,
                             register_bits_for, verify_reflection_factorization,
                             zero_phase_overlap)
 from vtsearch.linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError,
-                             NonUnitaryError, cluster_phases)
+                             NonUnitaryError, cluster_phases, reflection, unitary_eig)
 from vtsearch.subroutines import stopping_moments, subroutine_pair
 
 from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
@@ -101,13 +102,11 @@ def test_decide_rejects_a_psi0_that_is_not_a_unit_vector():
     """p0 and its threshold are for a unit psi0, so decide refuses any other."""
     inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
     for scale in (2.0, 1.0 + 1e-6, 0.5):
-        scaled = PEInstance(inst.structure, scale * inst.psi0,
-                            {side: m.values for side, m in inst.sides.items()})
+        scaled = PEInstance(inst.structure, scale * inst.psi0, inst.values)
         with pytest.raises(ValueError, match="psi0 has norm"):
             decide(scaled, c_minus=13.0, c_plus=4.0)
     # within assert_tol of 1, the verdict stands
-    near = PEInstance(inst.structure, (1.0 + 1e-12) * inst.psi0,
-                      {side: m.values for side, m in inst.sides.items()})
+    near = PEInstance(inst.structure, (1.0 + 1e-12) * inst.psi0, inst.values)
     assert decide(near, c_minus=13.0, c_plus=4.0).verdict == "positive"
 
 
@@ -116,8 +115,7 @@ def test_decide_rejects_a_psi0_that_is_not_a_unit_vector():
 def test_every_spectrum_entry_point_rejects_a_non_unit_psi0(entry):
     """A doubled psi0 would scale every weight by 4, so each entry point refuses it."""
     inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
-    doubled = PEInstance(inst.structure, 2.0 * inst.psi0,
-                         {side: m.values for side, m in inst.sides.items()})
+    doubled = PEInstance(inst.structure, 2.0 * inst.psi0, inst.values)
     call = {"decide": lambda i: decide(i, c_minus=13.0, c_plus=4.0),
             "zero_phase_overlap": lambda i: zero_phase_overlap(i, 0.2),
             "qpe_zero_prediction": lambda i: qpe_zero_prediction(i, 3),
@@ -140,6 +138,115 @@ def test_decide_and_zero_phase_overlap_reject_a_nan_cutoff(entry):
     assert call(valid) >= 0.25 - ORACLE_TOL
     with pytest.raises(ValueError, match="got nan"):
         call(math.nan)
+
+
+NAN_CHECKS = ("psi0-decide", "psi0-qpe_simulate", "norms-decide", "norms-report",
+              "orthonormality", "certificate", "unitarity", "reconstruction")
+
+
+@pytest.mark.parametrize("check", NAN_CHECKS)
+def test_a_nan_fails_every_check(check, monkeypatch):
+    """NaN fails every comparison, so each check must be written to fail for it.
+
+    Each case puts a NaN where one check reads a number.  Unchecked, a NaN
+    psi0 entry would give a negative verdict with p0 = nan and a nan
+    p_zero, a NaN generator value would pass well_formedness_report and
+    then fail decide's SVD, and unitary_eig would return NaN phases.  The
+    orthonormality and reconstruction residuals and the certificate are
+    handed their NaN by a patched helper, since no finite input reaches
+    them with one.
+    """
+    inst = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
+    psi0 = inst.psi0.copy()
+    psi0[0] = math.nan
+    nan_psi0 = PEInstance(inst.structure, psi0, inst.values)
+    a = inst.values["A"].copy()
+    a[0] = math.nan
+    nan_value = PEInstance(inst.structure, inst.psi0, {**inst.values, "A": a})
+    # side A shares label 0 between its two generators, so it has a Gram entry
+    shared = _toy_instance([_unit(3, 0) + _unit(3, 1), _unit(3, 0) - _unit(3, 1)],
+                           [_unit(3, 2)], _unit(3, 0))
+    eye = np.eye(2, dtype=complex)
+
+    def patch(owner, name, change):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: change(original(*args, **kw)))
+
+    def nan_singular_vector(usv):
+        u = usv[0].copy()
+        u[..., 0, 0] = math.nan
+        return (u, *usv[1:])
+
+    def nan_phase(decomposition):
+        phases = decomposition[0].copy()
+        phases[1] = math.nan
+        return phases, decomposition[1]
+
+    cases = {
+        "psi0-decide": (lambda: decide(nan_psi0, c_minus=13.0, c_plus=4.0),
+                        "psi0 has norm nan, not 1, in row 0"),
+        "psi0-qpe_simulate": (lambda: qpe_simulate(nan_psi0, 3),
+                              "psi0 has norm nan, not 1, in row 0"),
+        "norms-decide": (lambda: decide(nan_value, c_minus=13.0, c_plus=4.0),
+                         "side A: generator norm nan is not above rank_tol in row 0"),
+        "norms-report": (lambda: nan_value.well_formedness_report(),
+                         "side A: generator norm nan is not above rank_tol$"),
+        "orthonormality": (lambda: (patch(inst_mod, "_gram_entries", lambda g: g * math.nan),
+                                    decide(shared, c_minus=4.0, c_plus=2.0)),
+                           "side A: normalized generators are not orthonormal, "
+                           "residual nan in row 0"),
+        "certificate": (lambda: (patch(phase_mod.np.linalg, "svd", nan_singular_vector),
+                                 decide(inst, c_minus=13.0, c_plus=4.0)),
+                        "principal-vector residual nan exceeds assert_tol 1e-08 in row 0"),
+        "unitarity": (lambda: unitary_eig(np.stack([eye, np.full((2, 2), math.nan), eye])),
+                      "block 1 is not unitary"),
+        "reconstruction": (lambda: (patch(linalg_mod, "_eig_2x2", nan_phase),
+                                    unitary_eig(np.stack([eye, eye, eye]))),
+                           "reconstruction residual nan too large in block 1"),
+    }
+    call, message = cases[check]
+    with pytest.raises(ValueError, match=message) as caught:
+        call()
+    if check in ("unitarity", "reconstruction"):
+        assert caught.value.block == 1
+
+
+def test_a_side_with_no_generators():
+    """Side A has no generators: its span is {0}, so R_A = -I and W = -R_B.
+
+    Its projections are those of the rank-0 dense projector, side B's are
+    the dense projector's, and the report, the reflection-factorization
+    check and the decision run on it and agree with the dense oracles.
+    """
+    rng = np.random.default_rng(5)
+    dim = 5
+    b = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+    b_vecs = [np.concatenate([[0.0], col]) for col in b.T]
+    psi0 = (_unit(dim, 0) + _unit(dim, 1)) / math.sqrt(2)
+    inst = instance_from_sets(dim, psi0, a_sets={"a": []},
+                              b_sets={"b": b_vecs[:1], "c": b_vecs[1:]})
+    assert inst.structure.sides["A"].shape == (dim, 0) and inst.projector("A").rank == 0
+    for vec in (psi0, rng.normal(size=dim) + 1j * rng.normal(size=dim)):
+        for side in ("A", "B"):
+            p = inst.projector(side).matrix
+            assert abs(inst.projection_norm_sq(side, vec)
+                       - np.linalg.norm(p @ vec) ** 2) <= ORACLE_TOL
+            assert abs(inst.membership_residual(side, vec)
+                       - np.linalg.norm(vec - p @ vec)) <= ORACLE_TOL
+        assert inst.projection_norm_sq("A", vec) == 0.0
+    report = inst.well_formedness_report()
+    assert report["gram_offdiag_A"] == 0.0
+    assert abs(report["psi0_overlap_B"]
+               - np.linalg.norm(inst.projector("B").matrix @ psi0)) <= ORACLE_TOL
+    assert report["passed"] is False  # psi0 overlaps span B
+    assert verify_reflection_factorization(inst) <= DEFAULT_TOL.assert_tol
+    assert np.max(np.abs(inst.walk_unitary() + reflection(inst.projector("B")))) <= ORACLE_TOL
+    decision = decide(inst, c_minus=13.0, c_plus=4.0)
+    assert (decision.rank_a, decision.rank_b, decision.dim_decided) == (0, 2, dim)
+    p0 = dense_zero_phase_overlap(dense_walk_spectrum(inst), decision.theta_star)
+    assert abs(decision.p0 - p0) <= ORACLE_TOL
+    assert decision.verdict == ("positive" if p0 >= decision.threshold else "negative")
+    _assert_matches_dense_oracle(inst)
 
 
 def test_negative_case_suppression():
@@ -363,7 +470,7 @@ def test_restriction_follows_a_deep_chain():
 def _complex_copy(inst):
     """The instance with its psi0 and each side's values cast to complex."""
     return PEInstance(inst.structure, inst.psi0.astype(complex),
-                      {side: m.values.astype(complex) for side, m in inst.sides.items()})
+                      {side: v.astype(complex) for side, v in inst.values.items()})
 
 
 def _phase_clusters(spectrum):
@@ -527,7 +634,7 @@ def test_closed_form_planes_match_the_reflected_engine(case, monkeypatch):
     for (label, inst, c_minus, c_plus), spectrum in zip(cases, spectra):
         part = inst.psi0_component()
         qa, qb = part.span_basis("A"), part.span_basis("B")
-        u, cos, vh = np.linalg.svd(part.cross_gram(), full_matrices=False)
+        u, cos, vh = np.linalg.svd(_cross_gram(part), full_matrices=False)
         ua = qa @ u
         perp = qb @ vh.conj().T - ua * cos
         sin = np.linalg.norm(perp, axis=0)
@@ -569,8 +676,7 @@ def test_stacked_rows_have_the_bytes_of_lone_rows(shape, seed):
         _walk_spectrum(rows[0])
         assert sorted(rows[0].stack.spectra) == list(range(5))
         for row, inst in enumerate(rows):
-            alone = PEInstance(inst.structure, inst.psi0,
-                               {side: m.values for side, m in inst.sides.items()})
+            alone = PEInstance(inst.structure, inst.psi0, inst.values)
             assert inst.row == row and alone.row == 0 and len(alone.stack) == 1
             got, want = _walk_spectrum(inst), _walk_spectrum(alone)
             assert got.phases.tobytes() == want.phases.tobytes()
@@ -586,7 +692,7 @@ def test_rows_past_the_entry_budget_go_in_smaller_passes(monkeypatch):
     pairs = regime_pairs(*subroutine_pair(0, 4, 4, 4), REGIMES)
     rows = [pair.built["marked"] for pair in pairs]
     part = rows[0].psi0_component()
-    width = max(m.shape[1] for m in part.sides.values()) + 1
+    width = max(s.shape[1] for s in part.structure.sides.values()) + 1
     monkeypatch.setattr(phase_mod, "STACK_ENTRIES", 2 * part.dim * width + 1)
     spectra = rows[0].stack.spectra
     _walk_spectrum(rows[3])
@@ -594,8 +700,7 @@ def test_rows_past_the_entry_budget_go_in_smaller_passes(monkeypatch):
     _walk_spectrum(rows[4])
     assert sorted(spectra) == [2, 3, 4]
     for inst in rows:
-        alone = PEInstance(inst.structure, inst.psi0,
-                           {side: m.values for side, m in inst.sides.items()})
+        alone = PEInstance(inst.structure, inst.psi0, inst.values)
         assert _walk_spectrum(inst).weights.tobytes() == _walk_spectrum(alone).weights.tobytes()
     assert sorted(spectra) == list(range(5))
 
@@ -610,10 +715,16 @@ def test_a_stack_refuses_instances_it_cannot_decide_together():
     assert len(real.stack) == 1 and real.row == 0
 
 
+def _cross_gram(inst):
+    """The engine's cross Gram Q_A^H Q_B of an instance alone, k_A x k_B."""
+    rows = inst.rows()
+    return rows.cross_gram(rows.normalized("A"), rows.normalized("B"))[0]
+
+
 def _assert_cross_gram_is_dense_product(inst):
     part = inst.psi0_component()
     want = part.span_basis("A").conj().T @ part.span_basis("B")
-    got = part.cross_gram()
+    got = _cross_gram(part)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.max(np.abs(got - want), initial=0.0) <= ORACLE_TOL
 
@@ -680,8 +791,8 @@ def test_a_non_unitary_rotation_block_names_its_row(small_pair, monkeypatch):
     # each row's planes, from its spectrum alone: two nonzero phases each
     # before the last three entries, which are pi, pi and 0
     planes = [np.count_nonzero(_walk_spectrum(PEInstance(
-        inst.structure, inst.psi0, {side: m.values for side, m in inst.sides.items()}))
-        .phases[:-3]) // 2 for inst in (pair.built["empty"] for pair in pairs)]
+        inst.structure, inst.psi0, inst.values)).phases[:-3]) // 2
+        for inst in (pair.built["empty"] for pair in pairs)]
     assert planes[2] > 0
     blocks = phase_mod._rotation_blocks
     first = planes[0] + planes[1]  # row 2's first plane
@@ -710,7 +821,7 @@ def test_decide_builds_no_dense_basis_or_operator(monkeypatch):
 
     for owner, name in ((PEInstance, "span_basis"), (PEInstance, "generators"),
                         (PEInstance, "projector"), (PEInstance, "walk_unitary"),
-                        (SetMatrix, "toarray")):
+                        (inst_mod, "_dense")):
         monkeypatch.setattr(owner, name, refuse)
     pairs = regime_pairs(*specs, REGIMES)
     assert not pairs[0].built["marked"].stack.spectra
@@ -932,12 +1043,12 @@ def test_cached_results_follow_the_tolerance_policy():
     # every row shares row 1's failed pass, each time, and nothing is kept
     good = _toy_instance([_unit(3, 0) + _unit(3, 1), _unit(3, 1) - _unit(3, 0)],
                          [_unit(3, 2)], (_unit(3, 0) + _unit(3, 2)) / math.sqrt(2))
-    bad_values = good.sides["A"].values.copy()
+    bad_values = good.values["A"].copy()
     bad_values[-1] += 2e-6
     rows = [good, PEInstance(good.structure, good.psi0,
-                             {"A": bad_values, "B": good.sides["B"].values}),
+                             {"A": bad_values, "B": good.values["B"]}),
             PEInstance(good.structure, good.psi0,
-                       {side: m.values.copy() for side, m in good.sides.items()})]
+                       {side: v.copy() for side, v in good.values.items()})]
     InstanceStack(rows)
     for row in (0, 2, 1, 0, 2):
         with pytest.raises(ValueError, match="side A: normalized generators are not "
