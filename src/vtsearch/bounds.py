@@ -45,6 +45,9 @@ class PromiseDescriptor:
             # l1 and l0 would take the marked-set minimum, not the table's cap
             raise ValueError("explicit marked sets and the unique-marked "
                              "promise exclude each other")
+        # every cap check compares against t_max, and each is false for nan
+        if self.t_max is not None and math.isnan(self.t_max):
+            raise ValueError("t_max must be a number, got nan")
 
     def epsilon(self, pi: np.ndarray) -> float:
         """Smallest sampling mass any allowed marked set can carry."""

@@ -35,34 +35,37 @@ weight regime only fills in values.  Every input runs its own copy of
 the subroutine, so the pattern lists one input's generators and lays the
 others out as that template shifted by a fixed stride in labels and in
 the step unitaries; the history states' labels and states are likewise
-laid out once per spec (HistoryLayout).  The general instances of one spec share its structure,
-and with it the plans that ignore values (the Gram's shared-label pairs
-within a side and across the sides, psi0's component).
-Well-formedness, witness, span-basis and reflection-factorization checks,
-and the decision's cross Gram and plane vectors, run on these arrays with
-numpy alone (bincount sums, a Gram over the generator pairs that share a
-label, and row-by-row sparse-times-dense products), and only the dense
-oracle paths (generators, span_basis, the span projectors and the walk
-unitary) expand a side into dense columns, through one densifier
-(_dense).  Values keep their type: the simple variant's sets and initial
-vector are float64, the general variant's complex, and every product is
-taken in the dtype of its operands.
+laid out once per spec (HistoryLayout).  The general instances of one
+spec share its structure, and with it the plans that ignore values (the
+Gram's shared-label pairs within a side, psi0's component and its star).
+Well-formedness, witness, span-basis and reflection-factorization checks
+run on these arrays with numpy alone (bincount sums and a Gram over the
+generator pairs that share a label), and only the dense oracle paths
+(generators, span_basis, the span projectors and the walk unitary)
+expand a side into dense columns, through one densifier (_dense).
+Values keep their type: the simple variant's sets and initial vector are
+float64, the general variant's complex, and every product is taken in
+the dtype of its operands.
 
 Generators that share a basis label are joined into connected components
 with disjoint label supports, over which both reflections and the walk are
 block-diagonal.  PEInstance.psi0_component keeps only the components the
 initial vector reaches, found breadth first from psi0's support, so
 decisions need no cap on the full dimension; only the dense d x d paths
-check the dimension cap.
+check the dimension cap.  InstanceStructure.star splits a component
+further: when psi0 sits on one row that a single side-A generator
+touches, that hub generator is set aside, and the rest falls apart into
+blocks, grouped into patterns of one local layout, on which the decision
+engine works block by block.
 
 Instances of one structure can be tied into an InstanceStack, which the
 decision engine decides in one pass.  InstanceRows holds such rows' psi0
 and values along a leading row axis, and computes each row's generator
 norms, sparse Gram, normalized generators with their orthonormality
-check, cross Gram and psi0 component on its own, in the same order as
-alone (so are stacked_rmatvec and stacked_matmat); a PEInstance's span
-basis and component are their one-row case, and its projections take
-stacked_rmatvec without the row axis.
+check and psi0 component on its own, in the same order as alone (so
+does stacked_rmatvec); a PEInstance's span basis and component are their
+one-row case, and its projections take stacked_rmatvec without the row
+axis.
 """
 
 from __future__ import annotations
@@ -274,45 +277,6 @@ class Sparsity:
         """The generator of every stored entry."""
         return _read_only(np.repeat(np.arange(self.shape[1]), np.diff(self.indptr)))
 
-    @cached_property
-    def row_slots(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """The stored entries by their position among their label's entries.
-
-        Slot s is (entries, rows, cols): for every label touched by more
-        than s entries, its entry number s in storage order, with that
-        entry's label and generator, so no label repeats within a slot.
-        """
-        order = np.argsort(self.rows, kind="stable")
-        rows = self.rows[order]
-        # an entry's slot is its distance from its label's first entry
-        index = np.arange(len(rows))
-        slot = index - np.maximum.accumulate(
-            np.where(np.diff(rows, prepend=-1) != 0, index, 0))
-        slots = [order[slot == s] for s in range(int(slot.max(initial=-1)) + 1)]
-        return tuple((_read_only(e), _read_only(self.rows[e]), _read_only(self.cols[e]))
-                     for e in slots)
-
-
-def stacked_matmat(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """G_s X_s for every row s: values (m, nnz) on sparsity, x (m, k, r), an (m, d, r) array.
-
-    Each output row sums its label's entries in storage order, one slot of
-    Sparsity.row_slots at a time, with no BLAS call, so a row's products
-    have the same bytes alone as inside a stack.
-    """
-    m, width = len(values), x.shape[-1]
-    out = np.zeros((m, sparsity.dim, width), dtype=np.result_type(values, x))
-    # the rows of all m outputs as one (m d, r) array, so each slot is one scatter
-    flat = out.reshape(-1, width)
-    shift = sparsity.dim * np.arange(m)[:, None] if m > 1 else 0
-    for s, (entries, rows, cols) in enumerate(sparsity.row_slots):
-        product = values.take(entries, axis=1)[..., None] * x.take(cols, axis=1)
-        at = (rows + shift).ravel()
-        if s:
-            flat[at] += product.reshape(-1, width)
-        else:
-            flat[at] = product.reshape(-1, width)
-    return out
 
 
 def _read_only(*arrays: np.ndarray) -> np.ndarray:
@@ -394,25 +358,44 @@ class GramPlan(NamedTuple):
     segment: np.ndarray
 
 
-class CrossPlan(NamedTuple):
-    """Where the cross Gram G_A^H G_B comes from: the entry pairs on a shared label.
-
-    Pair p is side A's entry left[p] and side B's entry right[p], on the
-    same basis label; its product conj(a[left[p]]) * b[right[p]] adds to
-    the flat k_A x k_B entry flat[p], in array order.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    flat: np.ndarray
-
-
 class Component(NamedTuple):
     """psi0's component: its rows, each side's kept entries, and its structure."""
 
     rows: np.ndarray
     entries: dict[str, np.ndarray]
     structure: "InstanceStructure"
+
+
+class BlockPattern(NamedTuple):
+    """Blocks of one local layout: one small structure, laid out nb times.
+
+    structure is one block's own InstanceStructure: its rows numbered
+    0 .. b - 1 in ascending order, each side's generators in ascending
+    order as one set "block".  rows[i] holds block i's rows of the
+    structure the star was found on, in that order, (nb, b); entries[side][i]
+    the numbers of its stored entries there, in the local storage order,
+    (nb, nnz).
+    """
+
+    structure: "InstanceStructure"
+    rows: np.ndarray
+    entries: dict[str, np.ndarray]
+
+
+class Star(NamedTuple):
+    """A structure as a hub generator and the blocks left without it.
+
+    hub is the side-A generator number of the one generator on psi0's
+    row, or None: then the whole structure is one block.  Without the hub
+    the generators fall apart into blocks, the connected components of
+    the rows <-> generators incidence; free lists the rows no block holds
+    (psi0's row among them), and patterns groups the blocks by local
+    layout, in the order of each layout's first block.
+    """
+
+    hub: int | None
+    free: np.ndarray
+    patterns: tuple[BlockPattern, ...]
 
 
 class InstanceStructure:
@@ -472,26 +455,6 @@ class InstanceStructure:
         return self._grams[side]
 
     @cached_property
-    def cross(self) -> CrossPlan:
-        """The pairs of an A entry and a B entry that share a label.
-
-        Side A's entries are taken in storage order, each paired with every
-        B entry on its label, in B's storage order; generator i's labels
-        ascend, so each cross Gram entry sums its labels in ascending order.
-        """
-        a, b = self.sides["A"], self.sides["B"]
-        per_row = np.bincount(b.rows, minlength=self.dim)
-        by_row = np.argsort(b.rows, kind="stable")
-        counts = per_row[a.rows]
-        left = np.repeat(np.arange(len(a.rows)), counts)
-        starts = np.cumsum(per_row) - per_row
-        # offset of each pair within its label's run of B entries
-        offset = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
-        right = by_row[np.repeat(starts[a.rows], counts) + offset]
-        return CrossPlan(*map(_read_only, (
-            left, right, a.cols[left] * b.shape[1] + b.cols[right])))
-
-    @cached_property
     def component(self) -> Component:
         """The rows and generators of the components psi0's support meets.
 
@@ -529,6 +492,122 @@ class InstanceStructure:
             sets[side] = dict(zip(self.sets[side], np.diff(running[ends]).tolist()))
         return Component(_read_only(rows), entries,
                          InstanceStructure(len(rows), new_row[self.support], sides, sets))
+
+    @cached_property
+    def one_block(self) -> Star:
+        """The whole structure as one block, with no hub."""
+        whole = BlockPattern(self, _read_only(np.arange(self.dim)[None]),
+                             {side: _read_only(np.arange(len(s.rows))[None])
+                              for side, s in self.sides.items()})
+        return Star(None, _read_only(np.zeros(0, dtype=np.int64)), (whole,))
+
+    @cached_property
+    def star(self) -> Star:
+        """The hub and the blocks left without it (see Star).
+
+        The hub is the one generator touching psi0's row, when psi0 has a
+        single row and that generator is on side A.  The blocks are found
+        by min-label propagation over the rows <-> generators incidence of
+        every other generator, each label jumping to its label's label
+        every round; a block's lead is its smallest row, and the blocks
+        come in that order.  A block's signature (its row, generator and
+        entry counts, then each entry's local generator and row, side by
+        side) groups the blocks into patterns, by one sort of the
+        signatures as byte strings.
+        """
+        a, b = self.sides["A"], self.sides["B"]
+        hub = None
+        if len(self.support) == 1:
+            on_a = (a.rows == self.support[0]).nonzero()[0]
+            if len(on_a) == 1 and not (b.rows == self.support[0]).any():
+                hub = int(a.cols[on_a[0]])
+        if hub is None:
+            return self.one_block
+
+        not_hub = a.cols != hub
+        rows = np.concatenate([a.rows[not_hub], b.rows])
+        gens = np.concatenate([a.cols[not_hub], a.shape[1] + b.cols])
+        label = np.arange(self.dim)
+        gen_label = np.empty(a.shape[1] + b.shape[1], dtype=label.dtype)
+        while True:
+            gen_label.fill(self.dim)
+            np.minimum.at(gen_label, gens, label[rows])
+            new = label.copy()
+            np.minimum.at(new, rows, gen_label[gens])
+            new = new[new]
+            if (new == label).all():
+                break
+            label = new
+        touched = np.zeros(self.dim, dtype=bool)
+        touched[rows] = True
+        # a block's lead is its smallest row; blocks are numbered by their leads
+        lead = touched & (label == np.arange(self.dim))
+        block = (lead.cumsum() - 1)[label]
+        held = touched.nonzero()[0]
+        by_block = held[block[held].argsort(kind="stable")]
+        count = int(lead.sum())
+        sizes = np.bincount(block[held], minlength=count)
+        row_start = sizes.cumsum() - sizes
+        local = np.empty(self.dim, dtype=np.int64)
+        local[by_block] = np.arange(len(by_block)) - row_start.repeat(sizes)
+
+        # each side's generators block by block, and their entries in that order
+        layout = {}
+        for side, s in self.sides.items():
+            lengths = s.indptr[1:] - s.indptr[:-1]
+            keep = lengths > 0
+            if side == "A":
+                keep[hub] = False
+            g = keep.nonzero()[0]
+            g_block = block[s.rows[s.indptr[g]]]
+            order = g_block.argsort(kind="stable")
+            g, g_block, lengths = g[order], g_block[order], lengths[g[order]]
+            k = np.bincount(g_block, minlength=count)
+            ends = lengths.cumsum()
+            entries = ((s.indptr[g] - ends + lengths).repeat(lengths)
+                       + np.arange(ends[-1] if len(ends) else 0))
+            e_block = g_block.repeat(lengths)
+            e = np.bincount(e_block, minlength=count)
+            e_start = e.cumsum() - e
+            e_gen = (np.arange(len(g)) - (k.cumsum() - k).repeat(k)).repeat(lengths)
+            layout[side] = (k, e, e_start, entries, e_block, e_gen, local[s.rows[entries]])
+        width = [2 * int(lay[1].max(initial=0)) for lay in layout.values()]
+        signature = np.full((count, 5 + sum(width)), -1, dtype=np.int64)
+        signature[:, 0] = sizes
+        at = 5
+        for column, (side, (k, e, e_start, entries, e_block, e_gen, e_row)) in enumerate(
+                layout.items()):
+            signature[:, 1 + column], signature[:, 3 + column] = k, e
+            position = at + 2 * (np.arange(len(entries)) - e_start[e_block])
+            signature[e_block, position] = e_gen
+            signature[e_block, position + 1] = e_row
+            at += width[column]
+        # each signature row as one byte string: blocks of a pattern sort together
+        keys = signature.view(np.dtype((np.void, 8 * signature.shape[1])))[:, 0]
+        order = keys.argsort(kind="stable")
+        ordered = keys[order]
+        group = np.empty(count, dtype=np.int64)
+        group[order] = np.concatenate([[0], (ordered[1:] != ordered[:-1]).cumsum()])
+        # patterns in the order of their first block
+        firsts = np.zeros(count, dtype=bool)
+        firsts[np.unique(group, return_index=True)[1]] = True
+        patterns = []
+        for first_block in firsts.nonzero()[0].tolist():
+            blocks = (group == group[first_block]).nonzero()[0]
+            size = int(sizes[first_block])
+            sides, entries = {}, {}
+            for side, (k, e, e_start, found, _, e_gen, e_row) in layout.items():
+                here = slice(e_start[first_block], e_start[first_block] + e[first_block])
+                sides[side] = Sparsity(size, np.concatenate(
+                    [[0], np.bincount(e_gen[here], minlength=k[first_block]).cumsum()]),
+                    e_row[here])
+                entries[side] = _read_only(found[e_start[blocks][:, None]
+                                                 + np.arange(e[first_block])])
+            patterns.append(BlockPattern(
+                InstanceStructure(size, np.zeros(0, dtype=np.int64), sides,
+                                  {side: {"block": sides[side].shape[1]} for side in sides}),
+                _read_only(by_block[row_start[blocks][:, None] + np.arange(size)]), entries))
+        return Star(hub, _read_only((~touched).nonzero()[0]), tuple(patterns))
 
 
 def stacked_rmatvec(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -633,18 +712,6 @@ class InstanceRows:
                                    f"orthonormal, residual {v:.3e}")
         return q
 
-    def cross_gram(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-        """Q_A^H Q_B of each row's normalized generator values qa, qb: (m, k_A, k_B).
-
-        Summed from the entry pairs that share a label (the structure's
-        CrossPlan), with one bincount over the flat entries: every other
-        pair of generators is orthogonal by support.
-        """
-        plan = self.structure.cross
-        k_a, k_b = (self.structure.sides[s].shape[1] for s in ("A", "B"))
-        products = qa.take(plan.left, axis=1).conj() * qb.take(plan.right, axis=1)
-        return _sum_by(plan.flat, products, k_a * k_b).reshape(len(qa), k_a, k_b)
-
 
 class InstanceStack:
     """Instances of one InstanceStructure, tied to be decided together.
@@ -693,7 +760,7 @@ class PEInstance:
     length does not match the structure.  Hand-built and simple instances
     come from instance_from_sets; the general instances of one spec share
     their GeneralPattern's structure, and with it its plans (the
-    shared-label pairs of the Gram and the cross Gram, psi0's component),
+    shared-label pairs of the Gram, psi0's component and its star),
     so an instance computes only what depends on its values.  Projections
     and span-membership distances of single vectors take one
     stacked_rmatvec per side on these arrays, and the norms they divide by
@@ -704,16 +771,16 @@ class PEInstance:
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
-    generators.  The decision engine takes the principal angles between
-    the two spans from those of psi0_component, the instance cut down to
-    the generator components psi0 reaches, for every row of the
-    instance's stack (its own until an InstanceStack ties it to others,
-    with row its place there): InstanceRows.normalized checks their
+    generators.  The decision engine works on psi0_component, the instance
+    cut down to the generator components psi0 reaches, block by block of
+    its star (InstanceStructure.star), for every row of the instance's
+    stack (its own until an InstanceStack ties it to others, with row its
+    place there), in the dtype of the values (float64 for a real instance
+    such as a simple-loop one, complex otherwise).
+    InstanceRows.normalized checks the normalized generators'
     orthonormality on the side's sparse Gram, raising rather than falling
-    back, and keeps the dtype of the values (float64 for a real instance
-    such as a simple-loop one, complex otherwise), and
-    InstanceRows.cross_gram pairs them.  span_basis densifies the one-row
-    case (rows) for the oracles.  The dense projectors and the walk
+    back, and span_basis densifies its one-row case (rows) for the
+    oracles.  The dense projectors and the walk
     unitary are built lazily from an SVD of the dense generator columns
     instead, so the dense oracle does not share the engine's basis; they
     are d x d, so they alone check the dimension cap.

@@ -12,10 +12,10 @@ the 2 x 2 walk blocks and their eigenvectors) are square complex arrays.
 Projectors onto the span of an arbitrary vector set come from one SVD
 (:func:`projector_from_set`); the decision engine needs none, because its span
 bases are normalized pairwise-orthogonal generators.  It writes the walk
-on each rotation plane in closed form, a rotation by -2 theta_j from the
-principal angle theta_j, and hands all of them to :func:`unitary_eig` as
-one (k, 2, 2) stack, which is decomposed in closed form with its
-unitarity and reconstruction checks.  No d x d unitary is ever
+on each rotation plane of each block in closed form, a rotation by
+-2 theta_j from the principal angle theta_j, and hands all of them to
+:func:`unitary_eig` as one (k, 2, 2) stack, which is decomposed in closed
+form with its unitarity and reconstruction checks.  No d x d unitary is ever
 diagonalized here: the dense Schur decomposition of a whole walk is the
 test suite's oracle.
 """

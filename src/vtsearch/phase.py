@@ -4,53 +4,75 @@ The decision statistic is the exact overlap of the initial vector with
 the small-phase eigenspace of the walk W = R_A R_B.  The walk is
 block-diagonal over the connected components of the generators, so the
 spectrum is taken on PEInstance.psi0_component, the components psi0
-reaches, for every instance size.  By Jordan's lemma the walk splits
-there along the principal angles theta_j between span A and span B: the
-thin SVD of C = Q_A^H Q_B (each side's basis is its normalized,
-pairwise-orthogonal generators) pairs a principal vector u_j of A with
-one of B, and W rotates the plane they span by -2 theta_j, so its phases
-there are +-2 theta_j.  The engine works on each side's normalized sparse
-generators and never on a dense span basis: C is summed from the entry
-pairs that share a label, the plane vectors are sparse-times-dense
-products, and each plane's rotation is written in closed form.  Two
-checks run on every decision and together certify every plane invariant
-under W: the generators' orthonormality (InstanceRows.normalized) and the
-principal-vector residual max(|C V - U Sigma|, |C^H U - V Sigma|) <=
-assert_tol, which a NaN fails too, as it fails every check of the
-engine.  The stack of rotations goes to one unitary_eig call; the
-remaining directions are fixed analytically: intersection lines and the
-complement of span A + span B have phase 0, and the directions of either
-side that the SVD leaves unpaired (orthogonal to the other span) have
-phase pi.  The thin SVD never forms those directions: psi0's weight on
-them is the squared norm of its residual after projecting onto the paired
-ones, in generator coordinates, so the spectrum carries one pi entry per
-side.  The arithmetic follows the instance's values: a simple-loop
-instance is real, so its generators, cross Gram, SVD and products are
-float64; a general instance is complex.  Every weight is a fraction of a
-unit psi0, so the spectrum refuses any other (zero_phase_overlap,
-qpe_zero_prediction and decide alike), and so does qpe_simulate.
+reaches, for every instance size.  There the engine decides on the star
+(InstanceStructure.star), unless the component is small: one whose cross
+Gram has at most STAR_COLUMNS SVD columns is one block, the principal-angle
+step on the whole component, which costs less there than the star's passes
+and secular step.  When psi0 sits on one row that a single side-A
+generator touches, that generator is the hub: with q0 the normalized hub,
+R_A = (I - 2 q0 q0^H) R_A' for the reflection R_A' about the other A
+generators, so W = (I - 2 q0 q0^H) W0 with W0 = R_A' R_B.  Without the hub
+the generators fall apart into blocks, and W0 is block-diagonal over them
+and the identity on the rows no block holds, psi0's row among them; the
+blocks of the built instances are the inputs' copies of one template,
+grouped into patterns of one local layout.
+
+W0 is decomposed block by block, all blocks of a pattern (and all rows of
+a stack) in one stacked pass.  Each side's span basis is its normalized,
+pairwise-orthogonal generators, held per block as dense columns; by
+Jordan's lemma W0 splits along the principal angles theta_j between a
+block's span A' and span B: the thin SVD of C = Q_A'^H Q_B pairs a
+principal vector u_j of A' with one of B, W0 rotates the plane they span
+by -2 theta_j, written in closed form, and one unitary_eig call
+decomposes the rotations of every block; intersection lines and the
+complement of span A' + span B have phase 0, and the directions left
+unpaired have phase pi.  That gives q0's weight on each eigenphase of W0.
+A pattern whose blocks all hold the same values, as the simple loop's do,
+is decided once a row.
+
+W0's phases are grouped (runs within eig_cluster_tol, joined across pi)
+into poles theta_G carrying q0 weight w_G; groups at or below DEFLATE are
+deflated.  W's other eigenphases phi solve the secular equation of the
+rank-one change, sum_G w_G cot((phi - theta_G) / 2) = 0, with one root in
+each gap between consecutive poles.  The roots are found all at once,
+each relative to the nearer end of its gap, by the "middle way" of Li
+(LAPACK Working Note 89) in a bracket, as Gu and Eisenstat's
+divide-and-conquer does on the line.  psi0's weight on root phi is
+|q0_0|^2 / sin^2((phi - theta_0) / 2) divided by sum_G w_G / sin^2((phi -
+theta_G) / 2), with q0_0 the hub's entry on psi0's row and theta_0 psi0's
+own group; the rest of that group's eigenspace, phase 0, carries
+rest_0 / w_0, its weight without psi0's own entry.  A component without a
+hub, or a small one, is one block and W = W0, so psi0's weights come from
+the block pass directly; hand-built instances take that path.
+
+Checks run on every decision, each naming the row that fails, and each
+written so that a NaN fails it: psi0's unit norm; every generator's norm
+above rank_tol; the normalized generators' orthonormality, per block, with
+the hub's overlaps with side A' among them; each block's principal-vector
+residual max(|C V - U Sigma|, |C^H U - V Sigma|); unitary_eig's unitarity
+and reconstruction; the secular residual |f(phi)| / sum_G w_G (|cot| + 1)
+at each root; and psi0's weights, summed as a sum, against |psi0|^2.  All
+within assert_tol.  The arithmetic follows the instance's values: a
+simple-loop instance is real, a general instance complex.
 
 Every array of the engine carries a leading row axis: it decides the
 rows of an InstanceStack, instances that share one structure and differ
-only in their values, in one pass, with one stacked SVD, one sparse
-product per side and one unitary_eig call over the rotations of all
-rows.  Each row is computed on its own, in the same order as alone, so a
-row's spectrum has the same bytes alone as inside a stack, and every
-check runs on every row and names the row that fails.  The first
-spectrum asked of any row computes its pass and keeps every row's
-spectrum in the stack; a failed check keeps nothing.  A pass takes as
-many consecutive rows as keep each stacked d x k working array within
-STACK_ENTRIES entries, and at least one, so large components go one row
-per pass.  A lone instance is a stack of one.
+only in their values, in one pass.  Each row is computed on its own, in
+the same order as alone (sums over poles run in order), so a row's
+spectrum has the same bytes alone as inside a stack.  The first spectrum
+asked of any row computes its pass and keeps every row's spectrum in the
+stack; a failed check keeps nothing.  A pass takes as many consecutive
+rows as keep their block working arrays within STACK_ENTRIES entries, and
+at least one; secular evaluations take SECULAR_ENTRIES pole-root pairs at
+a time.  A lone instance is a stack of one.
 
 The phase-register simulation runs the dense walk of psi0's component,
-kept as an independent cross-check; the dense walk of the full instance,
-and the same engine on dense bases with W's compression computed by
-dense reflections, are the oracles in the test suite.  The
-reflection-factorization identity used to implement the walk cheaply,
-each side's reflection as the product of its set reflections, is checked
-on the sparse cross-set Gram: it holds exactly when the sets of a side
-span mutually orthogonal subspaces.
+kept as an independent cross-check; the dense walk of the full instance
+and the principal-angle engine on psi0's whole component are the oracles
+in the test suite.  The reflection-factorization identity used to
+implement the walk cheaply, each side's reflection as the product of its
+set reflections, is checked on the sparse cross-set Gram: it holds
+exactly when the sets of a side span mutually orthogonal subspaces.
 
 RegimePair is the paper's regime experiment on one marked/empty pair.
 regime_pairs builds every regime's instances and ties each side's into
@@ -72,27 +94,41 @@ from . import instances as inst_mod
 from . import subroutines as subs_mod
 from .linalg import DEFAULT_TOL, NonUnitaryError, unitary_eig
 from .instances import (InstanceRows, InstanceStack, InstanceStructure, NegativeWitness,
-                        PEInstance, PositiveWitness, Weights, stacked_matmat,
-                        stacked_rmatvec)
+                        PEInstance, PositiveWitness, Weights)
 from .subroutines import SubroutineSpec
 
 #: largest c_plus that decide accepts
 C_PLUS_MAX = 50.0
-#: most entries of one stacked d x k working array of the decision engine
+#: most entries of one stacked working array of the decision engine
 STACK_ENTRIES = 1 << 20
+#: most pole-root pairs of one secular evaluation, so its arrays stay in cache
+SECULAR_ENTRIES = 1 << 16
+#: most iterations of the secular root finder
+SECULAR_STEPS = 64
+#: q0 weight at or below which a phase group of W0 is deflated: (8 eps)^2
+DEFLATE = (8.0 * np.finfo(float).eps) ** 2
+#: most SVD columns, min(k_A, k_B), of a component decided as one block even
+#: with a hub: up to about 32 one SVD of its cross Gram costs less than the
+#: star's passes and secular step (2 cores: simple-loop n = 16, 17 columns,
+#: 1.1 ms as one block against 2.1 ms on the star; n = 64, 65 columns,
+#: 3.0 ms against 2.3 ms)
+STAR_COLUMNS = 32
 
 
 class WalkSpectrum(NamedTuple):
     """Eigenphases of the walk on psi0's component with psi0's weight on each.
 
-    First come the +-2 theta_j pairs of the rotation planes, as
-    unitary_eig orders each closed-form rotation's eigenvalues, then a
-    phase 0 for each intersection line.  The last three entries are the
-    phase-pi weights of the directions left unpaired on side A and on
-    side B, then the phase-0 weight outside span A + span B.  dim, rank_a
-    and rank_b are the row and generator counts of psi0's component;
-    min_angle is the smallest principal angle among its rotation planes,
-    or None when the spans meet there in no plane.
+    With a hub (InstanceStructure.star) the phases are the secular roots,
+    one per gap between consecutive weighted phase groups of W0, gap by
+    gap from the lowest group, then phase 0 for the rest of psi0's own
+    group's eigenspace.  Without one, W = W0 and the entries are the
+    block's: for each principal-vector pair of the thin SVD, the +-2
+    theta_j of its rotation plane as unitary_eig orders them, or a phase-0
+    line and an empty entry; then the phase-pi weights of the directions
+    left unpaired on side A and on side B, and the phase-0 weight outside
+    span A + span B.  dim, rank_a and rank_b are the row and generator
+    counts of psi0's component; min_angle is the smallest |phi| / 2 over
+    the nonzero phases phi that carry psi0 weight, or None when none does.
     """
 
     phases: np.ndarray
@@ -122,15 +158,31 @@ def _check_unit_psi0(psi0: np.ndarray, row: int) -> None:
         raise ValueError(f"psi0 has norm {norm!r}, not 1, in row {row}")
 
 
+def _star_of(part: InstanceStructure):
+    """How psi0's component part is decided: its star, or one block when small.
+
+    A component whose cross Gram has at most STAR_COLUMNS SVD columns is
+    one block, like a component without a hub.
+    """
+    if min(s.shape[1] for s in part.sides.values()) <= STAR_COLUMNS:
+        return part.one_block
+    return part.star
+
+
+def _row_entries(structure: InstanceStructure) -> int:
+    """Entries of one row's stacked b x (k + 1) block working arrays, on psi0's component."""
+    return sum(len(p.rows) * p.structure.dim
+               * (max(s.shape[1] for s in p.structure.sides.values()) + 1)
+               for p in _star_of(structure.component.structure).patterns)
+
+
 def _rows_per_pass(structure: InstanceStructure) -> int:
     """How many rows of a stack one pass of the engine takes.
 
-    As many as keep each stacked d x (k + 1) working array, on psi0's
-    component, within STACK_ENTRIES, and at least one.
+    As many as keep one row's block working arrays (_row_entries), times
+    the rows, within STACK_ENTRIES, and at least one.
     """
-    part = structure.component.structure
-    width = max(s.shape[1] for s in part.sides.values()) + 1
-    return max(1, STACK_ENTRIES // (part.dim * width))
+    return max(1, STACK_ENTRIES // max(1, _row_entries(structure)))
 
 
 def _walk_spectrum(instance: PEInstance) -> WalkSpectrum:
@@ -140,7 +192,7 @@ def _walk_spectrum(instance: PEInstance) -> WalkSpectrum:
     every row in that row's pass with _stack_spectra, and keeps them in
     the stack; a lone instance is a stack of one.  A pass is
     _rows_per_pass consecutive rows: the whole stack at small components,
-    one row where a stacked d x k working array would pass STACK_ENTRIES.
+    one row where the block working arrays of two would pass STACK_ENTRIES.
     A failed check keeps nothing, so every later call raises again.
     """
     stack, row = instance.stack, instance.row
@@ -153,100 +205,469 @@ def _walk_spectrum(instance: PEInstance) -> WalkSpectrum:
 
 
 def _stack_spectra(rows: InstanceRows) -> list[WalkSpectrum]:
-    """Spectrum of W = R_A R_B from the principal angles of the two spans, row by row.
+    """Spectrum of W = R_A R_B on psi0's component, row by row, from its star.
 
-    Every array carries a leading row axis, and each row is computed on
-    its own, in the same order as alone, so a row's spectrum has the same
-    bytes alone as inside a stack.  Taken on psi0's component
-    (InstanceRows.component), which has psi0's spectrum weights, from each
-    side's normalized sparse generators Q_A and Q_B
-    (InstanceRows.normalized, which checks their orthonormality); no dense
-    span basis is formed.  ValueError is raised when |psi0| differs from
-    1 by more than assert_tol, since every weight below is a fraction of
-    a unit psi0.  The cross Gram C = Q_A^H Q_B is summed from the entry
-    pairs that share a label (InstanceRows.cross_gram), and its thin SVD
-    C = U diag(cos) V^H, one stacked call, is certified: ValueError names
-    the principal-vector residual max(|C V - U cos|, |C^H U - V cos|) when
-    it exceeds assert_tol.  Column j pairs u_j = Q_A U_j with Q_B V_j =
-    cos_j u_j + sin_j w_j; both are sparse-times-dense products
-    (stacked_matmat), and sin_j is the norm of the residual Q_B V_j -
-    cos_j u_j, which stays accurate where sqrt(1 - cos_j^2) would cancel.
-    Pairs with sin_j <= rank_tol are intersection lines.  W rotates every
-    other plane span{u_j, w_j} by -2 theta_j in closed form
-    (_rotation_blocks); with the orthonormal generators, the certificate
-    makes each plane invariant under W, and one unitary_eig call
-    decomposes the rotations of every row.  The directions of a side that
-    no column pairs (its complement of U's or V's columns, orthogonal to
-    the other span) have phase pi; psi0's weight on them is the squared
-    norm of a residual vector in generator coordinates, r_A = p_A - U U^H
-    p_A and r_B = p_B - V V^H p_B with p = Q^H psi0, so the spectrum
-    carries one pi entry per side.  psi0's overlap with w_j is (V_j^H p_B
-    - cos_j U_j^H p_A) / sin_j, and its weight outside span A + span B is
-    the squared norm of psi0 - Q_A p_A - sum_j w_j <w_j, psi0> - Q_B r_B.
-    Neither is a cancelling 1 - sum of weights.  Every failed check names
-    its row.  The arithmetic follows the instance's values: real for a
-    real instance.
+    Taken on psi0's component (InstanceRows.component), from each side's
+    generators over their norms (InstanceRows.norms refuses a vanishing
+    one; _principal_pairs checks that they are orthonormal); ValueError is
+    raised when |psi0| differs from 1 by more than assert_tol, since every
+    weight is a fraction of a unit psi0.  With a hub q0 (the normalized
+    hub generator), W = (I - 2 q0 q0^H) W0 with W0 = R_A' R_B, block
+    diagonal over the star's blocks and the identity on its free rows,
+    psi0's row among them: _block_spectra decomposes W0 and gives q0's
+    weight on each of its phases, and _star_spectra groups them and
+    solves the secular equation for W's phases and psi0's weights.
+    Without a hub, W = W0 on one block, and _block_spectra gives psi0's
+    weights directly.  psi0's weights must sum to |psi0|^2 within
+    assert_tol, taken as a sum of every weight; ValueError names the row
+    where they do not.  Every array carries a leading row axis and each
+    row is computed on its own, in the same order as alone, so a row's
+    spectrum has the same bytes alone as inside a stack.
     """
     part = rows.component()
     psi0 = part.psi0
     for vec, number in zip(psi0, part.numbers):
         _check_unit_psi0(vec, number)
-    sa, sb = part.structure.sides["A"], part.structure.sides["B"]
-    qa, qb = part.normalized("A"), part.normalized("B")
-    c = part.cross_gram(qa, qb)
+    structure, m = part.structure, len(psi0)
+    # each generator over its norm; _principal_pairs checks they are orthonormal
+    qa, qb = (part.values[side] / part.norms(side).take(structure.sides[side].cols, axis=1)
+              for side in ("A", "B"))
+    star = _star_of(structure)
+    psi_sq = (psi0.real ** 2 + psi0.imag ** 2).sum(axis=1)
+    if star.hub is None:
+        phases, weights = _block_spectra(part, star, psi0, qa, qb)
+        spectra = list(zip(phases, weights))
+    else:
+        a = structure.sides["A"]
+        hub = slice(a.indptr[star.hub], a.indptr[star.hub + 1])
+        q0 = np.zeros(psi0.shape, dtype=qa.dtype)
+        q0[:, a.rows[hub]] = qa[:, hub]
+        q0_sq = q0.real ** 2 + q0.imag ** 2
+        own = structure.support[0]
+        # psi0's row first, then the other free rows, then the blocks
+        phases, weights = _block_spectra(part, star, q0, qa, qb)
+        spectra = _star_spectra(
+            part, np.concatenate([np.zeros((m, 2)), phases], axis=1),
+            np.concatenate([q0_sq[:, [own]],
+                            q0_sq[:, star.free[star.free != own]].sum(axis=1)[:, None],
+                            weights], axis=1), psi_sq)
+    totals = np.array([w.sum() for _, w in spectra])
+    miss = np.abs(totals - psi_sq)
+    part.raise_first(~(miss <= DEFAULT_TOL.assert_tol), miss,
+                     lambda v: f"psi0's weights miss |psi0|^2 by {v:.3e}, over "
+                               f"assert_tol {DEFAULT_TOL.assert_tol:g}")
+    ranks = (structure.sides["A"].shape[1], structure.sides["B"].shape[1])
+    out = []
+    for phases, weights in spectra:
+        carried = (phases != 0.0) & (weights > 0.0)
+        out.append(WalkSpectrum(
+            phases=phases, weights=weights, dim=structure.dim, rank_a=ranks[0],
+            rank_b=ranks[1],
+            min_angle=float(np.abs(phases[carried]).min()) / 2.0 if carried.any() else None))
+    return out
+
+
+def _block_spectra(part: InstanceRows, star, x: np.ndarray, qa: np.ndarray,
+                   qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W0's eigenphases block by block, with x's weight on each: two (m, E) arrays.
+
+    Each block holds two reflections about small spans, so by Jordan's
+    lemma W0 splits there along the principal angles theta_j between the
+    block's span A' and span B.  The blocks of one pattern are stacked
+    over rows x blocks and share every step (_principal_pairs): the
+    orthonormality check, their cross Gram C = Q_A'^H Q_B, its thin SVD
+    C = U diag(cos) V^H, certified per block (ValueError names the row
+    whose largest principal-vector residual max(|C V - U cos|,
+    |C^H U - V cos|) exceeds assert_tol), and the products.
+    Column j pairs u_j = Q_A' U_j with Q_B V_j = cos_j u_j + sin_j w_j,
+    with sin_j the norm of the residual Q_B V_j - cos_j u_j.  Pairs with
+    sin_j <= rank_tol are intersection lines (phase 0); W0 rotates every
+    other plane span{u_j, w_j} by -2 theta_j in closed form
+    (_rotation_blocks), and one unitary_eig call, row by row, decomposes
+    the planes of every pattern.  The directions of a side that no column
+    pairs have phase pi, and x's weight on them is the squared norm of a
+    residual in generator coordinates (r_A = p_A - U U^H p_A, r_B = p_B -
+    V V^H p_B, p = Q^H x); its overlap with w_j is (V_j^H p_B - cos_j
+    U_j^H p_A) / sin_j, and its weight outside span A' + span B the
+    squared norm of x - Q_A' p_A - sum_j w_j <w_j, x> - Q_B r_B.  A block
+    lists, per SVD column, the plane's two phases or (0, line weight) and
+    (0, 0), then pi, pi and 0; a row lists its blocks pattern by pattern.
+    """
+    m = len(x)
+    found = [_principal_pairs(part, pattern, x, {"A": qa, "B": qb}, star.hub is not None)
+             for pattern in star.patterns]
+
+    # every pattern's planes in one stack, row after row
+    plane_row = np.concatenate([np.zeros(0, dtype=np.intp)]
+                               + [f.row[f.rot.nonzero()[0]] for f in found])
+    order = plane_row.argsort(kind="stable")
+    angles = np.concatenate([np.zeros(0)] + [f.angles for f in found])
+    try:
+        dec = unitary_eig(_rotation_blocks(angles[order]))
+    except NonUnitaryError as err:
+        row = part.numbers[int(plane_row[order][err.block])]
+        raise NonUnitaryError(f"{err} in row {row}", err.block) from None
+    coeffs = np.concatenate([np.zeros((0, 2))] + [f.coeffs for f in found])[order]
+    plane_phases = np.empty((len(order), 2))
+    plane_weights = np.empty((len(order), 2))
+    plane_phases[order] = dec.phases
+    # each eigenvector's overlap with x's coordinates on its plane
+    overlap = (dec.vectors.conj() * coeffs[:, :, None]).sum(axis=1)
+    plane_weights[order] = overlap.real ** 2 + overlap.imag ** 2
+
+    phases, weights, start = [np.zeros((m, 0))], [np.zeros((m, 0))], 0
+    for f in found:
+        units, k = f.rot.shape
+        end = start + len(f.angles)
+        ph, wt = np.zeros((units, k, 2)), np.zeros((units, k, 2))
+        ph[f.rot], wt[f.rot] = plane_phases[start:end], plane_weights[start:end]
+        wt[..., 0] += f.lines
+        start = end
+        tail = np.zeros((units, 3))
+        tail[:, :2] = np.pi
+        phases.append(np.concatenate([ph.reshape(units, 2 * k), tail], axis=1)[f.copies]
+                      .reshape(m, -1))
+        weights.append(np.concatenate([wt.reshape(units, 2 * k), f.tail], axis=1)[f.copies]
+                       .reshape(m, -1))
+    return np.concatenate(phases, axis=1), np.concatenate(weights, axis=1)
+
+
+class _Pairs(NamedTuple):
+    """One pattern's principal-vector pairs, unit by unit, row by row.
+
+    copies[i] is the unit of the pattern's i-th (row, block), row[u] the
+    row of unit u.
+    """
+
+    copies: np.ndarray
+    row: np.ndarray
+    rot: np.ndarray        # (units, k) rotation planes
+    angles: np.ndarray     # their principal angles, unit by unit
+    coeffs: np.ndarray     # x's coordinates on (u_j, w_j) of each plane
+    lines: np.ndarray      # (units, k) x's weight on each intersection line
+    tail: np.ndarray       # (units, 3) unpaired A, unpaired B, outside
+
+
+def _orthonormality(g: np.ndarray) -> np.ndarray:
+    """Each unit's largest |G^H G - I| entry, for dense generator columns g (units, b, k)."""
+    return np.abs(g.conj().swapaxes(1, 2) @ g - np.eye(g.shape[2])).max(axis=(1, 2),
+                                                                      initial=0.0)
+
+
+def _principal_pairs(part: InstanceRows, pattern, x: np.ndarray, q: dict,
+                     hub: bool) -> _Pairs:
+    """The principal-angle step of _block_spectra on one pattern's blocks, every row.
+
+    A unit is a row's block, or the row's one block when all of them hold
+    the same values (as the simple loop's do).  Each unit holds its
+    generators as dense b x k columns, so its cross Gram and products are
+    stacked matrix products.
+    """
+    m, nb = len(x), len(pattern.rows)
+    x = x.take(pattern.rows, axis=1).reshape(m * nb, -1)
+    values = {side: q[side].take(pattern.entries[side], axis=1).reshape(m * nb, -1)
+              for side in pattern.structure.sides}
+    row = np.arange(m).repeat(nb)
+    copies = np.arange(m * nb)
+    table = np.concatenate([x, *values.values()], axis=1).reshape(m, nb, -1)
+    if nb > 1 and (table == table[:, :1]).all():
+        # every block of a row has the same values: decide one a row
+        copies, row = row, np.arange(m)
+        x = x[::nb]
+        values = {side: v[::nb] for side, v in values.items()}
+    units = len(x)
+    dense = []
+    for side, s in pattern.structure.sides.items():
+        g = np.zeros((units,) + s.shape, dtype=q[side].dtype)
+        g[:, s.rows, s.cols] = values[side]
+        dense.append(g)
+    ga, gb = dense
+    gah = ga.conj().swapaxes(1, 2)
+    # the normalized generators must be orthonormal, the hub's overlaps with
+    # side A' (p_A below, when x is the hub) among them
+    pa = (gah @ x[..., None])[..., 0]
+    for side, g in (("A", ga), ("B", gb)):
+        resid = _orthonormality(g)
+        if side == "A" and hub:
+            resid = np.maximum(resid, np.abs(pa).max(axis=1, initial=0.0))
+        worst = np.maximum.reduceat(resid, np.searchsorted(row, np.arange(m)))
+        part.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
+                         lambda v: f"side {side}: normalized generators are not "
+                                   f"orthonormal, residual {v:.3e}")
+    c = gah @ gb
     u, cos, vh = np.linalg.svd(c, full_matrices=False)
     v = vh.conj().swapaxes(1, 2)
     scaled = cos[:, None, :]
     resid = np.maximum(np.abs(c @ v - u * scaled).max(axis=(1, 2), initial=0.0),
                        np.abs(c.conj().swapaxes(1, 2) @ u - v * scaled)
                        .max(axis=(1, 2), initial=0.0))
-    part.raise_first(~(resid <= DEFAULT_TOL.assert_tol), resid,
+    worst = np.maximum.reduceat(resid, np.searchsorted(row, np.arange(m)))
+    part.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
                      lambda r: f"principal-vector residual {r:.3e} exceeds "
                                f"assert_tol {DEFAULT_TOL.assert_tol:g}")
-    pa, pb = stacked_rmatvec(sa, qa, psi0), stacked_rmatvec(sb, qb, psi0)
-    # matrix-vector products row by row, as (.., 1) and (1, ..) matrices
+    # matrix-vector products unit by unit, as (.., 1) and (1, ..) matrices
+    pb = (gb.conj().swapaxes(1, 2) @ x[..., None])[..., 0]
     ca = (pa.conj()[:, None] @ u)[:, 0].conj()
     cb = (vh @ pb[..., None])[..., 0]
     ra = pa - (u @ ca[..., None])[..., 0]
     rb = pb - (v @ cb[..., None])[..., 0]
-    # one product per side; the extra last columns are Q_B r_B and Q_A p_A
-    on_b = stacked_matmat(sb, qb, np.concatenate([v, rb[..., None]], axis=2))
-    on_a = stacked_matmat(sa, qa, np.concatenate([u * scaled, pa[..., None]], axis=2))
+    # one product per side; the extra last columns are Q_B r_B and Q_A' p_A
+    on_b = gb @ np.concatenate([v, rb[..., None]], axis=2)
+    on_a = ga @ np.concatenate([u * scaled, pa[..., None]], axis=2)
     perp = on_b[..., :-1]
     perp -= on_a[..., :-1]
-    sin = np.linalg.norm(perp, axis=1)
+    sin = np.sqrt((perp.real ** 2 + perp.imag ** 2).sum(axis=1))
     rot = sin > DEFAULT_TOL.rank_tol
     cw = (cb - cos * ca)[rot] / sin[rot]
-    # sum_j w_j <w_j, psi0> = perp x, x_j = <w_j, psi0> / sin_j
-    x = np.zeros(cos.shape, dtype=cw.dtype)
-    x[rot] = cw / sin[rot]
-    outside = psi0 - on_a[..., -1] - (perp @ x[..., None])[..., 0] - on_b[..., -1]
+    # sum_j w_j <w_j, x> = perp y, y_j = <w_j, x> / sin_j
+    y = np.zeros(cos.shape, dtype=cw.dtype)
+    y[rot] = cw / sin[rot]
+    outside = x - on_a[..., -1] - (perp @ y[..., None])[..., 0] - on_b[..., -1]
+    lines = np.where(rot, 0.0, ca.real ** 2 + ca.imag ** 2)
+    tail = np.concatenate([(r.real ** 2 + r.imag ** 2).sum(axis=1)[:, None]
+                           for r in (ra, rb, outside)], axis=1)
+    return _Pairs(copies, row, rot, np.arctan2(sin[rot], cos[rot]),
+                  np.concatenate([ca[rot][:, None], cw[:, None]], axis=1), lines, tail)
 
-    # every row's planes in one stack, row after row
-    angles = np.arctan2(sin[rot], cos[rot])
-    counts = rot.sum(axis=1, dtype=np.intp)
-    ends = counts.cumsum()
-    try:
-        dec = unitary_eig(_rotation_blocks(angles))
-    except NonUnitaryError as err:
-        row = part.numbers[int(np.searchsorted(ends, err.block, side="right"))]
-        raise NonUnitaryError(f"{err} in row {row}", err.block) from None
-    coeffs = np.stack([ca[rot], cw], axis=-1)
-    weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
 
-    spectra = []
-    for r, (end, count) in enumerate(zip(ends.tolist(), counts.tolist())):
-        planes = slice(end - count, end)
-        lines = np.abs(ca[r][~rot[r]]) ** 2
-        unpaired = [np.linalg.norm(ra[r]) ** 2, np.linalg.norm(rb[r]) ** 2]
-        spectra.append(WalkSpectrum(
-            phases=np.concatenate([dec.phases[planes].ravel(), np.zeros(len(lines)),
-                                   [np.pi, np.pi, 0.0]]),
-            weights=np.concatenate([weights[planes].ravel(), lines, unpaired,
-                                    [float(np.linalg.norm(outside[r]) ** 2)]]),
-            dim=part.structure.dim, rank_a=sa.shape[1], rank_b=sb.shape[1],
-            min_angle=float(angles[planes].min()) if count else None))
-    return spectra
+class _Poles(NamedTuple):
+    """W0's weighted phase groups of each row, ascending: the secular equation's poles.
+
+    theta and w are (m, M), each row's count[r] poles first, then NaN
+    phases and zero weights when padded; own is the column of psi0's
+    group, whose weight without psi0's own entry is rest.
+    """
+
+    theta: np.ndarray
+    w: np.ndarray
+    count: np.ndarray
+    own: np.ndarray
+    rest: np.ndarray
+    padded: bool
+
+
+def _poles(phases: np.ndarray, weights: np.ndarray) -> _Poles:
+    """W0's phases grouped row by row; column 0 must be psi0's own entry.
+
+    A group is a run of the sorted phases whose consecutive gaps are at
+    most eig_cluster_tol, the run at the top joined to the run at the
+    bottom when they meet across pi; its phase is its members' mean and
+    its weight their sum, in array order.  A group of weight at most
+    DEFLATE is deflated, not a pole (psi0's own group never is): the
+    hub's overlap with its eigenspace is below 8 eps, rounding's size.
+    """
+    m, count = phases.shape
+    order = phases.argsort(axis=1, kind="stable")
+    taken = order + count * np.arange(m)[:, None]
+    ph, wt = phases.take(taken), weights.take(taken)
+    new = np.ones(ph.shape, dtype=bool)
+    new[:, 1:] = ph[:, 1:] - ph[:, :-1] > DEFAULT_TOL.eig_cluster_tol
+    gid = new.cumsum(axis=1) - 1
+    groups = gid[:, -1] + 1
+    wrap = ((ph[:, 0] + 2.0 * np.pi) - ph[:, -1] <= DEFAULT_TOL.eig_cluster_tol) & (groups > 1)
+    head = wrap[:, None] & (gid == 0)
+    ph = np.where(head, ph + 2.0 * np.pi, ph)
+    gid = np.where(head, groups[:, None] - 1, gid) - wrap[:, None]
+    flat = (gid + count * np.arange(m)[:, None]).ravel()
+
+    def by_group(values):
+        return np.bincount(flat, weights=values.ravel(), minlength=m * count).reshape(m, count)
+
+    size = by_group(np.ones(ph.shape))
+    w = by_group(wt)
+    rest = by_group(np.where(order == 0, 0.0, wt))
+    theta = by_group(ph) / np.maximum(size, 1.0)
+    everyone, mine = np.arange(m), gid[order == 0]
+    # psi0's own group is never deflated: it holds psi0's entry
+    valid = (size > 0) & (w > DEFLATE)
+    valid[everyone, mine] = True
+    poles = valid.sum(axis=1)
+    keep = (~valid).argsort(axis=1, kind="stable")[:, :poles.max()] + count * everyone[:, None]
+    return _Poles(np.where(valid, theta, np.nan).take(keep), np.where(valid, w, 0.0).take(keep),
+                  poles, valid.cumsum(axis=1)[everyone, mine] - 1,
+                  rest[everyone, mine], bool(poles.min() < poles.max()))
+
+
+class _Roots(NamedTuple):
+    """The secular roots of every row, flat: phi = theta[row, ref] + s delta.
+
+    ref is the pole nearer the root, s is +1 when the gap lies above it
+    and -1 below, gap is the width of the root's gap.
+    """
+
+    row: np.ndarray
+    ref: np.ndarray
+    s: np.ndarray
+    gap: np.ndarray
+    delta: np.ndarray
+
+
+def _offsets(poles: _Poles, row, ref, s, gap) -> tuple[np.ndarray, np.ndarray]:
+    """Each pole's offset p from the reference pole, (c, M), and the gap's far end.
+
+    p is s (theta_G - theta_ref), a difference of stored phases, wrapped
+    to within pi of the gap's middle; the reference pole and the far end
+    sit at exactly 0 and gap, so phi - theta_G = s (delta - p) keeps its
+    relative accuracy next to every pole.  Padding sits at -pi.
+    """
+    at = np.arange(len(row))
+    far = (ref + s) % poles.count[row]
+    half = 0.5 * gap[:, None]
+    theta = poles.theta[row]
+    p = theta - theta[at, ref][:, None]
+    p *= s[:, None]
+    p -= (2.0 * np.pi) * (p >= half + np.pi)
+    p += (2.0 * np.pi) * (p < half - np.pi)
+    p[at, ref], p[at, far] = 0.0, gap
+    if poles.padded:
+        p[np.isnan(p)] = -np.pi
+    return p, far
+
+
+def _solve(poles: _Poles, roots: _Roots, which: np.ndarray, final: np.ndarray) -> None:
+    """Iterate the roots numbered which until each converges; see _secular_roots.
+
+    Writes each root's ref, s and delta into roots, and f, slope = -2 f',
+    scale = sum of w_G (|cot((phi - theta_G) / 2)| + 1) and csc_own =
+    1 / sin^2((phi - theta_own) / 2) at it into final's columns.  The
+    step is the "middle way" of Li (LAPACK Working Note 89), on the
+    circle: the poles behind the reference pole and those ahead of the
+    gap's far end are each replaced by a multiple of the nearer end's
+    cot, matching their slope at delta, and a constant takes up the rest
+    of f; the model c + s1 cot(delta / 2) + s2 cot((delta - gap) / 2) = 0
+    is a quadratic in u = cot(delta / 2) with one root in the gap, the
+    larger root of s1 u^2 - b u - e, taken without cancellation.  Sums
+    over the poles run in order (cumsum), so a row's padding changes no
+    bit; a converged root keeps its delta while the others go on.
+    """
+    row, ref, s, gap, delta = (a[which] for a in roots)
+    at = np.arange(len(row))
+    w = poles.w[row]
+    w_all = w.cumsum(axis=1)[:, -1]
+    cg = 1.0 / np.tan(0.5 * gap)
+    low, high = np.zeros(len(row)), delta.copy()
+    active = np.ones(len(row), dtype=bool)
+    tiny = 4.0 * np.finfo(float).eps
+    for number in range(SECULAR_STEPS + 1):
+        if number < 2:
+            p, far = _offsets(poles, row, ref, s, gap)
+            rest = w.copy()
+            rest[at, ref] = rest[at, far] = 0.0
+            behind = rest * (p < 0.5 * gap[:, None])
+            w_ref, w_far = w[at, ref], w[at, far]
+        cot = 1.0 / np.tan(0.5 * (delta[:, None] - p))
+        csc = 1.0 + cot * cot
+        terms = rest * cot
+        total, dpsi, bend, size = np.array(
+            [terms, behind * csc, rest * csc, np.abs(terms)]).cumsum(axis=2)[..., -1]
+        c_ref, c_far = 1.0 / np.tan(0.5 * delta), 1.0 / np.tan(0.5 * (delta - gap))
+        k_ref, k_far = 1.0 + c_ref * c_ref, 1.0 + c_far * c_far
+        f = total + (w_ref * c_ref + w_far * c_far)
+        if not number:
+            # the middle seen from the other end negates f and swaps the poles
+            # behind and ahead: the far end is nearer when f > 0 there
+            flip = f > 0.0
+            s, ref = np.where(flip, -1, s), np.where(flip, far, ref)
+            f = np.where(flip, -f, f)
+            dpsi = np.where(flip, bend - dpsi, dpsi)
+            w_ref, w_far = np.where(flip, w_far, w_ref), np.where(flip, w_ref, w_far)
+        s1, s2 = w_ref + dpsi / k_ref, w_far + (bend - dpsi) / k_far
+        c = f - s1 * c_ref - s2 * c_far
+        b = (s1 + s2) * cg - c
+        e = c * cg + s2
+        root = np.sqrt(np.maximum(b * b + 4.0 * s1 * e, 0.0))
+        u = (b + root) / (2.0 * s1)
+        neg = b < 0.0
+        if neg.any():
+            np.copyto(u, 2.0 * e / (root - b + ~neg), where=neg)
+        step = 2.0 * np.arctan2(1.0, u)
+        np.copyto(low, delta, where=f > 0.0)
+        np.copyto(high, delta, where=f < 0.0)
+        np.copyto(step, 0.5 * (low + high), where=(step <= low) | (step >= high))
+        scale = size + w_all + (w_ref * np.abs(c_ref) + w_far * np.abs(c_far))
+        done = active & ((np.abs(f) <= 2.0 * tiny * scale)
+                         | (np.abs(step - delta) <= tiny * delta))
+        if number == SECULAR_STEPS:
+            done = active
+        if done.any():
+            finished = which[done]
+            final[:, finished] = [f[done], (bend + (w_ref * k_ref + w_far * k_far))[done],
+                                  scale[done], csc[at[done], poles.own[row[done]]]]
+            roots.ref[finished], roots.s[finished] = ref[done], s[done]
+            roots.delta[finished] = delta[done]
+            active &= ~done
+            if not active.any():
+                return
+        np.copyto(delta, step, where=active)
+
+
+def _secular_roots(poles: _Poles) -> tuple[_Roots, np.ndarray]:
+    """The roots of sum_G w_G cot((phi - theta_G) / 2) = 0, one in each gap, and f there.
+
+    f falls from +inf to -inf across each gap between consecutive poles,
+    so it has one root there.  Its sign at the gap's middle picks the
+    nearer end as the reference pole; from the middle, the model steps of
+    _solve run inside a bracket kept by the signs of f, falling back to
+    bisection when a step leaves it, until |f| is within 8 eps of scale
+    or a step would move delta by at most 4 eps delta, at most
+    SECULAR_STEPS times.  The roots run in vectorized chunks of at most
+    SECULAR_ENTRIES pole-root pairs, each root on its own.  A row with one
+    pole has its root opposite it, where f is w cot(pi / 2).  Returns the
+    roots and f, slope, scale and csc_own at them (see _solve).
+    """
+    count = poles.count
+    row = np.arange(len(count)).repeat(count)
+    k = np.arange(len(row)) - (count.cumsum() - count).repeat(count)
+    theta = poles.theta
+    last = k == count[row] - 1
+    gap = np.where(last, (theta[row, 0] + np.pi) + (np.pi - theta[row, k]),
+                   theta[row, np.where(last, 0, k + 1)] - theta[row, k])
+    roots = _Roots(row, k, np.ones(len(row), dtype=np.int64), gap, 0.5 * gap)
+    final = np.zeros((4, len(row)))
+    # a lone pole's root is opposite it, and stays at its gap's middle
+    lone = count[row] == 1
+    w_lone, c_lone = poles.w[row[lone], 0], 1.0 / np.tan(0.5 * np.pi)
+    final[:, lone] = [w_lone * c_lone, w_lone * (1.0 + c_lone * c_lone),
+                      w_lone * (abs(c_lone) + 1.0), 1.0 + c_lone * c_lone + 0.0 * w_lone]
+    active = (~lone).nonzero()[0]
+    size = max(1, SECULAR_ENTRIES // theta.shape[1])
+    for start in range(0, len(active), size):
+        _solve(poles, roots, active[start:start + size], final)
+    return roots, final
+
+
+def _star_spectra(part: InstanceRows, phases: np.ndarray, weights: np.ndarray,
+                  scale: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """W's phases and psi0's weights on them, from W0's, row by row.
+
+    phases and weights are W0's phases and q0's weights on them, psi0's
+    own row first; scale is |psi0|^2.  With W0's phases grouped into poles
+    (_poles) theta_G of weight w_G, W's other phases are the secular roots
+    (_secular_roots), and psi0's weight on root phi is scale |q0_0|^2 /
+    sin^2((phi - theta_0) / 2) divided by sum_G w_G / sin^2((phi - theta_G) / 2),
+    where q0_0 is q0's entry on psi0's row and theta_0 psi0's group; its
+    weight on the rest of its group's eigenspace is scale rest_0 / w_0, with
+    rest_0 that group's weight without psi0's own entry.  psi0 is
+    orthogonal to every other group's eigenspace, so a deflated group
+    carries none of its weight.  Each root's secular residual |f| / scale
+    must be within assert_tol; ValueError names the row where it is not.
+    """
+    poles = _poles(phases, weights)
+    roots, (f, slope, scale_f, csc_own) = _secular_roots(poles)
+    m = len(phases)
+    worst = np.maximum.reduceat(np.abs(f) / scale_f, np.searchsorted(roots.row, np.arange(m)))
+    part.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
+                     lambda v: f"secular residual {v:.3e} exceeds assert_tol "
+                               f"{DEFAULT_TOL.assert_tol:g}")
+    phi = poles.theta[roots.row, roots.ref] + roots.s * roots.delta
+    phi = np.where(phi > np.pi, phi - 2.0 * np.pi, phi)
+    phi = np.where(phi <= -np.pi, phi + 2.0 * np.pi, phi)
+    weight = (scale * weights[:, 0])[roots.row] * csc_own / slope
+    rest = scale * poles.rest / poles.w[np.arange(m), poles.own]
+    ends = poles.count.cumsum()
+    return [(np.concatenate([phi[end - count:end], [0.0]]),
+             np.concatenate([weight[end - count:end], [r]]))
+            for end, count, r in zip(ends.tolist(), poles.count.tolist(), rest)]
 
 
 def _zero_phase_weight(spectrum: WalkSpectrum, theta_star: float) -> float:
@@ -284,8 +705,10 @@ class Decision:
     dim is the instance dimension and rank_a / rank_b its generator counts
     per side (the ranks of the two spans), read from its structure;
     dim_decided is the row count of psi0's component, on which the
-    spectrum was taken, and min_angle the smallest principal angle among
-    the rotation planes of that component (None when there is none).
+    spectrum was taken, and min_angle the smallest |phi| / 2 over the
+    walk's nonzero eigenphases phi that carry psi0 weight (None when none
+    does): for the simple loop, the smallest principal angle of the plane
+    psi0 sees.
     """
 
     verdict: str            # "positive" | "negative"

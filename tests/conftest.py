@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from vtsearch import (DEFAULT_TOL, NonUnitaryError, SpectralDecomposition,
                       unitarity_residual, unitary_eig)
 from vtsearch import bounds
 from vtsearch.linalg import check_dim
-from vtsearch.phase import WalkSpectrum
+from vtsearch import phase
+from vtsearch.phase import WalkSpectrum, _rotation_blocks
 from vtsearch.subroutines import BlockSchedule, StoppingProfile, SubroutineSpec
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
-                                SimpleBasis)
+                                SimpleBasis, _dense, _read_only, _sum_by, stacked_rmatvec)
 
 
 def span_residual(generators, vec):
@@ -79,6 +81,122 @@ def reflected_compressions(instance, u, w):
             @ walked.reshape(dim, count, 2).transpose(1, 0, 2))
 
 
+class CrossPlan(NamedTuple):
+    """Where the cross Gram G_A^H G_B comes from: the entry pairs on a shared label.
+
+    Pair p is side A's entry left[p] and side B's entry right[p], on the
+    same basis label; its product conj(a[left[p]]) * b[right[p]] adds to
+    the flat k_A x k_B entry flat[p], in array order.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    flat: np.ndarray
+
+
+def cross_plan(structure):
+    """The pairs of an A entry and a B entry of a structure that share a label.
+
+    Side A's entries are taken in storage order, each paired with every
+    B entry on its label, in B's storage order; generator i's labels
+    ascend, so each cross Gram entry sums its labels in ascending order.
+    """
+    a, b = structure.sides["A"], structure.sides["B"]
+    per_row = np.bincount(b.rows, minlength=structure.dim)
+    by_row = np.argsort(b.rows, kind="stable")
+    counts = per_row[a.rows]
+    left = np.repeat(np.arange(len(a.rows)), counts)
+    starts = np.cumsum(per_row) - per_row
+    # offset of each pair within its label's run of B entries
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+    right = by_row[np.repeat(starts[a.rows], counts) + offset]
+    return CrossPlan(*map(_read_only, (left, right, a.cols[left] * b.shape[1] + b.cols[right])))
+
+
+def cross_gram(structure, qa, qb):
+    """Q_A^H Q_B of rows of normalized generator values qa, qb: (m, k_A, k_B).
+
+    Summed from the entry pairs that share a label (cross_plan), with one
+    bincount over the flat entries: every other pair of generators is
+    orthogonal by support.
+    """
+    plan = cross_plan(structure)
+    k_a, k_b = (structure.sides[s].shape[1] for s in ("A", "B"))
+    products = qa.take(plan.left, axis=1).conj() * qb.take(plan.right, axis=1)
+    return _sum_by(plan.flat, products, k_a * k_b).reshape(len(qa), k_a, k_b)
+
+
+def stacked_matmat(sparsity, values, x):
+    """G_s X_s for every row s: values (m, nnz) on sparsity, x (m, k, r), an (m, d, r) array.
+
+    Each output row sums its label's entries in storage order, one slot at
+    a time (slot s holds each label's s-th entry), with no BLAS call.
+    """
+    order = np.argsort(sparsity.rows, kind="stable")
+    rows = sparsity.rows[order]
+    index = np.arange(len(rows))
+    # an entry's slot is its distance from its label's first entry
+    slot = index - np.maximum.accumulate(np.where(np.diff(rows, prepend=-1) != 0, index, 0))
+    m, width = len(values), x.shape[-1]
+    out = np.zeros((m, sparsity.dim, width), dtype=np.result_type(values, x))
+    flat = out.reshape(-1, width)
+    shift = sparsity.dim * np.arange(m)[:, None]
+    for s in range(int(slot.max(initial=-1)) + 1):
+        entries = order[slot == s]
+        product = values.take(entries, axis=1)[..., None] * x.take(sparsity.cols[entries], axis=1)
+        flat[(sparsity.rows[entries] + shift).ravel()] += product.reshape(-1, width)
+    return out
+
+
+def star_block_compressions(instance):
+    """Oracle: W0's 2 x 2 compression on each rotation plane of the star's blocks.
+
+    Block by block (the engine's choice: the star or one block), pattern
+    by pattern, as the engine hands the planes of a lone instance to
+    unitary_eig, once for a pattern whose blocks all
+    hold the same values: the planes
+    are rebuilt on the block's
+    dense normalized generators from the SVD of the engine's block cross
+    Gram, and R_A' R_B is applied to them as dense products, so no
+    closed form is assumed.
+    """
+    part = instance.psi0_component()
+    rows = part.rows()
+    qa, qb = rows.normalized("A")[0], rows.normalized("B")[0]
+    star = phase._star_of(part.structure)
+    # the vector whose weights the blocks give: the hub generator, or psi0
+    x = part.psi0
+    if star.hub is not None:
+        a = part.structure.sides["A"]
+        hub = slice(a.indptr[star.hub], a.indptr[star.hub + 1])
+        x = np.zeros(part.dim, dtype=qa.dtype)
+        x[a.rows[hub]] = qa[hub]
+    out = [np.zeros((0, 2, 2))]
+    for pattern in star.patterns:
+        sides = pattern.structure.sides
+        blocks = list(zip(pattern.rows, pattern.entries["A"], pattern.entries["B"]))
+        keys = {tuple(np.asarray(v).tobytes() for v in (x[r], qa[a], qb[b]))
+                for r, a, b in blocks}
+        # a pattern whose blocks all hold the same values is decided once
+        for block_rows, entries_a, entries_b in blocks[:1] if len(keys) == 1 else blocks:
+            da = _dense(sides["A"], qa[entries_a])
+            db = _dense(sides["B"], qb[entries_b])
+            u, cos, vh = np.linalg.svd(cross_gram(pattern.structure, qa[entries_a][None],
+                                                  qb[entries_b][None])[0],
+                                       full_matrices=False)
+            ua = da @ u
+            perp = db @ vh.conj().T - ua * cos
+            sin = np.linalg.norm(perp, axis=0)
+            rot = sin > DEFAULT_TOL.rank_tol
+            planes = np.stack([ua[:, rot], perp[:, rot] / sin[rot]], axis=-1)
+            size, count = planes.shape[0], planes.shape[1]
+            walked = reflect(da, da.conj().T,
+                             reflect(db, db.conj().T, planes.reshape(size, 2 * count)))
+            out.append(planes.transpose(1, 2, 0).conj()
+                       @ walked.reshape(size, count, 2).transpose(1, 0, 2))
+    return np.concatenate(out)
+
+
 def reflected_walk_spectrum(instance):
     """Oracle: the principal-angle engine on dense span bases.
 
@@ -119,6 +237,57 @@ def reflected_walk_spectrum(instance):
                                [np.pi, np.pi, 0.0]]),
         weights=np.concatenate([weights.ravel(), lines, unpaired, [outside]]),
         dim=instance.dim, rank_a=qa.shape[1], rank_b=qb.shape[1],
+        min_angle=float(angles.min()) if len(angles) else None)
+
+
+def principal_angle_spectrum(instance):
+    """Oracle: the principal-angle engine on psi0's whole component, sparse.
+
+    The library's engine before it decided on the star: the cross Gram
+    Q_A^H Q_B of the whole component, summed from the entry pairs that
+    share a label, one thin SVD of it, the plane vectors as sparse
+    products, each plane's rotation in closed form and psi0's weight on
+    every phase, with no hub and no secular equation.  Its SVD is of the
+    whole k_A x k_B cross Gram, so it is cubic in n.  Returns a
+    WalkSpectrum whose min_angle is the smallest principal angle of the
+    rotation planes.
+    """
+    part = instance.rows().component()
+    psi0 = part.psi0
+    sa, sb = part.structure.sides["A"], part.structure.sides["B"]
+    qa, qb = part.normalized("A"), part.normalized("B")
+    c = cross_gram(part.structure, qa, qb)
+    u, cos, vh = np.linalg.svd(c, full_matrices=False)
+    v = vh.conj().swapaxes(1, 2)
+    scaled = cos[:, None, :]
+    resid = max(np.abs(c @ v - u * scaled).max(initial=0.0),
+                np.abs(c.conj().swapaxes(1, 2) @ u - v * scaled).max(initial=0.0))
+    assert resid <= DEFAULT_TOL.assert_tol
+    pa, pb = stacked_rmatvec(sa, qa, psi0), stacked_rmatvec(sb, qb, psi0)
+    ca = (pa.conj()[:, None] @ u)[:, 0].conj()
+    cb = (vh @ pb[..., None])[..., 0]
+    ra = pa - (u @ ca[..., None])[..., 0]
+    rb = pb - (v @ cb[..., None])[..., 0]
+    on_b = stacked_matmat(sb, qb, np.concatenate([v, rb[..., None]], axis=2))
+    on_a = stacked_matmat(sa, qa, np.concatenate([u * scaled, pa[..., None]], axis=2))
+    perp = on_b[..., :-1] - on_a[..., :-1]
+    sin = np.linalg.norm(perp, axis=1)
+    rot = sin > DEFAULT_TOL.rank_tol
+    cw = (cb - cos * ca)[rot] / sin[rot]
+    x = np.zeros(cos.shape, dtype=cw.dtype)
+    x[rot] = cw / sin[rot]
+    outside = psi0 - on_a[..., -1] - (perp @ x[..., None])[..., 0] - on_b[..., -1]
+    angles = np.arctan2(sin[rot], cos[rot])
+    dec = unitary_eig(_rotation_blocks(angles))
+    coeffs = np.stack([ca[rot], cw], axis=-1)
+    weights = np.abs(np.einsum("kij,ki->kj", dec.vectors.conj(), coeffs)) ** 2
+    return WalkSpectrum(
+        phases=np.concatenate([dec.phases.ravel(), np.zeros(int(np.sum(~rot))),
+                               [np.pi, np.pi, 0.0]]),
+        weights=np.concatenate([weights.ravel(), np.abs(ca[~rot]) ** 2,
+                                [np.linalg.norm(ra) ** 2, np.linalg.norm(rb) ** 2,
+                                 np.linalg.norm(outside) ** 2]]),
+        dim=part.structure.dim, rank_a=sa.shape[1], rank_b=sb.shape[1],
         min_angle=float(angles.min()) if len(angles) else None)
 
 

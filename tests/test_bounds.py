@@ -94,6 +94,13 @@ def test_bound_input_validation():
         PromiseDescriptor(marked_sets=(frozenset(),))
 
 
+def test_promise_refuses_a_nan_t_max():
+    """Every cap check is false for nan, so a nan cap would pass unchecked."""
+    with pytest.raises(ValueError, match="t_max must be a number, got nan"):
+        PromiseDescriptor(unique_marked=True, t_max=float("nan"))
+    assert PromiseDescriptor(unique_marked=True, t_max=4.0).t_max == 4.0
+
+
 def test_full_report_has_every_kind():
     profile = CostProfile.deterministic(np.array([1.0, 2.0, 3.0, 4.0]))
     values = full_report(profile, _unique_promise(4.0))

@@ -25,10 +25,12 @@ from vtsearch.linalg import (DEFAULT_TOL, DIM_CAP, DimensionCapError,
                              NonUnitaryError, cluster_phases, reflection, unitary_eig)
 from vtsearch.subroutines import stopping_moments, subroutine_pair
 
-from conftest import (dense_qpe_distribution, dense_qpe_zero_prediction,
+from conftest import (cross_gram, cross_plan, dense_qpe_distribution,
+                      dense_qpe_zero_prediction,
                       dense_reflection_factorization_residual,
                       dense_walk_spectrum, dense_zero_phase_overlap,
-                      reflected_compressions, reflected_walk_spectrum)
+                      principal_angle_spectrum, reflected_walk_spectrum,
+                      star_block_compressions)
 
 THETA_STARS = (0.05, 0.2, 0.5)
 ORACLE_TOL = 1e-12
@@ -191,7 +193,7 @@ def test_a_nan_fails_every_check(check, monkeypatch):
                          "side A: generator norm nan is not above rank_tol in row 0"),
         "norms-report": (lambda: nan_value.well_formedness_report(),
                          "side A: generator norm nan is not above rank_tol$"),
-        "orthonormality": (lambda: (patch(inst_mod, "_gram_entries", lambda g: g * math.nan),
+        "orthonormality": (lambda: (patch(phase_mod, "_orthonormality", lambda r: r * math.nan),
                                     decide(shared, c_minus=4.0, c_plus=2.0)),
                            "side A: normalized generators are not orthonormal, "
                            "residual nan in row 0"),
@@ -511,8 +513,18 @@ def test_spectrum_weights_sum_to_one_on_built_instances(small_pair):
         spectrum = _walk_spectrum(inst)
         assert np.all(spectrum.weights >= 0.0)
         assert abs(float(np.sum(spectrum.weights)) - 1.0) <= ORACLE_TOL
-        # one phase-pi entry per side, then the complement's phase 0
-        assert list(spectrum.phases[-3:]) == [math.pi, math.pi, 0.0]
+        if phase_mod._star_of(inst.structure.component.structure).hub is None:
+            # one block: a phase-pi entry per side, then the complement's phase 0
+            assert list(spectrum.phases[-3:]) == [math.pi, math.pi, 0.0]
+        else:
+            # on the star: one secular root per gap, all distinct and none
+            # at 0, then the rest of psi0's own group at phase 0
+            roots = spectrum.phases[:-1]
+            assert spectrum.phases[-1] == 0.0 and np.all(roots != 0.0)
+            assert len(np.unique(roots)) == len(roots)
+    # both paths ran: n = 4 and (2, 2, 2) as one block, n = 80 and (16, 4, 4) on the star
+    paths = {phase_mod._star_of(inst.structure.component.structure).hub for inst in built}
+    assert paths == {None, 0}
 
 
 @pytest.mark.parametrize("straddle", [(-0.5, 0.4), (-0.4, 0.5)])
@@ -619,34 +631,27 @@ def _engine_blocks(instances, monkeypatch):
 
 @pytest.mark.parametrize("case", _oracle_cases())
 def test_closed_form_planes_match_the_reflected_engine(case, monkeypatch):
-    """Closed-form rotations against W's compression and the previous engine.
+    """Closed-form block rotations against W0's compression and the reflected engine.
 
-    The planes are rebuilt on dense span bases from the SVD of the same
-    cross Gram, so they are the engine's; W's compression on them,
-    computed with dense reflections, must be the engine's rotation by
-    -2 theta_j.  Verdicts equal the reflected engine's, and p0 at every
-    cutoff and min_angle agree with it within 1e-12.  Stacked rows take
-    their planes from their pass's one stack of rotations.
+    The planes are rebuilt block by block on dense block bases from the
+    SVD of the same block cross Gram, so they are the engine's; W0's
+    compression on them, computed with dense reflections, must be the
+    engine's rotation by -2 theta_j.  Verdicts equal those of the
+    principal-angle engine on dense span bases of the whole component,
+    and p0 at every cutoff agrees with it within 1e-12.  Stacked rows take
+    their planes from their pass's one stack of rotations, row after row.
     """
     cases = _oracle_instances(case)
     spectra, stacked = _engine_blocks([inst for _, inst, _, _ in cases], monkeypatch)
     start = 0
     for (label, inst, c_minus, c_plus), spectrum in zip(cases, spectra):
-        part = inst.psi0_component()
-        qa, qb = part.span_basis("A"), part.span_basis("B")
-        u, cos, vh = np.linalg.svd(_cross_gram(part), full_matrices=False)
-        ua = qa @ u
-        perp = qb @ vh.conj().T - ua * cos
-        sin = np.linalg.norm(perp, axis=0)
-        rot = sin > DEFAULT_TOL.rank_tol
-        compressions = reflected_compressions(part, ua[:, rot], perp[:, rot] / sin[rot])
+        compressions = star_block_compressions(inst)
         blocks = stacked[start:start + len(compressions)]
         start += len(compressions)
         assert blocks.shape == compressions.shape and len(blocks) > 0
         assert np.max(np.abs(blocks - compressions)) <= ORACLE_TOL, label
 
         reference = reflected_walk_spectrum(inst)
-        assert abs(spectrum.min_angle - reference.min_angle) <= ORACLE_TOL
         for theta in THETA_STARS:
             assert abs(_zero_phase_weight(spectrum, theta)
                        - dense_zero_phase_overlap(
@@ -688,12 +693,11 @@ def test_stacked_rows_have_the_bytes_of_lone_rows(shape, seed):
 
 
 def test_rows_past_the_entry_budget_go_in_smaller_passes(monkeypatch):
-    """A budget of two rows' working arrays decides a five-row stack two rows a pass."""
+    """A budget of two rows' block working arrays decides a five-row stack two rows a pass."""
     pairs = regime_pairs(*subroutine_pair(0, 4, 4, 4), REGIMES)
     rows = [pair.built["marked"] for pair in pairs]
-    part = rows[0].psi0_component()
-    width = max(s.shape[1] for s in part.structure.sides.values()) + 1
-    monkeypatch.setattr(phase_mod, "STACK_ENTRIES", 2 * part.dim * width + 1)
+    monkeypatch.setattr(phase_mod, "STACK_ENTRIES",
+                        2 * phase_mod._row_entries(rows[0].structure) + 1)
     spectra = rows[0].stack.spectra
     _walk_spectrum(rows[3])
     assert sorted(spectra) == [2, 3]
@@ -716,9 +720,9 @@ def test_a_stack_refuses_instances_it_cannot_decide_together():
 
 
 def _cross_gram(inst):
-    """The engine's cross Gram Q_A^H Q_B of an instance alone, k_A x k_B."""
+    """The oracle engine's cross Gram Q_A^H Q_B of an instance alone, k_A x k_B."""
     rows = inst.rows()
-    return rows.cross_gram(rows.normalized("A"), rows.normalized("B"))[0]
+    return cross_gram(inst.structure, rows.normalized("A"), rows.normalized("B"))[0]
 
 
 def _assert_cross_gram_is_dense_product(inst):
@@ -753,7 +757,7 @@ def test_cross_gram_sums_several_entries_per_label():
 
     psi0 = _unit(dim, 0)
     inst = _toy_instance(orthogonal(2, [0, 1, 2, 3]), orthogonal(3, [1, 2, 3, 4]), psi0)
-    assert inst.structure.cross.left.shape == (4 * 2 * 3 - 2 * 3,)
+    assert cross_plan(inst.structure).left.shape == (4 * 2 * 3 - 2 * 3,)
     _assert_cross_gram_is_dense_product(inst)
     _assert_matches_dense_oracle(inst)
 
@@ -788,11 +792,10 @@ def test_a_moved_singular_vector_fails_the_certificate(small_pair, monkeypatch):
 def test_a_non_unitary_rotation_block_names_its_row(small_pair, monkeypatch):
     """unitary_eig's checks run on every row's planes, and a failure names the row."""
     pairs = regime_pairs(*small_pair, REGIMES)
-    # each row's planes, from its spectrum alone: two nonzero phases each
-    # before the last three entries, which are pi, pi and 0
-    planes = [np.count_nonzero(_walk_spectrum(PEInstance(
-        inst.structure, inst.psi0, inst.values)).phases[:-3]) // 2
-        for inst in (pair.built["empty"] for pair in pairs)]
+    # each row's planes, as unitary_eig receives them from the row alone
+    planes = [len(_engine_blocks([PEInstance(inst.structure, inst.psi0, inst.values)],
+                                 monkeypatch)[1])
+              for inst in (pair.built["empty"] for pair in pairs)]
     assert planes[2] > 0
     blocks = phase_mod._rotation_blocks
     first = planes[0] + planes[1]  # row 2's first plane
@@ -1069,3 +1072,217 @@ def test_simple_witness_report_roundtrip():
     payload = report.to_jsonable()
     assert payload["kind"] == "positive"
     assert payload["norm_sq_closed"] == pytest.approx(4.0)
+
+
+def _oracle_p0_cases():
+    for shape in ((2, 2, 2), (4, 2, 2), (16, 4, 4)):
+        yield pytest.param(("stacked", shape), id=f"{shape}")
+    for n in (4, 16, 64, 80):
+        yield pytest.param(("simple", n), id=f"simple-{n}")
+
+
+@pytest.fixture
+def on_the_star(monkeypatch):
+    """Every component with a hub decided on the star, small ones too."""
+    monkeypatch.setattr(phase_mod, "STAR_COLUMNS", 0)
+
+
+@pytest.mark.parametrize("star_everywhere", [False, True], ids=["by-size", "star"])
+@pytest.mark.parametrize("case", _oracle_p0_cases())
+def test_star_p0_matches_the_principal_angle_oracle(case, star_everywhere, request):
+    """p0 of the engine against the principal-angle engine on the whole component.
+
+    Every regime's row of both sides, decided as the stacks regime_pairs
+    ties, within 1e-12 at decide's cutoff and at THETA_STARS, both with
+    small components as one block and with every component on the star;
+    the oracle is the engine the star decision replaced (tests/conftest.py).
+    """
+    if star_everywhere:
+        request.getfixturevalue("on_the_star")
+    for label, inst, c_minus, c_plus in _oracle_instances(case):
+        reference = principal_angle_spectrum(inst)
+        decision = decide(inst, c_minus=c_minus, c_plus=c_plus)
+        for theta in (decision.theta_star, *THETA_STARS):
+            want = dense_zero_phase_overlap((reference.phases, reference.weights), theta)
+            assert abs(zero_phase_overlap(inst, theta) - want) <= ORACLE_TOL, (label, theta)
+        assert decision.verdict == ("positive" if label == "marked" else "negative")
+
+
+def _poles_of(theta, w, own):
+    """A _Poles of one row: theta ascending in (-pi, pi], w > 0."""
+    return phase_mod._Poles(np.asarray(theta, dtype=float)[None], np.asarray(w, dtype=float)[None],
+                            np.array([len(theta)]), np.array([own]), np.array([0.0]), False)
+
+
+def _secular_cases():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3, 6, 23, 40):
+        theta = np.sort(rng.uniform(-np.pi, np.pi, m))
+        yield f"random-{m}", theta, rng.dirichlet(np.ones(m)), int(rng.integers(m))
+    # the simple loop's poles, exact 0 and pi among them
+    yield ("simple", np.array([-2, -1, 0, 1, 2, 3]) * np.pi / 3,
+           np.array([0.004, 0.325, 0.016, 0.325, 0.004, 0.326]), 2)
+    # clustered phases, weights over twenty orders, poles at both ends of the seam
+    theta = np.array([-np.pi + 1e-9, -1.0, -1.0 + 1e-8, -1.0 + 2e-8, 0.0, 1e-7, 0.5,
+                      np.pi - 1e-6, np.pi])
+    w = np.array([1e-3, 0.2, 0.2, 1e-20, 0.3, 1e-12, 0.1, 0.1, 0.099])
+    yield "clustered", theta, w / w.sum(), 4
+
+
+@pytest.mark.parametrize("name, theta, w, own", list(_secular_cases()),
+                         ids=[c[0] for c in _secular_cases()])
+def test_secular_roots_match_the_compressed_unitary(name, theta, w, own):
+    """The secular roots against the eigenphases of (I - 2 a a^H) diag(e^{i theta_G}).
+
+    a_G = sqrt(w_G).  One root lies in each gap, within 1e-12 of an
+    eigenphase on the circle, with secular residual within 8 eps of its
+    scale; the weight formula on the own pole matches |x_own|^2 of the
+    eigenvectors where the phases are well separated, and the weights sum
+    to 1 within 1e-12 everywhere, clustered phases included.
+    """
+    poles = _poles_of(theta, w, own)
+    roots, (f, slope, scale, csc_own) = phase_mod._secular_roots(poles)
+    phi = theta[roots.ref] + roots.s * roots.delta
+    assert np.all(np.abs(f) <= 8 * np.finfo(float).eps * scale)
+    a = np.sqrt(w)
+    compressed = (np.eye(len(w)) - 2.0 * np.outer(a, a)) * np.exp(1j * theta)
+    values, vectors = np.linalg.eig(compressed)
+    # match every root to its nearest eigenvalue on the circle
+    gaps = np.abs(np.exp(1j * phi)[:, None] - values[None, :])
+    nearest = gaps.argmin(axis=1)
+    assert sorted(nearest) == list(range(len(w)))
+    assert gaps.min(axis=1).max() <= ORACLE_TOL
+    weights = w[own] * csc_own / slope
+    assert abs(weights.sum() - 1.0) <= ORACLE_TOL
+    if name != "clustered":
+        want = np.abs(vectors[own, nearest]) ** 2 / np.sum(np.abs(vectors[:, nearest]) ** 2,
+                                                           axis=0)
+        assert np.max(np.abs(weights - want)) <= 1e-10
+
+
+def test_a_moved_block_singular_value_fails_the_certificate(small_pair, monkeypatch,
+                                                           on_the_star):
+    """One block's singular values in row 3 moved by 1e-6 break C V = U Sigma there.
+
+    The blocks of all five rows share one stacked SVD per pattern, so the
+    mutation is in place before the first decision; every row raises,
+    naming the certificate and row 3.
+    """
+    pairs = regime_pairs(*small_pair, REGIMES)
+    svd = np.linalg.svd
+
+    def moved(a, full_matrices=True):
+        u, s, vh = svd(a, full_matrices=full_matrices)
+        assert len(s) == 5  # one block a row: the marked side's patterns
+        s = s.copy()
+        s[3] += 1e-6
+        return u, s, vh
+
+    monkeypatch.setattr(phase_mod.np.linalg, "svd", moved)
+    for pair in pairs:
+        with pytest.raises(ValueError, match=r"principal-vector residual \d\.\d+e-0[67] "
+                                             r"exceeds assert_tol 1e-08 in row 3$"):
+            decide(pair.built["marked"], c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+    assert not pairs[0].built["marked"].stack.spectra
+
+
+def test_a_broken_weight_sum_names_its_row(small_pair, monkeypatch, on_the_star):
+    """psi0's weights, summed as a sum, must reach |psi0|^2 in every row.
+
+    A weight of row 2 moved by 1e-6 after the secular step leaves the sum
+    short there, and the check names it and the row.
+    """
+    pairs = regime_pairs(*small_pair, REGIMES)
+    star_spectra = phase_mod._star_spectra
+
+    def broken(*args):
+        spectra = star_spectra(*args)
+        phases, weights = spectra[2]
+        spectra[2] = (phases, weights + np.eye(1, len(weights))[0] * 1e-6)
+        return spectra
+
+    monkeypatch.setattr(phase_mod, "_star_spectra", broken)
+    with pytest.raises(ValueError, match=r"psi0's weights miss \|psi0\|\^2 by 1\.000e-06, "
+                                         r"over assert_tol 1e-08 in row 2$"):
+        decide(pairs[0].built["empty"], c_minus=pairs[0].c_minus, c_plus=pairs[0].c_plus_decide)
+    assert not pairs[0].built["empty"].stack.spectra
+
+
+def test_a_secular_residual_names_its_row(small_pair, monkeypatch, on_the_star):
+    """A root whose secular function is off by 1e-6 of its scale fails in its row."""
+    pairs = regime_pairs(*small_pair, REGIMES)
+    roots_of = phase_mod._secular_roots
+
+    def off(poles):
+        roots, final = roots_of(poles)
+        first = int(np.searchsorted(roots.row, 1))
+        final[0, first] += 1e-6 * final[2, first]
+        return roots, final
+
+    monkeypatch.setattr(phase_mod, "_secular_roots", off)
+    with pytest.raises(ValueError, match=r"secular residual 1\.000e-06 exceeds assert_tol "
+                                         r"1e-08 in row 1$"):
+        decide(pairs[0].built["marked"], c_minus=pairs[0].c_minus, c_plus=pairs[0].c_plus_decide)
+
+
+@pytest.mark.parametrize("n", [16, 80, 320])
+def test_simple_loop_star_has_at_most_six_poles(n, monkeypatch, on_the_star):
+    """The simple loop's W0 has phases 0, +-pi/3, pi, and +-2 pi/3 when marked, at every n.
+
+    Its blocks are n copies of one or two layouts, each decided once, so
+    the secular equation has at most six poles whatever n is.
+    """
+    seen = []
+    poles_of = phase_mod._poles
+    monkeypatch.setattr(phase_mod, "_poles",
+                        lambda *args: seen.append(poles_of(*args)) or seen[-1])
+    for marked, most in ((frozenset(), 4), (frozenset({0}), 6)):
+        inst = build_simple_instance(OracleSpec(size=n, marked=marked), float(n))
+        star = inst.structure.component.structure.star
+        assert star.hub == 0 and sum(len(p.rows) for p in star.patterns) == n
+        decide(inst, c_minus=1.0 + 3.0 * n, c_plus=4.0)
+        poles = seen[-1]
+        assert poles.count[0] <= most
+        found = np.sort(poles.theta[0, :poles.count[0]] / (np.pi / 3))
+        assert np.allclose(found, np.round(found), atol=1e-12)
+
+
+def test_star_of_built_and_hand_built_instances():
+    """The hub is the launch generator; the blocks are the inputs' copies of one template.
+
+    At (n, T, Z) = (16, 4, 4) every block has 37 rows, 18 generators of
+    side A' and 16 of side B, 15 in the marked input's block; psi0's row
+    is free.  A psi0 on several rows has no hub, and its component is one
+    block.
+    """
+    pair, = regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])
+    for label, inst in pair.built.items():
+        part = inst.structure.component.structure
+        star = part.star
+        assert star.hub == 0 and list(star.free) == list(part.support)
+        shapes = sorted((len(p.rows), p.structure.dim, p.structure.sides["A"].shape[1],
+                         p.structure.sides["B"].shape[1]) for p in star.patterns)
+        want = [(16, 37, 18, 16)] if label == "empty" else [(1, 37, 18, 15), (15, 37, 18, 16)]
+        assert shapes == want
+        # the blocks and the free rows cover the component once
+        held = np.concatenate([p.rows.ravel() for p in star.patterns] + [star.free])
+        assert sorted(held) == list(range(part.dim))
+    inst = _toy_instance([_unit(3, 0) + _unit(3, 1)], [_unit(3, 2)],
+                         (_unit(3, 0) + _unit(3, 1)) / math.sqrt(2))
+    star = inst.structure.component.structure.star
+    assert star.hub is None and len(star.patterns) == 1 and len(star.free) == 0
+
+
+def test_min_angle_is_half_the_smallest_weighted_phase():
+    """min_angle against the dense walk: the smallest |phi| / 2 carrying psi0 weight.
+
+    On simple-loop instances every phase psi0 sees carries at least 1e-6
+    of its weight, so the dense oracle's weighted phases are well defined.
+    """
+    for n in (2, 4, 9, 16):
+        for marked in (frozenset(), frozenset({0})):
+            inst = build_simple_instance(OracleSpec(size=n, marked=marked), float(n))
+            phases, weights = dense_walk_spectrum(inst)
+            seen = np.abs(phases[(weights > 1e-9) & (np.abs(phases) > 1e-9)])
+            decision = decide(inst, c_minus=1.0 + 3.0 * n, c_plus=4.0)
+            assert abs(decision.min_angle - seen.min() / 2.0) <= 1e-10
