@@ -275,7 +275,7 @@ class Sparsity:
     @cached_property
     def cols(self) -> np.ndarray:
         """The generator of every stored entry."""
-        return _read_only(np.repeat(np.arange(self.shape[1]), np.diff(self.indptr)))
+        return _read_only(np.arange(self.shape[1]).repeat(self.indptr[1:] - self.indptr[:-1]))
 
 
 
@@ -464,17 +464,20 @@ class InstanceStructure:
         do the sets and the generators within them (see
         PEInstance.psi0_component).
         """
-        m = _hstack(self.dim, list(self.sides.values()))
+        a, b = self.sides["A"], self.sides["B"]
+        # every stored entry's row and generator, side B's numbered after side A's
+        entry_rows = np.concatenate([a.rows, b.rows])
+        entry_gens = np.concatenate([a.cols, b.cols + a.shape[1]])
         rows_in = np.zeros(self.dim, dtype=bool)
         rows_in[self.support] = True
-        gens_in = np.zeros(m.shape[1], dtype=bool)
+        gens_in = np.zeros(a.shape[1] + b.shape[1], dtype=bool)
         while True:
-            touched = np.zeros(m.shape[1], dtype=bool)
-            touched[m.cols[rows_in[m.rows]]] = True
+            touched = np.zeros(len(gens_in), dtype=bool)
+            touched[entry_gens[rows_in[entry_rows]]] = True
             if np.array_equal(touched, gens_in):
                 break
             gens_in = touched
-            rows_in[m.rows[gens_in[m.cols]]] = True
+            rows_in[entry_rows[gens_in[entry_gens]]] = True
         rows = np.flatnonzero(rows_in)
         # new_row is increasing, so each kept generator's rows stay sorted
         new_row = np.cumsum(rows_in) - 1
@@ -484,12 +487,13 @@ class InstanceStructure:
             start += s.shape[1]
             taken = np.flatnonzero(kept[s.cols])
             entries[side] = _read_only(taken)
-            indptr = np.concatenate([[0], np.cumsum(np.diff(s.indptr)[kept])])
+            indptr = np.concatenate([[0], (s.indptr[1:] - s.indptr[:-1])[kept].cumsum()])
             sides[side] = Sparsity(len(rows), indptr, new_row[s.rows[taken]])
             # each set's kept generators: differences of kept's running count
             ends = np.cumsum([0, *self.sets[side].values()])
             running = np.concatenate([[0], np.cumsum(kept)])
-            sets[side] = dict(zip(self.sets[side], np.diff(running[ends]).tolist()))
+            counts = running[ends]
+            sets[side] = dict(zip(self.sets[side], (counts[1:] - counts[:-1]).tolist()))
         return Component(_read_only(rows), entries,
                          InstanceStructure(len(rows), new_row[self.support], sides, sets))
 
@@ -519,7 +523,7 @@ class InstanceStructure:
         hub = None
         if len(self.support) == 1:
             on_a = (a.rows == self.support[0]).nonzero()[0]
-            if len(on_a) == 1 and not (b.rows == self.support[0]).any():
+            if len(on_a) == 1 and not np.count_nonzero(b.rows == self.support[0]):
                 hub = int(a.cols[on_a[0]])
         if hub is None:
             return self.one_block
@@ -586,13 +590,13 @@ class InstanceStructure:
         keys = signature.view(np.dtype((np.void, 8 * signature.shape[1])))[:, 0]
         order = keys.argsort(kind="stable")
         ordered = keys[order]
+        starts = np.ones(count, dtype=bool)
+        starts[1:] = ordered[1:] != ordered[:-1]
         group = np.empty(count, dtype=np.int64)
-        group[order] = np.concatenate([[0], (ordered[1:] != ordered[:-1]).cumsum()])
-        # patterns in the order of their first block
-        firsts = np.zeros(count, dtype=bool)
-        firsts[np.unique(group, return_index=True)[1]] = True
+        group[order] = starts.cumsum() - 1
         patterns = []
-        for first_block in firsts.nonzero()[0].tolist():
+        # patterns in the order of their first block, the first of its run
+        for first_block in np.sort(order[starts]).tolist():
             blocks = (group == group[first_block]).nonzero()[0]
             size = int(sizes[first_block])
             sides, entries = {}, {}
@@ -662,7 +666,7 @@ class InstanceRows:
 
     def raise_first(self, failed: np.ndarray, value: np.ndarray, message) -> None:
         """ValueError for the first row where failed is true: message(its value), and the row."""
-        if failed.any():
+        if np.count_nonzero(failed):
             row = int(np.argmax(failed))
             raise ValueError(f"{message(value[row])} in row {self.numbers[row]}")
 

@@ -19,7 +19,8 @@ grouped into patterns of one local layout.
 
 W0 is decomposed block by block, all blocks of a pattern (and all rows of
 a stack) in one stacked pass.  Each side's span basis is its normalized,
-pairwise-orthogonal generators, held per block as dense columns; by
+pairwise-orthogonal generators, held per block as dense columns and
+divided by their norms there; by
 Jordan's lemma W0 splits along the principal angles theta_j between a
 block's span A' and span B: the thin SVD of C = Q_A'^H Q_B pairs a
 principal vector u_j of A' with one of B, W0 rotates the plane they span
@@ -28,7 +29,7 @@ decomposes the rotations of every block; intersection lines and the
 complement of span A' + span B have phase 0, and the directions left
 unpaired have phase pi.  That gives q0's weight on each eigenphase of W0.
 A pattern whose blocks all hold the same values, as the simple loop's do,
-is decided once a row.
+is decided once a row, and q0's weights there count once for each block.
 
 W0's phases are grouped (runs within eig_cluster_tol, joined across pi)
 into poles theta_G carrying q0 weight w_G; groups at or below DEFLATE are
@@ -92,7 +93,7 @@ import numpy as np
 
 from . import instances as inst_mod
 from . import subroutines as subs_mod
-from .linalg import DEFAULT_TOL, NonUnitaryError, unitary_eig
+from .linalg import DEFAULT_TOL, NonUnitaryError, _adjoint, unitary_eig
 from .instances import (InstanceRows, InstanceStack, InstanceStructure, NegativeWitness,
                         PEInstance, PositiveWitness, Weights)
 from .subroutines import SubroutineSpec
@@ -108,11 +109,13 @@ SECULAR_STEPS = 64
 #: q0 weight at or below which a phase group of W0 is deflated: (8 eps)^2
 DEFLATE = (8.0 * np.finfo(float).eps) ** 2
 #: most SVD columns, min(k_A, k_B), of a component decided as one block even
-#: with a hub: up to about 32 one SVD of its cross Gram costs less than the
-#: star's passes and secular step (2 cores: simple-loop n = 16, 17 columns,
-#: 1.1 ms as one block against 2.1 ms on the star; n = 64, 65 columns,
-#: 3.0 ms against 2.3 ms)
-STAR_COLUMNS = 32
+#: with a hub; from both paths timed with fresh plans (2 cores, BENCH_26.json
+#: "paths"): simple-loop decisions are faster as one block to n = 40 and on
+#: the star from n = 56, and of the default general-loop shapes (4, 4, 4), 63
+#: columns, is faster as one block (41 against 67 ms) and every n = 16 one,
+#: 111 columns and up, on the star; 64 is the single cut with the least time
+#: over the default general-loop shapes
+STAR_COLUMNS = 64
 
 
 class WalkSpectrum(NamedTuple):
@@ -158,12 +161,13 @@ def _check_unit_psi0(psi0: np.ndarray, row: int) -> None:
         raise ValueError(f"psi0 has norm {norm!r}, not 1, in row {row}")
 
 
-def _star_of(part: InstanceStructure):
-    """How psi0's component part is decided: its star, or one block when small.
+def _star_of(structure: InstanceStructure):
+    """How psi0's component is decided: its star, or one block when small.
 
     A component whose cross Gram has at most STAR_COLUMNS SVD columns is
     one block, like a component without a hub.
     """
+    part = structure.component.structure
     if min(s.shape[1] for s in part.sides.values()) <= STAR_COLUMNS:
         return part.one_block
     return part.star
@@ -171,9 +175,8 @@ def _star_of(part: InstanceStructure):
 
 def _row_entries(structure: InstanceStructure) -> int:
     """Entries of one row's stacked b x (k + 1) block working arrays, on psi0's component."""
-    return sum(len(p.rows) * p.structure.dim
-               * (max(s.shape[1] for s in p.structure.sides.values()) + 1)
-               for p in _star_of(structure.component.structure).patterns)
+    return sum(p.rows.size * (max(s.shape[1] for s in p.structure.sides.values()) + 1)
+               for p in _star_of(structure).patterns)
 
 
 def _rows_per_pass(structure: InstanceStructure) -> int:
@@ -197,7 +200,7 @@ def _walk_spectrum(instance: PEInstance) -> WalkSpectrum:
     """
     stack, row = instance.stack, instance.row
     if row not in stack.spectra:
-        per_pass = _rows_per_pass(stack.structure)
+        per_pass = _rows_per_pass(stack.structure) if len(stack) > 1 else 1
         start = row - row % per_pass
         numbers = range(start, min(start + per_pass, len(stack)))
         stack.spectra.update(zip(numbers, _stack_spectra(stack.rows(numbers))))
@@ -207,9 +210,9 @@ def _walk_spectrum(instance: PEInstance) -> WalkSpectrum:
 def _stack_spectra(rows: InstanceRows) -> list[WalkSpectrum]:
     """Spectrum of W = R_A R_B on psi0's component, row by row, from its star.
 
-    Taken on psi0's component (InstanceRows.component), from each side's
-    generators over their norms (InstanceRows.norms refuses a vanishing
-    one; _principal_pairs checks that they are orthonormal); ValueError is
+    Taken on psi0's component (InstanceRows.component), from each block's
+    generators over their norms (_check_norms refuses a vanishing one, and
+    _principal_pairs checks that they are orthonormal); ValueError is
     raised when |psi0| differs from 1 by more than assert_tol, since every
     weight is a fraction of a unit psi0.  With a hub q0 (the normalized
     hub generator), W = (I - 2 q0 q0^H) W0 with W0 = R_A' R_B, block
@@ -224,28 +227,28 @@ def _stack_spectra(rows: InstanceRows) -> list[WalkSpectrum]:
     row is computed on its own, in the same order as alone, so a row's
     spectrum has the same bytes alone as inside a stack.
     """
+    star = _star_of(rows.structure)
     part = rows.component()
-    psi0 = part.psi0
+    structure, psi0 = part.structure, part.psi0
     for vec, number in zip(psi0, part.numbers):
         _check_unit_psi0(vec, number)
-    structure, m = part.structure, len(psi0)
-    # each generator over its norm; _principal_pairs checks they are orthonormal
-    qa, qb = (part.values[side] / part.norms(side).take(structure.sides[side].cols, axis=1)
-              for side in ("A", "B"))
-    star = _star_of(structure)
-    psi_sq = (psi0.real ** 2 + psi0.imag ** 2).sum(axis=1)
+    m = len(psi0)
+    psi_sq = _abs2(psi0).sum(axis=1)
     if star.hub is None:
-        phases, weights = _block_spectra(part, star, psi0, qa, qb)
+        phases, weights = _block_spectra(part, star, psi0)
         spectra = list(zip(phases, weights))
     else:
         a = structure.sides["A"]
         hub = slice(a.indptr[star.hub], a.indptr[star.hub + 1])
-        q0 = np.zeros(psi0.shape, dtype=qa.dtype)
-        q0[:, a.rows[hub]] = qa[:, hub]
-        q0_sq = q0.real ** 2 + q0.imag ** 2
+        values = part.values["A"][:, hub]
+        norm = np.sqrt(_abs2(values).sum(axis=1))
+        _check_norms(part, "A", norm)
+        q0 = np.zeros(psi0.shape, dtype=values.dtype)
+        q0[:, a.rows[hub]] = values / norm[:, None]
+        q0_sq = _abs2(q0)
         own = structure.support[0]
         # psi0's row first, then the other free rows, then the blocks
-        phases, weights = _block_spectra(part, star, q0, qa, qb)
+        phases, weights = _block_spectra(part, star, q0)
         spectra = _star_spectra(
             part, np.concatenate([np.zeros((m, 2)), phases], axis=1),
             np.concatenate([q0_sq[:, [own]],
@@ -263,12 +266,22 @@ def _stack_spectra(rows: InstanceRows) -> list[WalkSpectrum]:
         out.append(WalkSpectrum(
             phases=phases, weights=weights, dim=structure.dim, rank_a=ranks[0],
             rank_b=ranks[1],
-            min_angle=float(np.abs(phases[carried]).min()) / 2.0 if carried.any() else None))
+            min_angle=(float(np.abs(phases[carried]).min()) / 2.0
+                       if np.count_nonzero(carried) else None)))
     return out
 
 
-def _block_spectra(part: InstanceRows, star, x: np.ndarray, qa: np.ndarray,
-                   qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_norms(part: InstanceRows, side: str, norms: np.ndarray) -> None:
+    """ValueError naming the side and the row where a generator norm is not above rank_tol.
+
+    Such a generator spans nothing; NaN fails too.
+    """
+    low = norms.reshape(len(part.numbers), -1).min(axis=1, initial=np.inf)
+    part.raise_first(~(low > DEFAULT_TOL.rank_tol), low,
+                     lambda v: f"side {side}: generator norm {v:.3e} is not above rank_tol")
+
+
+def _block_spectra(part: InstanceRows, star, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W0's eigenphases block by block, with x's weight on each: two (m, E) arrays.
 
     Each block holds two reflections about small spans, so by Jordan's
@@ -289,58 +302,58 @@ def _block_spectra(part: InstanceRows, star, x: np.ndarray, qa: np.ndarray,
     residual in generator coordinates (r_A = p_A - U U^H p_A, r_B = p_B -
     V V^H p_B, p = Q^H x); its overlap with w_j is (V_j^H p_B - cos_j
     U_j^H p_A) / sin_j, and its weight outside span A' + span B the
-    squared norm of x - Q_A' p_A - sum_j w_j <w_j, x> - Q_B r_B.  A block
+    squared norm of x - Q_A' p_A - sum_j w_j <w_j, x> - Q_B r_B.  A unit
     lists, per SVD column, the plane's two phases or (0, line weight) and
-    (0, 0), then pi, pi and 0; a row lists its blocks pattern by pattern.
+    (0, 0), then pi, pi and 0; a row lists its units pattern by pattern.
+    A unit is one block, or all of a row's blocks of a pattern when they
+    hold the same values, its weights then times their count.
     """
     m = len(x)
-    found = [_principal_pairs(part, pattern, x, {"A": qa, "B": qb}, star.hub is not None)
+    found = [_principal_pairs(part, pattern, x, star.hub is not None)
              for pattern in star.patterns]
 
     # every pattern's planes in one stack, row after row
     plane_row = np.concatenate([np.zeros(0, dtype=np.intp)]
-                               + [f.row[f.rot.nonzero()[0]] for f in found])
+                               + [f.rot.nonzero()[0] * m // len(f.rot) for f in found])
     order = plane_row.argsort(kind="stable")
-    angles = np.concatenate([np.zeros(0)] + [f.angles for f in found])
     try:
-        dec = unitary_eig(_rotation_blocks(angles[order]))
+        dec = unitary_eig(_rotation_blocks(
+            np.concatenate([np.zeros(0)] + [f.angles for f in found])[order]))
     except NonUnitaryError as err:
         row = part.numbers[int(plane_row[order][err.block])]
         raise NonUnitaryError(f"{err} in row {row}", err.block) from None
     coeffs = np.concatenate([np.zeros((0, 2))] + [f.coeffs for f in found])[order]
-    plane_phases = np.empty((len(order), 2))
-    plane_weights = np.empty((len(order), 2))
-    plane_phases[order] = dec.phases
+    plane = np.empty((2, len(order), 2))
+    plane[0, order] = dec.phases
     # each eigenvector's overlap with x's coordinates on its plane
-    overlap = (dec.vectors.conj() * coeffs[:, :, None]).sum(axis=1)
-    plane_weights[order] = overlap.real ** 2 + overlap.imag ** 2
+    plane[1, order] = _abs2((dec.vectors.conj() * coeffs[:, :, None]).sum(axis=1))
 
     phases, weights, start = [np.zeros((m, 0))], [np.zeros((m, 0))], 0
     for f in found:
         units, k = f.rot.shape
         end = start + len(f.angles)
-        ph, wt = np.zeros((units, k, 2)), np.zeros((units, k, 2))
-        ph[f.rot], wt[f.rot] = plane_phases[start:end], plane_weights[start:end]
-        wt[..., 0] += f.lines
+        both = np.zeros((2, units, 2 * k + 3))
+        pairs = both[:, :, :2 * k].reshape(2, units, k, 2)
+        pairs[:, f.rot] = plane[:, start:end]
+        pairs[1, :, :, 0] += f.lines
+        both[0, :, 2 * k:2 * k + 2] = np.pi
+        both[1, :, 2 * k:] = f.tail
         start = end
-        tail = np.zeros((units, 3))
-        tail[:, :2] = np.pi
-        phases.append(np.concatenate([ph.reshape(units, 2 * k), tail], axis=1)[f.copies]
-                      .reshape(m, -1))
-        weights.append(np.concatenate([wt.reshape(units, 2 * k), f.tail], axis=1)[f.copies]
-                       .reshape(m, -1))
+        if f.count > 1:
+            both[1] *= f.count
+        phases.append(both[0].reshape(m, -1))
+        weights.append(both[1].reshape(m, -1))
     return np.concatenate(phases, axis=1), np.concatenate(weights, axis=1)
 
 
 class _Pairs(NamedTuple):
     """One pattern's principal-vector pairs, unit by unit, row by row.
 
-    copies[i] is the unit of the pattern's i-th (row, block), row[u] the
-    row of unit u.
+    A unit is a row's block, or the row's one block standing for its
+    count blocks when all of them hold the same values.
     """
 
-    copies: np.ndarray
-    row: np.ndarray
+    count: int
     rot: np.ndarray        # (units, k) rotation planes
     angles: np.ndarray     # their principal angles, unit by unit
     coeffs: np.ndarray     # x's coordinates on (u_j, w_j) of each plane
@@ -348,86 +361,87 @@ class _Pairs(NamedTuple):
     tail: np.ndarray       # (units, 3) unpaired A, unpaired B, outside
 
 
-def _orthonormality(g: np.ndarray) -> np.ndarray:
-    """Each unit's largest |G^H G - I| entry, for dense generator columns g (units, b, k)."""
-    return np.abs(g.conj().swapaxes(1, 2) @ g - np.eye(g.shape[2])).max(axis=(1, 2),
-                                                                      initial=0.0)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 entry by entry, as re^2 + im^2."""
+    return z.real ** 2 + z.imag ** 2 if z.dtype.kind == "c" else z * z
 
 
-def _principal_pairs(part: InstanceRows, pattern, x: np.ndarray, q: dict,
-                     hub: bool) -> _Pairs:
+def _orthonormality(g: np.ndarray, gh: np.ndarray) -> np.ndarray:
+    """Each unit's |G^H G - I| entries, (units, k^2), for dense generator columns g, gh = G^H."""
+    return np.abs(gh @ g - np.eye(g.shape[2])).reshape(len(g), -1)
+
+
+def _principal_pairs(part: InstanceRows, pattern, x: np.ndarray, hub: bool) -> _Pairs:
     """The principal-angle step of _block_spectra on one pattern's blocks, every row.
 
     A unit is a row's block, or the row's one block when all of them hold
     the same values (as the simple loop's do).  Each unit holds its
-    generators as dense b x k columns, so its cross Gram and products are
-    stacked matrix products.
+    generators as dense b x k columns, each over its norm (_check_norms
+    refuses a vanishing one), so its cross Gram and products are stacked
+    matrix products.
     """
     m, nb = len(x), len(pattern.rows)
-    x = x.take(pattern.rows, axis=1).reshape(m * nb, -1)
-    values = {side: q[side].take(pattern.entries[side], axis=1).reshape(m * nb, -1)
-              for side in pattern.structure.sides}
-    row = np.arange(m).repeat(nb)
-    copies = np.arange(m * nb)
-    table = np.concatenate([x, *values.values()], axis=1).reshape(m, nb, -1)
+    a, b = pattern.structure.sides["A"], pattern.structure.sides["B"]
+    split = (pattern.rows.shape[1], pattern.rows.shape[1] + len(a.rows))
+    table = np.concatenate([x.take(pattern.rows, axis=1),
+                            part.values["A"].take(pattern.entries["A"], axis=1),
+                            part.values["B"].take(pattern.entries["B"], axis=1)], axis=2)
+    count = 1
     if nb > 1 and (table == table[:, :1]).all():
         # every block of a row has the same values: decide one a row
-        copies, row = row, np.arange(m)
-        x = x[::nb]
-        values = {side: v[::nb] for side, v in values.items()}
-    units = len(x)
-    dense = []
-    for side, s in pattern.structure.sides.items():
-        g = np.zeros((units,) + s.shape, dtype=q[side].dtype)
-        g[:, s.rows, s.cols] = values[side]
-        dense.append(g)
-    ga, gb = dense
-    gah = ga.conj().swapaxes(1, 2)
+        table, count = table[:, :1], nb
+    table = table.reshape(-1, table.shape[2])
+    units = len(table)
+    ga = np.zeros((units,) + a.shape, dtype=table.dtype)
+    ga[:, a.rows, a.cols] = table[:, split[0]:split[1]]
+    gb = np.zeros((units,) + b.shape, dtype=table.dtype)
+    gb[:, b.rows, b.cols] = table[:, split[1]:]
+    for side, g in (("A", ga), ("B", gb)):
+        norms = np.sqrt(_abs2(g).sum(axis=1))
+        _check_norms(part, side, norms)
+        g /= norms[:, None]
+    x = table[:, :split[0], None]
+    gah, gbh = _adjoint(ga), _adjoint(gb)
     # the normalized generators must be orthonormal, the hub's overlaps with
     # side A' (p_A below, when x is the hub) among them
-    pa = (gah @ x[..., None])[..., 0]
-    for side, g in (("A", ga), ("B", gb)):
-        resid = _orthonormality(g)
+    pa = gah @ x
+    for side, g, gh in (("A", ga, gah), ("B", gb, gbh)):
+        resid = _orthonormality(g, gh)
         if side == "A" and hub:
-            resid = np.maximum(resid, np.abs(pa).max(axis=1, initial=0.0))
-        worst = np.maximum.reduceat(resid, np.searchsorted(row, np.arange(m)))
+            resid = np.concatenate([resid, np.abs(pa[..., 0])], axis=1)
+        worst = resid.reshape(m, -1).max(axis=1, initial=0.0)
         part.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
                          lambda v: f"side {side}: normalized generators are not "
                                    f"orthonormal, residual {v:.3e}")
     c = gah @ gb
     u, cos, vh = np.linalg.svd(c, full_matrices=False)
-    v = vh.conj().swapaxes(1, 2)
+    v, uh = _adjoint(vh), _adjoint(u)
     scaled = cos[:, None, :]
-    resid = np.maximum(np.abs(c @ v - u * scaled).max(axis=(1, 2), initial=0.0),
-                       np.abs(c.conj().swapaxes(1, 2) @ u - v * scaled)
-                       .max(axis=(1, 2), initial=0.0))
-    worst = np.maximum.reduceat(resid, np.searchsorted(row, np.arange(m)))
+    resid = np.concatenate([np.abs(c @ v - u * scaled).reshape(units, -1),
+                            np.abs(_adjoint(c) @ u - v * scaled).reshape(units, -1)], axis=1)
+    worst = resid.reshape(m, -1).max(axis=1, initial=0.0)
     part.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
                      lambda r: f"principal-vector residual {r:.3e} exceeds "
                                f"assert_tol {DEFAULT_TOL.assert_tol:g}")
-    # matrix-vector products unit by unit, as (.., 1) and (1, ..) matrices
-    pb = (gb.conj().swapaxes(1, 2) @ x[..., None])[..., 0]
-    ca = (pa.conj()[:, None] @ u)[:, 0].conj()
-    cb = (vh @ pb[..., None])[..., 0]
-    ra = pa - (u @ ca[..., None])[..., 0]
-    rb = pb - (v @ cb[..., None])[..., 0]
+    # matrix-vector products unit by unit, as (.., 1) matrices
+    pb = gbh @ x
+    ca, cb = uh @ pa, vh @ pb
     # one product per side; the extra last columns are Q_B r_B and Q_A' p_A
-    on_b = gb @ np.concatenate([v, rb[..., None]], axis=2)
-    on_a = ga @ np.concatenate([u * scaled, pa[..., None]], axis=2)
-    perp = on_b[..., :-1]
-    perp -= on_a[..., :-1]
-    sin = np.sqrt((perp.real ** 2 + perp.imag ** 2).sum(axis=1))
+    on_b = gb @ np.concatenate([v, pb - v @ cb], axis=2)
+    on_a = ga @ np.concatenate([u * scaled, pa], axis=2)
+    perp = on_b[..., :-1] - on_a[..., :-1]
+    sin = np.sqrt(_abs2(perp).sum(axis=1))
     rot = sin > DEFAULT_TOL.rank_tol
+    ca, cb = ca[..., 0], cb[..., 0]
     cw = (cb - cos * ca)[rot] / sin[rot]
     # sum_j w_j <w_j, x> = perp y, y_j = <w_j, x> / sin_j
-    y = np.zeros(cos.shape, dtype=cw.dtype)
-    y[rot] = cw / sin[rot]
-    outside = x - on_a[..., -1] - (perp @ y[..., None])[..., 0] - on_b[..., -1]
-    lines = np.where(rot, 0.0, ca.real ** 2 + ca.imag ** 2)
-    tail = np.concatenate([(r.real ** 2 + r.imag ** 2).sum(axis=1)[:, None]
-                           for r in (ra, rb, outside)], axis=1)
-    return _Pairs(copies, row, rot, np.arctan2(sin[rot], cos[rot]),
-                  np.concatenate([ca[rot][:, None], cw[:, None]], axis=1), lines, tail)
+    y = np.zeros(cos.shape + (1,), dtype=cw.dtype)
+    y[rot, 0] = cw / sin[rot]
+    outside = x - on_a[..., -1:] - perp @ y - on_b[..., -1:]
+    tail = np.stack([_abs2(r).sum(axis=(1, 2))
+                     for r in (pa - u @ ca[..., None], pb - v @ cb[..., None], outside)], axis=1)
+    return _Pairs(count, rot, np.arctan2(sin[rot], cos[rot]),
+                  np.stack([ca[rot], cw], axis=1), np.where(rot, 0.0, _abs2(ca)), tail)
 
 
 class _Poles(NamedTuple):
@@ -543,6 +557,7 @@ def _solve(poles: _Poles, roots: _Roots, which: np.ndarray, final: np.ndarray) -
     row, ref, s, gap, delta = (a[which] for a in roots)
     at = np.arange(len(row))
     w = poles.w[row]
+    width = w.shape[1]
     w_all = w.cumsum(axis=1)[:, -1]
     cg = 1.0 / np.tan(0.5 * gap)
     low, high = np.zeros(len(row)), delta.copy()
@@ -551,52 +566,54 @@ def _solve(poles: _Poles, roots: _Roots, which: np.ndarray, final: np.ndarray) -
     for number in range(SECULAR_STEPS + 1):
         if number < 2:
             p, far = _offsets(poles, row, ref, s, gap)
-            rest = w.copy()
-            rest[at, ref] = rest[at, far] = 0.0
-            behind = rest * (p < 0.5 * gap[:, None])
-            w_ref, w_far = w[at, ref], w[at, far]
-        cot = 1.0 / np.tan(0.5 * (delta[:, None] - p))
+            # the reference pole and the poles behind it, against the far end and ahead
+            behind = p < 0.5 * gap[:, None]
+            w_sides = np.array([w * behind, w * ~behind])
+            ends = np.stack([ref, far]) + width * at
+            p *= 0.5
+        cot = 1.0 / np.tan(0.5 * delta[:, None] - p)
         csc = 1.0 + cot * cot
-        terms = rest * cot
-        total, dpsi, bend, size = np.array(
-            [terms, behind * csc, rest * csc, np.abs(terms)]).cumsum(axis=2)[..., -1]
-        c_ref, c_far = 1.0 / np.tan(0.5 * delta), 1.0 / np.tan(0.5 * (delta - gap))
-        k_ref, k_far = 1.0 + c_ref * c_ref, 1.0 + c_far * c_far
-        f = total + (w_ref * c_ref + w_far * c_far)
+        terms = w * cot
+        sums = np.concatenate([terms[None], w_sides * csc,
+                               np.abs(terms)[None]]).cumsum(axis=2)[..., -1]
+        # f, then the slopes of the poles behind and ahead
+        f, slopes = sums[0], sums[1:3]
+        c_end = cot.take(ends)
         if not number:
             # the middle seen from the other end negates f and swaps the poles
             # behind and ahead: the far end is nearer when f > 0 there
             flip = f > 0.0
             s, ref = np.where(flip, -1, s), np.where(flip, far, ref)
             f = np.where(flip, -f, f)
-            dpsi = np.where(flip, bend - dpsi, dpsi)
-            w_ref, w_far = np.where(flip, w_far, w_ref), np.where(flip, w_ref, w_far)
-        s1, s2 = w_ref + dpsi / k_ref, w_far + (bend - dpsi) / k_far
-        c = f - s1 * c_ref - s2 * c_far
+            slopes = np.where(flip, slopes[::-1], slopes)
+        s12 = slopes / (1.0 + c_end * c_end)
+        s1, s2 = s12
+        fit = s12 * c_end
+        c = f - fit[0] - fit[1]
         b = (s1 + s2) * cg - c
         e = c * cg + s2
         root = np.sqrt(np.maximum(b * b + 4.0 * s1 * e, 0.0))
         u = (b + root) / (2.0 * s1)
         neg = b < 0.0
-        if neg.any():
+        if np.count_nonzero(neg):
             np.copyto(u, 2.0 * e / (root - b + ~neg), where=neg)
         step = 2.0 * np.arctan2(1.0, u)
         np.copyto(low, delta, where=f > 0.0)
         np.copyto(high, delta, where=f < 0.0)
         np.copyto(step, 0.5 * (low + high), where=(step <= low) | (step >= high))
-        scale = size + w_all + (w_ref * np.abs(c_ref) + w_far * np.abs(c_far))
+        scale = sums[3] + w_all
         done = active & ((np.abs(f) <= 2.0 * tiny * scale)
                          | (np.abs(step - delta) <= tiny * delta))
         if number == SECULAR_STEPS:
             done = active
-        if done.any():
+        if np.count_nonzero(done):
             finished = which[done]
-            final[:, finished] = [f[done], (bend + (w_ref * k_ref + w_far * k_far))[done],
-                                  scale[done], csc[at[done], poles.own[row[done]]]]
+            final[:, finished] = [f[done], (slopes[0] + slopes[1])[done], scale[done],
+                                  csc[at[done], poles.own[row[done]]]]
             roots.ref[finished], roots.s[finished] = ref[done], s[done]
             roots.delta[finished] = delta[done]
             active &= ~done
-            if not active.any():
+            if not np.count_nonzero(active):
                 return
         np.copyto(delta, step, where=active)
 
@@ -626,9 +643,10 @@ def _secular_roots(poles: _Poles) -> tuple[_Roots, np.ndarray]:
     final = np.zeros((4, len(row)))
     # a lone pole's root is opposite it, and stays at its gap's middle
     lone = count[row] == 1
-    w_lone, c_lone = poles.w[row[lone], 0], 1.0 / np.tan(0.5 * np.pi)
-    final[:, lone] = [w_lone * c_lone, w_lone * (1.0 + c_lone * c_lone),
-                      w_lone * (abs(c_lone) + 1.0), 1.0 + c_lone * c_lone + 0.0 * w_lone]
+    if np.count_nonzero(lone):
+        w_lone, c_lone = poles.w[row[lone], 0], 1.0 / np.tan(0.5 * np.pi)
+        final[:, lone] = [w_lone * c_lone, w_lone * (1.0 + c_lone * c_lone),
+                          w_lone * (abs(c_lone) + 1.0), 1.0 + c_lone * c_lone + 0.0 * w_lone]
     active = (~lone).nonzero()[0]
     size = max(1, SECULAR_ENTRIES // theta.shape[1])
     for start in range(0, len(active), size):
@@ -677,13 +695,15 @@ def _zero_phase_weight(spectrum: WalkSpectrum, theta_star: float) -> float:
     consecutive gaps are at most eig_cluster_tol, each summed in one
     reduceat.
     """
-    order = np.argsort(spectrum.phases)
+    order = spectrum.phases.argsort()
     phases, weights = spectrum.phases[order], spectrum.weights[order]
-    starts = np.flatnonzero(np.diff(phases, prepend=-np.inf)
-                            > DEFAULT_TOL.eig_cluster_tol)
-    mean = np.add.reduceat(phases, starts) / np.diff(starts, append=len(phases))
+    new = np.ones(len(phases) + 1, dtype=bool)
+    new[1:-1] = phases[1:] - phases[:-1] > DEFAULT_TOL.eig_cluster_tol
+    bounds = new.nonzero()[0]
+    starts = bounds[:-1]
+    mean = np.add.reduceat(phases, starts) / (bounds[1:] - starts)
     kept = np.abs(mean) <= theta_star + DEFAULT_TOL.eig_cluster_tol
-    return float(np.sum(np.add.reduceat(weights, starts)[kept]))
+    return float(np.add.reduceat(weights, starts)[kept].sum())
 
 
 def zero_phase_overlap(instance: PEInstance, theta_star: float) -> float:

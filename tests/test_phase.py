@@ -513,7 +513,7 @@ def test_spectrum_weights_sum_to_one_on_built_instances(small_pair):
         spectrum = _walk_spectrum(inst)
         assert np.all(spectrum.weights >= 0.0)
         assert abs(float(np.sum(spectrum.weights)) - 1.0) <= ORACLE_TOL
-        if phase_mod._star_of(inst.structure.component.structure).hub is None:
+        if phase_mod._star_of(inst.structure).hub is None:
             # one block: a phase-pi entry per side, then the complement's phase 0
             assert list(spectrum.phases[-3:]) == [math.pi, math.pi, 0.0]
         else:
@@ -523,7 +523,7 @@ def test_spectrum_weights_sum_to_one_on_built_instances(small_pair):
             assert spectrum.phases[-1] == 0.0 and np.all(roots != 0.0)
             assert len(np.unique(roots)) == len(roots)
     # both paths ran: n = 4 and (2, 2, 2) as one block, n = 80 and (16, 4, 4) on the star
-    paths = {phase_mod._star_of(inst.structure.component.structure).hub for inst in built}
+    paths = {phase_mod._star_of(inst.structure).hub for inst in built}
     assert paths == {None, 0}
 
 
