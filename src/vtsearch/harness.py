@@ -158,40 +158,55 @@ def _run_grover_weights(config, results, prefix):
 
 
 def _run_simple_loop(config, results, prefix):
+    """Every (n, marked) instance of the config, tied into one stack, records in order.
+
+    The first decision takes the spectra of every instance in one pass of
+    the decision engine (or in as many as its budget needs); each row is
+    named by its size and marked set in the errors of the decision's
+    checks.
+    """
+    cases = []
     for n in config.n_list:
         omega = float(n)  # promise of at least one marked element
         for marked in (frozenset(), frozenset({0})):
             oracle = grover_mod.OracleSpec(size=n, marked=marked)
-            instance = inst_mod.build_simple_instance(oracle, omega)
-            wf = instance.well_formedness_report()
-            witness = inst_mod.simple_witnesses(oracle, omega)
-            report = inst_mod.verify_witnesses(instance, witness)
-            c_minus = 1.0 + 3.0 * omega
-            decision = phase_mod.decide(instance, c_minus=c_minus, c_plus=4.0)
-            refl_resid = phase_mod.verify_reflection_factorization(instance)
-            expect = "positive" if marked else "negative"
-            passed = (wf["passed"] and report.passed()
-                      and decision.verdict == expect
-                      and refl_resid <= DEFAULT_TOL.assert_tol)
-            results.add(prefix, {
-                "n": n, "marked": sorted(marked), "omega": omega,
-                "witness": report.to_jsonable(),
-                "decision": asdict(decision),
-                "reflection_residual": refl_resid,
-                "well_formed": wf,
-            }, passed)
+            cases.append((n, marked, omega, oracle,
+                          inst_mod.build_simple_instance(oracle, omega)))
+    inst_mod.InstanceStack([case[-1] for case in cases],
+                           [f"n {n}, marked {sorted(marked)}" for n, marked, *_ in cases])
+    for n, marked, omega, oracle, instance in cases:
+        wf = instance.well_formedness_report()
+        witness = inst_mod.simple_witnesses(oracle, omega)
+        report = inst_mod.verify_witnesses(instance, witness)
+        c_minus = 1.0 + 3.0 * omega
+        decision = phase_mod.decide(instance, c_minus=c_minus, c_plus=4.0)
+        refl_resid = phase_mod.verify_reflection_factorization(instance)
+        expect = "positive" if marked else "negative"
+        passed = (wf["passed"] and report.passed()
+                  and decision.verdict == expect
+                  and refl_resid <= DEFAULT_TOL.assert_tol)
+        results.add(prefix, {
+            "n": n, "marked": sorted(marked), "omega": omega,
+            "witness": report.to_jsonable(),
+            "decision": asdict(decision),
+            "reflection_residual": refl_resid,
+            "well_formed": wf,
+        }, passed)
 
 
 def _run_general_loop(config, results, prefix):
-    """Each seed's regime records, consecutive seeds of one layout decided together.
+    """Each seed's regime records, consecutive seeds decided together.
 
-    A seed joins the seeds before it when its specs share their layouts
-    and the group's rows still fit one pass of the decision engine
-    (_joins), so a shape that takes one row per pass goes seed by seed;
-    every group is decided in one stacked pass a side, and its records are
-    emitted in seed order.
+    A seed joins the seeds before it while the group's rows, every regime
+    of both sides, fit one pass of the decision engine: their
+    phase.row_entries, summed, within phase.STACK_ENTRIES.  So seeds of
+    any shapes share a pass, and a shape whose rows take a pass of their
+    own goes seed by seed.  The group's specs share their layouts where
+    they match (one general_patterns call over the group and the new
+    seed), every group is decided in its stack's passes, and its records
+    are emitted in seed order.
     """
-    group = []
+    group, entries = [], 0
     for idx in range(config.num_seeds):
         seed = config.seed + idx
         rng = np.random.default_rng(seed)
@@ -199,25 +214,16 @@ def _run_general_loop(config, results, prefix):
         t_max = int(rng.choice([t for t in config.t_list if t >= 2]))
         workspace = int(rng.choice(config.z_list))
         specs = subs_mod.subroutine_pair(seed, n, t_max, workspace)
-        if group and not _joins(group, specs, len(config.regimes)):
+        patterns = inst_mod.general_patterns([spec for _, pair in group for spec in pair]
+                                             + list(specs))
+        need = len(config.regimes) * sum(phase_mod.row_entries(p.structure)
+                                         for p in patterns[-2:])
+        if group and entries + need > phase_mod.STACK_ENTRIES:
             _run_seeds(config, results, prefix, group)
-            group = []
+            group, entries = [], 0
         group.append(((seed, n, t_max, workspace), specs))
+        entries += need
     _run_seeds(config, results, prefix, group)
-
-
-def _joins(group, specs, regimes: int) -> bool:
-    """Whether a seed's (marked, empty) specs join the group: a layout shared, rows in one pass.
-
-    Each spec must share the layout of the group's first spec of its side
-    (instances.general_patterns checks that entry by entry), and the
-    group's rows, seeds times regimes, must stay within rows_per_pass.
-    """
-    lead = group[0][1]
-    patterns = inst_mod.general_patterns([lead[0], specs[0], lead[1], specs[1]])
-    rows = (len(group) + 1) * regimes
-    return all(patterns[i].layout is patterns[i + 1].layout
-               and rows <= phase_mod.rows_per_pass(patterns[i].structure) for i in (0, 2))
 
 
 def _run_seeds(config, results, prefix, group):

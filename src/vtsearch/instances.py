@@ -67,16 +67,21 @@ touches, that hub generator is set aside, and the rest falls apart into
 blocks, grouped into patterns of one local layout, on which the decision
 engine works block by block.
 
-Instances of one structure can be tied into an InstanceStack, which the
-decision engine decides in one pass: the regimes of a spec, or those of
-every seed whose specs share a layout, each row named for the errors of
-its checks (its seed and regime, say).  InstanceRows holds such rows' psi0
-and values along a leading row axis, and computes each row's generator
-norms, sparse Gram, normalized generators with their orthonormality
-check and psi0 component on its own, in the same order as alone (so
-does stacked_rmatvec); a PEInstance's span basis and component are their
-one-row case, and its projections take stacked_rmatvec without the row
-axis.
+Instances of any structures and dtypes can be tied into an
+InstanceStack, which the decision engine decides in one pass: every
+regime of both sides of a run's seeds, or every instance of a
+simple-loop run, each row named for the errors of its checks (its seed
+and regime, or its size and marked set).  The stack hands its rows over
+grouped by structure and dtypes (InstanceStack.rows), each group an
+InstanceRows: those rows' psi0 and values along a leading row axis,
+which computes each row's generator norms, sparse Gram, normalized
+generators with their orthonormality check and psi0 component on its
+own, in the same order as alone (so does stacked_rmatvec); a
+PEInstance's span basis and component are their one-row case, and its
+projections take stacked_rmatvec without the row axis.  The blocks of
+psi0's component that have the same local layout
+(InstanceStructure.layout) share the engine's block steps across
+structures.
 """
 
 from __future__ import annotations
@@ -509,6 +514,17 @@ class InstanceStructure:
                          InstanceStructure(len(rows), new_row[self.support], sides, sets))
 
     @cached_property
+    def layout(self) -> bytes:
+        """Where the entries sit, as bytes: equal bytes, entries laid out alike.
+
+        The dimension, then each side's column and entry counts, column
+        pointers and rows; psi0's support and the set names do not enter.
+        """
+        a, b = self.sides["A"], self.sides["B"]
+        return np.concatenate([[self.dim, len(a.indptr), len(a.rows), len(b.indptr)],
+                               a.indptr, a.rows, b.indptr, b.rows]).astype(np.int64).tobytes()
+
+    @cached_property
     def one_block(self) -> Star:
         """The whole structure as one block, with no hub."""
         whole = BlockPattern(self, _read_only(np.arange(self.dim)[None]),
@@ -649,31 +665,47 @@ def _gram_entries(plan: GramPlan, values: np.ndarray) -> np.ndarray:
     return _sum_by(plan.segment, products, len(plan.first))
 
 
-class InstanceRows:
-    """m instances of one InstanceStructure, their values along a leading row axis.
+class RowNames:
+    """Rows of an InstanceStack as the checks of a pass name them.
 
-    psi0 is (m, d) and values[side] (m, nnz); numbers are the rows' places
-    in their InstanceStack and names their names there, if it names its
-    rows, and every check that fails names the row by both (where).  Each
-    row is computed on its own, in the same order as alone, so a row has
-    the same bytes alone as inside a stack.  A PEInstance's
-    span basis and psi0 component are this class's one-row case
-    (PEInstance.rows); its generator norms and sparse Gram share their
-    arithmetic (_column_norms, _gram_entries).
+    numbers are the rows' places in their stack and names their names
+    there, if it names its rows; every check that fails names the row by
+    both (where).
     """
 
-    def __init__(self, structure: InstanceStructure, numbers, psi0: np.ndarray,
-                 values: dict[str, np.ndarray], names=None):
-        self.structure = structure
+    def __init__(self, numbers, names=None):
         self.numbers = tuple(numbers)
         self.names = (None,) * len(self.numbers) if names is None else tuple(names)
-        self.psi0 = psi0
-        self.values = values
 
     def where(self, i: int) -> str:
         """Row i as an error names it: "row r", then its name in brackets when it has one."""
         name = self.names[i]
         return f"row {self.numbers[i]}" + (f" ({name})" if name else "")
+
+    def raise_first(self, failed: np.ndarray, value: np.ndarray, message) -> None:
+        """ValueError for the first row where failed is true: message(its value), and the row."""
+        if np.count_nonzero(failed):
+            row = int(np.argmax(failed))
+            raise ValueError(f"{message(value[row])} in {self.where(row)}")
+
+
+class InstanceRows(RowNames):
+    """m instances of one InstanceStructure, their values along a leading row axis.
+
+    psi0 is (m, d) and values[side] (m, nnz); the rows are numbered and
+    named as in their InstanceStack (RowNames).  Each row is computed on
+    its own, in the same order as alone, so a row has the same bytes alone
+    as inside a stack.  A PEInstance's span basis and psi0 component are
+    this class's one-row case (PEInstance.rows); its generator norms and
+    sparse Gram share their arithmetic (_column_norms, _gram_entries).
+    """
+
+    def __init__(self, structure: InstanceStructure, numbers, psi0: np.ndarray,
+                 values: dict[str, np.ndarray], names=None):
+        super().__init__(numbers, names)
+        self.structure = structure
+        self.psi0 = psi0
+        self.values = values
 
     def component(self) -> "InstanceRows":
         """Every row on the components psi0's support meets (see PEInstance.psi0_component)."""
@@ -681,12 +713,6 @@ class InstanceRows:
         return InstanceRows(part.structure, self.numbers, self.psi0.take(part.rows, axis=1),
                             {side: v.take(part.entries[side], axis=1)
                              for side, v in self.values.items()}, self.names)
-
-    def raise_first(self, failed: np.ndarray, value: np.ndarray, message) -> None:
-        """ValueError for the first row where failed is true: message(its value), and the row."""
-        if np.count_nonzero(failed):
-            row = int(np.argmax(failed))
-            raise ValueError(f"{message(value[row])} in {self.where(row)}")
 
     def norms(self, side: str) -> np.ndarray:
         """Each row's generator norms on one side, (m, k).
@@ -736,27 +762,23 @@ class InstanceRows:
 
 
 class InstanceStack:
-    """Instances of one InstanceStructure, tied to be decided together.
+    """Instances tied to be decided together, of any structures and dtypes.
 
     Row r is the r-th instance given; each instance's stack becomes this
-    one and its row r (PEInstance.stack, PEInstance.row).  The instances
-    must share their structure and their dtypes.  names, when given, names
-    each row for the errors of its checks (InstanceRows.where), such as
-    the seed and regime a row was built for.  The stack keeps each
-    row's psi0 and values, the instances' own arrays, and never the
-    instances, so it holds no reference back to them; spectra is where
-    the decision engine keeps each row's spectrum once it is computed.
+    one and its row r (PEInstance.stack, PEInstance.row).  names, when
+    given, names each row for the errors of its checks (RowNames.where),
+    such as the seed and regime, or the size and marked set, a row was
+    built for.  The stack keeps each row's structure, psi0 and values, the
+    instances' own arrays, and never the instances, so it holds no
+    reference back to them; spectra is where the decision engine keeps
+    each row's spectrum once it is computed.
     """
 
     def __init__(self, instances: list["PEInstance"], names=None):
-        kinds = {(inst.structure, inst.psi0.dtype,
-                  *(v.dtype for v in inst.values.values())) for inst in instances}
-        if len(kinds) != 1:
-            raise ValueError("a stack's instances must share one structure and dtype")
         self.names = (None,) * len(instances) if names is None else tuple(names)
         if len(self.names) != len(instances):
             raise ValueError(f"{len(self.names)} names for {len(instances)} rows")
-        self.structure = instances[0].structure
+        self.structures = tuple(inst.structure for inst in instances)
         self._psi0 = [inst.psi0 for inst in instances]
         self._values = [inst.values for inst in instances]
         self.spectra: dict[int, object] = {}
@@ -766,16 +788,26 @@ class InstanceStack:
     def __len__(self) -> int:
         return len(self._psi0)
 
-    def rows(self, numbers) -> InstanceRows:
-        """The given rows, stacked (a view when there is one)."""
+    def rows(self, numbers) -> list[InstanceRows]:
+        """The given rows grouped by structure and dtypes, each group stacked.
+
+        Groups come in the order of their first rows, and each keeps its
+        rows in the order given (a view when it has one).
+        """
+        groups: dict[tuple, list[int]] = {}
+        for r in numbers:
+            values = self._values[r]
+            key = (self.structures[r], self._psi0[r].dtype, *(v.dtype for v in values.values()))
+            groups.setdefault(key, []).append(r)
+
         def stacked(arrays):
             return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-        return InstanceRows(self.structure, numbers,
-                            stacked([self._psi0[r] for r in numbers]),
-                            {side: stacked([self._values[r][side] for r in numbers])
-                             for side in self.structure.sides},
-                            [self.names[r] for r in numbers])
+        return [InstanceRows(key[0], group, stacked([self._psi0[r] for r in group]),
+                             {side: stacked([self._values[r][side] for r in group])
+                              for side in key[0].sides},
+                             [self.names[r] for r in group])
+                for key, group in groups.items()]
 
 
 class PEInstance:
@@ -1287,9 +1319,10 @@ class ValueSources(NamedTuple):
 
     sparsity, scale and inner are SetFill's.  The side's one inner set
     reads U at the columns cols of each input's row of U.reshape(n, -1),
-    its T (2|Z|)^2 step-unitary entries, and stored[i, c] is whether input
-    i stores the entry at cols[c], that is whether U is nonzero there; so a
-    spec's u is U.reshape(n, -1)[:, cols][stored], input by input.
+    its T (2|Z|)^2 step-unitary entries, and stored packs into bits
+    (np.packbits) the (n, len(cols)) mask of whether input i stores the
+    entry at cols[c], that is whether U is nonzero there; so a spec's u is
+    U.reshape(n, -1)[:, cols][mask], input by input (GeneralLayout.mask).
     """
 
     sparsity: Sparsity
@@ -1411,7 +1444,7 @@ class GeneralLayout:
             # the input and the template entry of every kept entry
             kept_i, kept_e = np.nonzero(keep)
             return (Sparsity(basis.dim, indptr, rows[kept_e] + label_stride * kept_i),
-                    scale[kept_e], inner[kept_e], cols, stored)
+                    scale[kept_e], inner[kept_e], cols, np.packbits(stored))
 
         def plain_fill(rows, scale):
             """A set of (g, width) generators with no U entry, every entry stored."""
@@ -1463,11 +1496,19 @@ class GeneralLayout:
         """Whether spec has this layout, checked entry by entry.
 
         The same sizes, partition and outputs, and U exactly 0 at every
-        template entry the layout drops and nonzero at every entry it stores.
+        template entry the layout drops and nonzero at every entry it
+        stores: the packed bits of U's nonzero mask equal the stored ones.
         """
         return (_layout_key(spec) == self.key
-                and all(np.array_equal(spec.unitaries.reshape(self.num_inputs, -1)[:, s.cols] != 0,
-                                       s.stored) for s in self.sources.values()))
+                and all(np.array_equal(np.packbits(
+                    spec.unitaries.reshape(self.num_inputs, -1)[:, s.cols] != 0), s.stored)
+                        for s in self.sources.values()))
+
+    def mask(self, side: str) -> np.ndarray:
+        """Side's (n, len(cols)) mask of stored inner entries, unpacked from its bits."""
+        sources = self.sources[side]
+        shape = (self.num_inputs, len(sources.cols))
+        return np.unpackbits(sources.stored, count=shape[0] * shape[1]).view(bool).reshape(shape)
 
 
 class GeneralPattern:
@@ -1488,7 +1529,7 @@ class GeneralPattern:
         self.structure, self.psi0 = self.layout.structure, self.layout.psi0
         per_input = spec.unitaries.reshape(self.num_inputs, -1)
         self.fills = {side: SetFill(s.sparsity, s.scale, s.inner,
-                                    _read_only(per_input[:, s.cols][s.stored]))
+                                    _read_only(per_input[:, s.cols][self.layout.mask(side)]))
                       for side, s in self.layout.sources.items()}
 
     def fill(self, weights) -> list[PEInstance]:

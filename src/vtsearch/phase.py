@@ -17,8 +17,8 @@ and the identity on the rows no block holds, psi0's row among them; the
 blocks of the built instances are the inputs' copies of one template,
 grouped into patterns of one local layout.
 
-W0 is decomposed block by block, all blocks of a pattern (and all rows of
-a stack) in one stacked pass.  Each side's span basis is its normalized,
+W0 is decomposed block by block, all blocks of one local layout, of
+every row of a pass, in one stacked step.  Each side's span basis is its normalized,
 pairwise-orthogonal generators, held per block as dense columns and
 divided by their norms there; by
 Jordan's lemma W0 splits along the principal angles theta_j between a
@@ -28,8 +28,9 @@ by -2 theta_j, written in closed form, and one unitary_eig call
 decomposes the rotations of every block; intersection lines and the
 complement of span A' + span B have phase 0, and the directions left
 unpaired have phase pi.  That gives q0's weight on each eigenphase of W0.
-A pattern whose blocks all hold the same values, as the simple loop's do,
-is decided once a row, and q0's weights there count once for each block.
+A row whose blocks of a pattern all hold the same values, as the simple
+loop's do, decides that pattern once, and q0's weights there count once
+for each block; that is decided row by row.
 
 W0's phases are grouped (runs within eig_cluster_tol, joined across pi)
 into poles theta_G carrying q0 weight w_G; groups at or below DEFLATE are
@@ -57,18 +58,24 @@ within assert_tol.  The arithmetic follows the instance's values: a
 simple-loop instance is real, a general instance complex.
 
 Every array of the engine carries a leading row axis: it decides the
-rows of an InstanceStack, instances that share one structure and differ
-only in their values, in one pass: the regimes of one spec, or of every
-spec of one layout (the seeds of a shape, mostly).  Each row is computed
+rows of an InstanceStack, instances of any structures and dtypes, in one
+pass: every regime of both sides of a run's seeds, of whatever shapes,
+or every instance of a simple-loop run.  The rows are grouped by
+structure for the steps of one structure (psi0's component, psi0's
+check, the hub q0), and the block steps are pooled over the whole pass:
+one principal-angle step per local block layout and dtype, one
+unitary_eig call, and one pole grouping and secular solve over every hub
+row, each row's poles padded to the widest row's.  Each row is computed
 on its own, in the same order as alone (sums over poles run in order),
-so a row's spectrum has the same bytes alone as inside a stack.  The first spectrum
-asked of any row computes its pass and keeps every row's spectrum in the
-stack; a failed check keeps nothing.  A pass takes as many consecutive
-rows as keep their block working arrays within STACK_ENTRIES entries, and
-at least one (rows_per_pass); secular evaluations take SECULAR_ENTRIES
-pole-root pairs at a time.  A lone instance is a stack of one.  A check
-that fails names its row by its place in the stack and, when the stack
-names its rows, by its name (a seed and a regime).
+so a row's spectrum has the same bytes alone as inside any pass.  The first
+spectrum asked of any row computes its pass and keeps every row's
+spectrum in the stack; a failed check keeps nothing.  A pass takes
+consecutive rows while their block working arrays (row_entries), summed,
+stay within STACK_ENTRIES entries, and at least one row (_pass_of);
+secular evaluations take SECULAR_ENTRIES pole-root pairs at a time.  A
+lone instance is a stack of one.  A check that fails names its row by
+its place in the stack and, when the stack names its rows, by its name
+(a seed and a regime, or a size and a marked set).
 
 The phase-register simulation runs the dense walk of psi0's component,
 kept as an independent cross-check; the dense walk of the full instance
@@ -82,9 +89,9 @@ RegimePair is the paper's regime experiment on one marked/empty pair.
 regime_pairs_of builds the regime pairs of several spec pairs at once:
 their specs' layouts are shared where they match (general_patterns), each
 spec's regimes are built in one pass by the instance layer's row forms,
-and every row of one layout, pair by pair and regime by regime, is tied
-into one stack, since those instances share their structure and differ
-only in their values.  regime_pairs is its one-pair case.  Both call the
+and every row, the marked side's pair by pair and regime by regime, then
+the empty side's, is tied into one stack.  regime_pairs is its one-pair
+case.  Both call the
 instance and subroutine layers through their modules, so that wrappers
 installed on those module attributes see every call.
 """
@@ -101,7 +108,7 @@ from . import instances as inst_mod
 from . import subroutines as subs_mod
 from .linalg import DEFAULT_TOL, NonUnitaryError, _adjoint, unitary_eig
 from .instances import (InstanceRows, InstanceStack, InstanceStructure, NegativeWitness,
-                        PEInstance, PositiveWitness, Weights)
+                        PEInstance, PositiveWitness, RowNames, Weights)
 from .subroutines import SubroutineSpec
 
 #: largest c_plus that decide accepts
@@ -185,122 +192,187 @@ def _star_of(structure: InstanceStructure):
     return part.star
 
 
-def _row_entries(structure: InstanceStructure) -> int:
-    """Entries of one row's stacked b x (k + 1) block working arrays, on psi0's component."""
+def row_entries(structure: InstanceStructure) -> int:
+    """Entries of one row's stacked b x (k + 1) block working arrays, on psi0's component.
+
+    A pass of the engine takes rows while these, summed, stay within
+    STACK_ENTRIES (_pass_of).
+    """
     return sum(p.rows.size * (max(s.shape[1] for s in p.structure.sides.values()) + 1)
                for p in _star_of(structure).patterns)
 
 
-def rows_per_pass(structure: InstanceStructure) -> int:
-    """How many rows of a stack one pass of the engine takes.
+def _pass_of(stack: InstanceStack, row: int) -> range:
+    """The rows of the pass that decides a stack's row.
 
-    As many as keep one row's block working arrays (_row_entries), times
-    the rows, within STACK_ENTRIES, and at least one.
+    A stack is cut into passes of consecutive rows from its first, each
+    as long as its rows' block working arrays (row_entries), summed, stay
+    within STACK_ENTRIES, and at least one row.
     """
-    return max(1, STACK_ENTRIES // max(1, _row_entries(structure)))
+    if len(stack) == 1:
+        return range(1)
+    start, stop, total, entries = 0, len(stack), 0, {}
+    for number, structure in enumerate(stack.structures):
+        if structure not in entries:
+            entries[structure] = row_entries(structure)
+        if number > start and total + entries[structure] > STACK_ENTRIES:
+            if number > row:
+                stop = number
+                break
+            start, total = number, 0
+        total += entries[structure]
+    return range(start, stop)
 
 
 def _walk_spectrum(instance: PEInstance) -> WalkSpectrum:
     """The walk's spectrum on instance's psi0 component, from its stack.
 
     The first call for any row of instance.stack computes the spectra of
-    every row in that row's pass with _stack_spectra, and keeps them in
-    the stack; a lone instance is a stack of one.  A pass is
-    rows_per_pass consecutive rows: the whole stack at small components,
-    one row where the block working arrays of two would pass STACK_ENTRIES.
-    A failed check keeps nothing, so every later call raises again.
+    every row in that row's pass (_pass_of) with _pass_spectra, and keeps
+    them in the stack; a lone instance is a stack of one.  A failed check
+    keeps nothing, so every later call raises again.
     """
     stack, row = instance.stack, instance.row
     if row not in stack.spectra:
-        per_pass = rows_per_pass(stack.structure) if len(stack) > 1 else 1
-        start = row - row % per_pass
-        numbers = range(start, min(start + per_pass, len(stack)))
-        stack.spectra.update(zip(numbers, _stack_spectra(stack.rows(numbers))))
+        numbers = _pass_of(stack, row)
+        stack.spectra.update(zip(numbers, _pass_spectra(stack, numbers)))
     return stack.spectra[row]
 
 
-def _stack_spectra(rows: InstanceRows) -> list[WalkSpectrum]:
-    """Spectrum of W = R_A R_B on psi0's component, row by row, from its star.
+class _Group(NamedTuple):
+    """The rows of a pass that share one structure and dtypes, on psi0's component.
 
-    Taken on psi0's component (InstanceRows.component), from each block's
-    generators over their norms (_check_norms refuses a vanishing one, and
-    _principal_pairs checks that they are orthonormal); ValueError is
-    raised when |psi0| differs from 1 by more than assert_tol, since every
-    weight is a fraction of a unit psi0.  With a hub q0 (the normalized
+    at lists their places in the pass; x is what the block step weighs:
+    psi0, or q0 when the star has a hub, and head then holds q0's weight
+    on psi0's row and on the other free rows, (m, 2).
+    """
+
+    part: InstanceRows
+    star: object
+    at: np.ndarray
+    x: np.ndarray
+    head: np.ndarray | None
+
+
+def _pass_spectra(stack: InstanceStack, numbers: range) -> list[WalkSpectrum]:
+    """Spectrum of W = R_A R_B on psi0's component for every row of a pass, from its star.
+
+    The rows are grouped by structure and dtypes (InstanceStack.rows) for
+    the steps of one structure: the gather of psi0's component
+    (InstanceRows.component), the check of psi0's norm (ValueError when
+    |psi0| differs from 1 by more than assert_tol, since every weight is
+    a fraction of a unit psi0) and the hub.  With a hub q0 (the normalized
     hub generator), W = (I - 2 q0 q0^H) W0 with W0 = R_A' R_B, block
     diagonal over the star's blocks and the identity on its free rows,
-    psi0's row among them: _block_spectra decomposes W0 and gives q0's
-    weight on each of its phases, and _star_spectra groups them and
-    solves the secular equation for W's phases and psi0's weights.
-    Without a hub, W = W0 on one block, and _block_spectra gives psi0's
-    weights directly.  psi0's weights must sum to |psi0|^2 within
-    assert_tol, taken as a sum of every weight; ValueError names the row
-    where they do not.  Every array carries a leading row axis and each
-    row is computed on its own, in the same order as alone, so a row's
-    spectrum has the same bytes alone as inside a stack.
+    psi0's row among them: _block_spectra decomposes W0 for every row of
+    the pass at once and gives q0's weight on each of its phases, and
+    _star_spectra groups them and solves the secular equation of every
+    hub row at once.  Without a hub, W = W0 on one block, and
+    _block_spectra gives psi0's weights directly.  psi0's weights must sum
+    to |psi0|^2 within assert_tol, taken as a sum of every weight;
+    ValueError names the row where they do not.  Each row is computed on
+    its own, in the same order as alone, so a row's spectrum has the same
+    bytes alone as inside any pass.
     """
-    star = _star_of(rows.structure)
-    part = rows.component()
-    structure, psi0 = part.structure, part.psi0
-    for i, vec in enumerate(psi0):
-        _check_unit_psi0(vec, part.where(i))
-    m = len(psi0)
-    psi_sq = _abs2(psi0).sum(axis=1)
-    if star.hub is None:
-        phases, weights = _block_spectra(part, star, psi0)
-        spectra = list(zip(phases, weights))
-    else:
-        a = structure.sides["A"]
+    names = RowNames(numbers, [stack.names[r] for r in numbers])
+    m = len(numbers)
+    psi_sq = np.empty(m)
+    groups = []
+    for rows in stack.rows(numbers):
+        star = _star_of(rows.structure)
+        part = rows.component()
+        for i, vec in enumerate(part.psi0):
+            _check_unit_psi0(vec, part.where(i))
+        at = np.subtract(part.numbers, numbers.start)
+        psi_sq[at] = _abs2(part.psi0).sum(axis=1)
+        if star.hub is None:
+            groups.append(_Group(part, star, at, part.psi0, None))
+            continue
+        a = part.structure.sides["A"]
         hub = slice(a.indptr[star.hub], a.indptr[star.hub + 1])
         values = part.values["A"][:, hub]
         norm = np.sqrt(_abs2(values).sum(axis=1))
         _check_norms(part, "A", norm)
-        q0 = np.zeros(psi0.shape, dtype=values.dtype)
+        q0 = np.zeros(part.psi0.shape, dtype=values.dtype)
         q0[:, a.rows[hub]] = values / norm[:, None]
         q0_sq = _abs2(q0)
-        own = structure.support[0]
-        # psi0's row first, then the other free rows, then the blocks
-        phases, weights = _block_spectra(part, star, q0)
-        spectra = _star_spectra(
-            part, np.concatenate([np.zeros((m, 2)), phases], axis=1),
-            np.concatenate([q0_sq[:, [own]],
-                            q0_sq[:, star.free[star.free != own]].sum(axis=1)[:, None],
-                            weights], axis=1), psi_sq)
+        own = part.structure.support[0]
+        groups.append(_Group(part, star, at, q0, np.stack(
+            [q0_sq[:, own], q0_sq[:, star.free[star.free != own]].sum(axis=1)], axis=1)))
+
+    # psi0's row first, then the other free rows, then the blocks
+    phases, weights, length = _block_spectra(names, groups)
+    spectra = [(phases[i, :length[i]], weights[i, :length[i]]) for i in range(m)]
+    hub = np.zeros(m, dtype=bool)
+    for g in groups:
+        if g.head is not None:
+            hub[g.at] = True
+            weights[g.at, :2] = g.head
+    if hub.any():
+        at = hub.nonzero()[0].tolist()
+        for i, spectrum in zip(at, _star_spectra(
+                RowNames([numbers[i] for i in at], [names.names[i] for i in at]),
+                phases[at], weights[at], length[at], psi_sq[at])):
+            spectra[i] = spectrum
     totals = np.array([w.sum() for _, w in spectra])
     miss = np.abs(totals - psi_sq)
-    part.raise_first(~(miss <= DEFAULT_TOL.assert_tol), miss,
-                     lambda v: f"psi0's weights miss |psi0|^2 by {v:.3e}, over "
-                               f"assert_tol {DEFAULT_TOL.assert_tol:g}")
-    ranks = (structure.sides["A"].shape[1], structure.sides["B"].shape[1])
-    out = []
-    for phases, weights in spectra:
-        carried = (phases != 0.0) & (weights > 0.0)
-        out.append(WalkSpectrum(
-            phases=phases, weights=weights, dim=structure.dim, rank_a=ranks[0],
-            rank_b=ranks[1],
-            min_angle=(float(np.abs(phases[carried]).min()) / 2.0
-                       if np.count_nonzero(carried) else None)))
+    names.raise_first(~(miss <= DEFAULT_TOL.assert_tol), miss,
+                      lambda v: f"psi0's weights miss |psi0|^2 by {v:.3e}, over "
+                                f"assert_tol {DEFAULT_TOL.assert_tol:g}")
+    out: list = [None] * m
+    for g in groups:
+        structure = g.part.structure
+        ranks = (structure.sides["A"].shape[1], structure.sides["B"].shape[1])
+        for i in g.at.tolist():
+            phases, weights = spectra[i]
+            carried = (phases != 0.0) & (weights > 0.0)
+            out[i] = WalkSpectrum(
+                phases=phases, weights=weights, dim=structure.dim, rank_a=ranks[0],
+                rank_b=ranks[1],
+                min_angle=(float(np.abs(phases[carried]).min()) / 2.0
+                           if np.count_nonzero(carried) else None))
     return out
 
 
-def _check_norms(part: InstanceRows, side: str, norms: np.ndarray) -> None:
-    """ValueError naming the side and the row where a generator norm is not above rank_tol.
+def _check_norms(names: RowNames, side: str, low: np.ndarray, unit_row=None) -> None:
+    """ValueError naming the side and the first row with a generator norm not above rank_tol.
 
-    Such a generator spans nothing; NaN fails too.
+    low is each row's lowest norm, or each unit's (_raise_first).  Such a
+    generator spans nothing; NaN fails too.
     """
-    low = norms.reshape(len(part.numbers), -1).min(axis=1, initial=np.inf)
-    part.raise_first(~(low > DEFAULT_TOL.rank_tol), low,
-                     lambda v: f"side {side}: generator norm {v:.3e} is not above rank_tol")
+    _raise_first(names, ~(low > DEFAULT_TOL.rank_tol), low,
+                 lambda v: f"side {side}: generator norm {v:.3e} is not above rank_tol",
+                 unit_row, np.minimum)
 
 
-def _block_spectra(part: InstanceRows, star, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W0's eigenphases block by block, with x's weight on each: two (m, E) arrays.
+def _raise_first(names: RowNames, failed: np.ndarray, value: np.ndarray, message,
+                 unit_row=None, pick=np.maximum) -> None:
+    """names.raise_first, for a check taken row by row or, with unit_row, unit by unit.
+
+    unit_row[u] is unit u's row: a row fails when one of its units does,
+    and reports its units' largest value (pick np.minimum: smallest).
+    """
+    if unit_row is None or not np.count_nonzero(failed):
+        names.raise_first(failed, value, message)
+        return
+    m = len(names.numbers)
+    rows = np.zeros(m, dtype=bool)
+    rows[unit_row[failed]] = True
+    by_row = np.full(m, -np.inf if pick is np.maximum else np.inf)
+    with np.errstate(invalid="ignore"):  # a NaN is kept, and reported
+        pick.at(by_row, unit_row, value)
+    names.raise_first(rows, by_row, message)
+
+
+def _block_spectra(names: RowNames, groups: list[_Group]):
+    """W0's eigenphases block by block, with x's weight on each, for every row of a pass.
 
     Each block holds two reflections about small spans, so by Jordan's
     lemma W0 splits there along the principal angles theta_j between the
-    block's span A' and span B.  The blocks of one pattern are stacked
-    over rows x blocks and share every step (_principal_pairs): the
-    orthonormality check, their cross Gram C = Q_A'^H Q_B, its thin SVD
+    block's span A' and span B.  The blocks of every pattern of every
+    group whose local layout, dtype and hub are the same are stacked over
+    units and share every step (_principal_pairs): the orthonormality
+    check, their cross Gram C = Q_A'^H Q_B, its thin SVD
     C = U diag(cos) V^H, certified per block (ValueError names the row
     whose largest principal-vector residual max(|C V - U cos|,
     |C^H U - V cos|) exceeds assert_tol), and the products.
@@ -308,64 +380,109 @@ def _block_spectra(part: InstanceRows, star, x: np.ndarray) -> tuple[np.ndarray,
     with sin_j the norm of the residual Q_B V_j - cos_j u_j.  Pairs with
     sin_j <= rank_tol are intersection lines (phase 0); W0 rotates every
     other plane span{u_j, w_j} by -2 theta_j in closed form
-    (_rotation_blocks), and one unitary_eig call, row by row, decomposes
-    the planes of every pattern.  The directions of a side that no column
-    pairs have phase pi, and x's weight on them is the squared norm of a
-    residual in generator coordinates (r_A = p_A - U U^H p_A, r_B = p_B -
-    V V^H p_B, p = Q^H x); its overlap with w_j is (V_j^H p_B - cos_j
-    U_j^H p_A) / sin_j, and its weight outside span A' + span B the
-    squared norm of x - Q_A' p_A - sum_j w_j <w_j, x> - Q_B r_B.  A unit
-    lists, per SVD column, the plane's two phases or (0, line weight) and
-    (0, 0), then pi, pi and 0; a row lists its units pattern by pattern.
-    A unit is one block, or all of a row's blocks of a pattern when they
+    (_rotation_blocks), and one unitary_eig call, row by row and in each
+    row pattern by pattern, decomposes the planes of the whole pass.  The
+    directions of a side that no column pairs have phase pi, and x's
+    weight on them is the squared norm of a residual in generator
+    coordinates (r_A = p_A - U U^H p_A, r_B = p_B - V V^H p_B,
+    p = Q^H x); its overlap with w_j is (V_j^H p_B - cos_j U_j^H p_A) /
+    sin_j, and its weight outside span A' + span B the squared norm of
+    x - Q_A' p_A - sum_j w_j <w_j, x> - Q_B r_B.  A unit lists, per SVD
+    column, the plane's two phases or (0, line weight) and (0, 0), then
+    pi, pi and 0; a row lists its units pattern by pattern.  A unit is one
+    block, or all of a row's blocks of a pattern when that row's blocks
     hold the same values, its weights then times their count.
-    """
-    m = len(x)
-    found = [_principal_pairs(part, pattern, x, star.hub is not None)
-             for pattern in star.patterns]
 
-    # every pattern's planes in one stack, row after row
-    plane_row = np.concatenate([np.zeros(0, dtype=np.intp)]
-                               + [f.rot.nonzero()[0] * m // len(f.rot) for f in found])
-    order = plane_row.argsort(kind="stable")
+    Returns phases and weights, (m, E) arrays padded with zeros, and each
+    row's length: a row with a hub leaves its first two columns for
+    _pass_spectra (psi0's row and the other free rows).
+    """
+    m = len(names.numbers)
+    # units pooled by (local layout, dtype, hub): per key its layout, each
+    # unit's table, the blocks it stands for, its row and its pattern's
+    # number in its row's star; placed says where each pattern's units went
+    pooled: dict[tuple, tuple] = {}
+    placed = []
+    for g in groups:
+        for number, pattern in enumerate(g.star.patterns):
+            part, nb = g.part, len(pattern.rows)
+            table = np.concatenate([g.x.take(pattern.rows, axis=1),
+                                    part.values["A"].take(pattern.entries["A"], axis=1),
+                                    part.values["B"].take(pattern.entries["B"], axis=1)], axis=2)
+            # a row whose blocks all hold the same values is decided once
+            same = np.zeros(len(table), dtype=bool)
+            if nb > 1:
+                same = (table == table[:, :1]).all(axis=(1, 2))
+            units = np.where(same, 1, nb)
+            key = (pattern.structure.layout, table.dtype.str, g.head is not None)
+            layout, tables, counts, rows, numbers = pooled.setdefault(
+                key, (pattern.structure, [], [], [], []))
+            placed.append((g.at, key, sum(map(len, tables)), units))
+            tables.append(table[np.arange(nb) < units[:, None]])
+            counts.append(np.where(same, nb, 1).repeat(units))
+            rows.append(g.at.repeat(units))
+            numbers.append(np.full(units.sum(), number))
+    pooled = {key: (layout, *map(np.concatenate, lists))
+              for key, (layout, *lists) in pooled.items()}
+    found = {key: _principal_pairs(names, layout, table, count, row, key[2])
+             for key, (layout, table, count, row, _) in pooled.items()}
+
+    # every unit's planes in one stack, row by row, pattern by pattern
+    planes = {key: f.rot.nonzero()[0] for key, f in found.items()}
+    plane_row, plane_number = (np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        pooled[key][column][p] for key, p in planes.items()]) for column in (3, 4))
+    order = np.lexsort((plane_number, plane_row))
     try:
         dec = unitary_eig(_rotation_blocks(
-            np.concatenate([np.zeros(0)] + [f.angles for f in found])[order]))
+            np.concatenate([np.zeros(0)] + [f.angles for f in found.values()])[order]))
     except NonUnitaryError as err:
-        where = part.where(int(plane_row[order][err.block]))
+        where = names.where(int(plane_row[order][err.block]))
         raise NonUnitaryError(f"{err} in {where}", err.block) from None
-    coeffs = np.concatenate([np.zeros((0, 2))] + [f.coeffs for f in found])[order]
+    coeffs = np.concatenate([np.zeros((0, 2))] + [f.coeffs for f in found.values()])[order]
     plane = np.empty((2, len(order), 2))
     plane[0, order] = dec.phases
     # each eigenvector's overlap with x's coordinates on its plane
     plane[1, order] = _abs2((dec.vectors.conj() * coeffs[:, :, None]).sum(axis=1))
 
-    phases, weights, start = [np.zeros((m, 0))], [np.zeros((m, 0))], 0
-    for f in found:
+    both, start = {}, 0
+    for key, f in found.items():
         units, k = f.rot.shape
         end = start + len(f.angles)
-        both = np.zeros((2, units, 2 * k + 3))
-        pairs = both[:, :, :2 * k].reshape(2, units, k, 2)
+        unit = np.zeros((2, units, 2 * k + 3))
+        pairs = unit[:, :, :2 * k].reshape(2, units, k, 2)
         pairs[:, f.rot] = plane[:, start:end]
         pairs[1, :, :, 0] += f.lines
-        both[0, :, 2 * k:2 * k + 2] = np.pi
-        both[1, :, 2 * k:] = f.tail
+        unit[0, :, 2 * k:2 * k + 2] = np.pi
+        unit[1, :, 2 * k:] = f.tail
+        unit[1] *= f.count[:, None]
+        both[key] = unit
         start = end
-        if f.count > 1:
-            both[1] *= f.count
-        phases.append(both[0].reshape(m, -1))
-        weights.append(both[1].reshape(m, -1))
-    return np.concatenate(phases, axis=1), np.concatenate(weights, axis=1)
+
+    # each row's units, pattern by pattern, after its leading columns
+    length = np.zeros(m, dtype=np.intp)
+    for g in groups:
+        length[g.at] = 0 if g.head is None else 2
+    pieces = []
+    for at, key, offset, units in placed:
+        unit = both[key][:, offset:offset + units.sum()]
+        size = units * unit.shape[2]
+        pieces.append((at, length[at], size, unit.reshape(2, -1)))
+        length[at] += size
+    out = np.zeros((2, m, int(length.max(initial=0))))
+    for at, col, size, values in pieces:
+        within = np.arange(size.sum()) - (size.cumsum() - size).repeat(size)
+        out[:, at.repeat(size), col.repeat(size) + within] = values
+    return out[0], out[1], length
 
 
 class _Pairs(NamedTuple):
-    """One pattern's principal-vector pairs, unit by unit, row by row.
+    """The principal-vector pairs of blocks of one local layout, unit by unit.
 
     A unit is a row's block, or the row's one block standing for its
     count blocks when all of them hold the same values.
     """
 
-    count: int
+    count: np.ndarray      # (units,) blocks each unit stands for
     rot: np.ndarray        # (units, k) rotation planes
     angles: np.ndarray     # their principal angles, unit by unit
     coeffs: np.ndarray     # x's coordinates on (u_j, w_j) of each plane
@@ -383,26 +500,21 @@ def _orthonormality(g: np.ndarray, gh: np.ndarray) -> np.ndarray:
     return np.abs(gh @ g - np.eye(g.shape[2])).reshape(len(g), -1)
 
 
-def _principal_pairs(part: InstanceRows, pattern, x: np.ndarray, hub: bool) -> _Pairs:
-    """The principal-angle step of _block_spectra on one pattern's blocks, every row.
+def _principal_pairs(names: RowNames, structure: InstanceStructure, table: np.ndarray,
+                     count: np.ndarray, unit_row: np.ndarray, hub: bool) -> _Pairs:
+    """The principal-angle step of _block_spectra on units of one local layout.
 
-    A unit is a row's block, or the row's one block when all of them hold
-    the same values (as the simple loop's do).  Each unit holds its
-    generators as dense b x k columns, each over its norm (_check_norms
-    refuses a vanishing one), so its cross Gram and products are stacked
-    matrix products.
+    table holds each unit's x on the block's rows, then its side-A and
+    side-B values, (units, width), in the layout (structure) of one
+    block; unit_row is the row of the pass each unit belongs to, and
+    count the blocks it stands for.  Each unit holds its generators as
+    dense b x k columns, each over its norm (_check_norms refuses a
+    vanishing one), so its cross Gram and products are stacked matrix
+    products.  A failed check names the first row of the pass (names)
+    owning a unit that fails.
     """
-    m, nb = len(x), len(pattern.rows)
-    a, b = pattern.structure.sides["A"], pattern.structure.sides["B"]
-    split = (pattern.rows.shape[1], pattern.rows.shape[1] + len(a.rows))
-    table = np.concatenate([x.take(pattern.rows, axis=1),
-                            part.values["A"].take(pattern.entries["A"], axis=1),
-                            part.values["B"].take(pattern.entries["B"], axis=1)], axis=2)
-    count = 1
-    if nb > 1 and (table == table[:, :1]).all():
-        # every block of a row has the same values: decide one a row
-        table, count = table[:, :1], nb
-    table = table.reshape(-1, table.shape[2])
+    a, b = structure.sides["A"], structure.sides["B"]
+    split = (structure.dim, structure.dim + len(a.rows))
     units = len(table)
     ga = np.zeros((units,) + a.shape, dtype=table.dtype)
     ga[:, a.rows, a.cols] = table[:, split[0]:split[1]]
@@ -410,7 +522,7 @@ def _principal_pairs(part: InstanceRows, pattern, x: np.ndarray, hub: bool) -> _
     gb[:, b.rows, b.cols] = table[:, split[1]:]
     for side, g in (("A", ga), ("B", gb)):
         norms = np.sqrt(_abs2(g).sum(axis=1))
-        _check_norms(part, side, norms)
+        _check_norms(names, side, norms.min(axis=1, initial=np.inf), unit_row)
         g /= norms[:, None]
     x = table[:, :split[0], None]
     gah, gbh = _adjoint(ga), _adjoint(gb)
@@ -421,20 +533,20 @@ def _principal_pairs(part: InstanceRows, pattern, x: np.ndarray, hub: bool) -> _
         resid = _orthonormality(g, gh)
         if side == "A" and hub:
             resid = np.concatenate([resid, np.abs(pa[..., 0])], axis=1)
-        worst = resid.reshape(m, -1).max(axis=1, initial=0.0)
-        part.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
-                         lambda v: f"side {side}: normalized generators are not "
-                                   f"orthonormal, residual {v:.3e}")
+        worst = resid.max(axis=1, initial=0.0)
+        _raise_first(names, ~(worst <= DEFAULT_TOL.assert_tol), worst,
+                     lambda v: f"side {side}: normalized generators are not "
+                               f"orthonormal, residual {v:.3e}", unit_row)
     c = gah @ gb
     u, cos, vh = np.linalg.svd(c, full_matrices=False)
     v, uh = _adjoint(vh), _adjoint(u)
     scaled = cos[:, None, :]
     resid = np.concatenate([np.abs(c @ v - u * scaled).reshape(units, -1),
                             np.abs(_adjoint(c) @ u - v * scaled).reshape(units, -1)], axis=1)
-    worst = resid.reshape(m, -1).max(axis=1, initial=0.0)
-    part.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
-                     lambda r: f"principal-vector residual {r:.3e} exceeds "
-                               f"assert_tol {DEFAULT_TOL.assert_tol:g}")
+    worst = resid.max(axis=1, initial=0.0)
+    _raise_first(names, ~(worst <= DEFAULT_TOL.assert_tol), worst,
+                 lambda r: f"principal-vector residual {r:.3e} exceeds "
+                           f"assert_tol {DEFAULT_TOL.assert_tol:g}", unit_row)
     # matrix-vector products unit by unit, as (.., 1) matrices
     pb = gbh @ x
     ca, cb = uh @ pa, vh @ pb
@@ -472,10 +584,11 @@ class _Poles(NamedTuple):
     padded: bool
 
 
-def _poles(phases: np.ndarray, weights: np.ndarray) -> _Poles:
+def _poles(phases: np.ndarray, weights: np.ndarray, length: np.ndarray) -> _Poles:
     """W0's phases grouped row by row; column 0 must be psi0's own entry.
 
-    A group is a run of the sorted phases whose consecutive gaps are at
+    Row r holds length[r] phases, then padding, which no group takes.  A
+    group is a run of the sorted phases whose consecutive gaps are at
     most eig_cluster_tol, the run at the top joined to the run at the
     bottom when they meet across pi; its phase is its members' mean and
     its weight their sum, in array order.  A group of weight at most
@@ -483,18 +596,28 @@ def _poles(phases: np.ndarray, weights: np.ndarray) -> _Poles:
     hub's overlap with its eigenspace is below 8 eps, rounding's size.
     """
     m, count = phases.shape
+    everyone, last = np.arange(m), length - 1
+    real = np.arange(count) < length[:, None]
+    padded = not real.all()
+    if padded:
+        # past every phase, so the padding sorts after each row's own phases
+        phases = np.where(real, phases, 4.0 * np.pi)
     order = phases.argsort(axis=1, kind="stable")
-    taken = order + count * np.arange(m)[:, None]
+    taken = order + count * everyone[:, None]
     ph, wt = phases.take(taken), weights.take(taken)
     new = np.ones(ph.shape, dtype=bool)
     new[:, 1:] = ph[:, 1:] - ph[:, :-1] > DEFAULT_TOL.eig_cluster_tol
     gid = new.cumsum(axis=1) - 1
-    groups = gid[:, -1] + 1
-    wrap = ((ph[:, 0] + 2.0 * np.pi) - ph[:, -1] <= DEFAULT_TOL.eig_cluster_tol) & (groups > 1)
+    groups = gid[everyone, last] + 1
+    wrap = (((ph[:, 0] + 2.0 * np.pi) - ph[everyone, last] <= DEFAULT_TOL.eig_cluster_tol)
+            & (groups > 1))
     head = wrap[:, None] & (gid == 0)
     ph = np.where(head, ph + 2.0 * np.pi, ph)
     gid = np.where(head, groups[:, None] - 1, gid) - wrap[:, None]
-    flat = (gid + count * np.arange(m)[:, None]).ravel()
+    if padded:
+        # a row of fewer phases than count has fewer groups: the last slot is free
+        gid = np.where(real, gid, count - 1)
+    flat = (gid + count * everyone[:, None]).ravel()
 
     def by_group(values):
         return np.bincount(flat, weights=values.ravel(), minlength=m * count).reshape(m, count)
@@ -503,7 +626,7 @@ def _poles(phases: np.ndarray, weights: np.ndarray) -> _Poles:
     w = by_group(wt)
     rest = by_group(np.where(order == 0, 0.0, wt))
     theta = by_group(ph) / np.maximum(size, 1.0)
-    everyone, mine = np.arange(m), gid[order == 0]
+    mine = gid[order == 0]
     # psi0's own group is never deflated: it holds psi0's entry
     valid = (size > 0) & (w > DEFLATE)
     valid[everyone, mine] = True
@@ -666,12 +789,13 @@ def _secular_roots(poles: _Poles) -> tuple[_Roots, np.ndarray]:
     return roots, final
 
 
-def _star_spectra(part: InstanceRows, phases: np.ndarray, weights: np.ndarray,
-                  scale: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _star_spectra(names: RowNames, phases: np.ndarray, weights: np.ndarray,
+                  length: np.ndarray, scale: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """W's phases and psi0's weights on them, from W0's, row by row.
 
     phases and weights are W0's phases and q0's weights on them, psi0's
-    own row first; scale is |psi0|^2.  With W0's phases grouped into poles
+    own row first, the first length[r] entries of row r; scale is
+    |psi0|^2.  With W0's phases grouped into poles
     (_poles) theta_G of weight w_G, W's other phases are the secular roots
     (_secular_roots), and psi0's weight on root phi is scale |q0_0|^2 /
     sin^2((phi - theta_0) / 2) divided by sum_G w_G / sin^2((phi - theta_G) / 2),
@@ -682,11 +806,11 @@ def _star_spectra(part: InstanceRows, phases: np.ndarray, weights: np.ndarray,
     carries none of its weight.  Each root's secular residual |f| / scale
     must be within assert_tol; ValueError names the row where it is not.
     """
-    poles = _poles(phases, weights)
+    poles = _poles(phases, weights, length)
     roots, (f, slope, scale_f, csc_own) = _secular_roots(poles)
     m = len(phases)
     worst = np.maximum.reduceat(np.abs(f) / scale_f, np.searchsorted(roots.row, np.arange(m)))
-    part.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
+    names.raise_first(~(worst <= DEFAULT_TOL.assert_tol), worst,
                      lambda v: f"secular residual {v:.3e} exceeds assert_tol "
                                f"{DEFAULT_TOL.assert_tol:g}")
     phi = poles.theta[roots.row, roots.ref] + roots.s * roots.delta
@@ -794,8 +918,8 @@ class RegimePair:
     of the negative witness's closed-form norm, c_plus and 1.  decide
     receives c_plus_decide, c_plus clamped to C_PLUS_MAX.  built holds the
     marked and empty instances; regime_pairs_of ties the instances of
-    every regime, and of every spec pair of one layout, into one
-    InstanceStack a layout.
+    every regime, of both sides and of every spec pair into one
+    InstanceStack.
     """
 
     regime: str
@@ -828,10 +952,10 @@ def regime_pairs(marked: SubroutineSpec, empty: SubroutineSpec,
                  regimes) -> list[RegimePair]:
     """The regime experiment on a (marked, all-unmarked) subroutine pair.
 
-    The one-pair case of regime_pairs_of, with unnamed rows: each side's
-    instances of every regime are tied into one InstanceStack, so the
-    first decision on a side takes the spectra of all its regimes in one
-    pass.
+    The one-pair case of regime_pairs_of, with unnamed rows: the marked
+    side's instances of every regime, then the empty side's, are tied
+    into one InstanceStack, so the first decision takes the spectra of
+    all of them in one pass.
     """
     return regime_pairs_of([(marked, empty)], regimes)[0]
 
@@ -843,20 +967,21 @@ def regime_pairs_of(spec_pairs, regimes, names=None) -> list[list[RegimePair]]:
     patterns come from one general_patterns call, so specs of one layout
     share it.  Each spec's stopping moments are computed once, and its
     regimes' witnesses and instances are built in one pass each (the
-    instance layer's row forms).  Every instance of one layout, spec pair
-    by spec pair and regime by regime, is tied into one InstanceStack, so
-    the first decision on a layout takes the spectra of its rows in one
-    pass (rows_per_pass rows at a time).  names, one per spec pair (its
-    seed, say), name each row with its pair's name and its regime in the
-    errors of the decision's checks.
+    instance layer's row forms).  Every instance is tied into one
+    InstanceStack, the marked side's rows pair by pair and regime by
+    regime, then the empty side's, so the first decision takes the
+    spectra of every row in one pass (or in as many as its budget needs,
+    _pass_of).  names, one per spec pair (its seed, say), name each row
+    with its pair's name and its regime in the errors of the decision's
+    checks.
     """
     spec_pairs, regimes = list(spec_pairs), list(regimes)
     if not regimes:
         return [[] for _ in spec_pairs]
     inst_mod.general_patterns([spec for pair in spec_pairs for spec in pair])
-    stacks: dict[inst_mod.GeneralLayout, tuple[list, list]] = {}
+    rows: dict[str, list] = {"marked": [], "empty": []}
     out = []
-    for number, (marked, empty) in enumerate(spec_pairs):
+    for marked, empty in spec_pairs:
         t_max = marked.num_steps
         moments_m = subs_mod.stopping_moments(marked)
         moments_e = subs_mod.stopping_moments(empty)
@@ -879,15 +1004,12 @@ def regime_pairs_of(spec_pairs, regimes, names=None) -> list[list[RegimePair]]:
                 weights_neg=w_neg[row], positive=pos, negative=neg, c_plus=c_plus,
                 c_plus_cap=6.0 if regime == "ii-c" else 8.0,
                 c_minus=max(neg.closed_norm_sq, c_plus, 1.0),
-                built={label: rows[row] for label, rows in built.items()}))
-        for spec, rows in zip((marked, empty), built.values()):
-            instances, row_names = stacks.setdefault(inst_mod.general_pattern(spec).layout,
-                                                     ([], []))
-            instances.extend(rows)
-            row_names.extend([None] * len(rows) if names is None else
-                             [f"{names[number]}, regime {regime}" for regime in regimes])
-    for instances, row_names in stacks.values():
-        InstanceStack(instances, row_names)
+                built={label: instances[row] for label, instances in built.items()}))
+        for label, instances in built.items():
+            rows[label].extend(instances)
+    row_names = (None if names is None else
+                 [f"{name}, regime {regime}" for name in names for regime in regimes] * 2)
+    InstanceStack(rows["marked"] + rows["empty"], row_names)
     return out
 
 

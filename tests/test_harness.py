@@ -105,12 +105,12 @@ def test_general_loop_decides_every_record(tmp_path):
 
 @pytest.mark.parametrize("n_list,seed,num_seeds,groups", [
     ((2,), 0, 4, [4]),
-    # seed 6 draws n = 2 between runs of n = 3, so it breaks the group
-    ((2, 3), 2, 7, [4, 1, 2]),
+    # seed 6 draws n = 2 between runs of n = 3: shapes of both sizes share the pass
+    ((2, 3), 2, 7, [7]),
 ])
 def test_grouped_seeds_give_the_payloads_of_seed_by_seed_runs(n_list, seed, num_seeds,
                                                               groups, monkeypatch):
-    """Consecutive seeds of one layout are decided together, with each seed's own payloads."""
+    """Consecutive seeds of any shapes are decided together, with each seed's own payloads."""
     sizes = []
     run_seeds = harness_mod._run_seeds
 
@@ -148,6 +148,30 @@ def test_a_failed_check_in_a_grouped_pass_names_the_seed_and_regime(monkeypatch)
                                          r"in row 7 \(seed 1, regime ii-a\)$"):
         run_experiment(ExperimentConfig(kind="general-loop", n_list=(2,), t_list=(2,),
                                         z_list=(2,), num_seeds=2))
+
+
+def test_a_failed_check_in_a_pooled_simple_loop_pass_names_the_size_and_marked_set(
+        monkeypatch):
+    """One unit of a pooled simple-loop pass is broken; the error names its n and marked set.
+
+    simple-loop at n = 16, 64 and 80 decides its six instances in one
+    pass.  The stars of n = 64 and 80 share their block layouts, and each
+    row's unmarked blocks hold the same values, so those blocks are one
+    SVD call of four units, one a row; the fourth is row 5, n = 80 marked.
+    """
+    svd = np.linalg.svd
+
+    def moved(a, full_matrices=True):
+        u, s, vh = svd(a, full_matrices=full_matrices)
+        if a.shape == (4, 1, 2):
+            u = u.copy()
+            u[3] *= 1.0 + 1e-6
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", moved)
+    with pytest.raises(ValueError, match=r"exceeds assert_tol 1e-08 "
+                                         r"in row 5 \(n 80, marked \[0\]\)$"):
+        run_experiment(ExperimentConfig(kind="simple-loop", n_list=(16, 64, 80)))
 
 
 def test_full_suite_collects_all_kinds():

@@ -672,18 +672,20 @@ def test_closed_form_planes_match_the_reflected_engine(case, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 4, 4), (16, 2, 2), (16, 4, 4)], ids=str)
 def test_stacked_rows_have_the_bytes_of_lone_rows(shape, seed):
-    """Every regime's row of a five-row stack against the same instance alone.
+    """Every regime's row of a ten-row stack against the same instance alone.
 
+    The marked side's five rows come first, then the empty side's.
     Phases, weights, p0 at every cutoff and min_angle must have the same
-    bytes; the first row's spectrum computes all five rows in one pass.
+    bytes; the first row's spectrum computes all ten rows in one pass.
     """
     pairs = regime_pairs(*subroutine_pair(seed, *shape), REGIMES)
-    for label in ("marked", "empty"):
+    stack = pairs[0].built["marked"].stack
+    assert len(stack) == 10 and pairs[4].built["empty"].stack is stack
+    _walk_spectrum(pairs[0].built["marked"])
+    assert sorted(stack.spectra) == list(range(10))
+    for first, label in ((0, "marked"), (5, "empty")):
         rows = [pair.built[label] for pair in pairs]
-        assert rows[0].stack is rows[4].stack and len(rows[0].stack) == 5
-        _walk_spectrum(rows[0])
-        assert sorted(rows[0].stack.spectra) == list(range(5))
-        for row, inst in enumerate(rows):
+        for row, inst in enumerate(rows, start=first):
             alone = PEInstance(inst.structure, inst.psi0, inst.values)
             assert inst.row == row and alone.row == 0 and len(alone.stack) == 1
             got, want = _walk_spectrum(inst), _walk_spectrum(alone)
@@ -699,8 +701,9 @@ def test_rows_past_the_entry_budget_go_in_smaller_passes(monkeypatch):
     """A budget of two rows' block working arrays decides a five-row stack two rows a pass."""
     pairs = regime_pairs(*subroutine_pair(0, 4, 4, 4), REGIMES)
     rows = [pair.built["marked"] for pair in pairs]
+    InstanceStack(rows)
     monkeypatch.setattr(phase_mod, "STACK_ENTRIES",
-                        2 * phase_mod._row_entries(rows[0].structure) + 1)
+                        2 * phase_mod.row_entries(rows[0].structure) + 1)
     spectra = rows[0].stack.spectra
     _walk_spectrum(rows[3])
     assert sorted(spectra) == [2, 3]
@@ -712,14 +715,107 @@ def test_rows_past_the_entry_budget_go_in_smaller_passes(monkeypatch):
     assert sorted(spectra) == list(range(5))
 
 
-def test_a_stack_refuses_instances_it_cannot_decide_together():
-    """Rows of a stack share one structure and one dtype, or a row's arithmetic would change."""
+def test_a_stack_decides_instances_of_any_structure_and_dtype():
+    """Rows of other structures and dtypes stacked together keep their lone bytes.
+
+    Two simple instances of one oracle have a structure each, and a
+    complex copy has other dtypes; one pass decides all three.
+    """
     real = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
     other = build_simple_instance(OracleSpec(size=4, marked=frozenset({0})), 4.0)
-    for rows in ([real, other], [real, _complex_copy(real)]):
-        with pytest.raises(ValueError, match="share one structure and dtype"):
-            InstanceStack(rows)
-    assert len(real.stack) == 1 and real.row == 0
+    rows = [real, other, _complex_copy(real)]
+    assert other.structure is not real.structure
+    alone = [_walk_spectrum(PEInstance(inst.structure, inst.psi0, inst.values))
+             for inst in rows]
+    InstanceStack(rows)
+    _walk_spectrum(rows[1])
+    assert sorted(real.stack.spectra) == [0, 1, 2]
+    for inst, want in zip(rows, alone):
+        got = _walk_spectrum(inst)
+        assert got.phases.tobytes() == want.phases.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.weights.dtype == want.weights.dtype
+        assert got.min_angle == want.min_angle
+        assert (got.dim, got.rank_a, got.rank_b) == (want.dim, want.rank_a, want.rank_b)
+
+
+def _assert_lone_bytes(rows):
+    """Each row's spectrum has the bytes of the same instance decided alone."""
+    for inst in rows:
+        got = _walk_spectrum(inst)
+        want = _walk_spectrum(PEInstance(inst.structure, inst.psi0, inst.values))
+        assert got.phases.tobytes() == want.phases.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.min_angle == want.min_angle
+
+
+def _simple_rows():
+    return [build_simple_instance(OracleSpec(size=n, marked=marked), float(n))
+            for n in (4, 16, 64, 80) for marked in (frozenset(), frozenset({0}))]
+
+
+def _general_rows():
+    pairs = phase_mod.regime_pairs_of(
+        [subroutine_pair(0, *shape) for shape in ((2, 2, 2), (4, 4, 4), (16, 2, 2))], REGIMES)
+    return [pair.built[label] for label in ("marked", "empty") for seed in pairs
+            for pair in seed]
+
+
+@pytest.mark.parametrize("case", ["simple", "general", "both, split by the budget"])
+def test_pooled_rows_equal_lone_rows(case, monkeypatch):
+    """Rows of many structures and both dtypes decided in pooled passes keep their lone bytes.
+
+    Simple-loop rows at n = 4, 16, 64 and 80, empty and marked; general
+    rows of every regime of (2, 2, 2), (4, 4, 4) and (16, 2, 2), both
+    sides, in one stack (regime_pairs_of); and all of them in one stack
+    whose budget holds two of its largest rows, so it goes in several
+    passes.  Phases, weights and min_angle are compared byte for byte.
+    """
+    passes = []
+    pass_spectra = phase_mod._pass_spectra
+
+    def counted(stack, numbers):
+        passes.append(numbers)
+        return pass_spectra(stack, numbers)
+
+    monkeypatch.setattr(phase_mod, "_pass_spectra", counted)
+    if case == "simple":
+        rows = _simple_rows()
+        InstanceStack(rows)
+    elif case == "general":
+        rows = _general_rows()
+        assert len(rows[0].stack) == len(rows) == 30
+    else:
+        rows = _simple_rows() + _general_rows()
+        InstanceStack(rows)
+        monkeypatch.setattr(phase_mod, "STACK_ENTRIES", 2 * max(
+            phase_mod.row_entries(inst.structure) for inst in rows))
+    for inst in rows:
+        _walk_spectrum(inst)
+    # the passes tile the stack, each computed once
+    assert [row for numbers in passes for row in numbers] == list(range(len(rows)))
+    assert (len(passes) == 1) == (case != "both, split by the budget")
+    _assert_lone_bytes(rows)
+
+
+def test_blocks_are_compressed_row_by_row():
+    """A row whose blocks hold the same values is decided once, whatever it is stacked with.
+
+    The copy of the simple instance at n = 64, marked {0}, has both B
+    generators of the sixth block of the unmarked pattern scaled by 2: the
+    same spans, still orthogonal, but its blocks no longer hold the same
+    values, so it is decided block by block.  The first row must keep the
+    bytes it has alone.
+    """
+    inst = build_simple_instance(OracleSpec(size=64, marked=frozenset({0})), 64.0)
+    star = phase_mod._star_of(inst.structure)
+    pattern, = [p for p in star.patterns if p.structure.sides["B"].shape[1] == 2]
+    values = {side: v.copy() for side, v in inst.values.items()}
+    values["B"][inst.structure.component.entries["B"][pattern.entries["B"][5]]] *= 2.0
+    copy = PEInstance(inst.structure, inst.psi0, values)
+    InstanceStack([inst, copy])
+    assert _walk_spectrum(inst).min_angle == 0.08283298361552206
+    _assert_lone_bytes([inst, copy])
 
 
 def _cross_gram(inst):
@@ -793,12 +889,16 @@ def test_a_moved_singular_vector_fails_the_certificate(small_pair, monkeypatch):
 
 
 def test_a_non_unitary_rotation_block_names_its_row(small_pair, monkeypatch):
-    """unitary_eig's checks run on every row's planes, and a failure names the row."""
+    """unitary_eig's checks run on every row's planes, and a failure names the row.
+
+    The marked side's rows come first in the pair's stack, so the planes
+    of its rows 0 and 1 come first in the pass's one unitary_eig call.
+    """
     pairs = regime_pairs(*small_pair, REGIMES)
     # each row's planes, as unitary_eig receives them from the row alone
     planes = [len(_engine_blocks([PEInstance(inst.structure, inst.psi0, inst.values)],
                                  monkeypatch)[1])
-              for inst in (pair.built["empty"] for pair in pairs)]
+              for inst in (pair.built["marked"] for pair in pairs)]
     assert planes[2] > 0
     blocks = phase_mod._rotation_blocks
     first = planes[0] + planes[1]  # row 2's first plane
@@ -812,6 +912,7 @@ def test_a_non_unitary_rotation_block_names_its_row(small_pair, monkeypatch):
     with pytest.raises(NonUnitaryError, match=f"block {first} .* in row 2$"):
         decide(pairs[0].built["empty"], c_minus=pairs[0].c_minus,
                c_plus=pairs[0].c_plus_decide)
+    assert pairs[0].built["empty"].row == 5
 
 
 def test_decide_builds_no_dense_basis_or_operator(monkeypatch):
