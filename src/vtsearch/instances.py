@@ -73,15 +73,19 @@ regime of both sides of a run's seeds, or every instance of a
 simple-loop run, each row named for the errors of its checks (its seed
 and regime, or its size and marked set).  The stack hands its rows over
 grouped by structure and dtypes (InstanceStack.rows), each group an
-InstanceRows: those rows' psi0 and values along a leading row axis,
-which computes each row's generator norms, sparse Gram, normalized
-generators with their orthonormality check and psi0 component on its
-own, in the same order as alone (so does stacked_rmatvec); a
-PEInstance's span basis and component are their one-row case, and its
-projections take stacked_rmatvec without the row axis.  The blocks of
+InstanceRows: those rows' psi0 and values along a leading row axis, of
+which the engine gathers psi0's component at once.  The blocks of
 psi0's component that have the same local layout
 (InstanceStructure.layout) share the engine's block steps across
-structures.
+structures, and the engine checks orthonormality block by block
+(phase._principal_pairs).
+
+Every other check of an instance runs on the instance's own cached
+generator norms and shared-label Gram, each summed once a side
+(PEInstance._norms, _gram): the well-formedness report, the
+projections and span-membership distances, the cross-set cosines of the
+reflection-factorization check and span_basis's orthonormality check,
+the last two on one cached array of cosines (PEInstance._cosines).
 """
 
 from __future__ import annotations
@@ -303,22 +307,13 @@ def _read_only(*arrays: np.ndarray) -> np.ndarray:
 
 
 def _sum_by(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
-    """Sums of values grouped by index, each taken in array order, in values' dtype.
-
-    values of shape (m, n) are m rows summed each on its own into an
-    (m, length) array, in the same order as alone.
-    """
-    rows = len(values) if values.ndim == 2 else 1
-    if rows > 1:
-        index = (index + length * np.arange(rows)[:, None]).ravel()
-    flat, total = values.ravel(), rows * length
+    """Sums of values grouped by index, each taken in array order, in values' dtype."""
     if values.dtype.kind != "c":
-        out = np.bincount(index, weights=flat, minlength=total)
-    else:
-        out = np.empty(total, dtype=complex)
-        out.real = np.bincount(index, weights=flat.real, minlength=total)
-        out.imag = np.bincount(index, weights=flat.imag, minlength=total)
-    return out.reshape(values.shape[:-1] + (length,))
+        return np.bincount(index, weights=values, minlength=length)
+    out = np.empty(length, dtype=complex)
+    out.real = np.bincount(index, weights=values.real, minlength=length)
+    out.imag = np.bincount(index, weights=values.imag, minlength=length)
+    return out
 
 
 def _sparsity(dim: int, rows, counts, keep) -> Sparsity:
@@ -641,28 +636,21 @@ class InstanceStructure:
         return Star(hub, _read_only((~touched).nonzero()[0]), tuple(patterns))
 
 
-def stacked_rmatvec(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """G_s^H x_s for every row s: values (m, nnz), x (m, d), an (m, k) array.
-
-    Without the row axis, values (nnz,) and x (d,), it is G^H x, one overlap per generator.
-    """
-    return _sum_by(sparsity.cols, values.conj() * x.take(sparsity.rows, axis=-1),
-                   sparsity.shape[1])
+def rmatvec(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G^H x for values (nnz,) on sparsity and x (d,): one overlap per generator."""
+    return _sum_by(sparsity.cols, values.conj() * x[sparsity.rows], sparsity.shape[1])
 
 
 def _column_norms(sparsity: Sparsity, values: np.ndarray) -> np.ndarray:
-    """Generator norms of values (nnz,) or rows of them (m, nnz).
-
-    Sequential per-column sums in row order, as a dense column norm.
-    """
+    """Generator norms of values (nnz,): per-column sums in row order, as a dense column norm."""
     return np.sqrt(_sum_by(sparsity.cols, values.real ** 2 + values.imag ** 2,
                            sparsity.shape[1]))
 
 
 def _gram_entries(plan: GramPlan, values: np.ndarray) -> np.ndarray:
-    """The off-diagonal Gram entries of plan's pairs, for values (nnz,) or (m, nnz)."""
-    products = values.take(plan.left, axis=-1).conj() * values.take(plan.right, axis=-1)
-    return _sum_by(plan.segment, products, len(plan.first))
+    """The off-diagonal Gram entries of plan's pairs, for values (nnz,)."""
+    return _sum_by(plan.segment, values[plan.left].conj() * values[plan.right],
+                   len(plan.first))
 
 
 class RowNames:
@@ -693,11 +681,9 @@ class InstanceRows(RowNames):
     """m instances of one InstanceStructure, their values along a leading row axis.
 
     psi0 is (m, d) and values[side] (m, nnz); the rows are numbered and
-    named as in their InstanceStack (RowNames).  Each row is computed on
-    its own, in the same order as alone, so a row has the same bytes alone
-    as inside a stack.  A PEInstance's span basis and psi0 component are
-    this class's one-row case (PEInstance.rows); its generator norms and
-    sparse Gram share their arithmetic (_column_norms, _gram_entries).
+    named as in their InstanceStack (RowNames).  The decision engine takes
+    a pass's rows in these groups (InstanceStack.rows) and gathers each
+    group's psi0 component at once (component).
     """
 
     def __init__(self, structure: InstanceStructure, numbers, psi0: np.ndarray,
@@ -713,52 +699,6 @@ class InstanceRows(RowNames):
         return InstanceRows(part.structure, self.numbers, self.psi0.take(part.rows, axis=1),
                             {side: v.take(part.entries[side], axis=1)
                              for side, v in self.values.items()}, self.names)
-
-    def norms(self, side: str) -> np.ndarray:
-        """Each row's generator norms on one side, (m, k).
-
-        Raises ValueError naming the side and the row when a generator norm
-        is not above rank_tol (NaN included): such a generator spans
-        nothing, and every check that divides by its norm would report NaN
-        instead.
-        """
-        norms = _column_norms(self.structure.sides[side], self.values[side])
-        low = norms.min(axis=1, initial=np.inf)
-        self.raise_first(~(low > DEFAULT_TOL.rank_tol), low,
-                         lambda v: f"side {side}: generator norm {v:.3e} is not above rank_tol")
-        return norms
-
-    def gram(self, side: str) -> np.ndarray:
-        """Each row's off-diagonal Gram entries on one side, over the structure's GramPlan."""
-        return _gram_entries(self.structure.gram(side), self.values[side])
-
-    def normalized(self, side: str) -> np.ndarray:
-        """One side's generators each divided by its norm, (m, nnz) values.
-
-        They are an orthonormal basis of the side's span only because the
-        generators are pairwise orthogonal, so that is checked here, row by
-        row, on the sparse Gram of the normalized generators rather than a
-        dense Q^H Q: its off-diagonal entries are the shared-label Gram
-        entries divided by both norms (every other pair is orthogonal by
-        support, within a set or across sets), and its diagonal is each
-        normalized generator's squared norm.  A largest |Q^H Q - I| entry
-        above assert_tol, or NaN, raises ValueError naming the side and the
-        row (as does a vanishing generator, in norms).  The values keep the
-        side's dtype: float64 for a real side.
-        """
-        sparsity, plan = self.structure.sides[side], self.structure.gram(side)
-        norms = self.norms(side)
-        gram = self.gram(side)
-        q = self.values[side] / norms.take(sparsity.cols, axis=1)
-        sq = _sum_by(sparsity.cols, q.real ** 2 + q.imag ** 2, sparsity.shape[1])
-        resid = np.maximum(
-            (np.abs(gram) / (norms.take(plan.first, axis=1) * norms.take(plan.second, axis=1)))
-            .max(axis=1, initial=0.0),
-            np.abs(sq - 1.0).max(axis=1, initial=0.0))
-        self.raise_first(~(resid <= DEFAULT_TOL.assert_tol), resid,
-                         lambda v: f"side {side}: normalized generators are not "
-                                   f"orthonormal, residual {v:.3e}")
-        return q
 
 
 class InstanceStack:
@@ -821,29 +761,29 @@ class PEInstance:
     come from instance_from_sets; the general instances of one spec share
     their GeneralPattern's structure, and with it its plans (the
     shared-label pairs of the Gram, psi0's component and its star),
-    so an instance computes only what depends on its values.  Projections
-    and span-membership distances of single vectors take one
-    stacked_rmatvec per side on these arrays, and the norms they divide by
-    are computed and checked in one place (_norms); the Gram residual and
-    the cross-set cosines of the reflection-factorization check share one
-    cached list of shared-label Gram entries per side.  No set reflection
-    is ever built.
+    so an instance computes only what depends on its values.  Each side's
+    generator norms and shared-label Gram entries are summed once, checked
+    and cached (_norms, _gram), and every check of the instance reads
+    them: the well-formedness report, the projections and span-membership
+    distances of single vectors (one rmatvec per side), and, through one
+    cached array of cosines (_cosines), the cross-set cosines of the
+    reflection-factorization check and span_basis's orthonormality check.
+    No set reflection is ever built.
 
     Each side's generators are pairwise orthogonal (well_formedness_report
     reports it), so the side's orthonormal span basis is its normalized
-    generators.  The decision engine works on psi0_component, the instance
-    cut down to the generator components psi0 reaches, block by block of
-    its star (InstanceStructure.star), for every row of the instance's
-    stack (its own until an InstanceStack ties it to others, with row its
-    place there), in the dtype of the values (float64 for a real instance
-    such as a simple-loop one, complex otherwise).
-    InstanceRows.normalized checks the normalized generators'
-    orthonormality on the side's sparse Gram, raising rather than falling
-    back, and span_basis densifies its one-row case (rows) for the
-    oracles.  The dense projectors and the walk
-    unitary are built lazily from an SVD of the dense generator columns
-    instead, so the dense oracle does not share the engine's basis; they
-    are d x d, so they alone check the dimension cap.
+    generators.  span_basis checks their orthonormality on the side's
+    sparse Gram, raising rather than falling back, and densifies them for
+    the oracles.  The decision engine works on psi0_component, the
+    instance cut down to the generator components psi0 reaches, block by
+    block of its star (InstanceStructure.star), for every row of the
+    instance's stack (its own until an InstanceStack ties it to others,
+    with row its place there), in the dtype of the values (float64 for a
+    real instance such as a simple-loop one, complex otherwise), and
+    checks orthonormality block by block itself.  The dense projectors
+    and the walk unitary are built lazily from an SVD of the dense
+    generator columns instead, so the dense oracle does not share the
+    engine's basis; they are d x d, so they alone check the dimension cap.
     """
 
     def __init__(self, structure: InstanceStructure, psi0: np.ndarray,
@@ -868,12 +808,6 @@ class PEInstance:
         if self._stack is None:
             InstanceStack([self])
         return self._stack
-
-    def rows(self) -> InstanceRows:
-        """This instance alone as InstanceRows, numbered and named by its row."""
-        return InstanceRows(self.structure, (self.row,), self.psi0[None],
-                            {side: v[None] for side, v in self.values.items()},
-                            None if self._stack is None else [self._stack.names[self.row]])
 
     def set_vectors(self, side: str, name: str) -> list[np.ndarray]:
         """The generators of one named set as dense vectors."""
@@ -918,6 +852,14 @@ class PEInstance:
                                            _gram_entries(plan, self.values[side]))
         return self._cache[f"gram_{side}"], norms
 
+    def _cosines(self, side: str) -> np.ndarray:
+        """|G_ij| / (|g_i| |g_j|) over the side's shared-label pairs, in _gram's order, cached."""
+        key = f"cosines_{side}"
+        if key not in self._cache:
+            (first, second, values), norms = self._gram(side)
+            self._cache[key] = np.abs(values) / (norms[first] * norms[second])
+        return self._cache[key]
+
     def gram_offdiagonal_residual(self, side: str) -> float:
         """Largest off-diagonal Gram entry among one side's generators."""
         (_, _, values), _ = self._gram(side)
@@ -928,11 +870,8 @@ class PEInstance:
 
         0 for a side with a single set; overlaps within a set are ignored.
         """
-        (first, second, values), norms = self._gram(side)
         cross = self.structure.gram(side).cross
-        cosines = (np.abs(values[cross])
-                   / (norms[first[cross]] * norms[second[cross]]))
-        return float(np.max(cosines, initial=0.0))
+        return float(np.max(self._cosines(side)[cross], initial=0.0))
 
     def projection_norm_sq(self, side: str, vec: np.ndarray) -> float:
         """Squared norm of the projection of vec onto one side's span.
@@ -940,7 +879,7 @@ class PEInstance:
         Valid because the side's generators are pairwise orthogonal.
         """
         norms = self._norms(side)
-        overlaps = stacked_rmatvec(self.structure.sides[side], self.values[side], vec)
+        overlaps = rmatvec(self.structure.sides[side], self.values[side], vec)
         return float(np.sum(np.abs(overlaps) ** 2 / norms ** 2))
 
     def membership_residual(self, side: str, vec: np.ndarray) -> float:
@@ -951,7 +890,7 @@ class PEInstance:
         inside the span).
         """
         sparsity, values = self.structure.sides[side], self.values[side]
-        overlaps = stacked_rmatvec(sparsity, values, vec)
+        overlaps = rmatvec(sparsity, values, vec)
         # P vec = G c with c = overlaps / norms^2, each label's entries summed in order
         c = overlaps / self._norms(side) ** 2
         return float(np.linalg.norm(vec - _sum_by(sparsity.rows, values * c[sparsity.cols],
@@ -960,11 +899,33 @@ class PEInstance:
     def span_basis(self, side: str) -> np.ndarray:
         """Orthonormal basis (dim x generator count) of one side's span.
 
-        The normalized generators, checked by InstanceRows.normalized and
-        densified: for the dense oracles, as the decision engine works on
-        the sparse values.
+        The normalized generators (_normalized), densified: for the dense
+        oracles, as the decision engine works on the sparse values.
         """
-        return _dense(self.structure.sides[side], self.rows().normalized(side)[0])
+        return _dense(self.structure.sides[side], self._normalized(side))
+
+    def _normalized(self, side: str) -> np.ndarray:
+        """One side's generators each divided by its norm, (nnz,) values.
+
+        They are an orthonormal basis of the side's span only because the
+        generators are pairwise orthogonal, so that is checked here on the
+        sparse Gram of the normalized generators rather than a dense Q^H Q:
+        its off-diagonal entries are the shared-label cosines (_cosines;
+        every other pair is orthogonal by support, within a set or across
+        sets), and its diagonal is each normalized generator's squared
+        norm.  A largest |Q^H Q - I| entry above assert_tol, or NaN, raises
+        ValueError naming the side (as does a vanishing generator, in
+        _norms).  The values keep the side's dtype: float64 for a real side.
+        """
+        sparsity = self.structure.sides[side]
+        q = self.values[side] / self._norms(side)[sparsity.cols]
+        sq = _sum_by(sparsity.cols, q.real ** 2 + q.imag ** 2, sparsity.shape[1])
+        resid = np.maximum(self._cosines(side).max(initial=0.0),
+                           np.abs(sq - 1.0).max(initial=0.0))
+        if not resid <= DEFAULT_TOL.assert_tol:
+            raise ValueError(f"side {side}: normalized generators are not orthonormal, "
+                             f"residual {resid:.3e}")
+        return q
 
     def psi0_component(self) -> "PEInstance":
         """The instance on the generator components that psi0's support meets.
@@ -980,13 +941,13 @@ class PEInstance:
         spectrum weights, zero-phase overlap and phase-register
         distribution as the full instance.  The rows, the kept entries and
         the component's own structure come from InstanceStructure.component;
-        only the values are gathered, by InstanceRows.component.  Cached.
+        only psi0 and the values are gathered.  Cached.
         """
         if "component" not in self._cache:
-            part = self.rows().component()
+            part = self.structure.component
             self._cache["component"] = PEInstance(
-                part.structure, part.psi0[0],
-                {side: v[0] for side, v in part.values.items()})
+                part.structure, self.psi0[part.rows],
+                {side: v[part.entries[side]] for side, v in self.values.items()})
         return self._cache["component"]
 
     def projector(self, side: str) -> Projector:

@@ -113,7 +113,12 @@ from .subroutines import SubroutineSpec
 
 #: largest c_plus that decide accepts
 C_PLUS_MAX = 50.0
-#: most entries of one stacked working array of the decision engine
+#: most entries of one stacked working array of the decision engine: the
+#: budget counts each row's block working arrays only (row_entries), not
+#: psi0's component gather nor the row's share of the secular step's (c, M)
+#: arrays, so a pass can hold more.  On 2 cores, every regime of (64, 4, 4)
+#: on both sides in one pass peaks at 132 MB ru_maxrss, against 95 MB with
+#: one pass a side
 STACK_ENTRIES = 1 << 20
 #: most pole-root pairs of one secular evaluation, so its arrays stay in cache:
 #: a step's dozen (c, M) float64 arrays of 64 KiB fit a 2 MiB L2.  Timed on 2
@@ -173,11 +178,13 @@ def _rotation_blocks(angles: np.ndarray) -> np.ndarray:
     return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
 
 
-def _check_unit_psi0(psi0: np.ndarray, where: str) -> None:
-    """ValueError naming the row, where, unless |psi0| is within assert_tol of 1 (NaN fails)."""
-    norm = float(np.linalg.norm(psi0))
-    if not abs(norm - 1.0) <= DEFAULT_TOL.assert_tol:
-        raise ValueError(f"psi0 has norm {norm!r}, not 1, in {where}")
+def _check_unit_psi0(names: RowNames, norm: np.ndarray) -> None:
+    """ValueError naming the first row whose |psi0|, norm, is not within assert_tol of 1.
+
+    NaN fails.
+    """
+    names.raise_first(~(np.abs(norm - 1.0) <= DEFAULT_TOL.assert_tol), norm,
+                      lambda v: f"psi0 has norm {float(v)!r}, not 1,")
 
 
 def _star_of(structure: InstanceStructure):
@@ -196,7 +203,9 @@ def row_entries(structure: InstanceStructure) -> int:
     """Entries of one row's stacked b x (k + 1) block working arrays, on psi0's component.
 
     A pass of the engine takes rows while these, summed, stay within
-    STACK_ENTRIES (_pass_of).
+    STACK_ENTRIES (_pass_of).  They leave out the gather of psi0's
+    component and the row's share of the secular step's (c, M) arrays,
+    so a pass's memory grows past what they count.
     """
     return sum(p.rows.size * (max(s.shape[1] for s in p.structure.sides.values()) + 1)
                for p in _star_of(structure).patterns)
@@ -281,10 +290,9 @@ def _pass_spectra(stack: InstanceStack, numbers: range) -> list[WalkSpectrum]:
     for rows in stack.rows(numbers):
         star = _star_of(rows.structure)
         part = rows.component()
-        for i, vec in enumerate(part.psi0):
-            _check_unit_psi0(vec, part.where(i))
         at = np.subtract(part.numbers, numbers.start)
         psi_sq[at] = _abs2(part.psi0).sum(axis=1)
+        _check_unit_psi0(part, np.sqrt(psi_sq[at]))
         if star.hub is None:
             groups.append(_Group(part, star, at, part.psi0, None))
             continue
@@ -1037,7 +1045,8 @@ def qpe_simulate(instance: PEInstance, bits: int) -> QPEOutcome:
         raise ValueError("register size must be between 1 and 20 bits")
     m = 1 << bits
     part = instance.psi0_component()
-    _check_unit_psi0(part.psi0, instance.rows().where(0))
+    stack, row = instance.stack, instance.row
+    _check_unit_psi0(RowNames([row], [stack.names[row]]), np.array([np.linalg.norm(part.psi0)]))
     u = part.walk_unitary()
     states = np.empty((m, part.dim), dtype=complex)
     psi = part.psi0.astype(complex)

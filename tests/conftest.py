@@ -18,7 +18,7 @@ from vtsearch import phase
 from vtsearch.phase import WalkSpectrum, _rotation_blocks
 from vtsearch.subroutines import BlockSchedule, StoppingProfile, SubroutineSpec
 from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
-                                SimpleBasis, _dense, _read_only, _sum_by, stacked_rmatvec)
+                                SimpleBasis, _dense, _read_only, _sum_by, rmatvec)
 
 
 def span_residual(generators, vec):
@@ -114,7 +114,7 @@ def cross_plan(structure):
 
 
 def cross_gram(structure, qa, qb):
-    """Q_A^H Q_B of rows of normalized generator values qa, qb: (m, k_A, k_B).
+    """Q_A^H Q_B of normalized generator values qa, qb: k_A x k_B.
 
     Summed from the entry pairs that share a label (cross_plan), with one
     bincount over the flat entries: every other pair of generators is
@@ -122,8 +122,8 @@ def cross_gram(structure, qa, qb):
     """
     plan = cross_plan(structure)
     k_a, k_b = (structure.sides[s].shape[1] for s in ("A", "B"))
-    products = qa.take(plan.left, axis=1).conj() * qb.take(plan.right, axis=1)
-    return _sum_by(plan.flat, products, k_a * k_b).reshape(len(qa), k_a, k_b)
+    products = qa[plan.left].conj() * qb[plan.right]
+    return _sum_by(plan.flat, products, k_a * k_b).reshape(k_a, k_b)
 
 
 def stacked_matmat(sparsity, values, x):
@@ -161,8 +161,7 @@ def star_block_compressions(instance):
     closed form is assumed.
     """
     part = instance.psi0_component()
-    rows = part.rows()
-    qa, qb = rows.normalized("A")[0], rows.normalized("B")[0]
+    qa, qb = part._normalized("A"), part._normalized("B")
     star = phase._star_of(part.structure)
     # the vector whose weights the blocks give: the hub generator, or psi0
     x = part.psi0
@@ -181,9 +180,8 @@ def star_block_compressions(instance):
         for block_rows, entries_a, entries_b in blocks[:1] if len(keys) == 1 else blocks:
             da = _dense(sides["A"], qa[entries_a])
             db = _dense(sides["B"], qb[entries_b])
-            u, cos, vh = np.linalg.svd(cross_gram(pattern.structure, qa[entries_a][None],
-                                                  qb[entries_b][None])[0],
-                                       full_matrices=False)
+            u, cos, vh = np.linalg.svd(cross_gram(pattern.structure, qa[entries_a],
+                                                  qb[entries_b]), full_matrices=False)
             ua = da @ u
             perp = db @ vh.conj().T - ua * cos
             sin = np.linalg.norm(perp, axis=0)
@@ -252,24 +250,24 @@ def principal_angle_spectrum(instance):
     WalkSpectrum whose min_angle is the smallest principal angle of the
     rotation planes.
     """
-    part = instance.rows().component()
-    psi0 = part.psi0
+    part = instance.psi0_component()
     sa, sb = part.structure.sides["A"], part.structure.sides["B"]
-    qa, qb = part.normalized("A"), part.normalized("B")
-    c = cross_gram(part.structure, qa, qb)
+    qa, qb = part._normalized("A"), part._normalized("B")
+    # a stack of one row, for stacked_matmat
+    psi0, c = part.psi0[None], cross_gram(part.structure, qa, qb)[None]
     u, cos, vh = np.linalg.svd(c, full_matrices=False)
     v = vh.conj().swapaxes(1, 2)
     scaled = cos[:, None, :]
     resid = max(np.abs(c @ v - u * scaled).max(initial=0.0),
                 np.abs(c.conj().swapaxes(1, 2) @ u - v * scaled).max(initial=0.0))
     assert resid <= DEFAULT_TOL.assert_tol
-    pa, pb = stacked_rmatvec(sa, qa, psi0), stacked_rmatvec(sb, qb, psi0)
+    pa, pb = rmatvec(sa, qa, part.psi0)[None], rmatvec(sb, qb, part.psi0)[None]
     ca = (pa.conj()[:, None] @ u)[:, 0].conj()
     cb = (vh @ pb[..., None])[..., 0]
     ra = pa - (u @ ca[..., None])[..., 0]
     rb = pb - (v @ cb[..., None])[..., 0]
-    on_b = stacked_matmat(sb, qb, np.concatenate([v, rb[..., None]], axis=2))
-    on_a = stacked_matmat(sa, qa, np.concatenate([u * scaled, pa[..., None]], axis=2))
+    on_b = stacked_matmat(sb, qb[None], np.concatenate([v, rb[..., None]], axis=2))
+    on_a = stacked_matmat(sa, qa[None], np.concatenate([u * scaled, pa[..., None]], axis=2))
     perp = on_b[..., :-1] - on_a[..., :-1]
     sin = np.linalg.norm(perp, axis=1)
     rot = sin > DEFAULT_TOL.rank_tol

@@ -552,6 +552,36 @@ def test_gram_of_overlapping_generators_matches_dense():
     assert inst.cross_set_cosine("B") == 0.0
 
 
+def test_an_instance_sums_its_norms_and_gram_once_a_side(small_pair, monkeypatch):
+    """The report, both span bases and the factorization check read one cache.
+
+    Each side's generator norms and shared-label Gram entries are summed
+    once, whichever check asks first.
+    """
+    import vtsearch.instances as inst_mod
+    from vtsearch.phase import verify_reflection_factorization
+
+    pair, = regime_pairs(*small_pair, ["ii-b"])
+    inst = pair.instances()["marked"]
+    calls = {"_column_norms": 0, "_gram_entries": 0}
+
+    def counted(name):
+        original = getattr(inst_mod, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(inst_mod, name, counted(name))
+    assert inst.well_formedness_report()["passed"]
+    for side in ("A", "B"):
+        inst.span_basis(side)
+    assert verify_reflection_factorization(inst) <= DEFAULT_TOL.assert_tol
+    assert calls == {"_column_norms": 2, "_gram_entries": 2}
+
+
 # ---------------------------------------------------------------------------
 # Weights and regimes
 # ---------------------------------------------------------------------------

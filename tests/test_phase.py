@@ -820,8 +820,7 @@ def test_blocks_are_compressed_row_by_row():
 
 def _cross_gram(inst):
     """The oracle engine's cross Gram Q_A^H Q_B of an instance alone, k_A x k_B."""
-    rows = inst.rows()
-    return cross_gram(inst.structure, rows.normalized("A"), rows.normalized("B"))[0]
+    return cross_gram(inst.structure, inst._normalized("A"), inst._normalized("B"))
 
 
 def _assert_cross_gram_is_dense_product(inst):
