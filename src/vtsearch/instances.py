@@ -59,13 +59,20 @@ the dtype of its operands.
 Generators that share a basis label are joined into connected components
 with disjoint label supports, over which both reflections and the walk are
 block-diagonal.  PEInstance.psi0_component keeps only the components the
-initial vector reaches, found breadth first from psi0's support, so
-decisions need no cap on the full dimension; only the dense d x d paths
-check the dimension cap.  InstanceStructure.star splits a component
-further: when psi0 sits on one row that a single side-A generator
-touches, that hub generator is set aside, and the rest falls apart into
-blocks, grouped into patterns of one local layout, on which the decision
-engine works block by block.
+initial vector reaches, so decisions need no cap on the full dimension;
+only the dense d x d paths check the dimension cap.
+InstanceStructure.star splits a component further: when psi0 sits on
+one row that a single side-A generator touches, that hub generator is
+set aside, and the rest falls apart into blocks, grouped into patterns
+of one local layout, on which the decision engine works block by block.
+General and hand-built structures search for both plans (psi0's
+component breadth first from its support, the star's blocks by label
+propagation), once per structure.  build_simple_instance lays both out
+from n and the answer vector instead and hands them to its structure,
+its blocks on one of two module constants (SIMPLE_BLOCKS); the
+structure checks a handed-over plan once, in O(d + nnz), before any
+reader sees it (_check_component, _check_star), and a plan that fails
+raises ValueError naming the property, so no wrong plan is decided on.
 
 Instances of any structures and dtypes can be tied into an
 InstanceStack, which the decision engine decides in one pass: every
@@ -93,6 +100,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -316,14 +324,6 @@ def _sum_by(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _sparsity(dim: int, rows, counts, keep) -> Sparsity:
-    """The Sparsity of the kept entries of ones listed column by column."""
-    cols = np.repeat(np.arange(len(counts)), counts)[keep]
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=len(counts)), out=indptr[1:])
-    return Sparsity(dim, indptr, np.asarray(rows, dtype=np.int64)[keep])
-
-
 def _from_entries(dim: int, rows, values, counts) -> tuple[Sparsity, np.ndarray]:
     """A set's Sparsity and values from entries listed column by column, exact zeros dropped.
 
@@ -332,7 +332,10 @@ def _from_entries(dim: int, rows, values, counts) -> tuple[Sparsity, np.ndarray]
     values = np.asarray(values)
     values = values.astype(np.result_type(values, np.float64), copy=False)
     keep = values != 0
-    return _sparsity(dim, rows, counts, keep), values[keep]
+    cols = np.repeat(np.arange(len(counts)), counts)[keep]
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=len(counts)), out=indptr[1:])
+    return Sparsity(dim, indptr, np.asarray(rows, dtype=np.int64)[keep]), values[keep]
 
 
 def _dense(sparsity: Sparsity, values: np.ndarray) -> np.ndarray:
@@ -369,6 +372,12 @@ class GramPlan(NamedTuple):
     segment: np.ndarray
 
 
+#: the plan of a side on which no label holds two entries
+_NO_PAIRS = GramPlan(*map(_read_only, (
+    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool),
+    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))))
+
+
 class Component(NamedTuple):
     """psi0's component: its rows, each side's kept entries, and its structure."""
 
@@ -401,7 +410,11 @@ class Star(NamedTuple):
     the generators fall apart into blocks, the connected components of
     the rows <-> generators incidence; free lists the rows no block holds
     (psi0's row among them), and patterns groups the blocks by local
-    layout, in the order of each layout's first block.
+    layout, in the order of each layout's first block.  The blocks come
+    from InstanceStructure.star's search, or, for a simple instance, from
+    build_simple_instance: there block i holds input i's qry, ret and chk rows, on
+    SIMPLE_BLOCKS' unmarked or marked layout, checked once
+    (_check_star).
     """
 
     hub: int | None
@@ -415,19 +428,26 @@ class InstanceStructure:
     sides[side] is the d x k Sparsity of side "A" or "B", its named sets
     side by side in order; sets[side] maps each set's name to its
     generator count, in that order; support is psi0's.  Each plan (the
-    Gram's shared-label pairs within a side and across the two sides,
-    psi0's component) is made on first use and kept, so the general
-    instances of one spec, which share their GeneralPattern's structure,
-    pay for it once.
+    Gram's shared-label pairs within a side, psi0's component and the
+    star) is made on first use and kept, so the general instances of one
+    layout, which share its structure, pay for it once.  Code that knows
+    psi0's component, or this structure's star, hands it over (component,
+    star): it is checked on first use instead of searched,
+    once, and a plan that fails its check raises ValueError naming the
+    property (_check_component, _check_star).  build_simple_instance
+    hands over both; general layouts and instance_from_sets hand over
+    none, and their structures search.
     """
 
     def __init__(self, dim: int, support: np.ndarray, sides: dict[str, Sparsity],
-                 sets: dict[str, dict[str, int]]):
+                 sets: dict[str, dict[str, int]], component: Component | None = None,
+                 star: Star | None = None):
         self.dim = dim
         self.support = _read_only(support)
         self.sides = sides
         self.sets = sets
         self._grams: dict[str, GramPlan] = {}
+        self._given = {"component": component, "star": star}
 
     def gram(self, side: str) -> GramPlan:
         """The pairs of generators of one side that share a label.
@@ -436,7 +456,9 @@ class InstanceStructure:
         entries are stored generator by generator, so within a label the
         generators stay ascending.  The pairs inside each label are
         enumerated by offset, and one stable argsort of the pair keys fixes
-        the order in which each pair's products are summed.
+        the order in which each pair's products are summed.  A side on
+        which no label holds two entries (both sides of a simple instance)
+        stops at the first neighbour comparison, with the empty plan.
         """
         if side not in self._grams:
             m = self.sides[side]
@@ -451,6 +473,10 @@ class InstanceStructure:
                     break
                 first.append(same)
                 second.append(same + offset)
+            if len(first) == 1:
+                # no label holds two entries: no pair, and no pair keys to sort
+                self._grams[side] = _NO_PAIRS
+                return _NO_PAIRS
             left, right = order[np.concatenate(first)], order[np.concatenate(second)]
             keys = m.cols[left] * k + m.cols[right]
             by_pair = np.argsort(keys, kind="stable")
@@ -473,8 +499,13 @@ class InstanceStructure:
         incidence of the two sides joined, until the generators touching
         the reached rows stop changing; the rows keep their order, and so
         do the sets and the generators within them (see
-        PEInstance.psi0_component).
+        PEInstance.psi0_component).  A component handed to the constructor
+        is checked instead (_check_component), once.
         """
+        given = self._given["component"]
+        if given is not None:
+            _check_component(self, given)
+            return given
         a, b = self.sides["A"], self.sides["B"]
         # every stored entry's row and generator, side B's numbered after side A's
         entry_rows = np.concatenate([a.rows, b.rows])
@@ -500,11 +531,7 @@ class InstanceStructure:
             entries[side] = _read_only(taken)
             indptr = np.concatenate([[0], (s.indptr[1:] - s.indptr[:-1])[kept].cumsum()])
             sides[side] = Sparsity(len(rows), indptr, new_row[s.rows[taken]])
-            # each set's kept generators: differences of kept's running count
-            ends = np.cumsum([0, *self.sets[side].values()])
-            running = np.concatenate([[0], np.cumsum(kept)])
-            counts = running[ends]
-            sets[side] = dict(zip(self.sets[side], (counts[1:] - counts[:-1]).tolist()))
+            sets[side] = _kept_counts(self.sets[side], kept)
         return Component(_read_only(rows), entries,
                          InstanceStructure(len(rows), new_row[self.support], sides, sets))
 
@@ -539,8 +566,13 @@ class InstanceStructure:
         come in that order.  A block's signature (its row, generator and
         entry counts, then each entry's local generator and row, side by
         side) groups the blocks into patterns, by one sort of the
-        signatures as byte strings.
+        signatures as byte strings.  A star handed to the constructor is
+        checked instead (_check_star), once.
         """
+        given = self._given["star"]
+        if given is not None:
+            _check_star(self, given)
+            return given
         a, b = self.sides["A"], self.sides["B"]
         hub = None
         if len(self.support) == 1:
@@ -634,6 +666,132 @@ class InstanceStructure:
                                   {side: {"block": sides[side].shape[1]} for side in sides}),
                 _read_only(by_block[row_start[blocks][:, None] + np.arange(size)]), entries))
         return Star(hub, _read_only((~touched).nonzero()[0]), tuple(patterns))
+
+
+def _kept_counts(sets: dict[str, int], kept: np.ndarray) -> dict[str, int]:
+    """Each set's kept generators, in set order: differences of kept's running count."""
+    running = np.concatenate([[0], kept.cumsum()])[list(accumulate(sets.values(), initial=0))]
+    return dict(zip(sets, (running[1:] - running[:-1]).tolist()))
+
+
+def _refuse(plan: str, prop: str) -> None:
+    """ValueError naming a handed-over plan and the property it fails."""
+    raise ValueError(f"{plan} plan refused, it fails: {prop}")
+
+
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two 1-d arrays hold the same values."""
+    return len(x) == len(y) and bool((x == y).all())
+
+
+def _check_component(structure: InstanceStructure, given: Component) -> None:
+    """Check a component of psi0 handed to structure's constructor, in O(d + nnz).
+
+    ValueError names the first property that fails: the component's rows
+    are ascending labels; psi0's support lies in the component; a
+    generator is kept exactly when its entries lie in the component's
+    rows, and the kept entries are the kept generators' in storage order;
+    the rows are psi0's support and the kept generators' rows; the
+    component's structure is the instance's on those rows and generators,
+    renumbered in order, as the search lays it out.  Whether the
+    component is connected is not checked: psi0's walk stays on any such
+    closed set of rows, so it is decided there alike.
+    """
+    rows, part, support = given.rows, given.structure, structure.support
+    size = len(rows)
+    if size and not (rows[0] >= 0 and rows[-1] < structure.dim
+                     and (rows[1:] > rows[:-1]).all()):
+        _refuse("component", "the component's rows are ascending labels")
+    # each label's row in the component, or -1
+    local = np.full(structure.dim, -1)
+    local[rows] = np.arange(size)
+    if (local[support] < 0).any():
+        _refuse("component", "psi0's support lies in the component")
+    reached = np.zeros(size, dtype=bool)
+    reached[local[support]] = True
+    same = part.dim == size and _same(part.support, local[support])
+    for side, s in structure.sides.items():
+        there, entries = part.sides[side], given.entries[side]
+        at = local[s.rows]
+        hit = at >= 0
+        kept = np.zeros(s.shape[1], dtype=bool)
+        kept[s.cols[hit]] = True
+        if not ((hit == kept[s.cols]).all() and _same(entries, hit.nonzero()[0])):
+            _refuse("component", "a generator is kept exactly when its entries lie "
+                                 "in the component's rows")
+        reached[at[entries]] = True
+        # the kept generators' entries, lengths and set counts, in order
+        same = (same and _same(there.rows, at[entries])
+                and there.indptr[0] == 0
+                and _same(there.indptr[1:], (s.indptr[1:] - s.indptr[:-1])[kept].cumsum())
+                and list(part.sets[side].items())
+                == list(_kept_counts(structure.sets[side], kept).items()))
+    if not reached.all():
+        _refuse("component", "the component's rows are psi0's support and its "
+                             "generators' rows")
+    if not same:
+        _refuse("component", "the component's structure is the instance's on its "
+                             "rows and generators")
+
+
+def _check_star(structure: InstanceStructure, star: Star) -> None:
+    """Check a star handed to structure's constructor, in O(d + nnz).
+
+    ValueError names the first property that fails: the hub is the
+    side-A generator on psi0's one row, and that row is free; the blocks
+    and the free rows partition the rows; no generator other than the hub
+    leaves its block; the patterns hold every entry but the hub's once;
+    each pattern's entries sit on its template's rows, generator by
+    generator.  The last holds when every block's entries lie on the
+    block's rows in the template's order, each template generator's in
+    one generator, and the patterns hold as many generators as the
+    structure has nonempty ones besides the hub: then each template
+    generator is one whole generator.
+    """
+    dim, support, a = structure.dim, structure.support, structure.sides["A"]
+    hub = star.hub
+    if not (len(support) == 1 and hub is not None and 0 <= hub < a.shape[1]
+            and (a.rows[a.indptr[hub]:a.indptr[hub + 1]] == support[0]).any()
+            and (star.free == support[0]).any()):
+        _refuse("star", "the hub is the side-A generator on psi0's one row, a free row")
+    held = np.concatenate([star.free, *(p.rows.ravel() for p in star.patterns)])
+    if not (len(held) == dim and held.min() >= 0
+            and (np.bincount(held, minlength=dim) == 1).all()):
+        _refuse("star", "the blocks and the free rows partition the component's rows")
+    # each row's block, numbered across the patterns in order; -1 for a free row
+    block = np.full(dim, -1)
+    count = 0
+    for p in star.patterns:
+        block[p.rows] = np.arange(count, count + len(p.rows))[:, None]
+        count += len(p.rows)
+    hub_entries = slice(a.indptr[hub], a.indptr[hub + 1])
+    for side, s in structure.sides.items():
+        # each entry's block against its generator's first entry's
+        on = block[s.rows]
+        left = (on < 0) | (on != on[s.indptr[s.cols]])
+        if side == "A":
+            left[hub_entries] = False
+        if left.any():
+            _refuse("star", "no generator other than the hub leaves its block")
+        taken = np.concatenate([np.zeros(0, dtype=np.int64),
+                                *(p.entries[side].ravel() for p in star.patterns)])
+        times = (np.bincount(taken, minlength=len(s.rows)) if taken.min(initial=0) >= 0
+                 else np.zeros(0, dtype=np.int64))
+        if side == "A":
+            times[hub_entries] += 1
+        if not (len(s.rows) == len(times) and (times == 1).all()):
+            _refuse("star", "the patterns hold every entry but the hub's once")
+        generators = sum(p.entries[side].shape[0] * p.structure.sides[side].shape[1]
+                         for p in star.patterns) + (side == "A")
+        fits = generators == np.count_nonzero(s.indptr[1:] != s.indptr[:-1])
+        for p in star.patterns:
+            t, e = p.structure.sides[side], p.entries[side]
+            gen = s.cols[e]
+            fits = (fits and e.shape == (len(p.rows), len(t.rows)) and p.rows.shape[1] == t.dim
+                    and (s.rows[e] == p.rows[:, t.rows]).all()
+                    and (gen == gen[:, t.indptr[t.cols]]).all())
+        if not fits:
+            _refuse("star", "each pattern's entries sit on its template's rows")
 
 
 def rmatvec(sparsity: Sparsity, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -757,11 +915,13 @@ class PEInstance:
     psi0 and values[side], one (nnz,) array per side on
     structure.sides[side], its generators set by set, so each value exists
     once.  ValueError is raised when psi0's length or a side's values
-    length does not match the structure.  Hand-built and simple instances
-    come from instance_from_sets; the general instances of one spec share
-    their GeneralPattern's structure, and with it its plans (the
-    shared-label pairs of the Gram, psi0's component and its star),
-    so an instance computes only what depends on its values.  Each side's
+    length does not match the structure.  Hand-built instances come from
+    instance_from_sets and simple ones from build_simple_instance, each
+    with a structure of its own (the simple one with its component and
+    star handed over); the general instances of one layout share its
+    structure, and with it its plans (the shared-label pairs of the Gram,
+    psi0's component and its star), so an instance computes only what
+    depends on its values.  Each side's
     generator norms and shared-label Gram entries are summed once, checked
     and cached (_norms, _gram), and every check of the instance reads
     them: the well-formedness report, the projections and span-membership
@@ -996,32 +1156,25 @@ def instance_from_sets(dim: int, psi0: np.ndarray, a_sets: dict[str, list[np.nda
     """The instance of named sets of dense generator vectors, with a structure of its own.
 
     For hand-built instances: each generator keeps its nonzero entries,
-    and a generator whose length is not dim raises ValueError.
-    """
-    def stored(vectors):
-        dense = (np.stack([np.asarray(v).ravel() for v in vectors])
-                 if len(vectors) else np.zeros((0, dim)))
-        k, length = dense.shape
-        if length != dim:
-            raise ValueError(f"generator length {length} does not match dim {dim}")
-        return _from_entries(dim, np.tile(np.arange(dim), k), dense.ravel(), np.full(k, dim))
-
-    return _from_sets(dim, psi0, {side: {name: stored(v) for name, v in named.items()}
-                                  for side, named in (("A", a_sets), ("B", b_sets))})
-
-
-def _from_sets(dim: int, psi0: np.ndarray, sets) -> PEInstance:
-    """The instance of each side's named (Sparsity, values) sets, with a structure of its own.
-
-    sets maps "A" and "B" to their named sets; each side's sets are laid
-    side by side in the order given, their values joined into the side's
-    one array.
+    and a generator whose length is not dim raises ValueError.  Each
+    side's sets are laid side by side in the order given, their values
+    joined into the side's one array; the structure searches its own
+    plans.
     """
     sides, counts, values = {}, {}, {}
-    for side, named in sets.items():
-        sides[side] = _hstack(dim, [sparsity for sparsity, _ in named.values()])
-        counts[side] = {name: sparsity.shape[1] for name, (sparsity, _) in named.items()}
-        values[side] = np.concatenate([np.zeros(0)] + [v for _, v in named.values()])
+    for side, named in (("A", a_sets), ("B", b_sets)):
+        stored = []
+        for vectors in named.values():
+            dense = (np.stack([np.asarray(v).ravel() for v in vectors])
+                     if len(vectors) else np.zeros((0, dim)))
+            k, length = dense.shape
+            if length != dim:
+                raise ValueError(f"generator length {length} does not match dim {dim}")
+            stored.append(_from_entries(dim, np.tile(np.arange(dim), k), dense.ravel(),
+                                        np.full(k, dim)))
+        sides[side] = _hstack(dim, [sparsity for sparsity, _ in stored])
+        counts[side] = {name: sparsity.shape[1] for name, (sparsity, _) in zip(named, stored)}
+        values[side] = np.concatenate([np.zeros(0)] + [v for _, v in stored])
     return PEInstance(InstanceStructure(dim, np.flatnonzero(psi0), sides, counts),
                       psi0, values)
 
@@ -1030,6 +1183,24 @@ def _from_sets(dim: int, psi0: np.ndarray, sets) -> PEInstance:
 # Simple variant
 # ---------------------------------------------------------------------------
 
+def _simple_block(marked: bool) -> InstanceStructure:
+    """One input's block of a simple instance's star, its rows (qry, ret, chk) numbered 0, 1, 2.
+
+    Side A' holds the check generator on (ret, chk), side B the query
+    generator on (qry, ret) and, for an unmarked input, the absorb
+    generator on chk: the layout InstanceStructure.star finds there.
+    """
+    sides = {"A": Sparsity(3, np.array([0, 2]), np.array([1, 2])),
+             "B": (Sparsity(3, np.array([0, 2]), np.array([0, 1])) if marked
+                   else Sparsity(3, np.array([0, 2, 3]), np.array([0, 1, 2])))}
+    return InstanceStructure(3, np.zeros(0, dtype=np.int64), sides,
+                             {side: {"block": m.shape[1]} for side, m in sides.items()})
+
+
+#: the block structures of the simple instances' stars: an unmarked input's, a marked one's
+SIMPLE_BLOCKS = (_simple_block(False), _simple_block(True))
+
+
 def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     """Unit-cost-query loop instance over domain [1..N] (label 0 reserved).
 
@@ -1037,36 +1208,93 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     query branches, weighted by omega), "query" (query transition folding
     the oracle answer into the returned bit), "check" (return-to-check
     transitions for both bit values), "absorb" (checked unmarked branches,
-    the dead end that closes the loop).  Each set's Sparsity and values
-    are built from index arrays, a generator per row, whose labels already
-    ascend (src < qry < ret < chk).
+    the dead end that closes the loop).  Every array is laid out from n
+    and the answer vector a (a_i = 1 for a marked input i) by index
+    arithmetic, with no loop over the inputs; each generator's labels
+    ascend (src < qry < ret < chk).  It hands its structure the
+    plans the search would find, equal to them field by field, which the
+    structure checks once on first read (_check_component, _check_star):
+    psi0's component, src then qry(i, 0), ret(i, a_i) and chk(i, a_i) of
+    every input, on the launch, check(i, a_i), query and absorb
+    generators; and the component's star, whose hub is the launch
+    generator, whose one free row is src, and whose block i holds input
+    i's three rows, laid out as SIMPLE_BLOCKS[a_i].  ValueError when omega
+    is not positive or omega / n underflows to 0 (the launch generator
+    would lose its qry entries).
     """
     if not omega > 0:  # false for nan too
         raise ValueError("omega must be positive")
     n = oracle.size
+    weight = -math.sqrt(omega / n)
+    if weight == 0.0:
+        raise ValueError(f"omega / n = {omega} / {n} underflows to 0")
     basis = SimpleBasis(n)
-
-    idx = basis.index
     i = np.arange(1, n + 1)
-    answer = np.array([int((k - 1) in oracle.marked) for k in i], dtype=int)
-    pair = [1.0, -1.0]
+    answer = np.zeros(n, dtype=np.int64)
+    answer[np.fromiter(oracle.marked, dtype=np.int64, count=len(oracle.marked))] = 1
+    unmarked = i[answer == 0]
+    u = len(unmarked)
+    # labels (SimpleBasis.index): src(0, 0) = 0, qry(i, 0) = step + 2i,
+    # ret(i, b) = qry(i, 0) + step + b and chk(i, b) = ret(i, b) + step
+    step = 2 * (n + 1)
+    qry = step + 2 * i
+    ret = qry + step + answer                       # ret(i, a_i)
 
-    launch = (np.concatenate([[idx("src", 0, 0)], idx("qry", i, 0)])[None, :],
-              np.concatenate([[1.0], np.full(n, -math.sqrt(omega / n))]))
-    # the query transition carries the oracle's answer into the b register
-    query = (np.stack([idx("qry", i, 0), idx("ret", i, answer)], axis=1), pair)
-    ic, bc = np.repeat(i, 2), np.tile([0, 1], n)
-    check = (np.stack([idx("ret", ic, bc), idx("chk", ic, bc)], axis=1), pair)
-    absorb = (idx("chk", i[answer == 0], 0)[:, None], 1.0)
+    # side A: launch on src and every qry(i, 0), then check(i, b) on
+    # ret(i, b) and chk(i, b), b fastest; side B: query(i) on qry(i, 0) and
+    # ret(i, a_i), then absorb on chk(i, 0) of every unmarked i
+    a_rows, a_values = np.zeros(5 * n + 1, dtype=np.int64), np.empty(5 * n + 1)
+    a_rows[1:n + 1] = qry
+    a_rows[n + 1::2] = 2 * step + 2 + np.arange(2 * n)
+    a_rows[n + 2::2] = a_rows[n + 1::2] + step
+    a_values[0], a_values[1:n + 1], a_values[n + 1::2], a_values[n + 2::2] = 1.0, weight, 1.0, -1.0
+    b_rows, b_values = np.empty(2 * n + u, dtype=np.int64), np.ones(2 * n + u)
+    b_rows[:2 * n:2], b_rows[1:2 * n:2], b_rows[2 * n:] = qry, ret, 3 * step + 2 * unmarked
+    b_values[1:2 * n:2] = -1.0
+    a_ptr = np.arange(n - 1, 5 * n + 2, 2)
+    a_ptr[0] = 0
+    b_ptr = np.concatenate([np.arange(0, 2 * n, 2), np.arange(2 * n, 2 * n + u + 1)])
+    sets = {"A": {"launch": 1, "check": 2 * n}, "B": {"query": n, "absorb": u}}
 
-    def stored(rows, values):
-        return _from_entries(basis.dim, rows.ravel(),
-                             np.broadcast_to(values, rows.shape).ravel(),
-                             np.full(len(rows), rows.shape[1]))
+    # psi0's component: rows src, then qry(i, 0), ret(i, a_i) and chk(i, a_i)
+    # as rows i, n + i and 2n + i; the launch and check(i, a_i) generators
+    # of side A, side B whole
+    rows = np.zeros(3 * n + 1, dtype=np.int64)
+    rows[1:n + 1], rows[n + 1:2 * n + 1], rows[2 * n + 1:] = qry, ret, ret + step
+    a_entries, a_local = np.arange(3 * n + 1), np.arange(3 * n + 1)
+    a_entries[n + 1::2] = n - 3 + 4 * i + 2 * answer
+    a_entries[n + 2::2] = a_entries[n + 1::2] + 1
+    a_local[n + 1::2], a_local[n + 2::2] = n + i, 2 * n + i
+    b_local = np.empty(2 * n + u, dtype=np.int64)
+    b_local[:2 * n:2], b_local[1:2 * n:2], b_local[2 * n:] = i, n + i, 2 * n + unmarked
+    local_ptr = np.arange(n - 1, 3 * n + 2, 2)
+    local_ptr[0] = 0
 
-    return _from_sets(basis.dim, basis.unit("src", 0, 0), {
-        "A": {"launch": stored(*launch), "check": stored(*check)},
-        "B": {"query": stored(*query), "absorb": stored(*absorb)}})
+    # the star: block i - 1 holds rows i, n + i and 2n + i, side A's
+    # check(i, a_i) and side B's query(i) (and absorb, unmarked); the
+    # patterns come in the order of their first blocks
+    patterns = []
+    for marked in (answer[0],) if len(oracle.marked) in (0, n) else (answer[0], 1 - answer[0]):
+        ins = i[answer == marked]
+        b_entries = np.empty((len(ins), 3 - marked), dtype=np.int64)
+        b_entries[:, 0], b_entries[:, 1] = 2 * ins - 2, 2 * ins - 1
+        if not marked:
+            b_entries[:, 2] = 2 * n + np.arange(u)
+        patterns.append(BlockPattern(SIMPLE_BLOCKS[marked], _read_only(
+            ins[:, None] + np.array([0, n, 2 * n])), {
+                "A": _read_only((n - 1 + 2 * ins)[:, None] + np.arange(2)),
+                "B": _read_only(b_entries)}))
+    part = InstanceStructure(
+        3 * n + 1, np.zeros(1, dtype=np.int64),
+        {"A": Sparsity(3 * n + 1, local_ptr, a_local), "B": Sparsity(3 * n + 1, b_ptr, b_local)},
+        {"A": {"launch": 1, "check": n}, "B": sets["B"]},
+        star=Star(0, _read_only(np.zeros(1, dtype=np.int64)), tuple(patterns)))
+    component = Component(_read_only(rows), {"A": _read_only(a_entries), "B": _read_only(
+        np.arange(2 * n + u))}, part)
+    psi0 = basis.unit("src", 0, 0)
+    return PEInstance(InstanceStructure(basis.dim, np.zeros(1, dtype=np.int64), {
+        "A": Sparsity(basis.dim, a_ptr, a_rows), "B": Sparsity(basis.dim, b_ptr, b_rows)},
+        sets, component=component), psi0, {"A": a_values, "B": b_values})
 
 
 @dataclass(frozen=True)

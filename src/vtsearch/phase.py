@@ -15,7 +15,10 @@ generators, so W = (I - 2 q0 q0^H) W0 with W0 = R_A' R_B.  Without the hub
 the generators fall apart into blocks, and W0 is block-diagonal over them
 and the identity on the rows no block holds, psi0's row among them; the
 blocks of the built instances are the inputs' copies of one template,
-grouped into patterns of one local layout.
+grouped into patterns of one local layout.  The star of a general
+instance is searched once per layout; build_simple_instance hands over a
+simple instance's star (and psi0's component), which the structure
+checks once before the engine reads it.
 
 W0 is decomposed block by block, all blocks of one local layout, of
 every row of a pass, in one stacked step.  Each side's span basis is its normalized,

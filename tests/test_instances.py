@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from vtsearch.grover import CostProfile, OracleSpec
-from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
-                                PositiveWitness, REGIMES, SimpleBasis, Weights,
+from vtsearch.instances import (SIMPLE_BLOCKS, GeneralBasis, InstanceStack,
+                                InstanceStructure, NegativeWitness, PEInstance,
+                                PositiveWitness, REGIMES, SimpleBasis, Sparsity, Weights,
                                 build_general_instance, build_general_instances,
                                 build_simple_instance, fsum_norm_sq,
                                 general_pattern, general_patterns,
@@ -20,7 +21,7 @@ from vtsearch.instances import (GeneralBasis, NegativeWitness, PEInstance,
                                 promise_parameter, regime_parameters,
                                 simple_witnesses, verify_witnesses)
 from vtsearch.linalg import DEFAULT_TOL
-from vtsearch.phase import regime_pairs
+from vtsearch.phase import decide, regime_pairs
 from vtsearch.subroutines import (build_block_subroutine, random_subroutine,
                                   stopping_moments, stopping_profile,
                                   subroutine_pair, validate)
@@ -109,6 +110,214 @@ def test_checks_reject_vanishing_generators():
         with pytest.raises(ValueError, match="side B: generator norm"):
             verify_witnesses(inst, NegativeWitness(w_a=a, w_b=psi0 - a,
                                                    closed_norm_sq=1.0))
+
+
+# ---------------------------------------------------------------------------
+# The plans build_simple_instance hands over, against the search
+# ---------------------------------------------------------------------------
+
+def _assert_same(got, want, where):
+    """Equal values, dtypes and shapes for arrays; equal values and types otherwise."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert np.array_equal(got, want), where
+    else:
+        assert (type(got), got) == (type(want), want), where
+
+
+def _assert_same_structure(got, want, where):
+    """Two InstanceStructures with the same dimension, support, sides and sets, in order."""
+    _assert_same(got.dim, want.dim, f"{where} dim")
+    _assert_same(got.support, want.support, f"{where} support")
+    assert list(got.sides) == list(want.sides), where
+    for side, s in want.sides.items():
+        _assert_same(got.sides[side].dim, s.dim, f"{where} {side} dim")
+        _assert_same(got.sides[side].indptr, s.indptr, f"{where} {side} indptr")
+        _assert_same(got.sides[side].rows, s.rows, f"{where} {side} rows")
+        assert list(got.sets[side].items()) == list(want.sets[side].items()), where
+        assert all(type(count) is int for count in got.sets[side].values()), where
+
+
+def _searching(structure):
+    """A fresh structure on the same sides, which searches its own plans."""
+    return InstanceStructure(structure.dim, structure.support, structure.sides, structure.sets)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 63, 64, 65, 80, 640])
+@pytest.mark.parametrize("which", ["none", "first", "last", "second and last", "all"])
+def test_simple_plans_equal_the_search(n, which):
+    """The laid-out component and star are the search's, field by field, dtypes and order too.
+
+    63 and 64 sit on both sides of phase.STAR_COLUMNS: the star is
+    compared whether or not the engine reads it.  Up to n = 80 the sides
+    and values are checked against the dense oracle's sets too.
+    """
+    marked = {"none": set(), "first": {0}, "last": {n - 1}, "second and last": {1, n - 1},
+              "all": set(range(n))}[which]
+    oracle = OracleSpec(size=n, marked=frozenset(marked))
+    inst = build_simple_instance(oracle, float(n))
+    structure = inst.structure
+    if n <= 80:
+        assert _side_arrays(inst) == _oracle_sides(dense_simple_sets(oracle, float(n)), float)
+    assert inst.psi0.dtype == float and all(v.dtype == float for v in inst.values.values())
+
+    part, found = structure.component, _searching(structure).component
+    _assert_same(part.rows, found.rows, "component rows")
+    for side in "AB":
+        _assert_same(part.entries[side], found.entries[side], f"component entries {side}")
+    _assert_same_structure(part.structure, found.structure, "component")
+
+    star, searched = part.structure.star, _searching(part.structure).star
+    _assert_same(star.hub, searched.hub, "hub")
+    _assert_same(star.free, searched.free, "free")
+    assert len(star.patterns) == len(searched.patterns) == 1 + (0 < len(marked) < n)
+    for number, (p, q) in enumerate(zip(star.patterns, searched.patterns)):
+        _assert_same(p.rows, q.rows, f"pattern {number} rows")
+        for side in "AB":
+            _assert_same(p.entries[side], q.entries[side], f"pattern {number} entries {side}")
+        _assert_same_structure(p.structure, q.structure, f"pattern {number}")
+        assert p.structure.layout == q.structure.layout
+        assert p.structure in SIMPLE_BLOCKS
+
+
+def _wrong_plans(n=80):
+    """An instance whose handed-over plans are checked, and makers of instances with wrong ones."""
+    inst = build_simple_instance(OracleSpec(size=n, marked=frozenset()), float(n))
+    structure = inst.structure
+    part = structure.component
+    star = part.structure.star
+
+    def with_component(component):
+        return PEInstance(InstanceStructure(structure.dim, structure.support, structure.sides,
+                                            structure.sets, component=component),
+                          inst.psi0, inst.values)
+
+    def with_star(pattern):
+        there = part.structure
+        return with_component(part._replace(structure=InstanceStructure(
+            there.dim, there.support, there.sides, there.sets,
+            star=star._replace(patterns=(pattern,)))))
+
+    return part, star.patterns[0], with_component, with_star
+
+
+def _moved(array, to, source, swap=False):
+    """A copy of array with its entry at source copied to to, or the two swapped."""
+    out = array.copy()
+    out[to] = array[source]
+    if swap:
+        out[source] = array[to]
+    return out
+
+
+def test_plan_check_refuses_wrong_plans():
+    """Each wrong plan raises ValueError naming the property it breaks, and so does decide.
+
+    The instance is unmarked at n = 80, so one pattern holds every block
+    (block i - 1 holds rows i, n + i and 2n + i of psi0's component) and
+    the engine reads the star.
+    """
+    part, pattern, with_component, with_star = _wrong_plans()
+    n = len(pattern.rows)
+    cases = [
+        # chk(1, 0), a row the check generator of input 1 touches
+        (with_component(part._replace(rows=np.delete(part.rows, 2 * n + 1))),
+         "a generator is kept exactly when its entries lie in the component's rows"),
+        # block 0 holds its row 1 twice and its row 2n + 1 nowhere
+        (with_star(pattern._replace(rows=_moved(pattern.rows, (0, 2), (0, 1)))),
+         "the blocks and the free rows partition the component's rows"),
+        # blocks 0 and 1 trade their chk rows, so both check generators straddle two
+        (with_star(pattern._replace(rows=_moved(pattern.rows, (0, 2), (1, 2), swap=True))),
+         "no generator other than the hub leaves its block"),
+        # every check generator's two entries in the other order: chk before ret
+        (with_star(pattern._replace(entries={"A": pattern.entries["A"][:, ::-1].copy(),
+                                             "B": pattern.entries["B"]})),
+         "each pattern's entries sit on its template's rows"),
+        # a template whose one B generator joins the query and absorb generators
+        (with_star(pattern._replace(structure=InstanceStructure(
+            3, np.zeros(0, dtype=np.int64),
+            {"A": pattern.structure.sides["A"], "B": Sparsity(3, np.array([0, 3]), np.arange(3))},
+            {"A": {"block": 1}, "B": {"block": 1}}))),
+         "each pattern's entries sit on its template's rows"),
+    ]
+    for inst, prop in cases:
+        plans = lambda: inst.structure.component.structure.star  # noqa: E731
+        with pytest.raises(ValueError, match=f"plan refused, it fails: {prop}"):
+            plans()
+        with pytest.raises(ValueError, match=prop):
+            decide(inst, c_minus=1.0 + 3.0 * n, c_plus=4.0)
+
+
+def test_simple_instance_refuses_an_omega_whose_launch_weight_underflows():
+    """sqrt(omega / n) = 0 would drop the launch generator's qry entries from the layout."""
+    with pytest.raises(ValueError, match="underflows to 0"):
+        build_simple_instance(OracleSpec(size=2, marked=frozenset()), 5e-324)
+
+
+def test_plan_check_refuses_a_component_missing_psi0():
+    part, _, with_component, _ = _wrong_plans()
+    with pytest.raises(ValueError, match="psi0's support lies in the component"):
+        with_component(part._replace(rows=part.rows[1:])).psi0_component()
+
+
+def test_plans_are_checked_once(monkeypatch):
+    """Each handed-over plan is checked once, on first read, and never again.
+
+    At n = 16 the engine decides psi0's component as one block, so no
+    star is read and none is checked; at n = 80 it reads both.
+    """
+    import vtsearch.instances as inst_mod
+    checked = []
+    for name in ("_check_component", "_check_star"):
+        check = getattr(inst_mod, name)
+        monkeypatch.setattr(inst_mod, name, lambda structure, plan, name=name, check=check: (
+            checked.append((name, id(structure))), check(structure, plan))[1])
+    built = [build_simple_instance(OracleSpec(size=n, marked=marked), float(n))
+             for n in (16, 80) for marked in (frozenset(), frozenset({0}))]
+    assert not checked
+    InstanceStack(built)
+    for _ in range(2):
+        for inst in built:
+            n = (inst.dim // 8) - 1
+            decide(inst, c_minus=1.0 + 3.0 * n, c_plus=4.0)
+            inst.psi0_component()
+            inst.well_formedness_report()
+    assert len(checked) == len(set(checked))
+    assert sorted(name for name, _ in checked) == ["_check_component"] * 4 + ["_check_star"] * 2
+    assert {structure for name, structure in checked if name == "_check_component"} == {
+        id(inst.structure) for inst in built}
+
+
+def _sorted_gram(structure, side):
+    """The GramPlan the pair sort makes, by brute force, for sides whose pairs share one label."""
+    m = structure.sides[side]
+    owner = np.repeat(np.arange(len(structure.sets[side])), list(structure.sets[side].values()))
+    pairs = sorted((m.cols[e], m.cols[f], e, f) for e in range(len(m.rows))
+                   for f in range(e + 1, len(m.rows)) if m.rows[e] == m.rows[f])
+    first, second, left, right = (np.array([p[i] for p in pairs], dtype=np.int64)
+                                  for i in range(4))
+    return (first, second, owner[first] != owner[second], left, right,
+            np.arange(len(pairs), dtype=np.int64))
+
+
+def test_gram_without_shared_labels_is_the_sorted_plan():
+    """The early exit gives the pair sort's plan: no shared label, exactly one, an empty side."""
+    e = np.eye(4)
+    cases = [
+        (instance_from_sets(4, e[0], {"a": [e[0] + e[1]], "b": [e[2]]}, {"c": [e[3]]}), "A"),
+        (instance_from_sets(4, e[0], {"a": [e[0] + e[1]], "b": [e[1] - e[2]]}, {"c": [e[3]]}),
+         "A"),
+        (instance_from_sets(4, e[0], {"a": []}, {"c": [e[3]]}), "A"),
+        (build_simple_instance(OracleSpec(size=4, marked=frozenset({1})), 4.0), "B"),
+    ]
+    for number, (inst, side) in enumerate(cases):
+        plan = inst.structure.gram(side)
+        want = _sorted_gram(inst.structure, side)
+        assert len(plan.first) == (number == 1)
+        for name, got, expect in zip(plan._fields, plan, want):
+            _assert_same(got, expect, f"case {number} {name}")
+            assert not got.flags.writeable
 
 
 # ---------------------------------------------------------------------------
