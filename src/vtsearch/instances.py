@@ -65,12 +65,16 @@ InstanceStructure.star splits a component further: when psi0 sits on
 one row that a single side-A generator touches, that hub generator is
 set aside, and the rest falls apart into blocks, grouped into patterns
 of one local layout, on which the decision engine works block by block.
-General and hand-built structures search for both plans (psi0's
-component breadth first from its support, the star's blocks by label
-propagation), once per structure.  build_simple_instance lays both out
-from n and the answer vector instead and hands them to its structure,
-its blocks on one of two module constants (SIMPLE_BLOCKS); the
-structure checks a handed-over plan once, in O(d + nnz), before any
+Every star is laid out by its builder, never searched: in both loop
+variants the launch generator is the hub, src the one free row and
+block i input i's part of psi0's component.  build_simple_instance lays
+out psi0's component and its star from n and the answer vector, its
+blocks on one of two module constants (SIMPLE_BLOCKS); a GeneralLayout
+searches psi0's component breadth first from its support (it follows
+U's exact zeros) and lays its star out from the labels' input
+coordinate on first read, one pattern per kind of input (_input_star).
+A hand-built structure is handed no star and is decided as one block.
+The structure checks a handed-over plan once, in O(d + nnz), before any
 reader sees it (_check_component, _check_star), and a plan that fails
 raises ValueError naming the property, so no wrong plan is decided on.
 
@@ -99,9 +103,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -407,14 +411,12 @@ class Star(NamedTuple):
 
     hub is the side-A generator number of the one generator on psi0's
     row, or None: then the whole structure is one block.  Without the hub
-    the generators fall apart into blocks, the connected components of
-    the rows <-> generators incidence; free lists the rows no block holds
-    (psi0's row among them), and patterns groups the blocks by local
-    layout, in the order of each layout's first block.  The blocks come
-    from InstanceStructure.star's search, or, for a simple instance, from
-    build_simple_instance: there block i holds input i's qry, ret and chk rows, on
-    SIMPLE_BLOCKS' unmarked or marked layout, checked once
-    (_check_star).
+    the generators fall apart into blocks, which no generator leaves;
+    free lists the rows no block holds (psi0's row among them), and
+    patterns groups the blocks by local layout, in the order of each
+    layout's first block.  Stars are laid out by build_simple_instance
+    and by a GeneralLayout (_input_star), never searched, and checked
+    once by their structure (_check_star).
     """
 
     hub: int | None
@@ -430,38 +432,50 @@ class InstanceStructure:
     generator count, in that order; support is psi0's.  Each plan (the
     Gram's shared-label pairs within a side, psi0's component and the
     star) is made on first use and kept, so the general instances of one
-    layout, which share its structure, pay for it once.  Code that knows
-    psi0's component, or this structure's star, hands it over (component,
-    star): it is checked on first use instead of searched,
-    once, and a plan that fails its check raises ValueError naming the
-    property (_check_component, _check_star).  build_simple_instance
-    hands over both; general layouts and instance_from_sets hand over
-    none, and their structures search.
+    layout, which share its structure, pay for it once.  The Gram pairs
+    are searched, and so is psi0's component, breadth first, unless it is
+    handed over (component).  The star is never searched: it is handed
+    over (star), as a Star or as a function that lays it out from this
+    structure on first read, and a structure handed none is one block.
+    component_star, a function of a searched component's row labels and
+    its structure, is handed to that component's structure as its star.
+    Each handed-over plan is checked once, on first read, and a plan that
+    fails its check raises ValueError naming the property
+    (_check_component, _check_star).  build_simple_instance hands over
+    its component with its star, a GeneralLayout component_star
+    (_input_star), and instance_from_sets nothing.
     """
 
     def __init__(self, dim: int, support: np.ndarray, sides: dict[str, Sparsity],
                  sets: dict[str, dict[str, int]], component: Component | None = None,
-                 star: Star | None = None):
+                 star: Star | Callable[["InstanceStructure"], Star] | None = None,
+                 component_star: Callable[[np.ndarray, "InstanceStructure"], Star]
+                 | None = None):
         self.dim = dim
         self.support = _read_only(support)
         self.sides = sides
         self.sets = sets
         self._grams: dict[str, GramPlan] = {}
         self._given = {"component": component, "star": star}
+        self._component_star = component_star
 
     def gram(self, side: str) -> GramPlan:
         """The pairs of generators of one side that share a label.
 
-        One stable argsort of the labels groups the entries by label; the
-        entries are stored generator by generator, so within a label the
-        generators stay ascending.  The pairs inside each label are
-        enumerated by offset, and one stable argsort of the pair keys fixes
-        the order in which each pair's products are summed.  A side on
-        which no label holds two entries (both sides of a simple instance)
-        stops at the first neighbour comparison, with the empty plan.
+        A side on which no label holds two entries (both sides of a simple
+        instance) has the empty plan, found by one bincount of its labels
+        with nothing sorted.  Otherwise one stable argsort of the labels
+        groups the entries by label; the entries are stored generator by
+        generator, so within a label the generators stay ascending.  The
+        pairs inside each label are enumerated by offset, and one stable
+        argsort of the pair keys fixes the order in which each pair's
+        products are summed.
         """
         if side not in self._grams:
             m = self.sides[side]
+            if np.bincount(m.rows, minlength=1).max() < 2:
+                self._grams[side] = _NO_PAIRS
+                return _NO_PAIRS
             k = m.shape[1]
             order = np.argsort(m.rows, kind="stable")
             rows = m.rows[order]
@@ -473,10 +487,6 @@ class InstanceStructure:
                     break
                 first.append(same)
                 second.append(same + offset)
-            if len(first) == 1:
-                # no label holds two entries: no pair, and no pair keys to sort
-                self._grams[side] = _NO_PAIRS
-                return _NO_PAIRS
             left, right = order[np.concatenate(first)], order[np.concatenate(second)]
             keys = m.cols[left] * k + m.cols[right]
             by_pair = np.argsort(keys, kind="stable")
@@ -500,7 +510,11 @@ class InstanceStructure:
         the reached rows stop changing; the rows keep their order, and so
         do the sets and the generators within them (see
         PEInstance.psi0_component).  A component handed to the constructor
-        is checked instead (_check_component), once.
+        is checked instead (_check_component), once.  A searched component's
+        structure is handed component_star, bound to its row labels, to lay
+        its star out.  A structure that is all reached is its own
+        component, so a component's component keeps its plans, its star
+        among them.
         """
         given = self._given["component"]
         if given is not None:
@@ -520,6 +534,9 @@ class InstanceStructure:
                 break
             gens_in = touched
             rows_in[entry_rows[gens_in[entry_gens]]] = True
+        if rows_in.all() and gens_in.all():
+            return Component(_read_only(np.arange(self.dim)), {
+                side: _read_only(np.arange(len(s.rows))) for side, s in self.sides.items()}, self)
         rows = np.flatnonzero(rows_in)
         # new_row is increasing, so each kept generator's rows stay sorted
         new_row = np.cumsum(rows_in) - 1
@@ -532,8 +549,10 @@ class InstanceStructure:
             indptr = np.concatenate([[0], (s.indptr[1:] - s.indptr[:-1])[kept].cumsum()])
             sides[side] = Sparsity(len(rows), indptr, new_row[s.rows[taken]])
             sets[side] = _kept_counts(self.sets[side], kept)
+        star = None if self._component_star is None else partial(self._component_star, rows)
         return Component(_read_only(rows), entries,
-                         InstanceStructure(len(rows), new_row[self.support], sides, sets))
+                         InstanceStructure(len(rows), new_row[self.support], sides, sets,
+                                           star=star))
 
     @cached_property
     def layout(self) -> bytes:
@@ -556,116 +575,19 @@ class InstanceStructure:
 
     @cached_property
     def star(self) -> Star:
-        """The hub and the blocks left without it (see Star).
+        """The hub and the blocks left without it (see Star), or one_block.
 
-        The hub is the one generator touching psi0's row, when psi0 has a
-        single row and that generator is on side A.  The blocks are found
-        by min-label propagation over the rows <-> generators incidence of
-        every other generator, each label jumping to its label's label
-        every round; a block's lead is its smallest row, and the blocks
-        come in that order.  A block's signature (its row, generator and
-        entry counts, then each entry's local generator and row, side by
-        side) groups the blocks into patterns, by one sort of the
-        signatures as byte strings.  A star handed to the constructor is
-        checked instead (_check_star), once.
+        A star handed to the constructor, or laid out on this first read
+        by the function handed over in its place, is checked once
+        (_check_star); a structure handed none is one block.
         """
         given = self._given["star"]
-        if given is not None:
-            _check_star(self, given)
-            return given
-        a, b = self.sides["A"], self.sides["B"]
-        hub = None
-        if len(self.support) == 1:
-            on_a = (a.rows == self.support[0]).nonzero()[0]
-            if len(on_a) == 1 and not np.count_nonzero(b.rows == self.support[0]):
-                hub = int(a.cols[on_a[0]])
-        if hub is None:
+        if given is None:
             return self.one_block
-
-        not_hub = a.cols != hub
-        rows = np.concatenate([a.rows[not_hub], b.rows])
-        gens = np.concatenate([a.cols[not_hub], a.shape[1] + b.cols])
-        label = np.arange(self.dim)
-        gen_label = np.empty(a.shape[1] + b.shape[1], dtype=label.dtype)
-        while True:
-            gen_label.fill(self.dim)
-            np.minimum.at(gen_label, gens, label[rows])
-            new = label.copy()
-            np.minimum.at(new, rows, gen_label[gens])
-            new = new[new]
-            if (new == label).all():
-                break
-            label = new
-        touched = np.zeros(self.dim, dtype=bool)
-        touched[rows] = True
-        # a block's lead is its smallest row; blocks are numbered by their leads
-        lead = touched & (label == np.arange(self.dim))
-        block = (lead.cumsum() - 1)[label]
-        held = touched.nonzero()[0]
-        by_block = held[block[held].argsort(kind="stable")]
-        count = int(lead.sum())
-        sizes = np.bincount(block[held], minlength=count)
-        row_start = sizes.cumsum() - sizes
-        local = np.empty(self.dim, dtype=np.int64)
-        local[by_block] = np.arange(len(by_block)) - row_start.repeat(sizes)
-
-        # each side's generators block by block, and their entries in that order
-        layout = {}
-        for side, s in self.sides.items():
-            lengths = s.indptr[1:] - s.indptr[:-1]
-            keep = lengths > 0
-            if side == "A":
-                keep[hub] = False
-            g = keep.nonzero()[0]
-            g_block = block[s.rows[s.indptr[g]]]
-            order = g_block.argsort(kind="stable")
-            g, g_block, lengths = g[order], g_block[order], lengths[g[order]]
-            k = np.bincount(g_block, minlength=count)
-            ends = lengths.cumsum()
-            entries = ((s.indptr[g] - ends + lengths).repeat(lengths)
-                       + np.arange(ends[-1] if len(ends) else 0))
-            e_block = g_block.repeat(lengths)
-            e = np.bincount(e_block, minlength=count)
-            e_start = e.cumsum() - e
-            e_gen = (np.arange(len(g)) - (k.cumsum() - k).repeat(k)).repeat(lengths)
-            layout[side] = (k, e, e_start, entries, e_block, e_gen, local[s.rows[entries]])
-        width = [2 * int(lay[1].max(initial=0)) for lay in layout.values()]
-        signature = np.full((count, 5 + sum(width)), -1, dtype=np.int64)
-        signature[:, 0] = sizes
-        at = 5
-        for column, (side, (k, e, e_start, entries, e_block, e_gen, e_row)) in enumerate(
-                layout.items()):
-            signature[:, 1 + column], signature[:, 3 + column] = k, e
-            position = at + 2 * (np.arange(len(entries)) - e_start[e_block])
-            signature[e_block, position] = e_gen
-            signature[e_block, position + 1] = e_row
-            at += width[column]
-        # each signature row as one byte string: blocks of a pattern sort together
-        keys = signature.view(np.dtype((np.void, 8 * signature.shape[1])))[:, 0]
-        order = keys.argsort(kind="stable")
-        ordered = keys[order]
-        starts = np.ones(count, dtype=bool)
-        starts[1:] = ordered[1:] != ordered[:-1]
-        group = np.empty(count, dtype=np.int64)
-        group[order] = starts.cumsum() - 1
-        patterns = []
-        # patterns in the order of their first block, the first of its run
-        for first_block in np.sort(order[starts]).tolist():
-            blocks = (group == group[first_block]).nonzero()[0]
-            size = int(sizes[first_block])
-            sides, entries = {}, {}
-            for side, (k, e, e_start, found, _, e_gen, e_row) in layout.items():
-                here = slice(e_start[first_block], e_start[first_block] + e[first_block])
-                sides[side] = Sparsity(size, np.concatenate(
-                    [[0], np.bincount(e_gen[here], minlength=k[first_block]).cumsum()]),
-                    e_row[here])
-                entries[side] = _read_only(found[e_start[blocks][:, None]
-                                                 + np.arange(e[first_block])])
-            patterns.append(BlockPattern(
-                InstanceStructure(size, np.zeros(0, dtype=np.int64), sides,
-                                  {side: {"block": sides[side].shape[1]} for side in sides}),
-                _read_only(by_block[row_start[blocks][:, None] + np.arange(size)]), entries))
-        return Star(hub, _read_only((~touched).nonzero()[0]), tuple(patterns))
+        if callable(given):
+            given = given(self)
+        _check_star(self, given)
+        return given
 
 
 def _kept_counts(sets: dict[str, int], kept: np.ndarray) -> dict[str, int]:
@@ -1158,8 +1080,9 @@ def instance_from_sets(dim: int, psi0: np.ndarray, a_sets: dict[str, list[np.nda
     For hand-built instances: each generator keeps its nonzero entries,
     and a generator whose length is not dim raises ValueError.  Each
     side's sets are laid side by side in the order given, their values
-    joined into the side's one array; the structure searches its own
-    plans.
+    joined into the side's one array.  The structure searches its
+    component and Gram pairs and is handed no star, so the instance is
+    decided as one block.
     """
     sides, counts, values = {}, {}, {}
     for side, named in (("A", a_sets), ("B", b_sets)):
@@ -1188,7 +1111,7 @@ def _simple_block(marked: bool) -> InstanceStructure:
 
     Side A' holds the check generator on (ret, chk), side B the query
     generator on (qry, ret) and, for an unmarked input, the absorb
-    generator on chk: the layout InstanceStructure.star finds there.
+    generator on chk.
     """
     sides = {"A": Sparsity(3, np.array([0, 2]), np.array([1, 2])),
              "B": (Sparsity(3, np.array([0, 2]), np.array([0, 1])) if marked
@@ -1211,9 +1134,9 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     the dead end that closes the loop).  Every array is laid out from n
     and the answer vector a (a_i = 1 for a marked input i) by index
     arithmetic, with no loop over the inputs; each generator's labels
-    ascend (src < qry < ret < chk).  It hands its structure the
-    plans the search would find, equal to them field by field, which the
-    structure checks once on first read (_check_component, _check_star):
+    ascend (src < qry < ret < chk).  It hands its structure both of
+    its plans, which the structure checks once on first read
+    (_check_component, _check_star):
     psi0's component, src then qry(i, 0), ret(i, a_i) and chk(i, a_i) of
     every input, on the launch, check(i, a_i), query and absorb
     generators; and the component's star, whose hub is the launch
@@ -1508,10 +1431,11 @@ class ValueSources(NamedTuple):
 
     sparsity, scale and inner are SetFill's.  The side's one inner set
     reads U at the columns cols of each input's row of U.reshape(n, -1),
-    its T (2|Z|)^2 step-unitary entries, and stored packs into bits
-    (np.packbits) the (n, len(cols)) mask of whether input i stores the
-    entry at cols[c], that is whether U is nonzero there; so a spec's u is
-    U.reshape(n, -1)[:, cols][mask], input by input (GeneralLayout.mask).
+    its T (2|Z|)^2 step-unitary entries, and stored packs into bits, row
+    by row (np.packbits on axis 1), the (n, len(cols)) mask of whether
+    input i stores the entry at cols[c], that is whether U is nonzero
+    there; so a spec's u is U.reshape(n, -1)[:, cols][mask], input by
+    input (GeneralLayout.mask).
     """
 
     sparsity: Sparsity
@@ -1525,6 +1449,64 @@ def _layout_key(spec: SubroutineSpec) -> tuple:
     """What a spec's labels and generators depend on besides U's zeros."""
     return (spec.num_inputs, spec.num_steps, spec.workspace_size,
             tuple(map(tuple, spec.partition)), tuple(spec.outputs))
+
+
+def _input_star(stride: int, kinds: np.ndarray, rows: np.ndarray,
+                structure: InstanceStructure) -> Star:
+    """The star of a general instance's psi0 component, laid out input by input.
+
+    rows are the component's labels and structure its structure.  The hub
+    is the launch generator, side A's first, and the one free row is src,
+    psi0's.  Label (tag, i, ...) lies in [(tag (n + 1) + i) stride,
+    (tag (n + 1) + i + 1) stride), so a row's input is its label // stride
+    mod (n + 1), 0 for src.  Block i - 1 holds input i's rows and
+    generators (every one but the hub lies on one input's labels), both
+    ascending, the entries in storage order.  Inputs with equal rows of
+    kinds (the same output, U nonzero at the same entries) have the same
+    generators up to the shift, so one input of each kind lays out the
+    kind's block structure; kinds with equal block structures share a
+    pattern, and patterns come in the order of their first block.
+    """
+    n = len(kinds)
+    owner = rows // stride % (n + 1) - 1
+
+    def grouped(of):
+        """The places where of >= 0, input by input, with each input's count and start."""
+        held = np.flatnonzero(of >= 0)
+        counts = np.bincount(of[held], minlength=n)
+        return held[np.argsort(of[held], kind="stable")], counts, np.cumsum(counts) - counts
+
+    def taken(group, inputs):
+        """(len(inputs), count) places of inputs of one count, from grouped."""
+        order, counts, start = group
+        return _read_only(order[start[inputs][:, None] + np.arange(counts[inputs[0]])])
+
+    # the rows, and each side's entries by their generator's first row (the hub's on src)
+    groups = {"rows": grouped(owner), **{side: grouped(owner[s.rows[s.indptr[s.cols]]])
+                                         for side, s in structure.sides.items()}}
+    # each input's kind, named by the kind's first input
+    firsts: dict[bytes, int] = {}
+    kind = np.array([firsts.setdefault(row.tobytes(), i) for i, row in enumerate(kinds)])
+    patterns: dict[bytes, list] = {}
+    for first in firsts.values():
+        block_rows = taken(groups["rows"], [first])[0]
+        local = np.empty(structure.dim, dtype=np.int64)
+        local[block_rows] = np.arange(len(block_rows))
+        sides = {}
+        for side, s in structure.sides.items():
+            entries = taken(groups[side], [first])[0]
+            gens = s.cols[entries]
+            sides[side] = Sparsity(len(block_rows), np.append(
+                np.flatnonzero(np.diff(gens, prepend=-1)), len(gens)), local[s.rows[entries]])
+        block = InstanceStructure(len(block_rows), np.zeros(0, dtype=np.int64), sides,
+                                  {side: {"block": m.shape[1]} for side, m in sides.items()})
+        patterns.setdefault(block.layout, [block, []])[1].append(first)
+    star = []
+    for block, kinds_in in patterns.values():
+        members = np.flatnonzero(np.isin(kind, kinds_in))
+        star.append(BlockPattern(block, taken(groups["rows"], members),
+                                 {side: taken(groups[side], members) for side in structure.sides}))
+    return Star(0, _read_only(np.flatnonzero(owner < 0)), tuple(star))
 
 
 class GeneralLayout:
@@ -1542,7 +1524,10 @@ class GeneralLayout:
     each side's sets, joined in order, as one Sparsity with its value
     sources (ValueSources), and holds the InstanceStructure, with psi0's
     component, its star and the Gram pairs, that every instance on it
-    shares.  An inner-transition entry is stored where its step-unitary
+    shares.  The structure searches psi0's component and is handed the
+    function that lays out the component's star (_input_star), with each
+    input's kind: its output and its rows of the stored masks.  An
+    inner-transition entry is stored where its step-unitary
     entry is nonzero (for positive weights, the entries whose filled value
     is nonzero); that is decided after the shift, since the inputs' U
     differ in their exact zeros (a marked input's flipped unitary among
@@ -1633,7 +1618,7 @@ class GeneralLayout:
             # the input and the template entry of every kept entry
             kept_i, kept_e = np.nonzero(keep)
             return (Sparsity(basis.dim, indptr, rows[kept_e] + label_stride * kept_i),
-                    scale[kept_e], inner[kept_e], cols, np.packbits(stored))
+                    scale[kept_e], inner[kept_e], cols, np.packbits(stored, axis=1))
 
         def plain_fill(rows, scale):
             """A set of (g, width) generators with no U entry, every entry stored."""
@@ -1675,11 +1660,16 @@ class GeneralLayout:
             self.sources[side] = ValueSources(_hstack(basis.dim, sparsities), *map(_read_only, (
                 np.concatenate(scale), np.flatnonzero(np.concatenate(inner)),
                 *named["even" if side == "A" else "odd"][3:])))
+        # an input's generators are fixed by its output and where its U is
+        # nonzero: one row of kinds, input by input
+        kinds = np.concatenate([np.array(spec.outputs, dtype=np.uint8)[:, None],
+                                self.sources["A"].stored, self.sources["B"].stored], axis=1)
         self.structure = InstanceStructure(
             basis.dim, np.flatnonzero(self.psi0),
             {side: s.sparsity for side, s in self.sources.items()},
             {side: {name: s[0].shape[1] for name, s in named.items()}
-             for side, named in sets.items()})
+             for side, named in sets.items()},
+            component_star=partial(_input_star, label_stride, _read_only(kinds)))
 
     def fits(self, spec: SubroutineSpec) -> bool:
         """Whether spec has this layout, checked entry by entry.
@@ -1690,14 +1680,14 @@ class GeneralLayout:
         """
         return (_layout_key(spec) == self.key
                 and all(np.array_equal(np.packbits(
-                    spec.unitaries.reshape(self.num_inputs, -1)[:, s.cols] != 0), s.stored)
+                    spec.unitaries.reshape(self.num_inputs, -1)[:, s.cols] != 0, axis=1),
+                    s.stored)
                         for s in self.sources.values()))
 
     def mask(self, side: str) -> np.ndarray:
         """Side's (n, len(cols)) mask of stored inner entries, unpacked from its bits."""
         sources = self.sources[side]
-        shape = (self.num_inputs, len(sources.cols))
-        return np.unpackbits(sources.stored, count=shape[0] * shape[1]).view(bool).reshape(shape)
+        return np.unpackbits(sources.stored, axis=1, count=len(sources.cols)).view(bool)
 
 
 class GeneralPattern:

@@ -15,10 +15,11 @@ generators, so W = (I - 2 q0 q0^H) W0 with W0 = R_A' R_B.  Without the hub
 the generators fall apart into blocks, and W0 is block-diagonal over them
 and the identity on the rows no block holds, psi0's row among them; the
 blocks of the built instances are the inputs' copies of one template,
-grouped into patterns of one local layout.  The star of a general
-instance is searched once per layout; build_simple_instance hands over a
-simple instance's star (and psi0's component), which the structure
-checks once before the engine reads it.
+grouped into patterns of one local layout.  Every star is laid out by
+the instance's builder, by build_simple_instance with psi0's component
+and by a GeneralLayout on the first read of its component's star, once
+per layout, and the structure checks it once before the engine reads
+it; a hand-built component is handed no star and is one block.
 
 W0 is decomposed block by block, all blocks of one local layout, of
 every row of a pass, in one stacked step.  Each side's span basis is its normalized,
@@ -141,7 +142,8 @@ DEFLATE = (8.0 * np.finfo(float).eps) ** 2
 #: the star from n = 56, and of the default general-loop shapes (4, 4, 4), 63
 #: columns, is faster as one block (41 against 67 ms) and every n = 16 one,
 #: 111 columns and up, on the star; 64 is the single cut with the least time
-#: over the default general-loop shapes
+#: over the default general-loop shapes.  The star path was timed with
+#: searched stars; a laid-out star costs less, and the cut is not retimed
 STAR_COLUMNS = 64
 
 
@@ -194,7 +196,9 @@ def _star_of(structure: InstanceStructure):
     """How psi0's component is decided: its star, or one block when small.
 
     A component whose cross Gram has at most STAR_COLUMNS SVD columns is
-    one block, like a component without a hub.
+    one block, without reading its star; otherwise the star its builder
+    handed over, checked on this first read (InstanceStructure.star), or
+    one block when none was handed over, as for a hand-built component.
     """
     part = structure.component.structure
     if min(s.shape[1] for s in part.sides.values()) <= STAR_COLUMNS:

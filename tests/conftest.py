@@ -17,8 +17,9 @@ from vtsearch.linalg import check_dim
 from vtsearch import phase
 from vtsearch.phase import WalkSpectrum, _rotation_blocks
 from vtsearch.subroutines import BlockSchedule, StoppingProfile, SubroutineSpec
-from vtsearch.instances import (GeneralBasis, NegativeWitness, PositiveWitness,
-                                SimpleBasis, _dense, _read_only, _sum_by, rmatvec)
+from vtsearch.instances import (BlockPattern, GeneralBasis, InstanceStructure,
+                                NegativeWitness, PositiveWitness, SimpleBasis, Sparsity,
+                                Star, _dense, _read_only, _sum_by, rmatvec)
 
 
 def span_residual(generators, vec):
@@ -193,6 +194,158 @@ def star_block_compressions(instance):
             out.append(planes.transpose(1, 2, 0).conj()
                        @ walked.reshape(size, count, 2).transpose(1, 0, 2))
     return np.concatenate(out)
+
+
+def searched_star(structure):
+    """Oracle: a structure's star found by search, to compare laid-out stars with.
+
+    The hub is the one generator touching psi0's row, when psi0 has a
+    single row and that generator is on side A; otherwise the structure
+    is one block.  The blocks are found by min-label propagation over the
+    rows <-> generators incidence of every other generator, each label
+    jumping to its label's label every round; a block's lead is its
+    smallest row, and the blocks come in that order.  A block's signature
+    (its row, generator and entry counts, then each entry's local
+    generator and row, side by side) groups the blocks into patterns, by
+    one sort of the signatures as byte strings.  Handed to an
+    InstanceStructure as its star (star=searched_star), it is checked
+    there like any handed-over star.
+    """
+    a, b = structure.sides["A"], structure.sides["B"]
+    dim, support = structure.dim, structure.support
+    hub = None
+    if len(support) == 1:
+        on_a = (a.rows == support[0]).nonzero()[0]
+        if len(on_a) == 1 and not np.count_nonzero(b.rows == support[0]):
+            hub = int(a.cols[on_a[0]])
+    if hub is None:
+        return structure.one_block
+
+    not_hub = a.cols != hub
+    rows = np.concatenate([a.rows[not_hub], b.rows])
+    gens = np.concatenate([a.cols[not_hub], a.shape[1] + b.cols])
+    label = np.arange(dim)
+    gen_label = np.empty(a.shape[1] + b.shape[1], dtype=label.dtype)
+    while True:
+        gen_label.fill(dim)
+        np.minimum.at(gen_label, gens, label[rows])
+        new = label.copy()
+        np.minimum.at(new, rows, gen_label[gens])
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    touched = np.zeros(dim, dtype=bool)
+    touched[rows] = True
+    # a block's lead is its smallest row; blocks are numbered by their leads
+    lead = touched & (label == np.arange(dim))
+    block = (lead.cumsum() - 1)[label]
+    held = touched.nonzero()[0]
+    by_block = held[block[held].argsort(kind="stable")]
+    count = int(lead.sum())
+    sizes = np.bincount(block[held], minlength=count)
+    row_start = sizes.cumsum() - sizes
+    local = np.empty(dim, dtype=np.int64)
+    local[by_block] = np.arange(len(by_block)) - row_start.repeat(sizes)
+
+    # each side's generators block by block, and their entries in that order
+    layout = {}
+    for side, s in structure.sides.items():
+        lengths = s.indptr[1:] - s.indptr[:-1]
+        keep = lengths > 0
+        if side == "A":
+            keep[hub] = False
+        g = keep.nonzero()[0]
+        g_block = block[s.rows[s.indptr[g]]]
+        order = g_block.argsort(kind="stable")
+        g, g_block, lengths = g[order], g_block[order], lengths[g[order]]
+        k = np.bincount(g_block, minlength=count)
+        ends = lengths.cumsum()
+        entries = ((s.indptr[g] - ends + lengths).repeat(lengths)
+                   + np.arange(ends[-1] if len(ends) else 0))
+        e_block = g_block.repeat(lengths)
+        e = np.bincount(e_block, minlength=count)
+        e_start = e.cumsum() - e
+        e_gen = (np.arange(len(g)) - (k.cumsum() - k).repeat(k)).repeat(lengths)
+        layout[side] = (k, e, e_start, entries, e_block, e_gen, local[s.rows[entries]])
+    width = [2 * int(lay[1].max(initial=0)) for lay in layout.values()]
+    signature = np.full((count, 5 + sum(width)), -1, dtype=np.int64)
+    signature[:, 0] = sizes
+    at = 5
+    for column, (side, (k, e, e_start, entries, e_block, e_gen, e_row)) in enumerate(
+            layout.items()):
+        signature[:, 1 + column], signature[:, 3 + column] = k, e
+        position = at + 2 * (np.arange(len(entries)) - e_start[e_block])
+        signature[e_block, position] = e_gen
+        signature[e_block, position + 1] = e_row
+        at += width[column]
+    # each signature row as one byte string: blocks of a pattern sort together
+    keys = signature.view(np.dtype((np.void, 8 * signature.shape[1])))[:, 0]
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.ones(count, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty(count, dtype=np.int64)
+    group[order] = starts.cumsum() - 1
+    patterns = []
+    # patterns in the order of their first block, the first of its run
+    for first_block in np.sort(order[starts]).tolist():
+        blocks = (group == group[first_block]).nonzero()[0]
+        size = int(sizes[first_block])
+        sides, entries = {}, {}
+        for side, (k, e, e_start, found, _, e_gen, e_row) in layout.items():
+            here = slice(e_start[first_block], e_start[first_block] + e[first_block])
+            sides[side] = Sparsity(size, np.concatenate(
+                [[0], np.bincount(e_gen[here], minlength=k[first_block]).cumsum()]),
+                e_row[here])
+            entries[side] = _read_only(found[e_start[blocks][:, None]
+                                             + np.arange(e[first_block])])
+        patterns.append(BlockPattern(
+            InstanceStructure(size, np.zeros(0, dtype=np.int64), sides,
+                              {side: {"block": sides[side].shape[1]} for side in sides}),
+            _read_only(by_block[row_start[blocks][:, None] + np.arange(size)]), entries))
+    return Star(hub, _read_only((~touched).nonzero()[0]), tuple(patterns))
+
+
+def assert_same(got, want, where):
+    """Equal values, dtypes and shapes for arrays; equal values and types otherwise."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert np.array_equal(got, want), where
+    else:
+        assert (type(got), got) == (type(want), want), where
+
+
+def assert_same_structure(got, want, where):
+    """Two InstanceStructures with the same dimension, support, sides and sets, in order."""
+    assert_same(got.dim, want.dim, f"{where} dim")
+    assert_same(got.support, want.support, f"{where} support")
+    assert list(got.sides) == list(want.sides), where
+    for side, s in want.sides.items():
+        assert_same(got.sides[side].dim, s.dim, f"{where} {side} dim")
+        assert_same(got.sides[side].indptr, s.indptr, f"{where} {side} indptr")
+        assert_same(got.sides[side].rows, s.rows, f"{where} {side} rows")
+        assert list(got.sets[side].items()) == list(want.sets[side].items()), where
+        assert all(type(count) is int for count in got.sets[side].values()), where
+
+
+def assert_same_star(got, want, where="star"):
+    """Two stars equal field by field: hub, free rows, then each pattern in order.
+
+    A pattern's block structure, rows and entries, with dtypes and shapes.
+    """
+    assert_same(got.hub, want.hub, f"{where} hub")
+    assert_same(got.free, want.free, f"{where} free")
+    assert len(got.patterns) == len(want.patterns), f"{where} pattern count"
+    for number, (p, q) in enumerate(zip(got.patterns, want.patterns)):
+        assert_same_structure(p.structure, q.structure, f"{where} pattern {number}")
+        assert p.structure.layout == q.structure.layout, f"{where} pattern {number}"
+        assert_same(p.rows, q.rows, f"{where} pattern {number} rows")
+        assert list(p.entries) == list(q.entries), f"{where} pattern {number}"
+        for side in q.entries:
+            assert_same(p.entries[side], q.entries[side],
+                        f"{where} pattern {number} entries {side}")
 
 
 def reflected_walk_spectrum(instance):

@@ -26,10 +26,11 @@ from vtsearch.subroutines import (build_block_subroutine, random_subroutine,
                                   stopping_moments, stopping_profile,
                                   subroutine_pair, validate)
 
-from conftest import (dense_general_sets, dense_general_witnesses,
+from conftest import (assert_same, assert_same_star, assert_same_structure,
+                      dense_general_sets, dense_general_witnesses,
                       dense_inner_history, dense_simple_sets,
                       dense_simple_witnesses, expected_sum,
-                      random_block_schedule, span_residual)
+                      random_block_schedule, searched_star, span_residual)
 
 SPARSE_TOL = 1e-14
 
@@ -113,34 +114,11 @@ def test_checks_reject_vanishing_generators():
 
 
 # ---------------------------------------------------------------------------
-# The plans build_simple_instance hands over, against the search
+# The plans the builders hand over, against the search oracles
 # ---------------------------------------------------------------------------
 
-def _assert_same(got, want, where):
-    """Equal values, dtypes and shapes for arrays; equal values and types otherwise."""
-    if isinstance(want, np.ndarray):
-        assert isinstance(got, np.ndarray), where
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
-        assert np.array_equal(got, want), where
-    else:
-        assert (type(got), got) == (type(want), want), where
-
-
-def _assert_same_structure(got, want, where):
-    """Two InstanceStructures with the same dimension, support, sides and sets, in order."""
-    _assert_same(got.dim, want.dim, f"{where} dim")
-    _assert_same(got.support, want.support, f"{where} support")
-    assert list(got.sides) == list(want.sides), where
-    for side, s in want.sides.items():
-        _assert_same(got.sides[side].dim, s.dim, f"{where} {side} dim")
-        _assert_same(got.sides[side].indptr, s.indptr, f"{where} {side} indptr")
-        _assert_same(got.sides[side].rows, s.rows, f"{where} {side} rows")
-        assert list(got.sets[side].items()) == list(want.sets[side].items()), where
-        assert all(type(count) is int for count in got.sets[side].values()), where
-
-
 def _searching(structure):
-    """A fresh structure on the same sides, which searches its own plans."""
+    """A fresh structure on the same sides, which searches its component and has no star."""
     return InstanceStructure(structure.dim, structure.support, structure.sides, structure.sets)
 
 
@@ -163,43 +141,28 @@ def test_simple_plans_equal_the_search(n, which):
     assert inst.psi0.dtype == float and all(v.dtype == float for v in inst.values.values())
 
     part, found = structure.component, _searching(structure).component
-    _assert_same(part.rows, found.rows, "component rows")
+    assert_same(part.rows, found.rows, "component rows")
     for side in "AB":
-        _assert_same(part.entries[side], found.entries[side], f"component entries {side}")
-    _assert_same_structure(part.structure, found.structure, "component")
+        assert_same(part.entries[side], found.entries[side], f"component entries {side}")
+    assert_same_structure(part.structure, found.structure, "component")
 
-    star, searched = part.structure.star, _searching(part.structure).star
-    _assert_same(star.hub, searched.hub, "hub")
-    _assert_same(star.free, searched.free, "free")
-    assert len(star.patterns) == len(searched.patterns) == 1 + (0 < len(marked) < n)
-    for number, (p, q) in enumerate(zip(star.patterns, searched.patterns)):
-        _assert_same(p.rows, q.rows, f"pattern {number} rows")
-        for side in "AB":
-            _assert_same(p.entries[side], q.entries[side], f"pattern {number} entries {side}")
-        _assert_same_structure(p.structure, q.structure, f"pattern {number}")
-        assert p.structure.layout == q.structure.layout
-        assert p.structure in SIMPLE_BLOCKS
+    star = part.structure.star
+    assert_same_star(star, searched_star(part.structure))
+    assert len(star.patterns) == 1 + (0 < len(marked) < n)
+    assert all(p.structure in SIMPLE_BLOCKS for p in star.patterns)
 
 
 def _wrong_plans(n=80):
-    """An instance whose handed-over plans are checked, and makers of instances with wrong ones."""
+    """psi0's component of an unmarked simple instance, and a maker of instances handed one."""
     inst = build_simple_instance(OracleSpec(size=n, marked=frozenset()), float(n))
     structure = inst.structure
-    part = structure.component
-    star = part.structure.star
 
     def with_component(component):
         return PEInstance(InstanceStructure(structure.dim, structure.support, structure.sides,
                                             structure.sets, component=component),
                           inst.psi0, inst.values)
 
-    def with_star(pattern):
-        there = part.structure
-        return with_component(part._replace(structure=InstanceStructure(
-            there.dim, there.support, there.sides, there.sets,
-            star=star._replace(patterns=(pattern,)))))
-
-    return part, star.patterns[0], with_component, with_star
+    return structure.component, with_component
 
 
 def _moved(array, to, source, swap=False):
@@ -212,41 +175,154 @@ def _moved(array, to, source, swap=False):
 
 
 def test_plan_check_refuses_wrong_plans():
-    """Each wrong plan raises ValueError naming the property it breaks, and so does decide.
+    """A wrong component raises ValueError naming the property it breaks, and so does decide.
 
-    The instance is unmarked at n = 80, so one pattern holds every block
-    (block i - 1 holds rows i, n + i and 2n + i of psi0's component) and
-    the engine reads the star.
+    Wrong stars are refused in test_wrong_stars_are_refused.
     """
-    part, pattern, with_component, with_star = _wrong_plans()
-    n = len(pattern.rows)
-    cases = [
-        # chk(1, 0), a row the check generator of input 1 touches
-        (with_component(part._replace(rows=np.delete(part.rows, 2 * n + 1))),
-         "a generator is kept exactly when its entries lie in the component's rows"),
-        # block 0 holds its row 1 twice and its row 2n + 1 nowhere
-        (with_star(pattern._replace(rows=_moved(pattern.rows, (0, 2), (0, 1)))),
-         "the blocks and the free rows partition the component's rows"),
-        # blocks 0 and 1 trade their chk rows, so both check generators straddle two
-        (with_star(pattern._replace(rows=_moved(pattern.rows, (0, 2), (1, 2), swap=True))),
-         "no generator other than the hub leaves its block"),
-        # every check generator's two entries in the other order: chk before ret
-        (with_star(pattern._replace(entries={"A": pattern.entries["A"][:, ::-1].copy(),
-                                             "B": pattern.entries["B"]})),
-         "each pattern's entries sit on its template's rows"),
-        # a template whose one B generator joins the query and absorb generators
-        (with_star(pattern._replace(structure=InstanceStructure(
-            3, np.zeros(0, dtype=np.int64),
-            {"A": pattern.structure.sides["A"], "B": Sparsity(3, np.array([0, 3]), np.arange(3))},
-            {"A": {"block": 1}, "B": {"block": 1}}))),
-         "each pattern's entries sit on its template's rows"),
-    ]
-    for inst, prop in cases:
-        plans = lambda: inst.structure.component.structure.star  # noqa: E731
-        with pytest.raises(ValueError, match=f"plan refused, it fails: {prop}"):
-            plans()
-        with pytest.raises(ValueError, match=prop):
-            decide(inst, c_minus=1.0 + 3.0 * n, c_plus=4.0)
+    part, with_component = _wrong_plans()
+    n = 80
+    # chk(1, 0), a row the check generator of input 1 touches
+    inst = with_component(part._replace(rows=np.delete(part.rows, 2 * n + 1)))
+    prop = "a generator is kept exactly when its entries lie in the component's rows"
+    with pytest.raises(ValueError, match=f"plan refused, it fails: {prop}"):
+        inst.structure.component
+    with pytest.raises(ValueError, match=prop):
+        decide(inst, c_minus=1.0 + 3.0 * n, c_plus=4.0)
+
+
+def _general_star_cases():
+    for shape in ((2, 2, 2), (4, 4, 4), (5, 3, 2), (16, 2, 4), (16, 4, 4), (64, 4, 4)):
+        for seed in range(3):
+            for marked in ((), (0,), (1,), (0, 2)):
+                if max(marked, default=0) < shape[0]:
+                    yield pytest.param(shape, seed, marked, id=f"{shape}-{seed}-{marked}")
+
+
+@pytest.mark.parametrize("shape, seed, marked", list(_general_star_cases()))
+def test_general_stars_equal_the_search(shape, seed, marked):
+    """The star a GeneralLayout lays out is the search's, field by field, dtypes and order too.
+
+    Hub, free rows, pattern order, and each pattern's block structure,
+    rows and entries, on psi0's component of random_subroutine's spec.
+    """
+    spec = random_subroutine(seed, *shape, marked=marked)
+    part = general_pattern(spec).structure.component.structure
+    star = part.star
+    assert_same_star(star, searched_star(part))
+    assert star.hub == 0 and list(star.free) == [0]
+    assert sum(len(p.rows) for p in star.patterns) == shape[0]
+
+
+def test_laid_out_general_stars_are_checked_once(monkeypatch):
+    """Each side's component star is laid out and checked once, however often it is read.
+
+    The five regimes of a side share one layout, so the ten rows of
+    (16, 4, 4) read two stars, each on first use.
+    """
+    import vtsearch.instances as inst_mod
+    calls = []
+    # the structure is _input_star's last argument and _check_star's first
+    for name, at in (("_input_star", -1), ("_check_star", 0)):
+        original = getattr(inst_mod, name)
+        monkeypatch.setattr(inst_mod, name, lambda *args, name=name, at=at, original=original: (
+            calls.append((name, id(args[at]))), original(*args))[1])
+    pairs = regime_pairs(*subroutine_pair(0, 16, 4, 4), REGIMES)
+    assert not calls
+    for _ in range(2):
+        for pair in pairs:
+            for inst in pair.built.values():
+                decide(inst, c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+                assert inst.structure.component.structure.star.hub == 0
+    parts = {id(inst.structure.component.structure)
+             for pair in pairs for inst in pair.built.values()}
+    assert len(parts) == 2
+    assert sorted(calls) == sorted((name, part) for name in ("_check_star", "_input_star")
+                                   for part in parts)
+
+
+def _with_star(inst, star):
+    """inst on a fresh structure whose psi0 component, the same, is handed star."""
+    s, part = inst.structure, inst.structure.component
+    there = part.structure
+    return PEInstance(InstanceStructure(s.dim, s.support, s.sides, s.sets,
+                                        component=part._replace(structure=InstanceStructure(
+                                            there.dim, there.support, there.sides, there.sets,
+                                            star=star))),
+                      inst.psi0, inst.values)
+
+
+def _changed(star, number, **fields):
+    """star with fields of its pattern number replaced."""
+    patterns = list(star.patterns)
+    patterns[number] = patterns[number]._replace(**fields)
+    return star._replace(patterns=tuple(patterns))
+
+
+def _joined(block):
+    """A block structure whose first two B generators are joined into one."""
+    b = block.sides["B"]
+    return InstanceStructure(block.dim, block.support, {
+        "A": block.sides["A"], "B": Sparsity(block.dim, np.delete(b.indptr, 1), b.rows)},
+        {"A": block.sets["A"], "B": {"block": b.shape[1] - 1}})
+
+
+def _wrong_star(star, case):
+    """star broken one way; the mutations use the pattern with the most blocks, then pattern 1."""
+    w = max(range(len(star.patterns)), key=lambda k: len(star.patterns[k].rows))
+    p, q = star.patterns[w], star.patterns[1 - w]
+    if case == "a row twice":
+        return _changed(star, w, rows=_moved(p.rows, (0, 2), (0, 1)))
+    if case == "two blocks trade a row":
+        return _changed(star, w, rows=_moved(p.rows, (0, 2), (1, 2), swap=True))
+    if case == "blocks exchanged across patterns":
+        # blocks of equal size: an input's block (3 rows, or 37) in either pattern
+        p_rows, q_rows = p.rows.copy(), q.rows.copy()
+        p_rows[0], q_rows[0] = q.rows[0], p.rows[0]
+        return _changed(_changed(star, w, rows=p_rows), 1 - w, rows=q_rows)
+    if case == "entries in the other order":
+        return _changed(star, w, entries={"A": p.entries["A"][:, ::-1].copy(),
+                                          "B": p.entries["B"]})
+    if case == "two template generators joined":
+        return _changed(star, w, structure=_joined(p.structure))
+    if case == "an entry dropped":
+        return _changed(star, w, entries={"A": p.entries["A"], "B": p.entries["B"][:, 1:]})
+    assert case == "the hub on another generator"
+    return star._replace(hub=1)
+
+
+_STAR_REFUSALS = {
+    "a row twice": "the blocks and the free rows partition the component's rows",
+    "two blocks trade a row": "no generator other than the hub leaves its block",
+    "blocks exchanged across patterns": "each pattern's entries sit on its template's rows",
+    "entries in the other order": "each pattern's entries sit on its template's rows",
+    "two template generators joined": "each pattern's entries sit on its template's rows",
+    "an entry dropped": "the patterns hold every entry but the hub's once",
+    "the hub on another generator": "the hub is the side-A generator on psi0's one row",
+}
+
+
+@pytest.mark.parametrize("case", list(_STAR_REFUSALS))
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_wrong_stars_are_refused(variant, case):
+    """A laid-out star broken one way raises ValueError naming the property, and so does decide.
+
+    The marked instances, simple at n = 80 and general at (16, 4, 4),
+    have two patterns and are decided on the star.
+    """
+    if variant == "simple":
+        inst = build_simple_instance(OracleSpec(size=80, marked=frozenset({0})), 80.0)
+        c_minus, c_plus = 1.0 + 3.0 * 80, 4.0
+    else:
+        pair, = regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])
+        inst, c_minus, c_plus = pair.built["marked"], pair.c_minus, pair.c_plus_decide
+    star = inst.structure.component.structure.star
+    assert len(star.patterns) == 2
+    wrong = _with_star(inst, _wrong_star(star, case))
+    prop = _STAR_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"plan refused, it fails: {prop}"):
+        wrong.structure.component.structure.star
+    with pytest.raises(ValueError, match=prop):
+        decide(wrong, c_minus=c_minus, c_plus=c_plus)
 
 
 def test_simple_instance_refuses_an_omega_whose_launch_weight_underflows():
@@ -256,7 +332,7 @@ def test_simple_instance_refuses_an_omega_whose_launch_weight_underflows():
 
 
 def test_plan_check_refuses_a_component_missing_psi0():
-    part, _, with_component, _ = _wrong_plans()
+    part, with_component = _wrong_plans()
     with pytest.raises(ValueError, match="psi0's support lies in the component"):
         with_component(part._replace(rows=part.rows[1:])).psi0_component()
 
@@ -316,8 +392,25 @@ def test_gram_without_shared_labels_is_the_sorted_plan():
         want = _sorted_gram(inst.structure, side)
         assert len(plan.first) == (number == 1)
         for name, got, expect in zip(plan._fields, plan, want):
-            _assert_same(got, expect, f"case {number} {name}")
+            assert_same(got, expect, f"case {number} {name}")
             assert not got.flags.writeable
+
+
+def test_gram_without_shared_labels_sorts_nothing(monkeypatch):
+    """A side on which no label holds two entries gets the empty plan with no argsort.
+
+    Both sides of a simple instance are such sides.
+    """
+    from vtsearch.instances import _NO_PAIRS
+    inst = build_simple_instance(OracleSpec(size=64, marked=frozenset({0, 5})), 64.0)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.argsort called")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    for side in "AB":
+        assert inst.structure.gram(side) is _NO_PAIRS
+    assert inst.well_formedness_report()["passed"]
 
 
 # ---------------------------------------------------------------------------

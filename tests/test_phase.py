@@ -11,7 +11,7 @@ import vtsearch.instances as inst_mod
 import vtsearch.linalg as linalg_mod
 import vtsearch.phase as phase_mod
 from vtsearch.grover import OracleSpec
-from vtsearch.instances import (REGIMES, InstanceStack, PEInstance,
+from vtsearch.instances import (REGIMES, InstanceStack, InstanceStructure, PEInstance,
                                 build_simple_instance, instance_from_sets,
                                 general_negative_witness,
                                 general_positive_witness, regime_parameters,
@@ -30,7 +30,7 @@ from conftest import (cross_gram, cross_plan, dense_qpe_distribution,
                       dense_reflection_factorization_residual,
                       dense_walk_spectrum, dense_zero_phase_overlap,
                       principal_angle_spectrum, reflected_walk_spectrum,
-                      star_block_compressions)
+                      searched_star, star_block_compressions)
 
 THETA_STARS = (0.05, 0.2, 0.5)
 ORACLE_TOL = 1e-12
@@ -1374,6 +1374,77 @@ def test_star_of_built_and_hand_built_instances():
                          (_unit(3, 0) + _unit(3, 1)) / math.sqrt(2))
     star = inst.structure.component.structure.star
     assert star.hub is None and len(star.patterns) == 1 and len(star.free) == 0
+
+
+def _rebuilt(inst, **plans):
+    """inst on a fresh structure on the same sides, handed plans."""
+    s = inst.structure
+    return PEInstance(InstanceStructure(s.dim, s.support, s.sides, s.sets, **plans),
+                      inst.psi0, inst.values)
+
+
+def test_a_component_handed_no_star_is_decided_as_one_block():
+    """Past STAR_COLUMNS, a structure handed no star is one block, and decides alike.
+
+    Every regime of both sides of (16, 4, 4), rebuilt on the layout's
+    sides without the star: its p0, min_angle and verdict agree with the
+    laid-out star's within ORACLE_TOL, and p0 with the principal-angle
+    oracle's.  Handed the search oracle's star instead, it has the star
+    path's bytes.
+    """
+    for pair in regime_pairs(*subroutine_pair(0, 16, 4, 4), REGIMES):
+        for inst in pair.built.values():
+            bare = _rebuilt(inst)
+            searched = _rebuilt(inst, component_star=lambda rows, part: searched_star(part))
+            part = bare.structure.component.structure
+            assert min(m.shape[1] for m in part.sides.values()) > phase_mod.STAR_COLUMNS
+            assert phase_mod._star_of(bare.structure) is part.one_block
+            assert phase_mod._star_of(inst.structure).hub == 0
+            one, star, oracle_star = (decide(x, c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+                                      for x in (bare, inst, searched))
+            reference = principal_angle_spectrum(inst)
+            want = dense_zero_phase_overlap((reference.phases, reference.weights),
+                                            star.theta_star)
+            assert abs(one.p0 - star.p0) <= ORACLE_TOL and abs(one.p0 - want) <= ORACLE_TOL
+            assert abs(one.min_angle - star.min_angle) <= ORACLE_TOL
+            assert one.verdict == star.verdict == (
+                "positive" if want >= star.threshold else "negative")
+            assert (oracle_star.p0, oracle_star.min_angle) == (star.p0, star.min_angle)
+
+
+def test_a_component_is_decided_on_its_own_star():
+    """psi0's component is its own component: deciding it reads the star its builder laid out.
+
+    The simple instance at n = 80 and the general one at (16, 4, 4), both
+    marked; the component's p0 and min_angle are the instance's, bit for bit.
+    """
+    pair, = regime_pairs(*subroutine_pair(0, 16, 4, 4), ["ii-b"])
+    cases = [(build_simple_instance(OracleSpec(size=80, marked=frozenset({0})), 80.0),
+              1.0 + 3.0 * 80, 4.0),
+             (pair.built["marked"], pair.c_minus, pair.c_plus_decide)]
+    for inst, c_minus, c_plus in cases:
+        part = inst.psi0_component()
+        assert part.structure.component.structure is part.structure
+        assert phase_mod._star_of(part.structure) is phase_mod._star_of(inst.structure)
+        assert phase_mod._star_of(part.structure).hub == 0
+        got, want = (decide(x, c_minus=c_minus, c_plus=c_plus) for x in (part, inst))
+        assert (got.p0, got.min_angle, got.verdict) == (want.p0, want.min_angle, want.verdict)
+
+
+def test_general_decide_rows_read_no_star(monkeypatch):
+    """At (2, 2, 2) every component is below STAR_COLUMNS: no star is laid out or checked."""
+    checked = []
+    check = inst_mod._check_star
+    monkeypatch.setattr(inst_mod, "_check_star",
+                        lambda structure, star: checked.append(star) or check(structure, star))
+    for seed in (0, 1):
+        pairs = regime_pairs(*subroutine_pair(seed, 2, 2, 2), REGIMES)
+        for pair in pairs:
+            for inst in pair.built.values():
+                decide(inst, c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+        for inst in pairs[0].built.values():
+            assert "star" not in vars(inst.structure.component.structure)
+    assert not checked
 
 
 def test_min_angle_is_half_the_smallest_weighted_phase():
