@@ -65,18 +65,22 @@ InstanceStructure.star splits a component further: when psi0 sits on
 one row that a single side-A generator touches, that hub generator is
 set aside, and the rest falls apart into blocks, grouped into patterns
 of one local layout, on which the decision engine works block by block.
-Every star is laid out by its builder, never searched: in both loop
-variants the launch generator is the hub, src the one free row and
-block i input i's part of psi0's component.  build_simple_instance lays
-out psi0's component and its star from n and the answer vector, its
-blocks on one of two module constants (SIMPLE_BLOCKS); a GeneralLayout
-searches psi0's component breadth first from its support (it follows
-U's exact zeros) and lays its star out from the labels' input
-coordinate on first read, one pattern per kind of input (_input_star).
-A hand-built structure is handed no star and is decided as one block.
-The structure checks a handed-over plan once, in O(d + nnz), before any
-reader sees it (_check_component, _check_star), and a plan that fails
-raises ValueError naming the property, so no wrong plan is decided on.
+psi0's component has one path, whoever finds its rows: _component_on
+checks a candidate set of rows and lays the component out on them, in
+O(d + nnz).  build_simple_instance hands over the rows, which it knows
+from n and the answer vector; for a GeneralLayout and a hand-built
+structure they are searched breadth first from psi0's support (the
+search follows U's exact zeros).  Every star is laid out by its
+builder, never searched: in both loop variants the launch generator is
+the hub, src the one free row and block i input i's part of psi0's
+component.  Each builder hands its structure a function that lays the
+star out on the first read of the component's star: _simple_star from
+the answer vector, its blocks on one of two module constants
+(SIMPLE_BLOCKS), and _input_star from the labels' input coordinate, one
+pattern per kind of input.  A hand-built structure is handed no star and
+is decided as one block.  Each plan is checked once, before any reader
+sees it (_component_on, _check_star), and a plan that fails raises
+ValueError naming the property, so no wrong plan is decided on.
 
 Instances of any structures and dtypes can be tied into an
 InstanceStack, which the decision engine decides in one pass: every
@@ -383,7 +387,12 @@ _NO_PAIRS = GramPlan(*map(_read_only, (
 
 
 class Component(NamedTuple):
-    """psi0's component: its rows, each side's kept entries, and its structure."""
+    """psi0's component: its rows, each side's kept entries, and its structure.
+
+    Made only by _component_on, which checks the rows and lays the rest
+    out on them, and by InstanceStructure.component for a structure that
+    is all reached, its own component.
+    """
 
     rows: np.ndarray
     entries: dict[str, np.ndarray]
@@ -414,8 +423,8 @@ class Star(NamedTuple):
     the generators fall apart into blocks, which no generator leaves;
     free lists the rows no block holds (psi0's row among them), and
     patterns groups the blocks by local layout, in the order of each
-    layout's first block.  Stars are laid out by build_simple_instance
-    and by a GeneralLayout (_input_star), never searched, and checked
+    layout's first block.  Stars are laid out by functions the builders
+    hand over (_simple_star, _input_star), never searched, and checked
     once by their structure (_check_star).
     """
 
@@ -433,22 +442,23 @@ class InstanceStructure:
     Gram's shared-label pairs within a side, psi0's component and the
     star) is made on first use and kept, so the general instances of one
     layout, which share its structure, pay for it once.  The Gram pairs
-    are searched, and so is psi0's component, breadth first, unless it is
-    handed over (component).  The star is never searched: it is handed
-    over (star), as a Star or as a function that lays it out from this
-    structure on first read, and a structure handed none is one block.
-    component_star, a function of a searched component's row labels and
-    its structure, is handed to that component's structure as its star.
-    Each handed-over plan is checked once, on first read, and a plan that
-    fails its check raises ValueError naming the property
-    (_check_component, _check_star).  build_simple_instance hands over
-    its component with its star, a GeneralLayout component_star
+    are searched.  psi0's component is laid out on its rows by
+    _component_on, which checks them first: the rows handed over
+    (component_rows), or else those a breadth-first search finds.  The
+    star is never searched: star, a function that lays it out from this
+    structure, is called on its first read and the star it returns is
+    checked (_check_star); a structure handed none is one block.
+    component_star, a function of the component's row labels and its
+    structure, is handed to the component's structure as its star.  A
+    handed-over plan that fails its check raises ValueError naming the
+    property.  build_simple_instance hands over its component's rows and
+    component_star (_simple_star), a GeneralLayout component_star
     (_input_star), and instance_from_sets nothing.
     """
 
     def __init__(self, dim: int, support: np.ndarray, sides: dict[str, Sparsity],
-                 sets: dict[str, dict[str, int]], component: Component | None = None,
-                 star: Star | Callable[["InstanceStructure"], Star] | None = None,
+                 sets: dict[str, dict[str, int]], component_rows: np.ndarray | None = None,
+                 star: Callable[["InstanceStructure"], Star] | None = None,
                  component_star: Callable[[np.ndarray, "InstanceStructure"], Star]
                  | None = None):
         self.dim = dim
@@ -456,7 +466,8 @@ class InstanceStructure:
         self.sides = sides
         self.sets = sets
         self._grams: dict[str, GramPlan] = {}
-        self._given = {"component": component, "star": star}
+        self._component_rows = component_rows
+        self._star = star
         self._component_star = component_star
 
     def gram(self, side: str) -> GramPlan:
@@ -505,54 +516,36 @@ class InstanceStructure:
     def component(self) -> Component:
         """The rows and generators of the components psi0's support meets.
 
-        Grown breadth first from the support over the rows <-> generators
-        incidence of the two sides joined, until the generators touching
-        the reached rows stop changing; the rows keep their order, and so
-        do the sets and the generators within them (see
-        PEInstance.psi0_component).  A component handed to the constructor
-        is checked instead (_check_component), once.  A searched component's
-        structure is handed component_star, bound to its row labels, to lay
-        its star out.  A structure that is all reached is its own
-        component, so a component's component keeps its plans, its star
-        among them.
+        Laid out by _component_on on the rows handed to the constructor,
+        or else on the rows grown breadth first from the support over the
+        rows <-> generators incidence of the two sides joined, until the
+        generators touching the reached rows stop changing (see
+        PEInstance.psi0_component).  A structure that is all reached is its
+        own component, so a component's component keeps its plans, its
+        star among them.
         """
-        given = self._given["component"]
-        if given is not None:
-            _check_component(self, given)
-            return given
-        a, b = self.sides["A"], self.sides["B"]
-        # every stored entry's row and generator, side B's numbered after side A's
-        entry_rows = np.concatenate([a.rows, b.rows])
-        entry_gens = np.concatenate([a.cols, b.cols + a.shape[1]])
-        rows_in = np.zeros(self.dim, dtype=bool)
-        rows_in[self.support] = True
-        gens_in = np.zeros(a.shape[1] + b.shape[1], dtype=bool)
-        while True:
-            touched = np.zeros(len(gens_in), dtype=bool)
-            touched[entry_gens[rows_in[entry_rows]]] = True
-            if np.array_equal(touched, gens_in):
-                break
-            gens_in = touched
-            rows_in[entry_rows[gens_in[entry_gens]]] = True
-        if rows_in.all() and gens_in.all():
-            return Component(_read_only(np.arange(self.dim)), {
-                side: _read_only(np.arange(len(s.rows))) for side, s in self.sides.items()}, self)
-        rows = np.flatnonzero(rows_in)
-        # new_row is increasing, so each kept generator's rows stay sorted
-        new_row = np.cumsum(rows_in) - 1
-        start, entries, sides, sets = 0, {}, {}, {}
-        for side, s in self.sides.items():
-            kept = gens_in[start:start + s.shape[1]]
-            start += s.shape[1]
-            taken = np.flatnonzero(kept[s.cols])
-            entries[side] = _read_only(taken)
-            indptr = np.concatenate([[0], (s.indptr[1:] - s.indptr[:-1])[kept].cumsum()])
-            sides[side] = Sparsity(len(rows), indptr, new_row[s.rows[taken]])
-            sets[side] = _kept_counts(self.sets[side], kept)
-        star = None if self._component_star is None else partial(self._component_star, rows)
-        return Component(_read_only(rows), entries,
-                         InstanceStructure(len(rows), new_row[self.support], sides, sets,
-                                           star=star))
+        rows = self._component_rows
+        if rows is None:
+            a, b = self.sides["A"], self.sides["B"]
+            # every stored entry's row and generator, side B's numbered after side A's
+            entry_rows = np.concatenate([a.rows, b.rows])
+            entry_gens = np.concatenate([a.cols, b.cols + a.shape[1]])
+            rows_in = np.zeros(self.dim, dtype=bool)
+            rows_in[self.support] = True
+            gens_in = np.zeros(a.shape[1] + b.shape[1], dtype=bool)
+            while True:
+                touched = np.zeros(len(gens_in), dtype=bool)
+                touched[entry_gens[rows_in[entry_rows]]] = True
+                if np.array_equal(touched, gens_in):
+                    break
+                gens_in = touched
+                rows_in[entry_rows[gens_in[entry_gens]]] = True
+            if rows_in.all() and gens_in.all():
+                return Component(_read_only(np.arange(self.dim)), {
+                    side: _read_only(np.arange(len(s.rows))) for side, s in self.sides.items()},
+                    self)
+            rows = np.flatnonzero(rows_in)
+        return _component_on(self, rows)
 
     @cached_property
     def layout(self) -> bytes:
@@ -577,17 +570,15 @@ class InstanceStructure:
     def star(self) -> Star:
         """The hub and the blocks left without it (see Star), or one_block.
 
-        A star handed to the constructor, or laid out on this first read
-        by the function handed over in its place, is checked once
-        (_check_star); a structure handed none is one block.
+        Laid out on this first read by the function handed to the
+        constructor and checked once (_check_star); a structure handed
+        none is one block.
         """
-        given = self._given["star"]
-        if given is None:
+        if self._star is None:
             return self.one_block
-        if callable(given):
-            given = given(self)
-        _check_star(self, given)
-        return given
+        star = self._star(self)
+        _check_star(self, star)
+        return star
 
 
 def _kept_counts(sets: dict[str, int], kept: np.ndarray) -> dict[str, int]:
@@ -601,59 +592,53 @@ def _refuse(plan: str, prop: str) -> None:
     raise ValueError(f"{plan} plan refused, it fails: {prop}")
 
 
-def _same(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether two 1-d arrays hold the same values."""
-    return len(x) == len(y) and bool((x == y).all())
+def _component_on(structure: InstanceStructure, rows: np.ndarray) -> Component:
+    """psi0's component of structure on rows, checked and laid out in O(d + nnz).
 
-
-def _check_component(structure: InstanceStructure, given: Component) -> None:
-    """Check a component of psi0 handed to structure's constructor, in O(d + nnz).
-
-    ValueError names the first property that fails: the component's rows
-    are ascending labels; psi0's support lies in the component; a
-    generator is kept exactly when its entries lie in the component's
-    rows, and the kept entries are the kept generators' in storage order;
-    the rows are psi0's support and the kept generators' rows; the
-    component's structure is the instance's on those rows and generators,
-    renumbered in order, as the search lays it out.  Whether the
-    component is connected is not checked: psi0's walk stays on any such
-    closed set of rows, so it is decided there alike.
+    ValueError names the first property of rows that fails: they are
+    ascending labels; psi0's support lies in them; a generator is kept
+    exactly when its entries lie in them; they are psi0's support and the
+    kept generators' rows.  Whether the component is connected is not
+    checked: psi0's walk stays on any such closed set of rows, so it is
+    decided there alike.  The component's structure is the instance's on
+    those rows and the kept generators, both renumbered in order, with
+    each set's kept generators and the kept entries in storage order; it
+    is handed structure's component_star, bound to the rows.
     """
-    rows, part, support = given.rows, given.structure, structure.support
-    size = len(rows)
+    size, support = len(rows), structure.support
     if size and not (rows[0] >= 0 and rows[-1] < structure.dim
                      and (rows[1:] > rows[:-1]).all()):
         _refuse("component", "the component's rows are ascending labels")
-    # each label's row in the component, or -1
+    # each label's row in the component, or -1; increasing on the rows, so
+    # each kept generator's rows stay sorted
     local = np.full(structure.dim, -1)
     local[rows] = np.arange(size)
     if (local[support] < 0).any():
         _refuse("component", "psi0's support lies in the component")
     reached = np.zeros(size, dtype=bool)
     reached[local[support]] = True
-    same = part.dim == size and _same(part.support, local[support])
+    entries, sides, sets = {}, {}, {}
     for side, s in structure.sides.items():
-        there, entries = part.sides[side], given.entries[side]
         at = local[s.rows]
         hit = at >= 0
         kept = np.zeros(s.shape[1], dtype=bool)
         kept[s.cols[hit]] = True
-        if not ((hit == kept[s.cols]).all() and _same(entries, hit.nonzero()[0])):
+        if not (hit == kept[s.cols]).all():
             _refuse("component", "a generator is kept exactly when its entries lie "
                                  "in the component's rows")
-        reached[at[entries]] = True
-        # the kept generators' entries, lengths and set counts, in order
-        same = (same and _same(there.rows, at[entries])
-                and there.indptr[0] == 0
-                and _same(there.indptr[1:], (s.indptr[1:] - s.indptr[:-1])[kept].cumsum())
-                and list(part.sets[side].items())
-                == list(_kept_counts(structure.sets[side], kept).items()))
+        taken = np.flatnonzero(hit)
+        entries[side] = _read_only(taken)
+        reached[at[taken]] = True
+        indptr = np.concatenate([[0], (s.indptr[1:] - s.indptr[:-1])[kept].cumsum()])
+        sides[side] = Sparsity(size, indptr, at[taken])
+        sets[side] = _kept_counts(structure.sets[side], kept)
     if not reached.all():
         _refuse("component", "the component's rows are psi0's support and its "
                              "generators' rows")
-    if not same:
-        _refuse("component", "the component's structure is the instance's on its "
-                             "rows and generators")
+    star = (None if structure._component_star is None
+            else partial(structure._component_star, rows))
+    return Component(_read_only(rows), entries,
+                     InstanceStructure(size, local[support], sides, sets, star=star))
 
 
 def _check_star(structure: InstanceStructure, star: Star) -> None:
@@ -839,11 +824,11 @@ class PEInstance:
     once.  ValueError is raised when psi0's length or a side's values
     length does not match the structure.  Hand-built instances come from
     instance_from_sets and simple ones from build_simple_instance, each
-    with a structure of its own (the simple one with its component and
-    star handed over); the general instances of one layout share its
-    structure, and with it its plans (the shared-label pairs of the Gram,
-    psi0's component and its star), so an instance computes only what
-    depends on its values.  Each side's
+    with a structure of its own (the simple one handed its component's
+    rows and the function that lays out its star); the general instances
+    of one layout share its structure, and with it its plans (the
+    shared-label pairs of the Gram, psi0's component and its star), so an
+    instance computes only what depends on its values.  Each side's
     generator norms and shared-label Gram entries are summed once, checked
     and cached (_norms, _gram), and every check of the instance reads
     them: the well-formedness report, the projections and span-membership
@@ -1124,6 +1109,35 @@ def _simple_block(marked: bool) -> InstanceStructure:
 SIMPLE_BLOCKS = (_simple_block(False), _simple_block(True))
 
 
+def _simple_star(answer: np.ndarray, rows: np.ndarray, structure: InstanceStructure) -> Star:
+    """The star of a simple instance's psi0 component, laid out from the answer vector.
+
+    rows are the component's labels and structure its structure, which
+    the layout does not read: the rows build_simple_instance hands over
+    are src, then qry(i, 0), ret(i, a_i) and chk(i, a_i) of every input as
+    rows i, n + i and 2n + i.  The hub is the launch generator and the
+    one free row is src; block i - 1 holds rows i, n + i and 2n + i, side
+    A's check(i, a_i) and side B's query(i) (and absorb, unmarked), laid
+    out as SIMPLE_BLOCKS[a_i]; the patterns come in the order of their
+    first blocks.
+    """
+    n = len(answer)
+    i = np.arange(1, n + 1)
+    u = n - np.count_nonzero(answer)
+    patterns = []
+    for marked in (answer[0],) if u in (0, n) else (answer[0], 1 - answer[0]):
+        ins = i[answer == marked]
+        b_entries = np.empty((len(ins), 3 - marked), dtype=np.int64)
+        b_entries[:, 0], b_entries[:, 1] = 2 * ins - 2, 2 * ins - 1
+        if not marked:
+            b_entries[:, 2] = 2 * n + np.arange(u)
+        patterns.append(BlockPattern(SIMPLE_BLOCKS[marked], _read_only(
+            ins[:, None] + np.array([0, n, 2 * n])), {
+                "A": _read_only((n - 1 + 2 * ins)[:, None] + np.arange(2)),
+                "B": _read_only(b_entries)}))
+    return Star(0, _read_only(np.zeros(1, dtype=np.int64)), tuple(patterns))
+
+
 def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     """Unit-cost-query loop instance over domain [1..N] (label 0 reserved).
 
@@ -1134,16 +1148,14 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     the dead end that closes the loop).  Every array is laid out from n
     and the answer vector a (a_i = 1 for a marked input i) by index
     arithmetic, with no loop over the inputs; each generator's labels
-    ascend (src < qry < ret < chk).  It hands its structure both of
-    its plans, which the structure checks once on first read
-    (_check_component, _check_star):
+    ascend (src < qry < ret < chk).  It hands its structure the rows of
     psi0's component, src then qry(i, 0), ret(i, a_i) and chk(i, a_i) of
-    every input, on the launch, check(i, a_i), query and absorb
-    generators; and the component's star, whose hub is the launch
-    generator, whose one free row is src, and whose block i holds input
-    i's three rows, laid out as SIMPLE_BLOCKS[a_i].  ValueError when omega
-    is not positive or omega / n underflows to 0 (the launch generator
-    would lose its qry entries).
+    every input, which the structure checks and lays out once, on first
+    read (_component_on), and the component's star as a function of the
+    answer vector (_simple_star), laid out and checked (_check_star) on the
+    first read of that star.  ValueError when omega is not positive or
+    omega / n underflows to 0 (the launch generator would lose its qry
+    entries).
     """
     if not omega > 0:  # false for nan too
         raise ValueError("omega must be positive")
@@ -1178,46 +1190,14 @@ def build_simple_instance(oracle: OracleSpec, omega: float) -> PEInstance:
     a_ptr[0] = 0
     b_ptr = np.concatenate([np.arange(0, 2 * n, 2), np.arange(2 * n, 2 * n + u + 1)])
     sets = {"A": {"launch": 1, "check": 2 * n}, "B": {"query": n, "absorb": u}}
-
     # psi0's component: rows src, then qry(i, 0), ret(i, a_i) and chk(i, a_i)
-    # as rows i, n + i and 2n + i; the launch and check(i, a_i) generators
-    # of side A, side B whole
     rows = np.zeros(3 * n + 1, dtype=np.int64)
     rows[1:n + 1], rows[n + 1:2 * n + 1], rows[2 * n + 1:] = qry, ret, ret + step
-    a_entries, a_local = np.arange(3 * n + 1), np.arange(3 * n + 1)
-    a_entries[n + 1::2] = n - 3 + 4 * i + 2 * answer
-    a_entries[n + 2::2] = a_entries[n + 1::2] + 1
-    a_local[n + 1::2], a_local[n + 2::2] = n + i, 2 * n + i
-    b_local = np.empty(2 * n + u, dtype=np.int64)
-    b_local[:2 * n:2], b_local[1:2 * n:2], b_local[2 * n:] = i, n + i, 2 * n + unmarked
-    local_ptr = np.arange(n - 1, 3 * n + 2, 2)
-    local_ptr[0] = 0
-
-    # the star: block i - 1 holds rows i, n + i and 2n + i, side A's
-    # check(i, a_i) and side B's query(i) (and absorb, unmarked); the
-    # patterns come in the order of their first blocks
-    patterns = []
-    for marked in (answer[0],) if len(oracle.marked) in (0, n) else (answer[0], 1 - answer[0]):
-        ins = i[answer == marked]
-        b_entries = np.empty((len(ins), 3 - marked), dtype=np.int64)
-        b_entries[:, 0], b_entries[:, 1] = 2 * ins - 2, 2 * ins - 1
-        if not marked:
-            b_entries[:, 2] = 2 * n + np.arange(u)
-        patterns.append(BlockPattern(SIMPLE_BLOCKS[marked], _read_only(
-            ins[:, None] + np.array([0, n, 2 * n])), {
-                "A": _read_only((n - 1 + 2 * ins)[:, None] + np.arange(2)),
-                "B": _read_only(b_entries)}))
-    part = InstanceStructure(
-        3 * n + 1, np.zeros(1, dtype=np.int64),
-        {"A": Sparsity(3 * n + 1, local_ptr, a_local), "B": Sparsity(3 * n + 1, b_ptr, b_local)},
-        {"A": {"launch": 1, "check": n}, "B": sets["B"]},
-        star=Star(0, _read_only(np.zeros(1, dtype=np.int64)), tuple(patterns)))
-    component = Component(_read_only(rows), {"A": _read_only(a_entries), "B": _read_only(
-        np.arange(2 * n + u))}, part)
     psi0 = basis.unit("src", 0, 0)
     return PEInstance(InstanceStructure(basis.dim, np.zeros(1, dtype=np.int64), {
         "A": Sparsity(basis.dim, a_ptr, a_rows), "B": Sparsity(basis.dim, b_ptr, b_rows)},
-        sets, component=component), psi0, {"A": a_values, "B": b_values})
+        sets, component_rows=rows, component_star=partial(_simple_star, answer)),
+        psi0, {"A": a_values, "B": b_values})
 
 
 @dataclass(frozen=True)
@@ -1409,33 +1389,21 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
     return rows, plus[0], minus[0], norm_plus[0], norm_minus[0]
 
 
-class SetFill(NamedTuple):
-    """A general set's (or side's) Sparsity and where each stored value comes from.
-
-    Entry e's scale is table[scale[e]], an int32 index into
-    GeneralPattern.fill's table
-    [1, -1, sqrt(alpha_0), ..., sqrt(alpha_T), -sqrt(omega_1 / n), ...,
-    -sqrt(omega_n / n)]; inner lists, ascending, the entries that are
-    inner transitions onto the (a, z) block one step later, whose value is
-    0.0 - scale * u with u their step-unitary entry, in that order.
-    """
-
-    sparsity: Sparsity
-    scale: np.ndarray
-    inner: np.ndarray
-    u: np.ndarray
-
-
 class ValueSources(NamedTuple):
-    """A general side's SetFill without its spec's values: what a layout's specs share.
+    """Where a general side's stored values come from, but for its spec's U: what specs share.
 
-    sparsity, scale and inner are SetFill's.  The side's one inner set
-    reads U at the columns cols of each input's row of U.reshape(n, -1),
-    its T (2|Z|)^2 step-unitary entries, and stored packs into bits, row
-    by row (np.packbits on axis 1), the (n, len(cols)) mask of whether
-    input i stores the entry at cols[c], that is whether U is nonzero
-    there; so a spec's u is U.reshape(n, -1)[:, cols][mask], input by
-    input (GeneralLayout.mask).
+    Entry e of sparsity has scale table[scale[e]], an int32 index into
+    GeneralPattern.fill's table [1, -1, sqrt(alpha_0), ..., sqrt(alpha_T),
+    -sqrt(omega_1 / n), ..., -sqrt(omega_n / n)]; inner lists, ascending,
+    the entries that are inner transitions onto the (a, z) block one step
+    later, whose value is 0.0 - scale * u with u their step-unitary entry,
+    in that order (GeneralPattern.u).  The side's one inner set reads U at
+    the columns cols of each input's row of U.reshape(n, -1), its
+    T (2|Z|)^2 step-unitary entries, and stored packs into bits, row by
+    row (np.packbits on axis 1), the (n, len(cols)) mask of whether input
+    i stores the entry at cols[c], that is whether U is nonzero there; so
+    a spec's u is U.reshape(n, -1)[:, cols][mask], input by input
+    (GeneralLayout.mask).
     """
 
     sparsity: Sparsity
@@ -1484,11 +1452,14 @@ def _input_star(stride: int, kinds: np.ndarray, rows: np.ndarray,
     # the rows, and each side's entries by their generator's first row (the hub's on src)
     groups = {"rows": grouped(owner), **{side: grouped(owner[s.rows[s.indptr[s.cols]]])
                                          for side, s in structure.sides.items()}}
-    # each input's kind, named by the kind's first input
-    firsts: dict[bytes, int] = {}
-    kind = np.array([firsts.setdefault(row.tobytes(), i) for i, row in enumerate(kinds)])
+    # each input's kind, named by the kind's first input: one sort of the
+    # rows of kinds, each row viewed as one byte string
+    rows_as_bytes = np.ascontiguousarray(kinds).view(np.dtype((np.void, kinds.shape[1])))
+    _, firsts, inverse = np.unique(rows_as_bytes[:, 0], return_index=True,
+                                   return_inverse=True)
+    kind = firsts[inverse]
     patterns: dict[bytes, list] = {}
-    for first in firsts.values():
+    for first in np.sort(firsts):
         block_rows = taken(groups["rows"], [first])[0]
         local = np.empty(structure.dim, dtype=np.int64)
         local[block_rows] = np.arange(len(block_rows))
@@ -1524,7 +1495,8 @@ class GeneralLayout:
     each side's sets, joined in order, as one Sparsity with its value
     sources (ValueSources), and holds the InstanceStructure, with psi0's
     component, its star and the Gram pairs, that every instance on it
-    shares.  The structure searches psi0's component and is handed the
+    shares.  The structure searches the rows of psi0's component, lays
+    the component out on them (_component_on), and is handed the
     function that lays out the component's star (_input_star), with each
     input's kind: its output and its rows of the stored masks.  An
     inner-transition entry is stored where its step-unitary
@@ -1694,11 +1666,12 @@ class GeneralPattern:
     """The general instance of one SubroutineSpec, all but its weights.
 
     A GeneralLayout, the spec's own or one it shares with specs of the
-    same layout, and the spec's step-unitary entries at the layout's
-    stored entries: fills[side] is the side's SetFill.  structure and
-    psi0 are the layout's, so every instance it fills shares them, with
-    their plans.  Built once per spec by general_pattern or
-    general_patterns; every array it holds is read-only.
+    same layout, and u[side], the spec's step-unitary entries at the
+    side's stored inner entries, in the order of ValueSources.inner.
+    structure and psi0 are the layout's, so every instance it fills
+    shares them, with their plans.  Built once per spec by
+    general_pattern or general_patterns; every array it holds is
+    read-only.
     """
 
     def __init__(self, spec: SubroutineSpec, layout: GeneralLayout | None = None):
@@ -1707,9 +1680,8 @@ class GeneralPattern:
         self.num_inputs = self.layout.num_inputs
         self.structure, self.psi0 = self.layout.structure, self.layout.psi0
         per_input = spec.unitaries.reshape(self.num_inputs, -1)
-        self.fills = {side: SetFill(s.sparsity, s.scale, s.inner,
-                                    _read_only(per_input[:, s.cols][self.layout.mask(side)]))
-                      for side, s in self.layout.sources.items()}
+        self.u = {side: _read_only(per_input[:, s.cols][self.layout.mask(side)])
+                  for side, s in self.layout.sources.items()}
 
     def fill(self, weights) -> list[PEInstance]:
         """The instances under a sequence of weights: per side, one gather and its values.
@@ -1727,10 +1699,10 @@ class GeneralPattern:
             np.sqrt(w.alpha, out=row[2:2 + steps])
             np.negative(np.sqrt(w.omega / self.num_inputs), out=row[2 + steps:])
         values = {}
-        for side, f in self.fills.items():
-            scale = table.take(f.scale, axis=1)
+        for side, s in self.layout.sources.items():
+            scale = table.take(s.scale, axis=1)
             values[side] = scale.astype(complex)
-            values[side][:, f.inner] = 0.0 - scale.take(f.inner, axis=1) * f.u
+            values[side][:, s.inner] = 0.0 - scale.take(s.inner, axis=1) * self.u[side]
         return [PEInstance(self.structure, self.psi0, {side: v[r] for side, v in values.items()})
                 for r in range(len(weights))]
 

@@ -16,9 +16,9 @@ the generators fall apart into blocks, and W0 is block-diagonal over them
 and the identity on the rows no block holds, psi0's row among them; the
 blocks of the built instances are the inputs' copies of one template,
 grouped into patterns of one local layout.  Every star is laid out by
-the instance's builder, by build_simple_instance with psi0's component
-and by a GeneralLayout on the first read of its component's star, once
-per layout, and the structure checks it once before the engine reads
+a function its builder hands over, build_simple_instance's or a
+GeneralLayout's, on the first read of the component's star, once per
+structure, and the structure checks it once before the engine reads
 it; a hand-built component is handed no star and is one block.
 
 W0 is decomposed block by block, all blocks of one local layout, of
@@ -142,8 +142,11 @@ DEFLATE = (8.0 * np.finfo(float).eps) ** 2
 #: the star from n = 56, and of the default general-loop shapes (4, 4, 4), 63
 #: columns, is faster as one block (41 against 67 ms) and every n = 16 one,
 #: 111 columns and up, on the star; 64 is the single cut with the least time
-#: over the default general-loop shapes.  The star path was timed with
-#: searched stars; a laid-out star costs less, and the cut is not retimed
+#: over the default general-loop shapes.  Retimed with laid-out stars (2
+#: cores, 60 alternating in-process batches, medians): with the cut at 0,
+#: general-decide's batch goes from 8.1 to 9.9 ms with the same records, and
+#: simple-sweep's from 5.8 to 5.6 ms, but its records move in the last bits
+#: (a one-block and a star spectrum round apart), so the cut stays
 STAR_COLUMNS = 64
 
 

@@ -153,16 +153,16 @@ def test_simple_plans_equal_the_search(n, which):
 
 
 def _wrong_plans(n=80):
-    """psi0's component of an unmarked simple instance, and a maker of instances handed one."""
+    """psi0's component of an unmarked simple instance, and a maker of instances handed rows."""
     inst = build_simple_instance(OracleSpec(size=n, marked=frozenset()), float(n))
     structure = inst.structure
 
-    def with_component(component):
+    def with_rows(rows):
         return PEInstance(InstanceStructure(structure.dim, structure.support, structure.sides,
-                                            structure.sets, component=component),
+                                            structure.sets, component_rows=rows),
                           inst.psi0, inst.values)
 
-    return structure.component, with_component
+    return structure.component, with_rows
 
 
 def _moved(array, to, source, swap=False):
@@ -179,10 +179,10 @@ def test_plan_check_refuses_wrong_plans():
 
     Wrong stars are refused in test_wrong_stars_are_refused.
     """
-    part, with_component = _wrong_plans()
+    part, with_rows = _wrong_plans()
     n = 80
     # chk(1, 0), a row the check generator of input 1 touches
-    inst = with_component(part._replace(rows=np.delete(part.rows, 2 * n + 1)))
+    inst = with_rows(np.delete(part.rows, 2 * n + 1))
     prop = "a generator is kept exactly when its entries lie in the component's rows"
     with pytest.raises(ValueError, match=f"plan refused, it fails: {prop}"):
         inst.structure.component
@@ -241,13 +241,11 @@ def test_laid_out_general_stars_are_checked_once(monkeypatch):
 
 
 def _with_star(inst, star):
-    """inst on a fresh structure whose psi0 component, the same, is handed star."""
-    s, part = inst.structure, inst.structure.component
-    there = part.structure
+    """inst on a fresh structure handed psi0's component's rows, whose structure is handed star."""
+    s = inst.structure
     return PEInstance(InstanceStructure(s.dim, s.support, s.sides, s.sets,
-                                        component=part._replace(structure=InstanceStructure(
-                                            there.dim, there.support, there.sides, there.sets,
-                                            star=star))),
+                                        component_rows=s.component.rows,
+                                        component_star=lambda rows, part: star),
                       inst.psi0, inst.values)
 
 
@@ -332,20 +330,50 @@ def test_simple_instance_refuses_an_omega_whose_launch_weight_underflows():
 
 
 def test_plan_check_refuses_a_component_missing_psi0():
-    part, with_component = _wrong_plans()
+    part, with_rows = _wrong_plans()
     with pytest.raises(ValueError, match="psi0's support lies in the component"):
-        with_component(part._replace(rows=part.rows[1:])).psi0_component()
+        with_rows(part.rows[1:]).psi0_component()
+
+
+def _wrong_rows(rows, case, n=80):
+    """The component rows of an unmarked simple instance at n, broken one way."""
+    if case == "two rows swapped":
+        return _moved(rows, 1, 2, swap=True)
+    assert case == "an untouched row added"
+    # qry(1, 1): no generator of either side touches it
+    extra = SimpleBasis(n).index("qry", 1, 1)
+    return np.insert(rows, np.searchsorted(rows, extra), extra)
+
+
+_ROW_REFUSALS = {
+    "two rows swapped": "the component's rows are ascending labels",
+    "an untouched row added": "the component's rows are psi0's support and its generators' rows",
+}
+
+
+@pytest.mark.parametrize("case", list(_ROW_REFUSALS))
+def test_wrong_component_rows_are_refused(case):
+    """Rows handed over broken one way raise ValueError naming the property, and so does decide."""
+    part, with_rows = _wrong_plans()
+    inst = with_rows(_wrong_rows(part.rows, case))
+    prop = _ROW_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"plan refused, it fails: {prop}"):
+        inst.structure.component
+    with pytest.raises(ValueError, match=prop):
+        decide(inst, c_minus=1.0 + 3.0 * 80, c_plus=4.0)
 
 
 def test_plans_are_checked_once(monkeypatch):
-    """Each handed-over plan is checked once, on first read, and never again.
+    """Each plan is checked once, on first read, and never again.
 
     At n = 16 the engine decides psi0's component as one block, so no
-    star is read and none is checked; at n = 80 it reads both.
+    star is read and none is checked; at n = 80 it reads both.  A
+    general layout's searched component is checked and laid out once, for
+    every regime decided on it.
     """
     import vtsearch.instances as inst_mod
     checked = []
-    for name in ("_check_component", "_check_star"):
+    for name in ("_component_on", "_check_star"):
         check = getattr(inst_mod, name)
         monkeypatch.setattr(inst_mod, name, lambda structure, plan, name=name, check=check: (
             checked.append((name, id(structure))), check(structure, plan))[1])
@@ -360,9 +388,20 @@ def test_plans_are_checked_once(monkeypatch):
             inst.psi0_component()
             inst.well_formedness_report()
     assert len(checked) == len(set(checked))
-    assert sorted(name for name, _ in checked) == ["_check_component"] * 4 + ["_check_star"] * 2
-    assert {structure for name, structure in checked if name == "_check_component"} == {
+    assert sorted(name for name, _ in checked) == ["_check_star"] * 2 + ["_component_on"] * 4
+    assert {structure for name, structure in checked if name == "_component_on"} == {
         id(inst.structure) for inst in built}
+    checked.clear()
+    pairs = regime_pairs(*subroutine_pair(0, 2, 2, 2), REGIMES)
+    for _ in range(2):
+        for pair in pairs:
+            for inst in pair.built.values():
+                decide(inst, c_minus=pair.c_minus, c_plus=pair.c_plus_decide)
+                inst.psi0_component()
+    # the five regimes of a side share its layout's structure
+    assert sorted(checked) == sorted(("_component_on", id(inst.structure))
+                                     for inst in pairs[0].built.values())
+    assert len(checked) == 2
 
 
 def _sorted_gram(structure, side):
@@ -580,10 +619,10 @@ def test_pattern_arrays_are_read_only(small_pair):
               *structure.gram("A")]
     for sparsity in (*structure.sides.values(), *part.structure.sides.values()):
         shared += [sparsity.indptr, sparsity.rows, sparsity.cols]
-    for side, f in pattern.fills.items():
-        assert f.sparsity is structure.sides[side]
-        assert f.scale.dtype == np.int32
-        shared += [f.scale, f.inner, f.u]
+    for side, s in pattern.layout.sources.items():
+        assert s.sparsity is structure.sides[side]
+        assert s.scale.dtype == np.int32
+        shared += [s.scale, s.inner, pattern.u[side]]
     shared += list(part.entries.values())
     layout = history_layout(marked)
     shared += [layout.rows, layout.states, layout.slots]
