@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -140,8 +140,10 @@ def _run_grover_weights(config, results, prefix):
         oracle = grover_mod.OracleSpec(size=n, marked=frozenset({0}))
         table = grover_mod.query_weights(oracle)
         col_resid = table.column_sum_residual()
+        # the residual is taken in place: one N x Q temporary, not three
         closed = grover_mod.closed_form_weights(n, 0)
-        closed_resid = float(np.max(np.abs(table.q - closed)))
+        np.subtract(table.q, closed, out=closed)
+        closed_resid = float(np.abs(closed, out=closed).max())
         if n >= 4:
             cos_sum, cos_bound = grover_mod.lagrange_cos_sum(n)
         else:
@@ -153,7 +155,7 @@ def _run_grover_weights(config, results, prefix):
             "column_sum_residual": col_resid,
             "closed_form_residual": closed_resid,
             "lagrange_sum": cos_sum, "lagrange_bound": cos_bound,
-            "q_bar": [float(x) for x in table.q_bar],
+            "q_bar": table.q_bar.tolist(),
         }, passed)
 
 
@@ -188,7 +190,8 @@ def _run_simple_loop(config, results, prefix):
         results.add(prefix, {
             "n": n, "marked": sorted(marked), "omega": omega,
             "witness": report.to_jsonable(),
-            "decision": asdict(decision),
+            # the decision's scalar fields, without asdict's deep copy
+            "decision": {f.name: getattr(decision, f.name) for f in fields(decision)},
             "reflection_residual": refl_resid,
             "well_formed": wf,
         }, passed)
@@ -202,7 +205,7 @@ def _run_general_loop(config, results, prefix):
     phase.row_entries, summed, within phase.STACK_ENTRIES.  So seeds of
     any shapes share a pass, and a shape whose rows take a pass of their
     own goes seed by seed.  The group's specs share their layouts where
-    they match (one general_patterns call over the group and the new
+    they match (one general_layouts call over the group and the new
     seed), every group is decided in its stack's passes, and its records
     are emitted in seed order.
     """
@@ -214,10 +217,10 @@ def _run_general_loop(config, results, prefix):
         t_max = int(rng.choice([t for t in config.t_list if t >= 2]))
         workspace = int(rng.choice(config.z_list))
         specs = subs_mod.subroutine_pair(seed, n, t_max, workspace)
-        patterns = inst_mod.general_patterns([spec for _, pair in group for spec in pair]
-                                             + list(specs))
-        need = len(config.regimes) * sum(phase_mod.row_entries(p.structure)
-                                         for p in patterns[-2:])
+        layouts = inst_mod.general_layouts([spec for _, pair in group for spec in pair]
+                                           + list(specs))
+        need = len(config.regimes) * sum(phase_mod.row_entries(layout.structure)
+                                         for layout in layouts[-2:])
         if group and entries + need > phase_mod.STACK_ENTRIES:
             _run_seeds(config, results, prefix, group)
             group, entries = [], 0

@@ -32,17 +32,19 @@ vector with its entries (history_states among them) scattered in from
 index arrays.  The general instance's labels and generators are fixed by
 its subroutine's sizes, partition and outputs and by where its step
 unitaries are exactly 0, so a GeneralLayout holds them apart from any
-spec's values, and each SubroutineSpec gets one GeneralPattern: a layout
-and the spec's own step-unitary entries.  Specs with the same layout
-(many random subroutines of one shape have one) share it when one
-general_patterns call builds their patterns, after an exact check, entry
-by entry; a weight regime only fills in values.  Every input runs its
-own copy of the subroutine, so the layout lists one input's generators
-and lays the others out as that template shifted by a fixed stride in
-labels and in the step unitaries; the history states' labels and states
-are likewise laid out once per spec (HistoryLayout).  The general
-instances of one layout share its structure, and with it the plans that
-ignore values (the Gram's shared-label pairs within a side, psi0's
+spec's values, and each SubroutineSpec keeps one GeneralLayout, the
+one object of this module it carries.  Specs with the same layout (many
+random subroutines of one shape have one) share it when one
+general_layouts call finds it theirs, after an exact check, entry by
+entry; a weight regime only fills in values, reading the spec's
+step-unitary entries with one take a side.  Every input runs its own
+copy of the subroutine, so the layout lists one input's generators and
+lays the others out as that template shifted by a fixed stride in
+labels and in the step unitaries; the history states' labels are laid
+out on the layout too, and the states are taken per call from the
+spec's trajectory.  Every array that ignores values lives once per
+layout: the general instances of one layout share its structure, and
+with it the plans (the Gram's shared-label pairs within a side, psi0's
 component and its star).  The row forms build_general_instances,
 general_positive_witnesses and general_negative_witnesses take a
 sequence of weightings in one pass, with a leading row axis, and the
@@ -106,7 +108,7 @@ the last two on one cached array of cosines (PEInstance._cosines).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import accumulate
 from typing import Callable, NamedTuple
@@ -1270,52 +1272,6 @@ def simple_witnesses(oracle: OracleSpec, omega: float):
 # General variant: history states and witnesses
 # ---------------------------------------------------------------------------
 
-class HistoryLayout:
-    """What every input's history states share across weightings: built once per spec.
-
-    Row i of rows lists the distinct labels of input i's history: the
-    (a, z) block at every program counter t on the "fwd" (bit 0) and
-    "bwd" (bit f(i)) tracks.  states[i, t] is input i's state at counter
-    t, read off spec.trajectory with the labels halted by step t - 1
-    zeroed (see history_states).  Row i of slots holds the witnesses'
-    src (bit 0), ret and chk (bit f(i)) labels of input i at
-    (a, z, t) = (0, 0, 0).  Built by history_layout; read-only.
-    """
-
-    def __init__(self, spec: SubroutineSpec):
-        basis = GeneralBasis.for_spec(spec)
-        i, t = np.arange(1, spec.num_inputs + 1)[:, None], np.arange(spec.num_steps + 1)
-        fi = np.asarray(spec.outputs, dtype=int)[:, None]
-        # (input, t, track, (a, z) block)
-        rows = np.stack([basis.az_indices("fwd", i, 0, t),
-                         basis.az_indices("bwd", i, fi, t)], axis=2)
-        self.rows = _read_only(rows.reshape(spec.num_inputs, -1))
-        # row t: the labels halted by step t - 1 (none at t = 0)
-        halted = np.array([spec.halted_mask(max(s - 1, 0)) for s in t])
-        self.states = _read_only(np.where(halted, 0, spec.trajectory))
-        self.slots = _read_only(np.concatenate(
-            [basis.index(tag, i, b, 0, 0, 0) for tag, b in (("src", 0), ("ret", fi),
-                                                          ("chk", fi))], axis=1))
-
-
-def _per_spec(spec: SubroutineSpec, key: str, build):
-    """build(spec), made on first use and kept in spec.__dict__ under key.
-
-    That is the storage functools.cached_property uses for spec.trajectory,
-    so the value lives and dies with its spec (which is never hashed), and
-    a new spec, even an equal one, builds its own.
-    """
-    value = spec.__dict__.get(key)
-    if value is None:
-        value = spec.__dict__[key] = build(spec)
-    return value
-
-
-def history_layout(spec: SubroutineSpec) -> HistoryLayout:
-    """spec's HistoryLayout, built on first use and kept with the spec."""
-    return _per_spec(spec, "history_layout", HistoryLayout)
-
-
 def _alphas(spec: SubroutineSpec, alphas) -> np.ndarray:
     """alphas as an (m, T + 1) float array, each row checked as history_states checks alpha."""
     alphas = np.asarray(alphas, dtype=float)
@@ -1330,16 +1286,20 @@ def _alphas(spec: SubroutineSpec, alphas) -> np.ndarray:
 def _history_rows(spec: SubroutineSpec, inputs, alphas: np.ndarray):
     """history_states for every row of checked alphas (m, T + 1), along a leading row axis.
 
-    rows is (k, width) for the k inputs; plus and minus are (m, k, width)
-    and the closed norms (m, k).  Each row is history_states' elementwise
-    arithmetic, and each norm its running sum in t order, so a row has the
-    bytes of history_states under its alpha.
+    rows is (k, width) for the k inputs, read from the spec's layout
+    (GeneralLayout.history_rows); plus and minus are (m, k, width) and the
+    closed norms (m, k).  The states are taken per call: spec.trajectory's
+    rows of the inputs with the labels halted by step t - 1 zeroed at
+    counter t.  Each row is history_states' elementwise arithmetic, and
+    each norm its running sum in t order, so a row has the bytes of
+    history_states under its alpha.
     """
     inputs = np.asarray(inputs, dtype=int)
     if np.any((inputs < 0) | (inputs >= spec.num_inputs)):
         raise IndexError(f"input index out of range 0..{spec.num_inputs - 1}")
-    layout = history_layout(spec)
-    states = layout.states[inputs][:, :, None]
+    # row t: the labels halted by step t - 1 (none at t = 0)
+    halted = spec._halted_table[np.maximum(np.arange(spec.num_steps + 1) - 1, 0)]
+    states = np.where(halted, 0, spec.trajectory[inputs])[:, :, None]
     root = np.sqrt(alphas)
     # (row, input, t, track, (a, z) block): both tracks, the rewind one negated
     plus = np.empty((len(alphas), len(inputs), alphas.shape[1], 2, states.shape[3]),
@@ -1357,7 +1317,8 @@ def _history_rows(spec: SubroutineSpec, inputs, alphas: np.ndarray):
     norm_plus = np.cumsum((1.0 / alphas)[:, None] * survival, axis=2)[..., -1]
     norm_minus = np.cumsum(alphas[:, None] * survival, axis=2)[..., -1]
     shape = (len(alphas), len(inputs), -1)
-    return (layout.rows[inputs], plus.reshape(shape), minus.reshape(shape),
+    return (general_layout(spec).history_rows[inputs], plus.reshape(shape),
+            minus.reshape(shape),
             2.0 * norm_plus, 2.0 * norm_minus)
 
 
@@ -1375,9 +1336,9 @@ def history_states(spec: SubroutineSpec, inputs, alpha: np.ndarray):
     removes the part halted by step t - 1 before applying U_t.  Because
     every U_t acts as the identity on the labels halted by step t - 1
     (validate's halted_space_fixed check), that equals spec.trajectory's
-    row t with those labels zeroed.  The labels and these states do not
-    depend on alpha, so they are read from the spec's HistoryLayout, and
-    only the weights are applied here.  A state's squared norm is
+    row t with those labels zeroed.  The labels depend only on the spec's
+    sizes and outputs, so they are read from its layout
+    (GeneralLayout.history_rows).  A state's squared norm is
     P[T_i >= t], so norm_plus and norm_minus, the closed squared norms
     2 E[sum_{t<=T_i} 1/alpha_t] and 2 E[sum_{t<=T_i} alpha_t], are sums
     over spec.survival, accumulated in t order.  The witnesses take the
@@ -1393,17 +1354,15 @@ class ValueSources(NamedTuple):
     """Where a general side's stored values come from, but for its spec's U: what specs share.
 
     Entry e of sparsity has scale table[scale[e]], an int32 index into
-    GeneralPattern.fill's table [1, -1, sqrt(alpha_0), ..., sqrt(alpha_T),
+    GeneralLayout.fill's table [1, -1, sqrt(alpha_0), ..., sqrt(alpha_T),
     -sqrt(omega_1 / n), ..., -sqrt(omega_n / n)]; inner lists, ascending,
     the entries that are inner transitions onto the (a, z) block one step
     later, whose value is 0.0 - scale * u with u their step-unitary entry,
-    in that order (GeneralPattern.u).  The side's one inner set reads U at
-    the columns cols of each input's row of U.reshape(n, -1), its
+    in that order (GeneralLayout.u_index).  The side's one inner set reads
+    U at the columns cols of each input's row of U.reshape(n, -1), its
     T (2|Z|)^2 step-unitary entries, and stored packs into bits, row by
     row (np.packbits on axis 1), the (n, len(cols)) mask of whether input
-    i stores the entry at cols[c], that is whether U is nonzero there; so
-    a spec's u is U.reshape(n, -1)[:, cols][mask], input by input
-    (GeneralLayout.mask).
+    i stores the entry at cols[c], that is whether U is nonzero there.
     """
 
     sparsity: Sparsity
@@ -1503,8 +1462,16 @@ class GeneralLayout:
     entry is nonzero (for positive weights, the entries whose filled value
     is nonzero); that is decided after the shift, since the inputs' U
     differ in their exact zeros (a marked input's flipped unitary among
-    them).  Specs of one layout (fits) share it inside one
-    general_patterns call; every array it holds is read-only.
+    them).  u_index[side] lists the side's stored inner entries as flat
+    indices into spec.unitaries, input by input, in ValueSources.inner
+    order, so a spec's values are one take a side (fill).  The history
+    states' labels are laid out here too: row i of history_rows lists
+    input i's distinct history labels, the (a, z) block at every program
+    counter t on the "fwd" (bit 0) and "bwd" (bit f(i)) tracks, and row i
+    of history_slots the witnesses' src (bit 0), ret and chk (bit f(i))
+    labels at (a, z, t) = (0, 0, 0).  Built only by general_layouts, in
+    which specs of one layout (fits) share it, and kept with each spec;
+    every array it holds is read-only.
     """
 
     def __init__(self, spec: SubroutineSpec):
@@ -1575,6 +1542,7 @@ class GeneralLayout:
         label_stride = 4 * w * (t_max + 1)
         shift = np.arange(n)[:, None]
         per_input = spec.unitaries.reshape(n, -1)
+        u_stride = per_input.shape[1]
 
         def inner_fill(rows, scale, source, counts):
             """An inner set: the template shifted to every input, U = 0 entries dropped."""
@@ -1590,7 +1558,8 @@ class GeneralLayout:
             # the input and the template entry of every kept entry
             kept_i, kept_e = np.nonzero(keep)
             return (Sparsity(basis.dim, indptr, rows[kept_e] + label_stride * kept_i),
-                    scale[kept_e], inner[kept_e], cols, np.packbits(stored, axis=1))
+                    scale[kept_e], inner[kept_e], cols, np.packbits(stored, axis=1),
+                    (cols + u_stride * shift)[stored])
 
         def plain_fill(rows, scale):
             """A set of (g, width) generators with no U entry, every entry stored."""
@@ -1625,13 +1594,14 @@ class GeneralLayout:
                       (idx("chk", 1, 0, ab, 0, 0) + label_stride * unmarked).reshape(-1, 1),
                       plus)}}
         # each side's sets side by side: their patterns and value sources
-        # joined, with the U columns of its one inner set
-        self.sources = {}
+        # joined, with the U columns and U.flat indices of its one inner set
+        self.sources, self.u_index = {}, {}
         for side, named in sets.items():
             sparsities, scale, inner = map(list, zip(*(s[:3] for s in named.values())))
+            cols, stored, u_index = named["even" if side == "A" else "odd"][3:]
             self.sources[side] = ValueSources(_hstack(basis.dim, sparsities), *map(_read_only, (
-                np.concatenate(scale), np.flatnonzero(np.concatenate(inner)),
-                *named["even" if side == "A" else "odd"][3:])))
+                np.concatenate(scale), np.flatnonzero(np.concatenate(inner)), cols, stored)))
+            self.u_index[side] = _read_only(u_index)
         # an input's generators are fixed by its output and where its U is
         # nonzero: one row of kinds, input by input
         kinds = np.concatenate([np.array(spec.outputs, dtype=np.uint8)[:, None],
@@ -1642,6 +1612,16 @@ class GeneralLayout:
             {side: {name: s[0].shape[1] for name, s in named.items()}
              for side, named in sets.items()},
             component_star=partial(_input_star, label_stride, _read_only(kinds)))
+        # the history states' labels, over (input, t, track, (a, z) block),
+        # and the witnesses' slots, input by input
+        inputs, steps = np.arange(1, n + 1)[:, None], np.arange(t_max + 1)
+        fi = np.array(spec.outputs, dtype=int)[:, None]
+        self.history_rows = _read_only(np.stack(
+            [basis.az_indices("fwd", inputs, 0, steps),
+             basis.az_indices("bwd", inputs, fi, steps)], axis=2).reshape(n, -1))
+        self.history_slots = _read_only(np.concatenate(
+            [idx(tag, inputs, b, 0, 0, 0) for tag, b in (("src", 0), ("ret", fi),
+                                                         ("chk", fi))], axis=1))
 
     def fits(self, spec: SubroutineSpec) -> bool:
         """Whether spec has this layout, checked entry by entry.
@@ -1656,42 +1636,19 @@ class GeneralLayout:
                     s.stored)
                         for s in self.sources.values()))
 
-    def mask(self, side: str) -> np.ndarray:
-        """Side's (n, len(cols)) mask of stored inner entries, unpacked from its bits."""
-        sources = self.sources[side]
-        return np.unpackbits(sources.stored, axis=1, count=len(sources.cols)).view(bool)
+    def fill(self, spec: SubroutineSpec, weights) -> list[PEInstance]:
+        """spec's instances under a sequence of weights: per side, one gather and its values.
 
-
-class GeneralPattern:
-    """The general instance of one SubroutineSpec, all but its weights.
-
-    A GeneralLayout, the spec's own or one it shares with specs of the
-    same layout, and u[side], the spec's step-unitary entries at the
-    side's stored inner entries, in the order of ValueSources.inner.
-    structure and psi0 are the layout's, so every instance it fills
-    shares them, with their plans.  Built once per spec by
-    general_pattern or general_patterns; every array it holds is
-    read-only.
-    """
-
-    def __init__(self, spec: SubroutineSpec, layout: GeneralLayout | None = None):
-        """layout, when given, must fit spec (GeneralLayout.fits); general_patterns checks it."""
-        self.layout = GeneralLayout(spec) if layout is None else layout
-        self.num_inputs = self.layout.num_inputs
-        self.structure, self.psi0 = self.layout.structure, self.layout.psi0
-        per_input = spec.unitaries.reshape(self.num_inputs, -1)
-        self.u = {side: _read_only(per_input[:, s.cols][self.layout.mask(side)])
-                  for side, s in self.layout.sources.items()}
-
-    def fill(self, weights) -> list[PEInstance]:
-        """The instances under a sequence of weights: per side, one gather and its values.
-
-        The values are the elementwise expressions of the label-by-label
-        construction on the same operands (+-1, sqrt(alpha_t),
-        -sqrt(omega_i / n) and 0.0 - sqrt(alpha_{t+1}) U), taken for every
-        weighting at once along a leading row axis, so each keeps its bits.
-        The weights' lengths are build_general_instances' to check.
+        spec's U entries are one take a side (u_index).  The values are the
+        elementwise expressions of the label-by-label construction on the
+        same operands (+-1, sqrt(alpha_t), -sqrt(omega_i / n) and
+        0.0 - sqrt(alpha_{t+1}) U), taken for every weighting at once along
+        a leading row axis, so each keeps its bits.  ValueError is raised
+        unless this is spec's own layout (general_layout); the weights'
+        lengths are build_general_instances' to check.
         """
+        if spec.__dict__.get("general_layout") is not self:
+            raise ValueError("spec's layout is not this one: take it from general_layout(spec)")
         steps = len(weights[0].alpha)
         table = np.empty((len(weights), 2 + steps + self.num_inputs))
         table[:, 0], table[:, 1] = 1.0, -1.0
@@ -1699,44 +1656,58 @@ class GeneralPattern:
             np.sqrt(w.alpha, out=row[2:2 + steps])
             np.negative(np.sqrt(w.omega / self.num_inputs), out=row[2 + steps:])
         values = {}
-        for side, s in self.layout.sources.items():
+        for side, s in self.sources.items():
             scale = table.take(s.scale, axis=1)
             values[side] = scale.astype(complex)
-            values[side][:, s.inner] = 0.0 - scale.take(s.inner, axis=1) * self.u[side]
+            values[side][:, s.inner] = (0.0 - scale.take(s.inner, axis=1)
+                                        * spec.unitaries.take(self.u_index[side]))
         return [PEInstance(self.structure, self.psi0, {side: v[r] for side, v in values.items()})
                 for r in range(len(weights))]
 
 
-def general_pattern(spec: SubroutineSpec) -> GeneralPattern:
-    """spec's GeneralPattern, built on first use and kept with the spec."""
-    return _per_spec(spec, "general_pattern", GeneralPattern)
+def _per_spec(spec: SubroutineSpec, key: str, build):
+    """build(spec), made on first use and kept in spec.__dict__ under key.
 
-
-def general_patterns(specs) -> list[GeneralPattern]:
-    """Each spec's GeneralPattern (general_pattern), specs of one layout sharing it.
-
-    A spec with no pattern yet takes the layout of an earlier spec of this
-    call when GeneralLayout.fits finds its labels and U's exact zeros the
-    same, checked entry by entry, and builds its own otherwise.  The map
-    from layout keys to layouts lives in this call only, so the layouts
-    live and die with their specs' patterns.
+    That is the storage functools.cached_property uses for spec.trajectory,
+    so the value lives and dies with its spec (which is never hashed), and
+    a new spec, even an equal one, builds its own.
     """
-    layouts: dict[tuple, list[GeneralLayout]] = {}
+    value = spec.__dict__.get(key)
+    if value is None:
+        value = spec.__dict__[key] = build(spec)
+    return value
+
+
+def general_layouts(specs) -> list[GeneralLayout]:
+    """Each spec's GeneralLayout, specs of one layout sharing it, kept with the spec.
+
+    A spec with no layout yet takes that of an earlier spec of this call
+    when GeneralLayout.fits finds its labels and U's exact zeros the same,
+    checked entry by entry, and builds its own otherwise.  The map from
+    layout keys to layouts lives in this call only, so the layouts live
+    and die with their specs.
+    """
+    known: dict[tuple, list[GeneralLayout]] = {}
 
     def build(spec):
-        for layout in layouts.get(_layout_key(spec), ()):
+        for layout in known.get(_layout_key(spec), ()):
             if layout.fits(spec):
-                return GeneralPattern(spec, layout)
-        return GeneralPattern(spec)
+                return layout
+        return GeneralLayout(spec)
 
-    patterns = []
+    layouts = []
     for spec in specs:
-        pattern = _per_spec(spec, "general_pattern", build)
-        known = layouts.setdefault(pattern.layout.key, [])
-        if not any(layout is pattern.layout for layout in known):
-            known.append(pattern.layout)
-        patterns.append(pattern)
-    return patterns
+        layout = _per_spec(spec, "general_layout", build)
+        shared = known.setdefault(layout.key, [])
+        if not any(other is layout for other in shared):
+            shared.append(layout)
+        layouts.append(layout)
+    return layouts
+
+
+def general_layout(spec: SubroutineSpec) -> GeneralLayout:
+    """spec's GeneralLayout (general_layouts), built on first use and kept with the spec."""
+    return general_layouts([spec])[0]
 
 
 def build_general_instances(spec: SubroutineSpec, weights) -> list[PEInstance]:
@@ -1747,16 +1718,16 @@ def build_general_instances(spec: SubroutineSpec, weights) -> list[PEInstance]:
     inner transition sets ("even", "odd" by step parity) carry the
     subroutine steps on the fwd/bwd tracks and the turnaround vectors that
     reverse direction on freshly halted workspace labels.  The labels and
-    generators are fixed by the spec, so there is one GeneralPattern per
-    spec (general_pattern) and the weightings only fill in their values,
-    all in one pass; the instances share the pattern's layout, its
+    generators are fixed by the spec, so each spec keeps one GeneralLayout
+    (general_layout) and the weightings only fill in their values, all in
+    one pass (GeneralLayout.fill); the instances share the layout's
     sparsity and its structure plans (psi0's component and star, the Gram
     pairs).
     """
     for w in weights:
         if len(w.omega) != spec.num_inputs or len(w.alpha) != spec.num_steps + 1:
             raise ValueError("weights do not match the subroutine dimensions")
-    return general_pattern(spec).fill(weights)
+    return general_layout(spec).fill(spec, weights)
 
 
 def build_general_instance(spec: SubroutineSpec, weights: Weights) -> PEInstance:
@@ -1785,7 +1756,7 @@ def general_positive_witnesses(spec: SubroutineSpec, weights) -> list[PositiveWi
     omega = np.array([w.omega for w in weights], dtype=float)[:, marked]
     coef = (math.sqrt(n) * np.sqrt(beta) / np.sqrt(omega))[..., None]
     # src at bit 0, ret and chk at bit f(i) = 1
-    slots = history_layout(spec).slots[marked]
+    slots = general_layout(spec).history_slots[marked]
     vecs = _scatter(basis.dim, [(basis.index("src", 0, 0, 0, 0, 0), 1.0),
                                 (slots, coef), (rows, coef * plus)], len(weights))
     terms = n * beta / omega * (2.0 + norm_plus + 1.0)
@@ -1818,7 +1789,7 @@ def general_negative_witnesses(spec: SubroutineSpec, weights) -> list[NegativeWi
     psi0_idx = basis.index("src", 0, 0, 0, 0, 0)
     # src, ret and chk, all at bit f(i) = 0
     w_a = _scatter(basis.dim, [(psi0_idx, 1.0),
-                               (history_layout(spec).slots, coef * [-1.0, 1.0, -1.0]),
+                               (general_layout(spec).history_slots, coef * [-1.0, 1.0, -1.0]),
                                (rows, coef * minus)], len(weights))
     terms = omega / n * (2.0 + norm_minus + 1.0)
     w_b = -w_a
@@ -1857,7 +1828,8 @@ class WitnessReport:
                 and abs(self.norm_sq_measured - self.norm_sq_closed) <= bound)
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        """The report's scalar fields in field order, without asdict's deep copy."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def verify_witnesses(instance: PEInstance, witness,

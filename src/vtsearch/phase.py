@@ -91,7 +91,7 @@ exactly when the sets of a side span mutually orthogonal subspaces.
 
 RegimePair is the paper's regime experiment on one marked/empty pair.
 regime_pairs_of builds the regime pairs of several spec pairs at once:
-their specs' layouts are shared where they match (general_patterns), each
+their specs' layouts are shared where they match (general_layouts), each
 spec's regimes are built in one pass by the instance layer's row forms,
 and every row, the marked side's pair by pair and regime by regime, then
 the empty side's, is tied into one stack.  regime_pairs is its one-pair
@@ -982,7 +982,7 @@ def regime_pairs_of(spec_pairs, regimes, names=None) -> list[list[RegimePair]]:
     """The regime experiment on several (marked, all-unmarked) subroutine pairs.
 
     Returns each spec pair's RegimePairs, in the order given.  The specs'
-    patterns come from one general_patterns call, so specs of one layout
+    layouts come from one general_layouts call, so specs of one layout
     share it.  Each spec's stopping moments are computed once, and its
     regimes' witnesses and instances are built in one pass each (the
     instance layer's row forms).  Every instance is tied into one
@@ -996,7 +996,7 @@ def regime_pairs_of(spec_pairs, regimes, names=None) -> list[list[RegimePair]]:
     spec_pairs, regimes = list(spec_pairs), list(regimes)
     if not regimes:
         return [[] for _ in spec_pairs]
-    inst_mod.general_patterns([spec for pair in spec_pairs for spec in pair])
+    inst_mod.general_layouts([spec for pair in spec_pairs for spec in pair])
     rows: dict[str, list] = {"marked": [], "empty": []}
     out = []
     for marked, empty in spec_pairs:

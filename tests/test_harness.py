@@ -128,6 +128,25 @@ def test_grouped_seeds_give_the_payloads_of_seed_by_seed_runs(n_list, seed, num_
             == [json.dumps(r["payload"], sort_keys=True) for r in alone])
 
 
+def test_seeds_past_the_entry_budget_go_one_group_each(monkeypatch):
+    """With no room for a second seed's rows, each seed is its own group, with the same records."""
+    shape = dict(kind="general-loop", n_list=(2,), t_list=(2,), z_list=(2,), num_seeds=4)
+    whole = run_experiment(ExperimentConfig(**shape))
+    sizes = []
+    run_seeds = harness_mod._run_seeds
+
+    def counted(config, results, prefix, group):
+        sizes.append(len(group))
+        return run_seeds(config, results, prefix, group)
+
+    monkeypatch.setattr(harness_mod, "_run_seeds", counted)
+    monkeypatch.setattr(harness_mod.phase_mod, "STACK_ENTRIES", 1)
+    split = run_experiment(ExperimentConfig(**shape))
+    assert sizes == [1, 1, 1, 1] and split.passed
+    assert ([json.dumps(r, sort_keys=True) for r in split.records]
+            == [json.dumps(r, sort_keys=True) for r in whole.records])
+
+
 def test_a_failed_check_in_a_grouped_pass_names_the_seed_and_regime(monkeypatch):
     """One row of the second seed of a two-seed group is broken; the error names both.
 

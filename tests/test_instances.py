@@ -13,10 +13,9 @@ from vtsearch.instances import (SIMPLE_BLOCKS, GeneralBasis, InstanceStack,
                                 PositiveWitness, REGIMES, SimpleBasis, Sparsity, Weights,
                                 build_general_instance, build_general_instances,
                                 build_simple_instance, fsum_norm_sq,
-                                general_pattern, general_patterns,
+                                general_layout, general_layouts,
                                 general_negative_witness, general_negative_witnesses,
                                 general_positive_witness, general_positive_witnesses,
-                                history_layout,
                                 history_states, instance_from_sets,
                                 promise_parameter, regime_parameters,
                                 simple_witnesses, verify_witnesses)
@@ -206,7 +205,7 @@ def test_general_stars_equal_the_search(shape, seed, marked):
     rows and entries, on psi0's component of random_subroutine's spec.
     """
     spec = random_subroutine(seed, *shape, marked=marked)
-    part = general_pattern(spec).structure.component.structure
+    part = general_layout(spec).structure.component.structure
     star = part.star
     assert_same_star(star, searched_star(part))
     assert star.hub == 0 and list(star.free) == [0]
@@ -564,11 +563,11 @@ def _built(seed, shape, regimes):
 
 @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 4, 4), (16, 2, 2)])
 def test_pattern_fill_matches_oracle_in_any_regime_order(shape):
-    """One pattern per spec, filled per regime, in forward and reverse order.
+    """One layout per spec, filled per regime, in forward and reverse order.
 
     Each side's arrays equal the bytes of the dense oracle's nonzeros,
     its sets laid side by side, and those of a build from a cold, freshly
-    drawn spec, so the pattern keeps nothing of the regime it was first
+    drawn spec, so the layout keeps nothing of the regime it was first
     built under.
     """
     seed = 4
@@ -611,21 +610,20 @@ def test_pattern_arrays_are_read_only(small_pair):
     marked, _ = small_pair
     pair, = regime_pairs(*small_pair, ["ii-b"])
     inst = pair.instances()["marked"]
-    pattern = general_pattern(marked)
-    assert inst.structure is pattern.structure and inst.psi0 is pattern.psi0
-    structure = pattern.structure
+    layout = general_layout(marked)
+    assert inst.structure is layout.structure and inst.psi0 is layout.psi0
+    structure = layout.structure
     part = structure.component
-    shared = [pattern.psi0, structure.support, part.rows, part.structure.support,
+    shared = [layout.psi0, structure.support, part.rows, part.structure.support,
               *structure.gram("A")]
     for sparsity in (*structure.sides.values(), *part.structure.sides.values()):
         shared += [sparsity.indptr, sparsity.rows, sparsity.cols]
-    for side, s in pattern.layout.sources.items():
+    for side, s in layout.sources.items():
         assert s.sparsity is structure.sides[side]
         assert s.scale.dtype == np.int32
-        shared += [s.scale, s.inner, pattern.u[side]]
+        shared += [s.scale, s.inner, s.cols, s.stored, layout.u_index[side]]
     shared += list(part.entries.values())
-    layout = history_layout(marked)
-    shared += [layout.rows, layout.states, layout.slots]
+    shared += [layout.history_rows, layout.history_slots]
     for array in shared:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -636,12 +634,12 @@ def test_regime_pairs_build_one_pattern_per_spec(monkeypatch):
     import vtsearch.instances as inst_mod
     made = []
 
-    class Counting(inst_mod.GeneralPattern):
+    class Counting(inst_mod.GeneralLayout):
         def __init__(self, spec):
             made.append(spec)
             super().__init__(spec)
 
-    monkeypatch.setattr(inst_mod, "GeneralPattern", Counting)
+    monkeypatch.setattr(inst_mod, "GeneralLayout", Counting)
     marked, empty = subroutine_pair(3, 2, 3, 2)
     structures = {"marked": set(), "empty": set()}
     for pair in regime_pairs(marked, empty, REGIMES):
@@ -653,16 +651,16 @@ def test_regime_pairs_build_one_pattern_per_spec(monkeypatch):
 
 
 def test_regime_pairs_build_one_history_layout_per_spec(monkeypatch):
-    """Five regimes, twice over, lay out each spec's history rows once."""
+    """Five regimes, twice over, lay out each spec's history rows once: on its one layout."""
     import vtsearch.instances as inst_mod
     made = []
 
-    class Counting(inst_mod.HistoryLayout):
+    class Counting(inst_mod.GeneralLayout):
         def __init__(self, spec):
             made.append(spec)
             super().__init__(spec)
 
-    monkeypatch.setattr(inst_mod, "HistoryLayout", Counting)
+    monkeypatch.setattr(inst_mod, "GeneralLayout", Counting)
     marked, empty = subroutine_pair(3, 2, 3, 2)
     first = regime_pairs(marked, empty, REGIMES)
     again = regime_pairs(marked, empty, REGIMES)
@@ -691,7 +689,7 @@ def test_row_forms_equal_the_one_row_forms(shape, seed):
 
     The instances' values, the positive witness vector, both parts of the
     negative witness and every closed norm, on both sides; the one-row
-    calls go to fresh specs, so no pattern or history layout is shared.
+    calls go to fresh specs, so no layout is shared.
     """
     marked, empty = subroutine_pair(seed, *shape)
     weights = _regime_weights(marked, empty)
@@ -739,10 +737,10 @@ def test_a_spec_with_other_exact_zeros_gets_its_own_layout():
         twin = dataclasses.replace(spec)
         other = _with_identity_input(spec, 1)
         assert validate(other).passed
-        patterns = general_patterns([spec, twin, other])
-        assert patterns[1].layout is patterns[0].layout
-        assert patterns[2].layout is not patterns[0].layout
-        assert not patterns[0].layout.fits(other)
+        layouts = general_layouts([spec, twin, other])
+        assert layouts[1] is layouts[0]
+        assert layouts[2] is not layouts[0]
+        assert not layouts[0].fits(other)
         w = [pair[0] if any(spec.outputs) else pair[1] for pair in weights]
         for copy, built in ((twin, build_general_instances(twin, w)),
                             (other, build_general_instances(other, w))):
@@ -750,13 +748,33 @@ def test_a_spec_with_other_exact_zeros_gets_its_own_layout():
             assert [_side_arrays(i) for i in built] == [_side_arrays(i) for i in alone]
 
 
+def test_fill_refuses_a_spec_of_another_layout():
+    """A layout fills only the specs kept with it (general_layout), refusing any other.
+
+    The identity-input copy of a spec has the spec's sizes, partition and
+    outputs but other exact zeros in U: it is refused before it has a
+    layout and after it is given its own, and the spec itself is filled.
+    """
+    spec, empty = subroutine_pair(0, 3, 3, 3)
+    w = [pair[0] for pair in _regime_weights(spec, empty)]
+    layout = general_layout(spec)
+    other = _with_identity_input(spec, 1)
+    with pytest.raises(ValueError, match="layout is not this one"):
+        layout.fill(other, w)
+    assert general_layout(other) is not layout
+    with pytest.raises(ValueError, match="layout is not this one"):
+        layout.fill(other, w)
+    assert ([_side_arrays(i) for i in layout.fill(spec, w)]
+            == [_side_arrays(i) for i in build_general_instances(spec, w)])
+
+
 def test_shared_layouts_are_kept_by_no_module_state():
     """Two calls share nothing: each call's map lives and dies with it."""
     spec, _ = subroutine_pair(0, 2, 2, 2)
-    first, = general_patterns([spec])
-    second, = general_patterns([dataclasses.replace(spec)])
-    assert second.layout is not first.layout
-    assert general_patterns([spec])[0] is first
+    first, = general_layouts([spec])
+    second, = general_layouts([dataclasses.replace(spec)])
+    assert second is not first
+    assert general_layouts([spec])[0] is first
 
 
 def _distinct_zero_pair():

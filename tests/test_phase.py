@@ -715,6 +715,25 @@ def test_rows_past_the_entry_budget_go_in_smaller_passes(monkeypatch):
     assert sorted(spectra) == list(range(5))
 
 
+def test_a_secular_step_out_of_iterations_is_refused(monkeypatch):
+    """Roots cut off before they converge fail the secular residual check, naming the row.
+
+    Simple-loop n = 64 marked is decided on the star; with no secular
+    iteration left, its roots are taken where the search starts them.
+    """
+    oracle = OracleSpec(size=64, marked=frozenset({0}))
+
+    def decided():
+        return decide(build_simple_instance(oracle, 64.0), c_minus=1.0 + 3.0 * 64, c_plus=4.0)
+
+    assert decided().verdict == "positive"
+    monkeypatch.setattr(phase_mod, "SECULAR_STEPS", 0)
+    # a finite residual: the roots were taken where the last step left them
+    with pytest.raises(ValueError, match=r"^secular residual \d\.\d{3}e[-+]\d+ exceeds "
+                                         r"assert_tol 1e-08 in row 0$"):
+        decided()
+
+
 def test_a_stack_decides_instances_of_any_structure_and_dtype():
     """Rows of other structures and dtypes stacked together keep their lone bytes.
 
